@@ -318,12 +318,11 @@ def _serve_workload_pair() -> List[Tuple[str, Callable]]:
             conn.close()
 
     def drive(workers: int):
-        from repro.fleet import FleetRouter, FleetService
-        from repro.serve import histogram_quantile
+        from repro.fleet import FleetService
+        from repro.serve import ReproServer, histogram_quantile
 
         fleet = FleetService(workers=workers, store=None, node_store=None)
-        router = FleetRouter(fleet, port=0)
-        handle = router.run_in_thread()
+        handle = ReproServer(fleet, port=0).run_in_thread()
         try:
             requests = [{"spec": spec, **mix_controls} for spec in mix]
             start = time.perf_counter()

@@ -27,20 +27,15 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
-import os
-import re
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
+from smoke_common import Proc, fail, request
 
 WARM_SPECS = [
     {"spec": "adder:8", "filter": "tradeoff:0.05"},
@@ -48,77 +43,6 @@ WARM_SPECS = [
 ]
 CHURN_SECONDS = 12.0
 KILL_PERIOD = 3
-
-
-def fail(message: str, proc: "Proc" = None) -> "NoReturn":
-    print(f"chaos_smoke: FAIL: {message}", file=sys.stderr)
-    if proc is not None:
-        print("---- process log ----", file=sys.stderr)
-        print(proc.log(), file=sys.stderr)
-    sys.exit(1)
-
-
-class Proc:
-    """A repro CLI server subprocess with a parsed ready port."""
-
-    def __init__(self, argv: list) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro"] + argv,
-            cwd=str(REPO_ROOT), env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        self._lines: list = []
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-        self.host, self.port = self._await_ready()
-
-    def _await_ready(self):
-        deadline = time.time() + 90
-        scanned = 0
-        while time.time() < deadline:
-            lines = self._lines
-            while scanned < len(lines):
-                match = READY_PATTERN.search(lines[scanned])
-                scanned += 1
-                if match:
-                    return match.group(1), int(match.group(2))
-            if self.proc.poll() is not None:
-                fail(f"process exited early with {self.proc.returncode}:\n"
-                     + self.log())
-            time.sleep(0.05)
-        fail("process did not report a listening address within 90s:\n"
-             + self.log())
-
-    def _drain(self) -> None:
-        for line in self.proc.stdout:
-            self._lines.append(line.rstrip("\n"))
-
-    def log(self) -> str:
-        return "\n".join(self._lines)
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-        try:
-            self.proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
-
-
-def request(proc: Proc, method: str, path: str, body=None,
-            timeout: float = 180.0):
-    conn = http.client.HTTPConnection(proc.host, proc.port, timeout=timeout)
-    try:
-        conn.request(method, path,
-                     body=json.dumps(body) if body is not None else None)
-        resp = conn.getresponse()
-        return resp.status, resp.read(), resp.getheader("X-Repro-Source")
-    finally:
-        conn.close()
 
 
 def metrics(proc: Proc) -> dict:
@@ -175,8 +99,9 @@ def phase_store_outage(tmp: Path) -> Proc:
     try:
         for spec in WARM_SPECS:
             for _ in range(3):   # enough misses+puts to trip the breaker
-                status, _, source = request(fleet, "POST", "/synthesize",
-                                            spec)
+                status, _, headers = request(fleet, "POST", "/synthesize",
+                                             spec)
+                source = headers.get("x-repro-source")
                 if status != 200:
                     fail(f"engine-only serving broke: {status}", fleet)
                 if source != "engine":

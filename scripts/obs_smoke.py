@@ -31,20 +31,16 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
-import os
 import re
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
+from smoke_common import REPO_ROOT, Proc, fail, repro_env, request
 
 #: Exposition text grammar: comment lines or ``name[{labels}] value``,
 #: optionally followed by an OpenMetrics exemplar
@@ -55,78 +51,6 @@ SAMPLE_PATTERN = re.compile(
 
 COLD_SPEC = {"spec": "adder:8", "filter": "tradeoff:0.05"}
 DISTINCT_SPEC = {"spec": "counter:8", "filter": "tradeoff:0.05"}
-
-
-def fail(message: str, proc: "Proc" = None) -> "NoReturn":
-    print(f"obs_smoke: FAIL: {message}", file=sys.stderr)
-    if proc is not None:
-        print("---- process log ----", file=sys.stderr)
-        print(proc.log(), file=sys.stderr)
-    sys.exit(1)
-
-
-class Proc:
-    """A repro CLI server subprocess with a parsed ready port."""
-
-    def __init__(self, argv: list) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro"] + argv,
-            cwd=str(REPO_ROOT), env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        self._lines: list = []
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-        self.host, self.port = self._await_ready()
-
-    def _await_ready(self):
-        deadline = time.time() + 90
-        scanned = 0
-        while time.time() < deadline:
-            lines = self._lines
-            while scanned < len(lines):
-                match = READY_PATTERN.search(lines[scanned])
-                scanned += 1
-                if match:
-                    return match.group(1), int(match.group(2))
-            if self.proc.poll() is not None:
-                fail(f"process exited early with {self.proc.returncode}:\n"
-                     + self.log())
-            time.sleep(0.05)
-        fail("process did not report a listening address within 90s:\n"
-             + self.log())
-
-    def _drain(self) -> None:
-        for line in self.proc.stdout:
-            self._lines.append(line.rstrip("\n"))
-
-    def log(self) -> str:
-        return "\n".join(self._lines)
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-        try:
-            self.proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
-
-
-def request(proc: Proc, method: str, path: str, body=None,
-            timeout: float = 180.0):
-    conn = http.client.HTTPConnection(proc.host, proc.port, timeout=timeout)
-    try:
-        conn.request(method, path,
-                     body=json.dumps(body) if body is not None else None)
-        resp = conn.getresponse()
-        headers = {key.lower(): value for key, value in resp.getheaders()}
-        return resp.status, resp.read(), headers
-    finally:
-        conn.close()
 
 
 def trace_by_id(fleet: Proc, trace_id: str) -> dict:
@@ -253,12 +177,11 @@ def main() -> int:
               f"({len(samples)} samples) and agrees with JSON /metrics")
 
         # The CLI renders the trace from a separate process.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
         shown = subprocess.run(
             [sys.executable, "-m", "repro", "trace", "show", cold_id,
              "--url", f"http://{fleet.host}:{fleet.port}"],
-            cwd=str(REPO_ROOT), env=env, capture_output=True, text=True,
+            cwd=str(REPO_ROOT), env=repro_env(), capture_output=True,
+            text=True,
             timeout=60)
         if shown.returncode != 0:
             fail(f"repro trace show exited {shown.returncode}: "

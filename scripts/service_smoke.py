@@ -29,118 +29,30 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
-import os
-import re
-import subprocess
 import sys
 import tempfile
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from smoke_common import Proc, fail, normalized_body, request
+
 SPEC = {"spec": "alu:64", "filter": "tradeoff:0.05"}
 #: Distinct-but-overlapping request: COMPARATOR<64> is the heaviest
 #: subtree of the ALU64's expanded graph, so serving it after an ALU64
 #: run must reuse persisted node entries.  Same filter -- the node keys
 #: embed the search controls.
 OVERLAP_SPEC = {"spec": "comparator:64", "filter": "tradeoff:0.05"}
-READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
 
 
-def normalized_body(body: bytes) -> str:
-    """The json body with the wall-clock fields pinned: two engine
-    runs can never agree on ``runtime_seconds`` or ``phases``, and
-    everything else must be byte-identical."""
-    data = json.loads(body)
-    data["runtime_seconds"] = 0.0
-    data["phases"] = {}
-    return json.dumps(data, sort_keys=True)
-
-
-def fail(message: str, server: "ServerProc" = None) -> "NoReturn":
-    print(f"service_smoke: FAIL: {message}", file=sys.stderr)
-    if server is not None:
-        print("---- server log ----", file=sys.stderr)
-        print(server.log(), file=sys.stderr)
-    sys.exit(1)
-
-
-class ServerProc:
-    """`python -m repro serve` as a subprocess with a parsed port."""
-
-    def __init__(self, store_path: Path) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--store", str(store_path)],
-            cwd=str(REPO_ROOT), env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        self._lines: list = []
-        # The drain thread starts first: readline() on a silent-but-
-        # alive server blocks forever, so the ready wait polls the
-        # drained lines against a real deadline instead of reading the
-        # pipe itself.  The thread also keeps the pipe from filling.
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-        self.host, self.port = self._await_ready()
-
-    def _await_ready(self):
-        deadline = time.time() + 30
-        scanned = 0
-        while time.time() < deadline:
-            lines = self._lines
-            while scanned < len(lines):
-                match = READY_PATTERN.search(lines[scanned])
-                scanned += 1
-                if match:
-                    return match.group(1), int(match.group(2))
-            if self.proc.poll() is not None:
-                fail(f"server exited early with {self.proc.returncode}:\n"
-                     + self.log())
-            time.sleep(0.05)
-        fail("server did not report a listening address within 30s:\n"
-             + self.log())
-
-    def _drain(self) -> None:
-        for line in self.proc.stdout:
-            self._lines.append(line.rstrip("\n"))
-
-    def log(self) -> str:
-        return "\n".join(self._lines)
-
-    def stop(self) -> None:
-        self.proc.terminate()
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
-
-
-def request(server: ServerProc, method: str, path: str, body=None,
-            timeout: float = 120.0):
-    conn = http.client.HTTPConnection(server.host, server.port,
-                                      timeout=timeout)
-    try:
-        conn.request(method, path,
-                     body=json.dumps(body) if body is not None else None)
-        resp = conn.getresponse()
-        return resp.status, resp.read(), resp.getheader("X-Repro-Source")
-    finally:
-        conn.close()
+def serve(store_path: Path) -> Proc:
+    return Proc(["serve", "--port", "0", "--store", str(store_path)])
 
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="repro-smoke-"))
     store_path = tmp / "smoke.sqlite"
-    server = ServerProc(store_path)
+    server = serve(store_path)
     try:
         # Health probe plus 4 concurrent identical synthesize calls.
         with ThreadPoolExecutor(max_workers=5) as pool:
@@ -162,7 +74,8 @@ def main() -> int:
         bodies = {body for _, body, _ in results}
         if len(bodies) != 1:
             fail(f"bodies not bit-identical ({len(bodies)} variants)", server)
-        sources = sorted(source for _, _, source in results)
+        sources = sorted(headers.get("x-repro-source")
+                         for _, _, headers in results)
         if sources.count("engine") != 1:
             fail(f"expected exactly one engine run, sources={sources}",
                  server)
@@ -182,9 +95,10 @@ def main() -> int:
         server.stop()
 
     # A fresh process over the same store answers warm.
-    server = ServerProc(store_path)
+    server = serve(store_path)
     try:
-        status, body, source = request(server, "POST", "/synthesize", SPEC)
+        status, body, headers = request(server, "POST", "/synthesize", SPEC)
+        source = headers.get("x-repro-source")
         if status != 200 or source != "store":
             fail(f"restarted server answered {status} from "
                  f"{source!r}, wanted a store hit", server)
@@ -200,8 +114,9 @@ def main() -> int:
         # the ALU64: the overlapping COMPARATOR<64> is a result-store
         # miss, so the engine runs -- but half-warm, over the node
         # entries the ALU64 evaluation persisted.
-        status, warm_overlap, source = request(
+        status, warm_overlap, headers = request(
             server, "POST", "/synthesize", OVERLAP_SPEC)
+        source = headers.get("x-repro-source")
         if status != 200 or source != "engine":
             fail(f"overlap request answered {status} from {source!r}, "
                  f"wanted an engine run", server)
@@ -224,10 +139,11 @@ def main() -> int:
     # Byte-identity gate: a cold process (fresh store, nothing warm)
     # must produce the same body for the overlap request, up to the
     # wall-clock runtime field.
-    server = ServerProc(tmp / "cold.sqlite")
+    server = serve(tmp / "cold.sqlite")
     try:
-        status, cold_overlap, source = request(
+        status, cold_overlap, headers = request(
             server, "POST", "/synthesize", OVERLAP_SPEC)
+        source = headers.get("x-repro-source")
         if status != 200 or source != "engine":
             fail(f"cold overlap run answered {status} from {source!r}",
                  server)

@@ -37,19 +37,15 @@ Exits 0 on success; prints a FAIL line and exits 1 otherwise.
 
 from __future__ import annotations
 
-import http.client
 import json
-import os
 import re
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
+from smoke_common import REPO_ROOT, Proc, fail, repro_env, request
 
 #: Injected per-operation store latency and the starved client budget.
 STORE_LATENCY_MS = 250
@@ -58,80 +54,6 @@ STARVED_DEADLINE_MS = 60
 #: Distinct specs so fingerprint sharding spreads load over both
 #: workers (widths give distinct fingerprints).
 HEALTHY_SPECS = [f"adder:{bits}" for bits in range(4, 12)]
-
-
-def fail(message: str, proc: "Proc" = None) -> "NoReturn":
-    print(f"slo_smoke: FAIL: {message}", file=sys.stderr)
-    if proc is not None:
-        print("---- process log ----", file=sys.stderr)
-        print(proc.log(), file=sys.stderr)
-    sys.exit(1)
-
-
-class Proc:
-    """A repro CLI server subprocess with a parsed ready port."""
-
-    def __init__(self, argv: list) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro"] + argv,
-            cwd=str(REPO_ROOT), env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        self._lines: list = []
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-        self.host, self.port = self._await_ready()
-
-    def _await_ready(self):
-        deadline = time.time() + 90
-        scanned = 0
-        while time.time() < deadline:
-            lines = self._lines
-            while scanned < len(lines):
-                match = READY_PATTERN.search(lines[scanned])
-                scanned += 1
-                if match:
-                    return match.group(1), int(match.group(2))
-            if self.proc.poll() is not None:
-                fail(f"process exited early with {self.proc.returncode}:\n"
-                     + self.log())
-            time.sleep(0.05)
-        fail("process did not report a listening address within 90s:\n"
-             + self.log())
-
-    def _drain(self) -> None:
-        for line in self.proc.stdout:
-            self._lines.append(line.rstrip("\n"))
-
-    def log(self) -> str:
-        return "\n".join(self._lines)
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-        try:
-            self.proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
-
-
-def request(proc: Proc, method: str, path: str, body=None,
-            headers=None, timeout: float = 180.0):
-    conn = http.client.HTTPConnection(proc.host, proc.port, timeout=timeout)
-    try:
-        conn.request(method, path,
-                     body=json.dumps(body) if body is not None else None,
-                     headers=headers or {})
-        resp = conn.getresponse()
-        resp_headers = {key.lower(): value
-                        for key, value in resp.getheaders()}
-        return resp.status, resp.read(), resp_headers
-    finally:
-        conn.close()
 
 
 def get_json(proc: Proc, path: str) -> dict:
@@ -341,14 +263,12 @@ def main() -> int:
               f"self-contained)")
 
         # ---- repro top --once renders over HTTP ----------------------
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         top = subprocess.run(
             [sys.executable, "-m", "repro", "top",
              "--url", f"http://{fleet.host}:{fleet.port}",
              "--once", "--no-color", "--window", "120"],
-            cwd=str(REPO_ROOT), env=env, capture_output=True, text=True,
+            cwd=str(REPO_ROOT), env=repro_env(), capture_output=True,
+            text=True,
             timeout=60)
         if top.returncode != 0:
             fail(f"repro top --once exited {top.returncode}:\n"

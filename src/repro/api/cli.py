@@ -183,6 +183,51 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
              "({\"objectives\": [...]}; see README)")
 
 
+def _add_server_args(parser: argparse.ArgumentParser, fleet: bool) -> None:
+    """The flags ``serve`` and ``fleet`` share, in help order; the
+    fleet's router/worker wording and its two worker-count flags are
+    the only differences."""
+    router = "router " if fleet else ""
+    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
+                        help=f"{router}bind address (default: 127.0.0.1)")
+    parser.add_argument(
+        "--port", type=int, default=None, metavar="N",
+        help=f"{router}TCP port (default: 8473; 0 = ephemeral)"
+             + ("; workers always bind ephemeral local ports" if fleet
+                else ""))
+    if fleet:
+        parser.add_argument("--workers", type=int, default=2, metavar="N",
+                            help="worker processes to spawn (default: 2)")
+    _add_engine_args(parser)
+    _add_store_arg(parser, default="default",
+                   help_suffix=(" shared by every worker" if fleet else "")
+                   + " (default: the shared on-disk store)")
+    parser.add_argument("--no-store", action="store_true",
+                        help="serve without any persistent store")
+    _add_node_store_arg(parser, default="auto",
+                        help_suffix=" (default: auto = the nodes table "
+                                    "in the result store's file)")
+    parser.add_argument("--no-node-store", action="store_true",
+                        help="serve without the per-node option cache")
+    if fleet:
+        parser.add_argument("--engine-workers", type=int, default=2,
+                            metavar="N",
+                            help="engine executor threads per worker "
+                                 "(default: 2)")
+    else:
+        parser.add_argument("--workers", type=int, default=2, metavar="N",
+                            help="engine executor threads (default: 2)")
+    parser.add_argument(
+        "--drain-timeout", type=float, default=10.0, metavar="S",
+        help="on SIGTERM/SIGINT, wait up to S seconds for in-flight "
+             "requests before "
+             + ("stopping the workers" if fleet else
+                "closing the stores and exiting") + " (default: 10)")
+    _add_resilience_args(parser)
+    _add_trace_args(parser)
+    _add_obs_args(parser)
+
+
 def _trace_sample(args: argparse.Namespace) -> float:
     """--trace-sample wins; bare --trace means sample everything."""
     if args.trace_sample is not None:
@@ -239,30 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "engine.  Engine flags set the service defaults; "
                     "requests may override them per call.",
     )
-    serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=None, metavar="N",
-                       help="TCP port (default: 8473; 0 = ephemeral)")
-    _add_engine_args(serve)
-    _add_store_arg(serve, default="default",
-                   help_suffix=" (default: the shared on-disk store)")
-    serve.add_argument("--no-store", action="store_true",
-                       help="serve without any persistent store")
-    _add_node_store_arg(serve, default="auto",
-                        help_suffix=" (default: auto = the nodes table "
-                                     "in the result store's file)")
-    serve.add_argument("--no-node-store", action="store_true",
-                       help="serve without the per-node option cache")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="engine executor threads (default: 2)")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="S",
-                       help="on SIGTERM/SIGINT, wait up to S seconds for "
-                            "in-flight requests before closing the stores "
-                            "and exiting (default: 10)")
-    _add_resilience_args(serve)
-    _add_trace_args(serve)
-    _add_obs_args(serve)
+    _add_server_args(serve, fleet=False)
 
     fleet = sub.add_parser(
         "fleet",
@@ -276,35 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "counters.  Crashed workers restart with backoff; "
                     "SIGTERM drains the router, then the workers.",
     )
-    fleet.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                       help="router bind address (default: 127.0.0.1)")
-    fleet.add_argument("--port", type=int, default=None, metavar="N",
-                       help="router TCP port (default: 8473; 0 = ephemeral); "
-                            "workers always bind ephemeral local ports")
-    fleet.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker processes to spawn (default: 2)")
-    _add_engine_args(fleet)
-    _add_store_arg(fleet, default="default",
-                   help_suffix=" shared by every worker (default: the "
-                               "shared on-disk store)")
-    fleet.add_argument("--no-store", action="store_true",
-                       help="serve without any persistent store")
-    _add_node_store_arg(fleet, default="auto",
-                        help_suffix=" (default: auto = the nodes table "
-                                    "in the result store's file)")
-    fleet.add_argument("--no-node-store", action="store_true",
-                       help="serve without the per-node option cache")
-    fleet.add_argument("--engine-workers", type=int, default=2, metavar="N",
-                       help="engine executor threads per worker "
-                            "(default: 2)")
-    fleet.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="S",
-                       help="on SIGTERM/SIGINT, wait up to S seconds for "
-                            "in-flight requests before stopping the "
-                            "workers (default: 10)")
-    _add_resilience_args(fleet)
-    _add_trace_args(fleet)
-    _add_obs_args(fleet)
+    _add_server_args(fleet, fleet=True)
     fleet.add_argument(
         "--chaos", default=None, metavar="MODE:PERIOD",
         help="fault-injection harness: kill-worker:PERIOD SIGKILLs one "
@@ -530,94 +524,85 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve`` and ``repro fleet``: one HTTP server over the
+    local service or over a worker fleet.  ``serve`` never imports
+    :mod:`repro.fleet`."""
     import asyncio
 
-    from repro.serve import DEFAULT_PORT, run_server
+    from repro.serve import (
+        DEFAULT_PORT,
+        ReproServer,
+        SynthesisService,
+        run_until_signalled,
+    )
 
+    prog = f"{PROG} {args.command}"
+    if args.command == "fleet" and args.workers < 1:
+        print(f"{prog}: --workers must be >= 1", file=sys.stderr)
+        return 2
     store = None if args.no_store else args.store
-    node_store = None if args.no_node_store else args.node_store
-    defaults = {
-        "library": args.library,
-        "rulebase": args.rulebase,
-        "filter": args.perf_filter,
-        "order": args.order,
-        "max_combinations": args.max_combinations,
-        "batch": args.batch,
-    }
-    port = args.port if args.port is not None else DEFAULT_PORT
+    common = dict(
+        store=store,
+        node_store=None if args.no_node_store else args.node_store,
+        defaults={
+            "library": args.library,
+            "rulebase": args.rulebase,
+            "filter": args.perf_filter,
+            "order": args.order,
+            "max_combinations": args.max_combinations,
+            "batch": args.batch,
+        },
+        breaker_threshold=args.breaker_threshold,
+        breaker_reset=args.breaker_reset,
+        trace_sample=_trace_sample(args),
+        trace_ring=args.trace_ring,
+        trace_export=args.trace_export,
+        access_log=args.access_log,
+        access_log_max_mb=args.access_log_max_mb,
+    )
+    errors: tuple = (KeyError, OSError, ValueError)
     try:
-        asyncio.run(run_server(
-            host=args.host, port=port, store=store, node_store=node_store,
-            defaults=defaults, engine_workers=args.workers,
-            drain_timeout=args.drain_timeout,
-            request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset=args.breaker_reset,
-            trace_sample=_trace_sample(args),
-            trace_ring=args.trace_ring,
-            trace_export=args.trace_export,
-            access_log=args.access_log,
-            access_log_max_mb=args.access_log_max_mb,
-            history=args.history,
-            history_interval=args.history_interval,
-            history_retention=args.history_retention,
-            slo=args.slo,
-            slo_file=args.slo_file,
-        ))
-    except (KeyError, OSError, ValueError) as error:
-        print(f"{PROG} serve: {error}", file=sys.stderr)
+        if args.command == "fleet":
+            from repro.fleet import FleetError, FleetService
+
+            errors += (FleetError,)
+            backend: Any = FleetService(
+                workers=args.workers, engine_workers=args.engine_workers,
+                worker_host=(args.host if args.host != "0.0.0.0"
+                             else "127.0.0.1"),
+                worker_drain_timeout=args.drain_timeout,
+                request_deadline=args.request_timeout,
+                chaos=args.chaos, **common)
+
+            def ready_note() -> str:  # worker ports exist once started
+                ports = ", ".join(str(worker.port)
+                                  for worker in backend.workers)
+                return (f"with {args.workers} worker(s) "
+                        f"(worker ports: {ports}; store: {store})")
+            closed = "workers stopped"
+        else:
+            backend = SynthesisService(
+                engine_workers=args.workers,
+                request_timeout=args.request_timeout, **common)
+            path = (backend.store.path if backend.store is not None
+                    else "disabled")
+
+            def ready_note() -> str:
+                return f"(store: {path})"
+            closed = "stores closed"
+        server = ReproServer(
+            backend, host=args.host,
+            port=args.port if args.port is not None else DEFAULT_PORT,
+            history=args.history, history_interval=args.history_interval,
+            history_retention=args.history_retention, slo=args.slo,
+            slo_file=args.slo_file)
+        asyncio.run(run_until_signalled(
+            server, prog, ready_note, args.drain_timeout, closed))
+    except errors as error:
+        print(f"{prog}: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        print(f"{PROG} serve: shutting down", file=sys.stderr)
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.fleet import FleetError, run_fleet
-    from repro.serve import DEFAULT_PORT
-
-    store = None if args.no_store else args.store
-    node_store = None if args.no_node_store else args.node_store
-    defaults = {
-        "library": args.library,
-        "rulebase": args.rulebase,
-        "filter": args.perf_filter,
-        "order": args.order,
-        "max_combinations": args.max_combinations,
-        "batch": args.batch,
-    }
-    port = args.port if args.port is not None else DEFAULT_PORT
-    if args.workers < 1:
-        print(f"{PROG} fleet: --workers must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        asyncio.run(run_fleet(
-            host=args.host, port=port, workers=args.workers,
-            store=store, node_store=node_store, defaults=defaults,
-            engine_workers=args.engine_workers,
-            drain_timeout=args.drain_timeout,
-            request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset=args.breaker_reset,
-            chaos=args.chaos,
-            trace_sample=_trace_sample(args),
-            trace_ring=args.trace_ring,
-            trace_export=args.trace_export,
-            access_log=args.access_log,
-            access_log_max_mb=args.access_log_max_mb,
-            history=args.history,
-            history_interval=args.history_interval,
-            history_retention=args.history_retention,
-            slo=args.slo,
-            slo_file=args.slo_file,
-        ))
-    except (FleetError, KeyError, OSError, ValueError) as error:
-        print(f"{PROG} fleet: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(f"{PROG} fleet: shutting down", file=sys.stderr)
+        print(f"{prog}: shutting down", file=sys.stderr)
     return 0
 
 
@@ -936,10 +921,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "synth":
         return _cmd_synth(args)
-    if args.command == "serve":
+    if args.command in ("serve", "fleet"):
         return _cmd_serve(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
     if args.command == "warm":
         return _cmd_warm(args)
     if args.command == "cache":

@@ -6,16 +6,16 @@ A front router over N supervised ``repro serve`` worker processes:
 (identical requests -> same worker, so per-worker coalescing stays
 exact fleet-wide), splits ``POST /batch`` per item, aggregates worker
 ``GET /metrics`` under one endpoint, restarts crashed workers with
-backoff, and drains gracefully on SIGTERM.  Stdlib only; same HTTP
-conventions as :mod:`repro.serve`.
+backoff, and drains gracefully on SIGTERM.  Stdlib only.
 
-Embedding::
+Embedding -- the fleet is a backend of the same HTTP front that
+:mod:`repro.serve` uses::
 
-    from repro.fleet import FleetRouter, FleetService
+    from repro.fleet import FleetService
+    from repro.serve import ReproServer
 
-    fleet = FleetService(workers=2, store=store_path)
-    router = FleetRouter(fleet, port=0)
-    handle = router.run_in_thread()     # bound port: handle.port
+    server = ReproServer(FleetService(workers=2, store=store_path), port=0)
+    handle = server.run_in_thread()     # bound port: handle.port
     ...
     handle.stop()
 """
@@ -25,14 +25,12 @@ from repro.fleet.router import (
     BACKOFF_MAX,
     VNODES,
     FleetError,
-    FleetRouter,
     FleetService,
     HashRing,
     WorkerFailure,
     WorkerHandle,
     aggregate_metrics,
     routing_key,
-    run_fleet,
 )
 
 __all__ = [
@@ -40,12 +38,10 @@ __all__ = [
     "BACKOFF_MAX",
     "VNODES",
     "FleetError",
-    "FleetRouter",
     "FleetService",
     "HashRing",
     "WorkerFailure",
     "WorkerHandle",
     "aggregate_metrics",
     "routing_key",
-    "run_fleet",
 ]

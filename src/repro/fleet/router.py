@@ -30,11 +30,14 @@ down, lookups walk the ring to the next *live* slot, so only the dead
 slot's keys remap.  503 is returned only when no live worker owns the
 shard (every worker down or restarting).
 
-SIGTERM/SIGINT drain the router's in-flight requests (bounded by
-``--drain-timeout``), then SIGTERM the workers so each drains and
-closes its stores cleanly.
+:class:`FleetService` is a backend of :class:`repro.serve.ReproServer`,
+the same HTTP front ``repro serve`` uses: the route table, history,
+SLOs and the drain live there.  On SIGTERM/SIGINT the server drains
+the router's in-flight requests (bounded by ``--drain-timeout``), then
+closes the fleet, which SIGTERMs the workers so each drains and closes
+its stores cleanly.
 
-Everything is stdlib, same HTTP conventions as :mod:`repro.serve`.
+Everything is stdlib.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ import sys
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
-from repro.obs.prom import prometheus_text
+from repro.obs.accesslog import AccessLog
 from repro.obs.trace import (
     ATTEMPTS_HEADER,
     NULL_SPAN,
@@ -67,26 +69,13 @@ from repro.resilience import (
     Deadline,
     parse_chaos,
 )
-from repro.obs.accesslog import AccessLog
-from repro.obs.slo import SLOEngine
-from repro.obs.timeseries import HistorySampler, MetricsHistory
 from repro.serve.server import (
-    DEFAULT_PORT,
     LATENCY_BUCKETS,
-    MAX_BODY_BYTES,
+    SESSION_DEFAULTS,
     SESSION_PARAMS,
     Metrics,
-    ReproServer,
     ServeError,
-    ServerThread,
     _deadline_error,
-    _dashboard_body,
-    _history_body,
-    _query_format,
-    _resolve_objectives,
-    _slo_body,
-    _trace_filters,
-    install_signal_handlers,
 )
 
 #: The worker ready line (what ``repro serve`` prints on startup).
@@ -107,22 +96,7 @@ REQUEST_TIMEOUT = 600.0
 
 WORKER_READY_TIMEOUT = 60.0
 
-_NAME_PARAMS = ("library", "rulebase", "filter", "order")
 _REQUEST_FIELDS = ("spec", "legend", "generator", "params", "label")
-
-#: Session-parameter defaults mirrored from
-#: :class:`repro.serve.server.SynthesisService` -- the router must
-#: normalize a request exactly the way a worker will, so a request
-#: that *spells out* a default routes to the same shard as one that
-#: omits it.
-_BASE_DEFAULTS: Dict[str, Any] = {
-    "library": "lsi_logic",
-    "rulebase": None,
-    "filter": "pareto",
-    "order": None,
-    "max_combinations": None,
-    "batch": None,
-}
 
 
 class FleetError(Exception):
@@ -155,22 +129,22 @@ def routing_key(body: Dict[str, Any],
     library or rulebase, so the router stays library-blind and
     forwards the original bytes untouched.
     """
-    params = dict(_BASE_DEFAULTS)
-    if defaults:
-        params.update(defaults)
+    params = {**SESSION_DEFAULTS, **(defaults or {})}
     for key in SESSION_PARAMS:
         if key in body:
             params[key] = body[key]
     normalized: Dict[str, Any] = {}
     for key in SESSION_PARAMS:
         value = params.get(key)
-        if key in _NAME_PARAMS and isinstance(value, str):
+        if key == "max_combinations":
+            if value is not None:
+                try:
+                    value = int(value)
+                except (TypeError, ValueError):
+                    pass  # the worker will 400 it; route it anywhere stable
+        elif isinstance(value, str):
+            # A registry name: canonicalized the way Registry does.
             value = value.strip().lower().replace("-", "_")
-        if key == "max_combinations" and value is not None:
-            try:
-                value = int(value)
-            except (TypeError, ValueError):
-                pass  # the worker will 400 it; route it anywhere stable
         normalized[key] = value
     request_fields = {
         key: body.get(key) for key in _REQUEST_FIELDS if key in body
@@ -461,7 +435,9 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 class FleetService:
     """Worker fleet: spawn/supervise N serve processes, route by
-    consistent hashing, aggregate metrics (transport-agnostic)."""
+    consistent hashing, aggregate metrics.  The fleet backend of
+    :class:`repro.serve.ReproServer` (see
+    :class:`repro.serve.SynthesisService` for the protocol)."""
 
     def __init__(
         self,
@@ -497,9 +473,7 @@ class FleetService:
                 "share a live store object")
         self.store = store
         self.node_store = node_store
-        self.defaults = dict(_BASE_DEFAULTS)
-        if defaults:
-            self.defaults.update(defaults)
+        self.defaults = {**SESSION_DEFAULTS, **(defaults or {})}
         self.engine_workers = max(1, engine_workers)
         self.worker_host = worker_host
         self.worker_drain_timeout = worker_drain_timeout
@@ -934,9 +908,11 @@ class FleetService:
         return filter_traces(group_spans(spans), **filters)
 
     # -- lifecycle -----------------------------------------------------
-    async def stop_workers(self, drain_timeout: float = 10.0) -> None:
-        """SIGTERM every worker (each drains itself and closes its
-        stores), bounded-wait, then SIGKILL stragglers."""
+    async def close(self, close_stores: bool = False) -> None:
+        """SIGTERM every worker (each drains itself, bounded by its
+        ``--drain-timeout``, and closes its stores), wait a little past
+        that, then SIGKILL stragglers.  Workers own their stores, so
+        ``close_stores`` has nothing extra to do here."""
         self._closing = True
         if self._chaos_task is not None:
             self._chaos_task.cancel()
@@ -956,259 +932,8 @@ class FleetService:
             try:
                 await asyncio.wait_for(
                     asyncio.gather(*waits),
-                    timeout=max(1.0, drain_timeout + 5.0))
+                    timeout=max(1.0, self.worker_drain_timeout + 5.0))
             except (asyncio.TimeoutError, TimeoutError):
                 for worker in self.workers:
                     worker.kill()
         self.access_log.close()
-
-    def close(self, close_stores: bool = False) -> None:
-        """Sync best-effort teardown (the embedded/abnormal path; the
-        graceful path is :meth:`stop_workers`).  Workers own their
-        stores, so ``close_stores`` has nothing extra to do here."""
-        self._closing = True
-        if self._chaos_task is not None:
-            self._chaos_task.cancel()
-            self._chaos_task = None
-        for task in self._supervisors:
-            task.cancel()
-        for worker in self.workers:
-            worker.terminate()
-        self.access_log.close()
-
-
-class FleetRouter(ReproServer):
-    """The HTTP front door: :class:`~repro.serve.server.ReproServer`'s
-    request plumbing with dispatch, lifecycle, and shutdown rebound to
-    a :class:`FleetService`.  Duck-types ReproServer closely enough
-    that :class:`~repro.serve.server.ServerThread` embeds it
-    unchanged."""
-
-    def __init__(self, fleet: FleetService, host: str = "127.0.0.1",
-                 port: int = DEFAULT_PORT,
-                 history: bool = False,
-                 history_interval: float = 5.0,
-                 history_retention: float = 3600.0,
-                 slo: Optional[List[Any]] = None,
-                 slo_file: Optional[str] = None) -> None:
-        # Deliberately NOT calling ReproServer.__init__: the fleet has
-        # no local SynthesisService.  self.service is the FleetService
-        # -- _handle only touches service.metrics, which it provides.
-        self.host = host
-        self.port = port
-        self.fleet = fleet
-        self.service = fleet
-        self._server: Optional[asyncio.AbstractServer] = None
-        # History samples the *aggregated* payload, so fleet-wide and
-        # per-worker series coexist in one ring; SLOs imply history.
-        self.history: Optional[MetricsHistory] = None
-        self.slo_engine: Optional[SLOEngine] = None
-        self._sampler: Optional[HistorySampler] = None
-        objectives = _resolve_objectives(slo, slo_file)
-        if history or objectives:
-            self.history = MetricsHistory(interval=history_interval,
-                                          retention=history_retention)
-            if objectives:
-                self.slo_engine = SLOEngine(
-                    self.history, objectives, tracer=fleet.tracer)
-            self._sampler = HistorySampler(
-                self.history, fleet.metrics_payload,
-                slo_engine=self.slo_engine)
-
-    async def _dispatch(self, method: str, path: str, query: str,
-                        body: bytes, headers: Dict[str, str]
-                        ) -> Tuple[int, bytes, str, Dict[str, str]]:
-        fleet = self.fleet
-        if path == "/healthz":
-            if method != "GET":
-                raise ServeError(405, "use GET /healthz")
-            health = await fleet.healthz()
-            if self.slo_engine is not None:
-                health["slo"] = self.slo_engine.overall_state()
-            return 200, json.dumps(health, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
-        if path == "/metrics":
-            if method != "GET":
-                raise ServeError(405, "use GET /metrics")
-            payload = await fleet.metrics_payload()
-            if self.slo_engine is not None:
-                payload["slo"] = self.slo_engine.metrics_section()
-            if _query_format(query) == "prometheus":
-                return (200, prometheus_text(payload).encode("utf-8"), "",
-                        {"Content-Type": PROM_CONTENT_TYPE})
-            return 200, json.dumps(payload, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
-        if path == "/metrics/history":
-            if method != "GET":
-                raise ServeError(405, "use GET /metrics/history")
-            return 200, _history_body(self.history, query), "", {}
-        if path == "/slo":
-            if method != "GET":
-                raise ServeError(405, "use GET /slo")
-            return 200, _slo_body(self.slo_engine), "", {}
-        if path == "/debug/dashboard":
-            if method != "GET":
-                raise ServeError(405, "use GET /debug/dashboard")
-            dash_body, dash_headers = _dashboard_body()
-            return 200, dash_body, "", dash_headers
-        if path == "/debug/traces":
-            if method != "GET":
-                raise ServeError(405, "use GET /debug/traces")
-            traces = await fleet.debug_traces(**_trace_filters(query))
-            return 200, json.dumps({"traces": traces}, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
-        if path == "/synthesize":
-            if method != "POST":
-                raise ServeError(405, "use POST /synthesize")
-            status, payload, source, extra = await fleet.synthesize(
-                body, self._parse_json(body),
-                deadline=self._request_deadline(headers))
-            return status, payload, source, extra
-        if path == "/batch":
-            if method != "POST":
-                raise ServeError(405, "use POST /batch")
-            return 200, await fleet.batch(
-                self._parse_json(body),
-                deadline=self._request_deadline(headers)), "", {}
-        raise ServeError(
-            404, f"unknown path {path!r}; endpoints: POST /synthesize, "
-                 f"POST /batch, GET /healthz, GET /metrics, "
-                 f"GET /metrics/history, GET /slo, GET /debug/traces, "
-                 f"GET /debug/dashboard")
-
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
-        await self.fleet.start()
-        try:
-            await super().start()
-        except BaseException:
-            await self.fleet.stop_workers(drain_timeout=1.0)
-            raise
-
-    async def stop(self) -> None:
-        if self._sampler is not None:
-            self._sampler.stop()
-        if self._server is not None:
-            self._server.close()
-            try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       timeout=1.0)
-            except (asyncio.TimeoutError, TimeoutError):
-                pass
-        await self.fleet.stop_workers(
-            drain_timeout=self.fleet.worker_drain_timeout)
-
-    async def shutdown(self, drain_timeout: float = 10.0,
-                       close_stores: bool = True) -> int:
-        """Graceful stop: close the listener, drain the router's
-        in-flight requests (bounded), then SIGTERM the workers so each
-        runs its own drain and closes its stores.  Returns the requests
-        still in flight when the drain window closed."""
-        loop = asyncio.get_running_loop()
-        if self._sampler is not None:
-            self._sampler.stop()
-        if self._server is not None:
-            self._server.close()
-        deadline = loop.time() + max(0.0, drain_timeout)
-        while (self.fleet.metrics.in_flight > 0
-               and loop.time() < deadline):
-            await asyncio.sleep(0.05)
-        remaining = self.fleet.metrics.in_flight
-        if self._server is not None:
-            try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       timeout=1.0)
-            except (asyncio.TimeoutError, TimeoutError):
-                pass
-        await self.fleet.stop_workers(drain_timeout=drain_timeout)
-        return remaining
-
-    def run_in_thread(self) -> ServerThread:
-        handle = ServerThread(self)
-        handle.start()
-        return handle
-
-
-async def run_fleet(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    workers: int = 2,
-    store: Any = "default",
-    node_store: Any = "auto",
-    defaults: Optional[Dict[str, Any]] = None,
-    engine_workers: int = 2,
-    ready_message: bool = True,
-    drain_timeout: float = 10.0,
-    request_timeout: Optional[float] = None,
-    breaker_threshold: int = BREAKER_THRESHOLD,
-    breaker_reset: float = BREAKER_RESET,
-    chaos: Optional[str] = None,
-    trace_sample: float = 0.0,
-    trace_ring: int = 256,
-    trace_export: Optional[str] = None,
-    access_log: Any = False,
-    access_log_max_mb: float = 64.0,
-    history: bool = False,
-    history_interval: float = 5.0,
-    history_retention: float = 3600.0,
-    slo: Optional[List[Any]] = None,
-    slo_file: Optional[str] = None,
-) -> None:
-    """Run the fleet until cancelled or signalled (the ``repro fleet``
-    entry).  SIGTERM/SIGINT drain the router, then the workers."""
-    fleet = FleetService(
-        workers=workers, store=store, node_store=node_store,
-        defaults=defaults, engine_workers=engine_workers,
-        worker_host=host if host != "0.0.0.0" else "127.0.0.1",
-        worker_drain_timeout=drain_timeout,
-        request_deadline=request_timeout,
-        breaker_threshold=breaker_threshold,
-        breaker_reset=breaker_reset,
-        chaos=chaos,
-        trace_sample=trace_sample, trace_ring=trace_ring,
-        trace_export=trace_export, access_log=access_log,
-        access_log_max_mb=access_log_max_mb,
-    )
-    router = FleetRouter(fleet, host=host, port=port,
-                         history=history,
-                         history_interval=history_interval,
-                         history_retention=history_retention,
-                         slo=slo, slo_file=slo_file)
-    await router.start()
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    # Handlers go in *before* the ready line: the ready line is the
-    # signal that it is safe to interact with (and signal) the router.
-    installed = install_signal_handlers(loop, stop.set)
-    if ready_message:
-        ports = ", ".join(str(worker.port) for worker in fleet.workers)
-        print(f"repro fleet: listening on http://{router.host}:"
-              f"{router.port} with {workers} worker(s) "
-              f"(worker ports: {ports}; store: {store})", flush=True)
-    serve_task = asyncio.ensure_future(router.serve_forever())
-    stop_task = asyncio.ensure_future(stop.wait())
-    try:
-        done, _ = await asyncio.wait(
-            {serve_task, stop_task},
-            return_when=asyncio.FIRST_COMPLETED)
-        if serve_task in done:
-            serve_task.result()  # propagate listener failures
-    finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
-        for task in (serve_task, stop_task):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        in_flight = fleet.metrics.in_flight
-        if ready_message and in_flight:
-            print(f"repro fleet: draining {in_flight} in-flight "
-                  f"request(s) (up to {drain_timeout:.0f}s)", flush=True)
-        remaining = await router.shutdown(drain_timeout)
-        if ready_message:
-            state = ("drained cleanly" if remaining == 0 else
-                     f"drain timed out with {remaining} request(s) "
-                     f"in flight")
-            print(f"repro fleet: {state}; workers stopped", flush=True)

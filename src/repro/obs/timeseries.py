@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 __all__ = [
     "MetricsHistory",
@@ -442,13 +443,13 @@ class MetricsHistory:
 
 class HistorySampler:
     """Background asyncio task feeding a :class:`MetricsHistory` from
-    a payload callable (sync on the single server, async on the fleet
-    -- both shapes are handled).  When an SLO engine rides along, each
-    sample is followed by one evaluation tick, so burn rates advance
-    in lockstep with the data they read."""
+    an async payload callable (a serving backend's
+    ``metrics_payload``).  When an SLO engine rides along, each sample
+    is followed by one evaluation tick, so burn rates advance in
+    lockstep with the data they read."""
 
     def __init__(self, history: MetricsHistory,
-                 payload_fn: Callable[[], Any],
+                 payload_fn: Callable[[], Awaitable[Dict[str, Any]]],
                  slo_engine: Optional[Any] = None) -> None:
         self.history = history
         self.payload_fn = payload_fn
@@ -456,13 +457,8 @@ class HistorySampler:
         self._task: Optional[Any] = None
 
     async def sample_once(self) -> None:
-        import asyncio
-
         try:
-            payload = self.payload_fn()
-            if asyncio.iscoroutine(payload):
-                payload = await payload
-            self.history.record(payload)
+            self.history.record(await self.payload_fn())
         except Exception:
             # A failed scrape (worker mid-restart, store closing) just
             # skips the sample; the rings tolerate gaps by design.

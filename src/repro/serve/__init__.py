@@ -8,11 +8,12 @@ schema, serves :mod:`repro.store` hits without touching the engine,
 coalesces identical in-flight requests down to exactly one evaluation,
 and exposes ``GET /healthz`` + ``GET /metrics``.  Stdlib only.
 
-Embedding::
+Embedding -- :class:`ReproServer` is the HTTP front, the service its
+backend (the fleet is the other one, see :mod:`repro.fleet`)::
 
-    from repro.serve import ReproServer
+    from repro.serve import ReproServer, SynthesisService
 
-    server = ReproServer(port=0, store="memory")
+    server = ReproServer(SynthesisService(store="memory"), port=0)
     handle = server.run_in_thread()     # bound port: handle.port
     ...
     handle.stop()
@@ -21,6 +22,7 @@ Embedding::
 from repro.serve.server import (
     DEFAULT_PORT,
     LATENCY_BUCKETS,
+    SESSION_DEFAULTS,
     Metrics,
     ReproServer,
     ServeError,
@@ -28,12 +30,13 @@ from repro.serve.server import (
     SynthesisService,
     histogram_quantile,
     install_signal_handlers,
-    run_server,
+    run_until_signalled,
 )
 
 __all__ = [
     "DEFAULT_PORT",
     "LATENCY_BUCKETS",
+    "SESSION_DEFAULTS",
     "Metrics",
     "ReproServer",
     "ServeError",
@@ -41,5 +44,5 @@ __all__ = [
     "SynthesisService",
     "histogram_quantile",
     "install_signal_handlers",
-    "run_server",
+    "run_until_signalled",
 ]

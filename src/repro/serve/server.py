@@ -38,6 +38,10 @@ The engine itself is synchronous and a Session's design space is not
 safe under *distinct* concurrent jobs, so each session runs one job at
 a time (an asyncio lock per session); concurrency comes from
 coalescing, store hits, and multiple sessions.
+
+:class:`ReproServer` is the only HTTP front in the package: it serves
+a backend, either the local :class:`SynthesisService` here or
+:class:`repro.fleet.FleetService` over N worker processes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.registry import RegistryError
 from repro.obs.accesslog import AccessLog
@@ -60,7 +65,6 @@ from repro.obs.slo import SLOEngine, load_objectives
 from repro.obs.timeseries import HistorySampler, MetricsHistory
 from repro.obs.trace import (
     NULL_SPAN,
-    PARENT_HEADER,
     TRACE_HEADER,
     Tracer,
     bind_span,
@@ -82,10 +86,29 @@ from repro.resilience import (
 SESSION_PARAMS = ("library", "rulebase", "filter", "order",
                   "max_combinations")
 
+#: The engine-configuration defaults a request that omits a session
+#: parameter gets (plus ``batch``, server-level tuning that never
+#: changes results).  The fleet router normalizes its routing keys
+#: against this same table, so a request that spells out a default
+#: lands on the same worker as one that omits it.
+SESSION_DEFAULTS: Mapping[str, Any] = MappingProxyType({
+    "library": "lsi_logic",
+    "rulebase": None,
+    "filter": "pareto",
+    "order": None,
+    "max_combinations": None,
+    "batch": None,
+})
+
 #: Default TCP port (spells "DTAS" on a phone pad, near enough).
 DEFAULT_PORT = 8473
 
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Header lines kept per request; one more is a 431.  (Each line is
+#: already bounded by the stream reader's 64 KiB line limit, so the
+#: whole head is bounded too.)
+MAX_HEADERS = 100
 
 #: Session-pool bound: the pool key includes client-controlled
 #: parameters (filter, cap, ...), so without a bound a client could
@@ -97,10 +120,19 @@ MAX_SESSIONS = 32
 #: Sanity bound on a client-supplied combination cap.
 MAX_COMBINATIONS_LIMIT = 10_000_000
 
-#: The served paths; anything else lands in the "other" metrics bucket.
-KNOWN_ENDPOINTS = frozenset(
-    {"/synthesize", "/batch", "/healthz", "/metrics", "/metrics/history",
-     "/slo", "/debug/traces", "/debug/dashboard"})
+#: The route table: each served path and the one method it answers,
+#: in the order the 404 lists them.  Anything else lands in the
+#: "other" metrics bucket.
+ROUTES = {
+    "/synthesize": "POST",
+    "/batch": "POST",
+    "/healthz": "GET",
+    "/metrics": "GET",
+    "/metrics/history": "GET",
+    "/slo": "GET",
+    "/debug/traces": "GET",
+    "/debug/dashboard": "GET",
+}
 
 #: The endpoints whose requests get trace spans: the ones that do
 #: work.  Health probes and metric scrapes would only pollute the ring.
@@ -197,7 +229,7 @@ class Metrics:
         self.latency_total = 0.0
         self.latency_max = 0.0
         # Per-endpoint fixed-bucket histograms (endpoint keys are the
-        # bounded KNOWN_ENDPOINTS/"other" set, so this cannot grow per
+        # bounded ROUTES/"other" set, so this cannot grow per
         # probed path).  histogram_sums carries the per-endpoint summed
         # seconds the Prometheus exposition needs for `_sum` samples.
         self.histograms: Dict[str, List[int]] = {}
@@ -247,7 +279,17 @@ def _retrieve_exception(task: "asyncio.Task") -> None:
 
 
 class SynthesisService:
-    """Session pool + store + request coalescing (transport-agnostic)."""
+    """Session pool + store + request coalescing: the local backend of
+    :class:`ReproServer`.
+
+    A backend is what the one HTTP front serves.  It carries
+    ``metrics``, ``tracer``, ``access_log`` and ``request_deadline``
+    and implements, all async: ``start()``, ``healthz()``,
+    ``metrics_payload()``, ``debug_traces(**filters)``,
+    ``synthesize(raw, body, deadline)`` returning ``(status, body,
+    source, headers)``, ``batch(body, deadline)`` returning the body,
+    and ``close(close_stores)``.  :class:`repro.fleet.FleetService` is
+    the other implementation."""
 
     def __init__(
         self,
@@ -259,7 +301,9 @@ class SynthesisService:
         request_timeout: Optional[float] = None,
         breaker_threshold: int = BREAKER_THRESHOLD,
         breaker_reset: float = BREAKER_RESET,
-        tracer: Optional[Tracer] = None,
+        trace_sample: float = 0.0,
+        trace_ring: int = 256,
+        trace_export: Optional[str] = None,
         access_log: Any = False,
         access_log_max_mb: float = 64.0,
     ) -> None:
@@ -269,7 +313,8 @@ class SynthesisService:
 
         # Tracing defaults off (sample rate 0.0): start_trace returns
         # the shared NULL_SPAN and the request path allocates nothing.
-        self.tracer = tracer if tracer is not None else Tracer(0.0)
+        self.tracer = Tracer(trace_sample, ring=trace_ring,
+                             export_path=trace_export, service="serve")
         # ``access_log`` accepts the legacy bool (True = stdout), a
         # file path (rotated at ``access_log_max_mb``), "-" for
         # stdout, or a pre-built AccessLog.  Falsy stays disabled.
@@ -322,16 +367,7 @@ class SynthesisService:
         #: unbounded); the per-request ``X-Repro-Deadline-Ms`` header
         #: can only tighten it.
         self.request_deadline = request_timeout
-        self.defaults = {
-            "library": "lsi_logic",
-            "rulebase": None,
-            "filter": "pareto",
-            "order": None,
-            "max_combinations": None,
-            "batch": None,
-        }
-        if defaults:
-            self.defaults.update(defaults)
+        self.defaults = {**SESSION_DEFAULTS, **(defaults or {})}
         self.metrics = Metrics()
         self.max_sessions = max(1, max_sessions)
         self._sessions: "OrderedDict[Tuple, Any]" = OrderedDict()
@@ -359,9 +395,10 @@ class SynthesisService:
                 raise ServeError(
                     400, f"max_combinations must be in "
                          f"[1, {MAX_COMBINATIONS_LIMIT}]")
-        for key in ("library", "rulebase", "filter", "order"):
+        for key in SESSION_PARAMS:
             value = params[key]
-            if value is not None and not isinstance(value, str):
+            if (key != "max_combinations" and value is not None
+                    and not isinstance(value, str)):
                 raise ServeError(400, f"{key} must be a string name")
         return params
 
@@ -527,9 +564,21 @@ class SynthesisService:
         self.metrics.timeouts += 1
         raise _deadline_error(deadline)
 
-    async def synthesize(self, body: Dict[str, Any],
+    async def start(self) -> None:
+        """Nothing to spawn: sessions are built on first use."""
+
+    async def synthesize(self, raw: bytes, body: Dict[str, Any],
                          deadline: Optional[Deadline] = None
-                         ) -> Tuple[bytes, str]:
+                         ) -> Tuple[int, bytes, str, Dict[str, str]]:
+        """One ``/synthesize`` request (``raw`` is its body as sent; the
+        local service needs only the parsed ``body``).  Returns
+        ``(status, body, source, response headers)``."""
+        payload, source = await self._synthesize(body, deadline)
+        return 200, payload, source, {}
+
+    async def _synthesize(self, body: Dict[str, Any],
+                          deadline: Optional[Deadline] = None
+                          ) -> Tuple[bytes, str]:
         """One request: coalesce, serve warm, or evaluate -- bounded by
         ``deadline`` when one governs the request (a 504 on exhaustion).
 
@@ -660,10 +709,9 @@ class SynthesisService:
             # One deadline bounds the whole batch: the first item to
             # exhaust it turns the batch into a 504 (batches are
             # all-or-nothing on errors already -- a 422 aborts too).
-            payload, _ = await self.synthesize(merged, deadline=deadline)
+            payload, _ = await self._synthesize(merged, deadline=deadline)
             jobs.append(json.loads(payload))
-        return json.dumps({"jobs": jobs}, indent=2,
-                          sort_keys=True).encode("utf-8")
+        return _json_body({"jobs": jobs})
 
     # -- introspection -------------------------------------------------
     def breaker_stats(self) -> Dict[str, Dict[str, Any]]:
@@ -675,7 +723,7 @@ class SynthesisService:
             stats["node_store"] = self._node_breaker.stats()
         return stats
 
-    def healthz(self) -> Dict[str, Any]:
+    async def healthz(self) -> Dict[str, Any]:
         breakers = self.breaker_stats()
         degraded = any(b["state"] != "closed" for b in breakers.values())
         return {
@@ -688,7 +736,7 @@ class SynthesisService:
             "breakers": breakers,
         }
 
-    def metrics_payload(self) -> Dict[str, Any]:
+    async def metrics_payload(self) -> Dict[str, Any]:
         from repro.core.interning import intern_stats
 
         m = self.metrics
@@ -746,7 +794,10 @@ class SynthesisService:
             },
         }
 
-    def close(self, close_stores: bool = False) -> None:
+    async def debug_traces(self, **filters: Any) -> List[Dict[str, Any]]:
+        return self.tracer.traces(**filters)
+
+    async def close(self, close_stores: bool = False) -> None:
         # cancel_futures: queued-but-unstarted engine jobs are
         # discarded, so shutdown does not stall behind work nobody
         # will receive (concurrent.futures joins worker threads at
@@ -776,9 +827,10 @@ def _response(status: int, body: bytes, source: str = "",
               extra_headers: Optional[Dict[str, str]] = None) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                405: "Method Not Allowed", 413: "Payload Too Large",
-               422: "Unprocessable Entity", 500: "Internal Server Error",
-               502: "Bad Gateway", 503: "Service Unavailable",
-               504: "Gateway Timeout"}
+               414: "URI Too Long", 422: "Unprocessable Entity",
+               431: "Request Header Fields Too Large",
+               500: "Internal Server Error", 502: "Bad Gateway",
+               503: "Service Unavailable", 504: "Gateway Timeout"}
     extra = dict(extra_headers) if extra_headers else {}
     content_type = extra.pop(
         "Content-Type", "application/json; charset=utf-8")
@@ -795,6 +847,21 @@ def _response(status: int, body: bytes, source: str = "",
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
+def _json_body(document: Any) -> bytes:
+    return json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One request-head line.  A line past the stream reader's limit
+    (64 KiB) is the client's fault: ``status`` (414 for the request
+    line, 431 for a header), not the reader's ValueError as a 500."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ServeError(status, f"{what} too long")
+
+
 def _error_body(message: str,
                 extra: Optional[Dict[str, Any]] = None) -> bytes:
     body: Dict[str, Any] = dict(extra) if extra else {}
@@ -809,8 +876,7 @@ def _query_format(query: str) -> str:
 
 
 def _trace_filters(query: str) -> Dict[str, Any]:
-    """``/debug/traces`` query parameters as ``Tracer.traces`` kwargs
-    (shared by the single server and the fleet router)."""
+    """``/debug/traces`` query parameters as ``Tracer.traces`` kwargs."""
     params = urllib.parse.parse_qs(query)
 
     def one(name: str) -> Optional[str]:
@@ -833,9 +899,8 @@ def _trace_filters(query: str) -> Dict[str, Any]:
 
 
 def _history_body(history: Optional[MetricsHistory], query: str) -> bytes:
-    """The ``GET /metrics/history`` response body (shared by the
-    single server and the fleet router).  400 when sampling is off --
-    the dashboard surfaces that message verbatim."""
+    """The ``GET /metrics/history`` response body.  400 when sampling
+    is off -- the dashboard surfaces that message verbatim."""
     if history is None:
         raise ServeError(
             400, "history sampling is off; start the server with "
@@ -856,7 +921,7 @@ def _history_body(history: Optional[MetricsHistory], query: str) -> bytes:
              for name in value.split(",") if name] or None
     payload = history.query(names, since=one_float("since"),
                             step=one_float("step"))
-    return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    return _json_body(payload)
 
 
 def _slo_body(engine: Optional[SLOEngine]) -> bytes:
@@ -866,8 +931,7 @@ def _slo_body(engine: Optional[SLOEngine]) -> bytes:
         raise ServeError(
             404, "no SLOs configured; start the server with --slo or "
                  "--slo-file")
-    return json.dumps(engine.payload(), indent=2,
-                      sort_keys=True).encode("utf-8")
+    return _json_body(engine.payload())
 
 
 def _resolve_objectives(slo: Optional[List[Any]],
@@ -914,24 +978,20 @@ def _access_log_line(log: AccessLog, endpoint: str, method: str,
 
 
 class ReproServer:
-    """``asyncio.start_server`` wrapper around :class:`SynthesisService`."""
+    """The one HTTP front: ``asyncio.start_server`` over a backend.
+
+    ``backend`` is a :class:`SynthesisService` (``repro serve``) or a
+    :class:`repro.fleet.FleetService` (``repro fleet``); see
+    :class:`SynthesisService` for the protocol both implement.  The
+    server owns everything HTTP -- reading, the route table, metrics
+    and spans per request, the access log -- plus history sampling,
+    SLOs, and the graceful drain."""
 
     def __init__(
         self,
+        backend: Any,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        store: Any = "default",
-        defaults: Optional[Dict[str, Any]] = None,
-        engine_workers: int = 2,
-        node_store: Any = "auto",
-        request_timeout: Optional[float] = None,
-        breaker_threshold: int = BREAKER_THRESHOLD,
-        breaker_reset: float = BREAKER_RESET,
-        trace_sample: float = 0.0,
-        trace_ring: int = 256,
-        trace_export: Optional[str] = None,
-        access_log: Any = False,
-        access_log_max_mb: float = 64.0,
         history: bool = False,
         history_interval: float = 5.0,
         history_retention: float = 3600.0,
@@ -940,18 +1000,13 @@ class ReproServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.service = SynthesisService(
-            store=store, defaults=defaults, engine_workers=engine_workers,
-            node_store=node_store, request_timeout=request_timeout,
-            breaker_threshold=breaker_threshold,
-            breaker_reset=breaker_reset,
-            tracer=Tracer(trace_sample, ring=trace_ring,
-                          export_path=trace_export, service="serve"),
-            access_log=access_log, access_log_max_mb=access_log_max_mb)
+        self.backend = backend
         self._server: Optional[asyncio.AbstractServer] = None
         # History sampling and SLOs are strictly opt-in: with both off
         # nothing is allocated and the request path is untouched.
         # Configured SLOs imply history (burn rates read the rings).
+        # The sampler records the backend's payload -- on a fleet the
+        # aggregated one, so fleet-wide and per-worker series coexist.
         self.history: Optional[MetricsHistory] = None
         self.slo_engine: Optional[SLOEngine] = None
         self._sampler: Optional[HistorySampler] = None
@@ -961,14 +1016,14 @@ class ReproServer:
                                           retention=history_retention)
             if objectives:
                 self.slo_engine = SLOEngine(
-                    self.history, objectives, tracer=self.service.tracer)
+                    self.history, objectives, tracer=backend.tracer)
             self._sampler = HistorySampler(
-                self.history, self.service.metrics_payload,
+                self.history, backend.metrics_payload,
                 slo_engine=self.slo_engine)
 
     # -- request plumbing ----------------------------------------------
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, 414, "request line")
         if not request_line:
             return None
         try:
@@ -977,10 +1032,15 @@ class ReproServer:
             raise ServeError(400, "malformed request line")
         content_length = 0
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise ServeError(
+                    431, f"more than {MAX_HEADERS} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             # First value wins (only singleton headers matter here).
@@ -1017,75 +1077,58 @@ class ReproServer:
         try:
             return effective_deadline(
                 headers.get("x-repro-deadline-ms"),
-                getattr(self.service, "request_deadline", None))
+                self.backend.request_deadline)
         except ValueError as error:
             raise ServeError(400, str(error))
 
     async def _dispatch(self, method: str, path: str, query: str,
                         body: bytes, headers: Dict[str, str]
                         ) -> Tuple[int, bytes, str, Dict[str, str]]:
-        service = self.service
+        allowed = ROUTES.get(path)
+        if allowed is None:
+            endpoints = ", ".join(f"{verb} {route}"
+                                  for route, verb in ROUTES.items())
+            raise ServeError(
+                404, f"unknown path {path!r}; endpoints: {endpoints}")
+        if method != allowed:
+            raise ServeError(405, f"use {allowed} {path}")
+        backend = self.backend
+        if path == "/synthesize":
+            return await backend.synthesize(
+                body, self._parse_json(body),
+                deadline=self._request_deadline(headers))
+        if path == "/batch":
+            return 200, await backend.batch(
+                self._parse_json(body),
+                deadline=self._request_deadline(headers)), "", {}
+        if path == "/metrics/history":
+            return 200, _history_body(self.history, query), "", {}
+        if path == "/slo":
+            return 200, _slo_body(self.slo_engine), "", {}
+        if path == "/debug/dashboard":
+            body, headers = _dashboard_body()
+            return 200, body, "", headers
         if path == "/healthz":
-            if method != "GET":
-                raise ServeError(405, "use GET /healthz")
-            health = service.healthz()
+            health = await backend.healthz()
             if self.slo_engine is not None:
                 # Additive: liveness semantics are unchanged, the SLO
                 # state rides along for operators and probes.
                 health["slo"] = self.slo_engine.overall_state()
-            return 200, json.dumps(health, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
+            return 200, _json_body(health), "", {}
         if path == "/metrics":
-            if method != "GET":
-                raise ServeError(405, "use GET /metrics")
-            payload = service.metrics_payload()
+            payload = await backend.metrics_payload()
             if self.slo_engine is not None:
                 payload["slo"] = self.slo_engine.metrics_section()
             if _query_format(query) == "prometheus":
                 return (200, prometheus_text(payload).encode("utf-8"), "",
                         {"Content-Type": PROM_CONTENT_TYPE})
-            return 200, json.dumps(payload, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
-        if path == "/metrics/history":
-            if method != "GET":
-                raise ServeError(405, "use GET /metrics/history")
-            return 200, _history_body(self.history, query), "", {}
-        if path == "/slo":
-            if method != "GET":
-                raise ServeError(405, "use GET /slo")
-            return 200, _slo_body(self.slo_engine), "", {}
-        if path == "/debug/dashboard":
-            if method != "GET":
-                raise ServeError(405, "use GET /debug/dashboard")
-            body, headers = _dashboard_body()
-            return 200, body, "", headers
-        if path == "/debug/traces":
-            if method != "GET":
-                raise ServeError(405, "use GET /debug/traces")
-            traces = service.tracer.traces(**_trace_filters(query))
-            return 200, json.dumps({"traces": traces}, indent=2,
-                                   sort_keys=True).encode("utf-8"), "", {}
-        if path == "/synthesize":
-            if method != "POST":
-                raise ServeError(405, "use POST /synthesize")
-            payload, source = await service.synthesize(
-                self._parse_json(body),
-                deadline=self._request_deadline(headers))
-            return 200, payload, source, {}
-        if path == "/batch":
-            if method != "POST":
-                raise ServeError(405, "use POST /batch")
-            return 200, await service.batch(
-                self._parse_json(body),
-                deadline=self._request_deadline(headers)), "", {}
-        raise ServeError(
-            404, f"unknown path {path!r}; endpoints: POST /synthesize, "
-                 f"POST /batch, GET /healthz, GET /metrics, "
-                 f"GET /metrics/history, GET /slo, GET /debug/traces, "
-                 f"GET /debug/dashboard")
+            return 200, _json_body(payload), "", {}
+        traces = await backend.debug_traces(**_trace_filters(query))
+        return 200, _json_body({"traces": traces}), "", {}
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        backend = self.backend
         started = time.perf_counter()
         endpoint = "?"
         method = "?"
@@ -1095,7 +1138,7 @@ class ReproServer:
         token = None
         source = ""
         extra: Dict[str, str] = {}
-        self.service.metrics.in_flight += 1
+        backend.metrics.in_flight += 1
         try:
             try:
                 parsed = await self._read_request(reader)
@@ -1108,11 +1151,11 @@ class ReproServer:
                 # Metrics keys must not be client-controlled: unknown
                 # paths share one bucket or the by_endpoint dict would
                 # grow per distinct probed path forever.
-                endpoint = path if path in KNOWN_ENDPOINTS else "other"
+                endpoint = path if path in ROUTES else "other"
                 if path in TRACED_ENDPOINTS:
                     # A propagated trace id (fleet router upstream)
                     # always records, whatever the local sample rate.
-                    span = self.service.tracer.start_trace(
+                    span = backend.tracer.start_trace(
                         f"request {path}",
                         trace_id=headers.get("x-repro-trace-id") or None,
                         parent_id=headers.get("x-repro-parent-span")
@@ -1140,17 +1183,17 @@ class ReproServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            self.service.metrics.in_flight -= 1
+            backend.metrics.in_flight -= 1
             elapsed = time.perf_counter() - started
             if observed:
-                self.service.metrics.observe(
+                backend.metrics.observe(
                     endpoint, status, elapsed,
                     trace_id=span.trace_id if span else "")
                 if span:
                     span.set(endpoint=endpoint, source=source)
                     span.finish(status)
-                if self.service.access_log:
-                    _access_log_line(self.service.access_log, endpoint,
+                if backend.access_log:
+                    _access_log_line(backend.access_log, endpoint,
                                      method, status, elapsed, source,
                                      span.trace_id, extra)
             if token is not None:
@@ -1163,8 +1206,13 @@ class ReproServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
+        await self.backend.start()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port)
+        except BaseException:
+            await self.backend.close()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         if self._sampler is not None:
             self._sampler.start()
@@ -1176,19 +1224,17 @@ class ReproServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._sampler is not None:
-            self._sampler.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self.service.close()
+        """Immediate stop (tests, embedding): no drain, and the store
+        handles stay open."""
+        await self.shutdown(drain_timeout=0.0, close_stores=False)
 
     async def shutdown(self, drain_timeout: float = 10.0,
                        close_stores: bool = True) -> int:
         """Graceful stop: close the listener (no new connections),
         wait -- bounded by ``drain_timeout`` seconds -- for in-flight
-        requests to finish, then release the executor and (by default)
-        the store handles.  Returns how many requests were still in
+        requests to finish, then close the backend (the executor and,
+        by default, the store handles; on a fleet, the workers, each of
+        which drains itself).  Returns how many requests were still in
         flight when the drain window closed (0 = clean drain)."""
         loop = asyncio.get_running_loop()
         if self._sampler is not None:
@@ -1196,10 +1242,10 @@ class ReproServer:
         if self._server is not None:
             self._server.close()
         deadline = loop.time() + max(0.0, drain_timeout)
-        while (self.service.metrics.in_flight > 0
+        while (self.backend.metrics.in_flight > 0
                and loop.time() < deadline):
             await asyncio.sleep(0.05)
-        remaining = self.service.metrics.in_flight
+        remaining = self.backend.metrics.in_flight
         if self._server is not None:
             # 3.12+ wait_closed also waits on connection handlers; a
             # request stuck past the drain window must not stall the
@@ -1209,7 +1255,7 @@ class ReproServer:
                                        timeout=1.0)
             except (asyncio.TimeoutError, TimeoutError):
                 pass
-        self.service.close(close_stores=close_stores)
+        await self.backend.close(close_stores=close_stores)
         return remaining
 
     # -- test/embedding support ----------------------------------------
@@ -1307,57 +1353,25 @@ def install_signal_handlers(loop: asyncio.AbstractEventLoop,
     return installed
 
 
-async def run_server(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    store: Any = "default",
-    defaults: Optional[Dict[str, Any]] = None,
-    engine_workers: int = 2,
-    ready_message: bool = True,
-    node_store: Any = "auto",
-    drain_timeout: float = 10.0,
-    request_timeout: Optional[float] = None,
-    breaker_threshold: int = BREAKER_THRESHOLD,
-    breaker_reset: float = BREAKER_RESET,
-    trace_sample: float = 0.0,
-    trace_ring: int = 256,
-    trace_export: Optional[str] = None,
-    access_log: Any = False,
-    access_log_max_mb: float = 64.0,
-    history: bool = False,
-    history_interval: float = 5.0,
-    history_retention: float = 3600.0,
-    slo: Optional[List[Any]] = None,
-    slo_file: Optional[str] = None,
-) -> None:
-    """Run the service until cancelled or signalled (the ``repro
-    serve`` entry).  SIGTERM/SIGINT trigger a *graceful* stop: the
-    listener closes, in-flight requests drain (bounded by
-    ``drain_timeout`` seconds), and the stores close cleanly."""
-    server = ReproServer(host=host, port=port, store=store,
-                         defaults=defaults, engine_workers=engine_workers,
-                         node_store=node_store,
-                         request_timeout=request_timeout,
-                         breaker_threshold=breaker_threshold,
-                         breaker_reset=breaker_reset,
-                         trace_sample=trace_sample, trace_ring=trace_ring,
-                         trace_export=trace_export, access_log=access_log,
-                         access_log_max_mb=access_log_max_mb,
-                         history=history,
-                         history_interval=history_interval,
-                         history_retention=history_retention,
-                         slo=slo, slo_file=slo_file)
+async def run_until_signalled(server: ReproServer, prog: str,
+                              ready_note: Callable[[], str],
+                              drain_timeout: float = 10.0,
+                              closed: str = "stores closed") -> None:
+    """Start ``server`` and run it until cancelled or signalled (the
+    ``repro serve`` and ``repro fleet`` entry).  Once listening it
+    prints the ready line, ``PROG: listening on http://HOST:PORT``
+    followed by the caller's ``ready_note()``.  SIGTERM/SIGINT trigger
+    a *graceful* stop: the listener closes, in-flight requests drain
+    (bounded by ``drain_timeout`` seconds), and the backend closes,
+    which ``closed`` names in the last line."""
     await server.start()
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     # Handlers go in *before* the ready line: the ready line is the
     # signal that it is safe to interact with (and signal) the server.
     installed = install_signal_handlers(loop, stop.set)
-    if ready_message:
-        store_path = (server.service.store.path
-                      if server.service.store is not None else "disabled")
-        print(f"repro serve: listening on http://{server.host}:{server.port} "
-              f"(store: {store_path})", flush=True)
+    print(f"{prog}: listening on http://{server.host}:{server.port} "
+          f"{ready_note()}", flush=True)
     serve_task = asyncio.ensure_future(server.serve_forever())
     stop_task = asyncio.ensure_future(stop.wait())
     try:
@@ -1375,13 +1389,12 @@ async def run_server(
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        in_flight = server.service.metrics.in_flight
-        if ready_message and in_flight:
-            print(f"repro serve: draining {in_flight} in-flight "
+        in_flight = server.backend.metrics.in_flight
+        if in_flight:
+            print(f"{prog}: draining {in_flight} in-flight "
                   f"request(s) (up to {drain_timeout:.0f}s)", flush=True)
         remaining = await server.shutdown(drain_timeout)
-        if ready_message:
-            state = ("drained cleanly" if remaining == 0 else
-                     f"drain timed out with {remaining} request(s) "
-                     f"in flight")
-            print(f"repro serve: {state}; stores closed", flush=True)
+        state = ("drained cleanly" if remaining == 0 else
+                 f"drain timed out with {remaining} request(s) "
+                 f"in flight")
+        print(f"{prog}: {state}; {closed}", flush=True)

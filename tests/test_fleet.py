@@ -3,7 +3,8 @@ metrics aggregation, worker supervision, and graceful drain.
 
 The pure pieces (ring, routing key, aggregation, URL parsing) are
 unit-tested directly.  The end-to-end tests run a real
-:class:`~repro.fleet.FleetRouter` over real worker subprocesses --
+:class:`~repro.fleet.FleetService` behind a real
+:class:`~repro.serve.ReproServer`, over real worker subprocesses --
 expensive, so one module-scoped fleet is shared and the crash/restart
 test runs last against it."""
 
@@ -22,7 +23,6 @@ import pytest
 
 from repro.api import cli, registry
 from repro.fleet import (
-    FleetRouter,
     FleetService,
     HashRing,
     aggregate_metrics,
@@ -242,19 +242,9 @@ def test_fleet_store_must_be_a_designator():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: a real 2-worker fleet (module-scoped; crash test last)
+# end-to-end: a real 2-worker fleet (`fleet_handle` in conftest.py,
+# module-scoped; crash test last)
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def fleet_handle(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("fleet")
-    fleet = FleetService(workers=2, store=str(tmp / "fleet.sqlite"),
-                         backoff_base=0.2)
-    router = FleetRouter(fleet, port=0)
-    handle = router.run_in_thread()
-    yield handle, fleet
-    handle.stop()
-
 
 def _request(handle, method, path, body=None, timeout=120):
     conn = http.client.HTTPConnection(handle.host, handle.port,
@@ -424,10 +414,10 @@ def test_serve_sigterm_drains_and_closes_stores(tmp_path):
 def test_server_shutdown_closes_stores_in_process(tmp_path):
     """The in-process drain path: shutdown() drains (idle -> 0
     remaining) and closes the SQLite handles."""
-    from repro.serve import ReproServer
+    from repro.serve import ReproServer, SynthesisService
 
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp_path / "inproc.sqlite")
+    server = ReproServer(SynthesisService(store=tmp_path / "inproc.sqlite"),
+                         port=0)
 
     async def scenario():
         await server.start()
@@ -441,7 +431,7 @@ def test_server_shutdown_closes_stores_in_process(tmp_path):
     import sqlite3
 
     with pytest.raises(sqlite3.ProgrammingError):
-        server.service.store.inner._db.execute("SELECT 1")
+        server.backend.store.inner._db.execute("SELECT 1")
 
 
 def test_fleet_cli_rejects_bad_worker_count(capsys):

@@ -2,6 +2,7 @@
 half-warm / parallel), self-healing, shared prune accounting, the
 adaptive enumeration order, CLI, and serve metrics."""
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -642,7 +643,7 @@ def test_cli_synth_node_store_flag_half_warms_overlap(tmp_path, capsys):
 def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
     import http.client
 
-    from repro.serve import ReproServer
+    from repro.serve import ReproServer, SynthesisService
 
     def request(handle, method, path, body=None):
         conn = http.client.HTTPConnection(handle.host, handle.port,
@@ -655,8 +656,8 @@ def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
         finally:
             conn.close()
 
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp_path / "serve.sqlite")
+    server = ReproServer(SynthesisService(store=tmp_path / "serve.sqlite"),
+                         port=0)
     handle = server.run_in_thread()
     try:
         assert request(handle, "POST", "/synthesize",
@@ -684,8 +685,8 @@ def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
 
     # The node cache co-locates with the store file, so a *restarted*
     # server starts with the subtrees warm too.
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp_path / "serve.sqlite")
+    server = ReproServer(SynthesisService(store=tmp_path / "serve.sqlite"),
+                         port=0)
     handle = server.run_in_thread()
     try:
         assert request(handle, "POST", "/synthesize",
@@ -702,12 +703,12 @@ def test_serve_without_store_has_zeroed_node_metrics(tmp_path):
     service = SynthesisService(store=None)
     try:
         assert service.node_store is None
-        payload = service.metrics_payload()
+        payload = asyncio.run(service.metrics_payload())
         assert payload["node_cache"] == {
             "hits": 0, "misses": 0, "published": 0, "errors": 0,
             "hot_entries": 0}
     finally:
-        service.close()
+        asyncio.run(service.close())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api.registry import EMITTERS
 from repro.api.session import Session
-from repro.fleet import FleetRouter, FleetService, aggregate_metrics
+from repro.fleet import FleetService, aggregate_metrics
 from repro.obs import (
     NULL_SPAN,
     Span,
@@ -27,7 +27,13 @@ from repro.obs import (
     prometheus_text,
     unbind_span,
 )
-from repro.serve import LATENCY_BUCKETS, Metrics, ReproServer, histogram_quantile
+from repro.serve import (
+    LATENCY_BUCKETS,
+    Metrics,
+    ReproServer,
+    SynthesisService,
+    histogram_quantile,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +350,8 @@ def test_metrics_uptime_is_monotonic_and_wall_stamp_separate():
 @pytest.fixture(scope="module")
 def traced_server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("obs-serve")
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp / "serve.sqlite", trace_sample=1.0)
+    server = ReproServer(SynthesisService(store=tmp / "serve.sqlite",
+                                          trace_sample=1.0), port=0)
     handle = server.run_in_thread()
     yield handle
     handle.stop()
@@ -450,8 +456,7 @@ def traced_fleet(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("obs-fleet")
     fleet = FleetService(workers=2, store=str(tmp / "fleet.sqlite"),
                          trace_sample=1.0)
-    router = FleetRouter(fleet, port=0)
-    handle = router.run_in_thread()
+    handle = ReproServer(fleet, port=0).run_in_thread()
     yield handle
     handle.stop()
 

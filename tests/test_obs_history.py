@@ -24,7 +24,7 @@ from repro.obs.dashboard import render_dashboard
 from repro.obs.slo import parse_duration, parse_objective
 from repro.obs.timeseries import bucket_quantile, counter_increase
 from repro.obs.top import render_frame, sparkline
-from repro.serve import LATENCY_BUCKETS, Metrics, ReproServer
+from repro.serve import LATENCY_BUCKETS, Metrics, ReproServer, SynthesisService
 
 
 class FakeClock:
@@ -454,9 +454,9 @@ def test_dashboard_is_self_contained_html():
 @pytest.fixture(scope="module")
 def history_server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("obs-history")
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp / "serve.sqlite", trace_sample=1.0,
-                         history=True, history_interval=0.1,
+    server = ReproServer(SynthesisService(store=tmp / "serve.sqlite",
+                                          trace_sample=1.0),
+                         port=0, history=True, history_interval=0.1,
                          slo=["avail=availability:99:60s"])
     handle = server.run_in_thread()
     yield handle
@@ -525,8 +525,8 @@ def test_live_history_slo_and_dashboard(history_server):
 
 
 def test_history_off_is_a_400_not_a_crash(tmp_path):
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp_path / "plain.sqlite")
+    server = ReproServer(SynthesisService(store=tmp_path / "plain.sqlite"),
+                         port=0)
     handle = server.run_in_thread()
     try:
         status, data, _ = _request(handle, "GET", "/metrics/history")

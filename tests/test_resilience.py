@@ -29,7 +29,7 @@ from repro.resilience import (
     parse_chaos,
     parse_deadline_ms,
 )
-from repro.serve import ReproServer
+from repro.serve import ReproServer, SynthesisService
 from repro.store import StoreError, split_url_query
 from repro.store.backend import StoreBackend
 
@@ -342,8 +342,9 @@ def test_server_walks_breaker_open_half_open_closed(tmp_path):
     half-open probe once the faults run out -- all observable in
     /metrics."""
     store_url = f"fault+sqlite://{tmp_path}/walk.sqlite?fail_first=6"
-    server = ReproServer(host="127.0.0.1", port=0, store=store_url,
-                         breaker_threshold=2, breaker_reset=0.2)
+    server = ReproServer(SynthesisService(store=store_url,
+                                          breaker_threshold=2,
+                                          breaker_reset=0.2), port=0)
     handle = server.run_in_thread()
     try:
         saw_degraded = False
@@ -393,7 +394,7 @@ def test_corrupt_store_reads_self_heal_byte_identical(tmp_path):
     corruption can cost work but never change an answer."""
     store_url = (f"fault+sqlite://{tmp_path}/corrupt.sqlite"
                  f"?corrupt_rate=1.0&seed=7")
-    server = ReproServer(host="127.0.0.1", port=0, store=store_url)
+    server = ReproServer(SynthesisService(store=store_url), port=0)
     handle = server.run_in_thread()
     try:
         body = {"spec": "counter:6"}
@@ -415,8 +416,8 @@ def test_corrupt_store_reads_self_heal_byte_identical(tmp_path):
 
 
 def test_deadline_header_times_out_with_structured_504(tmp_path):
-    server = ReproServer(host="127.0.0.1", port=0,
-                         store=tmp_path / "deadline.sqlite")
+    server = ReproServer(
+        SynthesisService(store=tmp_path / "deadline.sqlite"), port=0)
     handle = server.run_in_thread()
     try:
         body = {"spec": "adder:12"}
@@ -538,12 +539,9 @@ def test_live_kill_mid_request_fails_over_to_warm_survivor(tmp_path):
     its owner, and re-request immediately.  The router must rescue the
     request via the failover retry (200 from the survivor's shared
     store), never surface a 502."""
-    from repro.fleet import FleetRouter
-
     fleet = FleetService(workers=2, store=str(tmp_path / "kill.sqlite"),
                          backoff_base=0.2)
-    router = FleetRouter(fleet, port=0)
-    handle = router.run_in_thread()
+    handle = ReproServer(fleet, port=0).run_in_thread()
     try:
         body = {"spec": "adder:8"}
         status, warm, _ = _request(handle, "POST", "/synthesize", body=body,

@@ -2,25 +2,38 @@
 
 The server runs in-process on a background thread with an ephemeral
 port and an isolated store, so these are real sockets end to end but
-self-contained and fast (small specs only)."""
+self-contained and fast (small specs only).  The route-table and
+hostile-request-head checks also run against the fleet backend, since
+both backends sit behind the same HTTP front."""
 
+import asyncio
 import http.client
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import EMITTERS, Session
-from repro.serve import ReproServer
+from repro.serve import ReproServer, SynthesisService
 
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = ReproServer(host="127.0.0.1", port=0,
-                      store=tmp_path / "serve.sqlite")
+    srv = ReproServer(SynthesisService(store=tmp_path / "serve.sqlite"),
+                      port=0)
     handle = srv.run_in_thread()
     yield handle
     handle.stop()
+
+
+@pytest.fixture(params=["serve", "fleet"])
+def front(request):
+    """The one HTTP front over each backend: the local service, or the
+    2-worker fleet from conftest.py."""
+    if request.param == "serve":
+        return request.getfixturevalue("server")
+    return request.getfixturevalue("fleet_handle")[0]
 
 
 def _request(handle, method, path, body=None, timeout=60):
@@ -146,14 +159,55 @@ def test_legend_params_colliding_with_request_fields(server):
     assert status in (200, 422), (status, data)
 
 
-def test_error_paths(server):
+def test_route_table(front):
     # Unknown path: 404 with the endpoint listing.
-    status, data, _ = _request(server, "GET", "/nope")
+    status, data, _ = _request(front, "GET", "/nope")
     assert status == 404
     assert "/synthesize" in json.loads(data)["error"]
     # Wrong method.
-    assert _request(server, "GET", "/synthesize")[0] == 405
-    assert _request(server, "POST", "/healthz", {})[0] == 405
+    assert _request(front, "GET", "/synthesize")[0] == 405
+    assert _request(front, "POST", "/healthz", {})[0] == 405
+
+
+def _raw_status(handle, payload: bytes) -> int:
+    """Send raw request bytes; the status code of the answer.  The
+    server may answer and close before reading everything, so a failed
+    send is not an error -- only the answer counts."""
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30) as sock:
+        try:
+            sock.sendall(payload)
+        except OSError:
+            pass
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+HOSTILE_HEADS = {
+    "long_request_line": (
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    "long_header_line": (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+        + b"\r\n\r\n", 431),
+    "too_many_headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(20_000))
+        + b"\r\n", 431),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_HEADS))
+def test_hostile_request_heads_are_4xx(front, name):
+    """An over-long request line is a 414, an over-long header line or
+    too many headers a 431 -- not the stream reader's ValueError as a
+    500, and not a 200 after keeping every header."""
+    payload, expected = HOSTILE_HEADS[name]
+    assert _raw_status(front, payload) == expected
+    # The server is unharmed.
+    assert _request(front, "GET", "/healthz")[0] == 200
+
+
+def test_error_paths(server):
     # Malformed JSON.
     conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     conn.request("POST", "/synthesize", body="{not json")
@@ -180,19 +234,17 @@ def test_error_paths(server):
     assert conn.getresponse().status == 400
     conn.close()
     # Unknown paths share one bounded metrics bucket.
-    for i in range(3):
+    for i in range(4):
         _request(server, "GET", f"/probe-{i}")
     _, data, _ = _request(server, "GET", "/metrics")
     by_endpoint = json.loads(data)["requests_by_endpoint"]
-    assert by_endpoint.get("other", 0) >= 4  # /nope + the three probes
+    assert by_endpoint.get("other", 0) >= 4  # the four probes
     assert not any(key.startswith("/probe") for key in by_endpoint)
 
 
 def test_session_pool_is_lru_bounded(tmp_path):
     """Client-controlled parameters must not grow the session pool
     forever; evicted sessions fold their counters into /metrics."""
-    from repro.serve import SynthesisService
-
     service = SynthesisService(store=tmp_path / "pool.sqlite",
                                max_sessions=2)
     try:
@@ -205,7 +257,7 @@ def test_session_pool_is_lru_bounded(tmp_path):
         kept = {key[-1] for key in service._sessions}
         assert kept == {200, 300}
     finally:
-        service.close()
+        asyncio.run(service.close())
 
 
 def test_max_combinations_is_validated(server):
@@ -251,7 +303,7 @@ def test_server_without_store_still_coalesces(tmp_path):
     an in-flight evaluation share its bytes.  (Without a store a
     duplicate arriving *after* completion legitimately re-runs, so
     only the overlap invariant is asserted, not a fixed count.)"""
-    srv = ReproServer(host="127.0.0.1", port=0, store=None)
+    srv = ReproServer(SynthesisService(store=None), port=0)
     handle = srv.run_in_thread()
     try:
         body = {"spec": "adder:16"}
@@ -284,7 +336,7 @@ def test_two_servers_share_one_store_across_processes_shape(tmp_path):
     process for test speed; true cross-process is covered in
     test_store.py)."""
     path = tmp_path / "shared.sqlite"
-    first = ReproServer(host="127.0.0.1", port=0, store=path)
+    first = ReproServer(SynthesisService(store=path), port=0)
     handle = first.run_in_thread()
     try:
         _, cold, source = _request(handle, "POST", "/synthesize",
@@ -293,7 +345,7 @@ def test_two_servers_share_one_store_across_processes_shape(tmp_path):
     finally:
         handle.stop()
 
-    second = ReproServer(host="127.0.0.1", port=0, store=path)
+    second = ReproServer(SynthesisService(store=path), port=0)
     handle = second.run_in_thread()
     try:
         _, warm, source = _request(handle, "POST", "/synthesize",
