@@ -9,7 +9,8 @@ shown through the unconstrained-size counter instead.
 
 import pytest
 
-from repro.core import DTAS, KeepAllFilter, ParetoFilter, TopKFilter, TradeoffFilter
+from repro.api import Session
+from repro.core import KeepAllFilter, ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.specs import adder_spec, alu_spec
 
 FILTERS = [
@@ -24,8 +25,8 @@ FILTERS = [
                          ids=[f[0] for f in FILTERS])
 def test_filter_ablation_adder(benchmark, lsi, label, perf_filter):
     def run():
-        return DTAS(lsi, perf_filter=perf_filter).synthesize_spec(
-            adder_spec(32))
+        return Session(lsi, perf_filter=perf_filter).synthesize(
+            adder_spec(32)).result
 
     result = benchmark.pedantic(run, iterations=1, rounds=2)
     print(f"\n  {label}: {len(result)} alternatives, "
@@ -38,9 +39,13 @@ def test_filter_monotonicity(lsi):
     """Stricter filters keep fewer alternatives; all keep the extremes'
     quality."""
     spec = alu_spec(16)
-    pareto = DTAS(lsi, perf_filter=ParetoFilter()).synthesize_spec(spec)
-    tradeoff = DTAS(lsi, perf_filter=TradeoffFilter(0.10)).synthesize_spec(spec)
-    top4 = DTAS(lsi, perf_filter=TopKFilter(4)).synthesize_spec(spec)
+
+    def run(perf_filter):
+        return Session(lsi, perf_filter=perf_filter).synthesize(spec).result
+
+    pareto = run(ParetoFilter())
+    tradeoff = run(TradeoffFilter(0.10))
+    top4 = run(TopKFilter(4))
     assert len(tradeoff) <= len(pareto)
     assert len(top4) <= 4
     assert tradeoff.fastest().delay <= pareto.fastest().delay * 1.25
@@ -51,10 +56,10 @@ def test_filter_monotonicity(lsi):
 def test_keep_all_is_infeasible_guard(lsi):
     """With no filter at all, even an 8-bit adder's evaluated space is
     orders of magnitude larger -- demonstrating why S2 exists."""
-    unfiltered = DTAS(lsi, perf_filter=KeepAllFilter())
-    result = unfiltered.synthesize_spec(adder_spec(8))
-    filtered = DTAS(lsi, perf_filter=ParetoFilter()).synthesize_spec(
-        adder_spec(8))
+    unfiltered = Session(lsi, perf_filter=KeepAllFilter())
+    result = unfiltered.synthesize(adder_spec(8)).result
+    filtered = Session(lsi, perf_filter=ParetoFilter()).synthesize(
+        adder_spec(8)).result
     print(f"\n  keep-all alternatives: {len(result)}; "
           f"pareto: {len(filtered)}")
     assert len(result) > len(filtered) * 3

@@ -16,20 +16,21 @@ import math
 
 import pytest
 
-from repro.core import DTAS, ParetoFilter, TradeoffFilter
+from repro.api import Session
+from repro.core import ParetoFilter, TradeoffFilter
 from repro.core.specs import adder_spec
 
 
 def constrained_space(lsi):
-    dtas = DTAS(lsi, perf_filter=ParetoFilter())
-    return dtas.synthesize_spec(adder_spec(16))
+    session = Session(lsi, perf_filter=ParetoFilter())
+    return session.synthesize(adder_spec(16)).result
 
 
 def test_adder16_design_space(benchmark, lsi):
     result = benchmark.pedantic(constrained_space, args=(lsi,),
                                 iterations=1, rounds=3)
-    dtas = DTAS(lsi)
-    unconstrained = dtas.space.unconstrained_size(adder_spec(16))
+    session = Session(lsi)
+    unconstrained = session.space.unconstrained_size(adder_spec(16))
 
     print()
     print("Section 5: 16-bit adder design-space size")
@@ -37,8 +38,8 @@ def test_adder16_design_space(benchmark, lsi):
     print(f"  unconstrained designs : ~10^{int(math.log10(unconstrained))}")
     print(f"  paper's unconstrained : 10^5 .. 10^6 (module-level rules)")
     print(f"  with S1+S2 (Pareto)   : {len(result)}")
-    tradeoff = DTAS(lsi, perf_filter=TradeoffFilter(0.05))
-    thinned = tradeoff.synthesize_spec(adder_spec(16))
+    tradeoff = Session(lsi, perf_filter=TradeoffFilter(0.05))
+    thinned = tradeoff.synthesize(adder_spec(16)).result
     print(f"  with tradeoff filter  : {len(thinned)}")
     print(f"  paper's constrained   : 10")
 

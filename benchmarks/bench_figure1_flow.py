@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.control import compile_controller
-from repro.core import DTAS
+from repro.api import Session
 from repro.hls import Assign, If, Program, While, hls_synthesize
 from repro.hls.synthesize import FsmdSimulator
 from repro.techlib import lsi_logic_library
@@ -36,8 +36,8 @@ def gcd_program():
 
 def full_flow():
     hls = hls_synthesize(gcd_program())
-    dtas = DTAS(lsi_logic_library())
-    mapped = dtas.synthesize_netlist(hls.datapath.netlist)
+    session = Session(lsi_logic_library())
+    mapped = session.synthesize(hls.datapath.netlist).result
     controller = compile_controller(hls.state_table)
     return hls, mapped, controller
 

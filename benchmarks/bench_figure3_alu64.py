@@ -12,14 +12,15 @@ area, and generation far under the 15-minute budget.
 
 import pytest
 
-from repro.core import DTAS, TradeoffFilter
+from repro.api import Session
+from repro.core import TradeoffFilter
 from repro.core.report import figure3_points, figure3_report
 from repro.core.specs import alu_spec
 
 
 def synthesize_alu64(lsi):
-    dtas = DTAS(lsi, perf_filter=TradeoffFilter(0.05))
-    return dtas.synthesize_spec(alu_spec(64))
+    session = Session(lsi, perf_filter=TradeoffFilter(0.05))
+    return session.synthesize(alu_spec(64)).result
 
 
 def test_figure3_alu64(benchmark, lsi):

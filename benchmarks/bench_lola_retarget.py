@@ -7,7 +7,7 @@ quality is compared against running with the generic rules alone.
 
 import pytest
 
-from repro.core import DTAS
+from repro.api import Session
 from repro.core.rulebase import standard_rulebase
 from repro.core.specs import adder_spec, register_spec
 from repro.lola import adapt
@@ -20,8 +20,8 @@ def retarget_and_synthesize():
     library = vendor2_library()
     rulebase = standard_rulebase()
     report = adapt_rulebase(rulebase, library)
-    dtas = DTAS(library, rulebase=rulebase)
-    result = dtas.synthesize_spec(adder_spec(32))
+    session = Session(library, rulebase=rulebase)
+    result = session.synthesize(adder_spec(32)).result
     return report, result
 
 
@@ -44,8 +44,8 @@ def test_lola_improves_on_generic_rules():
     library = vendor2_library()
     with_lola = standard_rulebase()
     adapt_rulebase(with_lola, library)
-    dtas = DTAS(library, rulebase=with_lola)
-    result = dtas.synthesize_spec(adder_spec(32))
+    session = Session(library, rulebase=with_lola)
+    result = session.synthesize(adder_spec(32)).result
     uses_add8 = any("AADD8" in alt.cell_counts()
                     for alt in result.alternatives)
     assert uses_add8

@@ -11,7 +11,7 @@ to fully utilize the subset of cells from LSI Logic."
 
 import pytest
 
-from repro.core import DTAS
+from repro.api import Session
 from repro.core.library_rules import lsi_rules
 from repro.core.rulebase import standard_rulebase
 from repro.core.specs import (
@@ -40,10 +40,10 @@ FAMILIES = [
 
 
 def synthesize_all(lsi):
-    dtas = DTAS(lsi)
+    session = Session(lsi)
     results = []
     for label, spec in FAMILIES:
-        results.append((label, spec, dtas.synthesize_spec(spec)))
+        results.append((label, spec, session.synthesize(spec).result))
     return results
 
 
@@ -64,9 +64,9 @@ def test_section7_component_coverage(benchmark, lsi):
 
 
 def test_section7_counter_coverage(lsi):
-    dtas = DTAS(lsi)
+    session = Session(lsi)
     spec = counter_spec(8, enable=True)
-    result = dtas.synthesize_spec(spec)
+    result = session.synthesize(spec).result
     assert len(result) >= 1
     from repro.sim import check_sequential
 

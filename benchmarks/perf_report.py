@@ -136,10 +136,10 @@ def _workloads(quick: bool, jobs: int = 1,
             ("adder8_keepall_capped",
              lambda: synth(adder_spec(8), "keep_all",
                            max_combinations=2000)),
-            # The same workload with the batched costing path pinned
-            # on: when a --batch 1 run forces the scalar path
-            # everywhere else, this entry still exercises (and gates
-            # byte-identity of) the vectorized evaluator.
+            # The same workload with the default costing chunk size
+            # pinned: when a --batch 1 run costs every other workload
+            # one row per kernel call, this entry still exercises (and
+            # gates byte-identity of) full-size run_batch blocks.
             ("adder8_keepall_batched",
              lambda: synth(adder_spec(8), "keep_all",
                            max_combinations=2000,
@@ -319,7 +319,8 @@ def _serve_workload_pair() -> List[Tuple[str, Callable]]:
 
     def drive(workers: int):
         from repro.fleet import FleetService
-        from repro.serve import ReproServer, histogram_quantile
+        from repro.obs.timeseries import bucket_quantile
+        from repro.serve import LATENCY_BUCKETS, ReproServer
 
         fleet = FleetService(workers=workers, store=None, node_store=None)
         handle = ReproServer(fleet, port=0).run_in_thread()
@@ -340,8 +341,8 @@ def _serve_workload_pair() -> List[Tuple[str, Callable]]:
                 "serve_requests": len(requests),
                 "serve_achieved_rps": len(requests) / elapsed,
                 "serve_wall_seconds": elapsed,
-                "serve_p99_seconds": histogram_quantile(
-                    histogram.get("counts", []), 0.99),
+                "serve_p99_seconds": bucket_quantile(
+                    LATENCY_BUCKETS, histogram.get("counts", []), 0.99),
                 "serve_engine_evaluations": metrics["engine_evaluations"],
             })
         finally:
@@ -535,9 +536,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="S1 enumeration order override for ad-hoc "
                              "measurements (lex, frontier)")
     parser.add_argument("--batch", type=int, default=None,
-                        help="S1 costing block size for every workload "
-                             "that does not pin its own (1 = scalar "
-                             "path; results must not change)")
+                        help="S1 costing chunk size for every workload "
+                             "that does not pin its own (1 = one row "
+                             "per kernel call; results must not change)")
     parser.add_argument("--workload", action="append", default=None,
                         metavar="NAME", dest="workloads",
                         help="run only this workload (repeatable; the "

@@ -52,8 +52,8 @@ def percentile(values: List[float], q: float) -> Optional[float]:
 def histogram_quantile(counts: List[int], q: float,
                        buckets: List[float]) -> Optional[float]:
     """The q-quantile upper bound from fixed-bucket histogram counts
-    (mirrors :func:`repro.serve.histogram_quantile`; duplicated so the
-    load generator works against a remote service with no repro
+    (mirrors :func:`repro.obs.timeseries.bucket_quantile`; duplicated
+    so the load generator works against a remote service with no repro
     package installed)."""
     total = sum(counts)
     if total <= 0:

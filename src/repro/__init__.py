@@ -27,9 +27,6 @@ Quickstart::
 or, from the shell::
 
     python -m repro synth --spec alu:64 --library lsi_logic --emit report
-
-(The pre-session entry points ``repro.core.DTAS`` and
-``repro.core.synthesize`` remain as deprecation shims.)
 """
 
 __version__ = "1.0.0"

@@ -90,9 +90,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "--max-combinations keep the best designs")
     parser.add_argument(
         "--batch", type=int, default=None, metavar="N",
-        help="block size for vectorized S1 combination costing "
-             "(default: engine default; 1 forces the scalar path; "
-             "results are identical for every value)")
+        help="chunk size for S1 combination costing: rows per "
+             "timing-kernel call (default: engine default; results are "
+             "identical for every value)")
 
 
 def _add_store_arg(parser: argparse.ArgumentParser, default,

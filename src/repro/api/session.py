@@ -82,10 +82,11 @@ class Session:
         ``"frontier"`` makes ``max_combinations`` keep the best
         designs instead of the lexicographically first.
     batch:
-        Block size for vectorized S1 combination costing (None keeps
-        the engine default; ``1`` forces the scalar per-combination
-        path).  Results are bit-identical for every value, so ``batch``
-        does not enter store fingerprints or node-cache space keys.
+        Chunk size for S1 combination costing: at most this many rows
+        reach one timing-kernel ``run_batch`` call (None keeps the
+        engine default).  Results are bit-identical for every value,
+        so ``batch`` does not enter store fingerprints or node-cache
+        space keys.
     store:
         Persistent result store (see :mod:`repro.store`): ``None``
         (default) disables persistence, a registered name

@@ -10,9 +10,13 @@ Public entry points:
 
 - :class:`repro.core.specs.ComponentSpec` -- the representation language
   shared by generic components and library cells,
-- :class:`repro.core.synthesizer.DTAS` -- the synthesis driver,
-- :func:`repro.core.synthesizer.synthesize` -- one-call convenience,
+- :class:`repro.core.design_space.DesignSpace` -- expansion and
+  evaluation of the design space,
+- :class:`repro.core.synthesizer.SynthesisResult` -- the costed
+  alternatives of one request,
 - :mod:`repro.core.filters` -- performance filters (search control S2).
+
+Synthesis itself is driven through :class:`repro.api.Session`.
 """
 
 from repro.core.specs import ComponentSpec, make_spec, port_signature
@@ -28,12 +32,12 @@ from repro.core.design_space import DesignSpace, Implementation, SpecNode
 from repro.core.interning import intern_configuration, intern_stats
 from repro.core.parallel import parallel_prefill
 from repro.core.rules import Rule, RuleBase
-from repro.core.synthesizer import DTAS, SynthesisResult, synthesize
+from repro.core.synthesizer import SynthesisResult
 
-# Load the rule-family modules eagerly: DTAS construction otherwise
+# Load the rule-family modules eagerly: session construction otherwise
 # pays the module-exec cost of ten rulebase modules inside the first
 # synthesis call, which is exactly where serving latency matters.  The
-# Rule objects themselves are still built lazily on first DTAS().
+# Rule objects themselves are still built lazily on first use.
 # (These imports must come last -- the rule modules import
 # repro.core.rules/specs.)
 from repro.core import library_rules as _library_rules  # noqa: E402,F401
@@ -54,7 +58,6 @@ from repro.core.rulebase import (  # noqa: E402,F401
 __all__ = [
     "ComponentSpec",
     "Configuration",
-    "DTAS",
     "DesignSpace",
     "Implementation",
     "KeepAllFilter",
@@ -72,5 +75,4 @@ __all__ = [
     "pareto_rank_order",
     "parallel_prefill",
     "port_signature",
-    "synthesize",
 ]

@@ -23,15 +23,15 @@ is an O(1) identity check, duplicate allocation disappears from the
 keep-all ablations, and every lazy per-object cache is computed once
 process-wide.
 
-Combining sibling options is *streaming*: :func:`iter_compatible`
-enumerates the S1-consistent cross product lazily, so a combination cap
-bounds the work performed, not just the length of a list that was
-already fully materialized.  Sibling specification sets are analysed up
-front: an option list whose specs appear in no other list can never
-conflict, so its choices are merged with plain dictionary writes and no
-comparisons at all; for lists that *can* conflict, each option's
-choices are split once (memoized by interned id) into the shared part
-that needs checking and the private part that is written blind.
+Combining sibling options is one function, :func:`enumerate_rows`: it
+enumerates the S1-consistent cross product depth first and stops at
+the combination cap, so the cap bounds the work performed, not just the
+length of a list that was already fully materialized.  Sibling
+specification sets are analysed up front: an option list whose specs
+appear in no other list can never conflict, so its options are appended
+with no comparisons at all; for lists that *can* conflict, each
+option's shared choices are extracted once and checked against the
+running merge by small integer spec ranks.
 
 Enumeration order is pluggable: the default ``"lex"`` order walks the
 option lists exactly as given (the seed semantics, and what keeps
@@ -49,8 +49,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -72,14 +70,14 @@ class ChoiceTuple(tuple):
     Plain tuples recompute their hash on every use, and a choice
     tuple's hash walks every spec's (Python-level) ``__hash__``.  The
     intern table hashes the choices part of its key on every lookup --
-    twice on a miss (probe, then insert) -- so the batched evaluator
+    twice on a miss (probe, then insert) -- so :func:`enumerate_rows`
     builds rows' choice items as ``ChoiceTuple`` and pays the spec walk
     once per instance instead of once per dictionary operation.
     Equality and the hash *value* are exactly the underlying tuple's,
-    so mixing with plain tuples (store revivals, scalar-path rows)
-    stays transparent; pickles degrade to plain tuples so a cached
-    hash (which embeds the per-process string-hash seed) never crosses
-    a process boundary.
+    so mixing with plain tuples (unpickled payloads, hand-built
+    configurations) stays transparent; pickles degrade to plain tuples
+    so a cached hash (which embeds the per-process string-hash seed)
+    never crosses a process boundary.
     """
 
     def __hash__(self) -> int:
@@ -270,25 +268,6 @@ def make_configuration_parts(
     )
 
 
-def merge_choices(
-    parts: Iterable[Mapping[ComponentSpec, int]]
-) -> Optional[Dict[ComponentSpec, int]]:
-    """Merge choice maps from sibling modules.
-
-    Returns ``None`` when two parts pick different implementations for
-    the same specification -- the combination is rejected, enforcing S1.
-    """
-    merged: Dict[ComponentSpec, int] = {}
-    for part in parts:
-        for spec, impl in part.items():
-            existing = merged.get(spec)
-            if existing is None:
-                merged[spec] = impl
-            elif existing != impl:
-                return None
-    return merged
-
-
 def prune_dominated_options(
     options: Sequence[Configuration],
     shared_specs: Optional[set] = None,
@@ -423,7 +402,7 @@ def adaptive_order(options: Sequence[Configuration],
     the lex-early region -- and appends the remaining options in
     frontier order, so the delay corner is seeded right behind them.
 
-    It is *limit-aware* (the streaming combiner passes its cap): with
+    It is *limit-aware* (:func:`enumerate_rows` passes its cap): with
     no cap there is nothing to ration and the list is kept as given,
     preserving the byte-stable seed semantics; with a cap smaller than
     the prefix the prefix shrinks to the cap (a budget of 2 should not
@@ -441,7 +420,7 @@ def adaptive_order(options: Sequence[Configuration],
 
 
 #: Marks an order callable whose signature is ``(options, limit)``:
-#: the streaming combiner passes its combination cap so the order can
+#: :func:`enumerate_rows` passes its combination cap so the order can
 #: ration the prefix (see :func:`adaptive_order`).
 adaptive_order.limit_aware = True  # type: ignore[attr-defined]
 
@@ -476,19 +455,52 @@ def resolve_order(order: Union[str, OrderFn, None]) -> Optional[OrderFn]:
 
 
 # ---------------------------------------------------------------------------
-# The streaming S1 combiner
+# The S1 combiner
 # ---------------------------------------------------------------------------
 
-def _prepare_lists(
+#: One combination row: the chosen configurations plus the
+#: canonically-sorted merged choice items (``None`` = rejected by the
+#: caller's own-choice S1 check; the row still counted against the cap).
+Row = Tuple[Tuple[Configuration, ...], Optional[Tuple[Choice, ...]]]
+
+
+def enumerate_rows(
     option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int],
-    prune_dominated: bool,
-    order: Union[str, OrderFn, None],
-) -> Tuple[List[Sequence[Configuration]], List[set], set]:
-    """Shared front half of the S1 combiners: per-list spec universes,
-    the shared-spec set (specs that can collide across lists), optional
-    dominance pruning, and the enumeration-order transform.  Factored
-    out so the streaming and the batched enumerations cannot drift."""
+    limit: Optional[int] = None,
+    prune_dominated: bool = False,
+    order: Union[str, OrderFn, None] = None,
+    own_choice: Optional[Mapping[ComponentSpec, int]] = None,
+) -> List[Row]:
+    """The S1-consistent cross product of per-spec options, as rows.
+
+    Rows come in nested-loop order over the option lists (after the
+    optional dominance pruning and the ``order`` transform), and a
+    conflicting prefix is pruned at the depth where it first
+    conflicts.  ``limit`` aborts the enumeration at the cap, so the cap
+    bounds both the work and this list's memory.  Each row carries the
+    chosen configurations plus the merged choice items already in
+    canonical sorted order, ready for :func:`make_configuration_parts`.
+    When two lists bind the same spec to the same impl, the row keeps
+    one entry for it.  The sort
+    never compares two specs: every spec of the node gets a small
+    integer *rank* in sort-key order (equal sort keys imply equal
+    specs, so the rank map is order-preserving and injective), each
+    option's choices are decorated once with a packed
+    ``(rank, depth, position)`` integer key, and a row's items are one
+    integer sort over the per-depth runs at emit time.  S1 consistency
+    bookkeeping runs over the same ranks, so the hot loop hashes small
+    ints, not specs.  Only rows that actually contain a duplicated spec
+    pay a dedup pass.
+
+    ``own_choice`` folds the caller's own (spec -> impl) entries into
+    every row after the merge: a row whose children pin an own spec to
+    a different impl is an S1 conflict -- it still counts against
+    ``limit`` (the check runs after the row is enumerated) but its
+    choice items are ``None`` so the caller skips costing it.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    count = len(option_lists)
     # Which option lists can conflict at all?  A spec can collide only
     # when it appears in the choice universes of two different lists.
     universes: List[set] = []
@@ -514,168 +526,6 @@ def _prepare_lists(
             lists = [order_fn(options, limit) for options in lists]
         else:
             lists = [order_fn(options) for options in lists]
-    return lists, universes, shared
-
-
-def iter_compatible(
-    option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int] = None,
-    prune_dominated: bool = False,
-    order: Union[str, OrderFn, None] = None,
-) -> Iterator[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
-    """Stream the S1-consistent cross product of per-spec options.
-
-    Yields ``(chosen configurations, merged choice map)`` in exactly
-    the order the nested-loop cross product would produce them, pruning
-    conflicting prefixes as early as possible.  With ``limit``, the
-    enumeration *stops* after that many combinations -- bounding the
-    work done, not just the output returned.  With ``order``, each
-    option list is reordered first (``"frontier"`` seeds by Pareto
-    rank, so the limited prefix holds the best designs).
-
-    The yielded choice map is reused between iterations for speed; copy
-    it if it must outlive the loop body (:func:`combine_compatible`
-    does exactly that).
-    """
-    if limit is not None and limit <= 0:
-        return
-    count = len(option_lists)
-    lists, universes, shared = _prepare_lists(
-        option_lists, limit, prune_dominated, order)
-    checked = [bool(universe & shared) for universe in universes]
-
-    # For conflict-checked lists, split each option's choices once into
-    # the shared part (compared against the running merge) and the
-    # private part (written blind -- private specs cannot collide).
-    # The split is memoized by interned id, so an option appearing in
-    # several lists, or the same canonical configuration reached from
-    # different nodes, is split exactly once per enumeration.
-    split_memo: Dict[int, Tuple[Tuple[Choice, ...], Tuple[Choice, ...]]] = {}
-
-    def split(config: Configuration):
-        key = config.interned_id
-        if key is None:
-            key = -id(config)  # uninterned: fall back to object identity
-        cached = split_memo.get(key)
-        if cached is None:
-            shared_items = tuple(c for c in config.choices if c[0] in shared)
-            private_items = tuple(c for c in config.choices if c[0] not in shared)
-            cached = split_memo[key] = (shared_items, private_items)
-        return cached
-
-    merged: Dict[ComponentSpec, int] = {}
-    chosen: List[Optional[Configuration]] = [None] * count
-    emitted = 0
-
-    def walk(depth: int) -> Iterator[
-        Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]
-    ]:
-        nonlocal emitted
-        if depth == count:
-            yield tuple(chosen), merged
-            emitted += 1
-            return
-        options = lists[depth]
-        if not checked[depth]:
-            # No spec of this list appears anywhere else: conflicts are
-            # impossible, so skip the compare-and-merge entirely.
-            for config in options:
-                chosen[depth] = config
-                choices = config.choices
-                for spec, impl in choices:
-                    merged[spec] = impl
-                yield from walk(depth + 1)
-                for spec, _ in choices:
-                    del merged[spec]
-                if limit is not None and emitted >= limit:
-                    return
-        else:
-            for config in options:
-                chosen[depth] = config
-                shared_items, private_items = split(config)
-                consistent = True
-                to_add: List[Choice] = []
-                for spec, impl in shared_items:
-                    existing = merged.get(spec)
-                    if existing is None:
-                        to_add.append((spec, impl))
-                    elif existing != impl:
-                        consistent = False
-                        break
-                if consistent:
-                    for spec, impl in to_add:
-                        merged[spec] = impl
-                    for spec, impl in private_items:
-                        merged[spec] = impl
-                    yield from walk(depth + 1)
-                    for spec, _ in to_add:
-                        del merged[spec]
-                    for spec, _ in private_items:
-                        del merged[spec]
-                if limit is not None and emitted >= limit:
-                    return
-
-    yield from walk(0)
-
-
-def combine_compatible(
-    option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int] = None,
-    order: Union[str, OrderFn, None] = None,
-) -> List[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
-    """Materialized form of :func:`iter_compatible` (kept for callers
-    and tests that want the whole list; each result owns its map)."""
-    return [
-        (chosen, dict(merged))
-        for chosen, merged in iter_compatible(option_lists, limit=limit,
-                                              order=order)
-    ]
-
-
-#: One batched combination row: the chosen configurations plus the
-#: canonically-sorted merged choice items (``None`` = rejected by the
-#: caller's own-choice S1 check; the row still counted against the cap).
-Row = Tuple[Tuple[Configuration, ...], Optional[Tuple[Choice, ...]]]
-
-
-def enumerate_rows(
-    option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int] = None,
-    prune_dominated: bool = False,
-    order: Union[str, OrderFn, None] = None,
-    own_choice: Optional[Mapping[ComponentSpec, int]] = None,
-) -> List[Row]:
-    """The S1 cross product as a materialized block of rows.
-
-    Exactly the combinations :func:`iter_compatible` streams -- same
-    order transform, same conflict pruning at the same depth, same
-    ``limit`` semantics (enumeration aborts at the cap, so the cap
-    bounds both the work and this list's memory) -- but built for the
-    batched costing path: instead of a reusable merged choice *map*,
-    each row carries the merged choice items already in canonical
-    sorted order, ready for :func:`make_configuration_parts`.  The sort
-    never compares two specs: every spec of the node gets a small
-    integer *rank* in sort-key order (equal sort keys imply equal
-    specs, so the rank map is order-preserving and injective), each
-    option's choices are decorated once with a packed
-    ``(rank, depth, position)`` integer key, and a row's items are one
-    integer sort over the per-depth runs at emit time.  S1 consistency
-    bookkeeping runs over the same ranks, so the hot loop hashes small
-    ints, not specs.  Only rows that actually contain a duplicated spec
-    pay a dedup pass.
-
-    ``own_choice`` folds the caller's own (spec -> impl) entries into
-    every row the way the scalar evaluator does after the merge: a row
-    whose children pin an own spec to a different impl is an S1
-    conflict -- it still counts against ``limit`` (the scalar path
-    counts it before its conflict check too) but its choice items are
-    ``None`` so the caller skips costing it.
-    """
-    if limit is not None and limit <= 0:
-        return []
-    count = len(option_lists)
-    lists, universes, shared = _prepare_lists(
-        option_lists, limit, prune_dominated, order)
 
     own_items: Tuple[Choice, ...] = ()
     if own_choice:
@@ -683,17 +533,17 @@ def enumerate_rows(
             sorted(own_choice.items(), key=lambda kv: kv[0].sort_key))
     rows: List[Row] = []
     if count == 0:
-        # No sibling lists: the scalar walk yields exactly one empty
-        # combination, whose choices are the caller's own entries.
+        # No sibling lists: exactly one empty combination, whose
+        # choices are the caller's own entries.
         rows.append(((), own_items))
         return rows
 
     # The merge map tracks every spec that can appear twice in one row:
-    # the shared set, plus own specs present in some child universe (the
-    # scalar evaluator catches own-vs-child conflicts against its full
-    # merged map).  Widening beyond ``shared`` changes no sibling
-    # pruning -- a spec private to one list can never conflict between
-    # siblings -- it only makes the own-choice check exact.
+    # the shared set, plus own specs present in some child universe (so
+    # own-vs-child conflicts are caught against the full merge).
+    # Widening beyond ``shared`` changes no sibling pruning -- a spec
+    # private to one list can never conflict between siblings -- it
+    # only makes the own-choice check exact.
     tracked = shared
     if own_items:
         extra = {spec for spec, _ in own_items
@@ -779,8 +629,7 @@ def enumerate_rows(
             # Equal specs share one rank (the rank map is value-keyed),
             # so duplicates are adjacent after the sort and detected by
             # integer division alone; keep the first occurrence (lowest
-            # depth -- the scalar dict's insertion position, and the
-            # impls of duplicates are equal by construction).
+            # depth; the impls of duplicates are equal by construction).
             deduped = []
             prev_rank = -1
             for entry in ent:

@@ -27,10 +27,11 @@ The evaluation inner loop is engineered for the paper's scale claim
   :class:`~repro.netlist.timing_program.TimingProgram` (graph
   structure, wiring arcs, and per-arc-signature topological orders),
   so costing a combination only substitutes delay weights;
-- the S1 cross product is *streamed*
-  (:func:`~repro.core.configs.iter_compatible`), so ``max_combinations``
+- the S1 cross product is enumerated as capped rows
+  (:func:`~repro.core.configs.enumerate_rows`), so ``max_combinations``
   bounds the enumeration work itself, and sibling specs that cannot
-  conflict skip choice-map checks entirely;
+  conflict skip choice-map checks entirely; rows sharing an arc
+  signature are costed in blocks through the kernels' ``run_batch``;
 - rule applications, cell matchings, and compiled programs are pure
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
@@ -59,14 +60,13 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from array import array
 
 from repro.core.configs import (
     Configuration,
     enumerate_rows,
-    iter_compatible,
     make_configuration,
     make_configuration_parts,
     resolve_order,
@@ -316,12 +316,11 @@ class DesignSpace:
         #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
         #: callable reordering one option list (resolved once).
         self.order = resolve_order(order)
-        #: Combination-costing block size: with ``batch > 1`` the S1
-        #: cross product is costed through the kernels' vectorized
-        #: ``run_batch`` path in blocks sharing an arc signature;
-        #: ``batch=1`` restores the scalar per-combination loop.  Both
-        #: paths are bit-identical (and the knob is therefore excluded
-        #: from store/node fingerprints, like ``jobs``).
+        #: Combination-costing chunk size: the S1 rows sharing an arc
+        #: signature reach the kernels' ``run_batch`` in chunks of at
+        #: most this many rows.  Every value yields bit-identical
+        #: results (so the knob is excluded from store/node
+        #: fingerprints, like ``jobs``); it only tunes block size.
         self.batch = DEFAULT_BATCH if batch is None else max(1, int(batch))
         #: Total S1-consistent combinations costed by this space (rows
         #: that survived the own-choice conflict check and went through
@@ -585,16 +584,15 @@ class DesignSpace:
             self._evaluating.discard(spec)
 
     def _select(self, candidates: List[Configuration]) -> List[Configuration]:
-        """Apply the performance filter, preferring its single-pass
-        block path (``select_block``) when batching is on.  Both paths
-        return bit-identical survivors in identical order; third-party
-        filters without ``select_block`` fall back to ``select``."""
+        """Apply the performance filter through its single-pass block
+        path (``select_block``) when it has one; third-party filters
+        without it fall back to ``select``, which returns the same
+        survivors in the same order."""
         phase_start = time.perf_counter()
         try:
-            if self.batch > 1:
-                block = getattr(self.perf_filter, "select_block", None)
-                if block is not None:
-                    return block(candidates)
+            block = getattr(self.perf_filter, "select_block", None)
+            if block is not None:
+                return block(candidates)
             return self.perf_filter.select(candidates)
         finally:
             self._phase_add("filter", time.perf_counter() - phase_start)
@@ -640,143 +638,100 @@ class DesignSpace:
     ) -> List[Configuration]:
         """Cost every S1-consistent combination of module options.
 
-        The combiner enforces ``max_combinations`` during enumeration;
-        the compiled timing program substitutes each combination's
-        delay weights into the prebuilt graph.  With ``batch > 1`` the
-        combinations are materialized as rows, grouped by arc signature,
-        and costed through the kernels' vectorized block path --
-        bit-identical results in the identical order.
+        Materialize the (capped) S1 rows, group them by arc signature,
+        push each group's delay weights through ``run_batch`` as flat
+        matrices in chunks of ``batch`` rows, and rebuild the
+        configurations from the presorted parts.  Results land back in
+        enumeration order, and every chunk size yields the same
+        configurations.
         """
         phase_start = time.perf_counter()
-        if self.batch > 1:
-            try:
-                return self._evaluate_combinations_batched(
-                    program, option_lists, own_choice)
-            finally:
-                self._phase_add("enumerate_cost",
-                                time.perf_counter() - phase_start)
-        results: List[Configuration] = []
-        for chosen, merged in iter_compatible(
-            option_lists,
-            limit=self.max_combinations,
-            prune_dominated=self.prune_partial,
-            order=self.order,
-        ):
-            choices = dict(merged)
-            if own_choice is not None:
-                conflict = False
-                for own_spec, own_impl in own_choice.items():
-                    existing = choices.get(own_spec)
-                    if existing is not None and existing != own_impl:
-                        conflict = True
-                        break
-                    choices[own_spec] = own_impl
-                if conflict:
-                    continue
-            area = program.total_area([c.area for c in chosen])
-            delays = program.evaluate(
-                tuple(c.arc_keys for c in chosen),
-                [c.delay_values for c in chosen],
+        try:
+            rows = enumerate_rows(
+                option_lists,
+                limit=self.max_combinations,
+                prune_dominated=self.prune_partial,
+                order=self.order,
+                own_choice=own_choice,
             )
-            results.append(make_configuration(area, delays, choices))
-        self.combinations_costed += len(results)
-        self._phase_add("enumerate_cost",
-                        time.perf_counter() - phase_start)
-        return results
-
-    def _evaluate_combinations_batched(
-        self,
-        program: TimingProgram,
-        option_lists: List[List[Configuration]],
-        own_choice: Optional[Dict[ComponentSpec, int]],
-    ) -> List[Configuration]:
-        """Vectorized combination costing: materialize the (capped) S1
-        rows, group them by arc signature, push each group's delay
-        weights through ``run_batch`` as flat matrices, and rebuild the
-        configurations from the presorted parts.  Results land back in
-        enumeration order, so output is byte-identical to the scalar
-        loop."""
-        rows = enumerate_rows(
-            option_lists,
-            limit=self.max_combinations,
-            prune_dominated=self.prune_partial,
-            order=self.order,
-            own_choice=own_choice,
-        )
-        results: List[Optional[Configuration]] = [None] * len(rows)
-        # Group rows by arc signature through small per-slot integer
-        # ids (hashing the nested string-tuple signatures per row is
-        # measurable; hashing a tuple of small ints is not).  The same
-        # per-slot pass precomputes id -> (delay values, area) so the
-        # chunk loops below never touch a property per row.
-        arc_ids: Dict[tuple, int] = {}
-        slot_maps: List[Dict[int, int]] = []
-        value_maps: List[Dict[int, tuple]] = []
-        area_maps: List[Dict[int, float]] = []
-        for options in option_lists:
-            slot_map: Dict[int, int] = {}
-            value_map: Dict[int, tuple] = {}
-            area_map: Dict[int, float] = {}
-            for config in options:
-                keys = config.arc_keys
-                arc_id = arc_ids.get(keys)
-                if arc_id is None:
-                    arc_id = arc_ids[keys] = len(arc_ids)
-                cid = id(config)
-                slot_map[cid] = arc_id
-                value_map[cid] = config.delay_values
-                area_map[cid] = config.area
-            slot_maps.append(slot_map)
-            value_maps.append(value_map)
-            area_maps.append(area_map)
-        groups: Dict[tuple, List[int]] = {}
-        groups_get = groups.get
-        for index, row in enumerate(rows):
-            if row[1] is None:
-                continue  # own-choice conflict: counted, never costed
-            key = tuple([slot_maps[slot][id(config)]
-                         for slot, config in enumerate(row[0])])
-            group = groups_get(key)
-            if group is None:
-                groups[key] = [index]
-            else:
-                group.append(index)
-        module_slots = program.module_slots
-        batch = self.batch
-        costed = 0
-        for indices in groups.values():
-            signature = tuple(
-                c.arc_keys for c in rows[indices[0]][0])
-            kernel = program.kernel(signature)
-            costed += len(indices)
-            for start in range(0, len(indices), batch):
-                chunk = indices[start:start + batch]
-                chosen_rows = [rows[index][0] for index in chunk]
-                matrices = []
-                for slot in range(len(signature)):
-                    buffer = array("d")
-                    extend = buffer.extend
-                    value_map = value_maps[slot]
-                    for chosen in chosen_rows:
-                        extend(value_map[id(chosen[slot])])
-                    matrices.append(buffer)
-                keys, block = kernel.run_batch(matrices, len(chunk))
-                for offset, index in enumerate(chunk):
-                    chosen = chosen_rows[offset]
-                    values = block[offset]
-                    # Same float addition sequence as the scalar
-                    # path's program.total_area walk.
-                    area = 0.0
-                    for slot in module_slots:
-                        area += area_maps[slot][id(chosen[slot])]
-                    results[index] = make_configuration_parts(
-                        area,
-                        tuple(zip(keys, values)),
-                        rows[index][1],
-                        max(values) if values else 0.0,
-                    )
-        self.combinations_costed += costed
-        return [config for config in results if config is not None]
+            results: List[Optional[Configuration]] = [None] * len(rows)
+            # Group rows by arc signature through small per-slot integer
+            # ids (hashing the nested string-tuple signatures per row is
+            # measurable; hashing a tuple of small ints is not).  The
+            # same per-slot pass precomputes id -> (delay values, area)
+            # so the chunk loops below never touch a property per row.
+            arc_ids: Dict[tuple, int] = {}
+            slot_maps: List[Dict[int, int]] = []
+            value_maps: List[Dict[int, tuple]] = []
+            area_maps: List[Dict[int, float]] = []
+            for options in option_lists:
+                slot_map: Dict[int, int] = {}
+                value_map: Dict[int, tuple] = {}
+                area_map: Dict[int, float] = {}
+                for config in options:
+                    keys = config.arc_keys
+                    arc_id = arc_ids.get(keys)
+                    if arc_id is None:
+                        arc_id = arc_ids[keys] = len(arc_ids)
+                    cid = id(config)
+                    slot_map[cid] = arc_id
+                    value_map[cid] = config.delay_values
+                    area_map[cid] = config.area
+                slot_maps.append(slot_map)
+                value_maps.append(value_map)
+                area_maps.append(area_map)
+            groups: Dict[tuple, List[int]] = {}
+            groups_get = groups.get
+            for index, row in enumerate(rows):
+                if row[1] is None:
+                    continue  # own-choice conflict: counted, never costed
+                key = tuple([slot_maps[slot][id(config)]
+                             for slot, config in enumerate(row[0])])
+                group = groups_get(key)
+                if group is None:
+                    groups[key] = [index]
+                else:
+                    group.append(index)
+            module_slots = program.module_slots
+            batch = self.batch
+            costed = 0
+            for indices in groups.values():
+                signature = tuple(
+                    c.arc_keys for c in rows[indices[0]][0])
+                kernel = program.kernel(signature)
+                costed += len(indices)
+                for start in range(0, len(indices), batch):
+                    chunk = indices[start:start + batch]
+                    chosen_rows = [rows[index][0] for index in chunk]
+                    matrices = []
+                    for slot in range(len(signature)):
+                        buffer = array("d")
+                        extend = buffer.extend
+                        value_map = value_maps[slot]
+                        for chosen in chosen_rows:
+                            extend(value_map[id(chosen[slot])])
+                        matrices.append(buffer)
+                    keys, block = kernel.run_batch(matrices, len(chunk))
+                    for offset, index in enumerate(chunk):
+                        chosen = chosen_rows[offset]
+                        values = block[offset]
+                        # Areas sum per module instance, in instance
+                        # order, so the float addition sequence matches
+                        # a direct walk over the netlist.
+                        area = 0.0
+                        for slot in module_slots:
+                            area += area_maps[slot][id(chosen[slot])]
+                        results[index] = make_configuration_parts(
+                            area,
+                            tuple(zip(keys, values)),
+                            rows[index][1],
+                            max(values) if values else 0.0,
+                        )
+            self.combinations_costed += costed
+            return [config for config in results if config is not None]
+        finally:
+            self._phase_add("enumerate_cost",
+                            time.perf_counter() - phase_start)
 
     # ------------------------------------------------------------------
     # top-level entry points

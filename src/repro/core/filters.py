@@ -30,9 +30,9 @@ class PerformanceFilter(Protocol):
     """Protocol for search-control filters over configurations.
 
     Filters may additionally offer ``select_block`` (same contract as
-    ``select``); the batched evaluator prefers it when present and
-    falls back to ``select`` otherwise, so third-party filters keep
-    working unchanged."""
+    ``select``); the design space prefers it when present and falls
+    back to ``select`` otherwise, so third-party filters keep working
+    unchanged."""
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         """Return the retained configurations, sorted by (area, delay)."""

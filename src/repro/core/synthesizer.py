@@ -1,28 +1,21 @@
-"""The DTAS synthesis driver.
+"""DTAS synthesis results.
 
-Ties the pieces together exactly as the paper's section 5 describes:
-the input (a single component specification, a GENUS netlist, or GENUS
-instances) is passed through functional decomposition and technology
-mapping; the output is "a set of hierarchical, library-specific
-netlists that represent alternative implementations of the components
-in the input netlist".
+The paper's section 5 output is "a set of hierarchical,
+library-specific netlists that represent alternative implementations
+of the components in the input netlist".  :class:`SynthesisResult`
+holds that set as :class:`DesignAlternative` points, each able to
+materialize its hierarchical netlist; :class:`repro.api.Session`
+produces them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 from repro.core.configs import Configuration
 from repro.core.design_space import DesignSpace, DesignTree, SynthesisError
-from repro.core.filters import PerformanceFilter
-from repro.core.rules import Rule, RuleBase
 from repro.core.specs import ComponentSpec
-from repro.netlist.netlist import Netlist
-
-if False:  # typing only; avoids a circular import with repro.techlib
-    from repro.techlib.cells import CellLibrary
 
 
 @dataclass
@@ -96,82 +89,3 @@ class SynthesisResult:
                 f"{d_area:>+7.0f}% {d_delay:>+7.0f}%"
             )
         return "\n".join(lines)
-
-
-class DTAS:
-    """Deprecated facade over :class:`repro.api.session.Session`.
-
-    The synthesis flow is now driven through ``repro.api`` (typed
-    requests, registries, batch runs, the CLI); this class remains so
-    existing callers keep working, delegating every operation to a
-    private session.  Construction accepts exactly the old arguments --
-    ``rulebase=None`` still means the standard rulebase plus the nine
-    LSI-specific rules when the library is the LSI subset (the
-    registry's ``auto`` policy), and ``perf_filter=None`` still means
-    the Pareto filter.
-
-    New code should write::
-
-        from repro.api import Session
-
-        session = Session(library, perf_filter=...)
-        job = session.synthesize(spec)          # job.result == old return
-    """
-
-    def __init__(
-        self,
-        library: CellLibrary,
-        rulebase: Optional[RuleBase] = None,
-        extra_rules: Sequence[Rule] = (),
-        perf_filter: Optional[PerformanceFilter] = None,
-        validate: bool = True,
-        prune_partial: bool = False,
-    ) -> None:
-        warnings.warn(
-            "repro.core.DTAS is deprecated; use repro.api.Session",
-            DeprecationWarning, stacklevel=2,
-        )
-        from repro.api.session import Session
-
-        self._session = Session(
-            library,
-            rulebase=rulebase,
-            perf_filter=perf_filter,
-            extra_rules=extra_rules,
-            validate=validate,
-            prune_partial=prune_partial,
-        )
-        self.library = self._session.library
-        self.rulebase = self._session.rulebase
-        self.perf_filter = self._session.perf_filter
-        self.space = self._session.space
-
-    # ------------------------------------------------------------------
-    def synthesize_spec(self, spec: ComponentSpec) -> SynthesisResult:
-        """Alternatives for one component specification."""
-        return self._session.synthesize(spec).result
-
-    def synthesize_netlist(self, netlist: Netlist) -> SynthesisResult:
-        """Alternatives for a whole GENUS netlist."""
-        return self._session.synthesize(netlist).result
-
-    def materialize(self, spec: ComponentSpec, alt: DesignAlternative) -> DesignTree:
-        return self.space.materialize(spec, alt.config)
-
-
-def synthesize(
-    target: Union[ComponentSpec, Netlist],
-    library: CellLibrary,
-    perf_filter: Optional[PerformanceFilter] = None,
-    rulebase: Optional[RuleBase] = None,
-) -> SynthesisResult:
-    """Deprecated one-call wrapper; use
-    :meth:`repro.api.Session.synthesize` instead."""
-    warnings.warn(
-        "repro.core.synthesize is deprecated; use repro.api.Session",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro.api.session import Session
-
-    session = Session(library, rulebase=rulebase, perf_filter=perf_filter)
-    return session.synthesize(target).result

@@ -5,8 +5,8 @@ library and returns the generated library-specific rules together with
 a report of what fired and why -- LOLA "then uses these generated rules
 to modify DTAS's rule base so that DTAS can take advantage of the
 library changes" (paper section 7), which here means passing them to
-:class:`repro.core.synthesizer.DTAS` as ``extra_rules`` or extending a
-rulebase in place.
+:class:`repro.api.Session` as ``extra_rules`` or extending a rulebase
+in place.
 
 ``retarget_space(space, library)`` is the *incremental* path: instead
 of rebuilding a design space from scratch for every data book, it

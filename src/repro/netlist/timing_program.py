@@ -99,8 +99,8 @@ class _BatchPlan:
         #: whose arrival times max-merge into that key.
         self.contribs = contribs
         #: Per source row, the edge indices reachable from that source
-        #: (the batched sweep skips the rest -- the same work the scalar
-        #: path's ``du != neg`` guard avoids).
+        #: (the batched sweep skips the rest -- the same work the per-row
+        #: ``run``'s ``du != neg`` guard avoids).
         self.source_edges = source_edges
         #: Lazily built numpy views of the edge arrays (None until the
         #: numpy path first runs).
@@ -304,9 +304,9 @@ class _Kernel:
         self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
     ) -> List[List[float]]:
         """Numpy fast path: identical arithmetic (elementwise add and
-        max over float64 match the scalar sequence bit for bit;
-        ``-inf + w`` stays ``-inf``, standing in for the scalar path's
-        reachability guard)."""
+        max over float64 match the per-row sequence bit for bit;
+        ``-inf + w`` stays ``-inf``, standing in for the per-row
+        ``run``'s reachability guard)."""
         cache = plan.np_cache
         if cache is None:
             n_edges = len(self.edge_u)
@@ -466,14 +466,6 @@ class TimingProgram:
         """Number of distinct arc signatures compiled so far."""
         return len(self._kernels)
 
-    def total_area(self, areas_by_slot: Sequence[float]) -> float:
-        """Sum of per-instance areas, in instance order (so the float
-        addition sequence matches a direct per-module walk)."""
-        total = 0
-        for slot in self.module_slots:
-            total += areas_by_slot[slot]
-        return total
-
     # ------------------------------------------------------------------
     def _compile_kernel(self, signature: Tuple[ArcKeys, ...]) -> _Kernel:
         node = self._node
@@ -542,71 +534,6 @@ class TimingProgram:
             kernel = self._compile_kernel(arc_keys_by_slot)
             self._kernels[arc_keys_by_slot] = kernel
         return kernel
-
-    def evaluate(
-        self,
-        arc_keys_by_slot: Tuple[ArcKeys, ...],
-        values_by_slot: Sequence[Sequence[float]],
-    ) -> Dict[Tuple[str, str], float]:
-        """Delay matrix of the netlist for one choice of per-slot delay
-        matrices.
-
-        ``arc_keys_by_slot[s]`` lists slot ``s``'s (input, output) arc
-        pairs; ``values_by_slot[s][i]`` is the weight of arc ``i``.  The
-        result maps ``(source, sink)`` to nanoseconds exactly like
-        :func:`repro.netlist.timing.port_delay_matrix`.
-        """
-        return self.kernel(arc_keys_by_slot).run(values_by_slot)
-
-    def evaluate_batch(
-        self,
-        arc_keys_by_slot: Tuple[ArcKeys, ...],
-        values_by_slot: Sequence[Sequence[float]],
-        rows: int,
-    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Block form of :meth:`evaluate`: ``values_by_slot[s]`` is a
-        flat row-major ``rows x len(arc_keys_by_slot[s])`` matrix, and
-        the result is ``(sorted result keys, per-row value lists)`` --
-        see :meth:`_Kernel.run_batch`."""
-        return self.kernel(arc_keys_by_slot).run_batch(values_by_slot, rows)
-
-    def evaluate_matrices(
-        self, matrices_by_slot: Sequence[Dict[Tuple[str, str], float]]
-    ) -> Dict[Tuple[str, str], float]:
-        """Convenience wrapper taking one delay-matrix mapping per slot.
-
-        The canonical (arcs, values) extraction -- a sort per matrix --
-        is memoized per matrix *object* (the memo holds the matrix, so
-        its id cannot be recycled while the entry lives); callers that
-        re-pass the same mapping objects stop paying the sort.  Treat a
-        matrix as frozen once passed: a same-length in-place mutation is
-        not detectable at this cost.
-        """
-        memo = self.__dict__.get("_matrix_memo")
-        if memo is None:
-            memo = self._matrix_memo = {}
-        arcs: List[ArcKeys] = []
-        values: List[Tuple[float, ...]] = []
-        for matrix in matrices_by_slot:
-            entry = memo.get(id(matrix))
-            if entry is None or entry[0] is not matrix \
-                    or len(entry[1]) != len(matrix):
-                if len(memo) >= 1024:
-                    memo.clear()
-                items = tuple(sorted(matrix.items()))
-                entry = (matrix, tuple(k for k, _ in items),
-                         tuple(v for _, v in items))
-                memo[id(matrix)] = entry
-            arcs.append(entry[1])
-            values.append(entry[2])
-        return self.evaluate(tuple(arcs), values)
-
-    def __getstate__(self):
-        """Keep programs picklable by construction: the matrix memo is
-        keyed by object id, which is meaningless in another process."""
-        state = self.__dict__.copy()
-        state.pop("_matrix_memo", None)
-        return state
 
 
 def compile_timing(

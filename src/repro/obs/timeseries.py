@@ -50,8 +50,9 @@ def bucket_quantile(edges: Sequence[float], counts: Sequence[float],
                     q: float) -> Optional[float]:
     """The ``q``-quantile upper bound from fixed-bucket ``counts``
     (``len(edges) + 1`` entries, last = overflow), or ``None`` when
-    empty.  Mirrors :func:`repro.serve.histogram_quantile` -- kept
-    local so the obs layer does not import the serving stack."""
+    empty.  Reports the bucket's upper edge -- the conservative,
+    aggregation-stable convention -- and the last finite edge for
+    overflow observations."""
     total = sum(counts)
     if total <= 0:
         return None

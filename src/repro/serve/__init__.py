@@ -28,7 +28,6 @@ from repro.serve.server import (
     ServeError,
     ServerThread,
     SynthesisService,
-    histogram_quantile,
     install_signal_handlers,
     run_until_signalled,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ServeError",
     "ServerThread",
     "SynthesisService",
-    "histogram_quantile",
     "install_signal_handlers",
     "run_until_signalled",
 ]

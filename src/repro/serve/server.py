@@ -148,26 +148,6 @@ LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
 
-def histogram_quantile(counts: List[int], q: float,
-                       buckets: Tuple[float, ...] = LATENCY_BUCKETS
-                       ) -> Optional[float]:
-    """The ``q``-quantile upper bound from histogram ``counts``
-    (``len(buckets) + 1`` entries, the last being overflow), or None
-    when the histogram is empty.  Reports the bucket's upper edge --
-    the conservative, aggregation-stable convention -- and the last
-    finite edge for overflow observations."""
-    total = sum(counts)
-    if total <= 0:
-        return None
-    rank = q * total
-    seen = 0
-    for i, count in enumerate(counts):
-        seen += count
-        if seen >= rank and count:
-            return buckets[min(i, len(buckets) - 1)]
-    return buckets[-1]
-
-
 class ServeError(Exception):
     """A client error with an HTTP status.  ``payload`` is optional
     extra structure merged into the JSON error body (a 504 carries its

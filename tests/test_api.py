@@ -1,10 +1,10 @@
-"""The session-layer facade: parity with the legacy entry points,
-registry round-trips, request coercion, emitters, and the CLI."""
+"""The session-layer facade: parity between registered names and
+library objects, registry round-trips, request coercion, emitters, and
+the CLI."""
 
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -30,15 +30,13 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _legacy_synthesize(target, library, **kwargs):
-    from repro.core import synthesize
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return synthesize(target, library, **kwargs)
+    """The object-based construction the pre-session entry points
+    used: a library object instead of a registered name."""
+    return Session(library, **kwargs).synthesize(target).result
 
 
 # ---------------------------------------------------------------------------
-# parity with the legacy entry points
+# parity between registered names and library objects
 # ---------------------------------------------------------------------------
 
 def test_session_matches_legacy_on_alu64():
@@ -66,16 +64,6 @@ def test_session_matches_legacy_on_counter_legend_source():
         [alt.config for alt in legacy.alternatives]
 
 
-def test_dtas_shim_still_works_and_warns():
-    from repro.core import DTAS
-
-    with pytest.warns(DeprecationWarning):
-        dtas = DTAS(lsi_logic_library())
-    result = dtas.synthesize_spec(adder_spec(8))
-    assert len(result) > 0
-    assert dtas.space is dtas._session.space
-
-
 def test_batch_map_shares_the_design_space():
     session = Session(library="lsi_logic")
     jobs = session.map([adder_spec(8), adder_spec(16), "alu:16"])
@@ -87,6 +75,23 @@ def test_batch_map_shares_the_design_space():
     # And per-job results equal fresh single-job sessions.
     fresh = Session(library="lsi_logic").synthesize(adder_spec(16))
     assert [a.config for a in jobs[1].alternatives] == \
+        [a.config for a in fresh.alternatives]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "DesignSpace.configs memoizes option lists computed under the "
+    "_evaluating cycle guard: COMPARATOR<16> caches comparator lists "
+    "with their cyclic decompositions dropped, and ALU<31> in the same "
+    "session reuses them where a fresh session computes them in full"))
+def test_shared_session_answer_matches_fresh_session():
+    shared = Session(library="lsi_logic", perf_filter="tradeoff:0.05")
+    shared.synthesize("comparator:16")
+    after = shared.synthesize("alu:31").result
+    fresh = Session(library="lsi_logic", perf_filter="tradeoff:0.05") \
+        .synthesize("alu:31").result
+    # measured: 1750.5 in the shared session, 1609.5 in a fresh one
+    assert after.smallest().area == fresh.smallest().area
+    assert [a.config for a in after.alternatives] == \
         [a.config for a in fresh.alternatives]
 
 

@@ -1,13 +1,15 @@
-"""Batched S1 costing parity: the vectorized evaluator
-(``DesignSpace(batch=N)``) must be bit-identical to the scalar path --
-same survivor configurations (same *objects*, via interning), same
-order, same emitter output -- across filters, enumeration orders,
-worker counts/backends, and perturbed delay books.
+"""Batched S1 costing parity: the row evaluator, at every chunk size
+(``DesignSpace(batch=N)``, ``1`` included), must be bit-identical to
+the per-combination oracle ``ScalarSpace`` of
+``tests/reference_engine.py`` -- same survivor configurations (same
+*objects*, via interning), same order, same emitter output -- across
+filters, enumeration orders, worker counts/backends, and perturbed
+delay books.
 
 Also covers the kernel-level ``run_batch`` contract (stdlib vs numpy vs
-per-row, chunked blocks), the ``evaluate_matrices`` memo satellite, and
-the pickling invariants the batched path leans on (canonical interned
-specs, ``ChoiceTuple`` degrading to a plain tuple).
+per-row ``run``, chunked blocks) and the pickling invariants the row
+path leans on (canonical interned specs, ``ChoiceTuple`` degrading to a
+plain tuple).
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import pickle
 import random
 
 import pytest
+from reference_engine import ScalarSpace
 
 from repro.api import Session
 from repro.core.configs import ChoiceTuple, make_configuration
@@ -38,11 +41,12 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 BACKENDS = ["thread"] + (["process"] if HAS_FORK else [])
 
 
-def _space(library=None, perf_filter=None, **kwargs) -> DesignSpace:
+def _space(library=None, perf_filter=None, engine=DesignSpace,
+           **kwargs) -> DesignSpace:
     rulebase = standard_rulebase()
     rulebase.extend(lsi_rules())
-    return DesignSpace(rulebase, library or lsi_logic_library(),
-                       perf_filter or ParetoFilter(), **kwargs)
+    return engine(rulebase, library or lsi_logic_library(),
+                  perf_filter or ParetoFilter(), **kwargs)
 
 
 def _perturbed_library(seed: int) -> CellLibrary:
@@ -79,13 +83,13 @@ def test_batched_parity_fuzz_perturbed_delay_books(seed):
     perf_filter, batch, order = (
         rng.choice([KeepAllFilter, ParetoFilter, TradeoffFilter,
                     lambda: TopKFilter(5)])(),
-        rng.choice([2, 17, DEFAULT_BATCH]),
+        rng.choice([1, 2, 17, DEFAULT_BATCH]),
         rng.choice([None, "lex", "frontier", "auto"]),
     )
     # keep-all without a cap on a perturbed book can explode; the cap
     # is always finite so the fuzz stays a test, not a benchmark
     cap = rng.choice([40, 500])
-    scalar = _space(library, perf_filter, batch=1, order=order,
+    scalar = _space(library, perf_filter, engine=ScalarSpace, order=order,
                     max_combinations=cap).alternatives(spec)
     batched = _space(library, type(perf_filter)()
                      if not isinstance(perf_filter, TopKFilter)
@@ -100,49 +104,55 @@ def test_batched_parity_fuzz_perturbed_delay_books(seed):
 @pytest.mark.parametrize("order", [None, "lex", "frontier", "auto"])
 def test_batched_parity_every_order(order):
     spec = adder_spec(8)
-    scalar = _space(perf_filter=KeepAllFilter(), batch=1, order=order,
-                    max_combinations=300).alternatives(spec)
-    batched = _space(perf_filter=KeepAllFilter(), batch=DEFAULT_BATCH,
-                     order=order, max_combinations=300).alternatives(spec)
+    scalar = _space(perf_filter=KeepAllFilter(), engine=ScalarSpace,
+                    order=order, max_combinations=300).alternatives(spec)
     assert len(scalar) > 0
-    assert _fingerprint(scalar) == _fingerprint(batched)
+    for batch in (1, DEFAULT_BATCH):
+        batched = _space(perf_filter=KeepAllFilter(), batch=batch,
+                         order=order, max_combinations=300).alternatives(spec)
+        assert _fingerprint(scalar) == _fingerprint(batched)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_batched_parity_with_jobs_and_emitters(jobs, backend):
-    def job_for(batch):
+    def job_for(batch, engine=DesignSpace):
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
                           jobs=jobs, parallel_backend=backend, batch=batch)
+        # ScalarSpace adds no state, so the oracle swaps in in place
+        session.space.__class__ = engine
         return session.synthesize(alu_spec(16))
 
-    scalar, batched = job_for(1), job_for(DEFAULT_BATCH)
-    assert _fingerprint([a.config for a in scalar.result.alternatives]) == \
-        _fingerprint([a.config for a in batched.result.alternatives])
     import json as json_module
     import re
 
     strip_runtime = re.compile(r"in \d+\.\d+ s")
-    assert strip_runtime.sub("", scalar.emit("report")) == \
-        strip_runtime.sub("", batched.emit("report"))
-    bodies = []
-    for job in (scalar, batched):
-        payload = json_module.loads(job.emit("json"))
-        payload.pop("runtime_seconds", None)  # wall clock, never parity
-        payload.pop("phases", None)           # wall clock too
-        bodies.append(payload)
-    assert bodies[0] == bodies[1]
+    scalar = job_for(None, engine=ScalarSpace)
+    for batched in (job_for(1), job_for(DEFAULT_BATCH)):
+        assert _fingerprint([a.config for a in scalar.result.alternatives]) \
+            == _fingerprint([a.config for a in batched.result.alternatives])
+        assert strip_runtime.sub("", scalar.emit("report")) == \
+            strip_runtime.sub("", batched.emit("report"))
+        bodies = []
+        for job in (scalar, batched):
+            payload = json_module.loads(job.emit("json"))
+            payload.pop("runtime_seconds", None)  # wall clock, never parity
+            payload.pop("phases", None)           # wall clock too
+            bodies.append(payload)
+        assert bodies[0] == bodies[1]
 
 
 def test_combinations_costed_counter_matches_scalar():
     spec = comparator_spec(16)
-    scalar = _space(perf_filter=KeepAllFilter(), batch=1,
+    scalar = _space(perf_filter=KeepAllFilter(), engine=ScalarSpace,
                     max_combinations=200)
-    batched = _space(perf_filter=KeepAllFilter(), batch=32,
-                     max_combinations=200)
     scalar.alternatives(spec)
-    batched.alternatives(spec)
-    assert scalar.combinations_costed == batched.combinations_costed > 0
+    assert scalar.combinations_costed > 0
+    for batch in (1, 32):
+        batched = _space(perf_filter=KeepAllFilter(), batch=batch,
+                         max_combinations=200)
+        batched.alternatives(spec)
+        assert batched.combinations_costed == scalar.combinations_costed
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +212,6 @@ def test_run_batch_chunked_block_is_identical(monkeypatch):
     keys_chunked, chunked = kernel.run_batch(matrices, len(combos))
     assert keys_chunked == keys
     assert chunked == whole
-
-
-def test_evaluate_matrices_memoizes_per_matrix_object():
-    space = _space(perf_filter=ParetoFilter())
-    spec = adder_spec(8)
-    space.alternatives(spec)
-    node = space.nodes[spec]
-    impl = next(i for i in node.impls if i.timing_program is not None)
-    program = impl.timing_program
-    distinct = list(dict.fromkeys(m.spec for m in impl.netlist.modules))
-    option_lists = [space.alternatives(sub) for sub in distinct]
-    matrices = [dict(options[0].delays) for options in option_lists]
-    first = program.evaluate_matrices(matrices)
-    memo = program.__dict__["_matrix_memo"]
-    assert all(id(m) in memo for m in matrices)
-    assert program.evaluate_matrices(matrices) == first
-    # the memo must not survive pickling (ids are process-local)
-    assert "_matrix_memo" not in pickle.loads(
-        pickle.dumps(program)).__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DTAS, DesignSpace, ParetoFilter
+from repro.core import DesignSpace, ParetoFilter
 from repro.core.design_space import SynthesisError
 from repro.core.rulebase import standard_rulebase
 from repro.core.specs import adder_spec, gate_spec, make_spec, mux_spec

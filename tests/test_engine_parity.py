@@ -1,72 +1,23 @@
-"""Result parity: compiled-timing + streaming evaluation must produce
+"""Result parity: compiled-timing + row-costed evaluation must produce
 exactly the configurations the seed's direct algorithm produced.
 
-``ReferenceSpace`` overrides the two evaluation hot paths with the
-seed implementation (materializing cross product, per-combination
-``port_delay_matrix`` graph builds) on top of the shared expansion
-machinery.  Every workload asserts full ``Configuration`` equality --
+``ReferenceSpace`` (``tests/reference_engine.py``) overrides the
+evaluation hot path with the seed implementation (materializing cross
+product, per-combination ``port_delay_matrix`` graph builds) on top of
+the shared expansion machinery.  Every workload asserts full ``Configuration`` equality --
 areas, delay matrices, and choice tuples, bit for bit -- not just
 matching (area, delay) summaries.
 """
 
 import pytest
+from reference_engine import ReferenceSpace, reference_combine
 
-from repro.core import DTAS, ParetoFilter, TopKFilter, TradeoffFilter
-from repro.core.configs import make_configuration, merge_choices
-from repro.core.design_space import DesignSpace
+from repro.api import Session
+from repro.core import ParetoFilter, TopKFilter, TradeoffFilter
+from repro.core.configs import make_configuration
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
 from repro.netlist.timing import port_delay_matrix
 from repro.techlib import lsi_logic_library
-
-
-def _reference_combine(option_lists):
-    results = [((), {})]
-    for options in option_lists:
-        extended = []
-        for chosen, merged in results:
-            for option in options:
-                combined = merge_choices([merged, option.choice_map()])
-                if combined is None:
-                    continue
-                extended.append((chosen + (option,), combined))
-        results = extended
-        if not results:
-            break
-    return results
-
-
-class ReferenceSpace(DesignSpace):
-    """The seed evaluation algorithm (pre-compiled-timing)."""
-
-    def _decomp_configs(self, spec, impl):
-        netlist = impl.netlist
-        distinct_specs = []
-        for module in netlist.modules:
-            if module.spec not in distinct_specs:
-                distinct_specs.append(module.spec)
-        option_lists = []
-        for sub in distinct_specs:
-            options = self.configs(sub)
-            if not options:
-                return []
-            option_lists.append(options)
-
-        combos = _reference_combine(option_lists)
-        if len(combos) > self.max_combinations:
-            combos = combos[: self.max_combinations]
-
-        results = []
-        for chosen, merged in combos:
-            by_spec = dict(zip(distinct_specs, chosen))
-            own = merge_choices([merged, {spec: impl.index}])
-            if own is None:
-                continue
-            area = sum(by_spec[m.spec].area for m in netlist.modules)
-            delays = port_delay_matrix(
-                netlist, lambda inst: by_spec[inst.spec].delay_matrix()
-            )
-            results.append(make_configuration(area, delays, own))
-        return results
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +26,10 @@ def lsi():
 
 
 def _both_engines(lsi, spec, perf_filter_factory):
-    dtas = DTAS(lsi, perf_filter=perf_filter_factory())
-    new = dtas.space.alternatives(spec)
+    session = Session(lsi, perf_filter=perf_filter_factory())
+    new = session.space.alternatives(spec)
     reference = ReferenceSpace(
-        dtas.rulebase, lsi, perf_filter_factory(), validate=False
+        session.rulebase, lsi, perf_filter_factory(), validate=False
     )
     old = reference.alternatives(spec)
     return new, old
@@ -126,14 +77,14 @@ def test_netlist_evaluation_parity(lsi):
     netlist.add_module("u1", gate, port_signature(gate),
                        {"I0": a.ref(), "I1": b.ref(), "O": o.ref()})
 
-    dtas = DTAS(lsi, perf_filter=ParetoFilter())
-    new = dtas.space.evaluate_netlist(netlist)
+    session = Session(lsi, perf_filter=ParetoFilter())
+    new = session.space.evaluate_netlist(netlist)
 
-    reference = ReferenceSpace(dtas.rulebase, lsi, ParetoFilter(),
+    reference = ReferenceSpace(session.rulebase, lsi, ParetoFilter(),
                                validate=False)
     option_lists = [reference.configs(add), reference.configs(gate)]
     results = []
-    for chosen, merged in _reference_combine(option_lists):
+    for chosen, merged in reference_combine(option_lists):
         by_spec = {add: chosen[0], gate: chosen[1]}
         area = sum(by_spec[m.spec].area for m in netlist.modules)
         delays = port_delay_matrix(

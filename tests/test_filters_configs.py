@@ -3,12 +3,12 @@ configuration consistency (S1)."""
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_engine import combine_compatible, merge_choices
 
 from repro.core.configs import (
     Configuration,
-    combine_compatible,
+    enumerate_rows,
     make_configuration,
-    merge_choices,
 )
 from repro.core.filters import KeepAllFilter, ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.specs import adder_spec, mux_spec
@@ -109,11 +109,22 @@ class TestConfigurations:
         a_spec, m_spec = adder_spec(4), mux_spec(2, 4)
         merged = merge_choices([{a_spec: 1}, {m_spec: 0}, {a_spec: 1}])
         assert merged == {a_spec: 1, m_spec: 0}
+        # the combiner keeps one entry for a spec two siblings agree on
+        rows = enumerate_rows([[_cfg(1, 1, {a_spec: 1})],
+                               [_cfg(1, 1, {m_spec: 0})],
+                               [_cfg(1, 1, {a_spec: 1})]])
+        assert len(rows) == 1
+        assert dict(rows[0][1]) == merged and len(rows[0][1]) == 2
 
     def test_merge_conflict_rejected(self):
         """Search control S1: same spec, different impl -> reject."""
         spec = adder_spec(4)
         assert merge_choices([{spec: 1}, {spec: 2}]) is None
+        assert enumerate_rows([[_cfg(1, 1, {spec: 1})],
+                               [_cfg(1, 1, {spec: 2})]]) == []
+        # and against the caller's own choice: a counted, uncosted row
+        assert enumerate_rows([[_cfg(1, 1, {spec: 1})]],
+                              own_choice={spec: 2})[0][1] is None
 
     def test_combine_compatible_prunes(self):
         spec = adder_spec(4)
@@ -124,12 +135,16 @@ class TestConfigurations:
         assert len(combos) == 2
         for chosen, merged in combos:
             assert chosen[0].chosen_impl(spec) == chosen[1].chosen_impl(spec)
+        rows = enumerate_rows([option_a, option_b])
+        assert [chosen for chosen, _ in rows] == [
+            chosen for chosen, _ in combos]
 
     def test_combine_independent_full_product(self):
         a_spec, m_spec = adder_spec(4), mux_spec(2, 4)
         option_a = [_cfg(1, 1, {a_spec: 0}), _cfg(2, 2, {a_spec: 1})]
         option_b = [_cfg(1, 1, {m_spec: 0}), _cfg(2, 2, {m_spec: 1})]
         assert len(combine_compatible([option_a, option_b])) == 4
+        assert len(enumerate_rows([option_a, option_b])) == 4
 
     def test_describe(self):
         assert "gates" in _cfg(10, 5).describe()

@@ -28,7 +28,8 @@ from repro.fleet import (
     aggregate_metrics,
     routing_key,
 )
-from repro.serve import LATENCY_BUCKETS, Metrics, ServeError, histogram_quantile
+from repro.obs.timeseries import bucket_quantile
+from repro.serve import LATENCY_BUCKETS, Metrics, ServeError
 from repro.store import parse_store_url, sqlite_url_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -172,14 +173,15 @@ def test_metrics_histogram_buckets_observations():
 
 def test_histogram_quantile():
     counts = [0] * (len(LATENCY_BUCKETS) + 1)
-    assert histogram_quantile(counts, 0.99) is None  # empty
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.99) is None  # empty
     counts[2] = 90   # le 0.005
     counts[6] = 10   # le 0.1
-    assert histogram_quantile(counts, 0.50) == 0.005
-    assert histogram_quantile(counts, 0.99) == 0.1
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.50) == 0.005
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.99) == 0.1
     overflow = [0] * (len(LATENCY_BUCKETS) + 1)
     overflow[-1] = 5
-    assert histogram_quantile(overflow, 0.5) == LATENCY_BUCKETS[-1]
+    assert bucket_quantile(LATENCY_BUCKETS, overflow, 0.5) == \
+        LATENCY_BUCKETS[-1]
 
 
 def test_aggregate_metrics_sums_and_maxes():
@@ -320,7 +322,7 @@ def test_fleet_metrics_aggregate_histograms(fleet_handle):
     entry = histograms["/synthesize"]
     assert entry["le_seconds"] == list(LATENCY_BUCKETS)
     assert sum(entry["counts"]) >= 1
-    assert histogram_quantile(entry["counts"], 0.99) is not None
+    assert bucket_quantile(LATENCY_BUCKETS, entry["counts"], 0.99) is not None
 
 
 def test_worker_crash_restart_reshard_and_warm_serving(fleet_handle):

@@ -12,7 +12,8 @@ import pytest
 
 from repro.control import compile_controller
 from repro.control.compiler import ControllerSimulator
-from repro.core import DTAS, TradeoffFilter
+from repro.api import Session
+from repro.core import TradeoffFilter
 from repro.core.specs import alu_spec
 from repro.hls import Assign, If, Program, While, hls_synthesize
 from repro.hls.synthesize import FsmdSimulator
@@ -42,26 +43,26 @@ def gcd_program():
 @pytest.fixture(scope="module")
 def flow():
     hls = hls_synthesize(gcd_program())
-    dtas = DTAS(lsi_logic_library())
-    mapped = dtas.synthesize_netlist(hls.datapath.netlist)
+    session = Session(lsi_logic_library())
+    mapped = session.synthesize(hls.datapath.netlist).result
     controller = compile_controller(hls.state_table)
-    return hls, dtas, mapped, controller
+    return hls, session, mapped, controller
 
 
 class TestFigure1Flow:
     def test_datapath_maps_into_library(self, flow):
-        hls, dtas, mapped, controller = flow
+        hls, session, mapped, controller = flow
         assert len(mapped) >= 1
         assert mapped.smallest().area > 0
 
     def test_mapped_datapath_behaves_like_generic(self, flow):
         """Map every module of the datapath, then run the FSMD with
         mapped components in place of generic ones."""
-        hls, dtas, mapped, controller = flow
+        hls, session, mapped, controller = flow
         config = mapped.smallest().config
 
         def component_for(inst):
-            tree = dtas.space.materialize(inst.spec, config)
+            tree = session.space.materialize(inst.spec, config)
             return TreeComponent(tree)
 
         mapped_sim = NetlistSimulator(hls.datapath.netlist, component_for)
@@ -94,7 +95,7 @@ class TestFigure1Flow:
         assert g_out["result"] == math.gcd(84, 36)
 
     def test_gate_controller_drives_gcd(self, flow):
-        hls, dtas, mapped, controller = flow
+        hls, session, mapped, controller = flow
         dp = NetlistSimulator(hls.datapath.netlist)
         dp_state = dp.reset()
         csim = ControllerSimulator(controller)
@@ -114,7 +115,7 @@ class TestFigure1Flow:
         raise AssertionError("controller never reached DONE")
 
     def test_vhdl_of_both_sides(self, flow):
-        hls, dtas, mapped, controller = flow
+        hls, session, mapped, controller = flow
         dp_text = netlist_vhdl(hls.datapath.netlist)
         check_vhdl(dp_text)
         ctrl_text = netlist_vhdl(controller.netlist)
@@ -123,9 +124,10 @@ class TestFigure1Flow:
     def test_figure3_experiment_shape(self):
         """The headline experiment, asserted at test scale (16-bit):
         multiple alternatives, big delay span, cheap mid points."""
-        dtas = DTAS(lsi_logic_library(), perf_filter=TradeoffFilter(0.05))
+        session = Session(lsi_logic_library(),
+                          perf_filter=TradeoffFilter(0.05))
         spec = alu_spec(16)
-        result = dtas.synthesize_spec(spec)
+        result = session.synthesize(spec).result
         assert len(result) >= 3
         base = result.smallest()
         fastest = result.fastest()
@@ -135,9 +137,9 @@ class TestFigure1Flow:
         check_combinational(spec, fastest.tree(), vectors=20).assert_ok()
 
     def test_full_system_report(self, flow):
-        hls, dtas, mapped, controller = flow
+        hls, session, mapped, controller = flow
         assert "controller" in controller.report()
         assert hls.report()
         vhdl = design_tree_vhdl(
-            dtas.synthesize_spec(alu_spec(8)).smallest().tree())
+            session.synthesize(alu_spec(8)).result.smallest().tree())
         assert check_vhdl(vhdl)["entities"] >= 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DTAS
+from repro.api import Session
 from repro.core.library_rules import lsi_rules
 from repro.core.rules import RuleContext
 from repro.core.rulebase import standard_rulebase
@@ -109,21 +109,21 @@ class TestLola:
     def test_retargeted_synthesis_verifies(self):
         rulebase = standard_rulebase()
         adapt_rulebase(rulebase, vendor2_library())
-        dtas = DTAS(vendor2_library(), rulebase=rulebase)
+        session = Session(vendor2_library(), rulebase=rulebase)
         spec = adder_spec(16)
-        result = dtas.synthesize_spec(spec)
+        result = session.synthesize(spec).result
         check_combinational(spec, result.smallest().tree(),
                             vectors=16).assert_ok()
         reg = register_spec(20)
-        result = dtas.synthesize_spec(reg)
+        result = session.synthesize(reg).result
         check_sequential(reg, result.smallest().tree(), cycles=20).assert_ok()
 
     def test_vendor2_counter_through_cell(self):
         rulebase = standard_rulebase()
         adapt_rulebase(rulebase, vendor2_library())
-        dtas = DTAS(vendor2_library(), rulebase=rulebase)
+        session = Session(vendor2_library(), rulebase=rulebase)
         spec = counter_spec(16, enable=True)
-        result = dtas.synthesize_spec(spec)
+        result = session.synthesize(spec).result
 
         def onehot(v):
             if v.get("CLOAD"):

@@ -27,23 +27,23 @@ from repro.obs import (
     prometheus_text,
     unbind_span,
 )
+from repro.obs.timeseries import bucket_quantile
 from repro.serve import (
     LATENCY_BUCKETS,
     Metrics,
     ReproServer,
     SynthesisService,
-    histogram_quantile,
 )
 
 
 # ---------------------------------------------------------------------------
-# histogram_quantile edge cases
+# bucket_quantile edge cases over the serving latency buckets
 # ---------------------------------------------------------------------------
 
 def test_histogram_quantile_empty_is_none():
     counts = [0] * (len(LATENCY_BUCKETS) + 1)
-    assert histogram_quantile(counts, 0.5) is None
-    assert histogram_quantile(counts, 0.99) is None
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.5) is None
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.99) is None
 
 
 def test_histogram_quantile_single_overflow_observation():
@@ -52,8 +52,9 @@ def test_histogram_quantile_single_overflow_observation():
     # an index error and not infinity.
     counts = [0] * (len(LATENCY_BUCKETS) + 1)
     counts[-1] = 1
-    assert histogram_quantile(counts, 0.5) == LATENCY_BUCKETS[-1]
-    assert histogram_quantile(counts, 1.0) == LATENCY_BUCKETS[-1]
+    for q in (0.5, 1.0):
+        assert bucket_quantile(LATENCY_BUCKETS, counts, q) == \
+            LATENCY_BUCKETS[-1]
 
 
 def test_histogram_quantile_q0_and_q1():
@@ -61,9 +62,40 @@ def test_histogram_quantile_q0_and_q1():
     counts[0] = 3   # <= 1ms
     counts[5] = 1   # <= 50ms
     # q=0 has rank 0: the first non-empty bucket already satisfies it.
-    assert histogram_quantile(counts, 0.0) == LATENCY_BUCKETS[0]
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 0.0) == \
+        LATENCY_BUCKETS[0]
     # q=1 must walk to the last non-empty bucket.
-    assert histogram_quantile(counts, 1.0) == LATENCY_BUCKETS[5]
+    assert bucket_quantile(LATENCY_BUCKETS, counts, 1.0) == \
+        LATENCY_BUCKETS[5]
+
+
+def test_load_gen_quantile_copy_matches_bucket_quantile():
+    """``scripts/load_gen.py`` keeps its own histogram quantile so it
+    runs without repro installed; it must agree with
+    :func:`bucket_quantile` everywhere, empty and overflow-only
+    histograms included."""
+    import importlib.util
+    import random
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "load_gen.py"
+    spec = importlib.util.spec_from_file_location("load_gen_copy", path)
+    load_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(load_gen)
+
+    rng = random.Random(20261016)
+    size = len(LATENCY_BUCKETS) + 1
+    histograms = [[0] * size, [0] * (size - 1) + [7]]
+    for _ in range(200):
+        counts = [0] * size
+        for index in rng.sample(range(size), rng.randint(1, size)):
+            counts[index] = rng.randint(0, 50)
+        histograms.append(counts)
+    for counts in histograms:
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0, rng.random()):
+            assert load_gen.histogram_quantile(
+                counts, q, list(LATENCY_BUCKETS)) == \
+                bucket_quantile(LATENCY_BUCKETS, counts, q)
 
 
 # ---------------------------------------------------------------------------

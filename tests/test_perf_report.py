@@ -41,14 +41,16 @@ def test_default_output_is_repo_root():
 def test_adder16_points_match_engine(tmp_path):
     """The report records the same alternatives the engine returns --
     the JSON is a regression anchor for results as well as speed."""
-    from repro.core import DTAS, ParetoFilter
+    from repro.api import Session
+    from repro.core import ParetoFilter
     from repro.core.specs import adder_spec
     from repro.techlib import lsi_logic_library
 
     report = perf_report.run(repeats=1, quick=True)
     entry = report["results"]["adder16_pareto"]
-    result = DTAS(lsi_logic_library(),
-                  perf_filter=ParetoFilter()).synthesize_spec(adder_spec(16))
+    result = Session(lsi_logic_library(),
+                     perf_filter=ParetoFilter()).synthesize(
+        adder_spec(16)).result
     assert entry["points"] == [[a.area, a.delay] for a in result.alternatives] or \
         entry["points"] == [(a.area, a.delay) for a in result.alternatives]
 

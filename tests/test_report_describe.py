@@ -3,7 +3,7 @@ LOLA-relevant metadata (small utilities the other suites skim past)."""
 
 import pytest
 
-from repro.core import DTAS
+from repro.api import Session
 from repro.core.report import cell_usage_report, figure3_points, figure3_report
 from repro.core.rulebase import standard_rulebase
 from repro.core.rules import even_splits
@@ -13,7 +13,7 @@ from repro.techlib import lsi_logic_library
 
 @pytest.fixture(scope="module")
 def result():
-    return DTAS(lsi_logic_library()).synthesize_spec(adder_spec(16))
+    return Session(lsi_logic_library()).synthesize(adder_spec(16)).result
 
 
 class TestFigure3Report:

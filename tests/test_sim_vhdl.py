@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DTAS
+from repro.api import Session
 from repro.core.specs import (
     adder_spec,
     alu_spec,
@@ -111,17 +111,17 @@ class TestStructuralVhdl:
         assert "bit_vector(3 downto 0)" in text
 
     def test_design_tree_emission(self):
-        dtas = DTAS(lsi_logic_library())
-        result = dtas.synthesize_spec(adder_spec(16))
+        session = Session(lsi_logic_library())
+        result = session.synthesize(adder_spec(16)).result
         text = design_tree_vhdl(result.fastest().tree())
         counts = check_vhdl(text)
         assert counts["entities"] >= 2
         assert "leaf cells:" in text
 
     def test_adapter_for_tied_pins(self):
-        dtas = DTAS(lsi_logic_library())
+        session = Session(lsi_logic_library())
         spec = make_spec("ADD", 4, carry_out=True)  # CI tie needed
-        result = dtas.synthesize_spec(spec)
+        result = session.synthesize(spec).result
         smallest = result.smallest()
         if smallest.tree().is_leaf:
             text = design_tree_vhdl(smallest.tree())
@@ -129,8 +129,8 @@ class TestStructuralVhdl:
             check_vhdl(text)
 
     def test_slices_and_concats_render(self):
-        dtas = DTAS(lsi_logic_library())
-        result = dtas.synthesize_spec(alu_spec(8))
+        session = Session(lsi_logic_library())
+        result = session.synthesize(alu_spec(8)).result
         text = design_tree_vhdl(result.smallest().tree())
         check_vhdl(text)
         assert "downto" in text

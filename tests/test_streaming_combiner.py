@@ -1,16 +1,25 @@
-"""The streaming S1 combiner: conflict rejection, cap-bounded work,
-and order parity with the materializing cross product."""
+"""The S1 combiner, :func:`repro.core.configs.enumerate_rows`:
+conflict rejection, cap-bounded work, orders, pruning, and parity with
+the streaming and materializing cross products of
+``tests/reference_engine.py``."""
+
+import pickle
+import random
 
 import pytest
-
-from repro.core.configs import (
+from reference_engine import (
     combine_compatible,
     iter_compatible,
+    reference_combine,
+    row_choices,
+)
+
+from repro.core.configs import (
+    enumerate_rows,
     make_configuration,
     prune_dominated_options,
 )
 from repro.core.specs import adder_spec, gate_spec, mux_spec
-import pickle
 
 
 def test_spec_and_config_pickles_drop_process_local_caches():
@@ -60,22 +69,26 @@ def _cfg(area, delay, choices=None):
 
 
 def _reference_combine(option_lists):
-    """The seed's materializing implementation, kept as the oracle."""
-    from repro.core.configs import merge_choices
+    return reference_combine(option_lists)
 
-    results = [((), {})]
-    for options in option_lists:
-        extended = []
-        for chosen, merged in results:
-            for option in options:
-                combined = merge_choices([merged, option.choice_map()])
-                if combined is None:
-                    continue
-                extended.append((chosen + (option,), combined))
-        results = extended
-        if not results:
-            break
-    return results
+
+def _as_rows(combos, own_choice=None):
+    """(chosen, merged map) combinations in the row form
+    :func:`enumerate_rows` returns."""
+    return [(chosen, row_choices(chosen, merged, own_choice))
+            for chosen, merged in combos]
+
+
+def _expected_rows(option_lists, limit=None, prune_dominated=False,
+                   order=None, own_choice=None):
+    """What :func:`enumerate_rows` must return, derived from the
+    streaming oracle (own-choice conflicts stay in as ``None`` rows and
+    count against the cap, so the cap applies after the merge)."""
+    return _as_rows(
+        [(chosen, dict(merged)) for chosen, merged in iter_compatible(
+            option_lists, limit=limit, prune_dominated=prune_dominated,
+            order=order)],
+        own_choice)
 
 
 class TestConflictRejection:
@@ -86,12 +99,16 @@ class TestConflictRejection:
         assert len(combos) == 2
         for chosen, merged in combos:
             assert chosen[0].chosen_impl(spec) == chosen[1].chosen_impl(spec)
+        rows = enumerate_rows([options, options])
+        assert rows == _expected_rows([options, options])
+        assert [row[1] for row in rows] == [((spec, 0),), ((spec, 1),)]
 
     def test_disjoint_specs_full_product(self):
         a_spec, m_spec = adder_spec(4), mux_spec(2, 4)
         option_a = [_cfg(1, 1, {a_spec: 0}), _cfg(2, 2, {a_spec: 1})]
         option_b = [_cfg(1, 1, {m_spec: 0}), _cfg(2, 2, {m_spec: 1})]
         assert len(list(iter_compatible([option_a, option_b]))) == 4
+        assert len(enumerate_rows([option_a, option_b])) == 4
 
     def test_transitive_conflict_through_shared_leaf(self):
         """Two siblings that only clash through a deeper shared spec."""
@@ -104,13 +121,22 @@ class TestConflictRejection:
         combos = combine_compatible([option_a, option_b])
         assert len(combos) == 1
         assert combos[0][1][leaf] == 1
+        rows = enumerate_rows([option_a, option_b])
+        assert rows == _as_rows(combos)
+        assert dict(rows[0][1])[leaf] == 1
 
     def test_empty_option_list_kills_product(self):
         assert list(iter_compatible([[_cfg(1, 1)], []])) == []
+        assert enumerate_rows([[_cfg(1, 1)], []]) == []
+        assert enumerate_rows([[], [_cfg(1, 1)]]) == []
 
     def test_no_lists_yields_empty_combo(self):
         combos = list(iter_compatible([]))
         assert combos == [((), {})]
+        assert enumerate_rows([]) == [((), ())]
+        own = {adder_spec(4): 2}
+        assert enumerate_rows([], own_choice=own) == [
+            ((), ((adder_spec(4), 2),))]
 
 
 class TestOrderAndParity:
@@ -125,6 +151,7 @@ class TestOrderAndParity:
         expected = _reference_combine(lists)
         got = combine_compatible(lists)
         assert [(ch, m) for ch, m in got] == expected
+        assert enumerate_rows(lists) == _as_rows(expected)
 
     def test_cap_is_prefix_of_full_enumeration(self):
         a, b = adder_spec(4), mux_spec(2, 4)
@@ -135,6 +162,9 @@ class TestOrderAndParity:
         full = combine_compatible(lists)
         capped = combine_compatible(lists, limit=5)
         assert capped == full[:5]
+        assert enumerate_rows(lists, limit=5) == enumerate_rows(lists)[:5]
+        assert enumerate_rows(lists, limit=5) == _as_rows(capped)
+        assert enumerate_rows(lists, limit=0) == []
 
     def test_cap_bounds_work_not_just_output(self):
         """A cross product of a million combinations must not be
@@ -147,6 +177,8 @@ class TestOrderAndParity:
         for _ in iter_compatible(lists, limit=10):
             seen += 1
         assert seen == 10
+        rows = enumerate_rows(lists, limit=10)
+        assert rows == _expected_rows(lists, limit=10)
 
     def test_yielded_map_is_reused_but_wrapper_copies(self):
         a = adder_spec(4)
@@ -156,6 +188,10 @@ class TestOrderAndParity:
         copies = [m for _, m in combine_compatible(lists)]
         assert copies[0] is not copies[1]
         assert copies[0] == {a: 0} and copies[1] == {a: 1}
+        # enumerate_rows hands out one immutable choice tuple per row
+        rows = enumerate_rows(lists)
+        assert [row[1] for row in rows] == [((a, 0),), ((a, 1),)]
+        assert rows[0][1] is not rows[1][1]
 
 
 class TestDominancePruning:
@@ -184,6 +220,10 @@ class TestDominancePruning:
         ]
         assert len(list(iter_compatible(lists))) == 2
         assert len(list(iter_compatible(lists, prune_dominated=True))) == 1
+        assert len(enumerate_rows(lists)) == 2
+        pruned = enumerate_rows(lists, prune_dominated=True)
+        assert pruned == _expected_rows(lists, prune_dominated=True)
+        assert [chosen[0].area for chosen, _ in pruned] == [1]
 
     def test_shared_footprint_prunes_private_choice_variants(self):
         """Options differing only in choices *private* to their list are
@@ -203,16 +243,18 @@ class TestDominancePruning:
         """End to end: with the unfiltered ablation setup, partial
         dominance pruning cuts the evaluated space by an integer
         factor; with frontier filters it is a no-op by construction."""
-        from repro.core import DTAS, KeepAllFilter, ParetoFilter
+        from repro.api import Session
+        from repro.core import KeepAllFilter, ParetoFilter
         from repro.core.specs import adder_spec as mk_adder
         from repro.techlib import lsi_logic_library
 
         lsi = lsi_logic_library()
 
         def run(prune):
-            dtas = DTAS(lsi, perf_filter=KeepAllFilter(), prune_partial=prune)
-            dtas.space.max_combinations = 500
-            return dtas.synthesize_spec(mk_adder(4))
+            session = Session(lsi, perf_filter=KeepAllFilter(),
+                              prune_partial=prune)
+            session.space.max_combinations = 500
+            return session.synthesize(mk_adder(4)).result
 
         full, pruned = run(False), run(True)
         assert len(pruned) < len(full)
@@ -221,10 +263,11 @@ class TestDominancePruning:
         assert pruned.smallest().area == full.smallest().area
         assert pruned.fastest().delay == full.fastest().delay
 
-        pareto_base = DTAS(lsi, perf_filter=ParetoFilter()).synthesize_spec(
-            mk_adder(16))
-        pareto_pruned = DTAS(lsi, perf_filter=ParetoFilter(),
-                             prune_partial=True).synthesize_spec(mk_adder(16))
+        pareto_base = Session(lsi, perf_filter=ParetoFilter()).synthesize(
+            mk_adder(16)).result
+        pareto_pruned = Session(lsi, perf_filter=ParetoFilter(),
+                                prune_partial=True).synthesize(
+            mk_adder(16)).result
         assert [(a.area, a.delay) for a in pareto_base.alternatives] == [
             (a.area, a.delay) for a in pareto_pruned.alternatives
         ]
@@ -245,6 +288,8 @@ class TestEnumerationOrders:
         default = combine_compatible(lists)
         lex = combine_compatible(lists, order="lex")
         assert default == lex == _reference_combine(lists)
+        assert enumerate_rows(lists) == enumerate_rows(lists, order="lex") \
+            == _as_rows(lex)
 
     def test_frontier_order_is_deterministic(self):
         from repro.core.configs import pareto_rank_order
@@ -256,6 +301,7 @@ class TestEnumerationOrders:
         # and matches the reference cross product over reordered lists
         reordered = [pareto_rank_order(options) for options in lists]
         assert first == _reference_combine(reordered)
+        assert enumerate_rows(lists, order="frontier") == _as_rows(first)
 
     def test_frontier_order_same_combination_set_uncapped(self):
         lists = self._lists()
@@ -264,6 +310,8 @@ class TestEnumerationOrders:
         frontier = {tuple(m.items()) for _, m in
                     iter_compatible(lists, order="frontier")}
         assert lex == frontier
+        assert {row[1] for row in enumerate_rows(lists, order="lex")} == \
+            {row[1] for row in enumerate_rows(lists, order="frontier")}
 
     def test_frontier_rank_then_two_ended_sweep(self):
         from repro.core.configs import pareto_rank_order
@@ -288,10 +336,14 @@ class TestEnumerationOrders:
         best_delay = min(max(c.delay for c in chosen) for chosen, _ in full)
         assert min(areas) == best_area
         assert min(delays) == best_delay
+        assert enumerate_rows(lists, limit=3, order="frontier") == \
+            _as_rows(capped)
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="unknown enumeration order"):
             list(iter_compatible(self._lists(), order="zigzag"))
+        with pytest.raises(ValueError, match="unknown enumeration order"):
+            enumerate_rows(self._lists(), order="zigzag")
 
 
 class TestCapSemantics:
@@ -308,6 +360,7 @@ class TestCapSemantics:
         assert 0 < len(full) < 12  # conflicts rejected some combos
         capped = combine_compatible(lists, limit=3)
         assert capped == full[:3]
+        assert enumerate_rows(lists, limit=3) == _as_rows(capped)
 
     def test_disjoint_sibling_fast_path_matches_checked_path(self):
         """Sibling lists with no shared specs take the no-compare merge
@@ -322,6 +375,9 @@ class TestCapSemantics:
         # and the cap is an exact prefix on the fast path too
         assert combine_compatible(lists, limit=2) == \
             _reference_combine(lists)[:2]
+        assert enumerate_rows(lists) == _as_rows(_reference_combine(lists))
+        assert enumerate_rows(lists, limit=2) == \
+            _as_rows(_reference_combine(lists)[:2])
 
     def test_deterministic_output_under_both_orders(self):
         lists = self._mixed_lists()
@@ -329,6 +385,9 @@ class TestCapSemantics:
             runs = [combine_compatible(lists, limit=4, order=order)
                     for _ in range(3)]
             assert runs[0] == runs[1] == runs[2]
+            rows = [enumerate_rows(lists, limit=4, order=order)
+                    for _ in range(3)]
+            assert rows[0] == rows[1] == rows[2] == _as_rows(runs[0])
 
     def _mixed_lists(self):
         shared = gate_spec("NAND")
@@ -338,3 +397,55 @@ class TestCapSemantics:
              _cfg(2, 2, {a: 2, shared: 0})],
             [_cfg(1, 1, {b: 0, shared: 0}), _cfg(2, 2, {b: 1, shared: 1})],
         ]
+
+    def test_own_choice_rejected_rows_count_against_cap(self):
+        """A row whose children pin the caller's own spec to another
+        impl is an S1 conflict: it comes back as a ``None`` row and
+        still consumes the cap, so the cap bounds enumerated rows, not
+        costed ones."""
+        own = adder_spec(4)
+        b = mux_spec(2, 4)
+        lists = [
+            [_cfg(1, 1, {own: 1}), _cfg(2, 2, {own: 0}),
+             _cfg(3, 3, {own: 1})],
+            [_cfg(1, 1, {b: 0}), _cfg(2, 2, {b: 1})],
+        ]
+        own_choice = {own: 0}
+        rows = enumerate_rows(lists, own_choice=own_choice)
+        assert rows == _expected_rows(lists, own_choice=own_choice)
+        assert [row[1] is None for row in rows] == [
+            True, True, False, False, True, True]
+        capped = enumerate_rows(lists, limit=3, own_choice=own_choice)
+        assert capped == rows[:3]
+        assert [row[1] is None for row in capped] == [True, True, False]
+        # the own entry joins every surviving row's sorted choices
+        assert rows[2][1] == tuple(sorted(
+            {own: 0, b: 0}.items(), key=lambda kv: kv[0].sort_key))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rows_match_streaming_oracle_fuzz(seed):
+    """Seeded random option lists over a small spec pool (so siblings
+    share specs and conflict), with caps, orders, pruning, and own
+    choices: :func:`enumerate_rows` must return exactly the rows the
+    streaming oracle enumerates, in order."""
+    rng = random.Random(seed)
+    pool = [adder_spec(4), adder_spec(8), mux_spec(2, 4), gate_spec("NAND"),
+            gate_spec("XOR"), gate_spec("AND", 2, 4)]
+    lists = []
+    for _ in range(rng.randint(1, 4)):
+        options = []
+        for _ in range(rng.randint(2, 5)):
+            specs = rng.sample(pool, rng.randint(1, 3))
+            options.append(_cfg(rng.randint(1, 9), rng.randint(1, 9),
+                                {spec: rng.randint(0, 1) for spec in specs}))
+        lists.append(options)
+    limit = rng.choice([None, None, 1, 5, 20])
+    order = rng.choice([None, "lex", "frontier", "auto"])
+    prune = rng.random() < 0.5
+    own_choice = ({rng.choice(pool): rng.randint(0, 1)}
+                  if rng.random() < 0.7 else None)
+    rows = enumerate_rows(lists, limit=limit, prune_dominated=prune,
+                          order=order, own_choice=own_choice)
+    assert rows == _expected_rows(lists, limit=limit, prune_dominated=prune,
+                                  order=order, own_choice=own_choice)

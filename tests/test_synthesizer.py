@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DTAS, TradeoffFilter, synthesize
+from repro.api import Session
+from repro.core import TradeoffFilter
 from repro.core.design_space import SynthesisError
 from repro.core.specs import (
     ALU16_OPS,
@@ -20,47 +21,48 @@ from repro.techlib import CellLibrary, lsi_logic_library
 
 
 @pytest.fixture(scope="module")
-def dtas():
-    return DTAS(lsi_logic_library())
+def session():
+    return Session(lsi_logic_library())
 
 
 class TestSynthesisBasics:
-    def test_result_sorted_by_area(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(16))
+    def test_result_sorted_by_area(self, session):
+        result = session.synthesize(adder_spec(16)).result
         areas = [a.area for a in result.alternatives]
         assert areas == sorted(areas)
 
-    def test_smallest_and_fastest(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(16))
+    def test_smallest_and_fastest(self, session):
+        result = session.synthesize(adder_spec(16)).result
         assert result.smallest().area <= result.fastest().area
         assert result.fastest().delay <= result.smallest().delay
 
-    def test_cell_counts_consistent_with_area(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(8))
+    def test_cell_counts_consistent_with_area(self, session):
+        result = session.synthesize(adder_spec(8)).result
         lib = lsi_logic_library()
         for alt in result.alternatives:
             total = sum(lib.cell(name).area * count
                         for name, count in alt.cell_counts().items())
             assert total == pytest.approx(alt.area)
 
-    def test_table_renders(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(8))
+    def test_table_renders(self, session):
+        result = session.synthesize(adder_spec(8)).result
         text = result.table()
         assert "d-delay" in text and "+0%" in text
 
-    def test_runtime_recorded(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(8))
+    def test_runtime_recorded(self, session):
+        result = session.synthesize(adder_spec(8)).result
         assert result.runtime_seconds >= 0.0
 
     def test_unmappable_raises(self):
         gates_only = lsi_logic_library().subset(["INV", "NAND2"])
-        dtas = DTAS(CellLibrary("tiny", gates_only.cells()))
+        session = Session(CellLibrary("tiny", gates_only.cells()))
         with pytest.raises(SynthesisError):
-            dtas.synthesize_spec(register_spec(4))
+            session.synthesize(register_spec(4)).result
 
     def test_convenience_function(self):
-        result = synthesize(adder_spec(8), lsi_logic_library(),
-                            perf_filter=TradeoffFilter(0.05))
+        result = Session(lsi_logic_library(),
+                         perf_filter=TradeoffFilter(0.05)).synthesize(
+            adder_spec(8)).result
         assert len(result) >= 2
 
 
@@ -86,8 +88,8 @@ SECTION7_SPECS = [
 
 @pytest.mark.parametrize("label,spec", SECTION7_SPECS,
                          ids=[s[0] for s in SECTION7_SPECS])
-def test_section7_family_synthesizes_and_verifies(dtas, label, spec):
-    result = dtas.synthesize_spec(spec)
+def test_section7_family_synthesizes_and_verifies(session, label, spec):
+    result = session.synthesize(spec).result
     assert len(result) >= 1
     # Verify the extreme alternatives functionally.
     for alt in {id(result.smallest()): result.smallest(),
@@ -95,9 +97,9 @@ def test_section7_family_synthesizes_and_verifies(dtas, label, spec):
         check_combinational(spec, alt.tree(), vectors=24).assert_ok()
 
 
-def test_section7_counter(dtas):
+def test_section7_counter(session):
     spec = counter_spec(8, enable=True)
-    result = dtas.synthesize_spec(spec)
+    result = session.synthesize(spec).result
 
     def onehot(v):
         if v.get("CLOAD"):
@@ -112,19 +114,19 @@ def test_section7_counter(dtas):
 
 
 class TestDesignTrees:
-    def test_tree_depth_reasonable(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(16))
+    def test_tree_depth_reasonable(self, session):
+        result = session.synthesize(adder_spec(16)).result
         tree = result.smallest().tree()
         assert 2 <= tree.depth() <= 12
 
-    def test_describe(self, dtas):
-        result = dtas.synthesize_spec(adder_spec(8))
+    def test_describe(self, session):
+        result = session.synthesize(adder_spec(8)).result
         text = result.smallest().tree().describe()
         assert "ADD<8>" in text
 
-    def test_leaves_are_library_cells(self, dtas):
+    def test_leaves_are_library_cells(self, session):
         lib = lsi_logic_library()
-        result = dtas.synthesize_spec(mux_spec(4, 4))
+        result = session.synthesize(mux_spec(4, 4)).result
         for name in result.smallest().cell_counts():
             assert name in lib
 
@@ -133,16 +135,16 @@ class TestDesignTrees:
 @given(width=st.integers(2, 24))
 def test_adder_any_width_verifies(width):
     """Property: DTAS maps adders of arbitrary width correctly."""
-    dtas = DTAS(lsi_logic_library())
+    session = Session(lsi_logic_library())
     spec = adder_spec(width)
-    result = dtas.synthesize_spec(spec)
+    result = session.synthesize(spec).result
     check_combinational(spec, result.smallest().tree(), vectors=12).assert_ok()
 
 
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(2, 9), width=st.integers(1, 8))
 def test_mux_any_shape_verifies(n, width):
-    dtas = DTAS(lsi_logic_library())
+    session = Session(lsi_logic_library())
     spec = mux_spec(n, width)
-    result = dtas.synthesize_spec(spec)
+    result = session.synthesize(spec).result
     check_combinational(spec, result.fastest().tree(), vectors=12).assert_ok()

@@ -3,6 +3,7 @@ bit-for-bit -- including sequential netlists with @clk virtual-pin
 arcs -- while rebuilding nothing between evaluations."""
 
 import pytest
+from reference_engine import run_matrices
 
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
 from repro.netlist import Netlist, TimingProgram, compile_timing, port_delay_matrix
@@ -12,8 +13,9 @@ from repro.netlist.timing import CLK_PIN, TimingCycleError
 
 def program_matrix(netlist, delays, slot_of=None):
     program = compile_timing(netlist, slot_of=slot_of)
-    return program.evaluate_matrices(
-        [delays(inst) for inst in _slot_representatives(program, netlist)]
+    return run_matrices(
+        program,
+        [delays(inst) for inst in _slot_representatives(program, netlist)],
     )
 
 
@@ -164,8 +166,8 @@ class TestProgramReuse:
         program = TimingProgram(netlist)
         keys = (("I0", "O"),)
         arcs = (keys,) * 4
-        first = program.evaluate(arcs, [(1.0,)] * 4)
-        second = program.evaluate(arcs, [(2.5,)] * 4)
+        first = program.kernel(arcs).run([(1.0,)] * 4)
+        second = program.kernel(arcs).run([(2.5,)] * 4)
         assert first[("A", "O")] == pytest.approx(4.0)
         assert second[("A", "O")] == pytest.approx(10.0)
         assert program.kernel_count == 1
@@ -177,8 +179,8 @@ class TestProgramReuse:
         full = (("A", "CO"), ("A", "S"), ("B", "CO"), ("B", "S"),
                 ("CI", "CO"), ("CI", "S"))
         sparse = (("A", "S"), ("B", "S"))
-        program.evaluate((full,), [(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
-        program.evaluate((sparse,), [(5.0, 5.0)])
+        program.kernel((full,)).run([(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
+        program.kernel((sparse,)).run([(5.0, 5.0)])
         assert program.kernel_count == 2
 
     def test_slot_sharing_by_spec(self):
@@ -193,4 +195,9 @@ class TestProgramReuse:
     def test_total_area_matches_instance_walk(self):
         netlist, _ = _ripple16()
         program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
-        assert program.total_area([102.5]) == pytest.approx(4 * 102.5)
+        # module_slots maps each instance to its slot, in instance
+        # order: the walk the design space sums areas over
+        assert program.module_slots == (0, 0, 0, 0)
+        areas_by_slot = [102.5]
+        assert sum(areas_by_slot[slot] for slot in program.module_slots) \
+            == pytest.approx(4 * 102.5)
