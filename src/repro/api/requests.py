@@ -185,6 +185,7 @@ class SynthesisJob:
         #: first access instead of on every hit -- the serving path's
         #: JSON body reads neither.
         self._artifact_loader = None
+        self._json_body: Optional[str] = None
 
     def _load_artifacts(self) -> None:
         loader, self._artifact_loader = self._artifact_loader, None
@@ -299,6 +300,16 @@ class SynthesisJob:
         if not names:
             names = ("report",)
         return "\n\n".join(EMITTERS.create(name, self) for name in names)
+
+    def json_body(self) -> str:
+        """The ``json`` emitter's rendering, computed once per job: the
+        body the result store persists and the body the serve layer
+        answers with are this one string."""
+        if self._json_body is None:
+            from repro.api.registry import EMITTERS
+
+            self._json_body = EMITTERS.create("json", self)
+        return self._json_body
 
     def __repr__(self) -> str:
         return (f"SynthesisJob({self.request.describe()}: "

@@ -371,7 +371,8 @@ class Session:
 
         try:
             self.store.put(fingerprint, job_to_payload(job),
-                           label=job.request.describe())
+                           label=job.request.describe(),
+                           body=job.json_body())
         except (sqlite3.Error, OSError):
             pass  # a result we cannot persist is still a result
 

@@ -180,13 +180,17 @@ class ResilientStore(StoreBackend):
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         return self._guarded(lambda: self.inner.get(fingerprint), None)
 
+    def get_body(self, fingerprint: str) -> Optional[str]:
+        return self._guarded(lambda: self.inner.get_body(fingerprint), None)
+
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         return self._guarded(lambda: self.inner.peek(fingerprint), None)
 
     def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "") -> None:
-        self._guarded(lambda: self.inner.put(fingerprint, payload, label),
-                      None)
+            label: str = "", *, body: str) -> None:
+        self._guarded(
+            lambda: self.inner.put(fingerprint, payload, label, body=body),
+            None)
 
     def __contains__(self, fingerprint: str) -> bool:
         return bool(self._guarded(lambda: fingerprint in self.inner, False))

@@ -19,9 +19,9 @@ misbehaving store with no code changes.  Query parameters:
   "slow sick store" whose per-call cost the breaker exists to stop
   re-paying);
 - ``corrupt_rate`` (0..1): probability a *successful* read returns a
-  corrupted payload (result store) or a miss (node store) --
-  exercising the self-healing miss path without risking a wrong
-  answer;
+  corrupted payload (result store), or a miss (a result-store body
+  read, a node store) -- exercising the self-healing miss path without
+  risking a wrong answer;
 - ``seed`` (int): the RNG seed; same seed, same single-threaded
   sequence of injected faults.
 
@@ -181,6 +181,16 @@ class FaultInjectingStore(StoreBackend):
             return dict(_CORRUPT_PAYLOAD)
         return payload
 
+    def get_body(self, fingerprint: str) -> Optional[str]:
+        # The same "get" op as get(), so a schedule means the same
+        # thing on either read path.  A corrupted body is a miss, never
+        # mangled bytes: the client would receive those verbatim.
+        self.policy.tick("get")
+        body = self.inner.get_body(fingerprint)
+        if body is not None and self.policy.corrupt():
+            return None
+        return body
+
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         self.policy.tick("peek")
         payload = self.inner.peek(fingerprint)
@@ -189,9 +199,9 @@ class FaultInjectingStore(StoreBackend):
         return payload
 
     def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "") -> None:
+            label: str = "", *, body: str) -> None:
         self.policy.tick("put")
-        self.inner.put(fingerprint, payload, label)
+        self.inner.put(fingerprint, payload, label, body=body)
 
     def __contains__(self, fingerprint: str) -> bool:
         self.policy.tick("contains")

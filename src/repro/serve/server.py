@@ -457,23 +457,23 @@ class SynthesisService:
             legend, generator=generator, label=label or "", params=params)
 
     def _emit(self, job) -> bytes:
-        from repro.api.registry import EMITTERS
-
-        return EMITTERS.create("json", job).encode("utf-8")
+        # The job's memoized body: an engine run already rendered it
+        # for the store, so the response is that same string.
+        return job.json_body().encode("utf-8")
 
     def _probe_store(self, session, request,
                      fingerprint: str) -> Optional[bytes]:
         """Executor-side store-only lookup, run *before* the session
         lock is taken: a warm hit must be served at store latency, not
         queued behind whatever engine evaluation currently holds the
-        session.  Touches only the store and the payload decoder --
-        never the engine."""
+        session.  A hit is the stored ``json`` body as bytes -- no
+        payload decode, no revive, no emit, never the engine.  The
+        session's store is breaker-guarded, so a failing read is a
+        miss."""
         if session.store is None:
             return None
-        job = session._load_stored(fingerprint, request)
-        if job is None:
-            return None
-        return self._emit(job)
+        body = session.store.get_body(fingerprint)
+        return body.encode("utf-8") if body is not None else None
 
     def _run_job(self, session, request, fingerprint: Optional[str],
                  span: Optional[Any] = None

@@ -109,7 +109,9 @@ class StoreBackend(abc.ABC):
     maintenance surface the CLI exposes.  Payloads are JSON-able dicts;
     the *meaning* of a payload (serialization, re-interning) lives
     above the backend in :mod:`repro.store.serialize`, so a backend
-    never needs engine knowledge.
+    never needs engine knowledge.  Beside its payload each entry holds
+    the emitted ``json`` body, an opaque string the serve layer returns
+    verbatim on a hit (:meth:`get_body`).
 
     ``path`` is a human-readable location (a file path, a URL) used in
     logs, ``info()``, and for co-locating a node cache next to a result
@@ -125,13 +127,20 @@ class StoreBackend(abc.ABC):
         """Payload under ``fingerprint`` or None; refreshes LRU."""
 
     @abc.abstractmethod
+    def get_body(self, fingerprint: str) -> Optional[str]:
+        """The ``json`` body stored under ``fingerprint``, or None;
+        refreshes LRU exactly like :meth:`get`, without decoding the
+        payload."""
+
+    @abc.abstractmethod
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` without the LRU stamp (inspection)."""
 
     @abc.abstractmethod
     def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "") -> None:
-        """Persist ``payload`` (last write wins)."""
+            label: str = "", *, body: str) -> None:
+        """Persist ``payload`` and its emitted ``body`` (last write
+        wins)."""
 
     @abc.abstractmethod
     def __contains__(self, fingerprint: str) -> bool: ...

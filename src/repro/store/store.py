@@ -1,4 +1,4 @@
-"""The on-disk result store: SQLite index, JSON payloads.
+"""The on-disk result store: SQLite index, JSON payloads and bodies.
 
 One file (default ``~/.cache/repro/store.sqlite``, overridable with
 ``REPRO_STORE``) holds every persisted synthesis result, keyed by the
@@ -12,6 +12,12 @@ Schema versioning is deliberately blunt: the store is a *cache*, so on
 any version mismatch the whole table is dropped and rebuilt rather
 than migrated.  Eviction (``prune``) removes least-recently-used
 entries until the payload total fits the requested budget.
+
+Each entry holds two texts: the structured payload (what a
+:class:`~repro.api.session.Session` revives into a job) and the
+emitted ``json`` body, persisted once at write time so a serving hit
+returns stored bytes with no decode, no revive and no emit
+(:meth:`ResultStore.get_body`).  ``size_bytes`` counts both.
 
 Thread safety: one connection guarded by a lock (the serve layer calls
 into the store from executor threads).  Cross-process safety comes
@@ -31,7 +37,9 @@ from typing import Any, Dict, List, Optional, Union
 from repro.store.backend import StoreBackend
 
 #: Store format version; a mismatch resets the store (it is a cache).
-STORE_SCHEMA = 1
+#: v2 added the ``body`` column, so no pre-v2 (body-less) row is ever
+#: probed by the byte-serving path.
+STORE_SCHEMA = 2
 
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_STORE"
@@ -172,7 +180,8 @@ class ResultStore(StoreBackend):
                 " last_used REAL NOT NULL,"
                 " hits INTEGER NOT NULL DEFAULT 0,"
                 " size_bytes INTEGER NOT NULL,"
-                " payload TEXT NOT NULL)"
+                " payload TEXT NOT NULL,"
+                " body TEXT NOT NULL)"
             )
             self._db.execute(
                 "CREATE INDEX IF NOT EXISTS results_lru "
@@ -205,13 +214,32 @@ class ResultStore(StoreBackend):
                         (fingerprint,),
                     )
                 return None
-            with self._db:
-                self._db.execute(
-                    "UPDATE results SET last_used = ?, hits = hits + 1 "
-                    "WHERE fingerprint = ?",
-                    (time.time(), fingerprint),
-                )
+            self._touch(fingerprint)
             return payload
+
+    def get_body(self, fingerprint: str) -> Optional[str]:
+        """The ``json`` body stored under ``fingerprint``, or None.
+
+        Refreshes the LRU stamp and hit counter like :meth:`get` but
+        reads only the body column: the payload is never decoded."""
+        with self._lock:
+            row = self._db.execute(
+                "SELECT body FROM results WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
+            if row is None:
+                return None
+            self._touch(fingerprint)
+            return row[0]
+
+    def _touch(self, fingerprint: str) -> None:
+        """Stamp a hit (caller holds the lock)."""
+        with self._db:
+            self._db.execute(
+                "UPDATE results SET last_used = ?, hits = hits + 1 "
+                "WHERE fingerprint = ?",
+                (time.time(), fingerprint),
+            )
 
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but read-only: no LRU stamp, no hit count.
@@ -231,19 +259,21 @@ class ResultStore(StoreBackend):
             return None
 
     def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "") -> None:
-        """Persist ``payload`` under ``fingerprint`` (last write wins;
-        identical fingerprints mean identical results by construction,
-        so overwrites are harmless)."""
+            label: str = "", *, body: str) -> None:
+        """Persist ``payload`` and its emitted ``body`` under
+        ``fingerprint`` (last write wins; identical fingerprints mean
+        identical results by construction, so overwrites are
+        harmless)."""
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        size = len(text) + len(body)
         now = time.time()
         with self._lock, self._db:
             self._db.execute(
                 "INSERT OR REPLACE INTO results "
                 "(fingerprint, label, created_at, last_used, hits,"
-                " size_bytes, payload) "
-                "VALUES (?, ?, ?, ?, 0, ?, ?)",
-                (fingerprint, label, now, now, len(text), text),
+                " size_bytes, payload, body) "
+                "VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
+                (fingerprint, label, now, now, size, text, body),
             )
 
     def __contains__(self, fingerprint: str) -> bool:

@@ -65,7 +65,7 @@ def test_sqlite_url_path_strips_authority_slashes():
 def test_store_urls_resolve_to_backends(tmp_path):
     store = registry.create_store(f"sqlite://{tmp_path}/url.sqlite")
     try:
-        store.put("fp", {"x": 1})
+        store.put("fp", {"x": 1}, body="{}")
         assert store.get("fp") == {"x": 1}
         assert store.path == tmp_path / "url.sqlite"
     finally:

@@ -416,8 +416,8 @@ def test_shared_prune_accounting_across_result_and_node_tables(tmp_path):
     # Interleave entries with controlled recency: result r0 oldest,
     # then node n0, then r1, then n1 (timestamps forced via SQL so the
     # ordering cannot depend on clock granularity).
-    results.put("r0", {"pad": "x" * 2000})
-    results.put("r1", {"pad": "x" * 2000})
+    results.put("r0", {"pad": "x" * 2000}, body="")
+    results.put("r1", {"pad": "x" * 2000}, body="")
     nodes.save_options("n0", spec, options, impls=1)
     nodes.save_options("n1", spec, options, impls=1)
     with results._lock, results._db:
@@ -450,7 +450,7 @@ def test_shared_prune_accounting_across_result_and_node_tables(tmp_path):
 def test_node_clear_leaves_results_untouched(tmp_path):
     path = tmp_path / "both.sqlite"
     results = ResultStore(path)
-    results.put("r", {"x": 1})
+    results.put("r", {"x": 1}, body="")
     session = Session(library="lsi_logic", store=results, node_store=path)
     session.synthesize(alu_spec(16))
     nodes = NodeStore(path)

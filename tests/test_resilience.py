@@ -30,7 +30,7 @@ from repro.resilience import (
     parse_deadline_ms,
 )
 from repro.serve import ReproServer, SynthesisService
-from repro.store import StoreError, split_url_query
+from repro.store import ResultStore, StoreError, split_url_query
 from repro.store.backend import StoreBackend
 
 
@@ -109,10 +109,13 @@ def test_resilient_store_stops_calling_inner_while_open_and_recovers():
                 raise StoreError("down")
             return {"ok": fingerprint}
 
+        def get_body(self, fingerprint):
+            return json.dumps(self.get(fingerprint))
+
         def peek(self, fingerprint):
             return self.get(fingerprint)
 
-        def put(self, fingerprint, payload, label=""):
+        def put(self, fingerprint, payload, label="", *, body):
             self.get(fingerprint)
 
         def __contains__(self, fingerprint):
@@ -142,13 +145,15 @@ def test_resilient_store_stops_calling_inner_while_open_and_recovers():
     breaker = CircuitBreaker("store", failure_threshold=2,
                              reset_timeout=5.0, clock=clock)
     store = ResilientStore(inner, breaker)
-    # Failures degrade to misses, never raise.
+    # Failures degrade to misses, never raise -- on either read path,
+    # and both count toward the breaker.
     assert store.get("a") is None
-    assert store.get("b") is None
+    assert store.get_body("b") is None
     assert breaker.state == "open"
     calls_when_open = inner.calls
     for _ in range(10):
         assert store.get("c") is None      # short-circuited: inner untouched
+        assert store.get_body("c") is None
     assert inner.calls == calls_when_open
     # info() degrades to a stub that says so.
     info = store.info()
@@ -160,6 +165,7 @@ def test_resilient_store_stops_calling_inner_while_open_and_recovers():
     assert store.get("d") == {"ok": "d"}
     assert breaker.state == "closed"
     assert store.get("e") == {"ok": "e"}
+    assert store.get_body("f") == '{"ok": "f"}'
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,7 @@ def test_sqlite_url_busy_timeout_is_configurable(tmp_path):
         f"sqlite://{tmp_path}/bt.sqlite?busy_timeout_ms=500")
     try:
         assert store.busy_timeout_ms == 500
-        store.put("fp", {"x": 1})
+        store.put("fp", {"x": 1}, body="{}")
         assert store.get("fp") == {"x": 1}
     finally:
         store.close()
@@ -291,19 +297,27 @@ def test_fault_store_urls_inject_failures_and_corruption():
     try:
         with pytest.raises(StoreError):
             failing.get("fp")
+        # The body read ticks the same "get" op, so a schedule keeps
+        # its meaning whichever read path serves the request.
+        with pytest.raises(StoreError, match=r"\(get\)"):
+            failing.get_body("fp")
         with pytest.raises(StoreError):
-            failing.put("fp", {"x": 1})
+            failing.put("fp", {"x": 1}, body="{}")
     finally:
         failing.close()
     corrupting = registry.create_store("fault+memory:?corrupt_rate=1.0&seed=3")
     try:
-        corrupting.put("fp", {"schema": "real", "x": 1})
+        corrupting.put("fp", {"schema": "real", "x": 1}, body="{}")
         payload = corrupting.get("fp")
         # Corruption never fabricates a plausible payload: the marker
         # schema is guaranteed to fail validation downstream, so a
         # corrupt read degrades to a miss, never a wrong answer.
         assert payload == {"schema": "fault-injected-corruption"}
-        assert corrupting.info()["fault_injection"]["corruptions_injected"] >= 1
+        # A corrupted body is a miss: the client would get those bytes
+        # verbatim, so there is no marker to fail validation later.
+        corrupting.put("fp", {"schema": "real"}, body='{"real": true}')
+        assert corrupting.get_body("fp") is None
+        assert corrupting.info()["fault_injection"]["corruptions_injected"] >= 2
     finally:
         corrupting.close()
 
@@ -413,6 +427,53 @@ def test_corrupt_store_reads_self_heal_byte_identical(tmp_path):
             assert warm_job[section] == cold_job[section]
     finally:
         handle.stop()
+
+
+def _normalized(body: bytes) -> str:
+    """A json body with the wall-clock fields pinned (two engine runs
+    never share ``runtime_seconds`` or ``phases``)."""
+    data = json.loads(body)
+    data["runtime_seconds"] = 0.0
+    data["phases"] = {}
+    return json.dumps(data, sort_keys=True)
+
+
+def test_seeded_corruption_costs_reruns_never_a_different_body(tmp_path):
+    """Half of all store reads corrupted (seeded): every 200 body is
+    either the exact bytes in the store or an engine re-run whose
+    normalized body matches the first run's."""
+    path = tmp_path / "mixed.sqlite"
+    server = ReproServer(SynthesisService(
+        store=f"fault+sqlite://{path}?corrupt_rate=0.5&seed=11"), port=0)
+    handle = server.run_in_thread()
+    plain = ResultStore(path)
+    sources = []
+    try:
+        first, fingerprints = {}, {}
+        for _ in range(6):
+            for spec in ("adder:8", "counter:6", "comparator:8"):
+                before = {entry["fingerprint"] for entry in plain.entries()}
+                status, data, source = _request(
+                    handle, "POST", "/synthesize", body={"spec": spec})
+                assert status == 200
+                sources.append(source)
+                if spec not in first:
+                    assert source == "engine"
+                    first[spec] = data
+                    (fingerprints[spec],) = (
+                        {entry["fingerprint"] for entry in plain.entries()}
+                        - before)
+                stored = plain.get_body(fingerprints[spec]).encode("utf-8")
+                if source == "engine":
+                    assert _normalized(data) == _normalized(first[spec])
+                # A hit replays the stored bytes; a re-run stored the
+                # very body it answered with.
+                assert data == stored
+    finally:
+        plain.close()
+        handle.stop()
+    assert sources.count("store") >= 1
+    assert sources.count("engine") > 3  # corruption forced re-runs
 
 
 def test_deadline_header_times_out_with_structured_504(tmp_path):

@@ -16,6 +16,8 @@ import pytest
 
 from repro.api import EMITTERS, Session
 from repro.serve import ReproServer, SynthesisService
+from repro.store import ResultStore
+from repro.store.serialize import payload_to_job
 
 
 @pytest.fixture()
@@ -105,6 +107,60 @@ def test_store_hit_serves_without_engine(server):
     metrics = json.loads(data)
     assert metrics["engine_evaluations"] == 1
     assert metrics["store_hits"] == 1
+
+
+def _engine_run_and_stored_row(handle, path, body):
+    """POST ``body`` (must run the engine), then read the row it wrote
+    from the store file: ``(response, stored body, payload)``."""
+    store = ResultStore(path)
+    try:
+        before = {entry["fingerprint"] for entry in store.entries()}
+        status, response, source = _request(handle, "POST", "/synthesize",
+                                            body)
+        assert (status, source) == (200, "engine")
+        (fingerprint,) = ({entry["fingerprint"] for entry in store.entries()}
+                          - before)
+        return response, store.get_body(fingerprint), store.peek(fingerprint)
+    finally:
+        store.close()
+
+
+def _assert_three_bodies_agree(handle, path, body, session):
+    """The stored body, the json emitter over the revived payload, and
+    the engine run's HTTP response are one byte string -- and a warm
+    request replays it."""
+    response, stored, payload = _engine_run_and_stored_row(handle, path, body)
+    request = SynthesisService.build_request(body)
+    revived = EMITTERS.create("json", payload_to_job(payload, request, session))
+    assert stored is not None
+    assert stored.encode("utf-8") == response
+    assert revived == stored
+    status, warm, source = _request(handle, "POST", "/synthesize", body)
+    assert (status, source) == (200, "store")
+    assert warm == response
+    return json.loads(stored)
+
+
+@pytest.mark.parametrize("perf_filter", ["pareto", "tradeoff:0.05"])
+@pytest.mark.parametrize("family", ["adder", "alu", "comparator", "counter"])
+def test_stored_body_is_byte_identical_to_revived_and_engine_bodies(
+        server, tmp_path, family, perf_filter):
+    body = {"spec": f"{family}:16", "filter": perf_filter}
+    _assert_three_bodies_agree(server, tmp_path / "serve.sqlite", body,
+                               Session(library="lsi_logic",
+                                       perf_filter=perf_filter))
+
+
+def test_stored_legend_body_carries_the_upgraded_label(server, tmp_path):
+    from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
+
+    body = {"legend": FIGURE_2_COUNTER_SOURCE,
+            "params": {"GC_INPUT_WIDTH": 8}}
+    stored = _assert_three_bodies_agree(server, tmp_path / "serve.sqlite",
+                                        body, Session(library="lsi_logic"))
+    # The default label ("legend") was upgraded during elaboration,
+    # and the upgrade is what the stored body replays.
+    assert stored["request"]["label"].startswith("COUNTER_W8")
 
 
 def test_batch_runs_through_one_session(server):

@@ -24,7 +24,7 @@ from repro.store import (
     spec_from_token,
     spec_token,
 )
-from repro.store.store import STORE_ENV
+from repro.store.store import STORE_ENV, STORE_SCHEMA
 from repro.techlib import lsi_logic_library, vendor2_library
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,7 +139,7 @@ def test_revive_counts_in_intern_stats():
 def test_store_put_get_and_lru_accounting(tmp_path):
     store = _store(tmp_path)
     assert store.get("missing") is None
-    store.put("fp1", {"x": 1}, label="one")
+    store.put("fp1", {"x": 1}, label="one", body="{}")
     assert "fp1" in store
     assert store.get("fp1") == {"x": 1}
     assert store.get("fp1") == {"x": 1}
@@ -152,21 +152,31 @@ def test_store_put_get_and_lru_accounting(tmp_path):
 
 def test_store_prune_evicts_least_recently_used(tmp_path):
     store = _store(tmp_path)
-    blob = {"pad": "x" * 2000}
+    blob = {"pad": "x" * 1000}
+    body = "y" * 1500
+    entry_size = (len(json.dumps(blob, sort_keys=True, separators=(",", ":")))
+                  + len(body))
     for i in range(5):
-        store.put(f"fp{i}", blob, label=f"{i}")
+        store.put(f"fp{i}", blob, label=f"{i}", body=body)
+    # An entry's size is payload plus body.
+    assert {entry["size_bytes"] for entry in store.entries()} == {entry_size}
+    assert store.info()["payload_bytes"] == 5 * entry_size
+    assert store.get_body("missing") is None
     store.get("fp0")  # refresh fp0: it must survive the prune
-    result = store.prune(0.006)  # ~3 entries of ~2kB
-    assert result["removed"] >= 1
-    assert "fp0" in store
-    assert store.info()["payload_bytes"] <= 6000
+    assert store.get_body("fp1") == body  # a body hit refreshes LRU too
+    assert store.entries()[0]["hits"] == 1
+    # Two ~2.5 kB entries fit; the payloads alone (~1 kB) would all fit.
+    result = store.prune(0.006)
+    assert result["removed"] == 3
+    assert result["payload_bytes"] == 2 * entry_size
+    assert "fp0" in store and store.get_body("fp1") == body
 
 
 def test_store_schema_mismatch_resets(tmp_path):
     from repro.store import store as store_mod
 
     store = _store(tmp_path)
-    store.put("fp", {"x": 1})
+    store.put("fp", {"x": 1}, body="{}")
     store.close()
     original = store_mod.STORE_SCHEMA
     try:
@@ -178,9 +188,38 @@ def test_store_schema_mismatch_resets(tmp_path):
         store_mod.STORE_SCHEMA = original
 
 
+def test_schema_1_store_file_opens_empty(tmp_path):
+    """A cache written before bodies were persisted is rebuilt on open:
+    its rows cannot be served by the byte path, so they must go."""
+    import sqlite3
+
+    path = tmp_path / "store.sqlite"
+    db = sqlite3.connect(str(path))
+    with db:
+        db.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        db.execute("INSERT INTO meta VALUES ('schema', '1')")
+        db.execute(
+            "CREATE TABLE results (fingerprint TEXT PRIMARY KEY,"
+            " label TEXT NOT NULL DEFAULT '', created_at REAL NOT NULL,"
+            " last_used REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0,"
+            " size_bytes INTEGER NOT NULL, payload TEXT NOT NULL)")
+        db.execute("INSERT INTO results VALUES ('fp', 'old', 0, 0, 0, 7,"
+                   " '{\"x\":1}')")
+    db.close()
+    store = ResultStore(path)
+    try:
+        assert len(store) == 0
+        assert store.get("fp") is None and store.get_body("fp") is None
+        assert store.info()["schema"] == STORE_SCHEMA
+        store.put("fp", {"x": 1}, body="{}")
+        assert store.get_body("fp") == "{}"
+    finally:
+        store.close()
+
+
 def test_store_corrupt_payload_is_a_miss(tmp_path):
     store = _store(tmp_path)
-    store.put("fp", {"x": 1})
+    store.put("fp", {"x": 1}, body="{}")
     with store._lock, store._db:
         store._db.execute(
             "UPDATE results SET payload = '{not json' WHERE fingerprint='fp'")
