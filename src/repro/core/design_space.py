@@ -89,10 +89,10 @@ class SynthesisError(Exception):
 
 
 #: Default combination-costing block size (``DesignSpace(batch=...)``).
-#: Big enough that the per-block numpy dispatch and layout costs
-#: amortize, small enough that per-slot weight matrices stay cache
-#: friendly; kernels additionally chunk internally so wide netlists
-#: cannot blow memory whatever the block size.
+#: Big enough that the per-call matrix packing and the kernel call
+#: amortize, small enough that the per-slot weight matrices and the
+#: result block of one call stay small; the generated kernel itself
+#: keeps one local per timing node whatever the block size.
 DEFAULT_BATCH = 256
 
 
@@ -584,8 +584,8 @@ class DesignSpace:
             self._evaluating.discard(spec)
 
     def _select(self, candidates: List[Configuration]) -> List[Configuration]:
-        """Apply the performance filter through its single-pass block
-        path (``select_block``) when it has one; third-party filters
+        """Apply the performance filter through its block path
+        (``select_block``) when it has one; third-party filters
         without it fall back to ``select``, which returns the same
         survivors in the same order."""
         phase_start = time.perf_counter()

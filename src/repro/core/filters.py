@@ -20,19 +20,15 @@ from typing import Iterable, List, Protocol, Sequence
 
 from repro.core.configs import Configuration
 
-try:  # optional: the block paths fall back to the scalar sort without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
 
 class PerformanceFilter(Protocol):
     """Protocol for search-control filters over configurations.
 
     Filters may additionally offer ``select_block`` (same contract as
-    ``select``); the design space prefers it when present and falls
-    back to ``select`` otherwise, so third-party filters keep working
-    unchanged."""
+    ``select``, called once per evaluated block); the design space
+    prefers it when present and falls back to ``select`` otherwise, so
+    third-party filters keep working unchanged.  The built-in filters
+    alias it to ``select``."""
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         """Return the retained configurations, sorted by (area, delay)."""
@@ -40,21 +36,9 @@ class PerformanceFilter(Protocol):
 
 
 def _sorted(configs: Iterable[Configuration]) -> List[Configuration]:
+    """(area, delay)-sorted copy; ``sorted`` is stable, so ties in both
+    coordinates keep their input (enumeration) order."""
     return sorted(configs, key=lambda c: (c.area, c.delay))
-
-
-def _sorted_block(configs: Sequence[Configuration]) -> List[Configuration]:
-    """(area, delay)-sorted copy via one pass over the block's cost
-    columns: ``np.lexsort`` over the gathered (area, delay) arrays is
-    stable with the secondary key applied first, so the permutation is
-    bit-identical to ``sorted(key=(area, delay))`` -- ties in both
-    coordinates keep the original order in both implementations."""
-    if _np is None or len(configs) < 32:
-        return _sorted(configs)
-    areas = _np.array([c.area for c in configs])
-    delays = _np.array([c.delay for c in configs])
-    order = _np.lexsort((delays, areas))
-    return [configs[i] for i in order.tolist()]
 
 
 def pareto_frontier(sorted_configs: Sequence[Configuration]) -> List[Configuration]:
@@ -82,10 +66,7 @@ class KeepAllFilter:
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         return _sorted(configs)
 
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
-        return _sorted_block(configs)
+    select_block = select
 
 
 class ParetoFilter:
@@ -102,10 +83,7 @@ class ParetoFilter:
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         return pareto_frontier(_sorted(configs))
 
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
-        return pareto_frontier(_sorted_block(configs))
+    select_block = select
 
 
 class TradeoffFilter:
@@ -129,10 +107,7 @@ class TradeoffFilter:
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         return self._thin(pareto_frontier(_sorted(configs)))
 
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
-        return self._thin(pareto_frontier(_sorted_block(configs)))
+    select_block = select
 
     def _thin(self, frontier: List[Configuration]) -> List[Configuration]:
         if len(frontier) <= 2:
@@ -169,10 +144,7 @@ class TopKFilter:
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         return self._top(pareto_frontier(_sorted(configs)))
 
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
-        return self._top(pareto_frontier(_sorted_block(configs)))
+    select_block = select
 
     def _top(self, frontier: List[Configuration]) -> List[Configuration]:
         if len(frontier) <= self.k:

@@ -20,10 +20,12 @@ A :class:`TimingProgram` splits the work by what actually varies:
   chosen implementations publish, not on the weights.  Combinations
   overwhelmingly share a handful of key sets, so the internal arcs,
   the topological order, and the flattened edge arrays are cached per
-  signature (a tuple of per-slot arc-key tuples).
-- **Per evaluation**: substitute the per-slot delay weights into the
-  flattened edge arrays and propagate arrival times -- no graph or
-  ordering work at all.
+  signature (a tuple of per-slot arc-key tuples), and on first use the
+  kernel generates one straight-line Python function from them: one
+  local per timing node, relaxed edge by edge in topological order.
+- **Per evaluation**: call that function on a block of per-slot delay
+  weight rows -- no graph, ordering or interpretive work at all.  It
+  is the only longest-path implementation; numpy is never imported.
 
 Instances are grouped into *slots* (by default one slot per instance;
 the design-space evaluator passes ``slot_of=lambda inst: inst.spec`` so
@@ -37,17 +39,12 @@ arrival times are prefix sums along identical paths combined with
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
-from operator import add as _add
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.netlist.nets import endpoint_masks
 from repro.netlist.netlist import ModuleInst, Netlist
-
-try:  # optional fast path only; the stdlib batch sweep is the contract
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
 
 #: Virtual pin name standing for the clock edge inside a component.
 #: (Canonically re-exported by :mod:`repro.netlist.timing`.)
@@ -61,8 +58,6 @@ Node = Tuple
 #: matrix, in a stable order.
 ArcKeys = Tuple[Tuple[str, str], ...]
 
-_NEG_INF = float("-inf")
-
 
 class TimingCycleError(Exception):
     """The netlist contains a combinational cycle.
@@ -72,39 +67,38 @@ class TimingCycleError(Exception):
     """
 
 
-#: Soft bound on the (sources x nodes x rows) scratch a single batched
-#: propagation may allocate; ``run_batch`` chunks its rows so wide
-#: netlists cannot blow memory no matter what block size callers pick.
-_BATCH_ELEMENTS = 1 << 21
+#: Generated kernel functions by source text.  The code names nodes,
+#: slots and keys by index only, so structurally equal kernels -- a
+#: decomposition reused across widths (adder:64 from two adder:32s
+#: wires up like adder:32 from two adder:16s) -- share one function;
+#: an entry lives as long as some kernel holds its function.
+_FUNCTIONS: "weakref.WeakValueDictionary[str, Callable]" = (
+    weakref.WeakValueDictionary())
 
 
 class _BatchPlan:
-    """Per-kernel layout shared by every ``run_batch`` call.
+    """Per-kernel layout the compiled function is generated from.
 
     Reachability of a (source, sink) pair is *structural*: every delay
     weight is a finite float, so which pairs carry a value depends only
     on the edge graph, never on the weights.  That lets the result keys
     be fixed (and sorted) once per kernel, each with its contributor
-    (source row, node) pairs -- a batched run then fills a dense
-    (keys x rows) matrix instead of rebuilding a dict per combination.
+    (source row, node) pairs, and lets the generated function relax
+    exactly the edges each source reaches.
     """
 
-    __slots__ = ("keys", "contribs", "source_edges", "np_cache")
+    __slots__ = ("keys", "contribs", "source_edges")
 
     def __init__(self, keys, contribs, source_edges) -> None:
-        #: Sorted (source, sink) result keys -- exactly
-        #: ``tuple(sorted(run(...).keys()))`` for any weight set.
+        #: Sorted (source, sink) result keys -- the same set for any
+        #: weight rows.
         self.keys = keys
         #: Parallel to ``keys``: tuple of (source row, node id) pairs
         #: whose arrival times max-merge into that key.
         self.contribs = contribs
-        #: Per source row, the edge indices reachable from that source
-        #: (the batched sweep skips the rest -- the same work the per-row
-        #: ``run``'s ``du != neg`` guard avoids).
+        #: Per source row, the indices (into the topological edge list)
+        #: of the edges reachable from that source.
         self.source_edges = source_edges
-        #: Lazily built numpy views of the edge arrays (None until the
-        #: numpy path first runs).
-        self.np_cache = None
 
 
 class _Kernel:
@@ -113,7 +107,7 @@ class _Kernel:
 
     __slots__ = (
         "n_nodes", "edge_u", "edge_v", "edge_ref",
-        "sources", "labeled", "_plan",
+        "sources", "labeled", "_compiled",
     )
 
     def __init__(
@@ -131,55 +125,55 @@ class _Kernel:
         self.edge_ref = edge_ref
         self.sources = sources
         self.labeled = labeled
-        self._plan: Optional[_BatchPlan] = None
+        #: (result keys, generated function), built on first use.
+        self._compiled: Optional[Tuple[Tuple[Tuple[str, str], ...],
+                                       Callable]] = None
 
     # -- pickling ------------------------------------------------------
     def __getstate__(self):
-        """The batch plan stays process-local (it may hold numpy
-        arrays); shipped kernels rebuild it lazily on first batched
-        run, keeping programs picklable by construction."""
+        """The generated function stays process-local (functions built
+        by ``exec`` do not pickle); shipped kernels recompile lazily on
+        first run, keeping programs picklable by construction."""
         return {
             name: getattr(self, name)
-            for name in self.__slots__ if name != "_plan"
+            for name in self.__slots__ if name != "_compiled"
         }
 
     def __setstate__(self, state) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self._plan = None
+        self._compiled = None
 
     def run(
         self, values: Sequence[Sequence[float]]
     ) -> Dict[Tuple[str, str], float]:
-        """Longest-path propagation with the given per-slot weights."""
-        neg = _NEG_INF
-        weights = [
-            0.0 if slot < 0 else values[slot][index]
-            for slot, index in self.edge_ref
-        ]
-        edge_u, edge_v = self.edge_u, self.edge_v
-        result: Dict[Tuple[str, str], float] = {}
-        for source_name, src in self.sources:
-            dist = [neg] * self.n_nodes
-            dist[src] = 0.0
-            for u, v, w in zip(edge_u, edge_v, weights):
-                du = dist[u]
-                if du != neg:
-                    t = du + w
-                    if t > dist[v]:
-                        dist[v] = t
-            for nid, label in self.labeled:
-                if nid == src:
-                    continue
-                value = dist[nid]
-                if value != neg:
-                    key = (source_name, label)
-                    prev = result.get(key)
-                    if prev is None or value > prev:
-                        result[key] = value
-        return result
+        """Longest-path delays for one set of per-slot weights (a
+        one-row :meth:`run_batch`)."""
+        keys, block = self.run_batch(values, 1)
+        return dict(zip(keys, block[0]))
 
-    # -- batched evaluation --------------------------------------------
+    def run_batch(
+        self, values: Sequence[Sequence[float]], rows: int
+    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
+        """Longest-path propagation for a whole block of weight rows.
+
+        ``values[s]`` is a flat row-major matrix (``array('d')`` /
+        memoryview / any indexable float sequence) of shape
+        ``rows x len(arc_keys of slot s)``.  Returns ``(keys, block)``:
+        ``keys`` are the sorted (source, sink) result pairs, the same
+        for every row, and ``block[r]`` lists row ``r``'s delays
+        parallel to ``keys``.  The work is one call of the kernel's
+        generated function (see :meth:`_compile`).
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = self._compile()
+        keys, function = compiled
+        if rows <= 0:
+            return keys, []
+        return keys, function(values, rows)
+
+    # -- compilation ---------------------------------------------------
     def _build_plan(self) -> _BatchPlan:
         """Derive the structural result layout (see :class:`_BatchPlan`)
         by propagating reachability once per source."""
@@ -201,150 +195,104 @@ class _Kernel:
                         (row, nid))
         keys = tuple(sorted(contrib_map))
         contribs = tuple(tuple(contrib_map[key]) for key in keys)
-        plan = _BatchPlan(keys, contribs, source_edges)
-        self._plan = plan  # benign race: equal plans, last write wins
-        return plan
+        return _BatchPlan(keys, contribs, source_edges)
 
-    def run_batch(
-        self, values: Sequence[Sequence[float]], rows: int
-    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Longest-path propagation for a whole block of weight rows.
+    def _compile(self) -> Tuple[Tuple[Tuple[str, str], ...], Callable]:
+        """Generate and ``exec`` one straight-line function for this
+        kernel's plan.
 
-        ``values[s]`` is a flat row-major matrix (``array('d')`` /
-        memoryview / any indexable float sequence) of shape
-        ``rows x len(arc_keys of slot s)``.  Returns ``(keys, block)``:
-        ``keys`` are the sorted (source, sink) result pairs -- the same
-        set :meth:`run` would produce for any of the rows -- and
-        ``block[r]`` lists row ``r``'s delays parallel to ``keys``.
-        Results are bit-identical to per-row :meth:`run` calls: every
-        row propagates the same prefix sums along the same topological
-        edge list, merged with order-independent ``max``.
+        The function loops over rows.  Per row it loads each used
+        weight once, then per source relaxes that source's edges in
+        topological order -- ``aV = aU + w`` on the first write to a
+        node, ``t = aU + w; if t > aV: aV = t`` after that -- and folds
+        the source's sinks into one accumulator per result key.  Node
+        locals are reused across sources: a node is read only after
+        the current source's sweep wrote it.  Edges whose head reaches
+        none of the source's sinks are never emitted, and a zero-weight
+        wiring arc adds nothing: until a second arc reaches its head,
+        the head just names the tail's local.
+
+        Bit-identical to the interpretive sweep: ``max`` returns one of
+        its inputs, so every arrival time is the left-to-right sum
+        along one path, and every node is final before it is read.
+        Dropping ``+ 0.0`` is exact too: ``x + 0.0`` is ``x`` for every
+        float but ``-0.0``, and no arrival time is ``-0.0`` (the source
+        starts at ``+0.0``, and a rounded sum is ``-0.0`` only when
+        both addends are).
         """
-        plan = self._plan
-        if plan is None:
-            plan = self._build_plan()
-        if rows <= 0:
-            return plan.keys, []
-        chunk = max(1, _BATCH_ELEMENTS
-                    // max(1, len(self.sources) * self.n_nodes))
-        if rows <= chunk:
-            if _np is not None:
-                return plan.keys, self._run_batch_np(plan, values, rows)
-            return plan.keys, self._run_batch_py(plan, values, rows)
-        arc_counts = [
-            len(mat) // rows if rows else 0 for mat in values
-        ]
-        block: List[List[float]] = []
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            part = [
-                mat[start * n:stop * n]
-                for mat, n in zip(values, arc_counts)
-            ]
-            if _np is not None:
-                block.extend(self._run_batch_np(plan, part, stop - start))
-            else:
-                block.extend(self._run_batch_py(plan, part, stop - start))
-        return plan.keys, block
-
-    def _run_batch_py(
-        self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
-    ) -> List[List[float]]:
-        """Stdlib batch sweep: one pass over the topological edge list
-        per source, with each edge relaxing all rows at once."""
-        neg = _NEG_INF
+        plan = self._build_plan()
         edge_u, edge_v, edge_ref = self.edge_u, self.edge_v, self.edge_ref
-        arc_counts = [len(mat) // rows for mat in values]
-        # Gather each edge's weight row once, shared by every source.
-        zero_row = [0.0] * rows
-        weight_rows: List[List[float]] = []
-        for slot, index in edge_ref:
-            if slot < 0:
-                weight_rows.append(zero_row)
-            else:
-                mat, n = values[slot], arc_counts[slot]
-                weight_rows.append([mat[r * n + index] for r in range(rows)])
-        n_keys = len(plan.keys)
-        block = [[neg] * n_keys for _ in range(rows)]
-        dist: List[Optional[List[float]]] = [None] * self.n_nodes
+        sinks_of: List[List[Tuple[int, int]]] = [[] for _ in self.sources]
+        for k, pairs in enumerate(plan.contribs):
+            for row, nid in pairs:
+                sinks_of[row].append((k, nid))
+        weights: Dict[Tuple[int, int], str] = {}
+        body: List[str] = []
+        folded = set()
         for row, (_, src) in enumerate(self.sources):
-            edges = plan.source_edges[row]
-            if not edges:
+            sinks = sinks_of[row]
+            if not sinks:
                 continue
-            touched = [src]
-            dist[src] = [0.0] * rows
-            for eid in edges:
+            # Reverse walk: keep an edge only if its head is live.
+            live = {nid for _, nid in sinks}
+            kept: List[int] = []
+            for eid in reversed(plan.source_edges[row]):
+                if edge_v[eid] in live:
+                    kept.append(eid)
+                    live.add(edge_u[eid])
+            body.append(f"a{src} = 0.0")
+            # node -> the local holding its arrival time in this sweep
+            held = {src: f"a{src}"}
+            for eid in reversed(kept):
                 u, v = edge_u[eid], edge_v[eid]
-                du = dist[u]
-                w = weight_rows[eid]
-                dv = dist[v]
-                if dv is None:
-                    touched.append(v)
-                    dist[v] = [a + b for a, b in zip(du, w)]
-                else:
-                    dist[v] = [
-                        t if t > b else b
-                        for t, b in zip(map(_add, du, w), dv)
-                    ]
-            for k, pairs in enumerate(plan.contribs):
-                for source_row, nid in pairs:
-                    if source_row != row:
+                slot, index = edge_ref[eid]
+                au, local, current = held[u], f"a{v}", held.get(v)
+                if slot < 0:  # wiring arc: aU + 0.0 is aU, bit for bit
+                    if current is None:
+                        held[v] = au
                         continue
-                    dn = dist[nid]
-                    for r in range(rows):
-                        value = dn[r]
-                        out = block[r]
-                        if value > out[k]:
-                            out[k] = value
-            for nid in touched:
-                dist[nid] = None
-        return block
-
-    def _run_batch_np(
-        self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
-    ) -> List[List[float]]:
-        """Numpy fast path: identical arithmetic (elementwise add and
-        max over float64 match the per-row sequence bit for bit;
-        ``-inf + w`` stays ``-inf``, standing in for the per-row
-        ``run``'s reachability guard)."""
-        cache = plan.np_cache
-        if cache is None:
-            n_edges = len(self.edge_u)
-            slot_gather: List[Tuple[int, object, object]] = []
-            by_slot: Dict[int, List[Tuple[int, int]]] = {}
-            for eid, (slot, index) in enumerate(self.edge_ref):
-                if slot >= 0:
-                    by_slot.setdefault(slot, []).append((eid, index))
-            for slot, pairs in by_slot.items():
-                eids = _np.array([p[0] for p in pairs], dtype=_np.intp)
-                cols = _np.array([p[1] for p in pairs], dtype=_np.intp)
-                slot_gather.append((slot, eids, cols))
-            src_rows = _np.array([src for _, src in self.sources],
-                                 dtype=_np.intp)
-            gathers = tuple(
-                (_np.array([c[0] for c in pairs], dtype=_np.intp),
-                 _np.array([c[1] for c in pairs], dtype=_np.intp))
-                for pairs in plan.contribs
-            )
-            cache = plan.np_cache = (n_edges, tuple(slot_gather), src_rows,
-                                     gathers)
-        n_edges, slot_gather, src_rows, gathers = cache
-        arc_counts = [len(mat) // rows for mat in values]
-        weights = _np.zeros((n_edges, rows))
-        for slot, eids, cols in slot_gather:
-            mat = _np.frombuffer(values[slot], dtype=_np.float64)
-            weights[eids] = mat.reshape(rows, arc_counts[slot])[:, cols].T
-        n_sources = len(self.sources)
-        dist = _np.full((n_sources, self.n_nodes, rows), _NEG_INF)
-        dist[_np.arange(n_sources), src_rows] = 0.0
-        maximum, add = _np.maximum, _np.add
-        for u, v, w in zip(self.edge_u, self.edge_v, weights):
-            dv = dist[:, v]
-            maximum(add(dist[:, u], w), dv, out=dv)
-        out = _np.empty((len(plan.keys), rows))
-        for k, (rows_idx, nids) in enumerate(gathers):
-            out[k] = dist[rows_idx, nids].max(axis=0)
-        return out.T.tolist()
+                    arrival = au
+                else:
+                    w = weights.setdefault((slot, index), f"w{slot}_{index}")
+                    if current is None:
+                        held[v] = local
+                        body.append(f"{local} = {au} + {w}")
+                        continue
+                    body.append(f"t = {au} + {w}")
+                    arrival = "t"
+                if current != local:  # v aliased an upstream local so far
+                    held[v] = local
+                    body.append(f"{local} = {current}")
+                body.append(f"if {arrival} > {local}: {local} = {arrival}")
+            for k, nid in sinks:
+                if k in folded:
+                    body.append(f"if {held[nid]} > k{k}: k{k} = {held[nid]}")
+                else:
+                    folded.add(k)
+                    body.append(f"k{k} = {held[nid]}")
+        slots = sorted({slot for slot, _ in weights})
+        lines = ["def kernel(values, rows):"]
+        for slot in slots:
+            lines.append(f"    m{slot} = values[{slot}]")
+            lines.append(f"    n{slot} = len(m{slot}) // rows")
+        lines.append("    block = []")
+        lines.append("    append = block.append")
+        lines.append("    for r in range(rows):")
+        for slot in slots:
+            lines.append(f"        b{slot} = r * n{slot}")
+        for (slot, index), name in weights.items():
+            lines.append(f"        {name} = m{slot}[b{slot} + {index}]")
+        lines.extend("        " + line for line in body)
+        results = ", ".join(f"k{k}" for k in range(len(plan.keys)))
+        lines.append(f"        append([{results}])")
+        lines.append("    return block")
+        source = "\n".join(lines)
+        function = _FUNCTIONS.get(source)
+        if function is None:
+            namespace: Dict[str, Callable] = {}
+            exec(compile(source, "<timing kernel>", "exec"), namespace)
+            function = _FUNCTIONS[source] = namespace["kernel"]
+        return plan.keys, function
 
 
 class TimingProgram:
@@ -365,7 +313,8 @@ class TimingProgram:
     compile time, never stored), so the multiprocessing evaluation
     backend and future remote workers can ship compiled programs
     whole: the interned node table, wiring arcs, and any already
-    compiled per-signature kernels travel with the program, and
+    compiled per-signature kernels travel with the program (each
+    kernel regenerates its function on first run there), and
     evaluation on the receiving side is bit-identical (prefix sums and
     ``max`` over identical paths).  Keep the invariant that nothing
     stored here is process-local: no lambdas, no weakrefs, no

@@ -3,14 +3,18 @@
 The production design space has one S1 costing path:
 :func:`repro.core.configs.enumerate_rows` enumerates the capped rows and
 ``DesignSpace._evaluate_combinations`` costs them in blocks through
-``_Kernel.run_batch``.  This module keeps two independent oracles for
-it, neither of which production code imports:
+``_Kernel.run_batch``, which calls the kernel's generated function.
+This module keeps independent oracles for it, none of which production
+code imports:
 
+- :func:`reference_run` -- the interpretive longest-path sweep over a
+  kernel's topological edge list, one row at a time.  It is the oracle
+  for the generated function.
 - :class:`ScalarSpace` -- the per-combination engine: a streaming
   cross product (:func:`iter_compatible`), an own-choice merge after
-  it, one ``_Kernel.run`` per combination, and the filters' ``select``.
-  It is the oracle for enumeration order, the combination cap, and
-  dominance pruning.
+  it, one :func:`reference_run` per combination, and the filters'
+  ``select``.  It is the oracle for enumeration order, the combination
+  cap, and dominance pruning.
 - :class:`ReferenceSpace` -- the seed algorithm: a materializing cross
   product (:func:`reference_combine`) and one ``port_delay_matrix``
   graph build per combination.
@@ -162,12 +166,45 @@ def row_choices(chosen: Tuple[Configuration, ...],
     return tuple(sorted(choices.items(), key=lambda kv: kv[0].sort_key))
 
 
-def run_matrices(program, matrices):
+def reference_run(kernel, values) -> Dict[Tuple[str, str], float]:
+    """Longest-path delays of ``kernel`` for one set of per-slot
+    weights (``values[slot][index]``): an interpretive sweep over the
+    kernel's whole topological edge list per source."""
+    neg = float("-inf")
+    weights = [
+        0.0 if slot < 0 else values[slot][index]
+        for slot, index in kernel.edge_ref
+    ]
+    edge_u, edge_v = kernel.edge_u, kernel.edge_v
+    result: Dict[Tuple[str, str], float] = {}
+    for source_name, src in kernel.sources:
+        dist = [neg] * kernel.n_nodes
+        dist[src] = 0.0
+        for u, v, w in zip(edge_u, edge_v, weights):
+            du = dist[u]
+            if du != neg:
+                t = du + w
+                if t > dist[v]:
+                    dist[v] = t
+        for nid, label in kernel.labeled:
+            if nid == src:
+                continue
+            value = dist[nid]
+            if value != neg:
+                key = (source_name, label)
+                prev = result.get(key)
+                if prev is None or value > prev:
+                    result[key] = value
+    return result
+
+
+def run_matrices(program, matrices, run=reference_run):
     """Delay matrix of ``program`` for one delay-matrix mapping per
-    slot, through the compiled kernel of the mappings' arc signature."""
+    slot: ``run(kernel, values)`` (default :func:`reference_run`) on
+    the kernel of the mappings' arc signature."""
     items = [tuple(sorted(matrix.items())) for matrix in matrices]
     kernel = program.kernel(tuple(tuple(k for k, _ in it) for it in items))
-    return kernel.run([tuple(v for _, v in it) for it in items])
+    return run(kernel, [tuple(v for _, v in it) for it in items])
 
 
 class ScalarSpace(DesignSpace):
@@ -198,9 +235,10 @@ class ScalarSpace(DesignSpace):
             area = 0
             for slot in program.module_slots:
                 area += chosen[slot].area
-            delays = program.kernel(
-                tuple(c.arc_keys for c in chosen)
-            ).run([c.delay_values for c in chosen])
+            delays = reference_run(
+                program.kernel(tuple(c.arc_keys for c in chosen)),
+                [c.delay_values for c in chosen],
+            )
             results.append(make_configuration(area, delays, choices))
         self.combinations_costed += len(results)
         return results

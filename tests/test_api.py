@@ -384,3 +384,23 @@ def test_python_dash_m_repro_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "DTAS alternatives for adder:4" in proc.stdout
+
+
+def test_import_and_synthesis_never_load_numpy():
+    """Stdlib-first: the package and a full synthesis import no numpy
+    (even where it is installed), which also keeps it out of peak
+    RSS."""
+    script = (
+        "import sys, repro\n"
+        "from repro.api import Session\n"
+        "job = Session(library='lsi_logic').synthesize('adder:8')\n"
+        "assert job.result.alternatives\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,9 +6,10 @@ the per-combination oracle ``ScalarSpace`` of
 filters, enumeration orders, worker counts/backends, and perturbed
 delay books.
 
-Also covers the kernel-level ``run_batch`` contract (stdlib vs numpy vs
-per-row ``run``, chunked blocks) and the pickling invariants the row
-path leans on (canonical interned specs, ``ChoiceTuple`` degrading to a
+Also fuzzes the kernels' generated functions against the interpretive
+oracle ``reference_run`` (exact floats, every block size, pickled
+kernels recompiling) and covers the pickling invariants the row path
+leans on (canonical interned specs, ``ChoiceTuple`` degrading to a
 plain tuple).
 """
 
@@ -16,9 +17,10 @@ import dataclasses
 import multiprocessing
 import pickle
 import random
+from array import array
 
 import pytest
-from reference_engine import ScalarSpace
+from reference_engine import ScalarSpace, reference_run
 
 from repro.api import Session
 from repro.core.configs import ChoiceTuple, make_configuration
@@ -31,8 +33,14 @@ from repro.core.filters import (
 )
 from repro.core.library_rules import lsi_rules
 from repro.core.rulebase import standard_rulebase
-from repro.core.specs import adder_spec, alu_spec, comparator_spec, make_spec
-from repro.netlist import timing_program as tp
+from repro.core.specs import (
+    adder_spec,
+    alu_spec,
+    comparator_spec,
+    counter_spec,
+    make_spec,
+)
+from repro.netlist.timing_program import CLK_PIN, compile_timing
 from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
 
@@ -156,62 +164,85 @@ def test_combinations_costed_counter_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# kernel-level run_batch
+# the generated kernel function against the interpretive oracle
 # ---------------------------------------------------------------------------
 
-def _compiled_node_kernel():
-    """One real compiled kernel plus a block of its live weight rows,
-    pulled from an evaluated node of the adder space."""
-    from array import array
-
-    space = _space(perf_filter=KeepAllFilter(), max_combinations=200)
-    spec = adder_spec(8)
-    space.alternatives(spec)
-    node = space.nodes[spec]
-    impl = next(i for i in node.impls if i.timing_program is not None)
-    program = impl.timing_program
-    # One slot per *distinct* module spec -- the same slotting
-    # _decomp_configs evaluates with (instances of one spec share).
-    distinct = list(dict.fromkeys(m.spec for m in impl.netlist.modules))
-    option_lists = [space.alternatives(sub) for sub in distinct]
-    combos = []
-    for first in option_lists[0][:4]:
-        row = [first] + [options[0] for options in option_lists[1:]]
-        combos.append(row)
-    signature = tuple(c.arc_keys for c in combos[0])
-    kernel = program.kernel(signature)
-    matrices = []
-    for slot in range(len(signature)):
-        mat = array("d")
-        for row in combos:
-            mat.extend(row[slot].delay_values)
-        matrices.append(mat)
-    return kernel, signature, matrices, combos
-
-
-def test_run_batch_matches_per_row_run_stdlib_and_numpy(monkeypatch):
-    kernel, signature, matrices, combos = _compiled_node_kernel()
-    keys, block = kernel.run_batch(matrices, len(combos))
-    per_row = [kernel.run([row[s].delay_values
-                           for s in range(len(signature))])
-               for row in combos]
-    for got, expected in zip(block, per_row):
-        assert list(zip(keys, got)) == list(expected.items()) \
-            or dict(zip(keys, got)) == dict(expected)
-    if tp._np is not None:
-        monkeypatch.setattr(tp, "_np", None)
-        keys_py, block_py = kernel.run_batch(matrices, len(combos))
-        assert keys_py == keys
-        assert block_py == block  # bit-identical, not approximately
+@pytest.fixture(scope="module")
+def kernel_pool():
+    """Every (kernel, arc signature) compiled while evaluating a small
+    rule catalogue -- real netlists, clocked ones (counters) among
+    them -- plus each one recompiled with one slot per instance, so
+    sibling instances get unequal weights and keys fed by several
+    sinks or ``@clk`` sources see unequal contributions."""
+    space = _space(max_combinations=200)
+    for spec in (adder_spec(8), alu_spec(8), comparator_spec(8),
+                 counter_spec(8)):
+        space.alternatives(spec)
+    pool = {}
+    for node in space.nodes.values():
+        for impl in node.impls:
+            program = impl.timing_program
+            if program is None:
+                continue
+            per_instance = compile_timing(impl.netlist)
+            for signature, kernel in program._kernels.items():
+                pool[id(kernel)] = (kernel, signature)
+                spread = tuple(signature[slot]
+                               for slot in program.module_slots)
+                pool[(id(kernel), "instance")] = (
+                    per_instance.kernel(spread), spread)
+    kernels = list(pool.values())
+    keys = [key for kernel, _ in kernels for key in kernel.run_batch([], 0)[0]]
+    # the @clk pin is split into a source and a sink half, and most
+    # kernels propagate from several sources
+    assert any(source == CLK_PIN for source, _ in keys)
+    assert any(sink == CLK_PIN for _, sink in keys)
+    assert sum(len(kernel.sources) > 1 for kernel, _ in kernels) > 1
+    return kernels
 
 
-def test_run_batch_chunked_block_is_identical(monkeypatch):
-    kernel, signature, matrices, combos = _compiled_node_kernel()
-    keys, whole = kernel.run_batch(matrices, len(combos))
-    monkeypatch.setattr(tp, "_BATCH_ELEMENTS", 1)  # force chunk size 1
-    keys_chunked, chunked = kernel.run_batch(matrices, len(combos))
-    assert keys_chunked == keys
-    assert chunked == whole
+def _random_matrices(rng, signature, rows):
+    return [array("d", [rng.uniform(0.0, 20.0)
+                        for _ in range(rows * len(arcs))])
+            for arcs in signature]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 300])
+def test_generated_kernel_matches_reference_run(kernel_pool, rows):
+    rng = random.Random(1000 + rows)
+    for kernel, signature in kernel_pool:
+        matrices = _random_matrices(rng, signature, rows)
+        keys, block = kernel.run_batch(matrices, rows)
+        assert len(block) == rows
+        for r, got in enumerate(block):
+            expected = reference_run(kernel, [
+                mat[r * len(arcs):(r + 1) * len(arcs)]
+                for mat, arcs in zip(matrices, signature)])
+            assert keys == tuple(sorted(expected))
+            assert got == [expected[key] for key in keys]  # exact floats
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_generated_kernel_empty_block(kernel_pool, rows):
+    for kernel, signature in kernel_pool:
+        keys, block = kernel.run_batch(
+            _random_matrices(random.Random(1), signature, 1), rows)
+        assert block == []
+        assert keys == kernel.run_batch([], 0)[0]
+
+
+def test_pickled_kernel_recompiles_to_the_same_block(kernel_pool):
+    rng = random.Random(5)
+    for kernel, signature in kernel_pool:
+        if not any(source == CLK_PIN for source, _ in kernel.sources):
+            continue
+        matrices = _random_matrices(rng, signature, 7)
+        compiled = kernel.run_batch(matrices, 7)
+        assert kernel._compiled is not None
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone._compiled is None  # the function never travels
+        assert clone.run_batch(matrices, 7) == compiled
+        assert clone._compiled is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ from repro.netlist.timing import CLK_PIN, TimingCycleError
 
 
 def program_matrix(netlist, delays, slot_of=None):
+    """The program's delay matrix through the reference sweep, after
+    checking that the kernel's generated function agrees exactly."""
     program = compile_timing(netlist, slot_of=slot_of)
-    return run_matrices(
-        program,
-        [delays(inst) for inst in _slot_representatives(program, netlist)],
-    )
+    matrices = [delays(inst)
+                for inst in _slot_representatives(program, netlist)]
+    expected = run_matrices(program, matrices)
+    assert run_matrices(program, matrices,
+                        run=lambda kernel, values: kernel.run(values)) \
+        == expected
+    return expected
 
 
 def _slot_representatives(program, netlist):
