@@ -682,24 +682,26 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_nodes(args: argparse.Namespace, store) -> int:
-    """``repro cache nodes <info|list|prune|clear>`` -- maintain the
-    per-node option cache that shares the result store's file."""
-    action = args.fingerprint or "info"
-    if action not in ("info", "list", "prune", "clear"):
-        print(f"{PROG} cache nodes: unknown action {action!r} "
-              f"(expected info, list, prune, or clear)", file=sys.stderr)
-        return 2
-    try:
-        from repro.nodestore import NodeStore
+#: The wording of one cache kind's ``repro cache`` output: command,
+#: metadata column, empty-list line, prune line, clear line.
+_CACHE_TEXT = {
+    "results": ("cache", "label", "(store is empty)",
+                "pruned {removed} entries; {remaining} remain ({mb:.2f} MB)",
+                "cleared {} entries"),
+    "nodes": ("cache nodes", "spec", "(node cache is empty)",
+              "pruned {removed} entries (results and nodes share the "
+              "budget); {remaining} node entries remain ({mb:.2f} MB "
+              "total)",
+              "cleared {} node entries"),
+}
 
-        nodes = NodeStore(store.path)
-    except (KeyError, OSError, ValueError) as error:
-        print(f"{PROG} cache nodes: {error}", file=sys.stderr)
-        return 2
 
+def _cache_maintenance(action: str, cache, kind: str,
+                       max_mb: Optional[float]) -> int:
+    """``info | list | prune | clear`` on either cache kind."""
+    command, column, empty, pruned, cleared = _CACHE_TEXT[kind]
     if action == "info":
-        info = nodes.info()
+        info = cache.info()
         print(f"path:     {info['path']}")
         print(f"schema:   {info['schema']}")
         print(f"entries:  {info['entries']}")
@@ -707,28 +709,30 @@ def _cmd_cache_nodes(args: argparse.Namespace, store) -> int:
         print(f"hits:     {info['hits']}")
         return 0
     if action == "list":
-        entries = nodes.entries()
+        entries = cache.entries()
         if not entries:
-            print("(node cache is empty)")
+            print(empty)
             return 0
-        print(f"{'fingerprint':<16} {'size':>8} {'hits':>5}  spec")
+        print(f"{'fingerprint':<16} {'size':>8} {'hits':>5}  {column}")
         for entry in entries:
             print(f"{entry['fingerprint'][:16]:<16} "
                   f"{entry['size_bytes']:>8} {entry['hits']:>5}  "
-                  f"{entry['spec']}")
+                  f"{entry[column]}")
         return 0
     if action == "prune":
-        if args.max_mb is None:
-            print(f"{PROG} cache nodes prune: pass --max-mb",
-                  file=sys.stderr)
+        if max_mb is None:
+            print(f"{PROG} {command} prune: pass --max-mb", file=sys.stderr)
             return 2
-        result = nodes.prune(args.max_mb)
-        print(f"pruned {result['removed']} entries (results and nodes "
-              f"share the budget); {result['remaining']} node entries "
-              f"remain ({result['payload_bytes'] / 1e6:.2f} MB total)")
+        try:
+            result = cache.prune(max_mb)
+        except ValueError as error:
+            print(f"{PROG} {command} prune: {error}", file=sys.stderr)
+            return 2
+        print(pruned.format(removed=result["removed"],
+                            remaining=result["remaining"],
+                            mb=result["payload_bytes"] / 1e6))
         return 0
-    removed = nodes.clear()
-    print(f"cleared {removed} node entries")
+    print(cleared.format(cache.clear()))
     return 0
 
 
@@ -743,27 +747,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "nodes":
-        return _cmd_cache_nodes(args, store)
+        # The per-node option cache that shares the result store's file.
+        action = args.fingerprint or "info"
+        if action not in ("info", "list", "prune", "clear"):
+            print(f"{PROG} cache nodes: unknown action {action!r} "
+                  f"(expected info, list, prune, or clear)", file=sys.stderr)
+            return 2
+        try:
+            nodes = registry.create_node_store(store.path)
+        except (KeyError, OSError, ValueError) as error:
+            print(f"{PROG} cache nodes: {error}", file=sys.stderr)
+            return 2
+        return _cache_maintenance(action, nodes, "nodes", args.max_mb)
 
-    if args.action == "info":
-        info = store.info()
-        print(f"path:     {info['path']}")
-        print(f"schema:   {info['schema']}")
-        print(f"entries:  {info['entries']}")
-        print(f"payload:  {info['payload_bytes'] / 1e6:.2f} MB")
-        print(f"hits:     {info['hits']}")
-        return 0
-    if args.action == "list":
-        entries = store.entries()
-        if not entries:
-            print("(store is empty)")
-            return 0
-        print(f"{'fingerprint':<16} {'size':>8} {'hits':>5}  label")
-        for entry in entries:
-            print(f"{entry['fingerprint'][:16]:<16} "
-                  f"{entry['size_bytes']:>8} {entry['hits']:>5}  "
-                  f"{entry['label']}")
-        return 0
     if args.action == "show":
         # The persisted artifacts -- label, stats, and the rendered
         # figure-3 report -- without loading any engine code.
@@ -796,19 +792,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print()
             print(report)
         return 0
-    if args.action == "prune":
-        if args.max_mb is None:
-            print(f"{PROG} cache prune: pass --max-mb", file=sys.stderr)
-            return 2
-        result = store.prune(args.max_mb)
-        print(f"pruned {result['removed']} entries; {result['remaining']} "
-              f"remain ({result['payload_bytes'] / 1e6:.2f} MB)")
-        return 0
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"cleared {removed} entries")
-        return 0
-    return 2
+    return _cache_maintenance(args.action, store, "results", args.max_mb)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import difflib
 import threading
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
@@ -209,6 +210,86 @@ ORDERS = Registry("order", "() -> Optional[callable]")
 
 
 # ---------------------------------------------------------------------------
+# Cache kinds: the one place a kind picks its classes
+# ---------------------------------------------------------------------------
+
+def _cache_kind(kind: str):
+    """``(names, backend ABC, SQLite class, fault wrapper)`` for one
+    cache kind, ``"results"`` or ``"nodes"``.  Imported lazily so that
+    importing the registry loads no store code."""
+    from repro.nodestore import NodeStore
+    from repro.resilience import FaultInjectingNodeStore, FaultInjectingStore
+    from repro.store import NodeStoreBackend, ResultStore, StoreBackend
+
+    return {
+        "results": (STORES, StoreBackend, ResultStore, FaultInjectingStore),
+        "nodes": (NODE_STORES, NodeStoreBackend, NodeStore,
+                  FaultInjectingNodeStore),
+    }[kind]
+
+
+def _open_cache(kind: str, path: Any = None, **options):
+    """The SQLite backend of ``kind`` on ``path`` (None: the default
+    file) -- the constructor behind every built-in name and scheme."""
+    return _cache_kind(kind)[2](path, **options)
+
+
+def _pop_busy_timeout(params: Dict[str, str], url: str) -> int:
+    text = params.pop("busy_timeout_ms", None)
+    if text is None:
+        return 10_000
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(
+            f"store URL {url!r}: busy_timeout_ms must be an "
+            f"integer number of milliseconds, got {text!r}") from None
+    if value < 1:
+        raise ValueError(
+            f"store URL {url!r}: busy_timeout_ms must be >= 1, "
+            f"got {value}")
+    return value
+
+
+def _sqlite_scheme(memory: bool, faulted: bool) -> Callable:
+    """The :data:`STORE_SCHEMES` factory of one built-in scheme: a
+    SQLite file (``busy_timeout_ms`` may be set) or ephemeral SQLite
+    (no path), optionally behind a :class:`FaultPolicy` built from the
+    rest of the query."""
+
+    def factory(rest: str, url: str, kind: str):
+        from repro.resilience import FaultPolicy
+        from repro.store import split_url_query, sqlite_url_path
+
+        try:
+            path, params = split_url_query(rest, url)
+            options: Dict[str, Any] = {}
+            if memory:
+                name = "fault+memory" if faulted else "memory"
+                if path not in ("", "//") or (params and not faulted):
+                    raise ValueError(
+                        f"store URL {url!r} is malformed: the {name} "
+                        f"scheme takes no path (use "
+                        f"'{name}:{'?...' if faulted else ''}')")
+                path = ":memory:"
+            else:
+                path = sqlite_url_path(path, url)
+                options["busy_timeout_ms"] = _pop_busy_timeout(params, url)
+            if faulted:
+                policy = FaultPolicy.from_params(params, url)
+            elif params:
+                raise ValueError(
+                    f"store URL {url!r} has unknown query parameter(s): "
+                    f"{', '.join(sorted(params))} (known: busy_timeout_ms)")
+        except ValueError as error:
+            raise RegistryError(str(error)) from None
+        backend = _open_cache(kind, path, **options)
+        return _cache_kind(kind)[3](backend, policy) if faulted else backend
+
+    return factory
+
+
+# ---------------------------------------------------------------------------
 # Built-in backends
 # ---------------------------------------------------------------------------
 
@@ -295,151 +376,36 @@ def _register_builtins() -> None:
         description="cap-adaptive: lex prefix + frontier tail, so tiny "
                     "caps keep the knee region and the delay corner")
 
-    def _default_store():
-        from repro.store import ResultStore
-
-        return ResultStore()
-
-    def _memory_store():
-        from repro.store import ResultStore
-
-        return ResultStore(":memory:")
-
     STORES.register(
-        "default", _default_store,
+        "default", lambda: _open_cache("results"),
         description="on-disk store at $REPRO_STORE or "
                     "~/.cache/repro/store.sqlite")
     STORES.register(
-        "memory", _memory_store,
+        "memory", lambda: _open_cache("results", ":memory:"),
         description="ephemeral in-process SQLite store (tests, opt-out)")
-
-    def _default_node_store():
-        from repro.nodestore import NodeStore
-
-        return NodeStore()
-
-    def _memory_node_store():
-        from repro.nodestore import NodeStore
-
-        return NodeStore(":memory:")
-
     NODE_STORES.register(
-        "default", _default_node_store,
+        "default", lambda: _open_cache("nodes"),
         description="nodes table co-located with the default result "
                     "store file")
     NODE_STORES.register(
-        "memory", _memory_node_store,
+        "memory", lambda: _open_cache("nodes", ":memory:"),
         description="ephemeral in-process SQLite node cache (tests)")
 
-    def _pop_busy_timeout(params, url):
-        text = params.pop("busy_timeout_ms", None)
-        if text is None:
-            return 10_000
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"store URL {url!r}: busy_timeout_ms must be an "
-                f"integer number of milliseconds, got {text!r}") from None
-        if value < 1:
-            raise ValueError(
-                f"store URL {url!r}: busy_timeout_ms must be >= 1, "
-                f"got {value}")
-        return value
-
-    def _sqlite_scheme(rest, url, kind):
-        from repro.store import ResultStore, split_url_query, sqlite_url_path
-
-        try:
-            rest, params = split_url_query(rest, url)
-            path = sqlite_url_path(rest, url)
-            busy_timeout_ms = _pop_busy_timeout(params, url)
-            if params:
-                raise ValueError(
-                    f"store URL {url!r} has unknown query parameter(s): "
-                    f"{', '.join(sorted(params))} (known: busy_timeout_ms)")
-        except ValueError as error:
-            raise RegistryError(str(error)) from None
-        if kind == "nodes":
-            from repro.nodestore import NodeStore
-
-            return NodeStore(path, busy_timeout_ms=busy_timeout_ms)
-        return ResultStore(path, busy_timeout_ms=busy_timeout_ms)
-
-    def _memory_scheme(rest, url, kind):
-        if rest not in ("", "//"):
-            raise RegistryError(
-                f"store URL {url!r} is malformed: the memory scheme "
-                f"takes no path (use 'memory:')")
-        if kind == "nodes":
-            from repro.nodestore import NodeStore
-
-            return NodeStore(":memory:")
-        from repro.store import ResultStore
-
-        return ResultStore(":memory:")
-
-    def _fault_sqlite_scheme(rest, url, kind):
-        from repro.resilience import (
-            FaultInjectingNodeStore,
-            FaultInjectingStore,
-            FaultPolicy,
-        )
-        from repro.store import ResultStore, split_url_query, sqlite_url_path
-
-        try:
-            rest, params = split_url_query(rest, url)
-            path = sqlite_url_path(rest, url)
-            busy_timeout_ms = _pop_busy_timeout(params, url)
-            policy = FaultPolicy.from_params(params, url)
-        except ValueError as error:
-            raise RegistryError(str(error)) from None
-        if kind == "nodes":
-            from repro.nodestore import NodeStore
-
-            return FaultInjectingNodeStore(
-                NodeStore(path, busy_timeout_ms=busy_timeout_ms), policy)
-        return FaultInjectingStore(
-            ResultStore(path, busy_timeout_ms=busy_timeout_ms), policy)
-
-    def _fault_memory_scheme(rest, url, kind):
-        from repro.resilience import (
-            FaultInjectingNodeStore,
-            FaultInjectingStore,
-            FaultPolicy,
-        )
-        from repro.store import ResultStore, split_url_query
-
-        try:
-            rest, params = split_url_query(rest, url)
-            if rest not in ("", "//"):
-                raise ValueError(
-                    f"store URL {url!r} is malformed: the fault+memory "
-                    f"scheme takes no path (use 'fault+memory:?...')")
-            policy = FaultPolicy.from_params(params, url)
-        except ValueError as error:
-            raise RegistryError(str(error)) from None
-        if kind == "nodes":
-            from repro.nodestore import NodeStore
-
-            return FaultInjectingNodeStore(NodeStore(":memory:"), policy)
-        return FaultInjectingStore(ResultStore(":memory:"), policy)
-
     STORE_SCHEMES.register(
-        "sqlite", _sqlite_scheme,
+        "sqlite", _sqlite_scheme(memory=False, faulted=False),
         description="one SQLite file (sqlite:///abs/path.sqlite or "
                     "sqlite://relative.sqlite?busy_timeout_ms=500); the "
                     "default backend")
     STORE_SCHEMES.register(
-        "memory", _memory_scheme,
+        "memory", _sqlite_scheme(memory=True, faulted=False),
         description="ephemeral per-process SQLite (memory:)")
     STORE_SCHEMES.register(
-        "fault+sqlite", _fault_sqlite_scheme,
+        "fault+sqlite", _sqlite_scheme(memory=False, faulted=True),
         description="SQLite behind deterministic fault injection "
                     "(fault+sqlite://path?fail_rate=&latency_ms=&"
                     "corrupt_rate=&seed=&fail_first=)")
     STORE_SCHEMES.register(
-        "fault+memory", _fault_memory_scheme,
+        "fault+memory", _sqlite_scheme(memory=True, faulted=True),
         description="ephemeral SQLite behind fault injection "
                     "(fault+memory:?fail_rate=...)")
 
@@ -513,6 +479,27 @@ def _create_from_url(spec: str, kind: str, names: "Registry"):
     return factory(rest, spec, kind)
 
 
+def _create_cache(spec: Any, kind: str):
+    """Resolve a designator of either cache kind (the body of
+    :func:`create_store` and :func:`create_node_store`)."""
+    if spec is None:
+        return None
+    names, backend, sqlite, _ = _cache_kind(kind)
+    if isinstance(spec, backend):
+        return spec
+    if isinstance(spec, str):
+        from_url = _create_from_url(spec, kind, names)
+        if from_url is not None:
+            return from_url
+        if spec in names:
+            return names.create(spec)
+    if spec is True or isinstance(spec, (str, Path)):
+        return sqlite(None if spec is True else spec)
+    raise TypeError(
+        f"cannot open a {names.kind} from {type(spec).__name__}: expected "
+        f"None, True, a path, or a {backend.__name__}")
+
+
 def create_store(spec: Any):
     """Resolve a result-store designator: ``None`` means no store, a
     ``StoreBackend`` passes through, a registered name (``"default"``,
@@ -520,39 +507,16 @@ def create_store(spec: Any):
     (``sqlite:///path``, ``memory:``) resolves through
     :data:`STORE_SCHEMES`, and any other string/path (or ``True`` for
     the default location) opens that SQLite file directly."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        backend = _create_from_url(spec, "results", STORES)
-        if backend is not None:
-            return backend
-        if spec in STORES:
-            return STORES.create(spec)
-    from repro.store import open_store
-
-    return open_store(spec)
+    return _create_cache(spec, "results")
 
 
 def create_node_store(spec: Any):
-    """Resolve a node-store designator: ``None`` means no node cache, a
-    ``NodeStoreBackend`` passes through, a registered name
-    (``"default"``, ``"memory"``) is looked up in :data:`NODE_STORES`,
-    a URL (``sqlite:///path``, ``memory:``) resolves through
-    :data:`STORE_SCHEMES`, and any other string/path (or ``True`` for
-    the default location) opens the ``nodes`` table in that SQLite
-    file directly -- which may be, and by default is, the same file a
+    """Resolve a node-store designator exactly like
+    :func:`create_store`, against :data:`NODE_STORES` and
+    ``NodeStoreBackend`` -- a path opens the ``nodes`` table in that
+    SQLite file, which may be, and by default is, the same file a
     :class:`~repro.store.ResultStore` uses."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        backend = _create_from_url(spec, "nodes", NODE_STORES)
-        if backend is not None:
-            return backend
-        if spec in NODE_STORES:
-            return NODE_STORES.create(spec)
-    from repro.nodestore import open_node_store
-
-    return open_node_store(spec)
+    return _create_cache(spec, "nodes")
 
 
 def create_order(spec: Any):

@@ -28,7 +28,8 @@ live expansion and self-heals on mismatch, and end results are
 byte-identical with the cache on, off, or half-warm (expansion always
 runs; only per-node *evaluation* is skipped).
 
-Sessions opt in with ``Session(node_store=...)``; the serve layer
+Sessions opt in with ``Session(node_store=...)`` (any designator
+:func:`repro.api.registry.create_node_store` resolves); the serve layer
 co-locates a node cache with its result store by default; the CLI
 drives it with ``repro warm --nodes`` and ``repro cache nodes
 info | list | prune --max-mb N | clear``.
@@ -40,18 +41,13 @@ from repro.nodestore.fingerprint import (
     session_space_key,
     space_key,
 )
-from repro.nodestore.store import (
-    NODE_SCHEMA,
-    NodeStore,
-    open_node_store,
-)
+from repro.nodestore.store import NODE_SCHEMA, NodeStore
 
 __all__ = [
     "NODESTORE_SCHEMA",
     "NODE_SCHEMA",
     "NodeStore",
     "node_key",
-    "open_node_store",
     "session_space_key",
     "space_key",
 ]

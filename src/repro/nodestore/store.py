@@ -36,6 +36,12 @@ implementation count); any mismatch or decode failure deletes the
 entry and reports a miss, so a corrupt or stale row self-heals on the
 next publish.  SQLite errors degrade to misses/no-ops: a broken cache
 must never break synthesis.
+
+The SQLite lifecycle, table set-up and maintenance surface (``len``,
+``in``, ``entries``, ``info``, ``prune``, ``clear``, ``close``) are
+:class:`repro.store.store.CacheTable`'s, shared with the result store;
+this module adds the hot tier, the per-pid re-open, the payload codec
+and the shared dictionaries.
 """
 
 from __future__ import annotations
@@ -52,11 +58,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.store.backend import NodeStoreBackend
 from repro.store.fingerprint import spec_token
-from repro.store.store import (
-    StoreError,
-    default_store_path,
-    prune_cache_tables,
-)
+from repro.store.store import STORE_FAILURES, CacheTable
 
 #: Node table format version; a mismatch drops the ``nodes`` table (a
 #: cache is rebuilt, never migrated).  Tracked separately from the
@@ -98,20 +100,28 @@ def _token_key(token: Any) -> str:
     return json.dumps(token, sort_keys=True, separators=(",", ":"))
 
 
-class NodeStore(NodeStoreBackend):
+class NodeStore(CacheTable, NodeStoreBackend):
     """The SQLite :class:`~repro.store.backend.NodeStoreBackend` -- a
     content-addressed per-node option cache (SQLite + hot tier), the
     default backend (URL form: ``sqlite:///path``, by default the
-    result store's own file)."""
+    result store's own file).  Errors never raise past it: they count
+    under ``errors`` and degrade to a miss or a no-op."""
 
-    scheme = "sqlite"
+    table, meta_key, column = "nodes", "node_schema", "spec"
+    noun = "node store"
+    # The shared per-space-key spec dictionaries payload v2 references;
+    # append-only JSON lists, tiny next to the node payloads they
+    # deduplicate, so pruning leaves them alone (clearing does not: no
+    # node row references them any more, and a clobbered dictionary
+    # heals).
+    extra_ddl = ("CREATE TABLE IF NOT EXISTS node_dicts ("
+                 " space_key TEXT PRIMARY KEY,"
+                 " entries TEXT NOT NULL)",)
+    clear_also = ("node_dicts",)
 
     def __init__(self, path: Union[str, Path, None] = None,
                  hot_entries: int = HOT_TIER_ENTRIES,
                  busy_timeout_ms: int = 10_000) -> None:
-        self.path = Path(path) if path is not None else default_store_path()
-        self.busy_timeout_ms = int(busy_timeout_ms)
-        self._lock = threading.Lock()
         self._pid = os.getpid()
         self._hot: "OrderedDict[str, Tuple[tuple, int]]" = OrderedDict()
         self._hot_entries = max(1, hot_entries)
@@ -128,30 +138,19 @@ class NodeStore(NodeStoreBackend):
         self.misses = 0
         self.published = 0
         self.errors = 0
-        # The schema statements stay inside the try: sqlite3.connect is
-        # lazy, so a corrupt or non-SQLite file only surfaces
-        # (sqlite3.DatabaseError, not an OSError) on the first execute.
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._db = self._connect()
-            self._ensure_schema()
-        except (OSError, sqlite3.Error) as error:
-            raise StoreError(f"cannot open node store {self.path}: {error}")
+        super().__init__(path, busy_timeout_ms)
+
+    @property
+    def version(self) -> int:
+        return NODE_SCHEMA
 
     # ------------------------------------------------------------------
-    # connection lifecycle (fork safety)
+    # CacheTable hooks
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        db = sqlite3.connect(str(self.path),
-                             timeout=self.busy_timeout_ms / 1000.0,
-                             check_same_thread=False)
-        db.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-        try:
-            db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=NORMAL")
-        except sqlite3.Error:
-            pass
-        return db
+    def _failed(self, error: Exception) -> None:
+        """Count and degrade: a broken cache must never break
+        synthesis (caller holds the lock)."""
+        self.errors += 1
 
     def _ensure_open(self) -> None:
         """Re-open after ``fork``: the process backend's workers inherit
@@ -171,48 +170,20 @@ class NodeStore(NodeStoreBackend):
         try:
             self._db = self._connect()
         except sqlite3.Error:
-            self._db = None  # degrade: hot tier only in this child
+            # Degrade to the hot tier in this child: a closed
+            # connection fails every statement into ``errors``.
+            self._db = sqlite3.connect(":memory:")
+            self._db.close()
         self._pid = os.getpid()
 
-    def _ensure_schema(self) -> None:
-        with self._lock, self._db:
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS meta "
-                "(key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = self._db.execute(
-                "SELECT value FROM meta WHERE key = 'node_schema'"
-            ).fetchone()
-            if row is not None and int(row[0]) != NODE_SCHEMA:
-                self._db.execute("DROP TABLE IF EXISTS nodes")
-                row = None
-            if row is None:
-                self._db.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) "
-                    "VALUES ('node_schema', ?)",
-                    (str(NODE_SCHEMA),),
-                )
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS nodes ("
-                " fingerprint TEXT PRIMARY KEY,"
-                " spec TEXT NOT NULL DEFAULT '',"
-                " created_at REAL NOT NULL,"
-                " last_used REAL NOT NULL,"
-                " hits INTEGER NOT NULL DEFAULT 0,"
-                " size_bytes INTEGER NOT NULL,"
-                " payload TEXT NOT NULL)"
-            )
-            self._db.execute(
-                "CREATE INDEX IF NOT EXISTS nodes_lru ON nodes (last_used)"
-            )
-            # The shared per-space-key spec dictionaries payload v2
-            # references; append-only JSON lists, tiny next to the node
-            # payloads they deduplicate, so pruning leaves them alone.
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS node_dicts ("
-                " space_key TEXT PRIMARY KEY,"
-                " entries TEXT NOT NULL)"
-            )
+    def _forget(self) -> None:
+        # Evicted rows must not linger hot, and a cleared dictionary
+        # must be re-read.
+        self._hot.clear()
+        self._dicts.clear()
+
+    def _extra_info(self) -> Dict[str, Any]:
+        return {"hot_entries": len(self._hot)}
 
     # ------------------------------------------------------------------
     # the cache protocol (what DesignSpace calls)
@@ -243,11 +214,11 @@ class NodeStore(NodeStoreBackend):
                     # are exactly the ones the hot tier keeps answering,
                     # and without the stamp a shared-LRU prune would
                     # evict them *first*.
-                    self._touch_locked(fingerprint)
+                    self._touch(fingerprint)
                     self.hits += 1
                     return list(options)
                 del self._hot[fingerprint]
-                self._delete_locked(fingerprint)
+                self._delete(fingerprint)
                 self.misses += 1
                 return None
         payload = self._get_payload(fingerprint)
@@ -258,7 +229,7 @@ class NodeStore(NodeStoreBackend):
         options = self._revive(payload, spec, expected_impls, space_key)
         with self._lock:
             if options is None:
-                self._delete_locked(fingerprint)
+                self._delete(fingerprint)
                 self.misses += 1
                 return None
             self._hot_insert_locked(fingerprint, tuple(options),
@@ -291,7 +262,7 @@ class NodeStore(NodeStoreBackend):
         with self._lock:
             if fingerprint in self._hot and self._row_exists_locked(
                     fingerprint):
-                self._touch_locked(fingerprint)
+                self._touch(fingerprint)
                 return False
             payload = self._encode_locked(spec, options, impls, programs,
                                           space_key)
@@ -299,22 +270,18 @@ class NodeStore(NodeStoreBackend):
                               separators=(",", ":"))
             now = time.time()
             persisted = False
-            if self._db is not None:
-                try:
-                    with self._db:
-                        self._db.execute(
-                            "INSERT OR REPLACE INTO nodes "
-                            "(fingerprint, spec, created_at, last_used,"
-                            " hits, size_bytes, payload) "
-                            "VALUES (?, ?, ?, ?, 0, ?, ?)",
-                            (fingerprint, str(spec), now, now, len(text),
-                             text),
-                        )
-                    persisted = True
-                except (sqlite3.Error, OSError):
-                    self.errors += 1  # unpersisted results still serve
-            else:
-                self.errors += 1  # no connection (closed / reopen failed)
+            try:
+                with self._db:
+                    self._db.execute(
+                        "INSERT OR REPLACE INTO nodes "
+                        "(fingerprint, spec, created_at, last_used,"
+                        " hits, size_bytes, payload) "
+                        "VALUES (?, ?, ?, ?, 0, ?, ?)",
+                        (fingerprint, str(spec), now, now, len(text), text),
+                    )
+                persisted = True
+            except STORE_FAILURES as error:
+                self._failed(error)  # unpersisted results still serve
             self._hot_insert_locked(fingerprint, tuple(options), impls)
             if persisted:
                 self.published += 1
@@ -323,32 +290,22 @@ class NodeStore(NodeStoreBackend):
     # -- load plumbing -------------------------------------------------
     def _get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            if self._db is None:
-                return None
             try:
                 row = self._db.execute(
                     "SELECT payload FROM nodes WHERE fingerprint = ?",
                     (fingerprint,),
                 ).fetchone()
-            except (sqlite3.Error, OSError):
-                self.errors += 1
+            except STORE_FAILURES as error:
+                self._failed(error)
                 return None
             if row is None:
                 return None
             try:
                 payload = json.loads(row[0])
             except ValueError:
-                self._delete_locked(fingerprint)
+                self._delete(fingerprint)
                 return None
-            try:
-                with self._db:
-                    self._db.execute(
-                        "UPDATE nodes SET last_used = ?, hits = hits + 1 "
-                        "WHERE fingerprint = ?",
-                        (time.time(), fingerprint),
-                    )
-            except (sqlite3.Error, OSError):
-                self.errors += 1  # a lost LRU stamp costs nothing
+            self._touch(fingerprint)  # a lost LRU stamp costs nothing
         return payload
 
     # -- payload v2: delta encode/decode -------------------------------
@@ -521,15 +478,13 @@ class NodeStore(NodeStoreBackend):
     def _dict_refresh_locked(self, space_key: str, state: list) -> None:
         """Extend the cached dictionary with whatever SQLite holds
         beyond it (another process appended)."""
-        if self._db is None:
-            return
         try:
             row = self._db.execute(
                 "SELECT entries FROM node_dicts WHERE space_key = ?",
                 (space_key,),
             ).fetchone()
-        except (sqlite3.Error, OSError):
-            self.errors += 1
+        except STORE_FAILURES as error:
+            self._failed(error)
             return
         if row is None:
             return
@@ -564,8 +519,6 @@ class NodeStore(NodeStoreBackend):
         entries, index, revived, digests = state
         keys = [_token_key(token) for token in tokens]
         if any(key not in index for key in keys):
-            if self._db is None:
-                return None
             try:
                 self._db.execute("BEGIN IMMEDIATE")
                 try:
@@ -590,8 +543,8 @@ class NodeStore(NodeStoreBackend):
                 except BaseException:
                     self._db.execute("ROLLBACK")
                     raise
-            except (sqlite3.Error, OSError):
-                self.errors += 1
+            except STORE_FAILURES as error:
+                self._failed(error)
                 return None
         count = len(entries)
         known = digests.get(count)
@@ -600,41 +553,13 @@ class NodeStore(NodeStoreBackend):
         return [index[key] for key in keys], count, known
 
     def _row_exists_locked(self, fingerprint: str) -> bool:
-        if self._db is None:
-            return False
         try:
             return self._db.execute(
                 "SELECT 1 FROM nodes WHERE fingerprint = ?", (fingerprint,)
             ).fetchone() is not None
-        except (sqlite3.Error, OSError):
-            self.errors += 1
+        except STORE_FAILURES as error:
+            self._failed(error)
             return False
-
-    def _touch_locked(self, fingerprint: str) -> None:
-        """Best-effort LRU stamp + hit count on the persistent row (a
-        lost stamp costs nothing; an evicted row is simply absent)."""
-        if self._db is None:
-            return
-        try:
-            with self._db:
-                self._db.execute(
-                    "UPDATE nodes SET last_used = ?, hits = hits + 1 "
-                    "WHERE fingerprint = ?",
-                    (time.time(), fingerprint),
-                )
-        except (sqlite3.Error, OSError):
-            self.errors += 1
-
-    def _delete_locked(self, fingerprint: str) -> None:
-        if self._db is None:
-            return
-        try:
-            with self._db:
-                self._db.execute(
-                    "DELETE FROM nodes WHERE fingerprint = ?", (fingerprint,)
-                )
-        except (sqlite3.Error, OSError):
-            self.errors += 1
 
     def _hot_insert_locked(self, fingerprint: str, options: tuple,
                            impls: int) -> None:
@@ -642,31 +567,6 @@ class NodeStore(NodeStoreBackend):
         self._hot.move_to_end(fingerprint)
         while len(self._hot) > self._hot_entries:
             self._hot.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # introspection + maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        self._ensure_open()
-        with self._lock:
-            if self._db is None:
-                return 0
-            (count,) = self._db.execute(
-                "SELECT COUNT(*) FROM nodes"
-            ).fetchone()
-        return int(count)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        self._ensure_open()
-        with self._lock:
-            if fingerprint in self._hot:
-                return True
-            if self._db is None:
-                return False
-            row = self._db.execute(
-                "SELECT 1 FROM nodes WHERE fingerprint = ?", (fingerprint,)
-            ).fetchone()
-        return row is not None
 
     def stats(self) -> Dict[str, int]:
         """Serving counters plus table sizes (the shape ``/metrics``
@@ -679,118 +579,3 @@ class NodeStore(NodeStoreBackend):
                 "errors": self.errors,
                 "hot_entries": len(self._hot),
             }
-
-    def info(self) -> Dict[str, Any]:
-        self._ensure_open()
-        with self._lock:
-            if self._db is None:
-                count = total = hits = 0
-            else:
-                count, total, hits = self._db.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
-                    " COALESCE(SUM(hits), 0) FROM nodes"
-                ).fetchone()
-        return {
-            "path": str(self.path),
-            "schema": NODE_SCHEMA,
-            "entries": int(count),
-            "payload_bytes": int(total),
-            "hits": int(hits),
-            "hot_entries": len(self._hot),
-        }
-
-    def entries(self) -> List[Dict[str, Any]]:
-        """Metadata for every persisted node, most recently used first."""
-        self._ensure_open()
-        with self._lock:
-            if self._db is None:
-                return []
-            rows = self._db.execute(
-                "SELECT fingerprint, spec, created_at, last_used, hits,"
-                " size_bytes FROM nodes ORDER BY last_used DESC"
-            ).fetchall()
-        return [
-            {
-                "fingerprint": fp,
-                "spec": spec,
-                "created_at": created,
-                "last_used": used,
-                "hits": hits,
-                "size_bytes": size,
-            }
-            for fp, spec, created, used, hits, size in rows
-        ]
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        """Shared-budget LRU eviction: like
-        :meth:`repro.store.store.ResultStore.prune`, the budget bounds
-        the combined payload of *both* cache tables in this file."""
-        self._ensure_open()
-        budget = int(max_mb * 1_000_000)
-        with self._lock:
-            if self._db is None:
-                return {"removed": 0, "remaining": 0, "payload_bytes": 0}
-            result = prune_cache_tables(self._db, budget)
-            self._hot.clear()  # evicted rows must not linger hot
-            if result["removed"]:
-                self._db.execute("VACUUM")
-        return {
-            "removed": result["removed"],
-            "remaining": len(self),
-            "payload_bytes": result["payload_bytes"],
-        }
-
-    def clear(self) -> int:
-        """Drop every node entry (result entries in a shared file are
-        untouched)."""
-        self._ensure_open()
-        with self._lock:
-            self._hot.clear()
-            self._dicts.clear()
-            if self._db is None:
-                return 0
-            (count,) = self._db.execute(
-                "SELECT COUNT(*) FROM nodes"
-            ).fetchone()
-            with self._db:
-                self._db.execute("DELETE FROM nodes")
-                # No node rows reference the shared dictionaries any
-                # more; dropping them lets a clobbered dictionary heal.
-                self._db.execute("DELETE FROM node_dicts")
-        return int(count)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._db is not None:
-                self._db.close()
-                self._db = None
-
-    def __enter__(self) -> "NodeStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"NodeStore({str(self.path)!r}, entries={len(self)})"
-
-
-def open_node_store(spec: Any) -> Optional[NodeStore]:
-    """Resolve a node-store designator: ``None`` stays None, an existing
-    :class:`NodeStore` passes through, ``True`` opens the default
-    location (the result store's file), and a string/path opens that
-    file.  Name-based resolution (``"default"``, ``"memory"``) lives in
-    :func:`repro.api.registry.create_node_store`, which falls back
-    here."""
-    if spec is None:
-        return None
-    if isinstance(spec, NodeStoreBackend):
-        return spec
-    if spec is True:
-        return NodeStore()
-    if isinstance(spec, (str, Path)):
-        return NodeStore(spec)
-    raise TypeError(
-        f"cannot open a node store from {type(spec).__name__}: expected "
-        f"None, True, a path, or a NodeStoreBackend"
-    )

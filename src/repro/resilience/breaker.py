@@ -13,14 +13,18 @@ degraded serving).  After ``reset_timeout`` seconds one half-open
 probe is let through; success closes the breaker, failure re-opens it
 for another window.
 
-:class:`ResilientStore` / :class:`ResilientNodeStore` wrap any
+:class:`GuardedBackend` wraps any
+:class:`~repro.store.backend.CacheBackend` with one breaker and owns
+the guard and the maintenance surface; :class:`ResilientStore` /
+:class:`ResilientNodeStore` add the serving ops of a
 :class:`~repro.store.backend.StoreBackend` /
-:class:`~repro.store.backend.NodeStoreBackend` with one breaker each.
-They are installed by the serve layer (the long-running process where
-repeated re-probing hurts); one-shot CLI paths keep talking to the raw
-backend.  All wrapper misses are *safe* misses: a result store miss
-re-runs the engine, a node store miss re-evaluates the subtree --
-never a wrong answer.
+:class:`~repro.store.backend.NodeStoreBackend`.  A failure is one of
+:data:`~repro.store.store.STORE_FAILURES`.  The wrappers are installed
+by the serve layer (the long-running process where repeated
+re-probing hurts); one-shot CLI paths keep talking to the raw backend.
+All wrapper misses are *safe* misses: a result store miss re-runs the
+engine, a node store miss re-evaluates the subtree -- never a wrong
+answer.
 
 Thread safety: breakers are called from executor threads (the store
 runs off the event loop), so all state transitions happen under a
@@ -29,12 +33,12 @@ lock.  The clock is injectable for tests.
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.store.backend import NodeStoreBackend, StoreBackend
+from repro.store.backend import CacheBackend, NodeStoreBackend, StoreBackend
+from repro.store.store import STORE_FAILURES
 
 #: Consecutive failures before the breaker opens.
 BREAKER_THRESHOLD = 5
@@ -42,10 +46,6 @@ BREAKER_THRESHOLD = 5
 #: Seconds an open breaker waits before letting a half-open probe
 #: through.
 BREAKER_RESET = 30.0
-
-#: What counts as a store failure: exactly the classes the session
-#: layer's per-call degradation swallows (StoreError is an OSError).
-STORE_FAILURES = (sqlite3.Error, OSError)
 
 
 class CircuitBreaker:
@@ -151,14 +151,16 @@ class CircuitBreaker:
             }
 
 
-class ResilientStore(StoreBackend):
-    """A :class:`~repro.store.backend.StoreBackend` guarded by a
-    :class:`CircuitBreaker`: failures count toward tripping it, an
-    open breaker turns every cache operation into an instant miss."""
+class GuardedBackend(CacheBackend):
+    """Any :class:`~repro.store.backend.CacheBackend` guarded by a
+    :class:`CircuitBreaker`: failures count toward tripping it, and an
+    open breaker turns every cache operation into an instant default.
+    The maintenance surface lives here; a leaf adds its kind's serving
+    ops, each through :meth:`_guarded`."""
 
     scheme = "resilient"
 
-    def __init__(self, inner: StoreBackend, breaker: CircuitBreaker) -> None:
+    def __init__(self, inner: CacheBackend, breaker: CircuitBreaker) -> None:
         self.inner = inner
         self.breaker = breaker
 
@@ -176,27 +178,6 @@ class ResilientStore(StoreBackend):
             return default
         self.breaker.record_success()
         return result
-
-    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        return self._guarded(lambda: self.inner.get(fingerprint), None)
-
-    def get_body(self, fingerprint: str) -> Optional[str]:
-        return self._guarded(lambda: self.inner.get_body(fingerprint), None)
-
-    def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        return self._guarded(lambda: self.inner.peek(fingerprint), None)
-
-    def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "", *, body: str) -> None:
-        self._guarded(
-            lambda: self.inner.put(fingerprint, payload, label, body=body),
-            None)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return bool(self._guarded(lambda: fingerprint in self.inner, False))
-
-    def __len__(self) -> int:
-        return self._guarded(lambda: len(self.inner), 0)
 
     def entries(self) -> List[Dict[str, Any]]:
         return self._guarded(self.inner.entries, [])
@@ -227,36 +208,38 @@ class ResilientStore(StoreBackend):
         self.inner.close()
 
 
-class ResilientNodeStore(NodeStoreBackend):
-    """A :class:`~repro.store.backend.NodeStoreBackend` guarded by a
-    :class:`CircuitBreaker`.  Note the real SQLite
-    :class:`~repro.nodestore.store.NodeStore` already swallows its own
-    SQLite errors internally (counting them in ``stats()``), so this
-    breaker trips on backends that *raise* -- fault-injecting wrappers,
-    remote backends -- and protects the serving path from re-paying
-    their failure latency per request."""
+class ResilientStore(GuardedBackend, StoreBackend):
+    """A guarded :class:`~repro.store.backend.StoreBackend`."""
 
-    scheme = "resilient"
+    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        return self._guarded(lambda: self.inner.get(fingerprint), None)
 
-    def __init__(self, inner: NodeStoreBackend,
-                 breaker: CircuitBreaker) -> None:
-        self.inner = inner
-        self.breaker = breaker
+    def get_body(self, fingerprint: str) -> Optional[str]:
+        return self._guarded(lambda: self.inner.get_body(fingerprint), None)
 
-    @property
-    def path(self):
-        return self.inner.path
+    def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        return self._guarded(lambda: self.inner.peek(fingerprint), None)
 
-    def _guarded(self, operation: Callable[[], Any], default: Any) -> Any:
-        if not self.breaker.allow():
-            return default
-        try:
-            result = operation()
-        except STORE_FAILURES:
-            self.breaker.record_failure()
-            return default
-        self.breaker.record_success()
-        return result
+    def put(self, fingerprint: str, payload: Dict[str, Any],
+            label: str = "", *, body: str) -> None:
+        self._guarded(
+            lambda: self.inner.put(fingerprint, payload, label, body=body),
+            None)
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return bool(self._guarded(lambda: fingerprint in self.inner, False))
+
+    def __len__(self) -> int:
+        return self._guarded(lambda: len(self.inner), 0)
+
+
+class ResilientNodeStore(GuardedBackend, NodeStoreBackend):
+    """A guarded :class:`~repro.store.backend.NodeStoreBackend`.  Note
+    the real SQLite :class:`~repro.nodestore.store.NodeStore` already
+    swallows its own SQLite errors internally (counting them in
+    ``stats()``), so this breaker trips on backends that *raise* --
+    fault-injecting wrappers, remote backends -- and protects the
+    serving path from re-paying their failure latency per request."""
 
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int,
@@ -282,26 +265,3 @@ class ResilientNodeStore(NodeStoreBackend):
         except STORE_FAILURES:
             return {"hits": 0, "misses": 0, "published": 0, "errors": 0,
                     "hot_entries": 0}
-
-    def entries(self) -> List[Dict[str, Any]]:
-        return self._guarded(self.inner.entries, [])
-
-    def info(self) -> Dict[str, Any]:
-        summary = self._guarded(self.inner.info, None)
-        if summary is None:
-            summary = {"path": str(getattr(self.inner, "path", "?")),
-                       "unavailable": True}
-        summary = dict(summary)
-        summary["degraded"] = self.breaker.state != "closed"
-        return summary
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        return self._guarded(lambda: self.inner.prune(max_mb),
-                             {"removed": 0, "remaining": 0,
-                              "payload_bytes": 0})
-
-    def clear(self) -> int:
-        return self._guarded(self.inner.clear, 0)
-
-    def close(self) -> None:
-        self.inner.close()

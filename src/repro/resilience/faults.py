@@ -42,7 +42,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.store.backend import NodeStoreBackend, StoreBackend
+from repro.store.backend import CacheBackend, NodeStoreBackend, StoreBackend
 from repro.store.store import StoreError
 
 #: The query parameters a fault policy understands.
@@ -159,20 +159,43 @@ class FaultPolicy:
 _CORRUPT_PAYLOAD = {"schema": "fault-injected-corruption"}
 
 
-class FaultInjectingStore(StoreBackend):
-    """A result-store backend that misbehaves on schedule (wraps the
-    real backend; serving ops tick the policy, maintenance ops pass
-    through so the harness itself stays operable)."""
+class FaultInjectingBackend(CacheBackend):
+    """A cache backend that misbehaves on schedule.  Wraps the real
+    backend: a leaf's serving ops tick the policy, while the
+    maintenance ops here pass through so the harness itself stays
+    operable."""
 
     scheme = "fault+sqlite"
 
-    def __init__(self, inner: StoreBackend, policy: FaultPolicy) -> None:
+    def __init__(self, inner: CacheBackend, policy: FaultPolicy) -> None:
         self.inner = inner
         self.policy = policy
 
     @property
     def path(self):
         return self.inner.path
+
+    def entries(self) -> List[Dict[str, Any]]:
+        return self.inner.entries()
+
+    def info(self) -> Dict[str, Any]:
+        summary = dict(self.inner.info())
+        summary["fault_injection"] = self.policy.describe()
+        return summary
+
+    def prune(self, max_mb: float) -> Dict[str, int]:
+        return self.inner.prune(max_mb)
+
+    def clear(self) -> int:
+        return self.inner.clear()
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+class FaultInjectingStore(FaultInjectingBackend, StoreBackend):
+    """A faulty result store.  A corrupted payload read returns a
+    marker that fails validation; a corrupted body read is a miss."""
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         self.policy.tick("get")
@@ -210,39 +233,11 @@ class FaultInjectingStore(StoreBackend):
     def __len__(self) -> int:
         return len(self.inner)
 
-    def entries(self) -> List[Dict[str, Any]]:
-        return self.inner.entries()
 
-    def info(self) -> Dict[str, Any]:
-        summary = dict(self.inner.info())
-        summary["fault_injection"] = self.policy.describe()
-        return summary
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        return self.inner.prune(max_mb)
-
-    def clear(self) -> int:
-        return self.inner.clear()
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class FaultInjectingNodeStore(NodeStoreBackend):
-    """A node-store backend that misbehaves on schedule.  A corrupted
-    read degrades to ``None`` (a miss): the node-store contract is
-    that any doubt re-evaluates the subtree, so injected corruption
-    can never violate byte-identity."""
-
-    scheme = "fault+sqlite"
-
-    def __init__(self, inner: NodeStoreBackend, policy: FaultPolicy) -> None:
-        self.inner = inner
-        self.policy = policy
-
-    @property
-    def path(self):
-        return self.inner.path
+class FaultInjectingNodeStore(FaultInjectingBackend, NodeStoreBackend):
+    """A faulty node store.  A corrupted read degrades to ``None`` (a
+    miss): the node-store contract is that any doubt re-evaluates the
+    subtree, so injected corruption can never violate byte-identity."""
 
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int,
@@ -263,23 +258,6 @@ class FaultInjectingNodeStore(NodeStoreBackend):
 
     def stats(self) -> Dict[str, int]:
         return self.inner.stats()
-
-    def entries(self) -> List[Dict[str, Any]]:
-        return self.inner.entries()
-
-    def info(self) -> Dict[str, Any]:
-        summary = dict(self.inner.info())
-        summary["fault_injection"] = self.policy.describe()
-        return summary
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        return self.inner.prune(max_mb)
-
-    def clear(self) -> int:
-        return self.inner.clear()
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 #: The chaos modes the fleet understands.

@@ -15,6 +15,13 @@ Loaded results re-intern through :mod:`repro.core.interning`
 (:mod:`repro.store.serialize`), so a warm-loaded configuration is the
 same canonical object a fresh evaluation would produce.
 
+The result store and the per-node cache (:mod:`repro.nodestore`) are
+two leaves of one :class:`~repro.store.store.CacheTable` over one
+SQLite file, and both implement the
+:class:`~repro.store.backend.CacheBackend` maintenance surface.
+Designators (names, paths, URLs) resolve through
+:func:`repro.api.registry.create_store`.
+
 Sessions opt in with ``Session(store=...)``; the serve layer
 (:mod:`repro.serve`) puts an HTTP front end on top.  Maintenance runs
 through the CLI: ``repro cache info | list | prune --max-mb N | clear``
@@ -22,6 +29,7 @@ and ``repro warm`` to prefill.
 """
 
 from repro.store.backend import (
+    CacheBackend,
     NodeStoreBackend,
     StoreBackend,
     parse_store_url,
@@ -50,10 +58,10 @@ from repro.store.store import (
     ResultStore,
     StoreError,
     default_store_path,
-    open_store,
 )
 
 __all__ = [
+    "CacheBackend",
     "FINGERPRINT_SCHEMA",
     "NodeStoreBackend",
     "PAYLOAD_SCHEMA",
@@ -70,7 +78,6 @@ __all__ = [
     "default_store_path",
     "job_to_payload",
     "library_digest",
-    "open_store",
     "payload_to_job",
     "request_token",
     "rulebase_digest",

@@ -4,11 +4,14 @@ The engine talks to persistence through two narrow protocols --
 :class:`StoreBackend` (whole-request results, what
 :class:`~repro.store.store.ResultStore` implements) and
 :class:`NodeStoreBackend` (per-node option lists, what
-:class:`~repro.nodestore.store.NodeStore` implements).  Everything
-above the protocol -- fingerprinting, re-interning, serving, pruning
-policy -- is backend-agnostic, so a remote backend (a network KV, a
-shared cache service) plugs in without touching the engine: implement
-the protocol, register a factory, done.
+:class:`~repro.nodestore.store.NodeStore` implements).  Both extend
+:class:`CacheBackend`, the maintenance surface (``path``, ``entries``,
+``info``, ``prune``, ``clear``, ``close``) they share, and declare only
+their own serving operations.  Everything above the protocol --
+fingerprinting, re-interning, serving, pruning policy -- is
+backend-agnostic, so a remote backend (a network KV, a shared cache
+service) plugs in without touching the engine: implement the protocol,
+register a factory, done.
 
 Backends are *designated* three ways:
 
@@ -101,17 +104,10 @@ def sqlite_url_path(rest: str, url: str) -> str:
     return rest
 
 
-class StoreBackend(abc.ABC):
-    """What a result-store implementation must provide.
-
-    The contract mirrors what the session/serve layers actually call:
-    content-addressed payload get/put with LRU accounting, plus the
-    maintenance surface the CLI exposes.  Payloads are JSON-able dicts;
-    the *meaning* of a payload (serialization, re-interning) lives
-    above the backend in :mod:`repro.store.serialize`, so a backend
-    never needs engine knowledge.  Beside its payload each entry holds
-    the emitted ``json`` body, an opaque string the serve layer returns
-    verbatim on a hit (:meth:`get_body`).
+class CacheBackend(abc.ABC):
+    """The maintenance surface every cache backend shares, whatever it
+    caches: what ``repro cache`` and the serve layer's health and
+    shutdown paths call.
 
     ``path`` is a human-readable location (a file path, a URL) used in
     logs, ``info()``, and for co-locating a node cache next to a result
@@ -121,6 +117,42 @@ class StoreBackend(abc.ABC):
     #: The URL scheme this backend answers to (documentation; the
     #: registry owns actual resolution).
     scheme: str = "?"
+
+    path: Any
+
+    @abc.abstractmethod
+    def entries(self) -> List[Dict[str, Any]]:
+        """Per-entry metadata, most recently used first."""
+
+    @abc.abstractmethod
+    def info(self) -> Dict[str, Any]:
+        """Summary: path, schema, entries, payload_bytes, hits."""
+
+    @abc.abstractmethod
+    def prune(self, max_mb: float) -> Dict[str, int]:
+        """LRU-evict until payloads fit ``max_mb``; ``ValueError``
+        unless ``max_mb`` is a finite number >= 0."""
+
+    @abc.abstractmethod
+    def clear(self) -> int:
+        """Drop every entry; returns how many were dropped."""
+
+    @abc.abstractmethod
+    def close(self) -> None: ...
+
+
+class StoreBackend(CacheBackend):
+    """What a result-store implementation must provide.
+
+    The contract mirrors what the session/serve layers actually call:
+    content-addressed payload get/put with LRU accounting, plus the
+    :class:`CacheBackend` maintenance surface.  Payloads are JSON-able
+    dicts; the *meaning* of a payload (serialization, re-interning)
+    lives above the backend in :mod:`repro.store.serialize`, so a
+    backend never needs engine knowledge.  Beside its payload each
+    entry holds the emitted ``json`` body, an opaque string the serve
+    layer returns verbatim on a hit (:meth:`get_body`).
+    """
 
     @abc.abstractmethod
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
@@ -148,39 +180,19 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int: ...
 
-    @abc.abstractmethod
-    def entries(self) -> List[Dict[str, Any]]:
-        """Per-entry metadata, most recently used first."""
 
-    @abc.abstractmethod
-    def info(self) -> Dict[str, Any]:
-        """Summary: path, schema, entries, payload_bytes, hits."""
-
-    @abc.abstractmethod
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        """LRU-evict until payloads fit ``max_mb``."""
-
-    @abc.abstractmethod
-    def clear(self) -> int:
-        """Drop every entry; returns how many were dropped."""
-
-    @abc.abstractmethod
-    def close(self) -> None: ...
-
-
-class NodeStoreBackend(abc.ABC):
+class NodeStoreBackend(CacheBackend):
     """What a per-node option-cache implementation must provide.
 
     The engine calls exactly two methods during evaluation
     (:meth:`load_options` / :meth:`save_options`); the rest is the
-    maintenance surface.  Option lists are *engine objects* (canonical
-    interned configurations) -- a backend encodes/decodes them however
-    it likes, but a load must return objects indistinguishable from a
-    fresh evaluation's (the byte-identity contract), and any doubt must
-    be reported as a miss, never a wrong answer.
+    :class:`CacheBackend` maintenance surface.  Option lists are
+    *engine objects* (canonical interned configurations) -- a backend
+    encodes/decodes them however it likes, but a load must return
+    objects indistinguishable from a fresh evaluation's (the
+    byte-identity contract), and any doubt must be reported as a miss,
+    never a wrong answer.
     """
-
-    scheme: str = "?"
 
     @abc.abstractmethod
     def load_options(self, fingerprint: str, spec: Any,
@@ -197,18 +209,3 @@ class NodeStoreBackend(abc.ABC):
     @abc.abstractmethod
     def stats(self) -> Dict[str, int]:
         """Monotonic serving counters (hits/misses/published/errors)."""
-
-    @abc.abstractmethod
-    def entries(self) -> List[Dict[str, Any]]: ...
-
-    @abc.abstractmethod
-    def info(self) -> Dict[str, Any]: ...
-
-    @abc.abstractmethod
-    def prune(self, max_mb: float) -> Dict[str, int]: ...
-
-    @abc.abstractmethod
-    def clear(self) -> int: ...
-
-    @abc.abstractmethod
-    def close(self) -> None: ...

@@ -8,10 +8,13 @@ things a cross-process cache actually needs for free: atomic writes,
 reader/writer locking between concurrent processes, and cheap LRU
 accounting for eviction -- all stdlib, no new dependencies.
 
-Schema versioning is deliberately blunt: the store is a *cache*, so on
-any version mismatch the whole table is dropped and rebuilt rather
-than migrated.  Eviction (``prune``) removes least-recently-used
-entries until the payload total fits the requested budget.
+The file is shared: :class:`CacheTable` is the one SQLite base both
+cache kinds subclass -- :class:`ResultStore` here (the ``results``
+table) and :class:`~repro.nodestore.store.NodeStore` (``nodes``).
+Schema versioning is deliberately blunt: each table is a *cache*, so
+on a version mismatch that table is dropped and rebuilt rather than
+migrated.  Eviction (``prune``) removes least-recently-used entries of
+both tables until the payload total fits the requested budget.
 
 Each entry holds two texts: the structured payload (what a
 :class:`~repro.api.session.Session` revives into a job) and the
@@ -27,14 +30,15 @@ from SQLite's own file locking plus a busy timeout.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.store.backend import StoreBackend
+from repro.store.backend import CacheBackend, StoreBackend
 
 #: Store format version; a mismatch resets the store (it is a cache).
 #: v2 added the ``body`` column, so no pre-v2 (body-less) row is ever
@@ -111,86 +115,295 @@ def prune_cache_tables(db, budget_bytes: int) -> Dict[str, int]:
     return {"removed": removed, "payload_bytes": int(total)}
 
 
-class ResultStore(StoreBackend):
-    """The SQLite :class:`~repro.store.backend.StoreBackend` -- the
-    default backend, and the reference implementation of the protocol
-    (URL form: ``sqlite:///path``)."""
+#: What counts as a store failure: the errors a cache table's error
+#: policy (:meth:`CacheTable._failed`) sees, and what the serve layer's
+#: breakers count (StoreError is an OSError).
+STORE_FAILURES = (sqlite3.Error, OSError)
+
+
+class CacheTable(CacheBackend):
+    """One cache table in the shared SQLite store file.
+
+    :class:`ResultStore` (``results``) and
+    :class:`~repro.nodestore.store.NodeStore` (``nodes``) are its two
+    leaves.  This base owns everything they share: the file and its one
+    connection (busy timeout, best-effort WAL, one lock), the table's
+    versioned set-up, LRU stamps and deletes, and the whole maintenance
+    surface.  A leaf names its table, the ``meta`` key of its version,
+    its per-entry metadata column and any extra columns or tables,
+    defines a ``version`` property (read from its module constant at
+    call time), and sets the error policy (:meth:`_failed`).
+
+    A closed connection stays in place: every later statement fails
+    with ``sqlite3.ProgrammingError`` and goes through the same policy.
+    """
 
     scheme = "sqlite"
+
+    #: The table, the ``meta`` row holding its version, the per-entry
+    #: metadata column ``entries()`` reports, and what the table is
+    #: called in errors.
+    table = ""
+    meta_key = ""
+    column = ""
+    noun = ""
+    #: Columns after the shared ones, tables created beside it, and
+    #: tables emptied with it by :meth:`clear`.
+    extra_columns = ""
+    extra_ddl: Tuple[str, ...] = ()
+    clear_also: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Built once per table: the stamp runs on every warm hit.
+        cls._touch_sql = (f"UPDATE {cls.table} SET last_used = ?,"
+                          f" hits = hits + 1 WHERE fingerprint = ?")
 
     def __init__(self, path: Union[str, Path, None] = None,
                  busy_timeout_ms: int = 10_000) -> None:
         self.path = Path(path) if path is not None else default_store_path()
         self.busy_timeout_ms = int(busy_timeout_ms)
         self._lock = threading.Lock()
-        # Everything through the schema setup stays inside one try:
+        # Everything through the table set-up stays inside one try:
         # sqlite3.connect is lazy, so a corrupt or non-SQLite file only
         # surfaces (sqlite3.DatabaseError, not an OSError) on the first
         # execute -- and that too must become a StoreError, not a
         # traceback.
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._db = sqlite3.connect(
-                str(self.path), timeout=self.busy_timeout_ms / 1000.0,
-                check_same_thread=False
-            )
-            self._db.execute(
-                f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-            # WAL turns the hit path's LRU stamp into an append instead
-            # of a rollback-journal commit, and NORMAL drops the
-            # per-commit fsync -- fine for a cache (a lost stamp costs
-            # nothing).  Both are best-effort: some filesystems refuse
-            # WAL.
-            try:
-                self._db.execute("PRAGMA journal_mode=WAL")
-                self._db.execute("PRAGMA synchronous=NORMAL")
-            except sqlite3.Error:
-                pass
-            self._ensure_schema()
+            self._db = self._connect()
+            self._create_table()
         except (OSError, sqlite3.Error) as error:
-            raise StoreError(f"cannot open result store {self.path}: {error}")
+            raise StoreError(f"cannot open {self.noun} {self.path}: {error}")
 
-    # ------------------------------------------------------------------
-    # schema
-    # ------------------------------------------------------------------
-    def _ensure_schema(self) -> None:
+    def _connect(self) -> sqlite3.Connection:
+        db = sqlite3.connect(str(self.path),
+                             timeout=self.busy_timeout_ms / 1000.0,
+                             check_same_thread=False)
+        db.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
+        # WAL turns the hit path's LRU stamp into an append instead of a
+        # rollback-journal commit, and NORMAL drops the per-commit fsync
+        # -- fine for a cache (a lost stamp costs nothing).  Both are
+        # best-effort: some filesystems refuse WAL.
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.Error:
+            pass
+        return db
+
+    def _create_table(self) -> None:
+        """Create the table at :attr:`version`.  Each table keeps its
+        own version row in ``meta``, so a mismatch drops only this
+        table -- a cache is rebuilt, never migrated, and the other
+        kind's entries in a shared file survive."""
+        table, key, version = self.table, self.meta_key, self.version
         with self._lock, self._db:
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS meta "
                 "(key TEXT PRIMARY KEY, value TEXT)"
             )
             row = self._db.execute(
-                "SELECT value FROM meta WHERE key = 'schema'"
+                f"SELECT value FROM meta WHERE key = '{key}'"
             ).fetchone()
-            if row is not None and int(row[0]) != STORE_SCHEMA:
-                # Version drift: a cache is rebuilt, never migrated.
-                self._db.execute("DROP TABLE IF EXISTS results")
+            if row is not None and int(row[0]) != version:
+                self._db.execute(f"DROP TABLE IF EXISTS {table}")
                 row = None
             if row is None:
                 self._db.execute(
                     "INSERT OR REPLACE INTO meta (key, value) "
-                    "VALUES ('schema', ?)",
-                    (str(STORE_SCHEMA),),
+                    f"VALUES ('{key}', ?)",
+                    (str(version),),
                 )
             self._db.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
+                f"CREATE TABLE IF NOT EXISTS {table} ("
                 " fingerprint TEXT PRIMARY KEY,"
-                " label TEXT NOT NULL DEFAULT '',"
+                f" {self.column} TEXT NOT NULL DEFAULT '',"
                 " created_at REAL NOT NULL,"
                 " last_used REAL NOT NULL,"
                 " hits INTEGER NOT NULL DEFAULT 0,"
                 " size_bytes INTEGER NOT NULL,"
-                " payload TEXT NOT NULL,"
-                " body TEXT NOT NULL)"
+                f" payload TEXT NOT NULL{self.extra_columns})"
             )
             self._db.execute(
-                "CREATE INDEX IF NOT EXISTS results_lru "
-                "ON results (last_used)"
+                f"CREATE INDEX IF NOT EXISTS {table}_lru "
+                f"ON {table} (last_used)"
             )
+            for statement in self.extra_ddl:
+                self._db.execute(statement)
 
     # ------------------------------------------------------------------
-    # the cache protocol
+    # leaf hooks
     # ------------------------------------------------------------------
+    def _failed(self, error: Exception) -> None:
+        """The error policy for a failed statement: raise, so the serve
+        layer's breaker counts the failure.  A leaf may degrade instead
+        (the caller then returns its empty default)."""
+        raise error
+
+    def _ensure_open(self) -> None:
+        """Called before each maintenance operation, without the lock
+        (a leaf may re-open its connection here)."""
+
+    def _forget(self) -> None:
+        """Drop in-process state after a prune or clear (caller holds
+        the lock)."""
+
+    def _extra_info(self) -> Dict[str, Any]:
+        """Leaf-specific fields appended to :meth:`info`."""
+        return {}
+
+    # ------------------------------------------------------------------
+    # shared row plumbing (caller holds the lock)
+    # ------------------------------------------------------------------
+    def _touch(self, fingerprint: str) -> None:
+        """Stamp a hit: LRU time and hit count."""
+        try:
+            with self._db:
+                self._db.execute(self._touch_sql, (time.time(), fingerprint))
+        except STORE_FAILURES as error:
+            self._failed(error)
+
+    def _delete(self, fingerprint: str) -> None:
+        try:
+            with self._db:
+                self._db.execute(
+                    f"DELETE FROM {self.table} WHERE fingerprint = ?",
+                    (fingerprint,),
+                )
+        except STORE_FAILURES as error:
+            self._failed(error)
+
+    def _read(self, default: Any, statement: str, args: tuple = (),
+              *, rows: bool = False) -> Any:
+        """One read under the lock: the first row (every row with
+        ``rows``), or ``default`` when the error policy absorbs a
+        failure."""
+        self._ensure_open()
+        with self._lock:
+            try:
+                cursor = self._db.execute(statement, args)
+                return cursor.fetchall() if rows else cursor.fetchone()
+            except STORE_FAILURES as error:
+                self._failed(error)
+                return default
+
+    # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    def __contains__(self, fingerprint: str) -> bool:
+        return self._read(
+            None, f"SELECT 1 FROM {self.table} WHERE fingerprint = ?",
+            (fingerprint,)) is not None
+
+    def __len__(self) -> int:
+        (count,) = self._read((0,), f"SELECT COUNT(*) FROM {self.table}")
+        return int(count)
+
+    def entries(self) -> List[Dict[str, Any]]:
+        """Metadata for every entry, most recently used first."""
+        rows = self._read(
+            [], f"SELECT fingerprint, {self.column}, created_at, last_used,"
+                f" hits, size_bytes FROM {self.table}"
+                f" ORDER BY last_used DESC", rows=True)
+        return [
+            {
+                "fingerprint": fp,
+                self.column: meta,
+                "created_at": created,
+                "last_used": used,
+                "hits": hits,
+                "size_bytes": size,
+            }
+            for fp, meta, created, used, hits, size in rows
+        ]
+
+    def info(self) -> Dict[str, Any]:
+        count, total, hits = self._read(
+            (0, 0, 0), "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
+                       f" COALESCE(SUM(hits), 0) FROM {self.table}")
+        return {
+            "path": str(self.path),
+            "schema": self.version,
+            "entries": int(count),
+            "payload_bytes": int(total),
+            "hits": int(hits),
+            **self._extra_info(),
+        }
+
+    def prune(self, max_mb: float) -> Dict[str, int]:
+        """Evict least-recently-used entries until the payload total is
+        within ``max_mb`` megabytes, then compact the file.
+
+        Accounting is shared with the co-located table of the other
+        kind (:func:`prune_cache_tables`): the budget bounds the *file*,
+        and eviction order is one LRU across result and node entries.
+        A budget that is not a finite number >= 0 is a ``ValueError``
+        (a negative one would evict everything)."""
+        if not (math.isfinite(max_mb) and max_mb >= 0):
+            raise ValueError(
+                f"max_mb must be a finite number >= 0, got {max_mb!r}")
+        self._ensure_open()
+        with self._lock:
+            try:
+                result = prune_cache_tables(self._db, int(max_mb * 1_000_000))
+                if result["removed"]:
+                    self._db.execute("VACUUM")
+            except STORE_FAILURES as error:
+                self._failed(error)
+                result = {"removed": 0, "payload_bytes": 0}
+            self._forget()  # evicted rows must not linger in process
+        return {
+            "removed": result["removed"],
+            "remaining": len(self),
+            "payload_bytes": result["payload_bytes"],
+        }
+
+    def clear(self) -> int:
+        """Drop every entry of this table (the other kind's entries in
+        a shared file are untouched)."""
+        self._ensure_open()
+        with self._lock:
+            self._forget()
+            try:
+                with self._db:
+                    (count,) = self._db.execute(
+                        f"SELECT COUNT(*) FROM {self.table}").fetchone()
+                    for table in (self.table,) + self.clear_also:
+                        self._db.execute(f"DELETE FROM {table}")
+            except STORE_FAILURES as error:
+                self._failed(error)
+                count = 0
+        return int(count)
+
+    def close(self) -> None:
+        with self._lock:
+            self._db.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({str(self.path)!r}, "
+                f"entries={len(self)})")
+
+
+class ResultStore(CacheTable, StoreBackend):
+    """The SQLite :class:`~repro.store.backend.StoreBackend` -- the
+    default backend, and the reference implementation of the protocol
+    (URL form: ``sqlite:///path``).  Errors raise."""
+
+    table, meta_key, column = "results", "schema", "label"
+    noun = "result store"
+    extra_columns = ", body TEXT NOT NULL"
+
+    @property
+    def version(self) -> int:
+        return STORE_SCHEMA
+
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``fingerprint``, or None.
 
@@ -208,11 +421,7 @@ class ResultStore(StoreBackend):
             try:
                 payload = json.loads(row[0])
             except ValueError:
-                with self._db:
-                    self._db.execute(
-                        "DELETE FROM results WHERE fingerprint = ?",
-                        (fingerprint,),
-                    )
+                self._delete(fingerprint)
                 return None
             self._touch(fingerprint)
             return payload
@@ -231,15 +440,6 @@ class ResultStore(StoreBackend):
                 return None
             self._touch(fingerprint)
             return row[0]
-
-    def _touch(self, fingerprint: str) -> None:
-        """Stamp a hit (caller holds the lock)."""
-        with self._db:
-            self._db.execute(
-                "UPDATE results SET last_used = ?, hits = hits + 1 "
-                "WHERE fingerprint = ?",
-                (time.time(), fingerprint),
-            )
 
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but read-only: no LRU stamp, no hit count.
@@ -275,116 +475,3 @@ class ResultStore(StoreBackend):
                 "VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
                 (fingerprint, label, now, now, size, text, body),
             )
-
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT 1 FROM results WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-        return row is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._db.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
-        return int(count)
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def entries(self) -> List[Dict[str, Any]]:
-        """Metadata for every entry, most recently used first."""
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT fingerprint, label, created_at, last_used, hits,"
-                " size_bytes FROM results ORDER BY last_used DESC"
-            ).fetchall()
-        return [
-            {
-                "fingerprint": fp,
-                "label": label,
-                "created_at": created,
-                "last_used": used,
-                "hits": hits,
-                "size_bytes": size,
-            }
-            for fp, label, created, used, hits, size in rows
-        ]
-
-    def info(self) -> Dict[str, Any]:
-        with self._lock:
-            count, total, hits = self._db.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
-                " COALESCE(SUM(hits), 0) FROM results"
-            ).fetchone()
-        return {
-            "path": str(self.path),
-            "schema": STORE_SCHEMA,
-            "entries": int(count),
-            "payload_bytes": int(total),
-            "hits": int(hits),
-        }
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        """Evict least-recently-used entries until the payload total is
-        within ``max_mb`` megabytes, then compact the file.
-
-        Accounting is shared with any co-located node-cache table
-        (:func:`prune_cache_tables`): the budget bounds the *file*, and
-        eviction order is one LRU across result and node entries."""
-        budget = int(max_mb * 1_000_000)
-        with self._lock:
-            result = prune_cache_tables(self._db, budget)
-            if result["removed"]:
-                self._db.execute("VACUUM")
-        return {
-            "removed": result["removed"],
-            "remaining": len(self),
-            "payload_bytes": result["payload_bytes"],
-        }
-
-    def clear(self) -> int:
-        with self._lock, self._db:
-            (count,) = self._db.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
-            self._db.execute("DELETE FROM results")
-        return int(count)
-
-    def close(self) -> None:
-        with self._lock:
-            self._db.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"ResultStore({str(self.path)!r}, entries={len(self)})"
-
-
-def open_store(spec: Any) -> Optional[ResultStore]:
-    """Resolve a store designator to a :class:`ResultStore`.
-
-    ``None`` stays None (no store), an existing store passes through,
-    ``True`` opens the default location, and a string/path opens that
-    file.  Name-based resolution (``"default"``, ``"memory"``,
-    third-party registrations) lives in
-    :func:`repro.api.registry.create_store`, which falls back here.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, StoreBackend):
-        return spec
-    if spec is True:
-        return ResultStore()
-    if isinstance(spec, (str, Path)):
-        return ResultStore(spec)
-    raise TypeError(
-        f"cannot open a result store from {type(spec).__name__}: expected "
-        f"None, True, a path, or a StoreBackend"
-    )

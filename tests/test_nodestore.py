@@ -596,6 +596,11 @@ def test_cli_warm_nodes_then_cache_nodes_maintenance(tmp_path, capsys):
 
     assert cli_main(["cache", "nodes", "prune", "--store", store_arg]) == 2
     assert "--max-mb" in capsys.readouterr().err
+    for bad in ("nan", "inf", "-1"):
+        assert cli_main(["cache", "nodes", "prune", "--store", store_arg,
+                         "--max-mb", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro cache nodes prune: ") and "max_mb" in err
     assert cli_main(["cache", "nodes", "bogus", "--store", store_arg]) == 2
     assert "unknown action" in capsys.readouterr().err
 

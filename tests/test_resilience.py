@@ -18,12 +18,13 @@ import time
 
 import pytest
 
-from repro.api import cli, registry
+from repro.api import Session, cli, registry
 from repro.fleet import FleetService, WorkerFailure, routing_key
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
     FaultPolicy,
+    ResilientNodeStore,
     ResilientStore,
     effective_deadline,
     parse_chaos,
@@ -31,7 +32,7 @@ from repro.resilience import (
 )
 from repro.serve import ReproServer, SynthesisService
 from repro.store import ResultStore, StoreError, split_url_query
-from repro.store.backend import StoreBackend
+from repro.store.backend import NodeStoreBackend, StoreBackend
 
 
 # ---------------------------------------------------------------------------
@@ -91,69 +92,106 @@ def test_breaker_half_open_probe_closes_on_success_reopens_on_failure():
     assert stats["consecutive_failures"] == 0
 
 
-def test_resilient_store_stops_calling_inner_while_open_and_recovers():
-    class FlakyStore(StoreBackend):
-        scheme = "flaky"
+class FlakyBackend:
+    """The maintenance half of a flaky double: ``info`` reaches the
+    backend (and fails while it is down), the rest is inert."""
 
-        def __init__(self) -> None:
-            self.calls = 0
-            self.failing = True
+    scheme = "flaky"
+    path = None
 
-        @property
-        def path(self):
-            return None
+    def __init__(self) -> None:
+        self.calls = 0
+        self.failing = True
 
-        def get(self, fingerprint):
-            self.calls += 1
-            if self.failing:
-                raise StoreError("down")
-            return {"ok": fingerprint}
+    def _op(self, value):
+        self.calls += 1
+        if self.failing:
+            raise StoreError("down")
+        return value
 
-        def get_body(self, fingerprint):
-            return json.dumps(self.get(fingerprint))
+    def entries(self):
+        return []
 
-        def peek(self, fingerprint):
-            return self.get(fingerprint)
+    def info(self):
+        return self._op({})
 
-        def put(self, fingerprint, payload, label="", *, body):
-            self.get(fingerprint)
+    def prune(self, max_mb):
+        return {}
 
-        def __contains__(self, fingerprint):
-            return False
+    def clear(self):
+        return 0
 
-        def __len__(self):
-            return 0
+    def close(self):
+        pass
 
-        def entries(self):
-            return []
 
-        def info(self):
-            self.get("info")
-            return {}
+class FlakyStore(FlakyBackend, StoreBackend):
+    def get(self, fingerprint):
+        return self._op({"ok": fingerprint})
 
-        def prune(self, max_mb):
-            return {}
+    def get_body(self, fingerprint):
+        return json.dumps(self.get(fingerprint))
 
-        def clear(self):
-            return 0
+    def peek(self, fingerprint):
+        return self.get(fingerprint)
 
-        def close(self):
-            pass
+    def put(self, fingerprint, payload, label="", *, body):
+        self.get(fingerprint)
 
+    def __contains__(self, fingerprint):
+        return False
+
+    def __len__(self):
+        return 0
+
+
+class FlakyNodeStore(FlakyBackend, NodeStoreBackend):
+    def load_options(self, fingerprint, spec, expected_impls,
+                     space_key=None):
+        return self._op([fingerprint])
+
+    def save_options(self, fingerprint, spec, options, impls, programs=0,
+                     space_key=None):
+        return self._op(True)
+
+    def stats(self):
+        return {}
+
+
+#: Per kind: the flaky inner double, its breaker wrapper, and the
+#: kind's two serving ops as (call, degraded value, healthy value).
+RESILIENT_KINDS = {
+    "results": (FlakyStore, ResilientStore, (
+        (lambda store, fp: store.get(fp), None, lambda fp: {"ok": fp}),
+        (lambda store, fp: store.get_body(fp), None,
+         lambda fp: json.dumps({"ok": fp})),
+    )),
+    "nodes": (FlakyNodeStore, ResilientNodeStore, (
+        (lambda store, fp: store.load_options(fp, None, 1), None,
+         lambda fp: [fp]),
+        (lambda store, fp: store.save_options(fp, None, [], 1), False,
+         lambda fp: True),
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESILIENT_KINDS))
+def test_resilient_store_stops_calling_inner_while_open_and_recovers(kind):
+    flaky, wrapper, ops = RESILIENT_KINDS[kind]
     clock = FakeClock()
-    inner = FlakyStore()
+    inner = flaky()
     breaker = CircuitBreaker("store", failure_threshold=2,
                              reset_timeout=5.0, clock=clock)
-    store = ResilientStore(inner, breaker)
-    # Failures degrade to misses, never raise -- on either read path,
+    store = wrapper(inner, breaker)
+    # Failures degrade to misses, never raise -- on either serving op,
     # and both count toward the breaker.
-    assert store.get("a") is None
-    assert store.get_body("b") is None
+    for (call, degraded, _), fp in zip(ops, "ab"):
+        assert call(store, fp) == degraded
     assert breaker.state == "open"
     calls_when_open = inner.calls
     for _ in range(10):
-        assert store.get("c") is None      # short-circuited: inner untouched
-        assert store.get_body("c") is None
+        for call, degraded, _ in ops:     # short-circuited: inner untouched
+            assert call(store, "c") == degraded
     assert inner.calls == calls_when_open
     # info() degrades to a stub that says so.
     info = store.info()
@@ -162,10 +200,12 @@ def test_resilient_store_stops_calling_inner_while_open_and_recovers():
     # After the reset timeout one probe goes through; success closes.
     inner.failing = False
     clock.now += 5.0
-    assert store.get("d") == {"ok": "d"}
+    (first, _, healthy), (second, _, second_healthy) = ops
+    assert first(store, "d") == healthy("d")
     assert breaker.state == "closed"
-    assert store.get("e") == {"ok": "e"}
-    assert store.get_body("f") == '{"ok": "f"}'
+    assert first(store, "e") == healthy("e")
+    assert second(store, "f") == second_healthy("f")
+    assert store.info() == {"degraded": False}
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +332,7 @@ def test_fault_policy_is_seeded_and_fail_first_is_unconditional():
         FaultPolicy(latency_ms=-1)
 
 
-def test_fault_store_urls_inject_failures_and_corruption():
+def _fault_results():
     failing = registry.create_store("fault+memory:?fail_rate=1.0")
     try:
         with pytest.raises(StoreError):
@@ -320,6 +360,37 @@ def test_fault_store_urls_inject_failures_and_corruption():
         assert corrupting.info()["fault_injection"]["corruptions_injected"] >= 2
     finally:
         corrupting.close()
+
+
+def _fault_nodes():
+    from repro.core.specs import comparator_spec
+
+    spec = comparator_spec(8)
+    options = Session(library="lsi_logic").space.alternatives(spec)
+    failing = registry.create_node_store("fault+memory:?fail_rate=1.0")
+    try:
+        with pytest.raises(StoreError, match=r"\(load_options\)"):
+            failing.load_options("fp", spec, expected_impls=1)
+        with pytest.raises(StoreError, match=r"\(save_options\)"):
+            failing.save_options("fp", spec, options, impls=1)
+    finally:
+        failing.close()
+    corrupting = registry.create_node_store(
+        "fault+memory:?corrupt_rate=1.0&seed=3")
+    try:
+        assert corrupting.save_options("fp", spec, options, impls=1)
+        # A corrupted node read is a miss: the subtree is re-evaluated.
+        assert corrupting.load_options("fp", spec, expected_impls=1) is None
+        injected = corrupting.info()["fault_injection"]
+        assert injected["corruptions_injected"] == 1
+    finally:
+        corrupting.close()
+
+
+@pytest.mark.parametrize("check", [_fault_results, _fault_nodes],
+                         ids=["results", "nodes"])
+def test_fault_store_urls_inject_failures_and_corruption(check):
+    check()
 
 
 def test_parse_chaos():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import EMITTERS, Session, SynthesisRequest
+from repro.api import EMITTERS, Session, SynthesisRequest, create_store
 from repro.api.cli import main as cli_main
 from repro.core.specs import adder_spec, alu_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
@@ -20,7 +20,6 @@ from repro.store import (
     config_to_jsonable,
     default_store_path,
     library_digest,
-    open_store,
     spec_from_token,
     spec_token,
 )
@@ -235,14 +234,79 @@ def test_default_store_path_env_override(monkeypatch, tmp_path):
     assert default_store_path() == tmp_path / "xdg" / "repro" / "store.sqlite"
 
 
-def test_open_store_designators(tmp_path):
-    assert open_store(None) is None
+def test_create_store_designators(tmp_path):
+    assert create_store(None) is None
     store = _store(tmp_path)
-    assert open_store(store) is store
-    by_path = open_store(tmp_path / "other.sqlite")
+    assert create_store(store) is store
+    by_path = create_store(tmp_path / "other.sqlite")
     assert isinstance(by_path, ResultStore)
     with pytest.raises(TypeError):
-        open_store(42)
+        create_store(42)
+
+
+def test_closed_stores_keep_their_error_policy(tmp_path):
+    """Closing keeps each kind's policy: a result store raises a store
+    failure (what the serve layer's breaker counts), never an
+    AttributeError; a node store degrades and counts the errors."""
+    from repro.nodestore import NodeStore
+    from repro.resilience import STORE_FAILURES
+
+    results = ResultStore(tmp_path / "closed.sqlite")
+    results.put("fp", {"x": 1}, body="{}")
+    results.close()
+    for operation in (lambda: results.get("fp"),
+                      lambda: results.get_body("fp"),
+                      lambda: results.peek("fp"),
+                      lambda: results.put("fp", {}, body="{}"),
+                      lambda: "fp" in results, lambda: len(results),
+                      results.entries, results.info, results.clear,
+                      lambda: results.prune(1)):
+        with pytest.raises(STORE_FAILURES):
+            operation()
+    nodes = NodeStore(tmp_path / "closed.sqlite")
+    nodes.close()
+    assert len(nodes) == 0 and "fp" not in nodes
+    assert nodes.entries() == [] and nodes.clear() == 0
+    assert nodes.info()["entries"] == 0
+    assert nodes.prune(1) == {"removed": 0, "remaining": 0,
+                              "payload_bytes": 0}
+    assert nodes.load_options("fp", adder_spec(4), expected_impls=1) is None
+    assert nodes.save_options("fp", adder_spec(4), [], impls=1) is False
+    assert nodes.stats()["errors"] >= 1
+
+
+@pytest.mark.parametrize("bumped", ["results", "nodes"])
+def test_schema_bump_drops_only_its_own_table_in_a_shared_file(
+        tmp_path, monkeypatch, bumped):
+    """Results and nodes share one file but version independently: a
+    bump rebuilds its own table and leaves the other kind's entries."""
+    from repro.nodestore import NodeStore
+    from repro.nodestore import store as nodestore_mod
+    from repro.store import store as store_mod
+
+    path = tmp_path / "shared.sqlite"
+    spec = adder_spec(4)
+    results, nodes = ResultStore(path), NodeStore(path)
+    results.put("r", {"x": 1}, body="{}")
+    assert nodes.save_options("n", spec, [], impls=1)
+    results.close()
+    nodes.close()
+    module, name = ((store_mod, "STORE_SCHEMA") if bumped == "results"
+                    else (nodestore_mod, "NODE_SCHEMA"))
+    monkeypatch.setattr(module, name, getattr(module, name) + 1)
+    results, nodes = ResultStore(path), NodeStore(path)
+    try:
+        kept = {"r": "r" in results, "n": "n" in nodes}
+        assert kept == ({"r": False, "n": True} if bumped == "results"
+                        else {"r": True, "n": False})
+        if bumped == "results":
+            assert results.info()["schema"] == store_mod.STORE_SCHEMA
+        else:
+            assert results.get("r") == {"x": 1}
+            assert nodes.info()["schema"] == nodestore_mod.NODE_SCHEMA
+    finally:
+        results.close()
+        nodes.close()
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +542,33 @@ def test_cli_cache_prune_requires_max_mb(tmp_path, capsys):
     rc = cli_main(["cache", "prune", "--store", str(tmp_path / "x.sqlite")])
     assert rc == 2
     assert "--max-mb" in capsys.readouterr().err
+    # A budget that is not a finite number >= 0 is refused before any
+    # eviction: -1 used to empty the whole file, nan/inf to traceback.
+    store_arg = str(tmp_path / "kept.sqlite")
+    assert cli_main(["warm", "--spec", "adder:8", "--store", store_arg]) == 0
+    capsys.readouterr()
+    for bad in ("nan", "inf", "-1"):
+        assert cli_main(["cache", "prune", "--store", store_arg,
+                         "--max-mb", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro cache prune: ") and "max_mb" in err
+    assert len(ResultStore(store_arg)) == 1
+
+
+@pytest.mark.parametrize("kind", ["results", "nodes"])
+def test_prune_refuses_a_budget_that_is_not_finite_and_non_negative(
+        tmp_path, kind):
+    from repro.nodestore import NodeStore
+
+    store = (ResultStore if kind == "results" else NodeStore)(
+        tmp_path / "budget.sqlite")
+    try:
+        for bad in (float("nan"), float("inf"), -1.0, -1e-9):
+            with pytest.raises(ValueError, match="max_mb"):
+                store.prune(bad)
+        assert store.prune(0)["removed"] == 0
+    finally:
+        store.close()
 
 
 def test_cli_synth_with_store_hits_second_time(tmp_path, capsys):
