@@ -23,15 +23,28 @@ is an O(1) identity check, duplicate allocation disappears from the
 keep-all ablations, and every lazy per-object cache is computed once
 process-wide.
 
+S1 bookkeeping runs on small integers, never on specs.  Each distinct
+spec value gets one process-wide *spec id* (:func:`spec_id`, cached on
+the spec object), and each configuration lazily caches its
+``(spec id, impl)`` pairs (:attr:`Configuration.id_choices`) and the
+set of its spec ids (:attr:`Configuration.spec_ids`).  Likewise each
+distinct arc signature gets one process-wide *arc id*
+(:attr:`Configuration.arc_id`), so the costing loop groups rows by
+tuples of small ints.  The id tables only grow, are filled under a lock,
+and never leave the process: specs and configurations pickle by value.
+
 Combining sibling options is one function, :func:`enumerate_rows`: it
 enumerates the S1-consistent cross product depth first and stops at
 the combination cap, so the cap bounds the work performed, not just the
-length of a list that was already fully materialized.  Sibling
-specification sets are analysed up front: an option list whose specs
-appear in no other list can never conflict, so its options are appended
-with no comparisons at all; for lists that *can* conflict, each
-option's shared choices are extracted once and checked against the
-running merge by small integer spec ranks.
+length of a list that was already fully materialized.  Sibling spec-id
+sets are analysed up front: an option list whose specs appear in no
+other list can never conflict, so its options are appended with no
+comparisons at all; for lists that *can* conflict, each option's
+shared ``(spec id, impl)`` pairs are extracted once and checked
+against the running merge.  A row is only ``(chosen configurations,
+s1_ok)``: the merged choice items are built later, and only for the
+rows whose costs survive the S2 filter (:class:`CostRecord`,
+:func:`merge_choices`).
 
 Enumeration order is pluggable: the default ``"lex"`` order walks the
 option lists exactly as given (the seed semantics, and what keeps
@@ -45,10 +58,15 @@ corner.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
@@ -70,14 +88,14 @@ class ChoiceTuple(tuple):
     Plain tuples recompute their hash on every use, and a choice
     tuple's hash walks every spec's (Python-level) ``__hash__``.  The
     intern table hashes the choices part of its key on every lookup --
-    twice on a miss (probe, then insert) -- so :func:`enumerate_rows`
-    builds rows' choice items as ``ChoiceTuple`` and pays the spec walk
-    once per instance instead of once per dictionary operation.
-    Equality and the hash *value* are exactly the underlying tuple's,
-    so mixing with plain tuples (unpickled payloads, hand-built
-    configurations) stays transparent; pickles degrade to plain tuples
-    so a cached hash (which embeds the per-process string-hash seed)
-    never crosses a process boundary.
+    twice on a miss (probe, then insert) -- so :func:`merge_choices`
+    (and the node store's payload decoder) build choice items as
+    ``ChoiceTuple`` and pay the spec walk once per instance instead of
+    once per dictionary operation.  Equality and the hash *value* are
+    exactly the underlying tuple's, so mixing with plain tuples
+    (unpickled payloads, hand-built configurations) stays transparent;
+    pickles degrade to plain tuples so a cached hash (which embeds the
+    per-process string-hash seed) never crosses a process boundary.
     """
 
     def __hash__(self) -> int:
@@ -89,6 +107,71 @@ class ChoiceTuple(tuple):
 
     def __reduce__(self):
         return (tuple, (tuple(self),))
+
+
+# ---------------------------------------------------------------------------
+# Process-wide id tables
+# ---------------------------------------------------------------------------
+
+class IdTable:
+    """A grow-only, thread-safe key -> small int table.
+
+    Ids are dense (0, 1, 2, ...) in first-seen order and are only
+    meaningful inside the process that assigned them; nothing that
+    pickles ever carries one.  Reads are a plain dict probe; a miss
+    takes the lock, so two threads seeing the same new key agree on its
+    id."""
+
+    def __init__(self) -> None:
+        self._ids: Dict[Hashable, int] = {}
+        #: id -> the value recorded with it (by default its key).
+        self.values: List[object] = []
+        self._lock = threading.Lock()
+
+    def id_of(self, key: Hashable, value: object = None) -> int:
+        """The id of ``key``; a new key records ``value`` (default: the
+        key itself) under its id in :attr:`values`."""
+        ident = self._ids.get(key)
+        if ident is None:
+            with self._lock:
+                ident = self._ids.get(key)
+                if ident is None:
+                    ident = self._ids[key] = len(self.values)
+                    self.values.append(key if value is None else value)
+        return ident
+
+    def _reinit_lock(self) -> None:
+        """Post-fork hook: a fork can snapshot the lock held."""
+        self._lock = threading.Lock()
+
+
+#: Spec ids, keyed by the spec's field values (not the spec object, so
+#: the table never pins a spec the weak spec intern table would free);
+#: each id's value is the spec's ``sort_key``.
+SPEC_IDS = IdTable()
+#: Arc-signature ids, keyed by a delay matrix's ``arc_keys`` tuple.
+ARC_IDS = IdTable()
+
+if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
+    os.register_at_fork(after_in_child=SPEC_IDS._reinit_lock)
+    os.register_at_fork(after_in_child=ARC_IDS._reinit_lock)
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def spec_id(spec: ComponentSpec) -> int:
+    """The process-wide small-int id of ``spec``'s value, cached on the
+    spec object.  Equal specs share one id, whether or not they are the
+    same (interned) object."""
+    ident = spec.__dict__.get("_spec_id")
+    if ident is None:
+        ident = SPEC_IDS.id_of((spec.ctype, spec.width, spec.attrs),
+                               spec.sort_key)
+        object.__setattr__(spec, "_spec_id", ident)
+    return ident
+
 
 #: An order backend reorders one option list; ``None`` keeps the list
 #: as given (lexicographic enumeration).
@@ -163,31 +246,35 @@ class Configuration:
             object.__setattr__(self, "_arc_keys", cached)
         return cached
 
-    @property
+    # The S1 and costing loops read the next four; ``cached_property``
+    # stores into the instance dict, so a warm read is a plain attribute
+    # load rather than a property call.
+    @cached_property
     def delay_values(self) -> Tuple[float, ...]:
         """The delay weights, parallel to :attr:`arc_keys`."""
-        cached = self.__dict__.get("_delay_values")
-        if cached is None:
-            cached = tuple(v for _, v in self.delays)
-            object.__setattr__(self, "_delay_values", cached)
-        return cached
+        return tuple(v for _, v in self.delays)
+
+    @cached_property
+    def arc_id(self) -> int:
+        """The process-wide id of :attr:`arc_keys` (:data:`ARC_IDS`):
+        the costing loop groups rows by tuples of these."""
+        return ARC_IDS.id_of(self.arc_keys)
+
+    @cached_property
+    def id_choices(self) -> Tuple[Tuple[int, int], ...]:
+        """``(spec id, impl)`` pairs, parallel to ``choices`` -- the
+        form the S1 combiner checks consistency in."""
+        return tuple([(spec_id(spec), impl) for spec, impl in self.choices])
+
+    @cached_property
+    def spec_ids(self) -> frozenset:
+        """The ids of the specs this configuration binds.  The S1
+        combiner unions these per option list to find which lists can
+        conflict at all."""
+        return frozenset(map(_first, self.id_choices))
 
     def choice_map(self) -> Dict[ComponentSpec, int]:
         return dict(self.choices)
-
-    @property
-    def choice_specs(self) -> frozenset:
-        """The specs this configuration binds, as a cached frozenset.
-
-        The S1 combiners union these per option list to find which
-        lists can conflict at all; caching on the (interned, shared)
-        configuration makes that a C-level set union instead of a
-        re-scan of every choice tuple on every evaluation."""
-        cached = self.__dict__.get("_choice_specs")
-        if cached is None:
-            cached = frozenset(spec for spec, _ in self.choices)
-            object.__setattr__(self, "_choice_specs", cached)
-        return cached
 
     def chosen_impl(self, spec: ComponentSpec) -> Optional[int]:
         table = self.__dict__.get("_impl_by_spec")
@@ -290,14 +377,23 @@ def prune_dominated_options(
     may keep a different (cost-equivalent) representative than
     unpruned evaluation.
     """
+    shared_ids = (None if shared_specs is None
+                  else {spec_id(spec) for spec in shared_specs})
+    return _prune_dominated(options, shared_ids)
 
-    def footprint(option: Configuration) -> Tuple[Choice, ...]:
-        if shared_specs is None:
-            return option.choices
-        return tuple(c for c in option.choices if c[0] in shared_specs)
+
+def _prune_dominated(options: Sequence[Configuration],
+                     shared_ids: Optional[set]) -> List[Configuration]:
+    """:func:`prune_dominated_options` over spec ids (``None`` = every
+    choice is shared)."""
+
+    def footprint(option: Configuration) -> Tuple[Tuple[int, int], ...]:
+        if shared_ids is None:
+            return option.id_choices
+        return tuple(c for c in option.id_choices if c[0] in shared_ids)
 
     kept: List[Configuration] = []
-    kept_footprints: List[Tuple[Choice, ...]] = []
+    kept_footprints: List[Tuple[Tuple[int, int], ...]] = []
     for option in options:
         own_footprint = footprint(option)
         dominated = False
@@ -458,10 +554,10 @@ def resolve_order(order: Union[str, OrderFn, None]) -> Optional[OrderFn]:
 # The S1 combiner
 # ---------------------------------------------------------------------------
 
-#: One combination row: the chosen configurations plus the
-#: canonically-sorted merged choice items (``None`` = rejected by the
-#: caller's own-choice S1 check; the row still counted against the cap).
-Row = Tuple[Tuple[Configuration, ...], Optional[Tuple[Choice, ...]]]
+#: One combination row: the chosen configurations, one per option list,
+#: and whether the row passed the caller's own-choice S1 check (a row
+#: that failed it still counted against the cap; it is never costed).
+Row = Tuple[Tuple[Configuration, ...], bool]
 
 
 def enumerate_rows(
@@ -477,37 +573,34 @@ def enumerate_rows(
     optional dominance pruning and the ``order`` transform), and a
     conflicting prefix is pruned at the depth where it first
     conflicts.  ``limit`` aborts the enumeration at the cap, so the cap
-    bounds both the work and this list's memory.  Each row carries the
-    chosen configurations plus the merged choice items already in
-    canonical sorted order, ready for :func:`make_configuration_parts`.
-    When two lists bind the same spec to the same impl, the row keeps
-    one entry for it.  The sort
-    never compares two specs: every spec of the node gets a small
-    integer *rank* in sort-key order (equal sort keys imply equal
-    specs, so the rank map is order-preserving and injective), each
-    option's choices are decorated once with a packed
-    ``(rank, depth, position)`` integer key, and a row's items are one
-    integer sort over the per-depth runs at emit time.  S1 consistency
-    bookkeeping runs over the same ranks, so the hot loop hashes small
-    ints, not specs.  Only rows that actually contain a duplicated spec
-    pay a dedup pass.
+    bounds both the work and this list's memory.  Each row is the
+    chosen configurations plus an ``s1_ok`` flag; the merged choice
+    items are not built here (:func:`merge_choices` builds them for the
+    rows that survive S2).
 
-    ``own_choice`` folds the caller's own (spec -> impl) entries into
-    every row after the merge: a row whose children pin an own spec to
-    a different impl is an S1 conflict -- it still counts against
-    ``limit`` (the check runs after the row is enumerated) but its
-    choice items are ``None`` so the caller skips costing it.
+    Consistency is checked on process-wide spec ids
+    (:attr:`Configuration.id_choices`): the merge map holds
+    ``spec id -> impl`` for the *tracked* specs only -- those that
+    appear in two lists' universes, plus own specs some child also
+    binds -- and a list whose universe touches no tracked spec skips
+    the merge entirely.
+
+    ``own_choice`` is the caller's own (spec -> impl) entries: a row
+    whose children pin an own spec to a different impl is an S1
+    conflict -- it still counts against ``limit`` (the check runs after
+    the row is enumerated) but comes back with ``s1_ok=False`` so the
+    caller skips costing it.
     """
     if limit is not None and limit <= 0:
         return []
     count = len(option_lists)
     # Which option lists can conflict at all?  A spec can collide only
-    # when it appears in the choice universes of two different lists.
+    # when it appears in the spec-id universes of two different lists.
     universes: List[set] = []
     for options in option_lists:
         universe: set = set()
         for config in options:
-            universe |= config.choice_specs
+            universe |= config.spec_ids
         universes.append(universe)
     shared: set = set()
     seen: set = set()
@@ -516,7 +609,7 @@ def enumerate_rows(
         seen |= universe
 
     lists: List[Sequence[Configuration]] = (
-        [prune_dominated_options(options, shared) for options in option_lists]
+        [_prune_dominated(options, shared) for options in option_lists]
         if prune_dominated
         else list(option_lists)
     )
@@ -527,210 +620,170 @@ def enumerate_rows(
         else:
             lists = [order_fn(options) for options in lists]
 
-    own_items: Tuple[Choice, ...] = ()
-    if own_choice:
-        own_items = tuple(
-            sorted(own_choice.items(), key=lambda kv: kv[0].sort_key))
     rows: List[Row] = []
     if count == 0:
-        # No sibling lists: exactly one empty combination, whose
-        # choices are the caller's own entries.
-        rows.append(((), own_items))
+        # No sibling lists: exactly one empty combination.
+        rows.append(((), True))
         return rows
 
-    # The merge map tracks every spec that can appear twice in one row:
-    # the shared set, plus own specs present in some child universe (so
-    # own-vs-child conflicts are caught against the full merge).
-    # Widening beyond ``shared`` changes no sibling pruning -- a spec
-    # private to one list can never conflict between siblings -- it
-    # only makes the own-choice check exact.
-    tracked = shared
-    if own_items:
-        extra = {spec for spec, _ in own_items
-                 if any(spec in universe for universe in universes)}
-        extra -= shared
-        if extra:
-            tracked = shared | extra
-    checked = [bool(universe & tracked) for universe in universes]
-
-    # Integer spec ranks in sort-key order.  Each entry's packed key is
-    # (rank, depth, j) with strides wide enough that integer comparison
-    # equals lexicographic tuple comparison; keys are unique within a
-    # row (one config per depth, j indexes its choices), so the emit
-    # sort never falls through to comparing the payload.
-    all_specs: set = set()
-    for universe in universes:
-        all_specs |= universe
-    all_specs.update(spec for spec, _ in own_items)
-    rank_of = {
-        spec: rank
-        for rank, spec in enumerate(
-            sorted(all_specs, key=lambda s: s.sort_key))
-    }
-    # Identity fast path for rank lookups: specs are interned by
-    # :func:`make_spec`, so a config's choice spec is almost always
-    # *the* object sitting in the universe sets; an int-keyed get then
-    # skips the (Python-level) spec hash.  Equal-but-distinct spec
-    # objects fall back to the value-keyed map, so nothing relies on
-    # the interning.
-    rank_by_id = {id(spec): rank for spec, rank in rank_of.items()}
-    rank_by_id_get = rank_by_id.get
-    tracked_ranks = {rank_of[spec] for spec in tracked}
-    j_stride = len(own_items) + 1
-    for options in lists:
-        for config in options:
-            width = len(config.choices) + 1
-            if width > j_stride:
-                j_stride = width
-    depth_stride = count + 2
-    rank_stride = depth_stride * j_stride
-
-    own_run = [
-        (rank_of[spec] * rank_stride + count * j_stride + j, (spec, impl))
-        for j, (spec, impl) in enumerate(own_items)
-    ]
-    own_rank_items = [(rank_of[spec], impl) for spec, impl in own_items]
-
-    # Per-depth memo tables parallel to the option lists, filled
-    # lazily: position indexing keeps the innermost loops free of both
-    # id() calls and dictionary probes.
-    run_tables: List[list] = [[None] * len(options) for options in lists]
+    # Own entries that some child also binds: the only ones that can
+    # conflict, so the only ones checked per row.  Tracking them too
+    # changes no sibling pruning -- a spec private to one list never
+    # conflicts between siblings -- it only makes the own check exact.
+    own_checks: List[Tuple[int, int]] = []
+    if own_choice:
+        for spec, impl in own_choice.items():
+            ident = spec_id(spec)
+            if ident in seen:
+                own_checks.append((ident, impl))
+    tracked = shared.union(ident for ident, _ in own_checks)
+    checked = [not universe.isdisjoint(tracked) for universe in universes]
+    # Per-depth memo of each option's tracked pairs, parallel to the
+    # option lists and filled lazily: position indexing keeps the inner
+    # loop free of dictionary probes.
     tracked_tables: List[list] = [[None] * len(options) for options in lists]
 
     merged: Dict[int, int] = {}
     merged_get = merged.get
     chosen: List[Optional[Configuration]] = [None] * count
-    #: The flat stack of the current prefix's decorated entries; walk
-    #: extends it per depth and truncates on unwind, so emit only pays
-    #: one sorted copy per row.
-    entries: list = []
     rows_append = rows.append
     done = False
     limit_n = -1 if limit is None else limit
 
-    def emit(multiplicity: int) -> None:
+    def emit() -> None:
         nonlocal done
-        duplicates = multiplicity - len(merged)
-        if own_rank_items:
-            for rank, impl in own_rank_items:
-                existing = merged_get(rank)
-                if existing is not None:
-                    if existing != impl:
-                        rows_append((tuple(chosen), None))
-                        if len(rows) == limit_n:
-                            done = True
-                        return
-                    duplicates += 1
-            ent = entries + own_run
-            ent.sort()
-        else:
-            ent = sorted(entries)
-        if duplicates:
-            # Equal specs share one rank (the rank map is value-keyed),
-            # so duplicates are adjacent after the sort and detected by
-            # integer division alone; keep the first occurrence (lowest
-            # depth; the impls of duplicates are equal by construction).
-            deduped = []
-            prev_rank = -1
-            for entry in ent:
-                rank = entry[0] // rank_stride
-                if rank == prev_rank:
-                    continue
-                prev_rank = rank
-                deduped.append(entry)
-            ent = deduped
-        rows_append(
-            (tuple(chosen), ChoiceTuple([entry[1] for entry in ent])))
+        ok = True
+        for ident, impl in own_checks:
+            existing = merged_get(ident)
+            if existing is not None and existing != impl:
+                ok = False
+                break
+        rows_append((tuple(chosen), ok))
         if len(rows) == limit_n:
             done = True
 
-    def decorated_run(table: list, index: int,
-                      config: Configuration, depth_off: int) -> list:
-        run: list = []
-        append = run.append
-        j = depth_off
-        for choice in config.choices:
-            rank = rank_by_id_get(id(choice[0]))
-            if rank is None:
-                rank = rank_of[choice[0]]
-            append((rank * rank_stride + j, choice))
-            j += 1
-        table[index] = run
-        return run
-
-    def tracked_items(table: list, index: int,
-                      config: Configuration) -> list:
-        items: list = []
-        append = items.append
-        for spec, impl in config.choices:
-            rank = rank_by_id_get(id(spec))
-            if rank is None:
-                rank = rank_of[spec]
-            if rank in tracked_ranks:
-                append((rank, impl))
-        table[index] = items
-        return items
-
-    def walk(depth: int, multiplicity: int) -> None:
+    def walk(depth: int) -> None:
+        nonlocal done
         options = lists[depth]
         last = depth + 1 == count
-        run_table = run_tables[depth]
-        depth_off = depth * j_stride
-        base = len(entries)
-        extend = entries.extend
         if not checked[depth]:
             # No spec of this list appears anywhere else: conflicts are
             # impossible, so no merge bookkeeping at all.
-            index = 0
-            for config in options:
-                run = run_table[index]
-                if run is None:
-                    run = decorated_run(run_table, index, config, depth_off)
-                index += 1
-                chosen[depth] = config
-                extend(run)
-                if last:
-                    emit(multiplicity)
-                else:
-                    walk(depth + 1, multiplicity)
-                del entries[base:]
-                if done:
-                    return
-        else:
-            tracked_table = tracked_tables[depth]
-            index = 0
-            for config in options:
-                items = tracked_table[index]
-                if items is None:
-                    items = tracked_items(tracked_table, index, config)
-                consistent = True
-                to_add: List[int] = []
-                for rank, impl in items:
-                    existing = merged_get(rank)
-                    if existing is None:
-                        to_add.append(rank)
-                    elif existing != impl:
-                        consistent = False
-                        break
-                if consistent:
-                    for rank, impl in items:
-                        merged[rank] = impl
-                    run = run_table[index]
-                    if run is None:
-                        run = decorated_run(
-                            run_table, index, config, depth_off)
+            if last and not own_checks:
+                for config in options:
                     chosen[depth] = config
-                    extend(run)
-                    if last:
-                        emit(multiplicity + len(items))
-                    else:
-                        walk(depth + 1, multiplicity + len(items))
-                    del entries[base:]
-                    for rank in to_add:
-                        del merged[rank]
-                index += 1
+                    rows_append((tuple(chosen), True))
+                    if len(rows) == limit_n:
+                        done = True
+                        return
+                return
+            for config in options:
+                chosen[depth] = config
+                if last:
+                    emit()
+                else:
+                    walk(depth + 1)
                 if done:
                     return
+            return
+        table = tracked_tables[depth]
+        for index, config in enumerate(options):
+            items = table[index]
+            if items is None:
+                items = table[index] = [
+                    pair for pair in config.id_choices if pair[0] in tracked]
+            consistent = True
+            to_add: List[int] = []
+            for ident, impl in items:
+                existing = merged_get(ident)
+                if existing is None:
+                    to_add.append(ident)
+                elif existing != impl:
+                    consistent = False
+                    break
+            if consistent:
+                for ident, impl in items:
+                    merged[ident] = impl
+                chosen[depth] = config
+                if last:
+                    emit()
+                else:
+                    walk(depth + 1)
+                for ident in to_add:
+                    del merged[ident]
+            if done:
+                return
 
-    walk(0, 0)
+    walk(0)
+    # ``walk`` reaches itself through its closure cell.  Unbinding it
+    # breaks that cycle, so this call's state is freed by reference
+    # counting now instead of piling up for the cyclic collector.
+    walk = None  # noqa: F841
     return rows
+
+
+def merge_choices(chosen: Sequence[Configuration],
+                  own_items: Sequence[Choice] = ()) -> Tuple[Choice, ...]:
+    """The canonical choice items of an S1-consistent row: each spec's
+    first occurrence in depth order over ``chosen``, then the own
+    entries not already bound, sorted by spec sort key -- ready for
+    :func:`make_configuration_parts`.  Only meaningful for a row whose
+    ``s1_ok`` is true (its duplicate specs agree on the impl)."""
+    return _merge(chosen, own_items)[1]
+
+
+def _merge(chosen: Sequence[Configuration], own_items: Sequence[Choice]
+           ) -> Tuple[Tuple[int, ...], Tuple[Choice, ...]]:
+    """:func:`merge_choices` plus the spec ids parallel to its items."""
+    # spec id -> choice, filled lowest precedence first so each update
+    # overwrites with an earlier occurrence: own entries, then the
+    # chosen configurations deepest first.
+    merged: Dict[int, Choice] = {
+        spec_id(choice[0]): choice for choice in own_items}
+    for config in reversed(chosen):
+        merged.update(zip(map(_first, config.id_choices), config.choices))
+    ordered = sorted(merged, key=SPEC_IDS.values.__getitem__)
+    return tuple(ordered), ChoiceTuple(map(merged.__getitem__, ordered))
+
+
+class CostRecord:
+    """The costs of one evaluated row, before it is a configuration.
+
+    The S2 filters' ``select_block`` ranks candidates on ``area`` and
+    ``delay`` alone, so the costing loop hands them these records and
+    only the survivors pay for their merged choice items and an intern
+    lookup (:meth:`configuration`).  A record never leaves the design
+    space that built it."""
+
+    __slots__ = ("area", "delay", "keys", "values", "chosen", "own")
+
+    def __init__(self, area: float, delay: float,
+                 keys: Tuple[Tuple[str, str], ...], values: Sequence[float],
+                 chosen: Tuple[Configuration, ...],
+                 own: Tuple[Choice, ...]) -> None:
+        self.area = area
+        self.delay = delay
+        #: The kernel's result arc keys (sorted) and the row's values.
+        self.keys = keys
+        self.values = values
+        self.chosen = chosen
+        self.own = own
+
+    def configuration(self) -> Configuration:
+        """The interned configuration this record denotes.
+
+        The record already holds what three of the configuration's lazy
+        caches would derive -- the ``(spec id, impl)`` pairs of the
+        merged choices, the arc keys and the delay values -- so they are
+        handed over (they are value-determined, so an interned instance
+        that has them already keeps equal ones)."""
+        ids, choices = _merge(self.chosen, self.own)
+        config = make_configuration_parts(
+            self.area, tuple(zip(self.keys, self.values)), choices,
+            self.delay)
+        caches = config.__dict__
+        caches.setdefault("id_choices",
+                          tuple(zip(ids, map(_second, choices))))
+        caches.setdefault("_arc_keys", self.keys)
+        caches.setdefault("delay_values", tuple(self.values))
+        return config

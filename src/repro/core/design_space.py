@@ -29,9 +29,16 @@ The evaluation inner loop is engineered for the paper's scale claim
   so costing a combination only substitutes delay weights;
 - the S1 cross product is enumerated as capped rows
   (:func:`~repro.core.configs.enumerate_rows`), so ``max_combinations``
-  bounds the enumeration work itself, and sibling specs that cannot
-  conflict skip choice-map checks entirely; rows sharing an arc
-  signature are costed in blocks through the kernels' ``run_batch``;
+  bounds the enumeration work itself; consistency is checked on
+  process-wide integer spec ids, and sibling specs that cannot conflict
+  skip the check entirely.  A row is only its chosen configurations
+  and an S1 flag;
+- rows sharing an arc signature (grouped by tuples of process-wide arc
+  ids) are costed in blocks through the kernels' ``run_batch`` into
+  :class:`~repro.core.configs.CostRecord` objects, which the S2
+  filter's ``select_block`` ranks on area and delay; only the survivors
+  get merged choice items and an interned configuration, so no spec is
+  hashed for a row the filter drops;
 - rule applications, cell matchings, and compiled programs are pure
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
@@ -60,15 +67,18 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from array import array
 
 from repro.core.configs import (
+    ARC_IDS,
     Configuration,
+    CostRecord,
     enumerate_rows,
     make_configuration,
-    make_configuration_parts,
     resolve_order,
 )
 from repro.core.filters import ParetoFilter, PerformanceFilter
@@ -81,6 +91,17 @@ from repro.netlist.validate import NetlistError, validate_netlist
 
 if False:  # typing only; avoids a circular import with repro.techlib
     from repro.techlib.cells import CellLibrary
+
+
+_arc_id = attrgetter("arc_id")
+
+
+def _configuration(candidate) -> Configuration:
+    """A filter survivor as a configuration (cost records materialize;
+    configurations pass through)."""
+    if isinstance(candidate, CostRecord):
+        return candidate.configuration()
+    return candidate
 
 
 class SynthesisError(Exception):
@@ -354,7 +375,8 @@ class DesignSpace:
         #: space: ``expand`` (rule matching + technology mapping),
         #: ``node_probe``/``node_publish`` (the per-node option cache),
         #: ``enumerate_cost`` (the S1 cross product through the timing
-        #: kernels), ``filter`` (S2 selection).  Callers snapshot
+        #: kernels), ``filter`` (S2 selection, including building the
+        #: survivors' configurations).  Callers snapshot
         #: before/after a request to get that request's breakdown
         #: (:meth:`snapshot_phases`); increments go through the same
         #: lock as ``node_stats``.  Never nested: ``expand`` recursion
@@ -565,7 +587,7 @@ class DesignSpace:
                 if loaded is not None:
                     self._configs[spec] = loaded
                     return loaded
-            candidates: List[Configuration] = []
+            candidates: list = []
             for impl in node.impls:
                 candidates.extend(self._impl_configs(spec, impl))
             selected = self._select(candidates)
@@ -583,23 +605,28 @@ class DesignSpace:
         finally:
             self._evaluating.discard(spec)
 
-    def _select(self, candidates: List[Configuration]) -> List[Configuration]:
-        """Apply the performance filter through its block path
-        (``select_block``) when it has one; third-party filters
-        without it fall back to ``select``, which returns the same
+    def _select(self, candidates: list) -> List[Configuration]:
+        """Apply the performance filter to a node's candidates: cell
+        :class:`Configuration` objects mixed with the
+        :class:`~repro.core.configs.CostRecord` objects of evaluated
+        rows.  A filter with ``select_block`` ranks the mixed block on
+        area and delay, and only its survivors become configurations;
+        a third-party filter without it gets every candidate as a
+        configuration and runs ``select``, which returns the same
         survivors in the same order."""
         phase_start = time.perf_counter()
         try:
             block = getattr(self.perf_filter, "select_block", None)
-            if block is not None:
-                return block(candidates)
-            return self.perf_filter.select(candidates)
+            if block is None:
+                return self.perf_filter.select(
+                    [_configuration(c) for c in candidates])
+            return [_configuration(c) for c in block(candidates)]
         finally:
             self._phase_add("filter", time.perf_counter() - phase_start)
 
-    def _impl_configs(
-        self, spec: ComponentSpec, impl: Implementation
-    ) -> List[Configuration]:
+    def _impl_configs(self, spec: ComponentSpec, impl: Implementation) -> list:
+        """One implementation's S2 candidates: a configuration for a
+        cell binding, cost records for a decomposition."""
         if impl.kind == "cell":
             cell = impl.binding.cell
             return [
@@ -611,7 +638,7 @@ class DesignSpace:
 
     def _decomp_configs(
         self, spec: ComponentSpec, impl: Implementation
-    ) -> List[Configuration]:
+    ) -> List[CostRecord]:
         netlist = impl.netlist
         distinct_specs = list(dict.fromkeys(m.spec for m in netlist.modules))
         option_lists = []
@@ -635,14 +662,15 @@ class DesignSpace:
         program: TimingProgram,
         option_lists: List[List[Configuration]],
         own_choice: Optional[Dict[ComponentSpec, int]],
-    ) -> List[Configuration]:
+    ) -> List[CostRecord]:
         """Cost every S1-consistent combination of module options.
 
-        Materialize the (capped) S1 rows, group them by arc signature,
-        push each group's delay weights through ``run_batch`` as flat
-        matrices in chunks of ``batch`` rows, and rebuild the
-        configurations from the presorted parts.  Results land back in
-        enumeration order, and every chunk size yields the same
+        Materialize the (capped) S1 rows, group them by their tuple of
+        per-slot arc ids, push each group's delay weights through
+        ``run_batch`` as flat matrices in chunks of ``batch`` rows, and
+        return one :class:`~repro.core.configs.CostRecord` per costed
+        row, in enumeration order; every chunk size yields the same
+        records.  :meth:`_select` turns the survivors into
         configurations.
         """
         phase_start = time.perf_counter()
@@ -654,62 +682,36 @@ class DesignSpace:
                 order=self.order,
                 own_choice=own_choice,
             )
-            results: List[Optional[Configuration]] = [None] * len(rows)
-            # Group rows by arc signature through small per-slot integer
-            # ids (hashing the nested string-tuple signatures per row is
-            # measurable; hashing a tuple of small ints is not).  The
-            # same per-slot pass precomputes id -> (delay values, area)
-            # so the chunk loops below never touch a property per row.
-            arc_ids: Dict[tuple, int] = {}
-            slot_maps: List[Dict[int, int]] = []
-            value_maps: List[Dict[int, tuple]] = []
-            area_maps: List[Dict[int, float]] = []
-            for options in option_lists:
-                slot_map: Dict[int, int] = {}
-                value_map: Dict[int, tuple] = {}
-                area_map: Dict[int, float] = {}
-                for config in options:
-                    keys = config.arc_keys
-                    arc_id = arc_ids.get(keys)
-                    if arc_id is None:
-                        arc_id = arc_ids[keys] = len(arc_ids)
-                    cid = id(config)
-                    slot_map[cid] = arc_id
-                    value_map[cid] = config.delay_values
-                    area_map[cid] = config.area
-                slot_maps.append(slot_map)
-                value_maps.append(value_map)
-                area_maps.append(area_map)
+            own_items = tuple(own_choice.items()) if own_choice else ()
+            results: List[Optional[CostRecord]] = [None] * len(rows)
             groups: Dict[tuple, List[int]] = {}
             groups_get = groups.get
-            for index, row in enumerate(rows):
-                if row[1] is None:
+            for index, (chosen, ok) in enumerate(rows):
+                if not ok:
                     continue  # own-choice conflict: counted, never costed
-                key = tuple([slot_maps[slot][id(config)]
-                             for slot, config in enumerate(row[0])])
+                key = tuple(map(_arc_id, chosen))
                 group = groups_get(key)
                 if group is None:
                     groups[key] = [index]
                 else:
                     group.append(index)
             module_slots = program.module_slots
+            arc_keys = ARC_IDS.values
             batch = self.batch
             costed = 0
-            for indices in groups.values():
-                signature = tuple(
-                    c.arc_keys for c in rows[indices[0]][0])
-                kernel = program.kernel(signature)
+            for arc_key_ids, indices in groups.items():
+                kernel = program.kernel(
+                    tuple([arc_keys[arc] for arc in arc_key_ids]))
                 costed += len(indices)
                 for start in range(0, len(indices), batch):
                     chunk = indices[start:start + batch]
                     chosen_rows = [rows[index][0] for index in chunk]
                     matrices = []
-                    for slot in range(len(signature)):
+                    for slot in range(len(arc_key_ids)):
                         buffer = array("d")
                         extend = buffer.extend
-                        value_map = value_maps[slot]
                         for chosen in chosen_rows:
-                            extend(value_map[id(chosen[slot])])
+                            extend(chosen[slot].delay_values)
                         matrices.append(buffer)
                     keys, block = kernel.run_batch(matrices, len(chunk))
                     for offset, index in enumerate(chunk):
@@ -717,18 +719,16 @@ class DesignSpace:
                         values = block[offset]
                         # Areas sum per module instance, in instance
                         # order, so the float addition sequence matches
-                        # a direct walk over the netlist.
-                        area = 0.0
-                        for slot in module_slots:
-                            area += area_maps[slot][id(chosen[slot])]
-                        results[index] = make_configuration_parts(
-                            area,
-                            tuple(zip(keys, values)),
-                            rows[index][1],
+                        # a direct walk over the netlist (a left fold,
+                        # never ``sum``, which may compensate).
+                        areas = [config.area for config in chosen]
+                        results[index] = CostRecord(
+                            reduce(add, map(areas.__getitem__,
+                                            module_slots), 0.0),
                             max(values) if values else 0.0,
-                        )
+                            keys, values, chosen, own_items)
             self.combinations_costed += costed
-            return [config for config in results if config is not None]
+            return [record for record in results if record is not None]
         finally:
             self._phase_add("enumerate_cost",
                             time.perf_counter() - phase_start)

@@ -24,11 +24,14 @@ from repro.core.configs import Configuration
 class PerformanceFilter(Protocol):
     """Protocol for search-control filters over configurations.
 
-    Filters may additionally offer ``select_block`` (same contract as
-    ``select``, called once per evaluated block); the design space
-    prefers it when present and falls back to ``select`` otherwise, so
-    third-party filters keep working unchanged.  The built-in filters
-    alias it to ``select``."""
+    Filters may additionally offer ``select_block`` (called once per
+    evaluated node); the design space prefers it when present and falls
+    back to ``select`` otherwise, so third-party filters keep working
+    unchanged.  ``select_block`` receives configurations mixed with
+    :class:`~repro.core.configs.CostRecord` objects, which carry only
+    ``area`` and ``delay`` of the filter-facing fields, and must select
+    on those two alone; the design space turns its survivors into
+    configurations.  The built-in filters alias it to ``select``."""
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         """Return the retained configurations, sorted by (area, delay)."""

@@ -10,11 +10,9 @@ asks the table for the canonical instance, so
 - equal configurations are *the same object* process-wide, which makes
   equality an O(1) identity check between interned instances (see
   ``Configuration.__eq__``) and lets the per-object lazy caches
-  (``arc_keys``, ``delay_values``, ``chosen_impl`` tables, split choice
-  tuples) be computed once and shared by every user;
-- each configuration carries a stable ``interned_id`` -- a small int
-  the streaming S1 combiner uses to memoize per-configuration work
-  within one enumeration;
+  (``arc_keys``, ``delay_values``, arc and spec ids, ``chosen_impl``
+  tables) be computed once and shared by every user;
+- each configuration carries a stable ``interned_id``, a small int;
 - pickles round-trip through the table
   (``Configuration.__reduce__``), so results shipped back from
   multiprocessing workers land as canonical parent-process instances.
@@ -22,7 +20,9 @@ asks the table for the canonical instance, so
 The table holds its entries *weakly* by value: when the last outside
 reference to a configuration dies, its entry (and key tuple) is
 released, so a retired workload does not pin its whole design space in
-memory.  Interning is keyed purely on value -- (area, delays, choices)
+memory.  The design space interns cell configurations and the rows
+that survive S2; rows the filter drops never reach the table.
+Interning is keyed purely on value -- (area, delays, choices)
 -- and never changes what a configuration *is*, only how many copies of
 it exist, which is why the parallel/interned engine stays bit-identical
 to the sequential one.

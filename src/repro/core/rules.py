@@ -81,12 +81,15 @@ class RuleBase:
         self.name = name
         self._rules: List[Rule] = []
         self._names: Dict[str, Rule] = {}
+        #: ctype -> its rules in insertion order (:meth:`rules_for`).
+        self._by_ctype: Dict[str, List[Rule]] = {}
 
     def add(self, rule: Rule) -> None:
         if rule.name in self._names:
             raise ValueError(f"duplicate rule name {rule.name!r}")
         self._rules.append(rule)
         self._names[rule.name] = rule
+        self._by_ctype.setdefault(rule.ctype, []).append(rule)
 
     def extend(self, rules: Iterable[Rule]) -> None:
         for rule in rules:
@@ -96,7 +99,11 @@ class RuleBase:
         return self._names[name]
 
     def rules_for(self, spec: ComponentSpec) -> List[Rule]:
-        return [rule for rule in self._rules if rule.applies_to(spec)]
+        """The rules that apply to ``spec``, in insertion order: the
+        ctype index narrows the candidates, then each guard decides
+        (the same answer as :meth:`Rule.applies_to` over every rule)."""
+        return [rule for rule in self._by_ctype.get(spec.ctype, ())
+                if rule.guard is None or rule.guard(spec)]
 
     def generic_rules(self) -> List[Rule]:
         return [rule for rule in self._rules if not rule.library_specific]

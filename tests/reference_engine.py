@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.core import configs
 from repro.core.configs import (
     Choice,
     Configuration,
@@ -55,6 +56,13 @@ def merge_choices(
     return merged
 
 
+def choice_specs(config: Configuration) -> frozenset:
+    """The specs ``config`` binds.  (The production combiner works on
+    spec ids, :attr:`Configuration.spec_ids`; the oracle stays on
+    specs.)"""
+    return frozenset(spec for spec, _ in config.choices)
+
+
 def iter_compatible(
     option_lists,
     limit: Optional[int] = None,
@@ -76,7 +84,7 @@ def iter_compatible(
     for options in option_lists:
         universe: set = set()
         for config in options:
-            universe |= config.choice_specs
+            universe |= choice_specs(config)
         universes.append(universe)
     shared: set = set()
     seen: set = set()
@@ -155,15 +163,27 @@ def row_choices(chosen: Tuple[Configuration, ...],
                 merged: Mapping[ComponentSpec, int],
                 own_choice: Optional[Mapping[ComponentSpec, int]] = None
                 ) -> Optional[Tuple[Choice, ...]]:
-    """The canonical choice items :func:`repro.core.configs.enumerate_rows`
-    must give the row ``(chosen, merged)``: ``merged`` plus the own
-    entries, sorted by spec sort key, or ``None`` on an own-choice
-    conflict."""
+    """The canonical choice items the row ``(chosen, merged)`` must get
+    (:func:`row_items`): ``merged`` plus the own entries, sorted by spec
+    sort key, or ``None`` on an own-choice conflict."""
     choices = dict(merged)
     for spec, impl in (own_choice or {}).items():
         if choices.setdefault(spec, impl) != impl:
             return None
     return tuple(sorted(choices.items(), key=lambda kv: kv[0].sort_key))
+
+
+def row_items(rows, own_choice: Optional[Mapping[ComponentSpec, int]] = None
+              ) -> List[Tuple[Tuple[Configuration, ...],
+                              Optional[Tuple[Choice, ...]]]]:
+    """Rows of :func:`repro.core.configs.enumerate_rows` in the form
+    :func:`row_choices` gives: ``(chosen, merged choice items)``, with
+    ``None`` items for a row that failed the own-choice check.  The
+    items come from :func:`repro.core.configs.merge_choices`, which
+    builds them for S2 survivors in production."""
+    own = tuple(own_choice.items()) if own_choice else ()
+    return [(chosen, configs.merge_choices(chosen, own) if ok else None)
+            for chosen, ok in rows]
 
 
 def reference_run(kernel, values) -> Dict[Tuple[str, str], float]:

@@ -23,7 +23,7 @@ import pytest
 from reference_engine import ScalarSpace, reference_run
 
 from repro.api import Session
-from repro.core.configs import ChoiceTuple, make_configuration
+from repro.core.configs import ChoiceTuple, Configuration, make_configuration
 from repro.core.design_space import DEFAULT_BATCH, DesignSpace
 from repro.core.filters import (
     KeepAllFilter,
@@ -161,6 +161,53 @@ def test_combinations_costed_counter_matches_scalar():
                          max_combinations=200)
         batched.alternatives(spec)
         assert batched.combinations_costed == scalar.combinations_costed
+
+
+# ---------------------------------------------------------------------------
+# configurations only for S2 survivors
+# ---------------------------------------------------------------------------
+
+def test_configurations_built_for_s2_survivors_only():
+    """Costed rows reach the filter as cost records; only the cell
+    bindings and the rows the filter keeps cost an intern lookup."""
+    from repro.core.interning import intern_stats
+
+    space = _space()
+    before = intern_stats()
+    space.alternatives(adder_spec(16))
+    after = intern_stats()
+    lookups = (after["hits"] + after["misses"]
+               - before["hits"] - before["misses"])
+    cells = sum(1 for node in space.nodes.values()
+                for impl in node.impls if impl.kind == "cell")
+    selected = sum(len(options) for options in space._configs.values())
+    assert space.combinations_costed > selected
+    assert 0 < lookups <= cells + selected
+
+
+class _SelectOnlyFilter:
+    """A third-party filter without ``select_block``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def select(self, configs):
+        self.seen.append([type(c) for c in configs])
+        return ParetoFilter().select(configs)
+
+
+@pytest.mark.parametrize("spec", [adder_spec(16), alu_spec(16)],
+                         ids=["adder16", "alu16"])
+def test_select_only_filter_sees_configurations(spec):
+    select_only = _SelectOnlyFilter()
+    got = _space(perf_filter=select_only).alternatives(spec)
+    assert select_only.seen
+    assert {kind for kinds in select_only.seen for kind in kinds} == {
+        Configuration}
+    expected = _space().alternatives(spec)
+    assert _fingerprint(got) == _fingerprint(expected)
+    for a, b in zip(got, expected):
+        assert a is b
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,34 @@ class TestExpansion:
         assert stats["implementations"] >= stats["spec_nodes"]
 
 
+def test_rules_for_index_matches_full_scan():
+    """The ctype index answers every catalogue spec's lookup with the
+    rules (and order) a full ``applies_to`` scan gives, and a rule
+    added after a lookup is found by the next one."""
+    from repro.api.registry import parse_spec
+    from repro.core.library_rules import lsi_rules
+    from repro.core.rules import Rule
+
+    rulebase = standard_rulebase()
+    rulebase.extend(lsi_rules())
+    space = DesignSpace(rulebase, lsi_logic_library(), ParetoFilter())
+    for family in ("adder", "alu", "comparator", "counter"):
+        for width in (16, 32, 64):
+            space.expand(parse_spec(f"{family}:{width}"))
+    assert len(space.nodes) > 100
+    for spec in space.nodes:
+        assert rulebase.rules_for(spec) == [
+            rule for rule in rulebase if rule.applies_to(spec)]
+
+    spec = adder_spec(8)
+    before = rulebase.rules_for(spec)
+    late = Rule("late_adder", spec.ctype, lambda s, ctx: [],
+                guard=lambda s: s.width == 8)
+    rulebase.add(late)
+    assert rulebase.rules_for(spec) == before + [late]
+    assert late not in rulebase.rules_for(adder_spec(4))
+
+
 class TestEvaluation:
     def test_configs_sorted_and_pareto(self, space):
         configs = space.configs(adder_spec(16))

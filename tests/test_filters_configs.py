@@ -3,7 +3,7 @@ configuration consistency (S1)."""
 
 import pytest
 from hypothesis import given, strategies as st
-from reference_engine import combine_compatible, merge_choices
+from reference_engine import combine_compatible, merge_choices, row_items
 
 from repro.core.configs import (
     Configuration,
@@ -110,9 +110,9 @@ class TestConfigurations:
         merged = merge_choices([{a_spec: 1}, {m_spec: 0}, {a_spec: 1}])
         assert merged == {a_spec: 1, m_spec: 0}
         # the combiner keeps one entry for a spec two siblings agree on
-        rows = enumerate_rows([[_cfg(1, 1, {a_spec: 1})],
-                               [_cfg(1, 1, {m_spec: 0})],
-                               [_cfg(1, 1, {a_spec: 1})]])
+        rows = row_items(enumerate_rows([[_cfg(1, 1, {a_spec: 1})],
+                                         [_cfg(1, 1, {m_spec: 0})],
+                                         [_cfg(1, 1, {a_spec: 1})]]))
         assert len(rows) == 1
         assert dict(rows[0][1]) == merged and len(rows[0][1]) == 2
 
@@ -123,8 +123,9 @@ class TestConfigurations:
         assert enumerate_rows([[_cfg(1, 1, {spec: 1})],
                                [_cfg(1, 1, {spec: 2})]]) == []
         # and against the caller's own choice: a counted, uncosted row
-        assert enumerate_rows([[_cfg(1, 1, {spec: 1})]],
-                              own_choice={spec: 2})[0][1] is None
+        assert row_items(enumerate_rows([[_cfg(1, 1, {spec: 1})]],
+                                        own_choice={spec: 2}),
+                         {spec: 2})[0][1] is None
 
     def test_combine_compatible_prunes(self):
         spec = adder_spec(4)

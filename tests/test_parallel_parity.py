@@ -52,6 +52,37 @@ def test_parallel_engine_bit_identical(spec, backend):
         assert got is expected
 
 
+@pytest.mark.xfail(
+    strict=False,
+    reason="known race, independent of the id tables: a worker thread "
+    "can memoize an option list it computed under its own decomposition "
+    "cycle guard, so comparator items can differ from the sequential "
+    "walk (see the strict xfail "
+    "test_shared_session_answer_matches_fresh_session)")
+def test_thread_jobs4_answers_the_catalogue_like_jobs1():
+    """Worker threads share the process-wide spec and arc id tables
+    while they fill them: 4 threads must answer every catalogue item
+    (adder/alu/comparator/counter x 16/32/64 x pareto/tradeoff) exactly
+    as the sequential walk does."""
+    from repro.api import Session
+
+    def answers(jobs):
+        found = []
+        for family in ("adder", "alu", "comparator", "counter"):
+            for width in (16, 32, 64):
+                for perf_filter in ("pareto", "tradeoff:0.05"):
+                    session = Session(library="lsi_logic",
+                                      perf_filter=perf_filter, jobs=jobs,
+                                      parallel_backend="thread")
+                    job = session.synthesize(f"{family}:{width}")
+                    found.append([(a.config.area, a.config.delays,
+                                   a.config.choices)
+                                  for a in job.result.alternatives])
+        return found
+
+    assert answers(4) == answers(1)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_prefill_runs_and_reports(backend):
     space = _space(jobs=3, parallel_backend=backend)

@@ -5,6 +5,7 @@ the streaming and materializing cross products of
 
 import pickle
 import random
+import sys
 
 import pytest
 from reference_engine import (
@@ -12,14 +13,17 @@ from reference_engine import (
     iter_compatible,
     reference_combine,
     row_choices,
+    row_items,
 )
 
 from repro.core.configs import (
     enumerate_rows,
     make_configuration,
+    merge_choices,
     prune_dominated_options,
+    spec_id,
 )
-from repro.core.specs import adder_spec, gate_spec, mux_spec
+from repro.core.specs import ComponentSpec, adder_spec, gate_spec, mux_spec
 
 
 def test_spec_and_config_pickles_drop_process_local_caches():
@@ -34,6 +38,7 @@ def test_spec_and_config_pickles_drop_process_local_caches():
     spec = adder_spec(16)
     hash(spec)
     spec.sort_key
+    spec_id(spec)
     # The payload carries only (ctype, width, attrs): no cached hash or
     # sort key can ever reach another process, even though the
     # same-process round trip hands back the canonical (cache-warm)
@@ -42,21 +47,25 @@ def test_spec_and_config_pickles_drop_process_local_caches():
     spec_ops = " ".join(
         str(arg) for _, arg, _ in pickletools.genops(spec_payload) if arg
     )
-    assert "_hash" not in spec_ops and "_sort_key" not in spec_ops
+    for cache_key in ("_hash", "_sort_key", "_spec_id"):
+        assert cache_key not in spec_ops
     clone = pickle.loads(spec_payload)
     assert clone is spec  # re-interned to the canonical spec
     assert clone == spec and hash(clone) == hash(spec)
 
     config = make_configuration(10, {("A", "O"): 3.0}, {spec: 1})
     config.arc_keys, config.delay_values, config.chosen_impl(spec)
+    config.arc_id, config.id_choices, config.spec_ids
     # The payload carries only (area, delays, choices) -- no cache keys,
-    # no intern id -- so nothing process-local can leak to a worker.
+    # no intern id, no spec or arc id -- so nothing process-local can
+    # leak to a worker.
     payload = pickle.dumps(config)
     opcodes = " ".join(
         str(arg) for _, arg, _ in pickletools.genops(payload) if arg
     )
-    for cache_key in ("_arc_keys", "_delay_values", "_impl_by_spec",
-                      "_hash", "_intern_id"):
+    for cache_key in ("_arc_keys", "delay_values", "_impl_by_spec",
+                      "_hash", "_intern_id", "_spec_id", "arc_id",
+                      "id_choices", "spec_ids"):
         assert cache_key not in opcodes
     config_clone = pickle.loads(payload)
     assert config_clone is config  # re-interned to the canonical object
@@ -72,18 +81,25 @@ def _reference_combine(option_lists):
     return reference_combine(option_lists)
 
 
+def _enumerate(option_lists, **kwargs):
+    """:func:`enumerate_rows` in the ``(chosen, choice items or None)``
+    form the oracles give (:func:`row_items`)."""
+    return row_items(enumerate_rows(option_lists, **kwargs),
+                     kwargs.get("own_choice"))
+
+
 def _as_rows(combos, own_choice=None):
-    """(chosen, merged map) combinations in the row form
-    :func:`enumerate_rows` returns."""
+    """(chosen, merged map) combinations in the :func:`_enumerate`
+    form."""
     return [(chosen, row_choices(chosen, merged, own_choice))
             for chosen, merged in combos]
 
 
 def _expected_rows(option_lists, limit=None, prune_dominated=False,
                    order=None, own_choice=None):
-    """What :func:`enumerate_rows` must return, derived from the
-    streaming oracle (own-choice conflicts stay in as ``None`` rows and
-    count against the cap, so the cap applies after the merge)."""
+    """What :func:`_enumerate` must return, derived from the streaming
+    oracle (own-choice conflicts stay in as ``None`` rows and count
+    against the cap, so the cap applies after the merge)."""
     return _as_rows(
         [(chosen, dict(merged)) for chosen, merged in iter_compatible(
             option_lists, limit=limit, prune_dominated=prune_dominated,
@@ -99,7 +115,7 @@ class TestConflictRejection:
         assert len(combos) == 2
         for chosen, merged in combos:
             assert chosen[0].chosen_impl(spec) == chosen[1].chosen_impl(spec)
-        rows = enumerate_rows([options, options])
+        rows = _enumerate([options, options])
         assert rows == _expected_rows([options, options])
         assert [row[1] for row in rows] == [((spec, 0),), ((spec, 1),)]
 
@@ -108,7 +124,7 @@ class TestConflictRejection:
         option_a = [_cfg(1, 1, {a_spec: 0}), _cfg(2, 2, {a_spec: 1})]
         option_b = [_cfg(1, 1, {m_spec: 0}), _cfg(2, 2, {m_spec: 1})]
         assert len(list(iter_compatible([option_a, option_b]))) == 4
-        assert len(enumerate_rows([option_a, option_b])) == 4
+        assert len(_enumerate([option_a, option_b])) == 4
 
     def test_transitive_conflict_through_shared_leaf(self):
         """Two siblings that only clash through a deeper shared spec."""
@@ -121,21 +137,21 @@ class TestConflictRejection:
         combos = combine_compatible([option_a, option_b])
         assert len(combos) == 1
         assert combos[0][1][leaf] == 1
-        rows = enumerate_rows([option_a, option_b])
+        rows = _enumerate([option_a, option_b])
         assert rows == _as_rows(combos)
         assert dict(rows[0][1])[leaf] == 1
 
     def test_empty_option_list_kills_product(self):
         assert list(iter_compatible([[_cfg(1, 1)], []])) == []
-        assert enumerate_rows([[_cfg(1, 1)], []]) == []
-        assert enumerate_rows([[], [_cfg(1, 1)]]) == []
+        assert _enumerate([[_cfg(1, 1)], []]) == []
+        assert _enumerate([[], [_cfg(1, 1)]]) == []
 
     def test_no_lists_yields_empty_combo(self):
         combos = list(iter_compatible([]))
         assert combos == [((), {})]
-        assert enumerate_rows([]) == [((), ())]
+        assert _enumerate([]) == [((), ())]
         own = {adder_spec(4): 2}
-        assert enumerate_rows([], own_choice=own) == [
+        assert _enumerate([], own_choice=own) == [
             ((), ((adder_spec(4), 2),))]
 
 
@@ -151,7 +167,7 @@ class TestOrderAndParity:
         expected = _reference_combine(lists)
         got = combine_compatible(lists)
         assert [(ch, m) for ch, m in got] == expected
-        assert enumerate_rows(lists) == _as_rows(expected)
+        assert _enumerate(lists) == _as_rows(expected)
 
     def test_cap_is_prefix_of_full_enumeration(self):
         a, b = adder_spec(4), mux_spec(2, 4)
@@ -162,9 +178,9 @@ class TestOrderAndParity:
         full = combine_compatible(lists)
         capped = combine_compatible(lists, limit=5)
         assert capped == full[:5]
-        assert enumerate_rows(lists, limit=5) == enumerate_rows(lists)[:5]
-        assert enumerate_rows(lists, limit=5) == _as_rows(capped)
-        assert enumerate_rows(lists, limit=0) == []
+        assert _enumerate(lists, limit=5) == _enumerate(lists)[:5]
+        assert _enumerate(lists, limit=5) == _as_rows(capped)
+        assert _enumerate(lists, limit=0) == []
 
     def test_cap_bounds_work_not_just_output(self):
         """A cross product of a million combinations must not be
@@ -177,7 +193,7 @@ class TestOrderAndParity:
         for _ in iter_compatible(lists, limit=10):
             seen += 1
         assert seen == 10
-        rows = enumerate_rows(lists, limit=10)
+        rows = _enumerate(lists, limit=10)
         assert rows == _expected_rows(lists, limit=10)
 
     def test_yielded_map_is_reused_but_wrapper_copies(self):
@@ -188,8 +204,8 @@ class TestOrderAndParity:
         copies = [m for _, m in combine_compatible(lists)]
         assert copies[0] is not copies[1]
         assert copies[0] == {a: 0} and copies[1] == {a: 1}
-        # enumerate_rows hands out one immutable choice tuple per row
-        rows = enumerate_rows(lists)
+        # merge_choices builds one immutable choice tuple per row
+        rows = _enumerate(lists)
         assert [row[1] for row in rows] == [((a, 0),), ((a, 1),)]
         assert rows[0][1] is not rows[1][1]
 
@@ -220,8 +236,8 @@ class TestDominancePruning:
         ]
         assert len(list(iter_compatible(lists))) == 2
         assert len(list(iter_compatible(lists, prune_dominated=True))) == 1
-        assert len(enumerate_rows(lists)) == 2
-        pruned = enumerate_rows(lists, prune_dominated=True)
+        assert len(_enumerate(lists)) == 2
+        pruned = _enumerate(lists, prune_dominated=True)
         assert pruned == _expected_rows(lists, prune_dominated=True)
         assert [chosen[0].area for chosen, _ in pruned] == [1]
 
@@ -288,7 +304,7 @@ class TestEnumerationOrders:
         default = combine_compatible(lists)
         lex = combine_compatible(lists, order="lex")
         assert default == lex == _reference_combine(lists)
-        assert enumerate_rows(lists) == enumerate_rows(lists, order="lex") \
+        assert _enumerate(lists) == _enumerate(lists, order="lex") \
             == _as_rows(lex)
 
     def test_frontier_order_is_deterministic(self):
@@ -301,7 +317,7 @@ class TestEnumerationOrders:
         # and matches the reference cross product over reordered lists
         reordered = [pareto_rank_order(options) for options in lists]
         assert first == _reference_combine(reordered)
-        assert enumerate_rows(lists, order="frontier") == _as_rows(first)
+        assert _enumerate(lists, order="frontier") == _as_rows(first)
 
     def test_frontier_order_same_combination_set_uncapped(self):
         lists = self._lists()
@@ -310,8 +326,8 @@ class TestEnumerationOrders:
         frontier = {tuple(m.items()) for _, m in
                     iter_compatible(lists, order="frontier")}
         assert lex == frontier
-        assert {row[1] for row in enumerate_rows(lists, order="lex")} == \
-            {row[1] for row in enumerate_rows(lists, order="frontier")}
+        assert {row[1] for row in _enumerate(lists, order="lex")} == \
+            {row[1] for row in _enumerate(lists, order="frontier")}
 
     def test_frontier_rank_then_two_ended_sweep(self):
         from repro.core.configs import pareto_rank_order
@@ -336,14 +352,14 @@ class TestEnumerationOrders:
         best_delay = min(max(c.delay for c in chosen) for chosen, _ in full)
         assert min(areas) == best_area
         assert min(delays) == best_delay
-        assert enumerate_rows(lists, limit=3, order="frontier") == \
+        assert _enumerate(lists, limit=3, order="frontier") == \
             _as_rows(capped)
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="unknown enumeration order"):
             list(iter_compatible(self._lists(), order="zigzag"))
         with pytest.raises(ValueError, match="unknown enumeration order"):
-            enumerate_rows(self._lists(), order="zigzag")
+            _enumerate(self._lists(), order="zigzag")
 
 
 class TestCapSemantics:
@@ -360,7 +376,7 @@ class TestCapSemantics:
         assert 0 < len(full) < 12  # conflicts rejected some combos
         capped = combine_compatible(lists, limit=3)
         assert capped == full[:3]
-        assert enumerate_rows(lists, limit=3) == _as_rows(capped)
+        assert _enumerate(lists, limit=3) == _as_rows(capped)
 
     def test_disjoint_sibling_fast_path_matches_checked_path(self):
         """Sibling lists with no shared specs take the no-compare merge
@@ -375,8 +391,8 @@ class TestCapSemantics:
         # and the cap is an exact prefix on the fast path too
         assert combine_compatible(lists, limit=2) == \
             _reference_combine(lists)[:2]
-        assert enumerate_rows(lists) == _as_rows(_reference_combine(lists))
-        assert enumerate_rows(lists, limit=2) == \
+        assert _enumerate(lists) == _as_rows(_reference_combine(lists))
+        assert _enumerate(lists, limit=2) == \
             _as_rows(_reference_combine(lists)[:2])
 
     def test_deterministic_output_under_both_orders(self):
@@ -385,7 +401,7 @@ class TestCapSemantics:
             runs = [combine_compatible(lists, limit=4, order=order)
                     for _ in range(3)]
             assert runs[0] == runs[1] == runs[2]
-            rows = [enumerate_rows(lists, limit=4, order=order)
+            rows = [_enumerate(lists, limit=4, order=order)
                     for _ in range(3)]
             assert rows[0] == rows[1] == rows[2] == _as_rows(runs[0])
 
@@ -411,11 +427,16 @@ class TestCapSemantics:
             [_cfg(1, 1, {b: 0}), _cfg(2, 2, {b: 1})],
         ]
         own_choice = {own: 0}
-        rows = enumerate_rows(lists, own_choice=own_choice)
+        rows = _enumerate(lists, own_choice=own_choice)
         assert rows == _expected_rows(lists, own_choice=own_choice)
         assert [row[1] is None for row in rows] == [
             True, True, False, False, True, True]
-        capped = enumerate_rows(lists, limit=3, own_choice=own_choice)
+        # the raw rows carry only the chosen configurations and the flag
+        raw = enumerate_rows(lists, own_choice=own_choice)
+        assert [chosen for chosen, _ in raw] == [chosen for chosen, _ in rows]
+        assert [ok for _, ok in raw] == [
+            False, False, True, True, False, False]
+        capped = _enumerate(lists, limit=3, own_choice=own_choice)
         assert capped == rows[:3]
         assert [row[1] is None for row in capped] == [True, True, False]
         # the own entry joins every surviving row's sorted choices
@@ -445,7 +466,92 @@ def test_rows_match_streaming_oracle_fuzz(seed):
     prune = rng.random() < 0.5
     own_choice = ({rng.choice(pool): rng.randint(0, 1)}
                   if rng.random() < 0.7 else None)
-    rows = enumerate_rows(lists, limit=limit, prune_dominated=prune,
+    rows = _enumerate(lists, limit=limit, prune_dominated=prune,
                           order=order, own_choice=own_choice)
     assert rows == _expected_rows(lists, limit=limit, prune_dominated=prune,
                                   order=order, own_choice=own_choice)
+
+
+def _distinct_copy(spec):
+    """An equal spec that is not the interned instance."""
+    return ComponentSpec(spec.ctype, spec.width, spec.attrs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_merge_choices_matches_row_choices_fuzz(seed):
+    """Seeded random option lists with shared and own specs (some of
+    them equal-but-distinct spec objects): for every S1-consistent
+    combination of the oracle, :func:`merge_choices` gives exactly the
+    choice items :func:`row_choices` derives from the merged map."""
+    rng = random.Random(1000 + seed)
+    pool = [adder_spec(4), adder_spec(8), mux_spec(2, 4), gate_spec("NAND"),
+            gate_spec("XOR"), gate_spec("AND", 2, 4)]
+    lists = []
+    for _ in range(rng.randint(1, 4)):
+        options = []
+        for _ in range(rng.randint(1, 4)):
+            specs = rng.sample(pool, rng.randint(1, 4))
+            choices = {}
+            for spec in specs:
+                if rng.random() < 0.3:
+                    spec = _distinct_copy(spec)
+                choices[spec] = rng.randint(0, 1)
+            options.append(_cfg(rng.randint(1, 9), rng.randint(1, 9),
+                                choices))
+        lists.append(options)
+    own_spec = rng.choice(pool)
+    own_choice = {own_spec if rng.random() < 0.5
+                  else _distinct_copy(own_spec): rng.randint(0, 1)}
+    own_items = tuple(own_choice.items())
+    checked = 0
+    for chosen, merged in combine_compatible(lists):
+        expected = row_choices(chosen, merged, own_choice)
+        if expected is None:
+            continue  # own-choice conflict: merge_choices never sees it
+        assert merge_choices(chosen, own_items) == expected
+        assert merge_choices(chosen) == row_choices(chosen, merged)
+        checked += 1
+    rows = _enumerate(lists, own_choice=own_choice)
+    assert rows == _expected_rows(lists, own_choice=own_choice)
+    assert checked == sum(items is not None for _, items in rows)
+
+
+def test_spec_ids_are_value_keyed_under_concurrency():
+    """Eight threads map 200 specs each to ids at once, interned and
+    equal-but-distinct objects mixed: equal specs get one id, distinct
+    specs distinct ids."""
+    import threading
+
+    fresh = [adder_spec(9000 + width) for width in range(200)]
+    barrier = threading.Barrier(8)
+    found = [None] * 8
+
+    def work(slot):
+        rng = random.Random(slot)
+        specs = [spec if rng.random() < 0.5 else _distinct_copy(spec)
+                 for spec in fresh]
+        order = list(range(len(specs)))
+        rng.shuffle(order)
+        barrier.wait(timeout=60)
+        ids = {}
+        for index in order:
+            ids[index] = spec_id(specs[index])
+        found[slot] = ids
+
+    threads = [threading.Thread(target=work, args=(slot,))
+               for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often: misses race in the table
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for ids in found:
+        assert ids == found[0]
+    assert len(set(found[0].values())) == len(fresh)
+    assert [spec_id(spec) for spec in fresh] == [
+        found[0][index] for index in range(len(fresh))]
