@@ -25,10 +25,10 @@ a reduced workload set for CI smoke.
 one, exiting nonzero on any drift and printing a unified diff of every
 drifting key -- the CI perf-smoke step uses this, so a behavioral
 regression fails the build with a diagnosable log instead of waiting
-for a reviewer to eyeball the JSON.  ``--jobs``/``--parallel-backend`` run
-every workload through the parallel evaluator (results must not
-change -- compare mode doubles as a parity check), and ``--order``
-switches the S1 enumeration order for ad-hoc measurements.
+for a reviewer to eyeball the JSON.  ``--jobs`` runs every workload
+through the fork-parallel evaluator (results must not change --
+compare mode doubles as a parity check), and ``--order`` switches the
+S1 enumeration order for ad-hoc measurements.
 """
 
 from __future__ import annotations
@@ -85,36 +85,32 @@ def _note_combinations(session: Session) -> None:
 
 
 def _synth(spec, perf_filter: str, max_combinations=None, order=None,
-           jobs: int = 1, parallel_backend: str = "thread", batch=None):
+           jobs: int = 1, batch=None):
     """One workload: a fresh session (shared process-wide caches stay
     warm, per-session design space starts cold), one request."""
     session = Session(library="lsi_logic", perf_filter=perf_filter,
                       max_combinations=max_combinations, order=order,
-                      jobs=jobs, parallel_backend=parallel_backend,
-                      batch=batch)
+                      jobs=jobs, batch=batch)
     job = session.synthesize(spec)
     _note_combinations(session)
     return job
 
 
 def _workloads(quick: bool, jobs: int = 1,
-               parallel_backend: str = "thread",
                order: Optional[str] = None,
                batch: Optional[int] = None) -> List[Tuple[str, Callable]]:
     """(name, thunk) pairs; each thunk runs one synthesis workload.
 
-    ``jobs``/``parallel_backend``/``order``/``batch`` apply to every
-    workload that does not pin its own order or batch -- with the
-    defaults the results section is byte-stable against the checked-in
-    report.
+    ``jobs``/``order``/``batch`` apply to every workload that does not
+    pin its own order or batch -- with the defaults the results section
+    is byte-stable against the checked-in report.
     """
 
     def synth(spec, perf_filter, max_combinations=None, pinned_order=None,
               pinned_batch=None):
         return _synth(spec, perf_filter, max_combinations=max_combinations,
                       order=pinned_order if pinned_order is not None else order,
-                      jobs=jobs, parallel_backend=parallel_backend,
-                      batch=pinned_batch if pinned_batch is not None else batch)
+                      jobs=jobs, batch=pinned_batch if pinned_batch is not None else batch)
 
     jobs_list: List[Tuple[str, Callable]] = [
         ("adder16_pareto",
@@ -160,17 +156,14 @@ def _workloads(quick: bool, jobs: int = 1,
              lambda: synth(alu_spec(64), "pareto", max_combinations=40,
                            pinned_order="frontier")),
         ]
-        jobs_list += _store_workload_pair(jobs=jobs,
-                                          parallel_backend=parallel_backend,
-                                          order=order, batch=batch)
-        jobs_list += _node_workload(jobs=jobs,
-                                    parallel_backend=parallel_backend,
-                                    order=order, batch=batch)
+        jobs_list += _store_workload_pair(jobs=jobs, order=order,
+                                          batch=batch)
+        jobs_list += _node_workload(jobs=jobs, order=order, batch=batch)
         jobs_list += _serve_workload_pair()
     return jobs_list
 
 
-def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
+def _store_workload_pair(jobs: int = 1,
                          order: Optional[str] = None,
                          batch: Optional[int] = None
                          ) -> List[Tuple[str, Callable]]:
@@ -200,8 +193,7 @@ def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
 
     def stored_synth():
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs,
-                          parallel_backend=parallel_backend, batch=batch,
+                          order=order, jobs=jobs, batch=batch,
                           store=shared_store())
         job = session.synthesize(alu_spec(64))
         _note_combinations(session)
@@ -220,7 +212,7 @@ def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
     return [("alu64_cold", cold), ("alu64_store_warm", warm)]
 
 
-def _node_workload(jobs: int = 1, parallel_backend: str = "thread",
+def _node_workload(jobs: int = 1,
                    order: Optional[str] = None,
                    batch: Optional[int] = None
                    ) -> List[Tuple[str, Callable]]:
@@ -253,13 +245,11 @@ def _node_workload(jobs: int = 1, parallel_backend: str = "thread",
         nodes = shared_nodes()
         if not state.get("warmed"):
             Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                    order=order, jobs=jobs,
-                    parallel_backend=parallel_backend, batch=batch,
+                    order=order, jobs=jobs, batch=batch,
                     node_store=nodes).synthesize(alu_spec(64))
             state["warmed"] = True
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs,
-                          parallel_backend=parallel_backend, batch=batch,
+                          order=order, jobs=jobs, batch=batch,
                           node_store=nodes)
         job = session.synthesize(comparator_spec(64))
         _note_combinations(session)
@@ -402,7 +392,6 @@ def _run_workload(thunk: Callable, repeats: int) -> Tuple[Dict, Dict]:
 
 
 def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
-        parallel_backend: str = "thread",
         order: Optional[str] = None, batch: Optional[int] = None,
         only: Optional[List[str]] = None) -> Dict:
     """Run every workload; return the report as a dict.
@@ -414,9 +403,7 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
     reading ``timings`` as a trend.  ``only`` restricts the run to the
     named workloads (the --workload dev loop).
     """
-    workloads = _workloads(quick, jobs=jobs,
-                           parallel_backend=parallel_backend,
-                           order=order, batch=batch)
+    workloads = _workloads(quick, jobs=jobs, order=order, batch=batch)
     if only:
         known = {name for name, _ in workloads}
         missing = [name for name in only if name not in known]
@@ -527,11 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="baseline report for --compare "
                              f"(default: {DEFAULT_OUTPUT})")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel evaluation workers per session "
+                        help="parallel evaluation fork workers per session "
                              "(results must not change; default: 1)")
-    parser.add_argument("--parallel-backend", default="thread",
-                        choices=["thread", "process"],
-                        help="worker backend for --jobs > 1")
     parser.add_argument("--order", default=None,
                         help="S1 enumeration order override for ad-hoc "
                              "measurements (lex, frontier)")
@@ -559,8 +543,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         report = run(repeats=args.repeats, quick=args.quick, jobs=args.jobs,
-                     parallel_backend=args.parallel_backend, order=args.order,
-                     batch=args.batch, only=args.workloads)
+                     order=args.order, batch=args.batch,
+                     only=args.workloads)
     except KeyError as error:
         print(f"perf_report: {error.args[0]}", file=sys.stderr)
         return 2

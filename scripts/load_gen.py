@@ -14,9 +14,11 @@ it grows the in-flight queue, which is what makes saturation visible
   offered load was served by the store, coalesced onto in-flight
   duplicates, or actually evaluated.
 
-Stdlib only.  Usage::
+Needs only the stdlib and this checkout's ``src`` (for the shared
+:func:`repro.obs.timeseries.bucket_quantile`), which it puts on
+``sys.path`` itself.  Usage::
 
-    PYTHONPATH=src python scripts/load_gen.py \
+    python scripts/load_gen.py \
         --url http://127.0.0.1:8473 --rps 20 --duration 10 \
         --mix adder:8,counter:8,mux:8 --filter pareto
 
@@ -34,8 +36,13 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.obs.timeseries import bucket_quantile  # noqa: E402
 
 DEFAULT_MIX = "adder:8,counter:8,mux:8"
 
@@ -47,24 +54,6 @@ def percentile(values: List[float], q: float) -> Optional[float]:
     ordered = sorted(values)
     rank = max(1, min(len(ordered), int(round(q * len(ordered) + 0.5))))
     return ordered[rank - 1]
-
-
-def histogram_quantile(counts: List[int], q: float,
-                       buckets: List[float]) -> Optional[float]:
-    """The q-quantile upper bound from fixed-bucket histogram counts
-    (mirrors :func:`repro.obs.timeseries.bucket_quantile`; duplicated
-    so the load generator works against a remote service with no repro
-    package installed)."""
-    total = sum(counts)
-    if total <= 0:
-        return None
-    rank = q * total
-    seen = 0
-    for i, count in enumerate(counts):
-        seen += count
-        if seen >= rank and count:
-            return buckets[min(i, len(buckets) - 1)]
-    return buckets[-1]
 
 
 def request(host: str, port: int, method: str, path: str,
@@ -308,9 +297,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   for i, c in enumerate(counts_after)]
         if buckets:
             summary["server_latency_seconds"] = {
-                "p50": histogram_quantile(counts, 0.50, buckets),
-                "p90": histogram_quantile(counts, 0.90, buckets),
-                "p99": histogram_quantile(counts, 0.99, buckets),
+                "p50": bucket_quantile(buckets, counts, 0.50),
+                "p90": bucket_quantile(buckets, counts, 0.90),
+                "p99": bucket_quantile(buckets, counts, 0.99),
             }
         fleet = after.get("fleet")
         if fleet is not None:

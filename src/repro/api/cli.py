@@ -258,11 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "see 'repro list emitters')")
     synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="workers for parallel subtree evaluation (default: 1)")
-    synth.add_argument(
-        "--parallel-backend", default="thread", choices=["thread", "process"],
-        help="worker backend for --jobs > 1 (process = fork-based "
-             "multiprocessing; default: thread)")
+        help="fork workers for parallel subtree evaluation (default: 1)")
     synth.add_argument(
         "--prune-partial", action="store_true",
         help="enable dominance pre-pruning before the S1 cross product")
@@ -327,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "table in the result store's file)")
     warm.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="workers for parallel subtree evaluation (default: 1)")
+        help="fork workers for parallel subtree evaluation (default: 1)")
 
     cache = sub.add_parser(
         "cache",
@@ -484,7 +480,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             prune_partial=args.prune_partial,
             max_combinations=args.max_combinations,
             jobs=args.jobs,
-            parallel_backend=args.parallel_backend,
             order=args.order,
             batch=args.batch,
             store=args.store,

@@ -72,10 +72,8 @@ class Session:
         Per-node cap on the streamed S1 cross product; None keeps the
         engine default.
     jobs:
-        Worker count for parallel subtree evaluation (1 = sequential).
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"`` (fork-based real
-        parallelism; degrades to threads where fork is unavailable).
+        Fork-worker count for parallel subtree evaluation (1 =
+        sequential; sequential too where ``fork`` is unavailable).
     order:
         S1 enumeration order: a registered name (``"lex"`` default,
         ``"frontier"``), or a callable reordering one option list.
@@ -120,7 +118,6 @@ class Session:
         prune_partial: bool = False,
         max_combinations: Optional[int] = None,
         jobs: int = 1,
-        parallel_backend: str = "thread",
         order: Any = None,
         batch: Optional[int] = None,
         store: Any = None,
@@ -139,7 +136,6 @@ class Session:
             validate=validate,
             prune_partial=prune_partial,
             jobs=jobs,
-            parallel_backend=parallel_backend,
             order=create_order(order),
             batch=batch,
         )

@@ -44,10 +44,11 @@ The evaluation inner loop is engineered for the paper's scale claim
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
   skip re-expansion;
 - with ``jobs > 1`` the expanded spec graph is topologically
-  partitioned into independent subtrees and evaluated concurrently
-  (:mod:`repro.core.parallel`); configurations are interned process-wide
-  (:mod:`repro.core.interning`), so the parallel engine produces
-  bit-identical results to the sequential walk;
+  partitioned into independent subtrees and evaluated in forked
+  workers (:mod:`repro.core.parallel`, with its parity caveat);
+  configurations are interned process-wide
+  (:mod:`repro.core.interning`), so the workers' results land as the
+  parent's canonical objects;
 - ``recost``/``rebind_library`` support incremental re-evaluation: a
   LOLA retarget keeps the decomposition skeleton and its compiled
   timing programs and re-costs only rebound leaves and their
@@ -136,11 +137,12 @@ DEFAULT_BATCH = 256
 
 _EXPANSION_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-# Guards node_stats increments (the thread backend's workers probe and
-# publish concurrently; an unguarded `+= 1` drops increments).  Module
-# level rather than per-space so the fork backend can re-arm it: a fork
-# can snapshot the lock held, and the child has no owner thread to
-# release it.
+# Guards node_stats increments and the phase clocks.  A space runs on
+# one thread at a time, but not always the same one (a serving process
+# runs each session's jobs on its executor threads).  Module level
+# rather than per-space so forked workers can re-arm it: a fork can
+# snapshot the lock held, and the child has no owner thread to release
+# it.
 _NODE_STATS_LOCK = threading.Lock()
 
 
@@ -315,7 +317,6 @@ class DesignSpace:
         max_combinations: int = 20000,
         prune_partial: bool = False,
         jobs: int = 1,
-        parallel_backend: str = "thread",
         order: object = "lex",
         batch: Optional[int] = None,
     ) -> None:
@@ -328,12 +329,9 @@ class DesignSpace:
         #: cost dimension by an option with the same choices (see
         #: :func:`repro.core.configs.prune_dominated_options`).
         self.prune_partial = prune_partial
-        #: Worker count for parallel subtree evaluation (1 = the
-        #: sequential bottom-up walk).
+        #: Fork-worker count for parallel subtree evaluation (1 = the
+        #: sequential bottom-up walk; see :mod:`repro.core.parallel`).
         self.jobs = max(1, int(jobs))
-        #: ``"thread"`` (default; safe everywhere) or ``"process"``
-        #: (fork-based; real parallelism for the pure-Python inner loop).
-        self.parallel_backend = parallel_backend
         #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
         #: callable reordering one option list (resolved once).
         self.order = resolve_order(order)
@@ -379,16 +377,17 @@ class DesignSpace:
         #: survivors' configurations).  Callers snapshot
         #: before/after a request to get that request's breakdown
         #: (:meth:`snapshot_phases`); increments go through the same
-        #: lock as ``node_stats``.  Never nested: ``expand`` recursion
-        #: is guarded per thread, and the other phases do not re-enter
+        #: lock as ``node_stats``.  Never nested: only the outermost
+        #: ``expand`` clocks, and the other phases do not re-enter
         #: (child subtrees are evaluated in their own ``configs``
         #: calls), so summing phases never double-counts.
         self.phase_seconds: Dict[str, float] = {}
-        # Re-entrancy guards are per *thread*: the parallel evaluator
-        # runs `configs` from worker threads, and a spec mid-evaluation
-        # on another thread is concurrent work, not a decomposition
-        # cycle.
-        self._tls = threading.local()
+        # Re-entrancy guards: specs mid-expansion / mid-evaluation on
+        # the current call stack.  One space runs on one thread (fork
+        # workers each own a copy), so a spec found here is a
+        # decomposition cycle.
+        self._expanding: Set[ComponentSpec] = set()
+        self._evaluating: Set[ComponentSpec] = set()
 
     def _phase_add(self, phase: str, seconds: float) -> None:
         with _NODE_STATS_LOCK:
@@ -400,20 +399,6 @@ class DesignSpace:
         subtract two snapshots for one request's breakdown."""
         with _NODE_STATS_LOCK:
             return dict(self.phase_seconds)
-
-    @property
-    def _expanding(self) -> set:
-        guard = getattr(self._tls, "expanding", None)
-        if guard is None:
-            guard = self._tls.expanding = set()
-        return guard
-
-    @property
-    def _evaluating(self) -> set:
-        guard = getattr(self._tls, "evaluating", None)
-        if guard is None:
-            guard = self._tls.evaluating = set()
-        return guard
 
     # ------------------------------------------------------------------
     # expansion (rules + technology mapping)
@@ -428,7 +413,7 @@ class DesignSpace:
             self.nodes[spec] = node
         if spec in self._expanding:
             return node  # completed by the ancestor call
-        # Only the outermost expansion on this thread clocks the
+        # Only the outermost expansion clocks the
         # "expand" phase: recursive child expansions are inside its
         # window, so timing them too would double-count.
         outermost = not self._expanding

@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
 class InternTable:
     """A thread-safe value -> canonical-instance table.
 
-    Thread safety matters: the parallel evaluator's thread backend
-    builds configurations concurrently, and all of them funnel through
-    this table.
+    Thread safety matters: the table is process-wide, and a serving
+    process runs different sessions' jobs on concurrent executor
+    threads, all of which funnel through this table.
     """
 
     def __init__(self) -> None:

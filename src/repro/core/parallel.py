@@ -4,53 +4,47 @@
 work are *specs*, and two specs with no shared descendants can be
 evaluated in any order -- or at the same time.  This module
 topologically partitions the expanded spec graph under a root into
-independent subtree tasks and evaluates them concurrently, prefilling
-the design space's ``_configs`` memo so the final sequential pass only
-has the top-level residue left to do.
+independent subtree tasks and evaluates them in forked worker
+processes, prefilling the design space's ``_configs`` memo so the
+final sequential pass only has the top-level residue left to do.
 
-Two backends:
-
-``"thread"`` (default)
-    A work-sharing :class:`~concurrent.futures.ThreadPoolExecutor`
-    evaluating subtrees directly against the shared design space.  The
-    re-entrancy guards are thread-local and the memo writes are
-    idempotent (every worker computes the same value for a shared
-    spec), so no locking is needed.  Under the GIL this mostly overlaps
-    allocation stalls; it is the safe, portable default.
-
-``"process"`` (opt-in)
-    A fork-based :mod:`multiprocessing` pool.  Workers are forked
-    *after* expansion, so they inherit the expanded nodes, rule caches,
-    and compiled timing programs for free; each worker evaluates its
-    subtree and ships back the newly computed configurations, which are
-    picklable by design (:class:`~repro.core.configs.Configuration`
-    re-interns on load, so results land as canonical parent-process
-    instances).  This is the backend that buys real wall-clock
-    parallelism for the pure-Python inner loop.  Where ``fork`` is not
-    available (e.g. Windows), it silently degrades to the thread
-    backend.
+The one backend is a fork-based :mod:`multiprocessing` pool.  Workers
+are forked *after* expansion, so they inherit the expanded nodes, rule
+caches, and compiled timing programs for free; each worker evaluates
+its subtree and ships back the newly computed configurations, which
+are picklable by design (:class:`~repro.core.configs.Configuration`
+re-interns on load, so results land as canonical parent-process
+instances).  Where ``fork`` is not available (e.g. Windows), nothing
+is farmed out (``stats["backend"] == "none"``) and the sequential walk
+answers alone, with the same results.
 
 Scheduling is largest-subtree-first: tasks are ordered by descendant
 count and handed to whichever worker is free (work sharing), which
 approximates longest-processing-time scheduling without needing a cost
 model.  Subtrees may overlap in their deep, cheap leaves (gates are
 shared by everything); overlapping work is recomputed rather than
-coordinated, and the first result wins -- results are deterministic,
-so every copy is bit-identical and installation order cannot change
-the outcome.
+coordinated, and the first result wins.
 
-Parity caveat: for *cyclic* decomposition graphs the sequential
-engine's own results depend on evaluation order (the cycle guard drops
-the implementation that closes the cycle as seen from the evaluation
-stack); the parallel engine is guaranteed bit-identical for acyclic
-graphs, which every shipped rulebase produces.
+Parity caveat: the shipped rulebases do produce decomposition cycles
+(the ``_evaluating`` guard of ``DesignSpace.configs`` fires on
+``comparator:16``, ``alu:64`` and ``adder:16``), and the guard drops
+the implementation that closes a cycle as seen from the evaluation
+stack, so an option list can depend on evaluation order.  A fork
+worker starts each subtree task with an empty guard, where the
+sequential walk would have the task's ancestors on it.  That
+``jobs > 1`` answers the 24-item catalogue exactly like ``jobs=1`` is
+therefore a *measured* fact, pinned by
+``test_fork_jobs4_answers_the_catalogue_like_jobs1``, not a guarantee.
+The same order dependence makes a shared session's answers differ from
+a fresh one's (the strict xfail
+``test_shared_session_answer_matches_fresh_session``, ROADMAP item
+5 (a)).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.specs import ComponentSpec
@@ -138,19 +132,12 @@ def partition_subtrees(
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# Fork workers
 # ---------------------------------------------------------------------------
 
-def _thread_prefill(space: "DesignSpace", tasks: Sequence[ComponentSpec],
-                    jobs: int) -> None:
-    with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        # list() propagates the first worker exception, if any.
-        list(pool.map(space.configs, tasks))
-
-
-# Fork inheritance channel for the process backend: set immediately
-# before the pool is created, cleared after, under _FORK_LOCK so
-# concurrent sessions cannot fork each other's space (or None).
+# Fork inheritance channel: set immediately before the pool is
+# created, cleared after, under _FORK_LOCK so concurrent sessions
+# cannot fork each other's space (or None).
 # Workers read these module globals as copied at fork time;
 # _FORK_SENT_DEPS/_FORK_SENT_NODE_STATS are *mutated in the worker* so
 # each task ships only dependency edges / counter increments the
@@ -161,10 +148,10 @@ _FORK_SENT_NODE_STATS: Dict[str, int] = {}
 _FORK_SENT_PHASES: Dict[str, float] = {}
 _FORK_LOCK = threading.Lock()
 
-#: What a process worker ships back: the configurations it computed,
+#: What a fork worker ships back: the configurations it computed,
 #: the reverse-dependency edges it recorded while computing them (the
 #: parent needs those for :meth:`DesignSpace.recost` to keep working
-#: after a process-parallel run), and its node-cache counter
+#: after a parallel run), and its node-cache counter
 #: increments (the worker probes and publishes the shared
 #: :class:`repro.nodestore.NodeStore` through its own post-fork
 #: connection, and without the delta that traffic would be invisible
@@ -235,11 +222,10 @@ def _process_prefill(space: "DesignSpace", tasks: Sequence[ComponentSpec],
                         pool.imap_unordered(
                             _fork_worker, tasks, chunksize=1):
                     for spec, options in configs.items():
-                        # First result wins; every copy is bit-identical,
-                        # so arrival order cannot change the outcome.
-                        # Empty results are not installed -- the
-                        # sequential pass recomputes them so failure
-                        # diagnostics populate.
+                        # First result wins (see the parity caveat in
+                        # the module docstring).  Empty results are not
+                        # installed -- the sequential pass recomputes
+                        # them so failure diagnostics populate.
                         if spec not in space._configs:
                             space._configs[spec] = options
                     # Dependency edges are facts about the expanded
@@ -280,15 +266,9 @@ def parallel_prefill(space: "DesignSpace",
     jobs = space.jobs
     tasks = partition_subtrees(space, roots, min_tasks=2 * jobs)
     stats = {"jobs": jobs, "tasks": len(tasks), "backend": "none"}
-    if tasks and jobs > 1:
-        backend = space.parallel_backend
-        if backend == "process" and "fork" not in \
-                multiprocessing.get_all_start_methods():
-            backend = "thread"  # no fork on this platform: degrade safely
-        if backend == "process":
-            _process_prefill(space, tasks, jobs)
-        else:
-            _thread_prefill(space, tasks, jobs)
-        stats["backend"] = backend
+    if tasks and jobs > 1 and \
+            "fork" in multiprocessing.get_all_start_methods():
+        _process_prefill(space, tasks, jobs)
+        stats["backend"] = "process"
     space.last_parallel_stats = stats
     return stats

@@ -17,8 +17,8 @@ That makes two kinds of sharing work that request-level caching cannot:
 - **cross-request**: two different requests over overlapping expanded
   subgraphs (an ALU64 and a bare COMPARATOR<64> share ~100 of the
   ALU's 113 decomposition nodes) reuse each other's subtrees;
-- **cross-worker**: ``parallel_backend="process"`` fork workers probe
-  and publish through the shared file (connections re-open per pid),
+- **cross-worker**: the fork workers of ``jobs > 1`` probe and
+  publish through the shared file (connections re-open per pid),
   so overlapping leaves are evaluated once per *cache*, not once per
   worker -- the sharing that makes deep partitions profitable.
 

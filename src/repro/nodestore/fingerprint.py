@@ -17,8 +17,8 @@ computes for it -- as a pure function of
   attribute dicts land on the same key).
 
 Deliberately excluded, exactly as in the request-level fingerprint:
-``jobs`` and ``parallel_backend`` (parallel evaluation is bit-identical
-to sequential, so fork workers and sequential walks share entries), and
+``jobs`` (fork workers answer like the sequential walk, so the two
+share entries), and
 anything above the node -- the *request* never enters a node key, which
 is the whole point: two different requests over overlapping subgraphs
 (an ALU64 and a bare COMPARATOR<64>) produce identical node keys for

@@ -14,13 +14,13 @@ Two tiers:
 **in-process (hot)**
     A bounded LRU dict mapping node fingerprint to the already-revived
     tuple of canonical interned configurations.  Repeated probes from
-    the same process (a serving session pool, a batch run, thread
-    workers) skip JSON decoding entirely.  Entries are canonical
+    the same process (a serving session pool, a batch run) skip JSON
+    decoding entirely.  Entries are canonical
     interned objects, so the tier adds no copies.
 
 **SQLite (persistent)**
     Survives the process and is shared across processes -- including
-    the *fork workers* of ``parallel_backend="process"``: every
+    the *fork workers* of ``jobs > 1``: every
     operation re-opens the connection if the pid changed since the
     store was built (an inherited SQLite handle must never be used
     across ``fork``), so each worker transparently gets its own
@@ -153,7 +153,7 @@ class NodeStore(CacheTable, NodeStoreBackend):
         self.errors += 1
 
     def _ensure_open(self) -> None:
-        """Re-open after ``fork``: the process backend's workers inherit
+        """Re-open after ``fork``: the parallel evaluator's workers inherit
         this object (that is how they share the cache at all), but an
         SQLite connection must not cross a fork -- and neither may the
         inherited lock, which another thread could have held at fork

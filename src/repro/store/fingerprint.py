@@ -19,9 +19,10 @@ nothing it does not:
 - the store's **payload schema version**, so a format change simply
   misses instead of deserializing garbage.
 
-Deliberately *excluded* are ``jobs`` and ``parallel_backend``: the
-parallel evaluator is bit-identical to the sequential walk (proven by
-``tests/test_parallel_parity.py``), so a result computed with 4 workers
+Deliberately *excluded* is ``jobs``: the fork workers answer like the
+sequential walk (pinned over the catalogue by
+``tests/test_parallel_parity.py``; see the parity caveat in
+:mod:`repro.core.parallel`), so a result computed with 4 workers
 serves a sequential request and vice versa.
 
 Digests are SHA-256 over canonical JSON (sorted keys, compact

@@ -3,7 +3,7 @@
 the per-combination oracle ``ScalarSpace`` of
 ``tests/reference_engine.py`` -- same survivor configurations (same
 *objects*, via interning), same order, same emitter output -- across
-filters, enumeration orders, worker counts/backends, and perturbed
+filters, enumeration orders, fork-worker counts, and perturbed
 delay books.
 
 Also fuzzes the kernels' generated functions against the interpretive
@@ -46,7 +46,9 @@ from repro.techlib.cells import CellLibrary
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["thread"] + (["process"] if HAS_FORK else [])
+#: The one parallel backend, as ``last_parallel_stats`` names it.
+BACKENDS = [pytest.param("process", marks=pytest.mark.skipif(
+    not HAS_FORK, reason="fork start method unavailable"))]
 
 
 def _space(library=None, perf_filter=None, engine=DesignSpace,
@@ -126,10 +128,13 @@ def test_batched_parity_every_order(order):
 def test_batched_parity_with_jobs_and_emitters(jobs, backend):
     def job_for(batch, engine=DesignSpace):
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          jobs=jobs, parallel_backend=backend, batch=batch)
+                          jobs=jobs, batch=batch)
         # ScalarSpace adds no state, so the oracle swaps in in place
         session.space.__class__ = engine
-        return session.synthesize(alu_spec(16))
+        job = session.synthesize(alu_spec(16))
+        if jobs > 1:
+            assert session.space.last_parallel_stats["backend"] == backend
+        return job
 
     import json as json_module
     import re

@@ -53,12 +53,11 @@ def test_space_key_stable_and_jobs_independent():
     assert base is not None and len(base) == 64
     # A fresh, identically configured session lands on the same key...
     assert session_space_key(Session(library="lsi_logic")) == base
-    # ...and so do parallel configurations: worker count and backend
-    # must not fragment the node cache (parallel evaluation is
-    # bit-identical, and cross-worker sharing *requires* shared keys).
+    # ...and so do parallel configurations: the worker count must not
+    # fragment the node cache (fork workers answer like the sequential
+    # walk, and cross-worker sharing *requires* shared keys).
     assert session_space_key(Session(library="lsi_logic", jobs=4)) == base
-    assert session_space_key(Session(
-        library="lsi_logic", jobs=2, parallel_backend="process")) == base
+    assert session_space_key(Session(library="lsi_logic", jobs=2)) == base
 
 
 def test_space_key_separates_what_changes_per_node_options():
@@ -211,12 +210,11 @@ def test_parallel_thread_backend_shares_through_cache(tmp_path):
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_fork_workers_share_and_report_through_cache(tmp_path):
-    """Process-backend workers publish and probe over their own
+    """Fork workers publish and probe over their own
     post-fork connections to the shared file, and their counter deltas
     ship back with the results."""
     path = tmp_path / "fork.sqlite"
-    producer = Session(library="lsi_logic", jobs=2,
-                       parallel_backend="process", node_store=path)
+    producer = Session(library="lsi_logic", jobs=2, node_store=path)
     job = producer.synthesize(alu_spec(16))
     stats = producer.node_cache_stats()
     # Worker-side publications are visible in the parent's stats and
@@ -225,8 +223,7 @@ def test_fork_workers_share_and_report_through_cache(tmp_path):
     assert stats["published"] >= 1
     assert len(NodeStore(path)) >= 1
 
-    consumer = Session(library="lsi_logic", jobs=2,
-                       parallel_backend="process", node_store=path)
+    consumer = Session(library="lsi_logic", jobs=2, node_store=path)
     warm_job = consumer.synthesize(alu_spec(16))
     assert consumer.node_cache_stats()["hits"] >= 1
     _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),

@@ -46,8 +46,7 @@ def test_fingerprint_is_stable_and_jobs_independent():
     # ...and so do parallel configurations: worker count must not
     # fragment the store (parallel evaluation is bit-identical).
     assert Session(library="lsi_logic", jobs=4).fingerprint("adder:8") == base
-    assert Session(library="lsi_logic", jobs=2,
-                   parallel_backend="process").fingerprint("adder:8") == base
+    assert Session(library="lsi_logic", jobs=2).fingerprint("adder:8") == base
 
 
 def test_fingerprint_separates_what_changes_results():
