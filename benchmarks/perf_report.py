@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import Session
-from repro.core.design_space import DEFAULT_BATCH
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,32 +84,30 @@ def _note_combinations(session: Session) -> None:
 
 
 def _synth(spec, perf_filter: str, max_combinations=None, order=None,
-           jobs: int = 1, batch=None):
+           jobs: int = 1):
     """One workload: a fresh session (shared process-wide caches stay
     warm, per-session design space starts cold), one request."""
     session = Session(library="lsi_logic", perf_filter=perf_filter,
                       max_combinations=max_combinations, order=order,
-                      jobs=jobs, batch=batch)
+                      jobs=jobs)
     job = session.synthesize(spec)
     _note_combinations(session)
     return job
 
 
 def _workloads(quick: bool, jobs: int = 1,
-               order: Optional[str] = None,
-               batch: Optional[int] = None) -> List[Tuple[str, Callable]]:
+               order: Optional[str] = None) -> List[Tuple[str, Callable]]:
     """(name, thunk) pairs; each thunk runs one synthesis workload.
 
-    ``jobs``/``order``/``batch`` apply to every workload that does not
-    pin its own order or batch -- with the defaults the results section
-    is byte-stable against the checked-in report.
+    ``jobs``/``order`` apply to every workload that does not pin its
+    own order -- with the defaults the results section is byte-stable
+    against the checked-in report.
     """
 
-    def synth(spec, perf_filter, max_combinations=None, pinned_order=None,
-              pinned_batch=None):
+    def synth(spec, perf_filter, max_combinations=None, pinned_order=None):
         return _synth(spec, perf_filter, max_combinations=max_combinations,
                       order=pinned_order if pinned_order is not None else order,
-                      jobs=jobs, batch=pinned_batch if pinned_batch is not None else batch)
+                      jobs=jobs)
 
     jobs_list: List[Tuple[str, Callable]] = [
         ("adder16_pareto",
@@ -132,14 +129,6 @@ def _workloads(quick: bool, jobs: int = 1,
             ("adder8_keepall_capped",
              lambda: synth(adder_spec(8), "keep_all",
                            max_combinations=2000)),
-            # The same workload with the default costing chunk size
-            # pinned: when a --batch 1 run costs every other workload
-            # one row per kernel call, this entry still exercises (and
-            # gates byte-identity of) full-size run_batch blocks.
-            ("adder8_keepall_batched",
-             lambda: synth(adder_spec(8), "keep_all",
-                           max_combinations=2000,
-                           pinned_batch=DEFAULT_BATCH)),
             ("alu16_top4_ablation",
              lambda: synth(alu_spec(16), "top_k:4")),
             ("adder32_pareto_ablation",
@@ -156,16 +145,14 @@ def _workloads(quick: bool, jobs: int = 1,
              lambda: synth(alu_spec(64), "pareto", max_combinations=40,
                            pinned_order="frontier")),
         ]
-        jobs_list += _store_workload_pair(jobs=jobs, order=order,
-                                          batch=batch)
-        jobs_list += _node_workload(jobs=jobs, order=order, batch=batch)
+        jobs_list += _store_workload_pair(jobs=jobs, order=order)
+        jobs_list += _node_workload(jobs=jobs, order=order)
         jobs_list += _serve_workload_pair()
     return jobs_list
 
 
 def _store_workload_pair(jobs: int = 1,
-                         order: Optional[str] = None,
-                         batch: Optional[int] = None
+                         order: Optional[str] = None
                          ) -> List[Tuple[str, Callable]]:
     """The cold-vs-warm store pair: the same ALU64 request against one
     shared result store (:mod:`repro.store`).
@@ -193,8 +180,7 @@ def _store_workload_pair(jobs: int = 1,
 
     def stored_synth():
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs, batch=batch,
-                          store=shared_store())
+                          order=order, jobs=jobs, store=shared_store())
         job = session.synthesize(alu_spec(64))
         _note_combinations(session)
         return job
@@ -213,8 +199,7 @@ def _store_workload_pair(jobs: int = 1,
 
 
 def _node_workload(jobs: int = 1,
-                   order: Optional[str] = None,
-                   batch: Optional[int] = None
+                   order: Optional[str] = None
                    ) -> List[Tuple[str, Callable]]:
     """``alu64_nodes_warm``: the subtree-sharing workload.
 
@@ -245,12 +230,11 @@ def _node_workload(jobs: int = 1,
         nodes = shared_nodes()
         if not state.get("warmed"):
             Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                    order=order, jobs=jobs, batch=batch,
+                    order=order, jobs=jobs,
                     node_store=nodes).synthesize(alu_spec(64))
             state["warmed"] = True
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs, batch=batch,
-                          node_store=nodes)
+                          order=order, jobs=jobs, node_store=nodes)
         job = session.synthesize(comparator_spec(64))
         _note_combinations(session)
         if session.node_cache_stats()["hits"] < 1:
@@ -392,7 +376,7 @@ def _run_workload(thunk: Callable, repeats: int) -> Tuple[Dict, Dict]:
 
 
 def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
-        order: Optional[str] = None, batch: Optional[int] = None,
+        order: Optional[str] = None,
         only: Optional[List[str]] = None) -> Dict:
     """Run every workload; return the report as a dict.
 
@@ -403,7 +387,7 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
     reading ``timings`` as a trend.  ``only`` restricts the run to the
     named workloads (the --workload dev loop).
     """
-    workloads = _workloads(quick, jobs=jobs, order=order, batch=batch)
+    workloads = _workloads(quick, jobs=jobs, order=order)
     if only:
         known = {name for name, _ in workloads}
         missing = [name for name in only if name not in known]
@@ -431,7 +415,6 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
             "python": platform.python_version(),
             "platform": platform.platform(),
             "jobs": jobs,
-            "batch": batch,
             # Contextualizes the parallel workloads: a wall-clock
             # "regression" on --jobs runs usually just means fewer
             # cores than the run that wrote the baseline.
@@ -519,10 +502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--order", default=None,
                         help="S1 enumeration order override for ad-hoc "
                              "measurements (lex, frontier)")
-    parser.add_argument("--batch", type=int, default=None,
-                        help="S1 costing chunk size for every workload "
-                             "that does not pin its own (1 = one row "
-                             "per kernel call; results must not change)")
     parser.add_argument("--workload", action="append", default=None,
                         metavar="NAME", dest="workloads",
                         help="run only this workload (repeatable; the "
@@ -543,8 +522,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         report = run(repeats=args.repeats, quick=args.quick, jobs=args.jobs,
-                     order=args.order, batch=args.batch,
-                     only=args.workloads)
+                     order=args.order, only=args.workloads)
     except KeyError as error:
         print(f"perf_report: {error.args[0]}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """End-to-end SLO smoke for the observability layer (tier-2, CI).
 
 Boots a 2-worker fleet over a ``fault+sqlite://`` store with history
-sampling and two declared SLOs, then walks the availability objective
+sampling (``--history-interval 0.25``) and two declared SLOs
+(``--slo``), then walks the availability objective
 through a full ``ok -> page -> ok`` cycle **deterministically**: the
 resilience layer degrades store faults into healthy 200s, so the bad
 events are manufactured as deadline 504s instead -- the fault store

@@ -88,11 +88,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="S1 enumeration order: lex (default), frontier, or a "
              "registered name (see 'repro list orders'); frontier makes "
              "--max-combinations keep the best designs")
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="chunk size for S1 combination costing: rows per "
-             "timing-kernel call (default: engine default; results are "
-             "identical for every value)")
 
 
 def _add_store_arg(parser: argparse.ArgumentParser, default,
@@ -481,7 +476,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             max_combinations=args.max_combinations,
             jobs=args.jobs,
             order=args.order,
-            batch=args.batch,
             store=args.store,
             node_store=args.node_store,
         )
@@ -545,7 +539,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "filter": args.perf_filter,
             "order": args.order,
             "max_combinations": args.max_combinations,
-            "batch": args.batch,
         },
         breaker_threshold=args.breaker_threshold,
         breaker_reset=args.breaker_reset,
@@ -629,7 +622,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             max_combinations=args.max_combinations,
             jobs=args.jobs,
             order=args.order,
-            batch=args.batch,
             store=store,
             node_store=node_designator,
         )

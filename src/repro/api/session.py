@@ -79,12 +79,6 @@ class Session:
         ``"frontier"``), or a callable reordering one option list.
         ``"frontier"`` makes ``max_combinations`` keep the best
         designs instead of the lexicographically first.
-    batch:
-        Chunk size for S1 combination costing: at most this many rows
-        reach one timing-kernel ``run_batch`` call (None keeps the
-        engine default).  Results are bit-identical for every value,
-        so ``batch`` does not enter store fingerprints or node-cache
-        space keys.
     store:
         Persistent result store (see :mod:`repro.store`): ``None``
         (default) disables persistence, a registered name
@@ -119,7 +113,6 @@ class Session:
         max_combinations: Optional[int] = None,
         jobs: int = 1,
         order: Any = None,
-        batch: Optional[int] = None,
         store: Any = None,
         node_store: Any = None,
     ) -> None:
@@ -137,7 +130,6 @@ class Session:
             prune_partial=prune_partial,
             jobs=jobs,
             order=create_order(order),
-            batch=batch,
         )
         if max_combinations is not None:
             self.space.max_combinations = max_combinations

@@ -110,14 +110,6 @@ class SynthesisError(Exception):
     the leaf specifications that could not be implemented."""
 
 
-#: Default combination-costing block size (``DesignSpace(batch=...)``).
-#: Big enough that the per-call matrix packing and the kernel call
-#: amortize, small enough that the per-slot weight matrices and the
-#: result block of one call stay small; the generated kernel itself
-#: keeps one local per timing node whatever the block size.
-DEFAULT_BATCH = 256
-
-
 # ---------------------------------------------------------------------------
 # Process-wide expansion caches.
 #
@@ -318,7 +310,6 @@ class DesignSpace:
         prune_partial: bool = False,
         jobs: int = 1,
         order: object = "lex",
-        batch: Optional[int] = None,
     ) -> None:
         self.rulebase = rulebase
         self.library = library
@@ -335,12 +326,6 @@ class DesignSpace:
         #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
         #: callable reordering one option list (resolved once).
         self.order = resolve_order(order)
-        #: Combination-costing chunk size: the S1 rows sharing an arc
-        #: signature reach the kernels' ``run_batch`` in chunks of at
-        #: most this many rows.  Every value yields bit-identical
-        #: results (so the knob is excluded from store/node
-        #: fingerprints, like ``jobs``); it only tunes block size.
-        self.batch = DEFAULT_BATCH if batch is None else max(1, int(batch))
         #: Total S1-consistent combinations costed by this space (rows
         #: that survived the own-choice conflict check and went through
         #: a timing kernel); benchmarks report combinations/second.
@@ -651,11 +636,10 @@ class DesignSpace:
         """Cost every S1-consistent combination of module options.
 
         Materialize the (capped) S1 rows, group them by their tuple of
-        per-slot arc ids, push each group's delay weights through
-        ``run_batch`` as flat matrices in chunks of ``batch`` rows, and
-        return one :class:`~repro.core.configs.CostRecord` per costed
-        row, in enumeration order; every chunk size yields the same
-        records.  :meth:`_select` turns the survivors into
+        per-slot arc ids, push each group's delay weights through one
+        ``run_batch`` call as flat matrices, and return one
+        :class:`~repro.core.configs.CostRecord` per costed row, in
+        enumeration order.  :meth:`_select` turns the survivors into
         configurations.
         """
         phase_start = time.perf_counter()
@@ -682,36 +666,33 @@ class DesignSpace:
                     group.append(index)
             module_slots = program.module_slots
             arc_keys = ARC_IDS.values
-            batch = self.batch
             costed = 0
             for arc_key_ids, indices in groups.items():
                 kernel = program.kernel(
                     tuple([arc_keys[arc] for arc in arc_key_ids]))
                 costed += len(indices)
-                for start in range(0, len(indices), batch):
-                    chunk = indices[start:start + batch]
-                    chosen_rows = [rows[index][0] for index in chunk]
-                    matrices = []
-                    for slot in range(len(arc_key_ids)):
-                        buffer = array("d")
-                        extend = buffer.extend
-                        for chosen in chosen_rows:
-                            extend(chosen[slot].delay_values)
-                        matrices.append(buffer)
-                    keys, block = kernel.run_batch(matrices, len(chunk))
-                    for offset, index in enumerate(chunk):
-                        chosen = chosen_rows[offset]
-                        values = block[offset]
-                        # Areas sum per module instance, in instance
-                        # order, so the float addition sequence matches
-                        # a direct walk over the netlist (a left fold,
-                        # never ``sum``, which may compensate).
-                        areas = [config.area for config in chosen]
-                        results[index] = CostRecord(
-                            reduce(add, map(areas.__getitem__,
-                                            module_slots), 0.0),
-                            max(values) if values else 0.0,
-                            keys, values, chosen, own_items)
+                chosen_rows = [rows[index][0] for index in indices]
+                matrices = []
+                for slot in range(len(arc_key_ids)):
+                    buffer = array("d")
+                    extend = buffer.extend
+                    for chosen in chosen_rows:
+                        extend(chosen[slot].delay_values)
+                    matrices.append(buffer)
+                keys, block = kernel.run_batch(matrices, len(indices))
+                for offset, index in enumerate(indices):
+                    chosen = chosen_rows[offset]
+                    values = block[offset]
+                    # Areas sum per module instance, in instance order,
+                    # so the float addition sequence matches a direct
+                    # walk over the netlist (a left fold, never ``sum``,
+                    # which may compensate).
+                    areas = [config.area for config in chosen]
+                    results[index] = CostRecord(
+                        reduce(add, map(areas.__getitem__,
+                                        module_slots), 0.0),
+                        max(values) if values else 0.0,
+                        keys, values, chosen, own_items)
             self.combinations_costed += costed
             return [record for record in results if record is not None]
         finally:

@@ -551,8 +551,6 @@ class FleetService:
             argv += ["--order", str(d["order"])]
         if d["max_combinations"] is not None:
             argv += ["--max-combinations", str(d["max_combinations"])]
-        if d["batch"] is not None:
-            argv += ["--batch", str(d["batch"])]
         return argv
 
     @staticmethod

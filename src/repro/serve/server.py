@@ -87,8 +87,7 @@ SESSION_PARAMS = ("library", "rulebase", "filter", "order",
                   "max_combinations")
 
 #: The engine-configuration defaults a request that omits a session
-#: parameter gets (plus ``batch``, server-level tuning that never
-#: changes results).  The fleet router normalizes its routing keys
+#: parameter gets.  The fleet router normalizes its routing keys
 #: against this same table, so a request that spells out a default
 #: lands on the same worker as one that omits it.
 SESSION_DEFAULTS: Mapping[str, Any] = MappingProxyType({
@@ -97,7 +96,6 @@ SESSION_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "filter": "pareto",
     "order": None,
     "max_combinations": None,
-    "batch": None,
 })
 
 #: Default TCP port (spells "DTAS" on a phone pad, near enough).
@@ -408,9 +406,6 @@ class SynthesisService:
             perf_filter=params["filter"],
             order=params["order"],
             max_combinations=params["max_combinations"],
-            # Server-level tuning, not part of SESSION_PARAMS: batch
-            # never changes results, so it must not split the pool.
-            batch=params.get("batch"),
             store=self.store,
             node_store=self.node_store,
         )
@@ -806,7 +801,8 @@ class SynthesisService:
 def _response(status: int, body: bytes, source: str = "",
               extra_headers: Optional[Dict[str, str]] = None) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 413: "Payload Too Large",
+               405: "Method Not Allowed", 411: "Length Required",
+               413: "Payload Too Large",
                414: "URI Too Long", 422: "Unprocessable Entity",
                431: "Request Header Fields Too Large",
                500: "Internal Server Error", 502: "Bad Gateway",
@@ -1010,7 +1006,7 @@ class ReproServer:
             method, path, _ = request_line.decode("ascii").split(None, 2)
         except ValueError:
             raise ServeError(400, "malformed request line")
-        content_length = 0
+        content_length: Optional[int] = None
         headers: Dict[str, str] = {}
         lines = 0
         while True:
@@ -1027,11 +1023,25 @@ class ReproServer:
             headers.setdefault(name, value.strip())
             if name == "content-length":
                 try:
-                    content_length = int(value.strip())
+                    length = int(value.strip())
                 except ValueError:
                     raise ServeError(400, "bad Content-Length")
-                if content_length < 0:
+                if length < 0:
                     raise ServeError(400, "bad Content-Length")
+                # RFC 9112 section 6.3: differing lengths frame nothing.
+                if content_length not in (None, length):
+                    raise ServeError(400, "conflicting Content-Length")
+                content_length = length
+        if "transfer-encoding" in headers:
+            # Bodies are read by length only.  Both framings at once is
+            # a smuggling vector (RFC 9112 section 6.1).
+            if content_length is not None:
+                raise ServeError(
+                    400, "both Transfer-Encoding and Content-Length")
+            raise ServeError(411, "Transfer-Encoding unsupported; "
+                                  "send Content-Length")
+        if content_length is None:
+            content_length = 0
         if content_length > MAX_BODY_BYTES:
             raise ServeError(413, "request body too large")
         body = (await reader.readexactly(content_length)

@@ -195,8 +195,8 @@ def test_half_warm_request_probes_and_publishes(tmp_path):
                      job)
 
 
-def test_parallel_thread_backend_shares_through_cache(tmp_path):
-    path = tmp_path / "threads.sqlite"
+def test_jobs2_shares_through_cache(tmp_path):
+    path = tmp_path / "jobs2.sqlite"
     cold = Session(library="lsi_logic", jobs=2, node_store=path)
     cold_job = cold.synthesize(alu_spec(16))
     assert cold.node_cache_stats()["published"] >= 1

@@ -249,6 +249,16 @@ HOSTILE_HEADS = {
         b"GET /healthz HTTP/1.1\r\n"
         + b"".join(b"X-H%d: v\r\n" % i for i in range(20_000))
         + b"\r\n", 431),
+    # Bodies are framed by Content-Length alone.
+    "chunked_body": (
+        b"POST /synthesize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"13\r\n{\"spec\": \"adder:8\"}\r\n0\r\n\r\n", 411),
+    "transfer_encoding_and_length": (
+        b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+        b"Content-Length: 5\r\n\r\nhello", 400),
+    "conflicting_content_length": (
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n"
+        b"Content-Length: 5\r\n\r\nhello", 400),
 }
 
 
@@ -256,7 +266,9 @@ HOSTILE_HEADS = {
 def test_hostile_request_heads_are_4xx(front, name):
     """An over-long request line is a 414, an over-long header line or
     too many headers a 431 -- not the stream reader's ValueError as a
-    500, and not a 200 after keeping every header."""
+    500, and not a 200 after keeping every header.  A chunked body is a
+    411, and ambiguous framing (Transfer-Encoding with Content-Length,
+    or two different lengths) a 400."""
     payload, expected = HOSTILE_HEADS[name]
     assert _raw_status(front, payload) == expected
     # The server is unharmed.
