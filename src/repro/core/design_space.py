@@ -492,8 +492,7 @@ class DesignSpace:
         phase_start = time.perf_counter()
         try:
             options = self.node_store.load_options(
-                self._node_key(spec), spec, expected_impls=len(node.impls),
-                space_key=self.node_space_key)
+                self._node_key(spec), spec, expected_impls=len(node.impls))
             if options is None:
                 with _NODE_STATS_LOCK:
                     self.node_stats["misses"] += 1
@@ -522,9 +521,7 @@ class DesignSpace:
                 1 for impl in node.impls if impl.timing_program is not None)
             if self.node_store.save_options(
                 self._node_key(spec), spec, selected,
-                impls=len(node.impls), programs=programs,
-                space_key=self.node_space_key,
-            ):
+                impls=len(node.impls), programs=programs):
                 with _NODE_STATS_LOCK:
                     self.node_stats["published"] += 1
         finally:

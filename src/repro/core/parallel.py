@@ -37,8 +37,7 @@ therefore a *measured* fact, pinned by
 ``test_fork_jobs4_answers_the_catalogue_like_jobs1``, not a guarantee.
 The same order dependence makes a shared session's answers differ from
 a fresh one's (the strict xfail
-``test_shared_session_answer_matches_fresh_session``, ROADMAP item
-5 (a)).
+``test_shared_session_answer_matches_fresh_session``).
 """
 
 from __future__ import annotations

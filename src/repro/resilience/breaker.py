@@ -242,19 +242,17 @@ class ResilientNodeStore(GuardedBackend, NodeStoreBackend):
     serving path from re-paying their failure latency per request."""
 
     def load_options(self, fingerprint: str, spec: Any,
-                     expected_impls: int,
-                     space_key: Optional[str] = None) -> Optional[List[Any]]:
+                     expected_impls: int) -> Optional[List[Any]]:
         return self._guarded(
             lambda: self.inner.load_options(fingerprint, spec,
-                                            expected_impls, space_key),
+                                            expected_impls),
             None)
 
     def save_options(self, fingerprint: str, spec: Any, options: List[Any],
-                     impls: int, programs: int = 0,
-                     space_key: Optional[str] = None) -> bool:
+                     impls: int, programs: int = 0) -> bool:
         return bool(self._guarded(
             lambda: self.inner.save_options(fingerprint, spec, options,
-                                            impls, programs, space_key),
+                                            impls, programs),
             False))
 
     def stats(self) -> Dict[str, int]:

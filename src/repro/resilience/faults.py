@@ -240,21 +240,18 @@ class FaultInjectingNodeStore(FaultInjectingBackend, NodeStoreBackend):
     subtree, so injected corruption can never violate byte-identity."""
 
     def load_options(self, fingerprint: str, spec: Any,
-                     expected_impls: int,
-                     space_key: Optional[str] = None) -> Optional[List[Any]]:
+                     expected_impls: int) -> Optional[List[Any]]:
         self.policy.tick("load_options")
-        options = self.inner.load_options(fingerprint, spec,
-                                          expected_impls, space_key)
+        options = self.inner.load_options(fingerprint, spec, expected_impls)
         if options is not None and self.policy.corrupt():
             return None
         return options
 
     def save_options(self, fingerprint: str, spec: Any, options: List[Any],
-                     impls: int, programs: int = 0,
-                     space_key: Optional[str] = None) -> bool:
+                     impls: int, programs: int = 0) -> bool:
         self.policy.tick("save_options")
         return self.inner.save_options(fingerprint, spec, options,
-                                       impls, programs, space_key)
+                                       impls, programs)
 
     def stats(self) -> Dict[str, int]:
         return self.inner.stats()

@@ -196,14 +196,12 @@ class NodeStoreBackend(CacheBackend):
 
     @abc.abstractmethod
     def load_options(self, fingerprint: str, spec: Any,
-                     expected_impls: int,
-                     space_key: Optional[str] = None) -> Optional[List[Any]]:
+                     expected_impls: int) -> Optional[List[Any]]:
         """The persisted option list, or None on any miss/doubt."""
 
     @abc.abstractmethod
     def save_options(self, fingerprint: str, spec: Any, options: List[Any],
-                     impls: int, programs: int = 0,
-                     space_key: Optional[str] = None) -> bool:
+                     impls: int, programs: int = 0) -> bool:
         """Persist one node's option list; True when durably stored."""
 
     @abc.abstractmethod

@@ -36,7 +36,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.store.backend import CacheBackend, StoreBackend
 
@@ -130,7 +130,7 @@ class CacheTable(CacheBackend):
     connection (busy timeout, best-effort WAL, one lock), the table's
     versioned set-up, LRU stamps and deletes, and the whole maintenance
     surface.  A leaf names its table, the ``meta`` key of its version,
-    its per-entry metadata column and any extra columns or tables,
+    its per-entry metadata column and any extra columns,
     defines a ``version`` property (read from its module constant at
     call time), and sets the error policy (:meth:`_failed`).
 
@@ -147,11 +147,8 @@ class CacheTable(CacheBackend):
     meta_key = ""
     column = ""
     noun = ""
-    #: Columns after the shared ones, tables created beside it, and
-    #: tables emptied with it by :meth:`clear`.
+    #: Columns after the shared ones.
     extra_columns = ""
-    extra_ddl: Tuple[str, ...] = ()
-    clear_also: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -229,8 +226,6 @@ class CacheTable(CacheBackend):
                 f"CREATE INDEX IF NOT EXISTS {table}_lru "
                 f"ON {table} (last_used)"
             )
-            for statement in self.extra_ddl:
-                self._db.execute(statement)
 
     # ------------------------------------------------------------------
     # leaf hooks
@@ -369,8 +364,7 @@ class CacheTable(CacheBackend):
                 with self._db:
                     (count,) = self._db.execute(
                         f"SELECT COUNT(*) FROM {self.table}").fetchone()
-                    for table in (self.table,) + self.clear_also:
-                        self._db.execute(f"DELETE FROM {table}")
+                    self._db.execute(f"DELETE FROM {self.table}")
             except STORE_FAILURES as error:
                 self._failed(error)
                 count = 0

@@ -717,11 +717,11 @@ def test_serve_without_store_has_zeroed_node_metrics(tmp_path):
 # delta-encoded payloads (payload v2)
 # ---------------------------------------------------------------------------
 
-def test_payload_v2_shape_and_shared_dictionary(tmp_path):
+def test_payload_v2_shape_is_self_contained(tmp_path):
     """Rows written through a session are delta payloads: version
-    tagged, signature-dictionary encoded, choices referencing the
-    per-space-key dictionary in ``node_dicts`` instead of inline spec
-    tokens."""
+    tagged, signature-dictionary encoded, and carrying their spec
+    tokens inline -- a row decodes with nothing but itself, and the
+    file holds no shared dictionary table."""
     import sqlite3
 
     from repro.nodestore.store import NODE_PAYLOAD
@@ -737,19 +737,15 @@ def test_payload_v2_shape_and_shared_dictionary(tmp_path):
         payload = json.loads(text)
         assert payload["payload"] == NODE_PAYLOAD
         assert "sigs" in payload and "options" in payload
-        assert "specs" not in payload  # shared dictionary, not inline
-        count, digest = payload["dict"]
-        assert count >= 1 and isinstance(digest, str)
-    dicts = db.execute(
-        "SELECT space_key, entries FROM node_dicts").fetchall()
-    assert len(dicts) == 1
-    assert dicts[0][0] == session_space_key(session)
-    assert len(json.loads(dicts[0][1])) >= 1
+        assert payload["specs"] and "dict" not in payload
+    tables = {name for (name,) in db.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    assert tables == {"meta", "nodes"}
 
 
 def test_payload_v2_round_trips_without_space_key_inline(tmp_path):
-    """Direct save/load with no space key must stay self-contained --
-    the dictionary rides inline in the payload."""
+    """Direct save/load, with no session or space key around it, is
+    self-contained: the spec dictionary rides inline in the payload."""
     import sqlite3
 
     session = Session(library="lsi_logic")
@@ -793,37 +789,134 @@ def test_old_payload_version_self_heals_to_miss(tmp_path):
     _assert_same_job(baseline, job)
 
 
-def test_clobbered_shared_dictionary_is_a_miss_not_wrong_specs(tmp_path):
-    """The payload's (count, digest) guard: if the shared dictionary a
-    row was encoded against is replaced with different entries, decode
-    must miss (and heal) rather than resolve indices to wrong specs."""
+def _node_payload(path, key):
+    """The published payload under ``key`` in the file at ``path``."""
     import sqlite3
 
-    path = tmp_path / "clobber.sqlite"
-    producer = Session(library="lsi_logic", node_store=path)
-    baseline = producer.synthesize(alu_spec(16))
-
     db = sqlite3.connect(path)
-    (entries_text,) = db.execute(
-        "SELECT entries FROM node_dicts").fetchone()
-    entries = json.loads(entries_text)
-    entries.reverse()  # same length, different positions
+    (text,) = db.execute("SELECT payload FROM nodes WHERE fingerprint = ?",
+                         (key,)).fetchone()
+    db.close()
+    return json.loads(text)
+
+
+def _rewrite_node_row(path, key, mutate):
+    """Apply ``mutate`` to the published payload under ``key`` in the
+    file at ``path``; returns the new payload."""
+    import sqlite3
+
+    payload = _node_payload(path, key)
+    mutate(payload)
+    db = sqlite3.connect(path)
     with db:
-        db.execute("UPDATE node_dicts SET entries = ?",
-                   (json.dumps(entries),))
+        db.execute("UPDATE nodes SET payload = ? WHERE fingerprint = ?",
+                   (json.dumps(payload), key))
+    db.close()
+    return payload
+
+
+def _assert_row_heals(path, spec, baseline, corrupt):
+    """``spec``'s node row at ``path``, corrupted by ``corrupt``, is a
+    self-healing miss: a session over the file answers exactly like a
+    fresh one and republishes an inline row, and a direct load of the
+    corrupted row misses and deletes it."""
+    key = node_key(session_space_key(Session(library="lsi_logic")), spec)
+    _rewrite_node_row(path, key, corrupt)
+    consumer = Session(library="lsi_logic", node_store=path)
+    job = consumer.synthesize(spec)
+    stats = consumer.node_cache_stats()
+    assert stats["misses"] >= 1 and stats["published"] >= 1
+    _assert_same_job(baseline, job)
+    republished = _node_payload(path, key)
+    assert republished["specs"] and "dict" not in republished
+
+    payload = _rewrite_node_row(path, key, corrupt)
+    store = NodeStore(path)
+    assert store.load_options(key, spec,
+                              expected_impls=payload["impls"]) is None
+    assert key not in store  # deleted, so the next publish overwrites
+    store.close()
+
+
+#: One corrupted field of a published payload per case: (field, value),
+#: where ``None`` stands for one past the field's valid range.
+CORRUPT_FIELDS = {
+    "negative_prefix": ("prefix", -1),
+    "prefix_past_previous": ("prefix", None),
+    "fractional_prefix": ("prefix", 1.5),
+    "negative_position": ("position", -1),
+    "position_past_specs": ("position", None),
+    "negative_signature": ("signature", -1),
+    "signature_past_sigs": ("signature", None),
+    "negative_impl": ("impl", -1),
+    "string_impl": ("impl", "0"),
+}
+
+
+def _corrupt_field(payload, field, value):
+    options = payload["options"]
+    previous = options[1][3] + len(options[1][4])  # option 1's pair count
+    target = options[2]  # [area, signature, values, prefix, tail]
+    assert target[3] > 0 and target[4], "want a shared prefix and a tail"
+    if field == "prefix":
+        target[3] = previous + 1 if value is None else value
+    elif field == "signature":
+        target[1] = len(payload["sigs"]) if value is None else value
+    elif field == "position":
+        target[4][0][0] = len(payload["specs"]) if value is None else value
+    else:
+        target[4][0][1] = value
+
+
+@pytest.mark.parametrize("field, value", list(CORRUPT_FIELDS.values()),
+                         ids=list(CORRUPT_FIELDS))
+def test_out_of_range_payload_field_is_a_miss_not_wrong_options(
+        tmp_path, field, value):
+    """Every index the decoder follows is range-checked: Python slicing
+    and negative indexing would otherwise decode a corrupt row into a
+    hit with wrong configurations."""
+    path = tmp_path / "range.sqlite"
+    spec = alu_spec(16)
+    baseline = Session(library="lsi_logic", node_store=path).synthesize(spec)
+    _assert_row_heals(path, spec, baseline,
+                      lambda payload: _corrupt_field(payload, field, value))
+
+
+def test_legacy_shared_dictionary_row_heals_to_inline(tmp_path):
+    """A row written against the retired shared spec dictionary (a
+    ``dict`` count/digest guard, no inline ``specs``) next to its
+    ``node_dicts`` table is a miss, deleted and republished inline --
+    never decoded through the old table, which nothing reads."""
+    import hashlib
+    import sqlite3
+
+    path = tmp_path / "legacy.sqlite"
+    spec = alu_spec(16)
+    producer = Session(library="lsi_logic", node_store=path)
+    baseline = producer.synthesize(spec)
+    space = session_space_key(producer)
+    entries = _node_payload(path, node_key(space, spec))["specs"]
+    text = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+    db = sqlite3.connect(path)
+    with db:
+        db.execute("CREATE TABLE node_dicts"
+                   " (space_key TEXT PRIMARY KEY, entries TEXT NOT NULL)")
+        db.execute("INSERT INTO node_dicts VALUES (?, ?)",
+                   (space, text))
     db.close()
 
-    consumer = Session(library="lsi_logic", node_store=path)
-    job = consumer.synthesize(alu_spec(16))
-    stats = consumer.node_cache_stats()
-    assert stats["hits"] == 0 and stats["published"] >= 1
-    _assert_same_job(baseline, job)
+    def legacy(payload):
+        del payload["specs"]
+        payload["dict"] = [len(entries), hashlib.sha256(
+            text.encode("utf-8")).hexdigest()[:16]]
+
+    _assert_row_heals(path, spec, baseline, legacy)
 
 
 def test_concurrent_dictionary_growth_merges_append_only(tmp_path):
-    """Two store handles on one file publishing different nodes must
-    merge their dictionary appends: indices already written stay
-    valid, and both handles' rows decode through a third."""
+    """Two store handles on one file publishing different nodes: each
+    payload carries its own spec dictionary, so there is nothing to
+    merge, and both handles' rows decode through a third."""
     session = Session(library="lsi_logic")
     spec_a, spec_b = comparator_spec(8), comparator_spec(16)
     sk = session_space_key(session)
@@ -835,15 +928,15 @@ def test_concurrent_dictionary_growth_merges_append_only(tmp_path):
     first = _nodes(tmp_path)
     second = NodeStore(first.path)
     assert first.save_options(node_key(sk, spec_a), spec_a, options_a,
-                              impls=impls_a, space_key=sk)
+                              impls=impls_a)
     assert second.save_options(node_key(sk, spec_b), spec_b, options_b,
-                               impls=impls_b, space_key=sk)
+                               impls=impls_b)
 
     third = NodeStore(first.path)
     loaded_a = third.load_options(node_key(sk, spec_a), spec_a,
-                                  expected_impls=impls_a, space_key=sk)
+                                  expected_impls=impls_a)
     loaded_b = third.load_options(node_key(sk, spec_b), spec_b,
-                                  expected_impls=impls_b, space_key=sk)
+                                  expected_impls=impls_b)
     assert loaded_a is not None and loaded_b is not None
     assert all(a is b for a, b in zip(loaded_a, options_a))
     assert all(a is b for a, b in zip(loaded_b, options_b))

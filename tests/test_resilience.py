@@ -146,12 +146,10 @@ class FlakyStore(FlakyBackend, StoreBackend):
 
 
 class FlakyNodeStore(FlakyBackend, NodeStoreBackend):
-    def load_options(self, fingerprint, spec, expected_impls,
-                     space_key=None):
+    def load_options(self, fingerprint, spec, expected_impls):
         return self._op([fingerprint])
 
-    def save_options(self, fingerprint, spec, options, impls, programs=0,
-                     space_key=None):
+    def save_options(self, fingerprint, spec, options, impls, programs=0):
         return self._op(True)
 
     def stats(self):

@@ -259,6 +259,10 @@ HOSTILE_HEADS = {
     "conflicting_content_length": (
         b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n"
         b"Content-Length: 5\r\n\r\nhello", 400),
+    # One byte past MAX_BODY_BYTES: refused before any body is read.
+    "oversized_body": (
+        b"POST /synthesize HTTP/1.1\r\nContent-Length: 4194305\r\n\r\n",
+        413),
 }
 
 
@@ -267,8 +271,9 @@ def test_hostile_request_heads_are_4xx(front, name):
     """An over-long request line is a 414, an over-long header line or
     too many headers a 431 -- not the stream reader's ValueError as a
     500, and not a 200 after keeping every header.  A chunked body is a
-    411, and ambiguous framing (Transfer-Encoding with Content-Length,
-    or two different lengths) a 400."""
+    411, ambiguous framing (Transfer-Encoding with Content-Length, or
+    two different lengths) a 400, and a body past the 4 MiB cap a
+    413."""
     payload, expected = HOSTILE_HEADS[name]
     assert _raw_status(front, payload) == expected
     # The server is unharmed.
