@@ -69,6 +69,19 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
              "e.g. GC_INPUT_WIDTH=8")
 
 
+def _cap(text: str) -> int:
+    """``--max-combinations``: an integer of at least 1, else a usage
+    error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--library", default="lsi_logic", metavar="NAME",
@@ -81,8 +94,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="performance filter, e.g. pareto, tradeoff:0.05, top_k:4, "
              "keep_all (default: pareto)")
     parser.add_argument(
-        "--max-combinations", type=int, default=None, metavar="N",
-        help="cap on the per-node S1 cross product")
+        "--max-combinations", type=_cap, default=None, metavar="N",
+        help="cap on the per-node S1 cross product (N >= 1)")
     parser.add_argument(
         "--order", default=None, metavar="NAME",
         help="S1 enumeration order: lex (default), frontier, or a "
@@ -254,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="fork workers for parallel subtree evaluation (default: 1)")
-    synth.add_argument(
-        "--prune-partial", action="store_true",
-        help="enable dominance pre-pruning before the S1 cross product")
     _add_store_arg(synth, default=None,
                    help_suffix=" (default: no persistence)")
     _add_node_store_arg(synth, default=None,
@@ -472,7 +482,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             library=args.library,
             rulebase=args.rulebase,
             perf_filter=args.perf_filter,
-            prune_partial=args.prune_partial,
             max_combinations=args.max_combinations,
             jobs=args.jobs,
             order=args.order,

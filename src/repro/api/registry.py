@@ -201,11 +201,12 @@ STORE_SCHEMES = Registry("store URL scheme",
 
 #: S1 enumeration orders for the streaming combiner.  Factory
 #: convention: ``() -> Optional[callable]`` returning a function that
-#: reorders one option list (``None`` = keep list order).  Third-party
-#: orders registered here are usable as ``Session(order="name")`` and
-#: ``--order name`` exactly like built-ins.  Names resolve at this
-#: layer (:func:`create_order`); the core engine itself accepts order
-#: *callables* plus the built-in names only.
+#: reorders one option list (``None`` = keep list order).  The order is
+#: one of the three search controls (with the filter and
+#: ``max_combinations``), and both cache keys name it, so sessions take
+#: it by name only: third-party orders registered here are usable as
+#: ``Session(order="name")`` and ``--order name`` exactly like
+#: built-ins.  Names resolve at this layer (:func:`create_order`).
 ORDERS = Registry("order", "() -> Optional[callable]")
 
 
@@ -519,12 +520,16 @@ def create_node_store(spec: Any):
     return _create_cache(spec, "nodes")
 
 
-def create_order(spec: Any):
-    """Resolve an enumeration-order designator: None passes through
-    (engine default), a string is looked up in :data:`ORDERS`, and a
-    callable passes through as the order function itself."""
-    if spec is None or callable(spec):
-        return spec
+def create_order(spec: Optional[str]):
+    """Resolve an enumeration-order name: None passes through (engine
+    default) and a string is looked up in :data:`ORDERS`.  Anything
+    else is a ``TypeError``: an order is keyed by its name."""
+    if spec is None:
+        return None
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"order must be a name registered in ORDERS, got "
+            f"{type(spec).__name__}")
     return ORDERS.create(spec)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.registry import (
@@ -63,22 +64,18 @@ class Session:
     extra_rules:
         Additional :class:`~repro.core.rules.Rule` objects appended to
         the resolved rulebase.
-    validate:
-        Validate rule-produced netlists during expansion.
-    prune_partial:
-        Opt-in dominance pre-pruning before the S1 cross product (see
-        :class:`~repro.core.design_space.DesignSpace`).
     max_combinations:
-        Per-node cap on the streamed S1 cross product; None keeps the
-        engine default.
+        Per-node cap on the streamed S1 cross product (at least 1);
+        None keeps the engine default.  Fixed for the session's life.
     jobs:
         Fork-worker count for parallel subtree evaluation (1 =
         sequential; sequential too where ``fork`` is unavailable).
     order:
-        S1 enumeration order: a registered name (``"lex"`` default,
-        ``"frontier"``), or a callable reordering one option list.
-        ``"frontier"`` makes ``max_combinations`` keep the best
-        designs instead of the lexicographically first.
+        S1 enumeration order: a name registered in
+        :data:`~repro.api.registry.ORDERS` (``"lex"`` default,
+        ``"frontier"``, ``"auto"``).  ``"frontier"`` makes
+        ``max_combinations`` keep the best designs instead of the
+        lexicographically first.
     store:
         Persistent result store (see :mod:`repro.store`): ``None``
         (default) disables persistence, a registered name
@@ -99,6 +96,10 @@ class Session:
         over an overlapping subgraph -- or a fork worker evaluating a
         sibling partition -- reuses this one's leaves.  Results are
         byte-identical with the cache on, off, or half-warm.
+
+    The filter, the order and ``max_combinations`` are the only search
+    controls, fixed when the session is built: with the library and
+    rulebase they make up the :attr:`search_token` both caches key on.
     """
 
     def __init__(
@@ -108,8 +109,6 @@ class Session:
         perf_filter: Any = None,
         *,
         extra_rules: Sequence[Rule] = (),
-        validate: bool = True,
-        prune_partial: bool = False,
         max_combinations: Optional[int] = None,
         jobs: int = 1,
         order: Any = None,
@@ -126,20 +125,16 @@ class Session:
             self.rulebase,
             self.library,
             self.perf_filter,
-            validate=validate,
-            prune_partial=prune_partial,
+            max_combinations=max_combinations,
             jobs=jobs,
             order=create_order(order),
         )
-        if max_combinations is not None:
-            self.space.max_combinations = max_combinations
         self._legend_libraries: Dict[str, Any] = {}
         self.jobs_run = 0
-        #: The raw order designator (name or None), kept for the store
-        #: fingerprint -- a custom callable makes requests uncacheable.
+        #: The order name (or None for the default), kept for the
+        #: search token.
         self.order_designator = order
         self.store = create_store(store)
-        self._engine_digest: Optional[str] = None
         #: Serving counters: store lookups answered warm / answered by
         #: running the engine / engine runs (incl. uncacheable ones).
         self.store_hits = 0
@@ -149,8 +144,8 @@ class Session:
         if self.node_store is not None:
             from repro.nodestore import session_space_key
 
-            # A None key (custom order callable, opaque filter) leaves
-            # the cache detached: caching degrades, synthesis does not.
+            # A None key (a filter with non-scalar state) leaves the
+            # cache detached: caching degrades, synthesis does not.
             self.space.attach_node_store(self.node_store,
                                          session_space_key(self))
 
@@ -284,29 +279,23 @@ class Session:
     # ------------------------------------------------------------------
     # the result store
     # ------------------------------------------------------------------
-    def engine_digest(self) -> str:
-        """Digest of the engine side of the fingerprint: the library
-        data book plus the rulebase (memoized; invalidated by
-        :meth:`retarget`)."""
-        if self._engine_digest is None:
-            from repro.store.fingerprint import (
-                digest,
-                library_digest,
-                rulebase_digest,
-            )
+    @cached_property
+    def search_token(self) -> Optional[List[Any]]:
+        """The library and rulebase digests plus the search controls
+        (filter, order name, ``max_combinations``) that both cache keys
+        are digests over (:func:`repro.store.fingerprint.search_token`);
+        computed once, since the controls are fixed when the session is
+        built.  ``None`` when the filter cannot be canonicalized."""
+        from repro.store.fingerprint import search_token
 
-            self._engine_digest = digest([
-                library_digest(self.library),
-                rulebase_digest(self.rulebase),
-            ])
-        return self._engine_digest
+        return search_token(self)
 
     def fingerprint(self, target: RequestLike) -> Optional[str]:
         """The store key this session would use for ``target``, or
         ``None`` when the request is not content-addressable (netlist
-        requests, custom order callables, unregisterable filters).
-        Worker count and parallel backend are deliberately excluded:
-        parallel evaluation is bit-identical to sequential."""
+        requests, filters with non-scalar state).  The worker count is
+        deliberately excluded: fork workers answer like the sequential
+        walk."""
         from repro.store.fingerprint import session_fingerprint
 
         request = SynthesisRequest.coerce(target)
@@ -405,7 +394,7 @@ class Session:
         the same reason (``rebind_library`` does it as well; clearing
         the handle here keeps the session's view consistent)."""
         self.library = create_library(library)
-        self._engine_digest = None
+        self.__dict__.pop("search_token", None)
         self.store = None
         self.node_store = None
         return self.space.rebind_library(self.library)

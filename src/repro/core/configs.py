@@ -54,6 +54,12 @@ instead of the lexicographically first, and ``"auto"``
 (:func:`adaptive_order`) keeps a short lex prefix ahead of the
 frontier tail so tiny caps retain the knee region *and* the delay
 corner.
+
+The search controls that shape a node's option list are exactly
+three: the S2 filter, the enumeration order and the combination cap
+(``limit`` here, ``max_combinations`` on the design space).  Both
+cache keys (:mod:`repro.store.fingerprint`) name those three and
+nothing else.
 """
 
 from __future__ import annotations
@@ -355,69 +361,6 @@ def make_configuration_parts(
     )
 
 
-def prune_dominated_options(
-    options: Sequence[Configuration],
-    shared_specs: Optional[set] = None,
-) -> List[Configuration]:
-    """Drop options that are *interchangeable-for-the-worse*.
-
-    Two options are interchangeable for S1 composition when their
-    choices agree on every spec in ``shared_specs`` -- the specs that
-    can also appear in sibling option lists; choices on specs private
-    to this list can never cause a conflict elsewhere.  Among
-    interchangeable options, one that is at least as good in area and
-    in every delay arc (same arc-key set) and strictly better somewhere
-    dominates: every combination the worse option could contribute, the
-    better one contributes at pointwise-lower cost.
-
-    With ``shared_specs=None`` the *full* choice map must agree -- the
-    conservative form used directly in tests.  Opt-in because a
-    dominated combination can still tie the dominating one on the
-    scalar (area, worst-delay) pair, so downstream filter tie-breaking
-    may keep a different (cost-equivalent) representative than
-    unpruned evaluation.
-    """
-    shared_ids = (None if shared_specs is None
-                  else {spec_id(spec) for spec in shared_specs})
-    return _prune_dominated(options, shared_ids)
-
-
-def _prune_dominated(options: Sequence[Configuration],
-                     shared_ids: Optional[set]) -> List[Configuration]:
-    """:func:`prune_dominated_options` over spec ids (``None`` = every
-    choice is shared)."""
-
-    def footprint(option: Configuration) -> Tuple[Tuple[int, int], ...]:
-        if shared_ids is None:
-            return option.id_choices
-        return tuple(c for c in option.id_choices if c[0] in shared_ids)
-
-    kept: List[Configuration] = []
-    kept_footprints: List[Tuple[Tuple[int, int], ...]] = []
-    for option in options:
-        own_footprint = footprint(option)
-        dominated = False
-        for other, other_footprint in zip(kept, kept_footprints):
-            if other_footprint != own_footprint:
-                continue
-            if other.arc_keys != option.arc_keys:
-                continue
-            if other.area > option.area:
-                continue
-            values, other_values = option.delay_values, other.delay_values
-            if any(o > v for o, v in zip(other_values, values)):
-                continue
-            if other.area < option.area or any(
-                o < v for o, v in zip(other_values, values)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(option)
-            kept_footprints.append(own_footprint)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # Enumeration orders
 # ---------------------------------------------------------------------------
@@ -563,16 +506,14 @@ Row = Tuple[Tuple[Configuration, ...], bool]
 def enumerate_rows(
     option_lists: Sequence[Sequence[Configuration]],
     limit: Optional[int] = None,
-    prune_dominated: bool = False,
     order: Union[str, OrderFn, None] = None,
     own_choice: Optional[Mapping[ComponentSpec, int]] = None,
 ) -> List[Row]:
     """The S1-consistent cross product of per-spec options, as rows.
 
     Rows come in nested-loop order over the option lists (after the
-    optional dominance pruning and the ``order`` transform), and a
-    conflicting prefix is pruned at the depth where it first
-    conflicts.  ``limit`` aborts the enumeration at the cap, so the cap
+    ``order`` transform), and a conflicting prefix is pruned at the
+    depth where it first conflicts.  ``limit`` aborts the enumeration at the cap, so the cap
     bounds both the work and this list's memory.  Each row is the
     chosen configurations plus an ``s1_ok`` flag; the merged choice
     items are not built here (:func:`merge_choices` builds them for the
@@ -608,11 +549,7 @@ def enumerate_rows(
         shared |= universe & seen
         seen |= universe
 
-    lists: List[Sequence[Configuration]] = (
-        [_prune_dominated(options, shared) for options in option_lists]
-        if prune_dominated
-        else list(option_lists)
-    )
+    lists: List[Sequence[Configuration]] = list(option_lists)
     order_fn = resolve_order(order)
     if order_fn is not None:
         if getattr(order_fn, "limit_aware", False):

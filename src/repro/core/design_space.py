@@ -148,11 +148,10 @@ if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
 
 
 class _LibraryCache:
-    __slots__ = ("rules", "validated", "cells")
+    __slots__ = ("rules", "cells")
 
     def __init__(self) -> None:
         self.rules: Dict[tuple, List[Netlist]] = {}
-        self.validated: set = set()
         self.cells: Dict[ComponentSpec, List[CellBinding]] = {}
 
 
@@ -163,17 +162,18 @@ def _library_cache(library) -> _LibraryCache:
     return cache
 
 
-def _cached_rule_netlists(rule, spec: ComponentSpec, context: RuleContext,
-                          validate: bool) -> List[Netlist]:
+def _cached_rule_netlists(rule, spec: ComponentSpec,
+                          context: RuleContext) -> List[Netlist]:
+    """The rule's netlists for ``spec``, validated once when the entry
+    is first built."""
     cache = _library_cache(context.library)
     key = (rule.builder, spec)
     netlists = cache.rules.get(key)
     if netlists is None:
-        netlists = cache.rules[key] = rule.apply(spec, context)
-    if validate and key not in cache.validated:
+        netlists = rule.apply(spec, context)
         for netlist in netlists:
             validate_netlist(netlist)
-        cache.validated.add(key)
+        cache.rules[key] = netlists
     return netlists
 
 
@@ -305,21 +305,19 @@ class DesignSpace:
         rulebase: RuleBase,
         library: CellLibrary,
         perf_filter: Optional[PerformanceFilter] = None,
-        validate: bool = True,
-        max_combinations: int = 20000,
-        prune_partial: bool = False,
+        max_combinations: Optional[int] = None,
         jobs: int = 1,
         order: object = "lex",
     ) -> None:
         self.rulebase = rulebase
         self.library = library
         self.perf_filter = perf_filter or ParetoFilter()
-        self.validate = validate
-        self.max_combinations = max_combinations
-        #: Opt-in: pre-prune sibling options that are dominated in every
-        #: cost dimension by an option with the same choices (see
-        #: :func:`repro.core.configs.prune_dominated_options`).
-        self.prune_partial = prune_partial
+        if max_combinations is None:
+            max_combinations = 20000
+        if max_combinations < 1:
+            raise ValueError(
+                f"max_combinations must be at least 1, got {max_combinations}")
+        self._max_combinations = max_combinations
         #: Fork-worker count for parallel subtree evaluation (1 = the
         #: sequential bottom-up walk; see :mod:`repro.core.parallel`).
         self.jobs = max(1, int(jobs))
@@ -374,6 +372,14 @@ class DesignSpace:
         self._expanding: Set[ComponentSpec] = set()
         self._evaluating: Set[ComponentSpec] = set()
 
+    @property
+    def max_combinations(self) -> int:
+        """The per-node cap on the S1 cross product (20000 unless the
+        space was built with another).  Read-only: node keys embed the
+        cap the space was built with, so changing it later would
+        publish capped lists under another cap's key."""
+        return self._max_combinations
+
     def _phase_add(self, phase: str, seconds: float) -> None:
         with _NODE_STATS_LOCK:
             self.phase_seconds[phase] = (
@@ -411,9 +417,8 @@ class DesignSpace:
                     Implementation(len(impls), spec, "cell", binding=binding)
                 )
             for rule in self.rulebase.rules_for(spec):
-                for netlist in _cached_rule_netlists(
-                    rule, spec, self.context, self.validate
-                ):
+                for netlist in _cached_rule_netlists(rule, spec,
+                                                     self.context):
                     impls.append(
                         Implementation(
                             len(impls), spec, "decomp",
@@ -441,13 +446,13 @@ class DesignSpace:
         (:class:`repro.nodestore.NodeStore`).
 
         ``space_key`` is the engine-side fingerprint half every node
-        key embeds (:func:`repro.nodestore.fingerprint.space_key`); a
-        ``None`` key means this space's configuration cannot be
+        key embeds (:func:`repro.nodestore.fingerprint.session_space_key`);
+        a ``None`` key means this space's configuration cannot be
         canonicalized, and the cache stays detached -- node caching is
         an optimization that degrades to plain evaluation, never a
         correctness risk.  The caller owns computing the key because
-        only it knows the order *designator* (the space holds the
-        resolved callable)."""
+        only it knows the order *name* (the space holds the resolved
+        callable)."""
         if store is None or space_key is None:
             self.node_store = None
             self.node_space_key = None
@@ -644,7 +649,6 @@ class DesignSpace:
             rows = enumerate_rows(
                 option_lists,
                 limit=self.max_combinations,
-                prune_dominated=self.prune_partial,
                 order=self.order,
                 own_choice=own_choice,
             )

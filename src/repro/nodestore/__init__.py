@@ -39,7 +39,6 @@ from repro.nodestore.fingerprint import (
     NODESTORE_SCHEMA,
     node_key,
     session_space_key,
-    space_key,
 )
 from repro.nodestore.store import NODE_SCHEMA, NodeStore
 
@@ -49,5 +48,4 @@ __all__ = [
     "NodeStore",
     "node_key",
     "session_space_key",
-    "space_key",
 ]

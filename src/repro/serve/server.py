@@ -362,13 +362,18 @@ class SynthesisService:
         for key in SESSION_PARAMS:
             if key in body:
                 params[key] = body[key]
-        if params["max_combinations"] is not None:
+        cap = params["max_combinations"]
+        if cap is not None:
+            # An integer or a decimal string ("40"); int() alone would
+            # also read JSON true as 1 and 2.9 as 2.
             try:
-                params["max_combinations"] = int(params["max_combinations"])
+                if isinstance(cap, (bool, float)):
+                    raise TypeError(cap)
+                params["max_combinations"] = int(cap)
             except (TypeError, ValueError):
                 raise ServeError(
                     400, f"max_combinations must be an integer, got "
-                         f"{params['max_combinations']!r}")
+                         f"{cap!r}")
             if not 1 <= params["max_combinations"] <= MAX_COMBINATIONS_LIMIT:
                 raise ServeError(
                     400, f"max_combinations must be in "

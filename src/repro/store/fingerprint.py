@@ -14,8 +14,11 @@ nothing it does not:
   generator name and parameters, or the HLS program structure, plus
   the request label (echoed in emitted bodies, so the stored body must
   be a pure function of the key);
-- the **search controls**: performance filter, enumeration order,
-  ``max_combinations``, ``prune_partial``, and ``validate``;
+- the **search controls**: performance filter, enumeration order name,
+  and ``max_combinations`` -- the only settable values that shape an
+  answer.  With the library and rulebase digests they form the
+  *search token* (:func:`search_token`), which the node cache's space
+  key (:mod:`repro.nodestore.fingerprint`) builds on too;
 - the store's **payload schema version**, so a format change simply
   misses instead of deserializing garbage.
 
@@ -27,11 +30,10 @@ serves a sequential request and vice versa.
 
 Digests are SHA-256 over canonical JSON (sorted keys, compact
 separators) -- stable across processes and Python hash seeds, unlike
-``hash()``.  Anything that cannot be canonicalized (an unregistered
-order callable, a filter with unknown parameters, a mutable caller-owned
-netlist) makes the fingerprint ``None``, which the session treats as
-"not cacheable": the engine runs, nothing is stored, correctness is
-never at risk.
+``hash()``.  Anything that cannot be canonicalized (a filter with
+non-scalar state, a mutable caller-owned netlist) makes the
+fingerprint ``None``, which the session treats as "not cacheable":
+the engine runs, nothing is stored, correctness is never at risk.
 """
 
 from __future__ import annotations
@@ -122,17 +124,32 @@ def filter_token(perf_filter) -> Optional[List[Any]]:
     return [name, params]
 
 
-def order_token(order: Any) -> Optional[str]:
-    """Canonical name of an enumeration order designator.
-
-    ``None`` designates the engine default (``lex``); strings pass
-    through canonicalized; arbitrary callables are not canonicalizable
-    (their behavior is code) and make the request uncacheable."""
+def order_token(order: Optional[str]) -> str:
+    """Canonical name of an enumeration order designator: ``None``
+    designates the engine default (``lex``), and a registered name is
+    canonicalized the way :class:`repro.api.registry.Registry` does."""
     if order is None:
         return "lex"
-    if isinstance(order, str):
-        return order.strip().lower().replace("-", "_")
-    return None
+    return order.strip().lower().replace("-", "_")
+
+
+def search_token(session) -> Optional[List[Any]]:
+    """Everything of a :class:`repro.api.Session` that shapes an
+    answer: the engine digests (library data book, rulebase), the
+    filter token, the order name and the per-node combination cap.
+
+    ``None`` when the filter cannot be canonicalized.  Both the result
+    fingerprint (:func:`session_fingerprint`) and the node cache's space
+    key (:func:`repro.nodestore.fingerprint.session_space_key`) are
+    digests over this one token, which the session computes once
+    (:attr:`repro.api.Session.search_token`)."""
+    flt = filter_token(session.perf_filter)
+    if flt is None:
+        return None
+    return [library_digest(session.library),
+            rulebase_digest(session.rulebase), flt,
+            order_token(session.order_designator),
+            session.space.max_combinations]
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +263,14 @@ def session_fingerprint(session, request) -> Optional[str]:
     """The store key for one (session configuration, request) pair.
 
     ``None`` means "serve and store nothing for this request" -- some
-    ingredient could not be canonicalized.  The session memoizes the
-    engine-side digests (library, rulebase), so per-request cost is the
-    request token plus one SHA-256.
+    ingredient could not be canonicalized.  The session memoizes its
+    search token, so per-request cost is the request token plus one
+    SHA-256.
     """
     req_token = request_token(request)
     if req_token is None:
         return None
-    flt = filter_token(session.perf_filter)
-    if flt is None:
+    token = session.search_token
+    if token is None:
         return None
-    order = order_token(session.order_designator)
-    if order is None:
-        return None
-    return digest([
-        FINGERPRINT_SCHEMA,
-        session.engine_digest(),
-        flt,
-        order,
-        session.space.max_combinations,
-        bool(session.space.prune_partial),
-        bool(session.space.validate),
-        req_token,
-    ])
+    return digest([FINGERPRINT_SCHEMA, token, req_token])

@@ -13,8 +13,8 @@ code imports:
 - :class:`ScalarSpace` -- the per-combination engine: a streaming
   cross product (:func:`iter_compatible`), an own-choice merge after
   it, one :func:`reference_run` per combination, and the filters'
-  ``select``.  It is the oracle for enumeration order, the combination
-  cap, and dominance pruning.
+  ``select``.  It is the oracle for enumeration order and the
+  combination cap.
 - :class:`ReferenceSpace` -- the seed algorithm: a materializing cross
   product (:func:`reference_combine`) and one ``port_delay_matrix``
   graph build per combination.
@@ -29,7 +29,6 @@ from repro.core.configs import (
     Choice,
     Configuration,
     make_configuration,
-    prune_dominated_options,
     resolve_order,
 )
 from repro.core.design_space import DesignSpace
@@ -56,17 +55,9 @@ def merge_choices(
     return merged
 
 
-def choice_specs(config: Configuration) -> frozenset:
-    """The specs ``config`` binds.  (The production combiner works on
-    spec ids, :attr:`Configuration.spec_ids`; the oracle stays on
-    specs.)"""
-    return frozenset(spec for spec, _ in config.choices)
-
-
 def iter_compatible(
     option_lists,
     limit: Optional[int] = None,
-    prune_dominated: bool = False,
     order=None,
 ) -> Iterator[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
     """Stream the S1-consistent cross product of per-spec options.
@@ -80,20 +71,7 @@ def iter_compatible(
     if limit is not None and limit <= 0:
         return
     count = len(option_lists)
-    universes = []
-    for options in option_lists:
-        universe: set = set()
-        for config in options:
-            universe |= choice_specs(config)
-        universes.append(universe)
-    shared: set = set()
-    seen: set = set()
-    for universe in universes:
-        shared |= universe & seen
-        seen |= universe
-    lists = ([prune_dominated_options(options, shared)
-              for options in option_lists]
-             if prune_dominated else list(option_lists))
+    lists = list(option_lists)
     order_fn = resolve_order(order)
     if order_fn is not None:
         if getattr(order_fn, "limit_aware", False):
@@ -238,7 +216,6 @@ class ScalarSpace(DesignSpace):
         for chosen, merged in iter_compatible(
             option_lists,
             limit=self.max_combinations,
-            prune_dominated=self.prune_partial,
             order=self.order,
         ):
             choices = dict(merged)

@@ -357,6 +357,24 @@ def test_cli_unknown_backend_names_exit_2_listing_registered(capsys):
             assert name in err, (argv, name)
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "2.9"])
+def test_cli_max_combinations_below_one_is_a_usage_error(cap, capsys):
+    """A cap below 1 is rejected by argparse (exit 2, before any
+    synthesis) on every command that takes engine flags."""
+    for command in ("synth", "warm"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--spec", "adder:8",
+                      "--max-combinations", cap])
+        assert exit_info.value.code == 2
+        assert "--max-combinations" in capsys.readouterr().err
+
+
+def test_session_rejects_cap_below_one():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_combinations"):
+            Session(max_combinations=cap)
+
+
 def test_cli_stray_factory_keyerror_exits_2(capsys):
     """A third-party factory whose own code raises a raw KeyError must
     still exit 2 with a message instead of a traceback."""

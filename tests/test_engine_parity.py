@@ -28,9 +28,7 @@ def lsi():
 def _both_engines(lsi, spec, perf_filter_factory):
     session = Session(lsi, perf_filter=perf_filter_factory())
     new = session.space.alternatives(spec)
-    reference = ReferenceSpace(
-        session.rulebase, lsi, perf_filter_factory(), validate=False
-    )
+    reference = ReferenceSpace(session.rulebase, lsi, perf_filter_factory())
     old = reference.alternatives(spec)
     return new, old
 
@@ -80,8 +78,7 @@ def test_netlist_evaluation_parity(lsi):
     session = Session(lsi, perf_filter=ParetoFilter())
     new = session.space.evaluate_netlist(netlist)
 
-    reference = ReferenceSpace(session.rulebase, lsi, ParetoFilter(),
-                               validate=False)
+    reference = ReferenceSpace(session.rulebase, lsi, ParetoFilter())
     option_lists = [reference.configs(add), reference.configs(gate)]
     results = []
     for chosen, merged in reference_combine(option_lists):

@@ -17,12 +17,7 @@ from repro.api.cli import main as cli_main
 from repro.api.requests import SynthesisRequest
 from repro.core.specs import alu_spec, comparator_spec, make_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
-from repro.nodestore import (
-    NodeStore,
-    node_key,
-    session_space_key,
-    space_key,
-)
+from repro.nodestore import NodeStore, node_key, session_space_key
 from repro.store import ResultStore
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,23 +55,16 @@ def test_space_key_stable_and_jobs_independent():
     assert session_space_key(Session(library="lsi_logic", jobs=2)) == base
 
 
-def test_space_key_separates_what_changes_per_node_options():
-    keys = {
-        session_space_key(Session()),
-        session_space_key(Session(library="vendor2")),
-        session_space_key(Session(rulebase="standard")),
-        session_space_key(Session(perf_filter="tradeoff:0.05")),
-        session_space_key(Session(order="frontier")),
-        session_space_key(Session(order="auto")),
-        session_space_key(Session(max_combinations=40)),
-        session_space_key(Session(prune_partial=True)),
-        session_space_key(Session(validate=False)),
-    }
-    assert len(keys) == 9  # every knob that shapes option lists
-
-
 def test_space_key_uncanonicalizable_order_disables_caching(tmp_path):
-    session = Session(order=lambda options: list(options),
+    """Orders are names, so only a filter with non-scalar state still
+    makes a space uncanonicalizable."""
+    from repro.core.filters import ParetoFilter
+
+    class TaggedPareto(ParetoFilter):
+        def __init__(self):
+            self.tags = ["opaque"]
+
+    session = Session(perf_filter=TaggedPareto(),
                       node_store=_nodes(tmp_path))
     assert session_space_key(session) is None
     # The cache is detached, not broken: synthesis still works and
@@ -98,15 +86,21 @@ def test_node_key_is_attr_order_independent():
                                                        cascaded=True))
 
 
-def test_space_key_function_matches_session_path():
-    """The standalone :func:`space_key` (for direct DesignSpace users)
-    and the session-side memoized path must agree, or direct users and
-    sessions would never share entries."""
-    session = Session(library="lsi_logic", perf_filter="tradeoff:0.05")
-    direct = space_key(session.library, session.rulebase,
-                       session.perf_filter, order=None,
-                       max_combinations=session.space.max_combinations)
-    assert direct == session_space_key(session)
+def test_cap_is_fixed_when_the_session_is_built(tmp_path):
+    """The cap is read-only after construction: node keys embed it, so
+    a late change would publish capped lists under the uncapped key.
+    A capped session over a node store therefore never leaks into a
+    default session over the same file."""
+    path = tmp_path / "capped.sqlite"
+    capped = Session(node_store=path, max_combinations=2)
+    with pytest.raises(AttributeError):
+        capped.space.max_combinations = 20000
+    capped.synthesize("adder:8")
+    assert capped.node_cache_stats()["published"] >= 1
+
+    served = Session(node_store=path).synthesize("adder:8")
+    fresh = Session().synthesize("adder:8")
+    assert _normalized_body(served) == _normalized_body(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +907,7 @@ def test_legacy_shared_dictionary_row_heals_to_inline(tmp_path):
     _assert_row_heals(path, spec, baseline, legacy)
 
 
-def test_concurrent_dictionary_growth_merges_append_only(tmp_path):
+def test_two_handles_rows_decode_through_a_third(tmp_path):
     """Two store handles on one file publishing different nodes: each
     payload carries its own spec dictionary, so there is nothing to
     merge, and both handles' rows decode through a third."""

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import EMITTERS, Session, SynthesisRequest, create_store
 from repro.api.cli import main as cli_main
+from repro.core.filters import ParetoFilter
 from repro.core.specs import adder_spec, alu_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
 from repro.store import (
@@ -47,21 +48,47 @@ def test_fingerprint_is_stable_and_jobs_independent():
     # fragment the store (parallel evaluation is bit-identical).
     assert Session(library="lsi_logic", jobs=4).fingerprint("adder:8") == base
     assert Session(library="lsi_logic", jobs=2).fingerprint("adder:8") == base
+    # The request is the other half of the key.
+    assert Session(library="lsi_logic").fingerprint("adder:16") != base
 
 
-def test_fingerprint_separates_what_changes_results():
-    fps = {
-        Session().fingerprint("adder:8"),
-        Session().fingerprint("adder:16"),
-        Session(library="vendor2").fingerprint("adder:8"),
-        Session(rulebase="standard").fingerprint("adder:8"),
-        Session(perf_filter="tradeoff:0.05").fingerprint("adder:8"),
-        Session(perf_filter="tradeoff:0.10").fingerprint("adder:8"),
-        Session(order="frontier").fingerprint("adder:8"),
-        Session(max_combinations=40).fingerprint("adder:8"),
-        Session(prune_partial=True).fingerprint("adder:8"),
-    }
-    assert len(fps) == 9  # every engine knob lands on its own key
+#: One row per search control: two session configurations that differ
+#: in that control alone, and whether both cache keys must move.
+KEY_TABLE = [
+    ("library", {}, {"library": "vendor2"}, True),
+    ("rulebase", {}, {"rulebase": "standard"}, True),
+    ("filter", {}, {"perf_filter": "tradeoff:0.05"}, True),
+    ("filter-argument", {"perf_filter": "tradeoff:0.05"},
+     {"perf_filter": "tradeoff:0.10"}, True),
+    ("order-lex-frontier", {"order": "lex"}, {"order": "frontier"}, True),
+    ("order-frontier-auto", {"order": "frontier"}, {"order": "auto"}, True),
+    ("order-auto-lex", {"order": "auto"}, {"order": "lex"}, True),
+    ("cap", {}, {"max_combinations": 40}, True),
+    ("jobs", {}, {"jobs": 4}, False),
+]
+
+
+@pytest.mark.parametrize("base,changed,moves",
+                         [row[1:] for row in KEY_TABLE],
+                         ids=[row[0] for row in KEY_TABLE])
+def test_search_controls_move_both_keys(base, changed, moves):
+    """The result fingerprint and the node space key are digests over
+    one search token, so each control moves both or neither."""
+    from repro.nodestore import session_space_key
+
+    before, after = Session(**base), Session(**changed)
+    keys = [(s.fingerprint("adder:8"), session_space_key(s))
+            for s in (before, after)]
+    assert None not in keys[0] + keys[1]
+    assert (keys[0][0] != keys[1][0]) is moves
+    assert (keys[0][1] != keys[1][1]) is moves
+
+
+class _TaggedPareto(ParetoFilter):
+    """The Pareto filter plus state the keys cannot canonicalize."""
+
+    def __init__(self):
+        self.tags = ["opaque"]
 
 
 def test_fingerprint_uncacheable_forms():
@@ -71,9 +98,17 @@ def test_fingerprint_uncacheable_forms():
     # Caller-owned netlists may be mutated between calls.
     netlist = Netlist("n")
     assert session.fingerprint(SynthesisRequest.from_netlist(netlist)) is None
-    # A custom order callable is code, not data.
-    custom = Session(order=lambda options: list(options))
-    assert custom.fingerprint("adder:8") is None
+    # A filter with non-scalar state has no canonical token.
+    opaque = Session(perf_filter=_TaggedPareto())
+    assert opaque.search_token is None
+    assert opaque.fingerprint("adder:8") is None
+
+
+def test_order_is_a_registered_name():
+    with pytest.raises(TypeError):
+        Session(order=lambda options: list(options))
+    assert Session(order="Frontier").fingerprint("adder:8") == \
+        Session(order="frontier").fingerprint("adder:8")
 
 
 def test_legend_and_digest_tokens():

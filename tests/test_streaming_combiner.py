@@ -1,5 +1,5 @@
 """The S1 combiner, :func:`repro.core.configs.enumerate_rows`:
-conflict rejection, cap-bounded work, orders, pruning, and parity with
+conflict rejection, cap-bounded work, orders, and parity with
 the streaming and materializing cross products of
 ``tests/reference_engine.py``."""
 
@@ -20,7 +20,6 @@ from repro.core.configs import (
     enumerate_rows,
     make_configuration,
     merge_choices,
-    prune_dominated_options,
     spec_id,
 )
 from repro.core.specs import ComponentSpec, adder_spec, gate_spec, mux_spec
@@ -95,15 +94,13 @@ def _as_rows(combos, own_choice=None):
             for chosen, merged in combos]
 
 
-def _expected_rows(option_lists, limit=None, prune_dominated=False,
-                   order=None, own_choice=None):
+def _expected_rows(option_lists, limit=None, order=None, own_choice=None):
     """What :func:`_enumerate` must return, derived from the streaming
     oracle (own-choice conflicts stay in as ``None`` rows and count
     against the cap, so the cap applies after the merge)."""
     return _as_rows(
         [(chosen, dict(merged)) for chosen, merged in iter_compatible(
-            option_lists, limit=limit, prune_dominated=prune_dominated,
-            order=order)],
+            option_lists, limit=limit, order=order)],
         own_choice)
 
 
@@ -208,85 +205,6 @@ class TestOrderAndParity:
         rows = _enumerate(lists)
         assert [row[1] for row in rows] == [((a, 0),), ((a, 1),)]
         assert rows[0][1] is not rows[1][1]
-
-
-class TestDominancePruning:
-    def test_strictly_dominated_option_dropped(self):
-        a = adder_spec(4)
-        good = _cfg(1, 1, {a: 0})
-        worse = _cfg(2, 3, {a: 0})
-        kept = prune_dominated_options([good, worse])
-        assert kept == [good]
-
-    def test_different_choices_never_pruned(self):
-        a = adder_spec(4)
-        kept = prune_dominated_options([_cfg(1, 1, {a: 0}), _cfg(2, 3, {a: 1})])
-        assert len(kept) == 2
-
-    def test_exact_ties_kept(self):
-        a = adder_spec(4)
-        kept = prune_dominated_options([_cfg(1, 1, {a: 0}), _cfg(1, 1, {a: 0})])
-        assert len(kept) == 2
-
-    def test_iter_compatible_prune_flag(self):
-        a, b = adder_spec(4), mux_spec(2, 4)
-        lists = [
-            [_cfg(1, 1, {a: 0}), _cfg(5, 5, {a: 0})],  # second dominated
-            [_cfg(1, 1, {b: 0})],
-        ]
-        assert len(list(iter_compatible(lists))) == 2
-        assert len(list(iter_compatible(lists, prune_dominated=True))) == 1
-        assert len(_enumerate(lists)) == 2
-        pruned = _enumerate(lists, prune_dominated=True)
-        assert pruned == _expected_rows(lists, prune_dominated=True)
-        assert [chosen[0].area for chosen, _ in pruned] == [1]
-
-    def test_shared_footprint_prunes_private_choice_variants(self):
-        """Options differing only in choices *private* to their list are
-        interchangeable for S1; the dominated one is pruned."""
-        shared_spec = adder_spec(4)
-        private = gate_spec("XOR")
-        options = [
-            _cfg(1, 1, {shared_spec: 0, private: 0}),
-            _cfg(9, 9, {shared_spec: 0, private: 1}),  # dominated, differs
-        ]
-        # Conservative form (full choice map) keeps both...
-        assert len(prune_dominated_options(options)) == 2
-        # ...shared-footprint form prunes the pointwise-worse one.
-        assert len(prune_dominated_options(options, {shared_spec})) == 1
-
-    def test_keepall_space_shrinks_under_pruning(self):
-        """End to end: with the unfiltered ablation setup, partial
-        dominance pruning cuts the evaluated space by an integer
-        factor; with frontier filters it is a no-op by construction."""
-        from repro.api import Session
-        from repro.core import KeepAllFilter, ParetoFilter
-        from repro.core.specs import adder_spec as mk_adder
-        from repro.techlib import lsi_logic_library
-
-        lsi = lsi_logic_library()
-
-        def run(prune):
-            session = Session(lsi, perf_filter=KeepAllFilter(),
-                              prune_partial=prune)
-            session.space.max_combinations = 500
-            return session.synthesize(mk_adder(4)).result
-
-        full, pruned = run(False), run(True)
-        assert len(pruned) < len(full)
-        # Extremes survive: pruning only removes pointwise-dominated
-        # candidates, so the best corners are unaffected.
-        assert pruned.smallest().area == full.smallest().area
-        assert pruned.fastest().delay == full.fastest().delay
-
-        pareto_base = Session(lsi, perf_filter=ParetoFilter()).synthesize(
-            mk_adder(16)).result
-        pareto_pruned = Session(lsi, perf_filter=ParetoFilter(),
-                                prune_partial=True).synthesize(
-            mk_adder(16)).result
-        assert [(a.area, a.delay) for a in pareto_base.alternatives] == [
-            (a.area, a.delay) for a in pareto_pruned.alternatives
-        ]
 
 
 class TestEnumerationOrders:
@@ -447,8 +365,7 @@ class TestCapSemantics:
 @pytest.mark.parametrize("seed", range(12))
 def test_rows_match_streaming_oracle_fuzz(seed):
     """Seeded random option lists over a small spec pool (so siblings
-    share specs and conflict), with caps, orders, pruning, and own
-    choices: :func:`enumerate_rows` must return exactly the rows the
+    share specs and conflict), with caps, orders, and own choices: :func:`enumerate_rows` must return exactly the rows the
     streaming oracle enumerates, in order."""
     rng = random.Random(seed)
     pool = [adder_spec(4), adder_spec(8), mux_spec(2, 4), gate_spec("NAND"),
@@ -463,13 +380,12 @@ def test_rows_match_streaming_oracle_fuzz(seed):
         lists.append(options)
     limit = rng.choice([None, None, 1, 5, 20])
     order = rng.choice([None, "lex", "frontier", "auto"])
-    prune = rng.random() < 0.5
+    rng.random()  # a retired draw: every seed keeps its later draws
     own_choice = ({rng.choice(pool): rng.randint(0, 1)}
                   if rng.random() < 0.7 else None)
-    rows = _enumerate(lists, limit=limit, prune_dominated=prune,
-                          order=order, own_choice=own_choice)
-    assert rows == _expected_rows(lists, limit=limit, prune_dominated=prune,
-                                  order=order, own_choice=own_choice)
+    rows = _enumerate(lists, limit=limit, order=order, own_choice=own_choice)
+    assert rows == _expected_rows(lists, limit=limit, order=order,
+                                  own_choice=own_choice)
 
 
 def _distinct_copy(spec):
