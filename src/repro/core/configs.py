@@ -21,7 +21,9 @@ Configurations are *interned* (:mod:`repro.core.interning`):
 (area, delays, choices) value, so equality between interned instances
 is an O(1) identity check, duplicate allocation disappears from the
 keep-all ablations, and every lazy per-object cache is computed once
-process-wide.
+process-wide.  The intern key and :meth:`Configuration.__hash__` use
+the ``(spec id, impl)`` pairs in place of the choices: spec ids are by
+value, so the key is equivalent and hashes no spec.
 
 S1 bookkeeping runs on small integers, never on specs.  Each distinct
 spec value gets one process-wide *spec id* (:func:`spec_id`, cached on
@@ -86,33 +88,6 @@ from repro.core.specs import ComponentSpec
 
 Choice = Tuple[ComponentSpec, int]  # (specification, implementation index)
 DelayItems = Tuple[Tuple[Tuple[str, str], float], ...]
-
-
-class ChoiceTuple(tuple):
-    """A choice tuple that caches its hash.
-
-    Plain tuples recompute their hash on every use, and a choice
-    tuple's hash walks every spec's (Python-level) ``__hash__``.  The
-    intern table hashes the choices part of its key on every lookup --
-    twice on a miss (probe, then insert) -- so :func:`merge_choices`
-    (and the node store's payload decoder) build choice items as
-    ``ChoiceTuple`` and pay the spec walk once per instance instead of
-    once per dictionary operation.  Equality and the hash *value* are
-    exactly the underlying tuple's, so mixing with plain tuples
-    (unpickled payloads, hand-built configurations) stays transparent;
-    pickles degrade to plain tuples so a cached hash (which embeds the
-    per-process string-hash seed) never crosses a process boundary.
-    """
-
-    def __hash__(self) -> int:
-        d = self.__dict__
-        h = d.get("_h")
-        if h is None:
-            h = d["_h"] = tuple.__hash__(self)
-        return h
-
-    def __reduce__(self):
-        return (tuple, (tuple(self),))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +207,11 @@ class Configuration:
         )
 
     def __hash__(self) -> int:
+        # Spec ids are by value, so equal choices have equal id pairs;
+        # hashing the ids touches no spec.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.area, self.delays, self.choices))
+            cached = hash((self.area, self.delays, self.id_choices))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -269,8 +246,9 @@ class Configuration:
     @cached_property
     def id_choices(self) -> Tuple[Tuple[int, int], ...]:
         """``(spec id, impl)`` pairs, parallel to ``choices`` -- the
-        form the S1 combiner checks consistency in."""
-        return tuple([(spec_id(spec), impl) for spec, impl in self.choices])
+        form the S1 combiner checks consistency in, and the choices
+        part of the intern key and the hash."""
+        return _id_choices(self.choices)
 
     @cached_property
     def spec_ids(self) -> frozenset:
@@ -302,9 +280,14 @@ class Configuration:
         return (_restore_configuration, (self.area, self.delays, self.choices))
 
 
+def _id_choices(choices: Sequence[Choice]) -> Tuple[Tuple[int, int], ...]:
+    return tuple([(spec_id(spec), impl) for spec, impl in choices])
+
+
 def _restore_configuration(area, delays, choices) -> Configuration:
     """Unpickle target: rebuild through the intern table."""
-    return CONFIGURATIONS.revive_parts(area, delays, choices, Configuration)
+    return CONFIGURATIONS.revive_parts(
+        area, delays, choices, _id_choices(choices), Configuration)
 
 
 def revive_configuration(
@@ -318,11 +301,11 @@ def revive_configuration(
     configuration equal to a freshly computed one *is* that object --
     but counted separately by the intern table's ``revived`` stat."""
     delay_items = tuple(sorted(delays.items()))
-    choice_items = ChoiceTuple(
+    choice_items = tuple(
         sorted(choices.items(), key=lambda kv: kv[0].sort_key))
     return CONFIGURATIONS.revive_parts(
-        float(area), delay_items, choice_items, Configuration
-    )
+        float(area), delay_items, choice_items, _id_choices(choice_items),
+        Configuration)
 
 
 def make_configuration(
@@ -333,32 +316,11 @@ def make_configuration(
     """Normalized, interned constructor (sorted, hashable tuples; one
     canonical instance per value process-wide)."""
     delay_items = tuple(sorted(delays.items()))
-    choice_items = ChoiceTuple(
+    choice_items = tuple(
         sorted(choices.items(), key=lambda kv: kv[0].sort_key))
     return CONFIGURATIONS.intern_parts(
-        float(area), delay_items, choice_items, Configuration
-    )
-
-
-def make_configuration_parts(
-    area: float,
-    delay_items: DelayItems,
-    choice_items: Tuple[Choice, ...],
-    delay: float,
-) -> Configuration:
-    """Interned constructor for *already canonical* parts.
-
-    The batched evaluator builds its delay items pre-sorted (the kernel
-    result layout is sorted once per arc signature), merges choice items
-    in sorted order, and knows the worst-delay scalar from the block's
-    value columns -- so the normalizing sorts and the ``__post_init__``
-    scan of :func:`make_configuration` would be pure overhead.  The
-    caller owns canonicality: parts must equal what
-    :func:`make_configuration` would produce for the same value.
-    """
-    return CONFIGURATIONS.intern_parts(
-        area, delay_items, choice_items, Configuration, delay
-    )
+        float(area), delay_items, choice_items, _id_choices(choice_items),
+        Configuration)
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +625,14 @@ def merge_choices(chosen: Sequence[Configuration],
                   own_items: Sequence[Choice] = ()) -> Tuple[Choice, ...]:
     """The canonical choice items of an S1-consistent row: each spec's
     first occurrence in depth order over ``chosen``, then the own
-    entries not already bound, sorted by spec sort key -- ready for
-    :func:`make_configuration_parts`.  Only meaningful for a row whose
+    entries not already bound, sorted by spec sort key -- the choices
+    of the row's configuration.  Only meaningful for a row whose
     ``s1_ok`` is true (its duplicate specs agree on the impl)."""
     return _merge(chosen, own_items)[1]
 
 
 def _merge(chosen: Sequence[Configuration], own_items: Sequence[Choice]
-           ) -> Tuple[Tuple[int, ...], Tuple[Choice, ...]]:
+           ) -> Tuple[List[int], Tuple[Choice, ...]]:
     """:func:`merge_choices` plus the spec ids parallel to its items."""
     # spec id -> choice, filled lowest precedence first so each update
     # overwrites with an earlier occurrence: own entries, then the
@@ -680,7 +642,7 @@ def _merge(chosen: Sequence[Configuration], own_items: Sequence[Choice]
     for config in reversed(chosen):
         merged.update(zip(map(_first, config.id_choices), config.choices))
     ordered = sorted(merged, key=SPEC_IDS.values.__getitem__)
-    return tuple(ordered), ChoiceTuple(map(merged.__getitem__, ordered))
+    return ordered, tuple(map(merged.__getitem__, ordered))
 
 
 class CostRecord:
@@ -695,7 +657,7 @@ class CostRecord:
     __slots__ = ("area", "delay", "keys", "values", "chosen", "own")
 
     def __init__(self, area: float, delay: float,
-                 keys: Tuple[Tuple[str, str], ...], values: Sequence[float],
+                 keys: Tuple[Tuple[str, str], ...], values: Tuple[float, ...],
                  chosen: Tuple[Configuration, ...],
                  own: Tuple[Choice, ...]) -> None:
         self.area = area
@@ -709,18 +671,22 @@ class CostRecord:
     def configuration(self) -> Configuration:
         """The interned configuration this record denotes.
 
-        The record already holds what three of the configuration's lazy
-        caches would derive -- the ``(spec id, impl)`` pairs of the
-        merged choices, the arc keys and the delay values -- so they are
-        handed over (they are value-determined, so an interned instance
-        that has them already keeps equal ones)."""
+        The record already holds what the configuration's lazy caches
+        would derive -- the ``(spec id, impl)`` pairs and spec ids of
+        the merged choices, the arc keys, their arc id and the delay
+        values -- so a fresh instance gets them handed over instead of
+        computing each on first touch.  They are value-determined, so
+        an interned instance that has them already keeps equal ones."""
         ids, choices = _merge(self.chosen, self.own)
-        config = make_configuration_parts(
-            self.area, tuple(zip(self.keys, self.values)), choices,
+        keys = self.keys
+        config = CONFIGURATIONS.intern_parts(
+            self.area, tuple(zip(keys, self.values)), choices,
+            tuple(zip(ids, map(_second, choices))), Configuration,
             self.delay)
         caches = config.__dict__
-        caches.setdefault("id_choices",
-                          tuple(zip(ids, map(_second, choices))))
-        caches.setdefault("_arc_keys", self.keys)
-        caches.setdefault("delay_values", tuple(self.values))
+        if "arc_id" not in caches:
+            caches["_arc_keys"] = keys
+            caches["delay_values"] = self.values
+            caches["arc_id"] = ARC_IDS.id_of(keys)
+            caches["spec_ids"] = frozenset(ids)
         return config

@@ -11,7 +11,13 @@ library cell or to a netlist of modules."
 Expansion interleaves rule application with technology mapping: every
 specification node is first matched against the cell library
 (:mod:`repro.core.mapper`), then decomposed by every applicable rule,
-recursing into the module specifications of each decomposition.
+recursing into the module specifications of each decomposition.  A
+node's children through one decomposition are defined in one place,
+:func:`distinct_module_specs`: the netlist's distinct module specs,
+built once per rule netlist and process-wide.  Expansion, evaluation,
+reachability, dependency edges and parallel partitioning all walk that
+tuple, so each child is visited once per decomposition rather than
+once per module instance.
 
 Evaluation computes, bottom-up, the set of costed
 :class:`~repro.core.configs.Configuration` alternatives per node, with
@@ -34,11 +40,15 @@ The evaluation inner loop is engineered for the paper's scale claim
   skip the check entirely.  A row is only its chosen configurations
   and an S1 flag;
 - rows sharing an arc signature (grouped by tuples of process-wide arc
-  ids) are costed in blocks through the kernels' ``run_batch`` into
-  :class:`~repro.core.configs.CostRecord` objects, which the S2
-  filter's ``select_block`` ranks on area and delay; only the survivors
-  get merged choice items and an interned configuration, so no spec is
-  hashed for a row the filter drops;
+  ids, which also find the kernel) go straight to that kernel's
+  ``run_batch``: its generated function reads the chosen
+  configurations' delay values and areas itself and returns each
+  row's area, worst delay and delays, so no weight matrices are built.
+  The results become :class:`~repro.core.configs.CostRecord` objects,
+  which the S2 filter's ``select_block`` ranks on area and delay; only
+  the survivors get merged choice items and an interned configuration,
+  and interning keys on spec ids, so the costing and filtering path
+  hashes no spec;
 - rule applications, cell matchings, and compiled programs are pure
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
@@ -68,11 +78,8 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-from array import array
 
 from repro.core.configs import (
     ARC_IDS,
@@ -95,6 +102,7 @@ if False:  # typing only; avoids a circular import with repro.techlib
 
 
 _arc_id = attrgetter("arc_id")
+_connections = attrgetter("connections")
 
 
 def _configuration(candidate) -> Configuration:
@@ -196,8 +204,24 @@ def _structure_token(netlist: Netlist) -> Tuple[int, int, int, int]:
         len(netlist.modules),
         len(netlist.nets),
         len(netlist.ports),
-        sum(len(m.connections) for m in netlist.modules),
+        sum(map(len, map(_connections, netlist.modules))),
     )
+
+
+def distinct_module_specs(netlist: Netlist) -> Tuple[ComponentSpec, ...]:
+    """The distinct module specs of a rule netlist, in first-seen
+    instance order: a node's children through this decomposition, and
+    the slot order of its spec timing program.  Built once per netlist,
+    process-wide, and attached beside the timing program, so the walks
+    over a node's children (expansion, evaluation, reachability,
+    dependency edges, parallel partitioning) visit each child once
+    instead of once per module instance.  Same read-only contract as
+    :func:`_spec_timing_program`."""
+    children = netlist.__dict__.get("_spec_children")
+    if children is None:
+        children = netlist._spec_children = tuple(
+            dict.fromkeys(module.spec for module in netlist.modules))
+    return children
 
 
 def _spec_timing_program(netlist: Netlist) -> TimingProgram:
@@ -215,6 +239,8 @@ def _spec_timing_program(netlist: Netlist) -> TimingProgram:
         program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
         netlist._spec_timing_program = program
         netlist._spec_timing_token = token
+        # A recompile refreshes the children too: they are the slots.
+        netlist._spec_children = program.slot_keys
     return program
 
 
@@ -427,10 +453,13 @@ class DesignSpace:
                     )
             node.impls = impls
             node.expanded = True
+            nodes = self.nodes
             for impl in impls:
                 if impl.kind == "decomp":
-                    for module in impl.netlist.modules:
-                        self.expand(module.spec)
+                    for child in distinct_module_specs(impl.netlist):
+                        known = nodes.get(child)
+                        if known is None or not known.expanded:
+                            self.expand(child)
         finally:
             self._expanding.discard(spec)
             if outermost:
@@ -504,11 +533,15 @@ class DesignSpace:
                 return None
             with _NODE_STATS_LOCK:
                 self.node_stats["hits"] += 1
+            dependents = self._dependents
             for impl in node.impls:
                 if impl.kind == "decomp":
-                    for module in impl.netlist.modules:
-                        self._dependents.setdefault(
-                            module.spec, set()).add(spec)
+                    for child in distinct_module_specs(impl.netlist):
+                        deps = dependents.get(child)
+                        if deps is None:
+                            dependents[child] = {spec}
+                        else:
+                            deps.add(spec)
             return options
         finally:
             self._phase_add("node_probe",
@@ -551,7 +584,9 @@ class DesignSpace:
             # A decomposition cycle: treat as unimplementable through
             # this path; the offending implementation is dropped.
             return []
-        node = self.expand(spec)
+        node = self.nodes.get(spec)
+        if node is None or not node.expanded:
+            node = self.expand(spec)
         self._evaluating.add(spec)
         try:
             if self.node_store is not None:
@@ -612,11 +647,18 @@ class DesignSpace:
         self, spec: ComponentSpec, impl: Implementation
     ) -> List[CostRecord]:
         netlist = impl.netlist
-        distinct_specs = list(dict.fromkeys(m.spec for m in netlist.modules))
+        dependents = self._dependents
+        memo = self._configs
         option_lists = []
-        for sub in distinct_specs:
-            self._dependents.setdefault(sub, set()).add(spec)
-            options = self.configs(sub)
+        for sub in distinct_module_specs(netlist):
+            deps = dependents.get(sub)
+            if deps is None:
+                dependents[sub] = {spec}
+            else:
+                deps.add(spec)
+            options = memo.get(sub)
+            if options is None:
+                options = self.configs(sub)
             if not options:
                 return []  # some module is unimplementable
             option_lists.append(options)
@@ -638,11 +680,12 @@ class DesignSpace:
         """Cost every S1-consistent combination of module options.
 
         Materialize the (capped) S1 rows, group them by their tuple of
-        per-slot arc ids, push each group's delay weights through one
-        ``run_batch`` call as flat matrices, and return one
-        :class:`~repro.core.configs.CostRecord` per costed row, in
-        enumeration order.  :meth:`_select` turns the survivors into
-        configurations.
+        per-slot arc ids, hand each group's rows straight to one
+        ``run_batch`` call of that signature's kernel (which reads the
+        chosen configurations' areas and delay values itself), and
+        return one :class:`~repro.core.configs.CostRecord` per costed
+        row, in enumeration order.  :meth:`_select` turns the survivors
+        into configurations.
         """
         phase_start = time.perf_counter()
         try:
@@ -665,35 +708,18 @@ class DesignSpace:
                     groups[key] = [index]
                 else:
                     group.append(index)
-            module_slots = program.module_slots
             arc_keys = ARC_IDS.values
             costed = 0
-            for arc_key_ids, indices in groups.items():
-                kernel = program.kernel(
-                    tuple([arc_keys[arc] for arc in arc_key_ids]))
-                costed += len(indices)
+            for arc_ids, indices in groups.items():
+                kernel = program.kernel_for(arc_ids, arc_keys)
                 chosen_rows = [rows[index][0] for index in indices]
-                matrices = []
-                for slot in range(len(arc_key_ids)):
-                    buffer = array("d")
-                    extend = buffer.extend
-                    for chosen in chosen_rows:
-                        extend(chosen[slot].delay_values)
-                    matrices.append(buffer)
-                keys, block = kernel.run_batch(matrices, len(indices))
-                for offset, index in enumerate(indices):
-                    chosen = chosen_rows[offset]
-                    values = block[offset]
-                    # Areas sum per module instance, in instance order,
-                    # so the float addition sequence matches a direct
-                    # walk over the netlist (a left fold, never ``sum``,
-                    # which may compensate).
-                    areas = [config.area for config in chosen]
+                costs = kernel.run_batch(chosen_rows, len(indices))
+                keys = kernel.keys
+                costed += len(indices)
+                for index, chosen, (area, delay, values) in zip(
+                        indices, chosen_rows, costs):
                     results[index] = CostRecord(
-                        reduce(add, map(areas.__getitem__,
-                                        module_slots), 0.0),
-                        max(values) if values else 0.0,
-                        keys, values, chosen, own_items)
+                        area, delay, keys, values, chosen, own_items)
             self.combinations_costed += costed
             return [record for record in results if record is not None]
         finally:
@@ -930,7 +956,7 @@ class DesignSpace:
             found.append(node)
             for impl in node.impls:
                 if impl.kind == "decomp":
-                    queue.extend(m.spec for m in impl.netlist.modules)
+                    queue.extend(distinct_module_specs(impl.netlist))
         return found
 
     def stats_for(self, roots: Iterable[ComponentSpec]) -> Dict[str, int]:

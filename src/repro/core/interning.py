@@ -22,9 +22,11 @@ reference to a configuration dies, its entry (and key tuple) is
 released, so a retired workload does not pin its whole design space in
 memory.  The design space interns cell configurations and the rows
 that survive S2; rows the filter drops never reach the table.
-Interning is keyed purely on value -- (area, delays, choices)
--- and never changes what a configuration *is*, only how many copies of
-it exist, which is why the parallel/interned engine stays bit-identical
+Interning is keyed purely on value -- (area, delays, id_choices), where
+the ``(spec id, impl)`` pairs stand for the choices because spec ids
+are by value, so a lookup hashes small ints instead of specs -- and
+never changes what a configuration *is*, only how many copies of it
+exist, which is why the parallel/interned engine stays bit-identical
 to the sequential one.
 """
 
@@ -65,18 +67,23 @@ class InternTable:
         self.revived = 0
 
     # ------------------------------------------------------------------
-    def intern_parts(self, area, delays, choices, cls,
+    def intern_parts(self, area, delays, choices, id_choices, cls,
                      delay: float = -1.0) -> "Configuration":
         """Canonical configuration for already-normalized parts.
 
+        The table is keyed by ``(area, delays, id_choices)``:
+        ``id_choices`` are the ``(spec id, impl)`` pairs parallel to
+        ``choices``, and spec ids are by value, so the key is exactly as
+        discriminating as the choices themselves while hashing no spec.
         On a hit no new object is allocated at all; on a miss the
-        configuration is constructed, tagged with the next intern id,
-        and becomes the canonical instance.  ``delay`` optionally passes
-        a precomputed worst-delay scalar (the batched evaluator already
-        holds it), skipping the derivation in ``__post_init__``; it must
-        equal the derived value, which equality/hash ignore anyway.
+        configuration is constructed with ``id_choices`` already cached,
+        tagged with the next intern id, and becomes the canonical
+        instance.  ``delay`` optionally passes a precomputed worst-delay
+        scalar (the batched evaluator already holds it), skipping the
+        derivation in ``__post_init__``; it must equal the derived
+        value, which equality/hash ignore anyway.
         """
-        key = (area, delays, choices)
+        key = (area, delays, id_choices)
         with self._lock:
             if self._data is not None:
                 ref = self._data.get(key)
@@ -87,13 +94,15 @@ class InternTable:
                 self.hits += 1
                 return existing
             config = cls(area, delays, choices, delay)
+            config.__dict__["id_choices"] = id_choices
             object.__setattr__(config, "_intern_id", self._next_id)
             self._next_id += 1
             self._table[key] = config
             self.misses += 1
             return config
 
-    def revive_parts(self, area, delays, choices, cls) -> "Configuration":
+    def revive_parts(self, area, delays, choices, id_choices,
+                     cls) -> "Configuration":
         """Re-intern a configuration that was serialized in another
         process (or another run of this one): pickle payloads from
         multiprocessing workers and result-store loads both land here.
@@ -106,7 +115,7 @@ class InternTable:
         concurrently from serve executor threads and worker pickles."""
         with self._lock:
             self.revived += 1
-        return self.intern_parts(area, delays, choices, cls)
+        return self.intern_parts(area, delays, choices, id_choices, cls)
 
     def intern(self, config: "Configuration") -> "Configuration":
         """Canonical instance for an existing configuration (used when
@@ -114,7 +123,7 @@ class InternTable:
         by unpickling)."""
         if config.interned_id is not None:
             return config
-        key = (config.area, config.delays, config.choices)
+        key = (config.area, config.delays, config.id_choices)
         with self._lock:
             existing = self._table.get(key)
             if existing is not None:

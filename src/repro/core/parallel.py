@@ -46,6 +46,7 @@ import multiprocessing
 import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
+from repro.core.design_space import distinct_module_specs
 from repro.core.specs import ComponentSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,10 +66,8 @@ def child_specs(space: "DesignSpace", spec: ComponentSpec) -> List[ComponentSpec
         node = space.expand(spec)
     seen: Dict[ComponentSpec, None] = {}
     for impl in node.impls:
-        if impl.kind != "decomp":
-            continue
-        for module in impl.netlist.modules:
-            seen.setdefault(module.spec, None)
+        if impl.kind == "decomp":
+            seen.update(dict.fromkeys(distinct_module_specs(impl.netlist)))
     return list(seen)
 
 
@@ -231,7 +230,11 @@ def _process_prefill(space: "DesignSpace", tasks: Sequence[ComponentSpec],
                     # graph: union them so recost invalidation sees the
                     # edges recorded inside the forked children.
                     for spec, deps in dependents.items():
-                        space._dependents.setdefault(spec, set()).update(deps)
+                        known = space._dependents.get(spec)
+                        if known is None:
+                            space._dependents[spec] = deps
+                        else:
+                            known.update(deps)
                     # Node-cache traffic happened in the child (over its
                     # own connection to the shared store file); fold the
                     # increments in so the parent's stats tell the truth.

@@ -23,9 +23,12 @@ A :class:`TimingProgram` splits the work by what actually varies:
   signature (a tuple of per-slot arc-key tuples), and on first use the
   kernel generates one straight-line Python function from them: one
   local per timing node, relaxed edge by edge in topological order.
-- **Per evaluation**: call that function on a block of per-slot delay
-  weight rows -- no graph, ordering or interpretive work at all.  It
-  is the only longest-path implementation; numpy is never imported.
+- **Per evaluation**: call that function on a block of rows, each one
+  chosen configuration per slot.  It reads each slot's delay values
+  straight off the configuration and returns per row the summed area,
+  the worst delay and the delay values -- no weight matrices, graph,
+  ordering or interpretive work at all.  It is the only longest-path
+  implementation; numpy is never imported.
 
 Instances are grouped into *slots* (by default one slot per instance;
 the design-space evaluator passes ``slot_of=lambda inst: inst.spec`` so
@@ -41,7 +44,9 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.netlist.nets import endpoint_masks
 from repro.netlist.netlist import ModuleInst, Netlist
@@ -76,6 +81,12 @@ _FUNCTIONS: "weakref.WeakValueDictionary[str, Callable]" = (
     weakref.WeakValueDictionary())
 
 
+def _tuple(names: Iterable[str]) -> str:
+    """Tuple display (or unpacking target) source for ``names``."""
+    names = list(names)
+    return ", ".join(names) + ("," if len(names) == 1 else "")
+
+
 class _BatchPlan:
     """Per-kernel layout the compiled function is generated from.
 
@@ -101,13 +112,25 @@ class _BatchPlan:
         self.source_edges = source_edges
 
 
+class _Weights:
+    """A stand-in chosen configuration for :meth:`_Kernel.run`: one
+    slot's delay weights and no area."""
+
+    __slots__ = ("delay_values",)
+    area = 0.0
+
+    def __init__(self, delay_values: Sequence[float]) -> None:
+        self.delay_values = delay_values
+
+
 class _Kernel:
     """Everything evaluation needs for one arc signature: flattened
-    edges in topological order plus the sources and labeled sinks."""
+    edges in topological order plus the sources and labeled sinks, and
+    the program's instance-to-slot map (the area fold's order)."""
 
     __slots__ = (
         "n_nodes", "edge_u", "edge_v", "edge_ref",
-        "sources", "labeled", "_compiled",
+        "sources", "labeled", "module_slots", "_compiled",
     )
 
     def __init__(
@@ -118,6 +141,7 @@ class _Kernel:
         edge_ref: List[Tuple[int, int]],
         sources: List[Tuple[str, int]],
         labeled: List[Tuple[int, str]],
+        module_slots: Tuple[int, ...],
     ) -> None:
         self.n_nodes = n_nodes
         self.edge_u = edge_u
@@ -125,6 +149,7 @@ class _Kernel:
         self.edge_ref = edge_ref
         self.sources = sources
         self.labeled = labeled
+        self.module_slots = module_slots
         #: (result keys, generated function), built on first use.
         self._compiled: Optional[Tuple[Tuple[Tuple[str, str], ...],
                                        Callable]] = None
@@ -144,34 +169,48 @@ class _Kernel:
             setattr(self, name, value)
         self._compiled = None
 
+    @property
+    def keys(self) -> Tuple[Tuple[str, str], ...]:
+        """The sorted (source, sink) result pairs, the same for every
+        row: the layout of each row's delay values."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = self._compile()
+        return compiled[0]
+
     def run(
         self, values: Sequence[Sequence[float]]
     ) -> Dict[Tuple[str, str], float]:
         """Longest-path delays for one set of per-slot weights (a
         one-row :meth:`run_batch`)."""
-        keys, block = self.run_batch(values, 1)
-        return dict(zip(keys, block[0]))
+        _, _, delays = self.run_batch(
+            [tuple(map(_Weights, values))], 1)[0]
+        return dict(zip(self.keys, delays))
 
     def run_batch(
-        self, values: Sequence[Sequence[float]], rows: int
-    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Longest-path propagation for a whole block of weight rows.
+        self, chosen_rows: Sequence[Sequence[object]], n: int
+    ) -> List[Tuple[float, float, Tuple[float, ...]]]:
+        """Cost a block of ``n`` rows (``n == len(chosen_rows)``; a
+        block with ``n <= 0`` costs nothing).
 
-        ``values[s]`` is a flat row-major matrix (``array('d')`` /
-        memoryview / any indexable float sequence) of shape
-        ``rows x len(arc_keys of slot s)``.  Returns ``(keys, block)``:
-        ``keys`` are the sorted (source, sink) result pairs, the same
-        for every row, and ``block[r]`` lists row ``r``'s delays
-        parallel to ``keys``.  The work is one call of the kernel's
+        Each row holds one chosen configuration per slot; the kernel
+        reads a configuration's ``area`` and ``delay_values`` (parallel
+        to that slot's arc keys in the kernel's signature).  Returns one
+        ``(area, delay, values)`` per row: ``area`` is the left fold
+        ``0.0 + area(slot of instance 0) + area(slot of instance 1) ...``
+        over the instances in netlist order (the float addition sequence
+        of ``functools.reduce(operator.add, ..., 0.0)``, never ``sum``),
+        ``values`` are the longest-path delays parallel to :attr:`keys`,
+        and ``delay`` is their maximum (``0.0`` with no keys), as
+        ``max`` would pick it.  The work is one call of the kernel's
         generated function (see :meth:`_compile`).
         """
         compiled = self._compiled
         if compiled is None:
             compiled = self._compiled = self._compile()
-        keys, function = compiled
-        if rows <= 0:
-            return keys, []
-        return keys, function(values, rows)
+        if n <= 0:
+            return []
+        return compiled[1](chosen_rows)
 
     # -- compilation ---------------------------------------------------
     def _build_plan(self) -> _BatchPlan:
@@ -201,16 +240,21 @@ class _Kernel:
         """Generate and ``exec`` one straight-line function for this
         kernel's plan.
 
-        The function loops over rows.  Per row it loads each used
-        weight once, then per source relaxes that source's edges in
-        topological order -- ``aV = aU + w`` on the first write to a
-        node, ``t = aU + w; if t > aV: aV = t`` after that -- and folds
-        the source's sinks into one accumulator per result key.  Node
-        locals are reused across sources: a node is read only after
-        the current source's sweep wrote it.  Edges whose head reaches
-        none of the source's sinks are never emitted, and a zero-weight
-        wiring arc adds nothing: until a second arc reaches its head,
-        the head just names the tail's local.
+        The function loops over rows of chosen configurations.  Per row
+        it unpacks each used slot's ``delay_values`` once, then per
+        source relaxes that source's edges in topological order --
+        ``aV = aU + w`` on the first write to a node, ``t = aU + w; if
+        t > aV: aV = t`` after that -- and folds the source's sinks into
+        one accumulator per result key.  Node locals are reused across
+        sources: a node is read only after the current source's sweep
+        wrote it.  Edges whose head reaches none of the source's sinks
+        are never emitted, and a zero-weight wiring arc adds nothing:
+        until a second arc reaches its head, the head just names the
+        tail's local.  Last, it takes the maximum of the accumulators
+        inline (``d = k0; if k1 > d: d = k1 ...``, which keeps the first
+        of equal maxima exactly as ``max`` does) and unrolls the area
+        fold as ``0.0 + c0.area + c1.area ...`` in ``module_slots``
+        order, the addition sequence of a left fold.
 
         Bit-identical to the interpretive sweep: ``max`` returns one of
         its inputs, so every arrival time is the left-to-right sum
@@ -270,21 +314,35 @@ class _Kernel:
                 else:
                     folded.add(k)
                     body.append(f"k{k} = {held[nid]}")
-        slots = sorted({slot for slot, _ in weights})
-        lines = ["def kernel(values, rows):"]
-        for slot in slots:
-            lines.append(f"    m{slot} = values[{slot}]")
-            lines.append(f"    n{slot} = len(m{slot}) // rows")
-        lines.append("    block = []")
-        lines.append("    append = block.append")
-        lines.append("    for r in range(rows):")
-        for slot in slots:
-            lines.append(f"        b{slot} = r * n{slot}")
-        for (slot, index), name in weights.items():
-            lines.append(f"        {name} = m{slot}[b{slot} + {index}]")
+        # Each slot's arc count, to unpack its weights in one step.
+        arcs: Dict[int, int] = {}
+        for slot, index in edge_ref:
+            if slot >= 0 and index >= arcs.get(slot, 0):
+                arcs[slot] = index + 1
+        n_slots = max(self.module_slots, default=-1) + 1
+        lines = ["def kernel(rows):",
+                 "    block = []",
+                 "    append = block.append"]
+        if n_slots:
+            targets = _tuple(f"c{slot}" for slot in range(n_slots))
+            lines.append(f"    for {targets} in rows:")
+        else:
+            lines.append("    for _ in rows:")
+        for slot in sorted({slot for slot, _ in weights}):
+            names = _tuple(weights.get((slot, index), "_")
+                           for index in range(arcs[slot]))
+            lines.append(f"        {names} = c{slot}.delay_values")
         lines.extend("        " + line for line in body)
-        results = ", ".join(f"k{k}" for k in range(len(plan.keys)))
-        lines.append(f"        append([{results}])")
+        n_keys = len(plan.keys)
+        if n_keys:
+            lines.append("        d = k0")
+            lines.extend(f"        if k{k} > d: d = k{k}"
+                         for k in range(1, n_keys))
+        else:
+            lines.append("        d = 0.0")
+        area = "".join(f" + c{slot}.area" for slot in self.module_slots)
+        results = _tuple(f"k{k}" for k in range(n_keys))
+        lines.append(f"        append((0.0{area}, d, ({results})))")
         lines.append("    return block")
         source = "\n".join(lines)
         function = _FUNCTIONS.get(source)
@@ -317,8 +375,9 @@ class TimingProgram:
     kernel regenerates its function on first run there), and
     evaluation on the receiving side is bit-identical (prefix sums and
     ``max`` over identical paths).  Keep the invariant that nothing
-    stored here is process-local: no lambdas, no weakrefs, no
-    id()-keyed tables.
+    pickled here is process-local: no lambdas, no weakrefs, no
+    id()-keyed tables (the arc-id lookup table of :meth:`kernel_for`
+    is dropped on pickling and refills on use).
     """
 
     def __init__(
@@ -330,6 +389,10 @@ class TimingProgram:
         self._node_index: Dict[Node, int] = {}
         self._nodes: List[Node] = []
         self._kernels: Dict[Tuple[ArcKeys, ...], _Kernel] = {}
+        #: The same kernels by a caller's tuple of per-slot arc ids
+        #: (:meth:`kernel_for`).  Ids are process-local, so this table
+        #: is never pickled.
+        self._by_ids: Dict[Tuple[int, ...], _Kernel] = {}
 
         # --- slots -----------------------------------------------------
         slot_index: Dict[Hashable, int] = {}
@@ -473,7 +536,8 @@ class TimingProgram:
             entry = self._nodes[nid]
             if entry[0] == "pin" and entry[2] == "@clk:in":
                 labeled.append((nid, CLK_PIN))
-        return _Kernel(n, edge_u, edge_v, edge_ref, sources, labeled)
+        return _Kernel(n, edge_u, edge_v, edge_ref, sources, labeled,
+                       self.module_slots)
 
     # ------------------------------------------------------------------
     def kernel(self, arc_keys_by_slot: Tuple[ArcKeys, ...]) -> _Kernel:
@@ -483,6 +547,27 @@ class TimingProgram:
             kernel = self._compile_kernel(arc_keys_by_slot)
             self._kernels[arc_keys_by_slot] = kernel
         return kernel
+
+    def kernel_for(self, arc_ids: Tuple[int, ...],
+                   arc_keys: Sequence[ArcKeys]) -> _Kernel:
+        """The kernel of the signature whose per-slot arc keys are
+        ``arc_keys[i]`` for each ``i`` in ``arc_ids`` (cached by the id
+        tuple, which hashes without touching a string)."""
+        kernel = self._by_ids.get(arc_ids)
+        if kernel is None:
+            kernel = self._by_ids[arc_ids] = self.kernel(
+                tuple([arc_keys[arc] for arc in arc_ids]))
+        return kernel
+
+    # -- pickling ------------------------------------------------------
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_by_ids"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._by_ids = {}
 
 
 def compile_timing(

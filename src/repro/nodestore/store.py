@@ -56,7 +56,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.configs import ChoiceTuple, Configuration, spec_id
+from repro.core.configs import Configuration, spec_id
 from repro.core.interning import CONFIGURATIONS
 from repro.store.backend import NodeStoreBackend
 from repro.store.fingerprint import spec_token
@@ -377,6 +377,7 @@ def _revive(payload: Dict[str, Any], spec: Any,
         return None  # key collision or hand-edited row
     try:
         specs = [spec_from_token(token) for token in payload["specs"]]
+        ids = [spec_id(choice_spec) for choice_spec in specs]
         sigs = [tuple(tuple(pins) for pins in sig)
                 for sig in payload["sigs"]]
         revive = CONFIGURATIONS.revive_parts
@@ -395,15 +396,18 @@ def _revive(payload: Dict[str, Any], spec: Any,
                 if not (_index(pos, len(specs))
                         and type(impl) is int and impl >= 0):
                     return None
-                pairs.append((specs[pos], impl))
+                pairs.append((pos, impl))
             prev_pairs = pairs
             sig = sigs[si]
             if len(sig) != len(values):
                 return None
             delay_items = tuple(zip(
                 sig, [float(value) for value in values]))
-            options.append(revive(float(area), delay_items,
-                                  ChoiceTuple(pairs), Configuration))
+            options.append(revive(
+                float(area), delay_items,
+                tuple([(specs[pos], impl) for pos, impl in pairs]),
+                tuple([(ids[pos], impl) for pos, impl in pairs]),
+                Configuration))
         return options
     except (IndexError, KeyError, TypeError, ValueError):
         return None

@@ -6,23 +6,28 @@ same emitter output -- across filters, enumeration orders, fork-worker
 counts, and perturbed delay books.
 
 Also fuzzes the kernels' generated functions against the interpretive
-oracle ``reference_run`` (exact floats, every block size, pickled
-kernels recompiling) and covers the pickling invariants the row path
-leans on (canonical interned specs, ``ChoiceTuple`` degrading to a
-plain tuple).
+oracle ``reference_run`` and a left-fold area sum (exact floats, every
+block size, pickled kernels recompiling) and covers the invariants the
+row path leans on (canonical interned specs, canonical merged choice
+items).
 """
 
 import dataclasses
 import multiprocessing
 import pickle
 import random
-from array import array
+from functools import reduce
+from operator import add
 
 import pytest
 from reference_engine import ScalarSpace, reference_run
 
 from repro.api import Session
-from repro.core.configs import ChoiceTuple, Configuration, make_configuration
+from repro.core.configs import (
+    Configuration,
+    make_configuration,
+    merge_choices,
+)
 from repro.core.design_space import DesignSpace
 from repro.core.filters import KeepAllFilter, ParetoFilter
 from repro.core.library_rules import lsi_rules
@@ -234,7 +239,7 @@ def kernel_pool():
                 pool[(id(kernel), "instance")] = (
                     per_instance.kernel(spread), spread)
     kernels = list(pool.values())
-    keys = [key for kernel, _ in kernels for key in kernel.run_batch([], 0)[0]]
+    keys = [key for kernel, _ in kernels for key in kernel.keys]
     # the @clk pin is split into a source and a sink half, and most
     # kernels propagate from several sources
     assert any(source == CLK_PIN for source, _ in keys)
@@ -243,34 +248,86 @@ def kernel_pool():
     return kernels
 
 
-def _random_matrices(rng, signature, rows):
-    return [array("d", [rng.uniform(0.0, 20.0)
-                        for _ in range(rows * len(arcs))])
-            for arcs in signature]
+class _Option:
+    """A stand-in chosen configuration: all a kernel reads of one."""
+
+    __slots__ = ("area", "delay_values")
+
+    def __init__(self, area, delay_values):
+        self.area = area
+        self.delay_values = delay_values
+
+
+#: Areas whose sum depends on the order of addition: a left fold over
+#: (1e16, 1.0, 1.0) is 1e16, over (1.0, 1.0, 1e16) it is 1e16 + 2, and
+#: compensated summation (``sum`` on Python >= 3.12) gives the exact
+#: 1e16 + 2 in either order.
+ORDER_SENSITIVE_AREAS = (1e16, 1.0, -1e16, 3.0)
+
+
+def _random_rows(rng, signature, rows):
+    return [tuple(_Option(rng.choice(ORDER_SENSITIVE_AREAS)
+                          if rng.random() < 0.75 else rng.uniform(0.0, 50.0),
+                          tuple(rng.uniform(0.0, 20.0) for _ in arcs))
+                  for arcs in signature)
+            for _ in range(rows)]
+
+
+def _expected_cost(kernel, row):
+    """The oracle's (area, delay, values) of one row."""
+    delays = reference_run(kernel, [option.delay_values for option in row])
+    values = tuple(delays[key] for key in kernel.keys)
+    assert kernel.keys == tuple(sorted(delays))
+    area = reduce(add, (row[slot].area for slot in kernel.module_slots), 0.0)
+    return area, max(values) if values else 0.0, values
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 300])
 def test_generated_kernel_matches_reference_run(kernel_pool, rows):
     rng = random.Random(1000 + rows)
+    order_sensitive = 0
     for kernel, signature in kernel_pool:
-        matrices = _random_matrices(rng, signature, rows)
-        keys, block = kernel.run_batch(matrices, rows)
-        assert len(block) == rows
-        for r, got in enumerate(block):
-            expected = reference_run(kernel, [
-                mat[r * len(arcs):(r + 1) * len(arcs)]
-                for mat, arcs in zip(matrices, signature)])
-            assert keys == tuple(sorted(expected))
-            assert got == [expected[key] for key in keys]  # exact floats
+        chosen_rows = _random_rows(rng, signature, rows)
+        costs = kernel.run_batch(chosen_rows, rows)
+        assert len(costs) == rows
+        for row, got in zip(chosen_rows, costs):
+            assert got == _expected_cost(kernel, row)  # exact floats
+            areas = [row[slot].area for slot in kernel.module_slots]
+            if sum(reversed(areas)) != got[0]:
+                order_sensitive += 1
+    # the draws do reach rows where another addition order differs
+    assert order_sensitive > 0
+
+
+def test_generated_kernel_no_keys_costs_delay_zero():
+    """A netlist with no output reachable from an input still costs its
+    area; its delay is 0.0, as ``max`` over no values defaults to."""
+    from repro.netlist import Netlist
+    from repro.netlist.ports import in_port, out_port
+    from repro.core.specs import make_spec, port_signature
+
+    netlist = Netlist("cut")
+    a = netlist.add_port(in_port("A", 1))
+    y = netlist.add_port(out_port("Y", 1))
+    gate = make_spec("GATE", 1, kind="NOT", n_inputs=1)
+    sink = netlist.add_net("sink", 1)
+    netlist.add_module("u0", gate, port_signature(gate),
+                       {"I0": a.ref(), "O": sink.ref()})
+    netlist.add_module("u1", gate, port_signature(gate),
+                       {"I0": sink.ref(), "O": y.ref()})
+    kernel = compile_timing(netlist).kernel(((), ()))
+    assert kernel.keys == ()
+    rows = [(_Option(1e16, ()), _Option(1.0, ()))]
+    assert kernel.run_batch(rows, 1) == [(1e16, 0.0, ())]
 
 
 @pytest.mark.parametrize("rows", [0, -1])
 def test_generated_kernel_empty_block(kernel_pool, rows):
     for kernel, signature in kernel_pool:
-        keys, block = kernel.run_batch(
-            _random_matrices(random.Random(1), signature, 1), rows)
-        assert block == []
-        assert keys == kernel.run_batch([], 0)[0]
+        keys = kernel.keys
+        assert kernel.run_batch(
+            _random_rows(random.Random(1), signature, 1), rows) == []
+        assert kernel.keys == keys
 
 
 def test_pickled_kernel_recompiles_to_the_same_block(kernel_pool):
@@ -278,12 +335,12 @@ def test_pickled_kernel_recompiles_to_the_same_block(kernel_pool):
     for kernel, signature in kernel_pool:
         if not any(source == CLK_PIN for source, _ in kernel.sources):
             continue
-        matrices = _random_matrices(rng, signature, 7)
-        compiled = kernel.run_batch(matrices, 7)
+        chosen_rows = _random_rows(rng, signature, 7)
+        compiled = kernel.run_batch(chosen_rows, 7)
         assert kernel._compiled is not None
         clone = pickle.loads(pickle.dumps(kernel))
         assert clone._compiled is None  # the function never travels
-        assert clone.run_batch(matrices, 7) == compiled
+        assert clone.run_batch(chosen_rows, 7) == compiled
         assert clone._compiled is not None
 
 
@@ -301,12 +358,17 @@ def test_spec_pickle_round_trip_is_canonical():
     assert pickle.loads(pickle.dumps(fresh)) is spec
 
 
-def test_choice_tuple_hash_caches_and_pickles_as_tuple():
-    items = make_configuration(
-        4.0, {("a", "y"): 1.0}, {adder_spec(4): 0}).choices
-    assert isinstance(items, ChoiceTuple)
-    assert hash(items) == hash(tuple(items))
-    assert items == tuple(items)
-    revived = pickle.loads(pickle.dumps(items))
-    assert type(revived) is tuple  # per-process hash cache never ships
-    assert revived == tuple(items)
+def test_merge_choices_returns_canonical_sorted_pairs():
+    """A row's merged choice items are exactly the choices
+    :func:`make_configuration` normalizes the same map to: a plain
+    tuple of (spec, impl) pairs sorted by spec sort key."""
+    a, b, c, own = (adder_spec(4), alu_spec(4), comparator_spec(4),
+                    counter_spec(4))
+    first = make_configuration(1.0, {("A", "S"): 1.0}, {c: 1, a: 0})
+    second = make_configuration(2.0, {("A", "S"): 2.0}, {b: 2, a: 0})
+    items = merge_choices([first, second], ((own, 3),))
+    assert type(items) is tuple
+    assert items == make_configuration(
+        0.0, {}, {a: 0, b: 2, c: 1, own: 3}).choices
+    assert list(items) == sorted(items, key=lambda kv: kv[0].sort_key)
+    assert pickle.loads(pickle.dumps(items)) == items

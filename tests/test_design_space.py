@@ -137,3 +137,41 @@ class TestNetlistEvaluation:
         one = space.configs(spec)
         assert any(abs(c.area - 2 * s.area) < 1e-6
                    for c in configs for s in one)
+
+
+#: Call budget of one cold ``alu:64`` pareto synthesis in a fresh
+#: ``Session`` (process-wide caches warm, as in a serving process).
+#: Before each node's children were walked once as distinct specs and
+#: configurations were interned on spec ids, the same request made
+#: 12,895 ``ComponentSpec.__hash__`` calls and 2,122 ``expand`` entries
+#: over 115 nodes; it now makes 4,503 hashes and 115 entries.
+SPEC_HASH_BUDGET = 4503 * 11 // 10
+
+
+def test_cold_request_call_budget(monkeypatch):
+    """A deterministic guard on the cold walk's per-node fixed cost:
+    counted calls, no timing."""
+    from repro.api import Session
+    from repro.core.specs import ComponentSpec, alu_spec
+
+    Session(library="lsi_logic", perf_filter="pareto").synthesize(
+        alu_spec(64))
+    session = Session(library="lsi_logic", perf_filter="pareto")
+    counts = {"hash": 0, "expand": 0}
+    spec_hash = ComponentSpec.__hash__
+    expand = DesignSpace.expand
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return spec_hash(self)
+
+    def counted_expand(self, spec):
+        counts["expand"] += 1
+        return expand(self, spec)
+
+    monkeypatch.setattr(ComponentSpec, "__hash__", counted_hash)
+    monkeypatch.setattr(DesignSpace, "expand", counted_expand)
+    session.synthesize(alu_spec(64))
+    monkeypatch.undo()
+    assert counts["expand"] <= 2 * len(session.space.nodes)
+    assert counts["hash"] <= SPEC_HASH_BUDGET

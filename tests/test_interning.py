@@ -10,6 +10,7 @@ backend (and any future remote worker) can ship them.
 
 import gc
 import pickle
+import weakref
 
 from reference_engine import run_matrices
 
@@ -74,12 +75,15 @@ class TestInterning:
 
     def test_entries_released_when_unreferenced(self):
         spec = gate_spec("NOR")
+        gc.collect()
+        size = len(CONFIGURATIONS)
         config = make_configuration(7771.5, {("I0", "O"): 31.125}, {spec: 0})
-        key = (config.area, config.delays, config.choices)
-        assert key in CONFIGURATIONS._table
+        assert len(CONFIGURATIONS) == size + 1
+        ref = weakref.ref(config)
         del config
         gc.collect()
-        assert key not in CONFIGURATIONS._table
+        assert ref() is None
+        assert len(CONFIGURATIONS) == size
 
 
 class TestPickleRoundTrips:
@@ -135,6 +139,8 @@ class TestPickleRoundTrips:
         assert clone.slot_keys == program.slot_keys
         assert clone.module_slots == program.module_slots
         assert clone.kernel_count == program.kernel_count
+        # the arc-id lookup table is process-local: it never travels
+        assert program._by_ids and clone._by_ids == {}
         matrices = [
             {(pin_in, pin_out): 1.0 + slot * 0.5
              for pin_in in ("A", "B") for pin_out in ("S",)}
