@@ -18,6 +18,7 @@ trace that landed in it.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, List, Optional
 
 #: Content type Prometheus scrapers expect for the text format.
@@ -311,21 +312,36 @@ def prometheus_text(payload: Dict[str, Any]) -> str:
     return "\n".join(w.lines) + "\n"
 
 
+#: One exposition sample line: ``name[{labels}] value``, optionally
+#: followed by an OpenMetrics exemplar (`` # {labels} value ts``),
+#: which only ``_bucket`` samples carry.
+_SAMPLE_LINE = re.compile(
+    r"^(?P<series>(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{[^{}]*\})?)"
+    r" (?P<value>[^ ]+)"
+    r"(?P<exemplar> # \{[^{}]*\} (?P<ex_value>[^ ]+) (?P<ex_ts>[^ ]+))?$")
+
+
 def parse_samples(text: str) -> Dict[str, float]:
     """Parse exposition text back into ``{'name{labels}': value}``.
 
-    The inverse the parity tests need -- deliberately strict: any
-    non-comment line that is not ``name[{labels}] value`` (with an
-    optional `` # {...} value ts`` exemplar suffix) raises."""
+    Deliberately strict: any non-comment line that is not
+    ``name[{labels}] value`` with a numeric value (plus, on a
+    ``_bucket`` sample only, an optional `` # {...} value ts``
+    exemplar suffix with numeric fields) raises ``ValueError``.  The
+    exemplar is checked, then dropped from the returned value."""
     samples: Dict[str, float] = {}
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
-        # Exemplars ride after ` # ` on bucket samples; the sample
-        # value is everything before the suffix.
-        line = line.split(" # ", 1)[0]
-        series, _, value = line.rpartition(" ")
-        if not series:
+        match = _SAMPLE_LINE.match(line)
+        if match is None or (match.group("exemplar")
+                             and not match.group("name").endswith("_bucket")):
             raise ValueError("malformed exposition line: %r" % line)
-        samples[series] = float(value)
+        try:
+            if match.group("exemplar"):
+                float(match.group("ex_value"))
+                float(match.group("ex_ts"))
+            samples[match.group("series")] = float(match.group("value"))
+        except ValueError:
+            raise ValueError("malformed exposition line: %r" % line) from None
     return samples

@@ -329,6 +329,37 @@ def test_prometheus_text_handles_fleet_breaker_state_counts():
     assert samples['repro_breaker_failures_total{kind="store"}'] == 6
 
 
+@pytest.mark.parametrize("line", [
+    "bad-name 1",                                   # metric name grammar
+    "9repro_requests_total 1",
+    'repro_requests_total{endpoint="/x" 1',         # unbalanced braces
+    'repro_requests_total{endpoint="/x"}} 1',
+    'repro_requests_total{{endpoint="/x"} 1',
+    "repro_requests_total",                         # missing value
+    "repro_requests_total ",
+    'repro_requests_total{endpoint="/x"}',
+    "repro_requests_total one",                     # non-numeric value
+    "repro_requests_total 1 2",                     # trailing garbage
+    'repro_requests_total 1 # {trace_id="ab"} 0.1 2',  # exemplar off-bucket
+    'repro_x_bucket{le="1"} 1 # {trace_id="ab"} 0.1',  # exemplar sans ts
+    'repro_x_bucket{le="1"} 1 # trace_id="ab" 0.1 2',  # exemplar sans braces
+])
+def test_parse_samples_rejects_malformed_lines(line):
+    with pytest.raises(ValueError, match="malformed exposition line"):
+        parse_samples("# TYPE repro_requests_total counter\n" + line + "\n")
+
+
+def test_parse_samples_strips_bucket_exemplars():
+    trace_id = "0123456789abcdef0123456789abcdef"
+    samples = parse_samples(
+        "# TYPE repro_request_duration_seconds histogram\n"
+        'repro_request_duration_seconds_bucket{endpoint="/synthesize",'
+        f'le="0.005"}} 3 # {{trace_id="{trace_id}"}} 0.0042 1700000000.5\n')
+    assert samples == {
+        'repro_request_duration_seconds_bucket'
+        '{endpoint="/synthesize",le="0.005"}': 3.0}
+
+
 def test_aggregate_metrics_sums_histogram_sum_seconds():
     merged = aggregate_metrics([
         {"latency_histograms": {"/synthesize": {
