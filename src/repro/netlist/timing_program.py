@@ -19,10 +19,13 @@ A :class:`TimingProgram` splits the work by what actually varies:
   combination contributes depends only on *which* delay-matrix keys its
   chosen implementations publish, not on the weights.  Combinations
   overwhelmingly share a handful of key sets, so the internal arcs,
-  the topological order, and the flattened edge arrays are cached per
-  signature (a tuple of per-slot arc-key tuples), and on first use the
-  kernel generates one straight-line Python function from them: one
-  local per timing node, relaxed edge by edge in topological order.
+  the topological order, and the flattened edge columns (``array('i')``,
+  no per-edge objects) are cached per signature (a tuple of per-slot
+  arc-key tuples), and on first use the kernel generates one
+  straight-line Python function from them by value numbering: every
+  source starts at the same ``+0.0``, so each arrival time is an
+  expression over slot weights, and equal expressions -- across nodes
+  and sources -- share one SSA local.
 - **Per evaluation**: call that function on a block of rows, each one
   chosen configuration per slot.  It reads each slot's delay values
   straight off the configuration and returns per row the summed area,
@@ -37,12 +40,17 @@ chosen for that specification, which is exactly search control S1).
 
 The program computes bit-identical results to ``port_delay_matrix``:
 arrival times are prefix sums along identical paths combined with
-``max``, both of which are order-independent in IEEE float arithmetic.
+``max``, both of which are order-independent in IEEE float arithmetic,
+and a shared SSA local is exact because equal operands give equal sums
+and, with no NaN and no ``-0.0`` arrival, a maximum over equal values
+is that value (see :meth:`_Kernel._compile`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
+from array import array
 from collections import defaultdict
 from typing import (
     Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
@@ -72,12 +80,13 @@ class TimingCycleError(Exception):
     """
 
 
-#: Generated kernel functions by source text.  The code names nodes,
-#: slots and keys by index only, so structurally equal kernels -- a
-#: decomposition reused across widths (adder:64 from two adder:32s
-#: wires up like adder:32 from two adder:16s) -- share one function;
-#: an entry lives as long as some kernel holds its function.
-_FUNCTIONS: "weakref.WeakValueDictionary[str, Callable]" = (
+#: Generated kernel functions by the SHA-256 digest of their source
+#: text (the text itself is dropped once compiled).  The code names
+#: values, slots and keys by number only, so structurally equal
+#: kernels -- a decomposition reused across widths (adder:64 from two
+#: adder:32s wires up like adder:32 from two adder:16s) -- share one
+#: function; an entry lives as long as some kernel holds its function.
+_FUNCTIONS: "weakref.WeakValueDictionary[bytes, Callable]" = (
     weakref.WeakValueDictionary())
 
 
@@ -126,19 +135,25 @@ class _Weights:
 class _Kernel:
     """Everything evaluation needs for one arc signature: flattened
     edges in topological order plus the sources and labeled sinks, and
-    the program's instance-to-slot map (the area fold's order)."""
+    the program's instance-to-slot map (the area fold's order).
+
+    Edge ``e`` runs from node ``edge_u[e]`` to ``edge_v[e]`` and weighs
+    ``delay_values[edge_index[e]]`` of slot ``edge_slot[e]``'s chosen
+    configuration; a wiring arc has slot ``-1`` and weighs nothing.
+    The four columns are ``array('i')``: no per-edge objects."""
 
     __slots__ = (
-        "n_nodes", "edge_u", "edge_v", "edge_ref",
+        "n_nodes", "edge_u", "edge_v", "edge_slot", "edge_index",
         "sources", "labeled", "module_slots", "_compiled",
     )
 
     def __init__(
         self,
         n_nodes: int,
-        edge_u: List[int],
-        edge_v: List[int],
-        edge_ref: List[Tuple[int, int]],
+        edge_u: "array[int]",
+        edge_v: "array[int]",
+        edge_slot: "array[int]",
+        edge_index: "array[int]",
         sources: List[Tuple[str, int]],
         labeled: List[Tuple[int, str]],
         module_slots: Tuple[int, ...],
@@ -146,7 +161,8 @@ class _Kernel:
         self.n_nodes = n_nodes
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.edge_ref = edge_ref
+        self.edge_slot = edge_slot
+        self.edge_index = edge_index
         self.sources = sources
         self.labeled = labeled
         self.module_slots = module_slots
@@ -238,41 +254,74 @@ class _Kernel:
 
     def _compile(self) -> Tuple[Tuple[Tuple[str, str], ...], Callable]:
         """Generate and ``exec`` one straight-line function for this
-        kernel's plan.
+        kernel's plan, by value numbering.
+
+        Every source starts at the same ``+0.0``, so each arrival time
+        is a pure expression over slot weights: ``x + w`` along an arc,
+        the maximum over a node's incoming arcs.  Numbering equal
+        expressions once (across nodes *and* sources) leaves one SSA
+        local per distinct value: a 64-slice bitslice whose instances
+        share one slot computes ``0.0 + w0_0`` once, not 64 times, and
+        a maximum over one distinct value is that value, no code at
+        all.  Edges whose head reaches none of the source's sinks are
+        never numbered, and a zero-weight wiring arc passes its tail's
+        value on unchanged.
 
         The function loops over rows of chosen configurations.  Per row
-        it unpacks each used slot's ``delay_values`` once, then per
-        source relaxes that source's edges in topological order --
-        ``aV = aU + w`` on the first write to a node, ``t = aU + w; if
-        t > aV: aV = t`` after that -- and folds the source's sinks into
-        one accumulator per result key.  Node locals are reused across
-        sources: a node is read only after the current source's sweep
-        wrote it.  Edges whose head reaches none of the source's sinks
-        are never emitted, and a zero-weight wiring arc adds nothing:
-        until a second arc reaches its head, the head just names the
-        tail's local.  Last, it takes the maximum of the accumulators
-        inline (``d = k0; if k1 > d: d = k1 ...``, which keeps the first
-        of equal maxima exactly as ``max`` does) and unrolls the area
-        fold as ``0.0 + c0.area + c1.area ...`` in ``module_slots``
+        it unpacks each used slot's ``delay_values`` once, then computes
+        the numbered values in order -- ``v = u + w`` for a sum and
+        ``v = a; if b > v: v = b ...`` for a maximum, which takes over
+        the local of an operand nothing else reads -- and returns the
+        key values, their maximum (``0.0`` with no keys) and the area,
+        unrolled as ``0.0 + c0.area + c1.area ...`` in ``module_slots``
         order, the addition sequence of a left fold.
 
-        Bit-identical to the interpretive sweep: ``max`` returns one of
-        its inputs, so every arrival time is the left-to-right sum
-        along one path, and every node is final before it is read.
-        Dropping ``+ 0.0`` is exact too: ``x + 0.0`` is ``x`` for every
-        float but ``-0.0``, and no arrival time is ``-0.0`` (the source
-        starts at ``+0.0``, and a rounded sum is ``-0.0`` only when
-        both addends are).
+        Bit-identical to the interpretive sweep.  Equal operands give
+        bit-equal sums.  ``max`` returns one of its inputs, so every
+        arrival is the left-to-right sum along one path; with no NaN
+        (weights are finite) and no ``-0.0`` arrival (the source starts
+        at ``+0.0``, and a rounded sum is ``-0.0`` only when both
+        addends are), equal floats are equal bits, so a maximum does
+        not depend on the order or repetition of its operands.  That
+        makes dropping ``+ 0.0`` on wiring arcs exact too: ``x + 0.0``
+        is ``x`` for every float but ``-0.0``.
         """
         plan = self._build_plan()
-        edge_u, edge_v, edge_ref = self.edge_u, self.edge_v, self.edge_ref
+        edge_u, edge_v = self.edge_u, self.edge_v
+        edge_slot, edge_index = self.edge_slot, self.edge_index
         sinks_of: List[List[Tuple[int, int]]] = [[] for _ in self.sources]
         for k, pairs in enumerate(plan.contribs):
             for row, nid in pairs:
                 sinks_of[row].append((k, nid))
-        weights: Dict[Tuple[int, int], str] = {}
-        body: List[str] = []
-        folded = set()
+
+        # Value 0 is the sources' +0.0; every later value is a sum
+        # ("+", value, slot, index) or a maximum ("max", values...) over
+        # earlier values, numbered once.
+        exprs: List[Tuple] = [("0.0",)]
+        numbers: Dict[Tuple, int] = {}
+
+        def number(expr: Tuple) -> int:
+            value = numbers.get(expr)
+            if value is None:
+                value = numbers[expr] = len(exprs)
+                exprs.append(expr)
+            return value
+
+        def maximum(values: Iterable[int]) -> int:
+            distinct = sorted(set(values))
+            if len(distinct) == 1:
+                return distinct[0]
+            return number(("max", *distinct))
+
+        def settle(nid: int, value: Dict[int, int],
+                   incoming: Dict[int, List[int]]) -> int:
+            """Node ``nid``'s value, once all its arcs are in."""
+            held = value.get(nid)
+            if held is None:
+                held = value[nid] = maximum(incoming.pop(nid))
+            return held
+
+        key_values: List[List[int]] = [[] for _ in plan.keys]
         for row, (_, src) in enumerate(self.sources):
             sinks = sinks_of[row]
             if not sinks:
@@ -284,39 +333,59 @@ class _Kernel:
                 if edge_v[eid] in live:
                     kept.append(eid)
                     live.add(edge_u[eid])
-            body.append(f"a{src} = 0.0")
-            # node -> the local holding its arrival time in this sweep
-            held = {src: f"a{src}"}
+            # Edges run in topological order of their tails, so a node's
+            # arcs are all in before the first edge leaves it.
+            value = {src: 0}
+            incoming: Dict[int, List[int]] = defaultdict(list)
             for eid in reversed(kept):
-                u, v = edge_u[eid], edge_v[eid]
-                slot, index = edge_ref[eid]
-                au, local, current = held[u], f"a{v}", held.get(v)
-                if slot < 0:  # wiring arc: aU + 0.0 is aU, bit for bit
-                    if current is None:
-                        held[v] = au
-                        continue
-                    arrival = au
-                else:
-                    w = weights.setdefault((slot, index), f"w{slot}_{index}")
-                    if current is None:
-                        held[v] = local
-                        body.append(f"{local} = {au} + {w}")
-                        continue
-                    body.append(f"t = {au} + {w}")
-                    arrival = "t"
-                if current != local:  # v aliased an upstream local so far
-                    held[v] = local
-                    body.append(f"{local} = {current}")
-                body.append(f"if {arrival} > {local}: {local} = {arrival}")
+                arrival = settle(edge_u[eid], value, incoming)
+                slot = edge_slot[eid]
+                if slot >= 0:  # a wiring arc (slot -1) adds nothing
+                    arrival = number(("+", arrival, slot, edge_index[eid]))
+                incoming[edge_v[eid]].append(arrival)
             for k, nid in sinks:
-                if k in folded:
-                    body.append(f"if {held[nid]} > k{k}: k{k} = {held[nid]}")
-                else:
-                    folded.add(k)
-                    body.append(f"k{k} = {held[nid]}")
+                key_values[k].append(settle(nid, value, incoming))
+        keys = [maximum(values) for values in key_values]
+        worst = maximum(keys) if keys else 0
+
+        # Count reads, from the results back, so a maximum can take over
+        # an operand's local when nothing else reads it.
+        reads = [0] * len(exprs)
+        for result in (*keys, worst):
+            reads[result] += 1
+        for vn in range(len(exprs) - 1, 0, -1):
+            expr = exprs[vn]
+            if reads[vn]:
+                for operand in (expr[1:2] if expr[0] == "+" else expr[1:]):
+                    reads[operand] += 1
+        names = ["0.0"] * len(exprs)
+        weights: Dict[Tuple[int, int], str] = {}
+        body: List[str] = []
+        for vn in range(1, len(exprs)):
+            if not reads[vn]:
+                continue
+            expr = exprs[vn]
+            if expr[0] == "+":
+                _, operand, slot, index = expr
+                w = weights.setdefault((slot, index), f"w{slot}_{index}")
+                local = names[vn] = f"v{vn}"
+                body.append(f"{local} = {names[operand]} + {w}")
+                continue
+            operands = expr[1:]
+            owned = next((op for op in operands if op and reads[op] == 1),
+                         None)
+            if owned is None:
+                local = f"v{vn}"
+                body.append(f"{local} = {names[operands[0]]}")
+                owned = operands[0]
+            else:
+                local = names[owned]
+            names[vn] = local
+            body.extend(f"if {names[op]} > {local}: {local} = {names[op]}"
+                        for op in operands if op != owned)
         # Each slot's arc count, to unpack its weights in one step.
         arcs: Dict[int, int] = {}
-        for slot, index in edge_ref:
+        for slot, index in zip(edge_slot, edge_index):
             if slot >= 0 and index >= arcs.get(slot, 0):
                 arcs[slot] = index + 1
         n_slots = max(self.module_slots, default=-1) + 1
@@ -329,27 +398,22 @@ class _Kernel:
         else:
             lines.append("    for _ in rows:")
         for slot in sorted({slot for slot, _ in weights}):
-            names = _tuple(weights.get((slot, index), "_")
-                           for index in range(arcs[slot]))
-            lines.append(f"        {names} = c{slot}.delay_values")
+            unpacked = _tuple(weights.get((slot, index), "_")
+                              for index in range(arcs[slot]))
+            lines.append(f"        {unpacked} = c{slot}.delay_values")
         lines.extend("        " + line for line in body)
-        n_keys = len(plan.keys)
-        if n_keys:
-            lines.append("        d = k0")
-            lines.extend(f"        if k{k} > d: d = k{k}"
-                         for k in range(1, n_keys))
-        else:
-            lines.append("        d = 0.0")
         area = "".join(f" + c{slot}.area" for slot in self.module_slots)
-        results = _tuple(f"k{k}" for k in range(n_keys))
-        lines.append(f"        append((0.0{area}, d, ({results})))")
+        results = _tuple(names[vn] for vn in keys)
+        lines.append(
+            f"        append((0.0{area}, {names[worst]}, ({results})))")
         lines.append("    return block")
         source = "\n".join(lines)
-        function = _FUNCTIONS.get(source)
+        digest = hashlib.sha256(source.encode()).digest()
+        function = _FUNCTIONS.get(digest)
         if function is None:
             namespace: Dict[str, Callable] = {}
             exec(compile(source, "<timing kernel>", "exec"), namespace)
-            function = _FUNCTIONS[source] = namespace["kernel"]
+            function = _FUNCTIONS[digest] = namespace["kernel"]
         return plan.keys, function
 
 
@@ -448,7 +512,7 @@ class TimingProgram:
                     if net is not None:
                         table[id(net)].append((nid, mask))
 
-        wire_edges: List[Tuple[int, int]] = []
+        wire_u, wire_v = array("i"), array("i")
         seen = set()
         for key, drivers in net_drivers.items():
             readers = net_readers.get(key)
@@ -460,8 +524,9 @@ class TimingProgram:
                         pair = (driver, reader)
                         if pair not in seen:
                             seen.add(pair)
-                            wire_edges.append(pair)
-        self._wire_edges = wire_edges
+                            wire_u.append(driver)
+                            wire_v.append(reader)
+        self._wire_u, self._wire_v = wire_u, wire_v
         self._port_sources = port_sources
         self._port_labels = port_labels
 
@@ -495,7 +560,7 @@ class TimingProgram:
                     edges.append((u, v, slot, index))
         clk_source_ids = sorted({u for u, _, _, _ in edges
                                  if self._nodes[u][-1] == "@clk:out"})
-        for u, v in self._wire_edges:
+        for u, v in zip(self._wire_u, self._wire_v):
             edges.append((u, v, -1, 0))
 
         n = len(self._nodes)
@@ -525,9 +590,8 @@ class TimingProgram:
             )
 
         ordered = sorted(range(len(edges)), key=lambda eid: topo_pos[edges[eid][0]])
-        edge_u = [edges[eid][0] for eid in ordered]
-        edge_v = [edges[eid][1] for eid in ordered]
-        edge_ref = [(edges[eid][2], edges[eid][3]) for eid in ordered]
+        columns = [array("i", [edges[eid][i] for eid in ordered])
+                   for i in range(4)]
 
         sources = list(self._port_sources)
         sources.extend((CLK_PIN, nid) for nid in clk_source_ids)
@@ -536,8 +600,7 @@ class TimingProgram:
             entry = self._nodes[nid]
             if entry[0] == "pin" and entry[2] == "@clk:in":
                 labeled.append((nid, CLK_PIN))
-        return _Kernel(n, edge_u, edge_v, edge_ref, sources, labeled,
-                       self.module_slots)
+        return _Kernel(n, *columns, sources, labeled, self.module_slots)
 
     # ------------------------------------------------------------------
     def kernel(self, arc_keys_by_slot: Tuple[ArcKeys, ...]) -> _Kernel:

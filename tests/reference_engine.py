@@ -171,7 +171,7 @@ def reference_run(kernel, values) -> Dict[Tuple[str, str], float]:
     neg = float("-inf")
     weights = [
         0.0 if slot < 0 else values[slot][index]
-        for slot, index in kernel.edge_ref
+        for slot, index in zip(kernel.edge_slot, kernel.edge_index)
     ]
     edge_u, edge_v = kernel.edge_u, kernel.edge_v
     result: Dict[Tuple[str, str], float] = {}

@@ -16,6 +16,7 @@ import dataclasses
 import multiprocessing
 import pickle
 import random
+from collections import Counter
 from functools import reduce
 from operator import add
 
@@ -37,6 +38,7 @@ from repro.core.specs import (
     alu_spec,
     comparator_spec,
     counter_spec,
+    gate_spec,
     make_spec,
 )
 from repro.netlist.timing_program import CLK_PIN, compile_timing
@@ -218,12 +220,14 @@ def test_select_only_filter_sees_configurations(spec):
 def kernel_pool():
     """Every (kernel, arc signature) compiled while evaluating a small
     rule catalogue -- real netlists, clocked ones (counters) among
-    them -- plus each one recompiled with one slot per instance, so
+    them, and width-16 ripple and bitslice decompositions whose many
+    instances share one slot, so value numbering merges their
+    arrivals -- plus each one recompiled with one slot per instance, so
     sibling instances get unequal weights and keys fed by several
     sinks or ``@clk`` sources see unequal contributions."""
     space = _space(max_combinations=200)
     for spec in (adder_spec(8), alu_spec(8), comparator_spec(8),
-                 counter_spec(8)):
+                 counter_spec(8), adder_spec(16), gate_spec("XOR", 2, 16)):
         space.alternatives(spec)
     pool = {}
     for node in space.nodes.values():
@@ -245,6 +249,9 @@ def kernel_pool():
     assert any(source == CLK_PIN for source, _ in keys)
     assert any(sink == CLK_PIN for _, sink in keys)
     assert sum(len(kernel.sources) > 1 for kernel, _ in kernels) > 1
+    # width-16 decompositions with every instance in one slot
+    assert any(max(Counter(kernel.module_slots).values(), default=0) >= 16
+               for kernel, _ in kernels)
     return kernels
 
 
@@ -264,13 +271,33 @@ class _Option:
 #: 1e16 + 2 in either order.
 ORDER_SENSITIVE_AREAS = (1e16, 1.0, -1e16, 3.0)
 
+#: Delay weights for tied rows: few values, so slots carry equal
+#: weights and maxima tie.
+TIED_WEIGHTS = (0.0, 1.5, 4.0)
+
+
+def _weights(rng, arcs, mode, shared):
+    if mode == "uniform":
+        return tuple(rng.uniform(0.0, 20.0) for _ in arcs)
+    if mode == "tied":
+        return tuple(rng.choice(TIED_WEIGHTS) for _ in arcs)
+    return (shared,) * len(arcs)  # every weight of the row equal
+
 
 def _random_rows(rng, signature, rows):
-    return [tuple(_Option(rng.choice(ORDER_SENSITIVE_AREAS)
-                          if rng.random() < 0.75 else rng.uniform(0.0, 50.0),
-                          tuple(rng.uniform(0.0, 20.0) for _ in arcs))
-                  for arcs in signature)
-            for _ in range(rows)]
+    """Rows of stand-in configurations: half with uniform weights, a
+    quarter drawing every weight from :data:`TIED_WEIGHTS`, a quarter
+    with one weight for every arc of every slot."""
+    out = []
+    for _ in range(rows):
+        mode = rng.choice(("uniform", "uniform", "tied", "equal"))
+        shared = rng.uniform(0.0, 20.0)
+        out.append(tuple(
+            _Option(rng.choice(ORDER_SENSITIVE_AREAS)
+                    if rng.random() < 0.75 else rng.uniform(0.0, 50.0),
+                    _weights(rng, arcs, mode, shared))
+            for arcs in signature))
+    return out
 
 
 def _expected_cost(kernel, row):
@@ -285,7 +312,7 @@ def _expected_cost(kernel, row):
 @pytest.mark.parametrize("rows", [1, 2, 7, 300])
 def test_generated_kernel_matches_reference_run(kernel_pool, rows):
     rng = random.Random(1000 + rows)
-    order_sensitive = 0
+    order_sensitive = tied = 0
     for kernel, signature in kernel_pool:
         chosen_rows = _random_rows(rng, signature, rows)
         costs = kernel.run_batch(chosen_rows, rows)
@@ -295,8 +322,12 @@ def test_generated_kernel_matches_reference_run(kernel_pool, rows):
             areas = [row[slot].area for slot in kernel.module_slots]
             if sum(reversed(areas)) != got[0]:
                 order_sensitive += 1
-    # the draws do reach rows where another addition order differs
+            if len(set(got[2])) < len(got[2]):
+                tied += 1
+    # the draws do reach rows where another addition order differs,
+    # and rows where distinct keys tie
     assert order_sensitive > 0
+    assert tied > 0
 
 
 def test_generated_kernel_no_keys_costs_delay_zero():

@@ -2,13 +2,27 @@
 bit-for-bit -- including sequential netlists with @clk virtual-pin
 arcs -- while rebuilding nothing between evaluations."""
 
-import pytest
-from reference_engine import run_matrices
+import dis
+import json
+import pickle
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+from reference_engine import reference_run, run_matrices
+
+from repro.core.rulebase.logic import gate_bitslice
+from repro.core.rules import RuleContext
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
 from repro.netlist import Netlist, TimingProgram, compile_timing, port_delay_matrix
+from repro.netlist import timing_program
 from repro.netlist.ports import clock_port, in_port, out_port
 from repro.netlist.timing import CLK_PIN, TimingCycleError
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def program_matrix(netlist, delays, slot_of=None):
@@ -206,3 +220,114 @@ class TestProgramReuse:
         areas_by_slot = [102.5]
         assert sum(areas_by_slot[slot] for slot in program.module_slots) \
             == pytest.approx(4 * 102.5)
+
+
+# ---------------------------------------------------------------------------
+# lean kernels: value-numbered code, array-backed tables
+# ---------------------------------------------------------------------------
+
+#: A cold catalogue pass (the perfbench ``explore_cold`` set-up: four
+#: families at widths 16, 32 and 64 under two filters) in a fresh
+#: interpreter, reporting the distinct generated kernel functions and
+#: their total source lines (a function's last line number is its
+#: source's line count).
+CATALOGUE_PASS = """
+import json
+from repro.api import Session
+from repro.api.registry import parse_spec
+from repro.netlist import timing_program
+
+functions = {}
+compile_kernel = timing_program._Kernel._compile
+
+def recording(self):
+    keys, function = compile_kernel(self)
+    functions[id(function)] = function
+    return keys, function
+
+timing_program._Kernel._compile = recording
+for family in ("adder", "alu", "comparator", "counter"):
+    for width in (16, 32, 64):
+        for perf_filter in ("pareto", "tradeoff:0.05"):
+            Session(library="lsi_logic", perf_filter=perf_filter).synthesize(
+                parse_spec(f"{family}:{width}"))
+lines = sum(max(line for *_, line in function.__code__.co_lines()
+                if line is not None)
+            for function in functions.values())
+print(json.dumps({"kernels": len(functions), "lines": lines}))
+"""
+
+
+def _code_shape(kernel):
+    """(source lines, ``>`` comparisons) of a kernel's generated
+    function."""
+    kernel.keys  # compile
+    code = kernel._compiled[1].__code__
+    lines = max(line for *_, line in code.co_lines() if line is not None)
+    compares = sum(ins.opname == "COMPARE_OP"
+                   for ins in dis.get_instructions(code))
+    return lines, compares
+
+
+def _bitslice_kernel(width):
+    netlist = next(iter(gate_bitslice(gate_spec("AND", 2, width),
+                                      RuleContext())))
+    program = compile_timing(netlist, slot_of=lambda inst: inst.spec)
+    assert program.module_slots == (0,) * width
+    return program.kernel(((("I0", "O"), ("I1", "O")),))
+
+
+class TestLeanKernels:
+    def test_catalogue_codegen_budget(self):
+        """Generated kernel source for a cold catalogue pass stays
+        pinned: 13,798 lines over 144 distinct kernels, one SSA local
+        per distinct value, within a budget of 17,000 lines."""
+        proc = subprocess.run(
+            [sys.executable, "-c", CATALOGUE_PASS],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        budget = json.loads(proc.stdout.splitlines()[-1])
+        assert budget["lines"] <= 17_000
+        assert budget == {"kernels": 144, "lines": 13_798}
+
+    def test_bitslice_kernel_size_is_width_independent(self):
+        """Every instance of a one-slot bitslice computes the same
+        arrivals, so a 64-slice kernel relaxes no more than a 16-slice
+        one -- and still matches the interpretive sweep."""
+        narrow, wide = _bitslice_kernel(16), _bitslice_kernel(64)
+        assert _code_shape(wide) == _code_shape(narrow)
+        for kernel in (narrow, wide):
+            for values in ([(1.5, 2.25)], [(2.0, 2.0)], [(0.0, 0.0)]):
+                assert kernel.run(values) == reference_run(kernel, values)
+
+    def test_pickled_program_compiles_a_new_signature(self):
+        """Array-backed tables pickle; the unpickled program compiles a
+        signature the original had not compiled and costs it exactly as
+        the original then does.  The function cache keeps digests, not
+        source text."""
+        netlist, _ = _ripple16()
+        program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
+        full = (("A", "CO"), ("A", "S"), ("B", "CO"), ("B", "S"),
+                ("CI", "CO"), ("CI", "S"))
+        sparse = (("A", "S"), ("B", "S"), ("CI", "CO"))
+        program.kernel((full,)).run([(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
+        assert isinstance(program._wire_u, array)
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.kernel_count == 1
+        kernel = clone.kernel((sparse,))
+        for column in (kernel.edge_u, kernel.edge_v, kernel.edge_slot,
+                       kernel.edge_index):
+            assert isinstance(column, array) and column.typecode == "i"
+        rows = [(SimpleNamespace(area=float(i), delay_values=values),)
+                for i, values in enumerate([(5.0, 5.0, 3.0), (1.0, 2.0, 2.0),
+                                            (0.0, 0.0, 0.0), (7.5, 1.0, 9.0)])]
+        got = kernel.run_batch(rows, len(rows))
+        assert got == program.kernel((sparse,)).run_batch(rows, len(rows))
+        assert got[0][2] == tuple(
+            reference_run(kernel, [rows[0][0].delay_values])[key]
+            for key in kernel.keys)
+        assert timing_program._FUNCTIONS
+        assert all(isinstance(key, bytes) and len(key) == 32
+                   for key in timing_program._FUNCTIONS.keys())
