@@ -97,9 +97,13 @@ class Session:
         sibling partition -- reuses this one's leaves.  Results are
         byte-identical with the cache on, off, or half-warm.
 
-    The filter, the order and ``max_combinations`` are the only search
-    controls, fixed when the session is built: with the library and
-    rulebase they make up the :attr:`search_token` both caches key on.
+    The library and rulebase are fixed when the session is built, and
+    so are the filter, the order and ``max_combinations`` (the only
+    search controls): together they make up the :attr:`search_token`
+    both caches key on.  To synthesize against another library, build
+    another session (with :func:`repro.lola.adapt_rulebase` for the
+    paper's LOLA flow); it may share this one's stores, whose keys
+    keep the two libraries apart.
     """
 
     def __init__(
@@ -284,7 +288,7 @@ class Session:
         """The library and rulebase digests plus the search controls
         (filter, order name, ``max_combinations``) that both cache keys
         are digests over (:func:`repro.store.fingerprint.search_token`);
-        computed once, since the controls are fixed when the session is
+        computed once, since all of these are fixed when the session is
         built.  ``None`` when the filter cannot be canonicalized."""
         from repro.store.fingerprint import search_token
 
@@ -374,30 +378,6 @@ class Session:
     def materialize(self, spec: ComponentSpec,
                     alt: DesignAlternative) -> DesignTree:
         return self.space.materialize(spec, alt.config)
-
-    def retarget(self, library: Any) -> Dict[str, int]:
-        """Incrementally retarget this session to a new cell library
-        (a ``CellLibrary`` or a registered name): leaf cell bindings
-        are recomputed, the decomposition skeleton and its compiled
-        timing programs survive, and memoized costs are invalidated so
-        the next job re-costs only what the retarget touched.  See
-        :func:`repro.lola.assistant.retarget_space` for the LOLA-side
-        driver with rule adaptation.
-
-        Retargeting detaches the result store: the rebound space keeps
-        the *old* library's decomposition skeleton (that is the whole
-        point of the incremental path), so its results are a
-        session-local approximation of -- and may differ from -- what a
-        fresh expansion under the new library would produce, and must
-        neither be persisted under the new library's fingerprint nor
-        mixed with entries that were.  The node cache is detached for
-        the same reason (``rebind_library`` does it as well; clearing
-        the handle here keeps the session's view consistent)."""
-        self.library = create_library(library)
-        self.__dict__.pop("search_token", None)
-        self.store = None
-        self.node_store = None
-        return self.space.rebind_library(self.library)
 
     def stats(self) -> Dict[str, int]:
         """Cumulative design-space statistics across all jobs run."""

@@ -59,10 +59,6 @@ The evaluation inner loop is engineered for the paper's scale claim
   configurations are interned process-wide
   (:mod:`repro.core.interning`), so the workers' results land as the
   parent's canonical objects;
-- ``recost``/``rebind_library`` support incremental re-evaluation: a
-  LOLA retarget keeps the decomposition skeleton and its compiled
-  timing programs and re-costs only rebound leaves and their
-  dependents;
 - with an attached node store (:mod:`repro.nodestore`, via
   :meth:`DesignSpace.attach_node_store`), every decomposition node's
   filtered option list is probed in a persistent content-addressed
@@ -359,10 +355,6 @@ class DesignSpace:
         self.failures: Dict[ComponentSpec, str] = {}
         self._configs: Dict[ComponentSpec, List[Configuration]] = {}
         self._count_memo: Dict[ComponentSpec, int] = {}
-        #: spec -> specs whose memoized configs were computed from it
-        #: (reverse dependencies, recorded during evaluation; drives
-        #: :meth:`recost` invalidation).
-        self._dependents: Dict[ComponentSpec, Set[ComponentSpec]] = {}
         #: Scheduling counters of the most recent parallel prefill
         #: (None until one runs; see :func:`repro.core.parallel.parallel_prefill`).
         self.last_parallel_stats: Optional[Dict[str, object]] = None
@@ -515,12 +507,10 @@ class DesignSpace:
 
         A hit returns canonical interned configurations in the exact
         order a fresh evaluation would produce (list order is part of
-        the persisted payload), and records the same reverse-dependency
-        edges evaluation would have, so :meth:`recost` invalidation
-        keeps working over cache-served subtrees.  The children
-        themselves are *not* evaluated -- that is the entire saving --
-        but they are already expanded, so per-request statistics and
-        materialization are unchanged."""
+        the persisted payload).  The children themselves are *not*
+        evaluated -- that is the entire saving -- but they are already
+        expanded, so per-request statistics and materialization are
+        unchanged."""
         if not node.impls or not self._node_cacheable(node):
             return None
         phase_start = time.perf_counter()
@@ -533,15 +523,6 @@ class DesignSpace:
                 return None
             with _NODE_STATS_LOCK:
                 self.node_stats["hits"] += 1
-            dependents = self._dependents
-            for impl in node.impls:
-                if impl.kind == "decomp":
-                    for child in distinct_module_specs(impl.netlist):
-                        deps = dependents.get(child)
-                        if deps is None:
-                            dependents[child] = {spec}
-                        else:
-                            deps.add(spec)
             return options
         finally:
             self._phase_add("node_probe",
@@ -647,15 +628,9 @@ class DesignSpace:
         self, spec: ComponentSpec, impl: Implementation
     ) -> List[CostRecord]:
         netlist = impl.netlist
-        dependents = self._dependents
         memo = self._configs
         option_lists = []
         for sub in distinct_module_specs(netlist):
-            deps = dependents.get(sub)
-            if deps is None:
-                dependents[sub] = {spec}
-            else:
-                deps.add(spec)
             options = memo.get(sub)
             if options is None:
                 options = self.configs(sub)
@@ -795,97 +770,6 @@ class DesignSpace:
             for module in impl.netlist.modules:
                 tree.children[module.name] = self.materialize(module.spec, config)
         return tree
-
-    # ------------------------------------------------------------------
-    # incremental re-evaluation (LOLA retargeting support)
-    # ------------------------------------------------------------------
-    def recost(self, specs: Iterable[ComponentSpec]) -> Set[ComponentSpec]:
-        """Invalidate memoized configurations for ``specs`` and every
-        spec whose results were computed from them (transitively, via
-        the reverse-dependency index recorded during evaluation).
-
-        Expansion state -- spec nodes, implementations, decomposition
-        netlists, and their compiled timing programs -- is untouched,
-        so the next ``configs`` call re-costs the invalidated subtrees
-        over the shared skeleton instead of rebuilding it.
-
-        An attached node cache is *not* dropped here: its entries are
-        content-addressed by (library, rulebase, search controls), and
-        under an unchanged key re-serving them is exactly the recompute
-        this method schedules.  The one caller that does change the
-        underlying costs, :meth:`rebind_library`, detaches the cache
-        itself.
-        """
-        queue = list(specs)
-        invalidated: Set[ComponentSpec] = set()
-        while queue:
-            spec = queue.pop()
-            if spec in invalidated:
-                continue
-            invalidated.add(spec)
-            self._configs.pop(spec, None)
-            self.failures.pop(spec, None)
-            queue.extend(self._dependents.get(spec, ()))
-        return invalidated
-
-    def rebind_library(self, library) -> Dict[str, int]:
-        """Incrementally retarget this design space to a new cell
-        library: recompute the cell bindings of every expanded node
-        against ``library``, keep every decomposition implementation
-        and its compiled timing program (the shared skeleton), and
-        invalidate all memoized costs.
-
-        Only the *leaves* are rebound -- decomposition structure was
-        derived under the old library's width catalog and is reused
-        as-is, which is exactly the incremental contract: a fresh
-        expansion against the new library may discover different
-        decompositions.  Previously returned configurations refer to
-        the old implementation indexing and must not be materialized
-        afterwards.
-
-        Returns counters: expanded nodes visited, nodes whose cell
-        binding set changed, and decomposition programs preserved.
-
-        Rebinding detaches any attached node cache: the rebound space
-        keeps the *old* library's decomposition skeleton, so its
-        results are a session-local approximation that must neither be
-        published under the new library's node keys nor satisfied from
-        entries that were (the same reasoning that detaches the result
-        store on ``Session.retarget``).
-        """
-        self.attach_node_store(None, None)
-        rebound = 0
-        programs_kept = 0
-        for spec, node in self.nodes.items():
-            if not node.expanded:
-                continue
-            old_cells = [impl for impl in node.impls if impl.kind == "cell"]
-            decomps = [impl for impl in node.impls if impl.kind == "decomp"]
-            impls: List[Implementation] = []
-            for binding in _cached_matching_cells(spec, library):
-                impls.append(
-                    Implementation(len(impls), spec, "cell", binding=binding)
-                )
-            new_names = [impl.binding.cell.name for impl in impls]
-            old_names = [impl.binding.cell.name for impl in old_cells]
-            if new_names != old_names:
-                rebound += 1
-            for impl in decomps:
-                impl.index = len(impls)
-                impls.append(impl)
-                if impl.timing_program is not None:
-                    programs_kept += 1
-            node.impls = impls
-        self.library = library
-        self.context = RuleContext(library)
-        invalidated = self.recost(list(self.nodes))
-        self._count_memo.clear()
-        return {
-            "nodes": len(self.nodes),
-            "rebound_nodes": rebound,
-            "invalidated": len(invalidated),
-            "programs_kept": programs_kept,
-        }
 
     # ------------------------------------------------------------------
     # statistics (paper section 5 sizing claims)

@@ -136,35 +136,34 @@ def partition_subtrees(
 # Fork inheritance channel: set immediately before the pool is
 # created, cleared after, under _FORK_LOCK so concurrent sessions
 # cannot fork each other's space (or None).
-# Workers read these module globals as copied at fork time;
-# _FORK_SENT_DEPS/_FORK_SENT_NODE_STATS are *mutated in the worker* so
-# each task ships only dependency edges / counter increments the
-# parent has not seen from this worker yet.
+# Workers read these module globals as copied at fork time; the
+# _FORK_SENT_* totals are *mutated in the worker* so each task ships
+# only the counter and clock increments the parent has not seen from
+# this worker yet.
 _FORK_SPACE: "DesignSpace" = None
-_FORK_SENT_DEPS: Dict[ComponentSpec, Set[ComponentSpec]] = {}
 _FORK_SENT_NODE_STATS: Dict[str, int] = {}
 _FORK_SENT_PHASES: Dict[str, float] = {}
+_FORK_SENT_COMBINATIONS = 0
 _FORK_LOCK = threading.Lock()
 
-#: What a fork worker ships back: the configurations it computed,
-#: the reverse-dependency edges it recorded while computing them (the
-#: parent needs those for :meth:`DesignSpace.recost` to keep working
-#: after a parallel run), and its node-cache counter
-#: increments (the worker probes and publishes the shared
-#: :class:`repro.nodestore.NodeStore` through its own post-fork
-#: connection, and without the delta that traffic would be invisible
-#: to the parent's stats).  All parts are deltas: a long-lived worker
-#: must not re-pickle everything it has computed since fork on every
-#: task.
+#: What a fork worker ships back: the configurations it computed, its
+#: node-cache counter increments (the worker probes and publishes the
+#: shared :class:`repro.nodestore.NodeStore` through its own post-fork
+#: connection), its phase-clock increments, and its increment of
+#: ``combinations_costed``.  Without the last three, work done inside
+#: workers would be invisible to the parent's stats.  All parts are
+#: deltas: a long-lived worker must not re-pickle everything it has
+#: computed since fork on every task.
 _WorkerDelta = Tuple[
     Dict[ComponentSpec, List["Configuration"]],
-    Dict[ComponentSpec, Set[ComponentSpec]],
     Dict[str, int],
     Dict[str, float],
+    int,
 ]
 
 
 def _fork_worker(spec: ComponentSpec) -> _WorkerDelta:
+    global _FORK_SENT_COMBINATIONS
     space = _FORK_SPACE
     # Snapshot-diff: ship only what *this task* memoized.  Anything an
     # earlier task of this worker computed is already in the memo (and
@@ -176,47 +175,38 @@ def _fork_worker(spec: ComponentSpec) -> _WorkerDelta:
         for sub, options in space._configs.items()
         if options and sub not in known
     }
-    dependents: Dict[ComponentSpec, Set[ComponentSpec]] = {}
-    for sub, deps in space._dependents.items():
-        sent = _FORK_SENT_DEPS.get(sub)
-        fresh = deps - sent if sent is not None else set(deps)
-        if fresh:
-            dependents[sub] = fresh
-            _FORK_SENT_DEPS[sub] = fresh if sent is None else sent | fresh
     node_stats: Dict[str, int] = {}
     for key, value in space.node_stats.items():
         sent_value = _FORK_SENT_NODE_STATS.get(key, 0)
         if value != sent_value:
             node_stats[key] = value - sent_value
             _FORK_SENT_NODE_STATS[key] = value
-    # Phase clocks accumulate in the child exactly like node-cache
-    # counters; ship the per-task increment so the parent's per-request
-    # phase breakdown covers work done inside forked workers.
     phases: Dict[str, float] = {}
     for key, value in space.snapshot_phases().items():
         sent_seconds = _FORK_SENT_PHASES.get(key, 0.0)
         if value != sent_seconds:
             phases[key] = value - sent_seconds
             _FORK_SENT_PHASES[key] = value
-    return configs, dependents, node_stats, phases
+    combinations = space.combinations_costed - _FORK_SENT_COMBINATIONS
+    _FORK_SENT_COMBINATIONS = space.combinations_costed
+    return configs, node_stats, phases, combinations
 
 
 def _process_prefill(space: "DesignSpace", tasks: Sequence[ComponentSpec],
                      jobs: int) -> None:
-    global _FORK_SPACE, _FORK_SENT_DEPS, _FORK_SENT_NODE_STATS, \
-        _FORK_SENT_PHASES
+    global _FORK_SPACE, _FORK_SENT_NODE_STATS, _FORK_SENT_PHASES, \
+        _FORK_SENT_COMBINATIONS
     context = multiprocessing.get_context("fork")
     with _FORK_LOCK:
         _FORK_SPACE = space
-        # Seed with the parent's pre-fork edges/counters so workers do
-        # not ship back what the parent already knows.
-        _FORK_SENT_DEPS = {sub: set(deps)
-                           for sub, deps in space._dependents.items()}
+        # Seed with the parent's pre-fork counters so workers do not
+        # ship back what the parent already knows.
         _FORK_SENT_NODE_STATS = dict(space.node_stats)
         _FORK_SENT_PHASES = space.snapshot_phases()
+        _FORK_SENT_COMBINATIONS = space.combinations_costed
         try:
             with context.Pool(processes=min(jobs, len(tasks))) as pool:
-                for configs, dependents, node_stats, phases in \
+                for configs, node_stats, phases, combinations in \
                         pool.imap_unordered(
                             _fork_worker, tasks, chunksize=1):
                     for spec, options in configs.items():
@@ -226,28 +216,19 @@ def _process_prefill(space: "DesignSpace", tasks: Sequence[ComponentSpec],
                         # them so failure diagnostics populate.
                         if spec not in space._configs:
                             space._configs[spec] = options
-                    # Dependency edges are facts about the expanded
-                    # graph: union them so recost invalidation sees the
-                    # edges recorded inside the forked children.
-                    for spec, deps in dependents.items():
-                        known = space._dependents.get(spec)
-                        if known is None:
-                            space._dependents[spec] = deps
-                        else:
-                            known.update(deps)
-                    # Node-cache traffic happened in the child (over its
-                    # own connection to the shared store file); fold the
-                    # increments in so the parent's stats tell the truth.
+                    # Fold the child's counter and clock increments in
+                    # so the parent's stats cover work done in workers.
                     for key, delta in node_stats.items():
                         space.node_stats[key] = \
                             space.node_stats.get(key, 0) + delta
                     for key, seconds in phases.items():
                         space._phase_add(key, seconds)
+                    space.combinations_costed += combinations
         finally:
             _FORK_SPACE = None
-            _FORK_SENT_DEPS = {}
             _FORK_SENT_NODE_STATS = {}
             _FORK_SENT_PHASES = {}
+            _FORK_SENT_COMBINATIONS = 0
 
 
 # ---------------------------------------------------------------------------

@@ -631,10 +631,6 @@ class FleetService:
     def _live_slots(self) -> Set[int]:
         return {worker.slot for worker in self.workers if worker.ready}
 
-    def _owner(self, key: str) -> Optional[WorkerHandle]:
-        slot = self.ring.owner(key, self._live_slots())
-        return None if slot is None else self.workers[slot]
-
     async def _proxy(self, worker: WorkerHandle, method: str, path: str,
                      body: bytes = b"",
                      deadline: Optional[Deadline] = None,

@@ -12,13 +12,8 @@ rule factory from :mod:`repro.core.library_rules` at the widths the
 library actually offers.
 """
 
-from repro.lola.assistant import (
-    AdaptationReport,
-    RetargetReport,
-    adapt,
-    retarget_space,
-)
+from repro.lola.assistant import AdaptationReport, adapt, adapt_rulebase
 from repro.lola.principles import ALL_PRINCIPLES, Principle
 
-__all__ = ["ALL_PRINCIPLES", "AdaptationReport", "Principle",
-           "RetargetReport", "adapt", "retarget_space"]
+__all__ = ["ALL_PRINCIPLES", "AdaptationReport", "Principle", "adapt",
+           "adapt_rulebase"]

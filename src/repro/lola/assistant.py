@@ -8,12 +8,13 @@ library changes" (paper section 7), which here means passing them to
 :class:`repro.api.Session` as ``extra_rules`` or extending a rulebase
 in place.
 
-``retarget_space(space, library)`` is the *incremental* path: instead
-of rebuilding a design space from scratch for every data book, it
-rebinds the leaf cells of an already-expanded space against the new
-library, keeps the decomposition skeleton and its compiled timing
-programs, and invalidates only memoized costs -- so a retargeting
-sweep over many data books pays expansion once.
+``adapt_rulebase(rulebase, library)`` extends a rulebase in place; the
+``lola`` rulebase policy of :mod:`repro.api.registry` does exactly that
+for a session.  Moving to a new data book means building a new
+:class:`repro.api.Session` with the adapted rulebase: it expands afresh
+against the new library, while rule applications, cell matchings and
+compiled timing programs are cached process-wide, so a sweep over many
+data books does not rebuild what they share.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.design_space import DesignSpace
 from repro.core.rules import Rule, RuleBase
 from repro.lola.principles import ALL_PRINCIPLES, Principle
 from repro.techlib.cells import CellLibrary
@@ -69,55 +69,4 @@ def adapt_rulebase(rulebase: RuleBase, library: CellLibrary) -> AdaptationReport
     for rule in report.rules:
         if rule.name not in existing:
             rulebase.add(rule)
-    return report
-
-
-@dataclass
-class RetargetReport:
-    """What an incremental retarget touched."""
-
-    library_name: str
-    #: Counters from :meth:`DesignSpace.rebind_library`: expanded nodes
-    #: visited, nodes whose cell bindings changed, memoized config sets
-    #: invalidated, compiled timing programs preserved.
-    rebind: Dict[str, int] = field(default_factory=dict)
-    #: LOLA rule adaptation run against the new library (when
-    #: requested); the generated rules apply to specs expanded *after*
-    #: the retarget -- already-expanded nodes keep their skeleton.
-    adaptation: Optional[AdaptationReport] = None
-
-    def describe(self) -> str:
-        lines = [
-            f"incremental retarget to {self.library_name!r}:",
-            f"  nodes: {self.rebind.get('nodes', 0)}, "
-            f"rebound: {self.rebind.get('rebound_nodes', 0)}, "
-            f"costs invalidated: {self.rebind.get('invalidated', 0)}, "
-            f"timing programs kept: {self.rebind.get('programs_kept', 0)}",
-        ]
-        if self.adaptation is not None:
-            lines.append(self.adaptation.describe())
-        return "\n".join(lines)
-
-
-def retarget_space(
-    space: DesignSpace,
-    library: CellLibrary,
-    adapt_rules: bool = True,
-) -> RetargetReport:
-    """Incrementally retarget an expanded design space to ``library``.
-
-    Leaf cell bindings are recomputed against the new data book, the
-    generic decomposition skeleton and every compiled timing program
-    survive, and only memoized costs are invalidated -- the next
-    synthesis re-costs rebound leaves and their dependents instead of
-    re-expanding.  With ``adapt_rules`` the rulebase is extended with
-    LOLA-generated library-specific rules, which take effect for specs
-    expanded after the retarget (the reused skeleton is deliberately
-    left as derived; a from-scratch expansion against the new library
-    may discover different decompositions).
-    """
-    report = RetargetReport(library.name)
-    report.rebind = space.rebind_library(library)
-    if adapt_rules:
-        report.adaptation = adapt_rulebase(space.rulebase, library)
     return report

@@ -30,10 +30,6 @@ class NetlistError(Exception):
         super().__init__(f"netlist {netlist_name!r} has {len(problems)} problem(s):\n  - {listing}")
 
 
-def _endpoint_is_pure_const(endpoint) -> bool:
-    return all(bit is not None for bit in const_bits(endpoint))
-
-
 def _contains_const(endpoint) -> bool:
     return any(bit is not None for bit in const_bits(endpoint))
 

@@ -455,17 +455,6 @@ def test_node_clear_leaves_results_untouched(tmp_path):
 # session integration + registry
 # ---------------------------------------------------------------------------
 
-def test_session_retarget_detaches_node_cache(tmp_path):
-    session = Session(node_store=_nodes(tmp_path))
-    session.synthesize("adder:8")
-    session.retarget("vendor2")
-    assert session.node_store is None
-    assert session.space.node_store is None  # rebind detached the space
-    entries = len(NodeStore(tmp_path / "nodes.sqlite"))
-    session.synthesize("adder:8")  # incremental results must not persist
-    assert len(NodeStore(tmp_path / "nodes.sqlite")) == entries
-
-
 def test_node_stores_registry_and_designators(tmp_path):
     assert "default" in NODE_STORES and "memory" in NODE_STORES
     assert create_node_store(None) is None

@@ -147,25 +147,20 @@ def test_child_specs_are_decomposition_modules():
     assert set(children) == module_specs
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_recost_works_after_parallel_run(backend):
-    """The reverse-dependency index must survive parallel evaluation
-    (fork workers record edges in the forked child and ship them
-    back), so a targeted recost still invalidates dependents."""
-    root = adder_spec(16)
-    leaf = gate_spec("XOR")
+@needs_fork
+def test_fork_workers_report_their_combinations():
+    """Combinations costed inside fork workers reach the parent's
+    counter.  Workers re-cost subtrees they share, so the forked count
+    is at least the sequential one, never a fraction of it."""
+    from repro.api import Session
 
-    sequential = _space()
-    sequential.alternatives(root)
-    expected = sequential.recost([leaf])
-
-    parallel = _space(jobs=4)
-    parallel.alternatives(root)
-    assert parallel.last_parallel_stats["backend"] == backend
-    invalidated = parallel.recost([leaf])
-    assert root in invalidated
-    assert invalidated == expected
-    assert root not in parallel._configs
+    sequential = Session(library="lsi_logic")
+    sequential.synthesize("alu:32")
+    forked = Session(library="lsi_logic", jobs=2)
+    forked.synthesize("alu:32")
+    assert forked.space.last_parallel_stats["backend"] == "process"
+    assert forked.space.combinations_costed >= \
+        sequential.space.combinations_costed > 0
 
 
 def test_session_jobs_parity_and_plumbing():

@@ -34,6 +34,15 @@ def _store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "store.sqlite")
 
 
+def _pinned(body: str) -> str:
+    """A json body with its wall-clock fields (runtime and per-phase
+    timings) pinned: everything else is deterministic."""
+    data = json.loads(body)
+    data["runtime_seconds"] = 0.0
+    data["phases"] = {}
+    return json.dumps(data, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # fingerprints
 # ---------------------------------------------------------------------------
@@ -443,15 +452,49 @@ def test_different_filters_do_not_share_entries(tmp_path):
     assert len(job) <= 2
 
 
-def test_retarget_detaches_the_store(tmp_path):
+def test_switching_library_means_a_new_session_on_the_same_stores(tmp_path):
+    """One process, one result store, one node store: a session per
+    library.  The vendor2 pass must answer exactly like a fresh vendor2
+    process -- nothing from the lsi_logic pass may leak through the
+    process-wide caches or either store."""
+    from repro.nodestore import NodeStore
+
     store = _store(tmp_path)
-    session = Session(store=store)
-    session.synthesize("adder:8")
-    session.retarget("vendor2")
-    assert session.store is None  # incremental results must not persist
-    entries = len(store)
-    session.synthesize("adder:8")
-    assert len(store) == entries
+    nodes = NodeStore(tmp_path / "nodes.sqlite")
+    targets = ["counter:16", "adder:16"]
+
+    lsi = Session(library="lsi_logic", perf_filter="pareto",
+                  store=store, node_store=nodes)
+    lsi_bodies = [lsi.synthesize(t).json_body() for t in targets]
+    assert lsi.node_cache_stats()["published"] >= 1
+    assert len(store) == 2
+
+    vendor = Session(library="vendor2", perf_filter="pareto",
+                     store=store, node_store=nodes)
+    jobs = [vendor.synthesize(t) for t in targets]
+    assert vendor.store_stats()["store_hits"] == 0
+    assert vendor.node_cache_stats()["hits"] == 0
+    assert len(store) == 4
+    counter = jobs[0]
+    assert [(alt.area, alt.delay) for alt in counter.alternatives] == \
+        [(146.8, 3.6)]
+
+    script = (
+        "import json, sys\n"
+        "from repro.api import Session\n"
+        "session = Session(library='vendor2', perf_filter='pareto')\n"
+        "print(json.dumps([session.synthesize(t).json_body()\n"
+        "                  for t in sys.argv[1:]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *targets],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh_bodies = [_pinned(body) for body in json.loads(proc.stdout)]
+    assert [_pinned(job.json_body()) for job in jobs] == fresh_bodies
+    assert [_pinned(body) for body in lsi_bodies] != fresh_bodies
 
 
 def test_uncacheable_requests_bypass_the_store(tmp_path):
