@@ -26,9 +26,9 @@ All wrapper misses are *safe* misses: a result store miss re-runs the
 engine, a node store miss re-evaluates the subtree -- never a wrong
 answer.
 
-Thread safety: breakers are called from executor threads (the store
-runs off the event loop), so all state transitions happen under a
-lock.  The clock is injectable for tests.
+Thread safety: breakers are called from executor threads and, for
+the non-blocking hit read, from the event loop, so all state
+transitions happen under a lock.  The clock is injectable for tests.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.store.backend import CacheBackend, NodeStoreBackend, StoreBackend
+from repro.store.backend import (
+    CacheBackend,
+    NodeStoreBackend,
+    StoreBackend,
+    WouldBlock,
+)
 from repro.store.store import STORE_FAILURES
 
 #: Consecutive failures before the breaker opens.
@@ -98,7 +103,6 @@ class CircuitBreaker:
                 if self._clock() - self._opened_at >= self.reset_timeout:
                     self._state = "half_open"
                     self._probe_in_flight = True
-                    self.half_open_probes += 1
                     return True
                 self.short_circuited += 1
                 return False
@@ -107,11 +111,12 @@ class CircuitBreaker:
                 self.short_circuited += 1
                 return False
             self._probe_in_flight = True
-            self.half_open_probes += 1
             return True
 
     def record_success(self) -> None:
         with self._lock:
+            if self._probe_in_flight:
+                self.half_open_probes += 1
             self.successes += 1
             self.consecutive_failures = 0
             if self._state != "closed":
@@ -119,8 +124,18 @@ class CircuitBreaker:
                 self.closes += 1
             self._probe_in_flight = False
 
+    def release(self) -> None:
+        """An allowed operation ended with no outcome (a read that
+        would have blocked): a half-open probe slot is handed back, so
+        the next caller probes instead.  ``half_open_probes`` counts
+        only probes that reached an outcome."""
+        with self._lock:
+            self._probe_in_flight = False
+
     def record_failure(self) -> None:
         with self._lock:
+            if self._probe_in_flight:
+                self.half_open_probes += 1
             self.failures += 1
             self.consecutive_failures += 1
             if self._state == "half_open":
@@ -216,6 +231,25 @@ class ResilientStore(GuardedBackend, StoreBackend):
 
     def get_body(self, fingerprint: str) -> Optional[str]:
         return self._guarded(lambda: self.inner.get_body(fingerprint), None)
+
+    def get_body_nowait(self, fingerprint: str) -> Optional[str]:
+        """An open breaker is an instant miss; :class:`WouldBlock` is
+        neither a failure nor a success and reaches the caller."""
+        if not self.breaker.allow():
+            return None
+        try:
+            body = self.inner.get_body_nowait(fingerprint)
+        except WouldBlock:
+            self.breaker.release()
+            raise
+        except STORE_FAILURES:
+            self.breaker.record_failure()
+            return None
+        self.breaker.record_success()
+        return body
+
+    def flush_stamps(self) -> int:
+        return self._guarded(self.inner.flush_stamps, 0)
 
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         return self._guarded(lambda: self.inner.peek(fingerprint), None)

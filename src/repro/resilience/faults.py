@@ -195,7 +195,10 @@ class FaultInjectingBackend(CacheBackend):
 
 class FaultInjectingStore(FaultInjectingBackend, StoreBackend):
     """A faulty result store.  A corrupted payload read returns a
-    marker that fails validation; a corrupted body read is a miss."""
+    marker that fails validation; a corrupted body read is a miss.  It
+    keeps the default :meth:`get_body_nowait` (always ``WouldBlock``),
+    so the serve layer reads it on an executor thread, where injected
+    latency cannot stall the event loop and deadlines still fire."""
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         self.policy.tick("get")

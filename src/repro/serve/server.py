@@ -39,6 +39,21 @@ safe under *distinct* concurrent jobs, so each session runs one job at
 a time (an asyncio lock per session); concurrency comes from
 coalescing, store hits, and multiple sessions.
 
+A warm hit never leaves the event loop.  After the deadline check and
+the fingerprint, the store is probed with a read that cannot wait
+(:meth:`~repro.store.backend.StoreBackend.get_body_nowait`: in WAL
+mode a SQLite reader never waits for a writer), *before* the in-flight
+table and the owner task; a hit is answered in the same loop pass,
+with no task, future, shield or executor hop.  Only a miss registers
+the in-flight future and starts the owner task.  When the read would
+wait (a held lock, a busy database, a backend with no such read --
+``fault+`` stores among them) it raises ``WouldBlock`` and the owner
+task repeats the probe on the executor with the blocking read, bounded
+by the deadline like any engine run.  Loop-served hits queue their LRU
+stamps in memory; the executor writes them in one transaction at most
+once per :data:`~repro.store.store.STAMP_FLUSH_SECONDS`, and the store
+writes them with each of its own writes and on close.
+
 :class:`ReproServer` is the only HTTP front in the package: it serves
 a backend, either the local :class:`SynthesisService` here or
 :class:`repro.fleet.FleetService` over N worker processes.
@@ -80,6 +95,8 @@ from repro.resilience import (
     ResilientStore,
     effective_deadline,
 )
+from repro.store.backend import WouldBlock
+from repro.store.store import STAMP_FLUSH_SECONDS
 
 #: Parameters that select the session; everything else rides on the
 #: request itself.
@@ -355,6 +372,8 @@ class SynthesisService:
             max_workers=max(1, engine_workers),
             thread_name_prefix="repro-engine",
         )
+        #: When the next background write of queued LRU stamps may run.
+        self._stamps_flush_at = 0.0
 
     # -- sessions ------------------------------------------------------
     def _session_params(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -461,19 +480,53 @@ class SynthesisService:
         # for the store, so the response is that same string.
         return job.json_body().encode("utf-8")
 
-    def _probe_store(self, session, request,
-                     fingerprint: str) -> Optional[bytes]:
-        """Executor-side store-only lookup, run *before* the session
-        lock is taken: a warm hit must be served at store latency, not
-        queued behind whatever engine evaluation currently holds the
-        session.  A hit is the stored ``json`` body as bytes -- no
-        payload decode, no revive, no emit, never the engine.  The
-        session's store is breaker-guarded, so a failing read is a
-        miss."""
-        if session.store is None:
+    def _probe_store(self, session, request, fingerprint: str,
+                     wait: bool = True) -> Optional[bytes]:
+        """The store-only lookup, run *before* the session lock is
+        taken: a warm hit must be served at store latency, not queued
+        behind whatever engine evaluation currently holds the session.
+        A hit is the stored ``json`` body as bytes -- no payload
+        decode, no revive, no emit, never the engine.  The session's
+        store is breaker-guarded, so a failing read is a miss.
+
+        The event loop calls it with ``wait=False`` (raising
+        ``WouldBlock`` rather than waiting); an executor thread calls
+        it with the blocking read."""
+        store = session.store
+        if store is None:
             return None
-        body = session.store.get_body(fingerprint)
+        body = (store.get_body(fingerprint) if wait
+                else store.get_body_nowait(fingerprint))
         return body.encode("utf-8") if body is not None else None
+
+    def _loop_probe(self, session, request, fingerprint: str
+                    ) -> Optional[bytes]:
+        """The non-blocking probe on the event loop, in its
+        ``store_probe`` span.  ``WouldBlock`` propagates: the owner
+        task then probes on the executor."""
+        span = (current_span() or NULL_SPAN).child("store_probe")
+        try:
+            warm = self._probe_store(session, request, fingerprint,
+                                     wait=False)
+        except WouldBlock:
+            span.set(blocked=True).finish()
+            raise
+        except BaseException:
+            span.finish("error")
+            raise
+        span.set(hit=warm is not None).finish()
+        return warm
+
+    def _flush_stamps_soon(self) -> None:
+        """Write the loop-served hits' queued LRU stamps on the
+        executor, at most once per :data:`STAMP_FLUSH_SECONDS`."""
+        now = time.monotonic()
+        if now < self._stamps_flush_at:
+            return
+        self._stamps_flush_at = now + STAMP_FLUSH_SECONDS
+        asyncio.get_running_loop().run_in_executor(
+            self._executor, self.store.flush_stamps
+        ).add_done_callback(_retrieve_exception)
 
     def _run_job(self, session, request, fingerprint: Optional[str],
                  span: Optional[Any] = None
@@ -559,8 +612,12 @@ class SynthesisService:
     async def _synthesize(self, body: Dict[str, Any],
                           deadline: Optional[Deadline] = None
                           ) -> Tuple[bytes, str]:
-        """One request: coalesce, serve warm, or evaluate -- bounded by
+        """One request: serve warm, coalesce, or evaluate -- bounded by
         ``deadline`` when one governs the request (a 504 on exhaustion).
+
+        A warm hit is answered here, in the event-loop pass that parsed
+        the request: no owner task, no in-flight future, no executor
+        hop.  Only a miss (or a read that would block) goes on.
 
         Returns ``(response bytes, source)`` where source is
         ``engine`` / ``store`` / ``coalesced``.
@@ -571,6 +628,9 @@ class SynthesisService:
             key, session = self.session_for(params)
         except (RegistryError, KeyError, ValueError) as error:
             raise ServeError(400, str(error))
+        if deadline is not None and deadline.expired:
+            self.metrics.timeouts += 1
+            raise _deadline_error(deadline)
         # Capture the lock now: an LRU eviction during a later await
         # drops it from the table, but this request keeps serializing
         # against the session object it actually uses.
@@ -580,7 +640,17 @@ class SynthesisService:
         # Coalescing keys on the same canonical fingerprint the store
         # uses; it applies even with the store disabled.
         fingerprint = session.fingerprint(request)
+        blocked = False
         if fingerprint is not None:
+            try:
+                warm = self._loop_probe(session, request, fingerprint)
+            except WouldBlock:
+                blocked = True
+            else:
+                if warm is not None:
+                    self.metrics.store_hits += 1
+                    self._flush_stamps_soon()
+                    return warm, "store"
             pending = self._inflight.get(fingerprint)
             if pending is not None:
                 self.metrics.coalesced += 1
@@ -596,17 +666,19 @@ class SynthesisService:
         # *waiting* without abandoning the work: the shield keeps the
         # task alive past a 504, its result still resolves coalesced
         # joiners and lands in the store.
-        task = asyncio.ensure_future(
-            self._evaluate(session, lock, request, fingerprint, future))
+        task = asyncio.ensure_future(self._evaluate(
+            session, lock, request, fingerprint, future, blocked))
         task.add_done_callback(_retrieve_exception)
         return await self._await_bounded(asyncio.shield(task), deadline)
 
     async def _evaluate(self, session, lock, request,
                         fingerprint: Optional[str],
-                        future: Optional[asyncio.Future]
-                        ) -> Tuple[bytes, str]:
-        """The owner path: probe the store, then run the engine under
-        the session lock; resolves the in-flight future either way."""
+                        future: Optional[asyncio.Future],
+                        probe: bool) -> Tuple[bytes, str]:
+        """The owner path: run the engine under the session lock,
+        first probing the store on the executor when the loop's probe
+        would have blocked (``probe``); resolves the in-flight future
+        either way."""
         loop = asyncio.get_running_loop()
 
         from repro.core.design_space import SynthesisError
@@ -618,7 +690,7 @@ class SynthesisService:
         try:
             try:
                 result = None
-                if fingerprint is not None:
+                if probe:
                     probe_span = parent.child("store_probe")
                     try:
                         warm = await loop.run_in_executor(
@@ -784,6 +856,10 @@ class SynthesisService:
         # interpreter exit).
         self._executor.shutdown(wait=False, cancel_futures=True)
         self.access_log.close()
+        # Loop-served hits queue their LRU stamps: write them even when
+        # the store handles stay open (the breaker guards the write).
+        if self.store is not None:
+            self.store.flush_stamps()
         if not close_stores:
             return
         # The graceful-shutdown path (after the drain): flush and
@@ -803,20 +879,23 @@ class SynthesisService:
 # The HTTP layer
 # ---------------------------------------------------------------------------
 
+#: The reason phrase of each status the server sends.
+REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+           405: "Method Not Allowed", 411: "Length Required",
+           413: "Payload Too Large",
+           414: "URI Too Long", 422: "Unprocessable Entity",
+           431: "Request Header Fields Too Large",
+           500: "Internal Server Error", 502: "Bad Gateway",
+           503: "Service Unavailable", 504: "Gateway Timeout"}
+
+
 def _response(status: int, body: bytes, source: str = "",
               extra_headers: Optional[Dict[str, str]] = None) -> bytes:
-    reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 411: "Length Required",
-               413: "Payload Too Large",
-               414: "URI Too Long", 422: "Unprocessable Entity",
-               431: "Request Header Fields Too Large",
-               500: "Internal Server Error", 502: "Bad Gateway",
-               503: "Service Unavailable", 504: "Gateway Timeout"}
     extra = dict(extra_headers) if extra_headers else {}
     content_type = extra.pop(
         "Content-Type", "application/json; charset=utf-8")
     head = [
-        f"HTTP/1.1 {status} {reasons.get(status, 'OK')}",
+        f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
         "Connection: close",

@@ -32,6 +32,7 @@ from repro.store.backend import (
     CacheBackend,
     NodeStoreBackend,
     StoreBackend,
+    WouldBlock,
     parse_store_url,
     split_url_query,
     sqlite_url_path,
@@ -66,6 +67,7 @@ __all__ = [
     "NodeStoreBackend",
     "PAYLOAD_SCHEMA",
     "StoreBackend",
+    "WouldBlock",
     "parse_store_url",
     "split_url_query",
     "sqlite_url_path",

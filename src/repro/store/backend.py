@@ -104,6 +104,14 @@ def sqlite_url_path(rest: str, url: str) -> str:
     return rest
 
 
+class WouldBlock(Exception):
+    """A non-blocking read (:meth:`StoreBackend.get_body_nowait`)
+    could not answer without waiting: a lock is held, the database is
+    busy, or the backend has no such read.  The caller retries with the
+    blocking read off the event loop.  Not a store failure: breakers
+    count it neither way."""
+
+
 class CacheBackend(abc.ABC):
     """The maintenance surface every cache backend shares, whatever it
     caches: what ``repro cache`` and the serve layer's health and
@@ -163,6 +171,19 @@ class StoreBackend(CacheBackend):
         """The ``json`` body stored under ``fingerprint``, or None;
         refreshes LRU exactly like :meth:`get`, without decoding the
         payload."""
+
+    def get_body_nowait(self, fingerprint: str) -> Optional[str]:
+        """:meth:`get_body` without waiting, for the event loop: the
+        body or None, else :class:`WouldBlock` when answering would
+        wait on a lock, a busy database or the network.  The LRU stamp
+        may be queued in memory (:meth:`flush_stamps` writes it).  The
+        default always raises :class:`WouldBlock`."""
+        raise WouldBlock(f"{type(self).__name__} has no non-blocking read")
+
+    def flush_stamps(self) -> int:
+        """Write the LRU stamps :meth:`get_body_nowait` queued; returns
+        how many.  The default queues none."""
+        return 0
 
     @abc.abstractmethod
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:

@@ -24,7 +24,16 @@ returns stored bytes with no decode, no revive and no emit
 
 Thread safety: one connection guarded by a lock (the serve layer calls
 into the store from executor threads).  Cross-process safety comes
-from SQLite's own file locking plus a busy timeout.
+from SQLite's own file locking plus a busy timeout.  The serve layer's
+warm hits read on the event loop instead
+(:meth:`ResultStore.get_body_nowait`): a second, read-only connection
+with no busy timeout behind its own lock, taken without waiting.  In
+WAL mode a reader never waits for a writer, so a hit is answered in
+place; anything that would wait raises
+:class:`~repro.store.backend.WouldBlock` and the caller reads on an
+executor thread.  Such a hit only queues its LRU stamp in memory;
+:meth:`ResultStore.flush_stamps` writes the queue in one transaction,
+as does every write the store makes and :meth:`ResultStore.close`.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.store.backend import CacheBackend, StoreBackend
+from repro.store.backend import CacheBackend, StoreBackend, WouldBlock
 
 #: Store format version; a mismatch resets the store (it is a cache).
 #: v2 added the ``body`` column, so no pre-v2 (body-less) row is ever
@@ -47,6 +56,14 @@ STORE_SCHEMA = 2
 
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_STORE"
+
+#: Seconds between the serve layer's background writes of queued LRU
+#: stamps (:meth:`ResultStore.flush_stamps`).
+STAMP_FLUSH_SECONDS = 1.0
+
+#: Page cache of the non-blocking reader connection, in KiB: it reads
+#: one indexed row per hit.
+READER_CACHE_KIB = 256
 
 
 def default_store_path() -> Path:
@@ -394,9 +411,74 @@ class ResultStore(CacheTable, StoreBackend):
     noun = "result store"
     extra_columns = ", body TEXT NOT NULL"
 
+    def __init__(self, path: Union[str, Path, None] = None,
+                 busy_timeout_ms: int = 10_000) -> None:
+        super().__init__(path, busy_timeout_ms)
+        # The non-blocking read path: its connection (opened on first
+        # use; ``:memory:`` has no second connection to the same data)
+        # and the LRU stamps of the hits it served, fingerprint ->
+        # (last_used, hits), both under a lock only ever taken without
+        # waiting on the event loop.
+        self._reader: Optional[sqlite3.Connection] = None
+        self._reader_lock = threading.Lock()
+        self._stamps: Dict[str, tuple] = {}
+
     @property
     def version(self) -> int:
         return STORE_SCHEMA
+
+    def _open_reader(self) -> sqlite3.Connection:
+        if str(self.path) == ":memory:":
+            raise WouldBlock("an in-memory store has one connection")
+        db = sqlite3.connect(str(self.path), timeout=0,
+                             check_same_thread=False)
+        try:
+            db.execute("PRAGMA query_only=ON")
+            db.execute("PRAGMA busy_timeout=0")
+            # Reads the schema, so it can find the file locked.
+            db.execute(f"PRAGMA cache_size=-{READER_CACHE_KIB}")
+        except sqlite3.Error:
+            db.close()
+            raise
+        return db
+
+    def _queue_stamp(self, fingerprint: str) -> None:
+        """Queue one hit's LRU stamp (caller holds the reader lock)."""
+        queued = self._stamps.get(fingerprint)
+        self._stamps[fingerprint] = (
+            time.time(), queued[1] + 1 if queued else 1)
+
+    def _write_stamps(self) -> int:
+        """Write every queued stamp in one transaction (caller holds
+        the lock).  A failed write loses them: a stamp only orders
+        eviction."""
+        with self._reader_lock:
+            stamps, self._stamps = self._stamps, {}
+        if stamps:
+            try:
+                with self._db:
+                    self._db.executemany(
+                        "UPDATE results SET last_used = max(last_used, ?),"
+                        " hits = hits + ? WHERE fingerprint = ?",
+                        [(used, hits, fingerprint)
+                         for fingerprint, (used, hits) in stamps.items()])
+            except STORE_FAILURES as error:
+                self._failed(error)
+        return len(stamps)
+
+    def _touch(self, fingerprint: str) -> None:
+        """Stamp a blocking read's hit, with every queued stamp."""
+        with self._reader_lock:
+            self._queue_stamp(fingerprint)
+        self._write_stamps()
+
+    def flush_stamps(self) -> int:
+        """Write the LRU stamps queued by :meth:`get_body_nowait`;
+        returns how many."""
+        if not self._stamps:
+            return 0
+        with self._lock:
+            return self._write_stamps()
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``fingerprint``, or None.
@@ -435,6 +517,33 @@ class ResultStore(CacheTable, StoreBackend):
             self._touch(fingerprint)
             return row[0]
 
+    def get_body_nowait(self, fingerprint: str) -> Optional[str]:
+        """:meth:`get_body` for the event loop: the read never waits.
+        A held reader lock, a busy or locked database (a writer's
+        exclusive lock outside WAL mode, say) or an in-memory store
+        raises :class:`~repro.store.backend.WouldBlock`.  A hit's LRU
+        stamp is queued, not written."""
+        if not self._reader_lock.acquire(blocking=False):
+            raise WouldBlock("the reader connection is in use")
+        try:
+            try:
+                if self._reader is None:
+                    self._reader = self._open_reader()
+                rows = self._reader.execute(
+                    "SELECT body FROM results WHERE fingerprint = ?",
+                    (fingerprint,),
+                ).fetchall()  # drained, so no read transaction stays open
+            except sqlite3.OperationalError as error:
+                if "locked" in str(error):  # SQLITE_BUSY, SQLITE_LOCKED
+                    raise WouldBlock(str(error)) from None
+                raise
+            if not rows:
+                return None
+            self._queue_stamp(fingerprint)
+            return rows[0][0]
+        finally:
+            self._reader_lock.release()
+
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but read-only: no LRU stamp, no hit count.
         Inspection commands (``repro cache show``) use this so looking
@@ -461,11 +570,32 @@ class ResultStore(CacheTable, StoreBackend):
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         size = len(text) + len(body)
         now = time.time()
-        with self._lock, self._db:
-            self._db.execute(
-                "INSERT OR REPLACE INTO results "
-                "(fingerprint, label, created_at, last_used, hits,"
-                " size_bytes, payload, body) "
-                "VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
-                (fingerprint, label, now, now, size, text, body),
-            )
+        with self._lock:
+            self._write_stamps()
+            with self._db:
+                self._db.execute(
+                    "INSERT OR REPLACE INTO results "
+                    "(fingerprint, label, created_at, last_used, hits,"
+                    " size_bytes, payload, body) "
+                    "VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
+                    (fingerprint, label, now, now, size, text, body),
+                )
+
+    def prune(self, max_mb: float) -> Dict[str, int]:
+        # Eviction order is the LRU stamps, so the queued ones go first.
+        self.flush_stamps()
+        return super().prune(max_mb)
+
+    def close(self) -> None:
+        with self._lock:
+            try:
+                self._write_stamps()
+            except STORE_FAILURES:
+                pass  # closing twice, or a store that cannot write
+            with self._reader_lock:
+                if self._reader is not None:
+                    self._reader.close()
+                # A closed connection stays in place: a later read
+                # fails like every other statement, never reopens.
+                self._reader = self._db
+            self._db.close()

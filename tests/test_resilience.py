@@ -13,6 +13,8 @@ import http.client
 import http.server
 import json
 import socket
+import sqlite3
+import sys
 import threading
 import time
 
@@ -32,7 +34,7 @@ from repro.resilience import (
 )
 from repro.serve import ReproServer, SynthesisService
 from repro.store import ResultStore, StoreError, split_url_query
-from repro.store.backend import NodeStoreBackend, StoreBackend
+from repro.store.backend import NodeStoreBackend, StoreBackend, WouldBlock
 
 
 # ---------------------------------------------------------------------------
@@ -696,3 +698,163 @@ def test_live_kill_mid_request_fails_over_to_warm_survivor(tmp_path):
         assert fleet.retries >= 1
     finally:
         handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# the event loop's non-blocking hit read
+# ---------------------------------------------------------------------------
+
+def test_fault_store_hit_is_read_on_the_executor_within_the_deadline(
+        tmp_path):
+    """A ``fault+`` store has no non-blocking read, so even a stored
+    fingerprint is probed on the executor -- where the injected latency
+    runs against the deadline and the request gets its 504."""
+    store_url = f"fault+sqlite://{tmp_path}/slow.sqlite?latency_ms=300"
+    server = ReproServer(SynthesisService(store=store_url), port=0)
+    handle = server.run_in_thread()
+    try:
+        body = {"spec": "adder:8"}
+        status, stored, source = _request(handle, "POST", "/synthesize",
+                                          body=body)
+        assert (status, source) == (200, "engine")
+        status, data, _ = _request(handle, "POST", "/synthesize", body=body,
+                                   headers={"X-Repro-Deadline-Ms": "50"})
+        assert status == 504
+        assert json.loads(data)["deadline_ms"] == pytest.approx(50.0)
+        # The abandoned probe still runs; a repeat joins or follows it.
+        status, warm, source = _request(handle, "POST", "/synthesize",
+                                        body=body)
+        assert status == 200 and source in ("coalesced", "store")
+        assert warm == stored
+    finally:
+        handle.stop()
+
+
+def _stored(tmp_path, name):
+    store = ResultStore(tmp_path / name)
+    store.put("fp", {"p": 1}, "x", body="committed")
+    return store
+
+
+def test_nowait_read_sees_the_committed_body_past_an_open_writer(tmp_path):
+    """WAL: a writer's open transaction neither blocks the loop's read
+    nor leaks into it."""
+    store = _stored(tmp_path, "wal.sqlite")
+    writer = sqlite3.connect(str(store.path), isolation_level=None)
+    try:
+        assert writer.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        writer.execute("BEGIN IMMEDIATE")
+        writer.execute("UPDATE results SET body = 'uncommitted'")
+        writer.execute(
+            "INSERT INTO results (fingerprint, created_at, last_used,"
+            " size_bytes, payload, body) VALUES ('new', 0, 0, 0, '{}', '')")
+        assert store.get_body_nowait("fp") == "committed"
+        assert store.get_body_nowait("new") is None
+        writer.execute("ROLLBACK")
+    finally:
+        writer.close()
+    assert store.flush_stamps() == 1
+    assert store.entries()[0]["hits"] == 1
+    store.close()
+
+
+def test_nowait_read_raises_would_block_at_once_on_a_locked_file(tmp_path):
+    """Outside WAL an exclusive lock shuts readers out: the loop's read
+    raises ``WouldBlock`` instead of waiting out the busy timeout."""
+    store = _stored(tmp_path, "delete.sqlite")
+    assert store._db.execute(
+        "PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
+    writer = sqlite3.connect(str(store.path), isolation_level=None)
+    try:
+        writer.execute("BEGIN EXCLUSIVE")
+        started = time.monotonic()
+        with pytest.raises(WouldBlock):
+            store.get_body_nowait("fp")
+        assert time.monotonic() - started < store.busy_timeout_ms / 10_000
+        writer.execute("ROLLBACK")
+    finally:
+        writer.close()
+    assert store.get_body_nowait("fp") == "committed"
+    # ...and the read left no lock behind for the next writer.
+    writer = sqlite3.connect(str(store.path), timeout=0,
+                             isolation_level=None)
+    try:
+        writer.execute("BEGIN EXCLUSIVE")
+        writer.execute("ROLLBACK")
+    finally:
+        writer.close()
+    store.close()
+
+
+class BlockingStore(FlakyStore):
+    def get_body_nowait(self, fingerprint):
+        self.calls += 1
+        raise WouldBlock("busy")
+
+
+def test_would_block_is_neither_failure_nor_success():
+    """``WouldBlock`` passes through the breaker uncounted -- a
+    half-open probe slot goes back -- and an open breaker answers the
+    non-blocking read with an instant miss."""
+    clock = FakeClock()
+    inner = BlockingStore()
+    breaker = CircuitBreaker("store", failure_threshold=1,
+                             reset_timeout=5.0, clock=clock)
+    store = ResilientStore(inner, breaker)
+    with pytest.raises(WouldBlock):
+        store.get_body_nowait("fp")
+    assert (breaker.failures, breaker.successes) == (0, 0)
+    assert store.get_body("fp") is None           # a real failure opens it
+    assert breaker.state == "open"
+    calls = inner.calls
+    assert store.get_body_nowait("fp") is None    # open: instant miss
+    assert inner.calls == calls
+    clock.now += 5.0
+    with pytest.raises(WouldBlock):               # the half-open probe...
+        store.get_body_nowait("fp")
+    assert breaker.stats()["half_open_probes"] == 0
+    inner.failing = False
+    assert store.get_body("fp") == json.dumps({"ok": "fp"})  # ...is retaken
+    assert breaker.state == "closed"
+    assert breaker.stats()["half_open_probes"] == 1
+
+
+def test_queued_stamps_survive_concurrent_flushes(tmp_path):
+    """Readers queue stamps while flushers swap the queue out: every
+    hit a reader was answered with lands in ``hits``, none twice."""
+    store = _stored(tmp_path, "stress.sqlite")
+    served = []
+    stop = threading.Event()
+
+    def read():
+        count = 0
+        for _ in range(300):
+            try:
+                count += store.get_body_nowait("fp") == "committed"
+            except WouldBlock:
+                pass
+        served.append(count)
+
+    def flush():
+        while not stop.is_set():
+            store.flush_stamps()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        flushers = [threading.Thread(target=flush) for _ in range(2)]
+        for thread in readers + flushers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+        stop.set()
+        for thread in flushers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in readers + flushers)
+    store.flush_stamps()
+    assert len(served) == 4 and sum(served) > 0
+    assert store.entries()[0]["hits"] == sum(served)
+    store.close()

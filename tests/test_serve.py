@@ -38,12 +38,13 @@ def front(request):
     return request.getfixturevalue("fleet_handle")[0]
 
 
-def _request(handle, method, path, body=None, timeout=60):
+def _request(handle, method, path, body=None, timeout=60, headers=None):
     conn = http.client.HTTPConnection(handle.host, handle.port,
                                       timeout=timeout)
     try:
         conn.request(method, path,
-                     body=json.dumps(body) if body is not None else None)
+                     body=json.dumps(body) if body is not None else None,
+                     headers=headers or {})
         resp = conn.getresponse()
         data = resp.read()
         return resp.status, data, resp.getheader("X-Repro-Source")
@@ -426,3 +427,58 @@ def test_two_servers_share_one_store_across_processes_shape(tmp_path):
         assert warm == cold
     finally:
         handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# warm hits served on the event loop
+# ---------------------------------------------------------------------------
+
+def _post(handle, body, headers=None):
+    return _request(handle, "POST", "/synthesize", body, headers=headers)
+
+
+def test_expired_deadline_on_a_stored_fingerprint_is_504(server):
+    """The deadline is checked before the loop's store probe: a hit
+    that arrives already out of budget is a 504, not a 200."""
+    body = {"spec": "adder:8"}
+    assert _post(server, body)[2] == "engine"
+    assert _post(server, body)[2] == "store"
+    # 1 ns of budget is spent before the service sees the request.
+    status, data, _ = _post(server, body, {"X-Repro-Deadline-Ms": "1e-6"})
+    assert status == 504
+    assert "deadline" in json.loads(data)["error"]
+    _, data, _ = _request(server, "GET", "/metrics")
+    metrics = json.loads(data)
+    assert metrics["timeouts"] == 1
+    assert metrics["store_hits"] == 1
+
+
+def test_drain_writes_the_queued_lru_stamps(tmp_path):
+    """Loop-served hits queue their LRU stamps; stopping the service
+    (stores left open) writes them, so the hot entry has every hit and
+    the newest ``last_used`` -- and a prune keeps it over a colder
+    entry written after it."""
+    path = tmp_path / "stamps.sqlite"
+    srv = ReproServer(SynthesisService(store=path, node_store=None), port=0)
+    handle = srv.run_in_thread()
+    hits = 5
+    try:
+        assert _post(handle, {"spec": "adder:8"})[2] == "engine"
+        assert _post(handle, {"spec": "counter:6"})[2] == "engine"
+        for _ in range(hits):
+            assert _post(handle, {"spec": "adder:8"})[2] == "store"
+    finally:
+        handle.stop()
+    store = ResultStore(path)
+    try:
+        hot, cold = sorted(store.entries(), key=lambda e: -e["hits"])
+        assert (hot["label"], cold["label"]) == ("spec:adder:8",
+                                                 "spec:counter:6")
+        assert hot["hits"] == hits and cold["hits"] == 0
+        assert hot["last_used"] > hot["created_at"]
+        assert hot["last_used"] > cold["last_used"]
+        result = store.prune(max_mb=hot["size_bytes"] / 1_000_000)
+        assert result["removed"] == 1
+        assert [e["label"] for e in store.entries()] == ["spec:adder:8"]
+    finally:
+        store.close()
