@@ -29,7 +29,7 @@ from repro.core.filters import (
 )
 from repro.core.configs import Configuration, pareto_rank_order
 from repro.core.design_space import DesignSpace, Implementation, SpecNode
-from repro.core.interning import intern_configuration, intern_stats
+from repro.core.interning import intern_stats
 from repro.core.parallel import parallel_prefill
 from repro.core.rules import Rule, RuleBase
 from repro.core.synthesizer import SynthesisResult
@@ -69,7 +69,6 @@ __all__ = [
     "SynthesisResult",
     "TopKFilter",
     "TradeoffFilter",
-    "intern_configuration",
     "intern_stats",
     "make_spec",
     "pareto_rank_order",

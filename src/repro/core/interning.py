@@ -117,24 +117,6 @@ class InternTable:
             self.revived += 1
         return self.intern_parts(area, delays, choices, id_choices, cls)
 
-    def intern(self, config: "Configuration") -> "Configuration":
-        """Canonical instance for an existing configuration (used when
-        the object was built outside :func:`make_configuration`, e.g.
-        by unpickling)."""
-        if config.interned_id is not None:
-            return config
-        key = (config.area, config.delays, config.id_choices)
-        with self._lock:
-            existing = self._table.get(key)
-            if existing is not None:
-                self.hits += 1
-                return existing
-            object.__setattr__(config, "_intern_id", self._next_id)
-            self._next_id += 1
-            self._table[key] = config
-            self.misses += 1
-            return config
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._table)
@@ -166,11 +148,6 @@ CONFIGURATIONS = InternTable()
 
 if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
     os.register_at_fork(after_in_child=CONFIGURATIONS._reinit_lock)
-
-
-def intern_configuration(config: "Configuration") -> "Configuration":
-    """Return the canonical interned instance equal to ``config``."""
-    return CONFIGURATIONS.intern(config)
 
 
 def intern_stats() -> Dict[str, int]:

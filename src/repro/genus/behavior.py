@@ -402,11 +402,6 @@ _COMBINATIONAL: Dict[str, Callable[[ComponentSpec, Values], Values]] = {
 }
 
 
-def is_combinational(spec: ComponentSpec) -> bool:
-    """True when the spec has purely combinational semantics here."""
-    return spec.ctype in _COMBINATIONAL
-
-
 def combinational_eval(spec: ComponentSpec, inputs: Mapping[str, int]) -> Values:
     """Evaluate a combinational component.
 

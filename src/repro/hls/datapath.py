@@ -68,12 +68,6 @@ class Datapath:
     branch_status: Dict[int, Tuple[str, bool]]
     register_count: int = 0
 
-    def control_ports(self) -> List[Port]:
-        return [
-            Port(sig.name, sig.width, Direction.IN, PinKind.CONTROL)
-            for sig in self.controls.values()
-        ]
-
 
 class _SourceMux:
     """Accumulates the per-state sources of one datapath input point."""

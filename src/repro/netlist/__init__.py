@@ -8,10 +8,9 @@ other part of the reproduction:
   concatenations, constants),
 - :mod:`repro.netlist.netlist` -- module instances and netlists,
 - :mod:`repro.netlist.validate` -- structural well-formedness checks,
-- :mod:`repro.netlist.timing` -- longest-path combinational timing over a
-  netlist given per-module pin-to-pin delays,
-- :mod:`repro.netlist.timing_program` -- the same timing compiled into a
-  reusable program for repeated evaluation (the design-space hot path).
+- :mod:`repro.netlist.timing_program` -- longest-path timing over a
+  netlist given per-module pin-to-pin delays, compiled once per netlist
+  into a reusable program (the design-space hot path).
 
 High-level synthesis emits netlists of GENUS instances; every DTAS
 decomposition rule emits one of these netlists; the VHDL translator and
@@ -21,8 +20,7 @@ the functional simulator both consume them.
 from repro.netlist.nets import Concat, Const, Net, NetRef, endpoint_bits, endpoint_width
 from repro.netlist.netlist import ModuleInst, Netlist
 from repro.netlist.ports import Direction, PinKind, Port
-from repro.netlist.timing import TimingCycleError, port_delay_matrix
-from repro.netlist.timing_program import TimingProgram, compile_timing
+from repro.netlist.timing_program import TimingCycleError, TimingProgram, compile_timing
 from repro.netlist.validate import NetlistError, validate_netlist
 
 __all__ = [
@@ -41,6 +39,5 @@ __all__ = [
     "compile_timing",
     "endpoint_bits",
     "endpoint_width",
-    "port_delay_matrix",
     "validate_netlist",
 ]

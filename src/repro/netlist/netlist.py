@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.netlist.nets import Concat, Const, Endpoint, Net, NetRef, endpoint_width
+from repro.netlist.nets import Endpoint, Net, endpoint_width
 from repro.netlist.ports import Direction, Port
 
 
@@ -182,22 +182,9 @@ class Netlist:
                         break
         return found
 
-    def count_modules(self, recurse_spec_of: Optional[type] = None) -> int:
-        """Number of module instances at this level."""
-        return len(self.modules)
-
     def __repr__(self) -> str:
         return (
             f"Netlist({self.name!r}, ports={len(self.ports)}, "
             f"nets={len(self.nets)}, modules={len(self.modules)})"
         )
 
-
-def tie_low(width: int = 1) -> Const:
-    """Constant zero endpoint."""
-    return Const(0, width)
-
-
-def tie_high(width: int = 1) -> Const:
-    """Constant all-ones endpoint."""
-    return Const((1 << width) - 1, width)

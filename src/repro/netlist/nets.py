@@ -131,8 +131,8 @@ def endpoint_bits(endpoint: Endpoint) -> Iterator[Optional[Tuple[Net, int]]]:
     """Yield per-bit atoms of an endpoint, LSB first.
 
     Each atom is a ``(net, bit_index)`` pair, or ``None`` for a constant
-    bit.  The timing engine and the simulator both walk endpoints this
-    way, so slices and concatenations need no special cases elsewhere.
+    bit.  The validator names the bits of a wiring problem this way;
+    code that only folds wiring uses :func:`endpoint_masks`.
     """
     if isinstance(endpoint, NetRef):
         for bit in range(endpoint.lsb, endpoint.msb + 1):
@@ -166,29 +166,3 @@ def endpoint_masks(endpoint: Endpoint) -> Iterator[Tuple[Optional[Net], int]]:
     else:  # pragma: no cover - defensive
         raise TypeError(f"not an endpoint: {endpoint!r}")
 
-
-def endpoint_nets(endpoint: Endpoint) -> Iterator[Net]:
-    """Yield every distinct net an endpoint touches (in first-seen order)."""
-    seen = set()
-    for atom in endpoint_bits(endpoint):
-        if atom is None:
-            continue
-        net, _ = atom
-        if id(net) not in seen:
-            seen.add(id(net))
-            yield net
-
-
-def const_bits(endpoint: Endpoint) -> Iterator[Optional[int]]:
-    """Yield the constant value of each bit, or ``None`` for net bits."""
-    if isinstance(endpoint, NetRef):
-        for _ in range(endpoint.width):
-            yield None
-    elif isinstance(endpoint, Const):
-        for bit in range(endpoint.width):
-            yield (endpoint.value >> bit) & 1
-    elif isinstance(endpoint, Concat):
-        for part in endpoint.parts:
-            yield from const_bits(part)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"not an endpoint: {endpoint!r}")

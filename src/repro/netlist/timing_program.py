@@ -1,20 +1,34 @@
 """Compiled timing programs: evaluate one netlist's delays many times.
 
-:func:`repro.netlist.timing.port_delay_matrix` rebuilds the timing DAG
-and its topological order from scratch on every call.  That is the
-right tool for one-off questions (reports, critical paths), but the
-DTAS evaluation inner loop asks the *same structural question* of the
-*same netlist* once per surviving configuration combination -- for a
-node with thousands of combinations that is thousands of identical
-graph constructions.
+DTAS computes the delay of a hierarchical implementation structurally:
+every module instance contributes pin-to-pin arcs (from its chosen
+implementation's delay matrix, ``(input_pin, output_pin)`` to
+nanoseconds) and every net contributes zero-delay arcs from its driver
+to its readers.  The worst port-to-port delay over this DAG is the
+implementation's delay -- which is why a ripple-carry adder built from
+4-bit adder cells is slow (the CI->CO arcs chain) while a
+carry-look-ahead structure is fast.
 
-A :class:`TimingProgram` splits the work by what actually varies:
+Sequential timing uses a *virtual pin*: :data:`CLK_PIN` (``"@clk"``)
+stands for the clock edge inside a component.  A sequential cell
+publishes arcs ``(D, "@clk") = setup`` and ``("@clk", Q) = clk_to_q``,
+and a netlist's delays then include ``(in, "@clk")``, ``("@clk", out)``
+and ``("@clk", "@clk")`` -- the last being the register-to-register
+path that bounds the clock period.  Because these entries appear in
+the result, hierarchical composition of sequential components needs no
+special cases.
+
+The DTAS evaluation inner loop asks the *same structural question* of
+the *same netlist* once per surviving configuration combination -- for
+a node with thousands of combinations, thousands of identical graph
+constructions if the DAG were rebuilt per call.  A
+:class:`TimingProgram` splits the work by what actually varies:
 
 - **Compile once per netlist**: intern every timing node (ports and
   module pins, with the ``@clk`` virtual pin split into a source and a
-  sink half exactly as in :mod:`repro.netlist.timing`), walk the
-  endpoint structure to extract the zero-delay wiring arcs, and record
-  the source ports and sink labels.
+  sink half so a register's D -> @clk and @clk -> Q arcs do not chain
+  into a false D -> Q path), walk the endpoint structure to extract the
+  zero-delay wiring arcs, and record the source ports and sink labels.
 - **Compile once per arc signature**: the set of pin-to-pin arcs a
   combination contributes depends only on *which* delay-matrix keys its
   chosen implementations publish, not on the weights.  Combinations
@@ -38,12 +52,13 @@ the design-space evaluator passes ``slot_of=lambda inst: inst.spec`` so
 all instances of one component specification share the configuration
 chosen for that specification, which is exactly search control S1).
 
-The program computes bit-identical results to ``port_delay_matrix``:
-arrival times are prefix sums along identical paths combined with
-``max``, both of which are order-independent in IEEE float arithmetic,
-and a shared SSA local is exact because equal operands give equal sums
-and, with no NaN and no ``-0.0`` arrival, a maximum over equal values
-is that value (see :meth:`_Kernel._compile`).
+The program computes bit-identical results to the direct per-bit graph
+walk ``port_delay_matrix`` that ``tests/reference_engine.py`` keeps as
+its oracle: arrival times are prefix sums along identical paths
+combined with ``max``, both of which are order-independent in IEEE
+float arithmetic, and a shared SSA local is exact because equal operands
+give equal sums and, with no NaN and no ``-0.0`` arrival, a maximum over
+equal values is that value (see :meth:`_Kernel._compile`).
 """
 
 from __future__ import annotations
@@ -60,11 +75,9 @@ from repro.netlist.nets import endpoint_masks
 from repro.netlist.netlist import ModuleInst, Netlist
 
 #: Virtual pin name standing for the clock edge inside a component.
-#: (Canonically re-exported by :mod:`repro.netlist.timing`.)
 CLK_PIN = "@clk"
 
-#: Timing node, as in :mod:`repro.netlist.timing`:
-#:   ("port", port_name) | ("pin", inst_name, pin_name)
+#: Timing node: ("port", port_name) | ("pin", inst_name, pin_name)
 Node = Tuple
 
 #: Per-slot arc keys: the (input_pin, output_pin) pairs of a delay
@@ -73,11 +86,7 @@ ArcKeys = Tuple[Tuple[str, str], ...]
 
 
 class TimingCycleError(Exception):
-    """The netlist contains a combinational cycle.
-
-    Defined here (rather than in :mod:`repro.netlist.timing`) so the
-    compiled engine has no import cycle; ``timing`` re-exports it.
-    """
+    """The netlist contains a combinational cycle."""
 
 
 #: Generated kernel functions by the SHA-256 digest of their source
@@ -477,8 +486,8 @@ class TimingProgram:
         self._slot_instances = slot_instances
 
         # --- wiring arcs ----------------------------------------------
-        # Same edges timing._build_graph derives per bit, computed at
-        # slice granularity: per net, (node, bitmask) entries for
+        # The per-bit driver -> reader edges, computed at slice
+        # granularity: per net, (node, bitmask) entries for
         # drivers and readers; an arc exists where the masks intersect.
         node = self._node
         net_drivers: Dict[int, List[Tuple[int, int]]] = defaultdict(list)

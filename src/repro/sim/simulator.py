@@ -23,13 +23,13 @@ running :class:`SpecComponent` and :class:`TreeComponent` side by side
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.design_space import DesignTree
 from repro.core.mapper import CellBinding
-from repro.core.specs import ComponentSpec, port_signature
+from repro.core.specs import ComponentSpec
 from repro.genus import behavior
-from repro.netlist.nets import Concat, Const, Endpoint, Net, NetRef, endpoint_bits
+from repro.netlist.nets import Concat, Const, Endpoint
 from repro.netlist.netlist import ModuleInst, Netlist
 from repro.netlist.ports import PinKind
 
@@ -101,7 +101,6 @@ class NetlistSimulator:
         self,
         netlist: Netlist,
         component_for: Optional[Callable[[ModuleInst], object]] = None,
-        max_passes: int = 0,
     ) -> None:
         self.netlist = netlist
         factory = component_for or (lambda inst: SpecComponent(inst.spec))
@@ -109,7 +108,6 @@ class NetlistSimulator:
         self.is_sequential = any(
             c.is_sequential for c in self.components.values()
         )
-        self.max_passes = max_passes or (len(netlist.modules) + 3)
 
     # ------------------------------------------------------------------
     def reset(self) -> Dict[str, object]:
@@ -118,12 +116,6 @@ class NetlistSimulator:
 
     # ------------------------------------------------------------------
     def _read_endpoint(self, endpoint: Endpoint, nets: Dict[int, int]) -> int:
-        value = 0
-        for position, atom in enumerate(endpoint_bits(endpoint)):
-            if atom is None:
-                continue
-            net, bit = atom
-            value |= ((nets.get(id(net), 0) >> bit) & 1) << position
         if isinstance(endpoint, Const):
             return endpoint.value
         if isinstance(endpoint, Concat):
@@ -133,19 +125,33 @@ class NetlistSimulator:
                 value |= self._read_endpoint(part, nets) << offset
                 offset += part.width
             return value
-        return value
+        return (nets.get(id(endpoint.net), 0) >> endpoint.lsb) & _mask(endpoint.width)
 
     def _write_endpoint(self, endpoint: Endpoint, value: int,
                         nets: Dict[int, int]) -> None:
-        for position, atom in enumerate(endpoint_bits(endpoint)):
-            if atom is None:
+        """Store ``value`` into the endpoint's net bits; constant bits
+        take nothing."""
+        if isinstance(endpoint, Const):
+            return
+        if isinstance(endpoint, Concat):
+            for part in endpoint.parts:
+                self._write_endpoint(part, value, nets)
+                value >>= part.width
+            return
+        mask = _mask(endpoint.width) << endpoint.lsb
+        key = id(endpoint.net)
+        nets[key] = (nets.get(key, 0) & ~mask) | ((value << endpoint.lsb) & mask)
+
+    def _inputs(self, inst: ModuleInst, nets: Dict[int, int]) -> Dict[str, int]:
+        """The values on an instance's connected non-clock input pins."""
+        inputs = {}
+        for pin in inst.input_pins():
+            if pin.kind is PinKind.CLOCK:
                 continue
-            net, bit = atom
-            old = nets.get(id(net), 0)
-            if (value >> position) & 1:
-                nets[id(net)] = old | (1 << bit)
-            else:
-                nets[id(net)] = old & ~(1 << bit)
+            endpoint = inst.connections.get(pin.name)
+            if endpoint is not None:
+                inputs[pin.name] = self._read_endpoint(endpoint, nets)
+        return inputs
 
     def settle(
         self,
@@ -167,19 +173,12 @@ class NetlistSimulator:
             backing = self.netlist.port_net(port.name)
             nets[id(backing)] = port_inputs[port.name] & _mask(port.width)
 
-        for _ in range(self.max_passes):
+        for _ in range(len(self.netlist.modules) + 3):
             changed = False
             for inst in self.netlist.modules:
                 component = self.components[inst.name]
-                inputs = {}
-                for pin in inst.input_pins():
-                    if pin.kind is PinKind.CLOCK:
-                        continue
-                    endpoint = inst.connections.get(pin.name)
-                    if endpoint is None:
-                        continue
-                    inputs[pin.name] = self._read_endpoint(endpoint, nets)
-                outputs = component.outputs(inputs, state.get(inst.name))
+                outputs = component.outputs(self._inputs(inst, nets),
+                                            state.get(inst.name))
                 for pin_name, value in outputs.items():
                     endpoint = inst.connections.get(pin_name)
                     if endpoint is None:
@@ -203,53 +202,33 @@ class NetlistSimulator:
             port_outputs[port.name] = nets.get(id(backing), 0) & _mask(port.width)
         return port_outputs, nets
 
-    def eval_comb(self, port_inputs: Mapping[str, int]) -> Dict[str, int]:
-        """Evaluate a purely combinational netlist."""
-        outputs, _ = self.settle(port_inputs, state=self.reset())
-        return outputs
-
     def outputs(self, port_inputs: Mapping[str, int],
                 state: Optional[Dict[str, object]] = None) -> Dict[str, int]:
         outputs, _ = self.settle(port_inputs, state)
         return outputs
+
+    def _clock_edge(self, nets: Dict[int, int],
+                    state: Dict[str, object]) -> Dict[str, object]:
+        """Every instance's state after the edge, from settled nets."""
+        return {
+            inst.name: self.components[inst.name].next_state(
+                self._inputs(inst, nets), state.get(inst.name))
+            for inst in self.netlist.modules
+        }
 
     def next_state(
         self, port_inputs: Mapping[str, int], state: Dict[str, object]
     ) -> Dict[str, object]:
         """State after one clock edge (inputs held through the edge)."""
         _, nets = self.settle(port_inputs, state)
-        new_state: Dict[str, object] = {}
-        for inst in self.netlist.modules:
-            component = self.components[inst.name]
-            inputs = {}
-            for pin in inst.input_pins():
-                if pin.kind is PinKind.CLOCK:
-                    continue
-                endpoint = inst.connections.get(pin.name)
-                if endpoint is not None:
-                    inputs[pin.name] = self._read_endpoint(endpoint, nets)
-            new_state[inst.name] = component.next_state(
-                inputs, state.get(inst.name))
-        return new_state
+        return self._clock_edge(nets, state)
 
     def step(
         self, port_inputs: Mapping[str, int], state: Dict[str, object]
     ) -> Tuple[Dict[str, int], Dict[str, object]]:
         """One clock cycle: (outputs before the edge, next state)."""
         outputs, nets = self.settle(port_inputs, state)
-        new_state: Dict[str, object] = {}
-        for inst in self.netlist.modules:
-            component = self.components[inst.name]
-            inputs = {}
-            for pin in inst.input_pins():
-                if pin.kind is PinKind.CLOCK:
-                    continue
-                endpoint = inst.connections.get(pin.name)
-                if endpoint is not None:
-                    inputs[pin.name] = self._read_endpoint(endpoint, nets)
-            new_state[inst.name] = component.next_state(
-                inputs, state.get(inst.name))
-        return outputs, new_state
+        return outputs, self._clock_edge(nets, state)
 
 
 class TreeComponent:

@@ -38,9 +38,6 @@ class RTLCell:
     def worst_delay(self) -> float:
         return max((d for _, d in self.delays), default=self.clk_to_q)
 
-    def pin_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in port_signature(self.spec))
-
     def __str__(self) -> str:
         return f"{self.name} ({self.spec}) {self.area:.0f} gates"
 
@@ -61,7 +58,7 @@ def make_cell(
     non-clock input to every output) with one value; explicit entries in
     ``delays`` override it.
     """
-    from repro.netlist.timing import CLK_PIN
+    from repro.netlist.timing_program import CLK_PIN
 
     ports = port_signature(spec)
     inputs = [p for p in ports if p.is_input and not p.is_sequential_boundary]

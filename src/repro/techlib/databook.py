@@ -122,7 +122,7 @@ def load_databook(text: str) -> CellLibrary:
 def dump_databook(library: CellLibrary) -> str:
     """Render a library back to databook text (round-trips with
     :func:`load_databook`)."""
-    from repro.netlist.timing import CLK_PIN
+    from repro.netlist.timing_program import CLK_PIN
 
     lines = [f"LIBRARY {library.name}"]
     for cell in library.cells():

@@ -15,14 +15,20 @@ code imports:
   it, one :func:`reference_run` per combination, and the filters'
   ``select``.  It is the oracle for enumeration order and the
   combination cap.
+- :func:`port_delay_matrix` -- the direct longest-path engine: it
+  builds a netlist's per-bit timing DAG and walks it on every call.  It
+  is the oracle for :class:`repro.netlist.timing_program.TimingProgram`.
 - :class:`ReferenceSpace` -- the seed algorithm: a materializing cross
-  product (:func:`reference_combine`) and one ``port_delay_matrix``
+  product (:func:`reference_combine`) and one :func:`port_delay_matrix`
   graph build per combination.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from collections import defaultdict
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.core import configs
 from repro.core.configs import (
@@ -33,7 +39,9 @@ from repro.core.configs import (
 )
 from repro.core.design_space import DesignSpace
 from repro.core.specs import ComponentSpec
-from repro.netlist.timing import port_delay_matrix
+from repro.netlist.nets import endpoint_bits
+from repro.netlist.netlist import ModuleInst, Netlist
+from repro.netlist.timing_program import CLK_PIN, TimingCycleError
 
 
 def merge_choices(
@@ -203,6 +211,163 @@ def run_matrices(program, matrices, run=reference_run):
     items = [tuple(sorted(matrix.items())) for matrix in matrices]
     kernel = program.kernel(tuple(tuple(k for k, _ in it) for it in items))
     return run(kernel, [tuple(v for _, v in it) for it in items])
+
+
+DelayMatrix = Mapping[Tuple[str, str], float]
+DelayFn = Callable[[ModuleInst], DelayMatrix]
+
+# Graph nodes:
+#   ("port", port_name)          -- a netlist port (either direction)
+#   ("pin", inst_name, pin_name) -- a module pin (pin may be CLK_PIN)
+Node = Tuple
+
+
+def _build_graph(
+    netlist: Netlist, module_delays: DelayFn
+) -> Tuple[Dict[Node, List[Tuple[Node, float]]], List[Node]]:
+    """Return (adjacency, all nodes) of the timing DAG."""
+    edges: Dict[Node, List[Tuple[Node, float]]] = defaultdict(list)
+    nodes: List[Node] = []
+    seen = set()
+
+    def touch(node: Node) -> Node:
+        if node not in seen:
+            seen.add(node)
+            nodes.append(node)
+        return node
+
+    # Module-internal arcs from the delay matrices.  The virtual clock
+    # pin is split into a source node (clk-to-q arcs leave it) and a
+    # sink node (setup arcs enter it); otherwise a register's
+    # (D -> @clk) and (@clk -> Q) arcs would chain into a false
+    # combinational D -> Q path.
+    for inst in netlist.modules:
+        matrix = module_delays(inst)
+        for (pin_in, pin_out), delay in matrix.items():
+            src_pin = "@clk:out" if pin_in == CLK_PIN else pin_in
+            dst_pin = "@clk:in" if pin_out == CLK_PIN else pin_out
+            src = touch(("pin", inst.name, src_pin))
+            dst = touch(("pin", inst.name, dst_pin))
+            edges[src].append((dst, float(delay)))
+
+    # Wiring arcs: per net bit, driver -> every reader, zero delay.
+    bit_drivers: Dict[Tuple[int, int], List[Node]] = defaultdict(list)
+    bit_readers: Dict[Tuple[int, int], List[Node]] = defaultdict(list)
+
+    for port in netlist.input_ports():
+        if port.is_sequential_boundary:
+            continue
+        node = touch(("port", port.name))
+        backing = netlist.port_net(port.name)
+        for bit in range(backing.width):
+            bit_drivers[(id(backing), bit)].append(node)
+
+    for port in netlist.output_ports():
+        node = touch(("port", port.name))
+        backing = netlist.port_net(port.name)
+        for bit in range(backing.width):
+            bit_readers[(id(backing), bit)].append(node)
+
+    for inst in netlist.modules:
+        for pin in inst.ports:
+            endpoint = inst.connections.get(pin.name)
+            if endpoint is None or pin.is_sequential_boundary:
+                continue
+            node = touch(("pin", inst.name, pin.name))
+            table = bit_readers if pin.is_input else bit_drivers
+            for atom in endpoint_bits(endpoint):
+                if atom is not None:
+                    table[(id(atom[0]), atom[1])].append(node)
+
+    wire_edges = set()
+    for key, drivers in bit_drivers.items():
+        for driver in drivers:
+            for reader in bit_readers.get(key, ()):
+                if (driver, reader) not in wire_edges:
+                    wire_edges.add((driver, reader))
+                    edges[driver].append((reader, 0.0))
+
+    return edges, nodes
+
+
+def _topological_order(
+    edges: Dict[Node, List[Tuple[Node, float]]], nodes: List[Node]
+) -> List[Node]:
+    indegree: Dict[Node, int] = {node: 0 for node in nodes}
+    for src, outs in edges.items():
+        for dst, _ in outs:
+            indegree[dst] += 1
+    queue = [node for node in nodes if indegree[node] == 0]
+    order: List[Node] = []
+    while queue:
+        node = queue.pop()
+        order.append(node)
+        for dst, _ in edges.get(node, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                queue.append(dst)
+    if len(order) != len(nodes):
+        cyclic = sorted(str(n) for n, d in indegree.items() if d > 0)[:8]
+        raise TimingCycleError(f"combinational cycle through: {', '.join(cyclic)}")
+    return order
+
+
+def _node_label(node: Node, output_names: set) -> str:
+    """Sink label for the result matrix: a port name or CLK_PIN.
+    Returns '' for nodes that are neither."""
+    if node[0] == "port":
+        return node[1] if node[1] in output_names else ""
+    if node[2] == "@clk:in":
+        return CLK_PIN
+    return ""
+
+
+def port_delay_matrix(netlist: Netlist, module_delays: DelayFn) -> Dict[Tuple[str, str], float]:
+    """Worst-case delay between timing endpoints of a netlist.
+
+    Endpoints are the netlist's own data ports plus the virtual
+    :data:`CLK_PIN`.  The result maps ``(source, sink)`` to
+    nanoseconds, where source is an input-port name or ``"@clk"`` and
+    sink is an output-port name or ``"@clk"``.  Only pairs connected by
+    an actual path appear.
+    """
+    edges, nodes = _build_graph(netlist, module_delays)
+    order = _topological_order(edges, nodes)
+    output_names = {p.name for p in netlist.output_ports()}
+    node_set = set(nodes)
+
+    sources: List[Tuple[str, Node]] = []
+    for port in netlist.input_ports():
+        if port.is_sequential_boundary:
+            continue
+        node = ("port", port.name)
+        if node in node_set:
+            sources.append((port.name, node))
+    for node in nodes:
+        if node[0] == "pin" and node[2] == "@clk:out" and edges.get(node):
+            sources.append((CLK_PIN, node))
+
+    result: Dict[Tuple[str, str], float] = {}
+    for source_name, src_node in sources:
+        dist: Dict[Node, float] = {src_node: 0.0}
+        for node in order:
+            if node not in dist:
+                continue
+            base = dist[node]
+            for dst, weight in edges.get(node, ()):
+                candidate = base + weight
+                if candidate > dist.get(dst, float("-inf")):
+                    dist[dst] = candidate
+        for node, value in dist.items():
+            if node is src_node:
+                continue
+            label = _node_label(node, output_names)
+            if not label:
+                continue
+            key = (source_name, label)
+            if value > result.get(key, float("-inf")):
+                result[key] = value
+    return result
 
 
 class ScalarSpace(DesignSpace):

@@ -10,13 +10,12 @@ matching (area, delay) summaries.
 """
 
 import pytest
-from reference_engine import ReferenceSpace, reference_combine
+from reference_engine import ReferenceSpace, port_delay_matrix, reference_combine
 
 from repro.api import Session
 from repro.core import ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.configs import make_configuration
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
-from repro.netlist.timing import port_delay_matrix
 from repro.techlib import lsi_logic_library
 
 

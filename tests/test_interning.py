@@ -15,7 +15,7 @@ import weakref
 from reference_engine import run_matrices
 
 from repro.core.configs import Configuration, make_configuration
-from repro.core.interning import CONFIGURATIONS, intern_configuration, intern_stats
+from repro.core.interning import CONFIGURATIONS, intern_stats
 from repro.core.specs import adder_spec, gate_spec
 
 
@@ -52,13 +52,6 @@ class TestInterning:
         assert hash(raw) == hash(interned)
         other = Configuration(5.0, ((("A", "S"), 1.0),), ((spec, 1),))
         assert raw != other
-
-    def test_intern_configuration_canonicalizes_raw_instances(self):
-        spec = adder_spec(4)
-        canonical = make_configuration(11, {("A", "S"): 1.5}, {spec: 0})
-        raw = Configuration(11.0, ((("A", "S"), 1.5),), ((spec, 0),))
-        assert intern_configuration(raw) is canonical
-        assert intern_configuration(canonical) is canonical
 
     def test_stats_count_hits_and_misses(self):
         spec = gate_spec("XOR")

@@ -8,9 +8,7 @@ from repro.netlist.nets import (
     Const,
     Net,
     NetRef,
-    const_bits,
     endpoint_bits,
-    endpoint_nets,
     endpoint_width,
 )
 
@@ -95,9 +93,6 @@ class TestConst:
     def test_bits_are_none(self):
         assert list(endpoint_bits(Const(5, 3))) == [None, None, None]
 
-    def test_const_bits_lsb_first(self):
-        assert list(const_bits(Const(0b101, 3))) == [1, 0, 1]
-
 
 class TestConcat:
     def test_width_sums(self):
@@ -120,18 +115,7 @@ class TestConcat:
         inner = Concat((a.ref(),))
         outer = Concat((inner, b.ref(), Const(1, 2)))
         assert outer.width == 4
-        assert list(const_bits(outer)) == [None, None, 1, 0]
-
-    def test_endpoint_nets_dedup(self):
-        a = Net("a", 4)
-        cat = Concat((a[0], a[1], a[2]))
-        assert list(endpoint_nets(cat)) == [a]
-
-
-@given(value=st.integers(0, 255))
-def test_const_bits_reassemble(value):
-    bits = list(const_bits(Const(value, 8)))
-    assert sum(bit << i for i, bit in enumerate(bits)) == value
+        assert list(endpoint_bits(outer)) == [(a, 0), (b, 0), None, None]
 
 
 def test_endpoint_width_dispatch():

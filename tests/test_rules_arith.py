@@ -25,7 +25,7 @@ def apply_and_check(rule_name, spec, vectors):
         sim = NetlistSimulator(netlist)
         for inputs in vectors:
             expected = combinational_eval(spec, inputs)
-            actual = sim.eval_comb(inputs)
+            actual = sim.outputs(inputs)
             for name, value in expected.items():
                 assert actual[name] == value, (
                     f"{netlist.name}.{name}: {inputs} -> {actual[name]}, "

@@ -32,7 +32,7 @@ def assert_equivalent(spec, netlist, vectors):
     sim = NetlistSimulator(netlist)
     for inputs in vectors:
         expected = combinational_eval(spec, inputs)
-        actual = sim.eval_comb(inputs)
+        actual = sim.outputs(inputs)
         for name, value in expected.items():
             assert actual[name] == value, (
                 f"{netlist.name}: {name} mismatch on {inputs}: "

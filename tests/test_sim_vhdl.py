@@ -34,7 +34,7 @@ class TestSimulator:
         netlist.add_module("g", spec, port_signature(spec),
                            {"I0": a.ref(), "O": o.ref()})
         with pytest.raises(SimulationError, match="missing input"):
-            NetlistSimulator(netlist).eval_comb({})
+            NetlistSimulator(netlist).outputs({})
 
     def test_true_loop_detected(self):
         """A ring oscillator (inverter feeding itself) never settles."""
@@ -44,7 +44,7 @@ class TestSimulator:
         netlist.add_module("g1", spec, port_signature(spec),
                            {"I0": o.ref(), "O": o.ref()})
         with pytest.raises(SimulationError, match="settle"):
-            NetlistSimulator(netlist).eval_comb({})
+            NetlistSimulator(netlist).outputs({})
 
     def test_concat_and_const_endpoints(self):
         netlist = Netlist("cat")
@@ -54,7 +54,7 @@ class TestSimulator:
         inst = netlist.add_module("g", spec, port_signature(spec),
                                   {"O": o.ref()})
         inst.connect("I0", Concat((a.ref(), Const(0b10, 2))))
-        out = NetlistSimulator(netlist).eval_comb({"A": 0b01})
+        out = NetlistSimulator(netlist).outputs({"A": 0b01})
         assert out["O"] == 0b1001
 
     def test_stable_feedback_through_register(self):

@@ -1,11 +1,13 @@
 """End-to-end DTAS tests: synthesis + materialization + verification."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.core import TradeoffFilter
-from repro.core.design_space import SynthesisError
+from repro.core.design_space import DesignTree, SynthesisError
 from repro.core.specs import (
     ALU16_OPS,
     adder_spec,
@@ -97,20 +99,75 @@ def test_section7_family_synthesizes_and_verifies(session, label, spec):
         check_combinational(spec, alt.tree(), vectors=24).assert_ok()
 
 
+def _onehot(v):
+    """Keep a counter's load/up/down controls one-hot."""
+    if v.get("CLOAD"):
+        v["CUP"] = v["CDOWN"] = 0
+    elif v.get("CUP"):
+        v["CDOWN"] = 0
+    return v
+
+
 def test_section7_counter(session):
     spec = counter_spec(8, enable=True)
     result = session.synthesize(spec).result
-
-    def onehot(v):
-        if v.get("CLOAD"):
-            v["CUP"] = v["CDOWN"] = 0
-        elif v.get("CUP"):
-            v["CDOWN"] = 0
-        return v
-
     for alt in result.alternatives:
         check_sequential(spec, alt.tree(), cycles=32,
-                         constrain=onehot).assert_ok()
+                         constrain=_onehot).assert_ok()
+
+
+def _rebind_first_leaf(tree, cell_name, new_cell):
+    """A copy of ``tree`` whose first ``cell_name`` leaf (depth first,
+    in netlist order) is bound to ``new_cell``; None without one."""
+    if tree.is_leaf:
+        binding = tree.impl.binding
+        if binding.cell.name != cell_name:
+            return None
+        impl = dataclasses.replace(
+            tree.impl, binding=dataclasses.replace(binding, cell=new_cell))
+        return DesignTree(tree.spec, impl)
+    for name, child in tree.children.items():
+        rebound = _rebind_first_leaf(child, cell_name, new_cell)
+        if rebound is not None:
+            return DesignTree(tree.spec, tree.impl,
+                              {**tree.children, name: rebound})
+    return None
+
+
+def _diverging(mismatch):
+    return {port for port, value in mismatch.expected.items()
+            if mismatch.actual[port] != value}
+
+
+class TestCheckersCatchWrongDesigns:
+    """A leaf rebound to a cell with the same pins but another function
+    must make the equivalence checkers report the output it corrupts."""
+
+    def test_combinational_mismatch(self, session):
+        spec = adder_spec(8)
+        for alt in session.synthesize(spec).result.alternatives:
+            tree = alt.tree()
+            wrong = _rebind_first_leaf(tree, "BUF1", session.library.cell("INV"))
+            if wrong is not None:
+                break
+        check_combinational(spec, tree, vectors=16).assert_ok()
+        report = check_combinational(spec, wrong, vectors=16)
+        assert not report.ok
+        assert _diverging(report.mismatches[0]) == {"CO"}  # BUF1 drives CO
+
+    def test_sequential_mismatch(self, session):
+        spec = counter_spec(4)
+        space = session.space
+        impl = next(i for i in space.expand(spec).impls if i.kind == "decomp")
+        tree = DesignTree(spec, impl, {
+            m.name: space.materialize(m.spec, space.configs(m.spec)[0])
+            for m in impl.netlist.modules
+        })
+        check_sequential(spec, tree, cycles=32, constrain=_onehot).assert_ok()
+        wrong = _rebind_first_leaf(tree, "INV", session.library.cell("BUF1"))
+        report = check_sequential(spec, wrong, cycles=32, constrain=_onehot)
+        assert not report.ok
+        assert _diverging(report.mismatches[0]) == {"O0"}
 
 
 class TestDesignTrees:

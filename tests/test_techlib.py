@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.specs import adder_spec, gate_spec, make_spec
-from repro.netlist.timing import CLK_PIN
+from repro.netlist.timing_program import CLK_PIN
 from repro.techlib import (
     CellLibrary,
     RTLCell,

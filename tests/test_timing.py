@@ -1,17 +1,35 @@
-"""Unit tests for the longest-path timing engine."""
+"""Hand-worked delays from the production timing engine.
+
+Each scenario runs one compiled kernel of a
+:class:`~repro.netlist.TimingProgram` through ``run_batch``, the call
+the design space makes; ``tests/test_timing_program.py`` checks the
+same scenarios against the direct oracle in ``reference_engine``.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
-from repro.netlist import Netlist, Port, TimingCycleError, port_delay_matrix
+from repro.netlist import Netlist, TimingCycleError, compile_timing
 from repro.netlist.ports import clock_port, in_port, out_port
-from repro.netlist.timing import (
-    CLK_PIN,
-    combinational_delay,
-    critical_path,
-    cycle_delay,
-    worst_delay,
-)
+from repro.netlist.timing_program import CLK_PIN
+
+
+def engine_delays(netlist, delays):
+    """``(delay matrix, worst delay)`` of one row that gives each
+    instance the delay matrix ``delays(instance)``."""
+    program = compile_timing(netlist)
+    items = [tuple(sorted(delays(inst).items())) for inst in netlist.modules]
+    kernel = program.kernel(tuple(tuple(k for k, _ in it) for it in items))
+    row = [SimpleNamespace(area=0.0, delay_values=tuple(v for _, v in it))
+           for it in items]
+    [(_, worst, values)] = kernel.run_batch([row], 1)
+    return dict(zip(kernel.keys, values)), worst
+
+
+def delay_matrix(netlist, delays):
+    return engine_delays(netlist, delays)[0]
 
 
 def _chain(n, delay=1.0):
@@ -33,12 +51,12 @@ def _chain(n, delay=1.0):
 class TestCombinational:
     def test_chain_accumulates(self):
         netlist, delays = _chain(5, 2.0)
-        matrix = port_delay_matrix(netlist, delays)
+        matrix = delay_matrix(netlist, delays)
         assert matrix[("A", "O")] == pytest.approx(10.0)
 
     def test_single_module(self):
         netlist, delays = _chain(1, 3.5)
-        assert port_delay_matrix(netlist, delays)[("A", "O")] == pytest.approx(3.5)
+        assert delay_matrix(netlist, delays)[("A", "O")] == pytest.approx(3.5)
 
     def test_parallel_paths_take_max(self):
         netlist = Netlist("par")
@@ -52,7 +70,7 @@ class TestCombinational:
         netlist.add_module("m", spec2, port_signature(spec2),
                            {"I0": a.ref(), "I1": slow.ref(), "O": o.ref()})
         delays = {"s": {("I0", "O"): 9.0}, "m": {("I0", "O"): 1.0, ("I1", "O"): 1.0}}
-        matrix = port_delay_matrix(netlist, lambda i: delays[i.name])
+        matrix = delay_matrix(netlist, lambda i: delays[i.name])
         assert matrix[("A", "O")] == pytest.approx(10.0)
 
     def test_ripple_adder_carry_chain(self):
@@ -75,7 +93,7 @@ class TestCombinational:
             carry = nxt
         cell = {("A", "S"): 5.0, ("B", "S"): 5.0, ("CI", "S"): 4.0,
                 ("A", "CO"): 5.5, ("B", "CO"): 5.5, ("CI", "CO"): 3.0}
-        matrix = port_delay_matrix(netlist, lambda i: cell)
+        matrix = delay_matrix(netlist, lambda i: cell)
         # A -> CO of last block: 5.5 + 3*3.0
         assert matrix[("A", "CO")] == pytest.approx(14.5)
         # A -> S through the chain: 5.5 + 2*3 + 4.0
@@ -91,7 +109,7 @@ class TestCombinational:
         netlist.add_module("g2", spec, port_signature(spec),
                            {"I0": o.ref(), "O": w.ref()})
         with pytest.raises(TimingCycleError):
-            port_delay_matrix(netlist, lambda i: {("I0", "O"): 1.0})
+            delay_matrix(netlist, lambda i: {("I0", "O"): 1.0})
 
 
 class TestSequential:
@@ -121,12 +139,12 @@ class TestSequential:
 
     def test_register_breaks_path(self):
         netlist, delays = self._registered_pipe()
-        matrix = port_delay_matrix(netlist, delays)
+        matrix = delay_matrix(netlist, delays)
         assert ("D", "Q") not in matrix
 
     def test_setup_and_clk_to_q_arcs(self):
         netlist, delays = self._registered_pipe()
-        matrix = port_delay_matrix(netlist, delays)
+        matrix = delay_matrix(netlist, delays)
         assert matrix[("D", CLK_PIN)] == pytest.approx(3.0)   # 2.0 + setup
         assert matrix[(CLK_PIN, "Q")] == pytest.approx(4.5)   # clk_to_q + 3.0
 
@@ -151,25 +169,14 @@ class TestSequential:
             "r1": {("D", CLK_PIN): 1.0, (CLK_PIN, "Q"): 2.0},
             "g": {("I0", "O"): 5.0},
         }
-        matrix = port_delay_matrix(netlist, lambda i: delays[i.name])
-        assert cycle_delay(matrix) == pytest.approx(8.0)  # 2 + 5 + 1
-        assert combinational_delay(matrix) == 0.0
+        matrix = delay_matrix(netlist, lambda i: delays[i.name])
+        assert matrix[(CLK_PIN, CLK_PIN)] == pytest.approx(8.0)  # 2 + 5 + 1
+        assert all(CLK_PIN in pair for pair in matrix)  # no port-to-port path
 
     def test_no_false_d_to_q_through_clk(self):
         """Splitting the virtual pin prevents D->@clk->Q chaining."""
         netlist, delays = self._registered_pipe()
-        matrix = port_delay_matrix(netlist, delays)
-        assert worst_delay(matrix) < 2.0 + 1.0 + 1.5 + 3.0
+        matrix, worst = engine_delays(netlist, delays)
+        assert worst == max(matrix.values())
+        assert worst < 2.0 + 1.0 + 1.5 + 3.0
 
-
-class TestCriticalPath:
-    def test_path_reconstruction(self):
-        netlist, delays = _chain(3, 1.0)
-        path = critical_path(netlist, delays, "A", "O")
-        assert path[0][0] == "port A"
-        assert path[-1][0] == "port O"
-        assert path[-1][1] == pytest.approx(3.0)
-
-    def test_missing_path_empty(self):
-        netlist, delays = _chain(2, 1.0)
-        assert critical_path(netlist, delays, "A", "Z") == []

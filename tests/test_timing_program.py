@@ -1,6 +1,7 @@
 """Compiled timing programs must match the direct graph walker
-bit-for-bit -- including sequential netlists with @clk virtual-pin
-arcs -- while rebuilding nothing between evaluations."""
+(``reference_engine.port_delay_matrix``) bit-for-bit -- including
+sequential netlists with @clk virtual-pin arcs -- while rebuilding
+nothing between evaluations."""
 
 import dis
 import json
@@ -12,15 +13,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from reference_engine import reference_run, run_matrices
+from reference_engine import port_delay_matrix, reference_run, run_matrices
 
 from repro.core.rulebase.logic import gate_bitslice
 from repro.core.rules import RuleContext
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
-from repro.netlist import Netlist, TimingProgram, compile_timing, port_delay_matrix
+from repro.netlist import Netlist, TimingCycleError, TimingProgram, compile_timing
 from repro.netlist import timing_program
 from repro.netlist.ports import clock_port, in_port, out_port
-from repro.netlist.timing import CLK_PIN, TimingCycleError
+from repro.netlist.timing_program import CLK_PIN
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
