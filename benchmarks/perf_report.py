@@ -25,10 +25,8 @@ a reduced workload set for CI smoke.
 one, exiting nonzero on any drift and printing a unified diff of every
 drifting key -- the CI perf-smoke step uses this, so a behavioral
 regression fails the build with a diagnosable log instead of waiting
-for a reviewer to eyeball the JSON.  ``--jobs`` runs every workload
-through the fork-parallel evaluator (results must not change --
-compare mode doubles as a parity check), and ``--order`` switches the
-S1 enumeration order for ad-hoc measurements.
+for a reviewer to eyeball the JSON.  ``--order`` switches the S1
+enumeration order for ad-hoc measurements.
 """
 
 from __future__ import annotations
@@ -83,31 +81,28 @@ def _note_combinations(session: Session) -> None:
     _LAST_COMBINATIONS[0] = session.space.combinations_costed
 
 
-def _synth(spec, perf_filter: str, max_combinations=None, order=None,
-           jobs: int = 1):
+def _synth(spec, perf_filter: str, max_combinations=None, order=None):
     """One workload: a fresh session (shared process-wide caches stay
     warm, per-session design space starts cold), one request."""
     session = Session(library="lsi_logic", perf_filter=perf_filter,
-                      max_combinations=max_combinations, order=order,
-                      jobs=jobs)
+                      max_combinations=max_combinations, order=order)
     job = session.synthesize(spec)
     _note_combinations(session)
     return job
 
 
-def _workloads(quick: bool, jobs: int = 1,
+def _workloads(quick: bool,
                order: Optional[str] = None) -> List[Tuple[str, Callable]]:
     """(name, thunk) pairs; each thunk runs one synthesis workload.
 
-    ``jobs``/``order`` apply to every workload that does not pin its
-    own order -- with the defaults the results section is byte-stable
+    ``order`` applies to every workload that does not pin its own
+    order -- with the default the results section is byte-stable
     against the checked-in report.
     """
 
     def synth(spec, perf_filter, max_combinations=None, pinned_order=None):
         return _synth(spec, perf_filter, max_combinations=max_combinations,
-                      order=pinned_order if pinned_order is not None else order,
-                      jobs=jobs)
+                      order=pinned_order if pinned_order is not None else order)
 
     jobs_list: List[Tuple[str, Callable]] = [
         ("adder16_pareto",
@@ -145,14 +140,13 @@ def _workloads(quick: bool, jobs: int = 1,
              lambda: synth(alu_spec(64), "pareto", max_combinations=40,
                            pinned_order="frontier")),
         ]
-        jobs_list += _store_workload_pair(jobs=jobs, order=order)
-        jobs_list += _node_workload(jobs=jobs, order=order)
+        jobs_list += _store_workload_pair(order=order)
+        jobs_list += _node_workload(order=order)
         jobs_list += _serve_workload_pair()
     return jobs_list
 
 
-def _store_workload_pair(jobs: int = 1,
-                         order: Optional[str] = None
+def _store_workload_pair(order: Optional[str] = None
                          ) -> List[Tuple[str, Callable]]:
     """The cold-vs-warm store pair: the same ALU64 request against one
     shared result store (:mod:`repro.store`).
@@ -180,7 +174,7 @@ def _store_workload_pair(jobs: int = 1,
 
     def stored_synth():
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs, store=shared_store())
+                          order=order, store=shared_store())
         job = session.synthesize(alu_spec(64))
         _note_combinations(session)
         return job
@@ -198,8 +192,7 @@ def _store_workload_pair(jobs: int = 1,
     return [("alu64_cold", cold), ("alu64_store_warm", warm)]
 
 
-def _node_workload(jobs: int = 1,
-                   order: Optional[str] = None
+def _node_workload(order: Optional[str] = None
                    ) -> List[Tuple[str, Callable]]:
     """``alu64_nodes_warm``: the subtree-sharing workload.
 
@@ -230,11 +223,10 @@ def _node_workload(jobs: int = 1,
         nodes = shared_nodes()
         if not state.get("warmed"):
             Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                    order=order, jobs=jobs,
-                    node_store=nodes).synthesize(alu_spec(64))
+                    order=order, node_store=nodes).synthesize(alu_spec(64))
             state["warmed"] = True
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          order=order, jobs=jobs, node_store=nodes)
+                          order=order, node_store=nodes)
         job = session.synthesize(comparator_spec(64))
         _note_combinations(session)
         if session.node_cache_stats()["hits"] < 1:
@@ -375,7 +367,7 @@ def _run_workload(thunk: Callable, repeats: int) -> Tuple[Dict, Dict]:
     return results, timings
 
 
-def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
+def run(repeats: int = 3, quick: bool = False,
         order: Optional[str] = None,
         only: Optional[List[str]] = None) -> Dict:
     """Run every workload; return the report as a dict.
@@ -387,7 +379,7 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
     reading ``timings`` as a trend.  ``only`` restricts the run to the
     named workloads (the --workload dev loop).
     """
-    workloads = _workloads(quick, jobs=jobs, order=order)
+    workloads = _workloads(quick, order=order)
     if only:
         known = {name for name, _ in workloads}
         missing = [name for name in only if name not in known]
@@ -414,10 +406,9 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
             "unix_time": time.time(),
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "jobs": jobs,
-            # Contextualizes the parallel workloads: a wall-clock
-            # "regression" on --jobs runs usually just means fewer
-            # cores than the run that wrote the baseline.
+            # Contextualizes the fleet workloads: a wall-clock
+            # "regression" on serve_throughput_2w usually just means
+            # fewer cores than the run that wrote the baseline.
             "cpu_count": os.cpu_count(),
         },
     }
@@ -496,9 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--baseline", type=Path, default=DEFAULT_OUTPUT,
                         help="baseline report for --compare "
                              f"(default: {DEFAULT_OUTPUT})")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel evaluation fork workers per session "
-                             "(results must not change; default: 1)")
     parser.add_argument("--order", default=None,
                         help="S1 enumeration order override for ad-hoc "
                              "measurements (lex, frontier)")
@@ -521,7 +509,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     try:
-        report = run(repeats=args.repeats, quick=args.quick, jobs=args.jobs,
+        report = run(repeats=args.repeats, quick=args.quick,
                      order=args.order, only=args.workloads)
     except KeyError as error:
         print(f"perf_report: {error.args[0]}", file=sys.stderr)

@@ -264,9 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--emit", default="report", metavar="NAMES",
         help="comma-separated emitters (default: report; "
              "see 'repro list emitters')")
-    synth.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fork workers for parallel subtree evaluation (default: 1)")
     _add_store_arg(synth, default=None,
                    help_suffix=" (default: no persistence)")
     _add_node_store_arg(synth, default=None,
@@ -326,9 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_node_store_arg(warm, default=None,
                         help_suffix=" (default with --nodes: the nodes "
                                      "table in the result store's file)")
-    warm.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fork workers for parallel subtree evaluation (default: 1)")
 
     cache = sub.add_parser(
         "cache",
@@ -483,7 +477,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             rulebase=args.rulebase,
             perf_filter=args.perf_filter,
             max_combinations=args.max_combinations,
-            jobs=args.jobs,
             order=args.order,
             store=args.store,
             node_store=args.node_store,
@@ -629,7 +622,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             rulebase=args.rulebase,
             perf_filter=args.perf_filter,
             max_combinations=args.max_combinations,
-            jobs=args.jobs,
             order=args.order,
             store=store,
             node_store=node_designator,

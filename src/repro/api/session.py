@@ -67,9 +67,6 @@ class Session:
     max_combinations:
         Per-node cap on the streamed S1 cross product (at least 1);
         None keeps the engine default.  Fixed for the session's life.
-    jobs:
-        Fork-worker count for parallel subtree evaluation (1 =
-        sequential; sequential too where ``fork`` is unavailable).
     order:
         S1 enumeration order: a name registered in
         :data:`~repro.api.registry.ORDERS` (``"lex"`` default,
@@ -93,8 +90,8 @@ class Session:
         requests, the node cache shares expanded *subtrees*: during
         evaluation every decomposition node is probed before its S1
         cross product runs and published after, so a different request
-        over an overlapping subgraph -- or a fork worker evaluating a
-        sibling partition -- reuses this one's leaves.  Results are
+        over an overlapping subgraph -- in this process or another
+        sharing the file -- reuses this one's leaves.  Results are
         byte-identical with the cache on, off, or half-warm.
 
     The library and rulebase are fixed when the session is built, and
@@ -104,6 +101,10 @@ class Session:
     another session (with :func:`repro.lola.adapt_rulebase` for the
     paper's LOLA flow); it may share this one's stores, whose keys
     keep the two libraries apart.
+
+    A request is evaluated in one sequential bottom-up pass.
+    Parallelism lives across requests, in the fleet (``repro fleet``,
+    :mod:`repro.fleet`), whose workers share the stores.
     """
 
     def __init__(
@@ -114,7 +115,6 @@ class Session:
         *,
         extra_rules: Sequence[Rule] = (),
         max_combinations: Optional[int] = None,
-        jobs: int = 1,
         order: Any = None,
         store: Any = None,
         node_store: Any = None,
@@ -130,7 +130,6 @@ class Session:
             self.library,
             self.perf_filter,
             max_combinations=max_combinations,
-            jobs=jobs,
             order=create_order(order),
         )
         self._legend_libraries: Dict[str, Any] = {}
@@ -297,9 +296,7 @@ class Session:
     def fingerprint(self, target: RequestLike) -> Optional[str]:
         """The store key this session would use for ``target``, or
         ``None`` when the request is not content-addressable (netlist
-        requests, filters with non-scalar state).  The worker count is
-        deliberately excluded: fork workers answer like the sequential
-        walk."""
+        requests, filters with non-scalar state)."""
         from repro.store.fingerprint import session_fingerprint
 
         request = SynthesisRequest.coerce(target)

@@ -30,7 +30,6 @@ from repro.core.filters import (
 from repro.core.configs import Configuration, pareto_rank_order
 from repro.core.design_space import DesignSpace, Implementation, SpecNode
 from repro.core.interning import intern_stats
-from repro.core.parallel import parallel_prefill
 from repro.core.rules import Rule, RuleBase
 from repro.core.synthesizer import SynthesisResult
 
@@ -72,6 +71,5 @@ __all__ = [
     "intern_stats",
     "make_spec",
     "pareto_rank_order",
-    "parallel_prefill",
     "port_signature",
 ]

@@ -66,7 +66,6 @@ nothing else.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,10 +120,6 @@ class IdTable:
                     self.values.append(key if value is None else value)
         return ident
 
-    def _reinit_lock(self) -> None:
-        """Post-fork hook: a fork can snapshot the lock held."""
-        self._lock = threading.Lock()
-
 
 #: Spec ids, keyed by the spec's field values (not the spec object, so
 #: the table never pins a spec the weak spec intern table would free);
@@ -132,10 +127,6 @@ class IdTable:
 SPEC_IDS = IdTable()
 #: Arc-signature ids, keyed by a delay matrix's ``arc_keys`` tuple.
 ARC_IDS = IdTable()
-
-if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
-    os.register_at_fork(after_in_child=SPEC_IDS._reinit_lock)
-    os.register_at_fork(after_in_child=ARC_IDS._reinit_lock)
 
 
 _first = itemgetter(0)
@@ -274,9 +265,9 @@ class Configuration:
     def __reduce__(self):
         """Pickle by value only -- none of the lazily built caches (and
         never ``_intern_id``, which is process-specific) enter the
-        payload; unpickling re-interns, so configurations shipped back
-        from a multiprocessing worker land as canonical instances of
-        the receiving process."""
+        payload; unpickling re-interns, so a configuration pickled in
+        another process lands as the receiving process's canonical
+        instance."""
         return (_restore_configuration, (self.area, self.delays, self.choices))
 
 

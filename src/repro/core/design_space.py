@@ -14,10 +14,9 @@ specification node is first matched against the cell library
 recursing into the module specifications of each decomposition.  A
 node's children through one decomposition are defined in one place,
 :func:`distinct_module_specs`: the netlist's distinct module specs,
-built once per rule netlist and process-wide.  Expansion, evaluation,
-reachability, dependency edges and parallel partitioning all walk that
-tuple, so each child is visited once per decomposition rather than
-once per module instance.
+built once per rule netlist and process-wide.  Expansion, evaluation
+and reachability all walk that tuple, so each child is visited once
+per decomposition rather than once per module instance.
 
 Evaluation computes, bottom-up, the set of costed
 :class:`~repro.core.configs.Configuration` alternatives per node, with
@@ -53,23 +52,22 @@ The evaluation inner loop is engineered for the paper's scale claim
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
   skip re-expansion;
-- with ``jobs > 1`` the expanded spec graph is topologically
-  partitioned into independent subtrees and evaluated in forked
-  workers (:mod:`repro.core.parallel`, with its parity caveat);
-  configurations are interned process-wide
-  (:mod:`repro.core.interning`), so the workers' results land as the
-  parent's canonical objects;
+- configurations are interned process-wide
+  (:mod:`repro.core.interning`), so node-store and result-store loads
+  land as canonical objects;
 - with an attached node store (:mod:`repro.nodestore`, via
   :meth:`DesignSpace.attach_node_store`), every decomposition node's
   filtered option list is probed in a persistent content-addressed
   cache before its S1 cross product runs and published after --
-  subtree-level work sharing across requests, processes, and fork
-  workers, bit-identical to plain evaluation.
+  subtree-level work sharing across requests and processes,
+  bit-identical to plain evaluation.
+
+Evaluation is one sequential pass per request.  Parallelism lives
+across requests, in the fleet (:mod:`repro.fleet`), not inside one.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
@@ -135,20 +133,8 @@ _EXPANSION_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 # Guards node_stats increments and the phase clocks.  A space runs on
 # one thread at a time, but not always the same one (a serving process
-# runs each session's jobs on its executor threads).  Module level
-# rather than per-space so forked workers can re-arm it: a fork can
-# snapshot the lock held, and the child has no owner thread to release
-# it.
+# runs each session's jobs on its executor threads).
 _NODE_STATS_LOCK = threading.Lock()
-
-
-def _reinit_node_stats_lock() -> None:
-    global _NODE_STATS_LOCK
-    _NODE_STATS_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
-    os.register_at_fork(after_in_child=_reinit_node_stats_lock)
 
 
 class _LibraryCache:
@@ -209,10 +195,9 @@ def distinct_module_specs(netlist: Netlist) -> Tuple[ComponentSpec, ...]:
     instance order: a node's children through this decomposition, and
     the slot order of its spec timing program.  Built once per netlist,
     process-wide, and attached beside the timing program, so the walks
-    over a node's children (expansion, evaluation, reachability,
-    dependency edges, parallel partitioning) visit each child once
-    instead of once per module instance.  Same read-only contract as
-    :func:`_spec_timing_program`."""
+    over a node's children (expansion, evaluation, reachability) visit
+    each child once instead of once per module instance.  Same
+    read-only contract as :func:`_spec_timing_program`."""
     children = netlist.__dict__.get("_spec_children")
     if children is None:
         children = netlist._spec_children = tuple(
@@ -328,7 +313,6 @@ class DesignSpace:
         library: CellLibrary,
         perf_filter: Optional[PerformanceFilter] = None,
         max_combinations: Optional[int] = None,
-        jobs: int = 1,
         order: object = "lex",
     ) -> None:
         self.rulebase = rulebase
@@ -340,9 +324,6 @@ class DesignSpace:
             raise ValueError(
                 f"max_combinations must be at least 1, got {max_combinations}")
         self._max_combinations = max_combinations
-        #: Fork-worker count for parallel subtree evaluation (1 = the
-        #: sequential bottom-up walk; see :mod:`repro.core.parallel`).
-        self.jobs = max(1, int(jobs))
         #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
         #: callable reordering one option list (resolved once).
         self.order = resolve_order(order)
@@ -355,9 +336,6 @@ class DesignSpace:
         self.failures: Dict[ComponentSpec, str] = {}
         self._configs: Dict[ComponentSpec, List[Configuration]] = {}
         self._count_memo: Dict[ComponentSpec, int] = {}
-        #: Scheduling counters of the most recent parallel prefill
-        #: (None until one runs; see :func:`repro.core.parallel.parallel_prefill`).
-        self.last_parallel_stats: Optional[Dict[str, object]] = None
         #: Optional persistent per-node option cache
         #: (:class:`repro.nodestore.NodeStore`); attach with
         #: :meth:`attach_node_store`.  ``None`` = evaluate everything.
@@ -384,9 +362,8 @@ class DesignSpace:
         #: calls), so summing phases never double-counts.
         self.phase_seconds: Dict[str, float] = {}
         # Re-entrancy guards: specs mid-expansion / mid-evaluation on
-        # the current call stack.  One space runs on one thread (fork
-        # workers each own a copy), so a spec found here is a
-        # decomposition cycle.
+        # the current call stack.  One space runs on one thread at a
+        # time, so a spec found here is a decomposition cycle.
         self._expanding: Set[ComponentSpec] = set()
         self._evaluating: Set[ComponentSpec] = set()
 
@@ -706,10 +683,6 @@ class DesignSpace:
     # ------------------------------------------------------------------
     def alternatives(self, spec: ComponentSpec) -> List[Configuration]:
         """Expand and evaluate a single component specification."""
-        if self.jobs > 1 and spec not in self._configs:
-            from repro.core.parallel import parallel_prefill
-
-            parallel_prefill(self, [spec])
         selected = self.configs(spec)
         if not selected:
             raise SynthesisError(self._failure_message(spec))
@@ -723,10 +696,6 @@ class DesignSpace:
         of module implementations, costed with structural timing.
         """
         distinct_specs = list(dict.fromkeys(m.spec for m in netlist.modules))
-        if self.jobs > 1 and any(s not in self._configs for s in distinct_specs):
-            from repro.core.parallel import parallel_prefill
-
-            parallel_prefill(self, distinct_specs)
         option_lists = []
         for sub in distinct_specs:
             options = self.configs(sub)

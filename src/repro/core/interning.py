@@ -14,8 +14,8 @@ asks the table for the canonical instance, so
   tables) be computed once and shared by every user;
 - each configuration carries a stable ``interned_id``, a small int;
 - pickles round-trip through the table
-  (``Configuration.__reduce__``), so results shipped back from
-  multiprocessing workers land as canonical parent-process instances.
+  (``Configuration.__reduce__``), so a configuration pickled in
+  another process lands as this process's canonical instance.
 
 The table holds its entries *weakly* by value: when the last outside
 reference to a configuration dies, its entry (and key tuple) is
@@ -26,13 +26,12 @@ Interning is keyed purely on value -- (area, delays, id_choices), where
 the ``(spec id, impl)`` pairs stand for the choices because spec ids
 are by value, so a lookup hashes small ints instead of specs -- and
 never changes what a configuration *is*, only how many copies of it
-exist, which is why the parallel/interned engine stays bit-identical
-to the sequential one.
+exist, which is why the interned engine stays bit-identical to an
+uninterned one.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, TYPE_CHECKING
 from weakref import WeakValueDictionary
@@ -62,8 +61,8 @@ class InternTable:
         self.hits = 0
         self.misses = 0
         #: Configurations that entered through :meth:`revive_parts` --
-        #: i.e. loaded from outside the process (pickles shipped back
-        #: from workers, result-store payloads) rather than computed.
+        #: i.e. loaded from outside the process (pickles, result-store
+        #: and node-store payloads) rather than computed.
         self.revived = 0
 
     # ------------------------------------------------------------------
@@ -104,15 +103,15 @@ class InternTable:
     def revive_parts(self, area, delays, choices, id_choices,
                      cls) -> "Configuration":
         """Re-intern a configuration that was serialized in another
-        process (or another run of this one): pickle payloads from
-        multiprocessing workers and result-store loads both land here.
+        process (or another run of this one): pickle payloads and
+        result-store and node-store loads all land here.
 
         Exactly :meth:`intern_parts` -- the loaded value collapses onto
         the canonical instance, identical (``is``) to a freshly
         computed equal configuration -- plus a counter, so serving
         metrics can report how much work arrived warm.  The increment
         takes the table lock like every other counter: revivals land
-        concurrently from serve executor threads and worker pickles."""
+        concurrently from serve executor threads."""
         with self._lock:
             self.revived += 1
         return self.intern_parts(area, delays, choices, id_choices, cls)
@@ -134,20 +133,9 @@ class InternTable:
             self.misses = 0
             self.revived = 0
 
-    def _reinit_lock(self) -> None:
-        """Replace the lock with a fresh one (post-fork hook: a fork
-        can snapshot the lock in the held state if another thread was
-        interning at that instant; the child has no owner thread to
-        release it, so every worker would deadlock on its first
-        ``make_configuration``)."""
-        self._lock = threading.Lock()
-
 
 #: The process-wide table every :func:`make_configuration` goes through.
 CONFIGURATIONS = InternTable()
-
-if hasattr(os, "register_at_fork"):  # POSIX: keep forked workers safe
-    os.register_at_fork(after_in_child=CONFIGURATIONS._reinit_lock)
 
 
 def intern_stats() -> Dict[str, int]:

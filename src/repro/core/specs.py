@@ -23,7 +23,6 @@ netlists, simulation, VHDL emission, and timing all agree on interfaces.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -119,8 +118,8 @@ class ComponentSpec:
         None of the lazy caches enter the payload (``_hash`` embeds the
         per-process string-hash seed, so shipping it would silently
         break dict lookups in the receiving process), and unpickling
-        lands on the canonical interned instance, so specs shipped back
-        from worker processes keep the identity fast paths effective."""
+        lands on the canonical interned instance, so specs pickled in
+        another process keep the identity fast paths effective."""
         return (_restore_spec, (self.ctype, self.width, self.attrs))
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -187,11 +186,6 @@ class ComponentSpec:
 # pickles or built directly still compare by value).
 _SPEC_INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _SPEC_INTERN_LOCK = threading.Lock()
-
-if hasattr(os, "register_at_fork"):  # a fork can snapshot a held lock
-    os.register_at_fork(
-        after_in_child=lambda: globals().__setitem__(
-            "_SPEC_INTERN_LOCK", threading.Lock()))
 
 
 def make_spec(ctype: str, width: int = 1, **attrs: Any) -> ComponentSpec:

@@ -157,31 +157,6 @@ class Netlist:
     def output_ports(self) -> List[Port]:
         return [p for p in self.ports if p.is_output]
 
-    # ------------------------------------------------------------------
-    # analysis helpers
-    # ------------------------------------------------------------------
-    def drivers_of_bit(self, net: Net, bit: int) -> List[Tuple[str, str]]:
-        """Who drives ``net[bit]``?  Returns ``(kind, name)`` pairs where
-        kind is ``"port"`` (an input port seen from inside) or
-        ``"pin"`` with name ``"module.pin"``."""
-        from repro.netlist.nets import endpoint_bits
-
-        found: List[Tuple[str, str]] = []
-        for port in self.input_ports():
-            backing = self._port_nets[port.name]
-            if backing is net and 0 <= bit < backing.width:
-                found.append(("port", port.name))
-        for inst in self.modules:
-            for pin in inst.output_pins():
-                endpoint = inst.connections.get(pin.name)
-                if endpoint is None:
-                    continue
-                for atom in endpoint_bits(endpoint):
-                    if atom is not None and atom[0] is net and atom[1] == bit:
-                        found.append(("pin", f"{inst.name}.{pin.name}"))
-                        break
-        return found
-
     def __repr__(self) -> str:
         return (
             f"Netlist({self.name!r}, ports={len(self.ports)}, "

@@ -179,21 +179,6 @@ class _Kernel:
         self._compiled: Optional[Tuple[Tuple[Tuple[str, str], ...],
                                        Callable]] = None
 
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self):
-        """The generated function stays process-local (functions built
-        by ``exec`` do not pickle); shipped kernels recompile lazily on
-        first run, keeping programs picklable by construction."""
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__ if name != "_compiled"
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._compiled = None
-
     @property
     def keys(self) -> Tuple[Tuple[str, str], ...]:
         """The sorted (source, sink) result pairs, the same for every
@@ -440,17 +425,10 @@ class TimingProgram:
         Defaults to the instance name (every instance its own slot).
         Slot order is first-seen instance order.
 
-    Programs are picklable by construction (``slot_of`` is consumed at
-    compile time, never stored), so the multiprocessing evaluation
-    backend and future remote workers can ship compiled programs
-    whole: the interned node table, wiring arcs, and any already
-    compiled per-signature kernels travel with the program (each
-    kernel regenerates its function on first run there), and
-    evaluation on the receiving side is bit-identical (prefix sums and
-    ``max`` over identical paths).  Keep the invariant that nothing
-    pickled here is process-local: no lambdas, no weakrefs, no
-    id()-keyed tables (the arc-id lookup table of :meth:`kernel_for`
-    is dropped on pickling and refills on use).
+    Programs are process-local: ``slot_of`` is consumed at compile
+    time, but each kernel's generated function is built by ``exec``
+    and the arc-id lookup table of :meth:`kernel_for` keys on
+    process-local ids, so a program is never pickled.
     """
 
     def __init__(
@@ -463,8 +441,7 @@ class TimingProgram:
         self._nodes: List[Node] = []
         self._kernels: Dict[Tuple[ArcKeys, ...], _Kernel] = {}
         #: The same kernels by a caller's tuple of per-slot arc ids
-        #: (:meth:`kernel_for`).  Ids are process-local, so this table
-        #: is never pickled.
+        #: (:meth:`kernel_for`).  Ids are process-local.
         self._by_ids: Dict[Tuple[int, ...], _Kernel] = {}
 
         # --- slots -----------------------------------------------------
@@ -630,16 +607,6 @@ class TimingProgram:
             kernel = self._by_ids[arc_ids] = self.kernel(
                 tuple([arc_keys[arc] for arc in arc_ids]))
         return kernel
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_by_ids"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._by_ids = {}
 
 
 def compile_timing(

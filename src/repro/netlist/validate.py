@@ -100,11 +100,12 @@ def validate_netlist(netlist: Netlist, require_driven_outputs: bool = True) -> N
         driven.append((endpoint, who))
         return True
 
-    for port in netlist.input_ports():
+    for port in netlist.ports:
         backing = netlist.port_net(port.name)
         if backing.width != port.width:
             problems.append(f"port {port.name!r} width {port.width} != backing net width {backing.width}")
-        drive(backing.ref(), f"input port {port.name}")
+    for port in netlist.input_ports():
+        drive(netlist.port_net(port.name).ref(), f"input port {port.name}")
 
     reads = []
     for inst in netlist.modules:

@@ -12,15 +12,16 @@ search controls, canonical spec token) -- see
 by default lives *in the result store's file*, fronted by a bounded
 in-process tier.
 
-That makes two kinds of sharing work that request-level caching cannot:
+That makes sharing work that request-level caching cannot:
 
 - **cross-request**: two different requests over overlapping expanded
   subgraphs (an ALU64 and a bare COMPARATOR<64> share ~100 of the
   ALU's 113 decomposition nodes) reuse each other's subtrees;
-- **cross-worker**: the fork workers of ``jobs > 1`` probe and
-  publish through the shared file (connections re-open per pid),
-  so overlapping leaves are evaluated once per *cache*, not once per
-  worker -- the sharing that makes deep partitions profitable.
+- **cross-process**: ``repro serve`` and fleet workers opening the
+  same file probe and publish through it, so a subtree one process
+  evaluated is warm for the others.  Parallelism lives in the fleet,
+  across requests; one request's evaluation is a single sequential
+  pass.
 
 Correctness contract: loads re-intern through
 :mod:`repro.core.interning`, every load is sanity-checked against the

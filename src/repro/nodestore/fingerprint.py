@@ -17,13 +17,10 @@ computes for it -- as a pure function of
   sorted by construction, so two specs built from differently-ordered
   attribute dicts land on the same key).
 
-Deliberately excluded, exactly as in the request-level fingerprint:
-``jobs`` (fork workers answer like the sequential walk, so the two
-share entries), and
-anything above the node -- the *request* never enters a node key, which
-is the whole point: two different requests over overlapping subgraphs
-(an ALU64 and a bare COMPARATOR<64>) produce identical node keys for
-the shared nodes.
+Deliberately excluded is anything above the node -- the *request*
+never enters a node key, which is the whole point: two different
+requests over overlapping subgraphs (an ALU64 and a bare
+COMPARATOR<64>) produce identical node keys for the shared nodes.
 
 A ``None`` space key means "this space is not node-cacheable" (a
 filter with non-scalar state); the engine then simply evaluates

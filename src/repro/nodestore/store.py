@@ -19,13 +19,9 @@ Two tiers:
     interned objects, so the tier adds no copies.
 
 **SQLite (persistent)**
-    Survives the process and is shared across processes -- including
-    the *fork workers* of ``jobs > 1``: every
-    operation re-opens the connection if the pid changed since the
-    store was built (an inherited SQLite handle must never be used
-    across ``fork``), so each worker transparently gets its own
-    connection to the shared file and publishes/probes leaves the
-    other workers can reuse.
+    Survives the process and is shared across processes: every
+    ``repro serve`` or fleet worker that opens the same file probes
+    and publishes nodes the others can reuse.
 
 Loads re-intern through :func:`repro.core.configs.revive_configuration`
 (via :func:`repro.store.serialize.config_from_jsonable`), so a
@@ -41,16 +37,12 @@ must never break synthesis.
 The SQLite lifecycle, table set-up and maintenance surface (``len``,
 ``in``, ``entries``, ``info``, ``prune``, ``clear``, ``close``) are
 :class:`repro.store.store.CacheTable`'s, shared with the result store;
-this module adds the hot tier, the per-pid re-open and the payload
-codec.
+this module adds the hot tier and the payload codec.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
-import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -106,7 +98,6 @@ class NodeStore(CacheTable, NodeStoreBackend):
     def __init__(self, path: Union[str, Path, None] = None,
                  hot_entries: int = HOT_TIER_ENTRIES,
                  busy_timeout_ms: int = 10_000) -> None:
-        self._pid = os.getpid()
         self._hot: "OrderedDict[str, Tuple[tuple, int]]" = OrderedDict()
         self._hot_entries = max(1, hot_entries)
         #: Monotonic serving counters (guarded by the lock; shared by
@@ -130,30 +121,6 @@ class NodeStore(CacheTable, NodeStoreBackend):
         synthesis (caller holds the lock)."""
         self.errors += 1
 
-    def _ensure_open(self) -> None:
-        """Re-open after ``fork``: the parallel evaluator's workers inherit
-        this object (that is how they share the cache at all), but an
-        SQLite connection must not cross a fork -- and neither may the
-        inherited lock, which another thread could have held at fork
-        time.  Called with no lock held; pid transitions are detected
-        exactly once per child because the replacement is atomic under
-        the *new* lock."""
-        if os.getpid() == self._pid:
-            return
-        # Pool workers start single-threaded, so plain replacement is
-        # safe; the worst a racing double-reopen could do is leak one
-        # connection.  ``_pid`` is written last so a concurrent caller
-        # re-enters here rather than using a half-replaced pair.
-        self._lock = threading.Lock()
-        try:
-            self._db = self._connect()
-        except sqlite3.Error:
-            # Degrade to the hot tier in this child: a closed
-            # connection fails every statement into ``errors``.
-            self._db = sqlite3.connect(":memory:")
-            self._db.close()
-        self._pid = os.getpid()
-
     def _forget(self) -> None:
         # Evicted rows must not linger hot.
         self._hot.clear()
@@ -175,7 +142,6 @@ class NodeStore(CacheTable, NodeStoreBackend):
         reported as a miss, so the engine recomputes and overwrites it
         rather than serving choice maps that index a different
         implementation list."""
-        self._ensure_open()
         with self._lock:
             entry = self._hot.get(fingerprint)
             if entry is not None:
@@ -214,15 +180,14 @@ class NodeStore(CacheTable, NodeStoreBackend):
         """Persist one node's filtered option list (list order is part
         of the contract: parents enumerate options in exactly this
         order).  Returns True only when the entry actually reached the
-        SQLite tier -- a write that failed (disk full, post-fork reopen
-        failure) still serves this process from the hot tier but counts
-        under ``errors``, never ``published``.
+        SQLite tier -- a write that failed (disk full, say) still
+        serves this process from the hot tier but counts under
+        ``errors``, never ``published``.
 
         An entry already hot *and* still on disk is skipped (a sibling
         thread just published it); hot-but-evicted entries -- another
         handle pruned the file -- are re-persisted, so pruning cannot
         permanently banish the busiest nodes."""
-        self._ensure_open()
         with self._lock:
             if fingerprint in self._hot and self._row_exists_locked(
                     fingerprint):

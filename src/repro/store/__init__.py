@@ -8,8 +8,7 @@ results -- Pareto configurations, reports, stats, timing-program
 metadata -- in one SQLite file, keyed by a canonical content
 fingerprint of everything the result depends on
 (:mod:`repro.store.fingerprint`): the library data book, the rulebase,
-the request, and the search controls, but *not* the worker count
-(parallel evaluation is bit-identical to sequential).
+the request, and the search controls.
 
 Loaded results re-intern through :mod:`repro.core.interning`
 (:mod:`repro.store.serialize`), so a warm-loaded configuration is the

@@ -22,12 +22,6 @@ nothing it does not:
 - the store's **payload schema version**, so a format change simply
   misses instead of deserializing garbage.
 
-Deliberately *excluded* is ``jobs``: the fork workers answer like the
-sequential walk (pinned over the catalogue by
-``tests/test_parallel_parity.py``; see the parity caveat in
-:mod:`repro.core.parallel`), so a result computed with 4 workers
-serves a sequential request and vice versa.
-
 Digests are SHA-256 over canonical JSON (sorted keys, compact
 separators) -- stable across processes and Python hash seeds, unlike
 ``hash()``.  Anything that cannot be canonicalized (a filter with

@@ -253,10 +253,6 @@ class CacheTable(CacheBackend):
         (the caller then returns its empty default)."""
         raise error
 
-    def _ensure_open(self) -> None:
-        """Called before each maintenance operation, without the lock
-        (a leaf may re-open its connection here)."""
-
     def _forget(self) -> None:
         """Drop in-process state after a prune or clear (caller holds
         the lock)."""
@@ -291,7 +287,6 @@ class CacheTable(CacheBackend):
         """One read under the lock: the first row (every row with
         ``rows``), or ``default`` when the error policy absorbs a
         failure."""
-        self._ensure_open()
         with self._lock:
             try:
                 cursor = self._db.execute(statement, args)
@@ -355,7 +350,6 @@ class CacheTable(CacheBackend):
         if not (math.isfinite(max_mb) and max_mb >= 0):
             raise ValueError(
                 f"max_mb must be a finite number >= 0, got {max_mb!r}")
-        self._ensure_open()
         with self._lock:
             try:
                 result = prune_cache_tables(self._db, int(max_mb * 1_000_000))
@@ -374,7 +368,6 @@ class CacheTable(CacheBackend):
     def clear(self) -> int:
         """Drop every entry of this table (the other kind's entries in
         a shared file are untouched)."""
-        self._ensure_open()
         with self._lock:
             self._forget()
             try:

@@ -21,6 +21,9 @@ code imports:
 - :class:`ReferenceSpace` -- the seed algorithm: a materializing cross
   product (:func:`reference_combine`) and one :func:`port_delay_matrix`
   graph build per combination.
+- :func:`audit_alternative` -- the cost audit: it recomputes an emitted
+  alternative's area and pin-to-pin delays from its design tree alone
+  and compares them exactly with the reported configuration.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.core.configs import (
     make_configuration,
     resolve_order,
 )
-from repro.core.design_space import DesignSpace
+from repro.core.design_space import DesignSpace, DesignTree
 from repro.core.specs import ComponentSpec
 from repro.netlist.nets import endpoint_bits
 from repro.netlist.netlist import ModuleInst, Netlist
@@ -438,3 +441,61 @@ class ReferenceSpace(DesignSpace):
             )
             results.append(make_configuration(area, delays, own))
         return results
+
+
+# ---------------------------------------------------------------------------
+# Cost audit
+# ---------------------------------------------------------------------------
+
+def tree_cost(tree: DesignTree,
+              memo: Optional[Dict[ComponentSpec, Tuple[float, DelayMatrix]]]
+              = None) -> Tuple[float, DelayMatrix]:
+    """A design tree's (area, delay matrix), recomputed bottom-up.
+
+    A leaf costs its cell's area and delay matrix.  A decomposition's
+    area is the sum of its module instances' areas, and its delays are
+    :func:`port_delay_matrix` over its netlist with each instance
+    weighted by its subtree's matrix: the max-plus composition of the
+    children's pin-to-pin matrices.  S1 gives every spec one
+    implementation in a design, so equal specs have equal subtrees and
+    ``memo`` (keyed by spec) costs each once."""
+    if memo is None:
+        memo = {}
+    cost = memo.get(tree.spec)
+    if cost is not None:
+        return cost
+    if tree.is_leaf:
+        cell = tree.impl.binding.cell
+        cost = (cell.area, cell.delay_matrix())
+    else:
+        children = {name: tree_cost(child, memo)
+                    for name, child in tree.children.items()}
+        modules = tree.impl.netlist.modules
+        area = sum(children[module.name][0] for module in modules)
+        delays = port_delay_matrix(
+            tree.impl.netlist, lambda inst: children[inst.name][1])
+        cost = (area, delays)
+    memo[tree.spec] = cost
+    return cost
+
+
+def audit_alternative(alt) -> List[str]:
+    """Differences between an alternative's reported cost and its cost
+    recomputed from :meth:`alt.tree` by :func:`tree_cost` (empty when
+    area, every arc delay and the worst delay match exactly)."""
+    config = alt.config
+    area, delays = tree_cost(alt.tree())
+    problems = []
+    if area != config.area:
+        problems.append(f"area {config.area!r} != recomputed {area!r}")
+    reported = config.delay_matrix()
+    if reported != delays:
+        for arc in sorted(set(reported) | set(delays)):
+            if reported.get(arc) != delays.get(arc):
+                problems.append(f"delay {arc}: {reported.get(arc)!r} != "
+                                f"recomputed {delays.get(arc)!r}")
+    worst = max(delays.values(), default=0.0)
+    if config.delay != worst:
+        problems.append(f"worst delay {config.delay!r} != recomputed {worst!r}")
+    return problems
+

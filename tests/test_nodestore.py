@@ -1,10 +1,9 @@
 """The per-node option cache: fingerprints, parity (cold / warm /
-half-warm / parallel), self-healing, shared prune accounting, the
+half-warm), self-healing, shared prune accounting, the
 adaptive enumeration order, CLI, and serve metrics."""
 
 import asyncio
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,9 +20,6 @@ from repro.nodestore import NodeStore, node_key, session_space_key
 from repro.store import ResultStore
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 
 def _nodes(tmp_path, name="nodes.sqlite") -> NodeStore:
     return NodeStore(tmp_path / name)
@@ -43,16 +39,11 @@ def _normalized_body(job) -> str:
 # node fingerprints
 # ---------------------------------------------------------------------------
 
-def test_space_key_stable_and_jobs_independent():
+def test_space_key_stable():
     base = session_space_key(Session(library="lsi_logic"))
     assert base is not None and len(base) == 64
-    # A fresh, identically configured session lands on the same key...
+    # A fresh, identically configured session lands on the same key.
     assert session_space_key(Session(library="lsi_logic")) == base
-    # ...and so do parallel configurations: the worker count must not
-    # fragment the node cache (fork workers answer like the sequential
-    # walk, and cross-worker sharing *requires* shared keys).
-    assert session_space_key(Session(library="lsi_logic", jobs=4)) == base
-    assert session_space_key(Session(library="lsi_logic", jobs=2)) == base
 
 
 def test_space_key_uncanonicalizable_order_disables_caching(tmp_path):
@@ -104,7 +95,7 @@ def test_cap_is_fixed_when_the_session_is_built(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# parity: cold / warm / half-warm / parallel (the bit-identity gate)
+# parity: cold / warm / half-warm (the bit-identity gate)
 # ---------------------------------------------------------------------------
 
 def _normalized_report(job) -> str:
@@ -126,8 +117,8 @@ def _assert_same_job(reference, job):
 def test_parity_gate_alu64_and_figure2_counter(tmp_path):
     """The acceptance gate: ALU64 and the Figure-2 counter produce
     byte-identical emitter bodies with the node cache disabled, cold,
-    pre-warmed, and pre-warmed under --jobs 2 -- and the warm runs
-    demonstrably reuse persisted node entries."""
+    and pre-warmed -- and the warm runs demonstrably reuse persisted
+    node entries."""
     requests = [
         SynthesisRequest.from_spec(alu_spec(64), label="alu:64"),
         SynthesisRequest.from_legend(FIGURE_2_COUNTER_SOURCE,
@@ -149,10 +140,6 @@ def test_parity_gate_alu64_and_figure2_counter(tmp_path):
         warm_job = warm.synthesize(request)
         _assert_same_job(baseline, warm_job)
         assert warm.node_cache_stats()["hits"] >= 1
-
-        parallel = Session(library="lsi_logic", jobs=2, node_store=path)
-        _assert_same_job(baseline, parallel.synthesize(request))
-        assert parallel.node_cache_stats()["hits"] >= 1
 
 
 def test_overlapping_request_reuses_persisted_subtree(tmp_path):
@@ -187,42 +174,6 @@ def test_half_warm_request_probes_and_publishes(tmp_path):
     assert stats["hits"] >= 1 and stats["published"] >= 1
     _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),
                      job)
-
-
-def test_jobs2_shares_through_cache(tmp_path):
-    path = tmp_path / "jobs2.sqlite"
-    cold = Session(library="lsi_logic", jobs=2, node_store=path)
-    cold_job = cold.synthesize(alu_spec(16))
-    assert cold.node_cache_stats()["published"] >= 1
-    warm = Session(library="lsi_logic", jobs=2, node_store=path)
-    warm_job = warm.synthesize(alu_spec(16))
-    assert warm.node_cache_stats()["hits"] >= 1
-    _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),
-                     cold_job)
-    _assert_same_job(cold_job, warm_job)
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-def test_fork_workers_share_and_report_through_cache(tmp_path):
-    """Fork workers publish and probe over their own
-    post-fork connections to the shared file, and their counter deltas
-    ship back with the results."""
-    path = tmp_path / "fork.sqlite"
-    producer = Session(library="lsi_logic", jobs=2, node_store=path)
-    job = producer.synthesize(alu_spec(16))
-    stats = producer.node_cache_stats()
-    # Worker-side publications are visible in the parent's stats and
-    # actually landed in the file (strictly more entries than the
-    # parent process alone published).
-    assert stats["published"] >= 1
-    assert len(NodeStore(path)) >= 1
-
-    consumer = Session(library="lsi_logic", jobs=2, node_store=path)
-    warm_job = consumer.synthesize(alu_spec(16))
-    assert consumer.node_cache_stats()["hits"] >= 1
-    _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),
-                     job)
-    _assert_same_job(job, warm_job)
 
 
 def test_cross_process_subtree_reuse(tmp_path):

@@ -88,15 +88,3 @@ def test_compare_results_ignores_extra_baseline_workloads():
     missing = perf_report.compare_results(
         {"results": {"c": {"alternatives": 1}}}, baseline)
     assert missing and "missing from baseline" in missing[0]
-
-
-def test_jobs_flag_keeps_results_identical(tmp_path, capsys):
-    """The parallel evaluator must not change results: a --jobs 2 run
-    compares clean against a sequential baseline."""
-    baseline = tmp_path / "baseline.json"
-    assert perf_report.main(["--output", str(baseline), "--quick",
-                             "--repeats", "1"]) == 0
-    capsys.readouterr()
-    assert perf_report.main(["--quick", "--repeats", "1", "--jobs", "2",
-                             "--compare", "--baseline", str(baseline)]) == 0
-    assert "results match" in capsys.readouterr().out

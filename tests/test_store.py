@@ -47,22 +47,19 @@ def _pinned(body: str) -> str:
 # fingerprints
 # ---------------------------------------------------------------------------
 
-def test_fingerprint_is_stable_and_jobs_independent():
+def test_fingerprint_is_stable():
     base = Session(library="lsi_logic").fingerprint("adder:8")
     assert base is not None and len(base) == 64
     # A fresh, identically configured session (new library object,
-    # same data book) lands on the same key...
+    # same data book) lands on the same key.
     assert Session(library="lsi_logic").fingerprint("adder:8") == base
-    # ...and so do parallel configurations: worker count must not
-    # fragment the store (parallel evaluation is bit-identical).
-    assert Session(library="lsi_logic", jobs=4).fingerprint("adder:8") == base
-    assert Session(library="lsi_logic", jobs=2).fingerprint("adder:8") == base
     # The request is the other half of the key.
     assert Session(library="lsi_logic").fingerprint("adder:16") != base
 
 
 #: One row per search control: two session configurations that differ
-#: in that control alone, and whether both cache keys must move.
+#: in that control alone, and whether both cache keys must move.  The
+#: node cache is not a search control: attaching one moves neither.
 KEY_TABLE = [
     ("library", {}, {"library": "vendor2"}, True),
     ("rulebase", {}, {"rulebase": "standard"}, True),
@@ -73,7 +70,7 @@ KEY_TABLE = [
     ("order-frontier-auto", {"order": "frontier"}, {"order": "auto"}, True),
     ("order-auto-lex", {"order": "auto"}, {"order": "lex"}, True),
     ("cap", {}, {"max_combinations": 40}, True),
-    ("jobs", {}, {"jobs": 4}, False),
+    ("node-store", {}, {"node_store": "memory"}, False),
 ]
 
 
@@ -439,8 +436,8 @@ def test_warm_path_hls_request_rebuilds_artifacts(tmp_path):
 def test_store_serves_across_engine_settings_that_do_not_matter(tmp_path):
     store = _store(tmp_path)
     Session(store=store).synthesize("adder:8")
-    parallel = Session(store=store, jobs=4)
-    assert parallel.synthesize("adder:8").from_store
+    with_nodes = Session(store=store, node_store="memory")
+    assert with_nodes.synthesize("adder:8").from_store
 
 
 def test_different_filters_do_not_share_entries(tmp_path):

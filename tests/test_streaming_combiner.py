@@ -27,8 +27,8 @@ from repro.core.specs import ComponentSpec, adder_spec, gate_spec, mux_spec
 
 def test_spec_and_config_pickles_drop_process_local_caches():
     """Cached hashes embed the per-process string-hash seed; pickles
-    must not carry them (multiprocessing workers would get stale
-    hashes and silent dict-lookup misses).  Specs and configurations
+    must not carry them (another process would get stale hashes and
+    silent dict-lookup misses).  Specs and configurations
     both pickle by value only (``__reduce__``) and re-intern on load,
     so a same-process round trip returns the canonical instance
     itself and a cross-process load rebuilds every cache fresh."""

@@ -5,7 +5,6 @@ nothing between evaluations."""
 
 import dis
 import json
-import pickle
 import subprocess
 import sys
 from array import array
@@ -14,13 +13,20 @@ from types import SimpleNamespace
 
 import pytest
 from reference_engine import port_delay_matrix, reference_run, run_matrices
+from timing_scenarios import (
+    chain,
+    not_loop,
+    parallel_paths,
+    reg_to_reg,
+    registered_pipe,
+    ripple16,
+)
 
 from repro.core.rulebase.logic import gate_bitslice
 from repro.core.rules import RuleContext
-from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
-from repro.netlist import Netlist, TimingCycleError, TimingProgram, compile_timing
+from repro.core.specs import gate_spec
+from repro.netlist import TimingCycleError, TimingProgram, compile_timing
 from repro.netlist import timing_program
-from repro.netlist.ports import clock_port, in_port, out_port
 from repro.netlist.timing_program import CLK_PIN
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,95 +53,23 @@ def _slot_representatives(program, netlist):
     return [reps[slot] for slot in range(len(program.slot_keys))]
 
 
-def _chain(n, delay=1.0):
-    netlist = Netlist("chain")
-    a = netlist.add_port(in_port("A"))
-    o = netlist.add_port(out_port("O"))
-    spec = gate_spec("BUF")
-    prev = a
-    for i in range(n):
-        nxt = o if i == n - 1 else netlist.add_net(f"w{i}", 1)
-        netlist.add_module(f"b{i}", spec, port_signature(spec),
-                           {"I0": prev.ref(), "O": nxt.ref()})
-        prev = nxt
-    return netlist, lambda inst: {("I0", "O"): delay}
-
-
-def _ripple16():
-    netlist = Netlist("rip")
-    a = netlist.add_port(in_port("A", 16))
-    b = netlist.add_port(in_port("B", 16))
-    s = netlist.add_port(out_port("S", 16))
-    co = netlist.add_port(out_port("CO"))
-    ci = netlist.add_port(in_port("CI"))
-    spec = adder_spec(4)
-    carry = ci
-    for i in range(4):
-        nxt = co if i == 3 else netlist.add_net(f"c{i}", 1)
-        netlist.add_module(
-            f"a{i}", spec, port_signature(spec),
-            {"A": a[4 * i:4 * i + 4], "B": b[4 * i:4 * i + 4],
-             "CI": carry.ref(), "S": s[4 * i:4 * i + 4], "CO": nxt.ref()},
-        )
-        carry = nxt
-    cell = {("A", "S"): 5.0, ("B", "S"): 5.0, ("CI", "S"): 4.0,
-            ("A", "CO"): 5.5, ("B", "CO"): 5.5, ("CI", "CO"): 3.0}
-    return netlist, lambda inst: cell
-
-
-def _registered_pipe():
-    netlist = Netlist("pipe")
-    a = netlist.add_port(in_port("D"))
-    netlist.add_port(clock_port())
-    q = netlist.add_port(out_port("Q"))
-    mid = netlist.add_net("mid", 1)
-    rq = netlist.add_net("rq", 1)
-    buf = gate_spec("BUF")
-    reg = make_spec("REG", 1)
-    netlist.add_module("b0", buf, port_signature(buf),
-                       {"I0": a.ref(), "O": mid.ref()})
-    netlist.add_module("r0", reg, port_signature(reg),
-                       {"D": mid.ref(), "CLK": netlist.port_net("CLK").ref(),
-                        "Q": rq.ref()})
-    netlist.add_module("b1", buf, port_signature(buf),
-                       {"I0": rq.ref(), "O": q.ref()})
-    delays = {
-        "b0": {("I0", "O"): 2.0},
-        "b1": {("I0", "O"): 3.0},
-        "r0": {("D", CLK_PIN): 1.0, (CLK_PIN, "Q"): 1.5},
-    }
-    return netlist, lambda inst: delays[inst.name]
-
-
 class TestParityWithDirectEngine:
     def test_chain(self):
-        netlist, delays = _chain(5, 2.0)
+        netlist, delays = chain(5, 2.0)
         assert program_matrix(netlist, delays) == port_delay_matrix(netlist, delays)
 
     def test_ripple_adder(self):
-        netlist, delays = _ripple16()
+        netlist, delays = ripple16()
         assert program_matrix(netlist, delays) == port_delay_matrix(netlist, delays)
 
     def test_parallel_paths(self):
-        netlist = Netlist("par")
-        a = netlist.add_port(in_port("A"))
-        o = netlist.add_port(out_port("O"))
-        slow = netlist.add_net("slow", 1)
-        spec2 = gate_spec("OR", 2)
-        spec1 = gate_spec("BUF")
-        netlist.add_module("s", spec1, port_signature(spec1),
-                           {"I0": a.ref(), "O": slow.ref()})
-        netlist.add_module("m", spec2, port_signature(spec2),
-                           {"I0": a.ref(), "I1": slow.ref(), "O": o.ref()})
-        delays = {"s": {("I0", "O"): 9.0},
-                  "m": {("I0", "O"): 1.0, ("I1", "O"): 1.0}}
-        fn = lambda inst: delays[inst.name]
-        assert program_matrix(netlist, fn) == port_delay_matrix(netlist, fn)
+        netlist, delays = parallel_paths()
+        assert program_matrix(netlist, delays) == port_delay_matrix(netlist, delays)
 
     def test_sequential_clk_arcs(self):
         """@clk virtual-pin arcs: setup, clk-to-q, and the split that
         prevents a false combinational D -> Q path."""
-        netlist, delays = _registered_pipe()
+        netlist, delays = registered_pipe()
         matrix = program_matrix(netlist, delays)
         assert matrix == port_delay_matrix(netlist, delays)
         assert ("D", "Q") not in matrix
@@ -143,46 +77,19 @@ class TestParityWithDirectEngine:
         assert matrix[(CLK_PIN, "Q")] == pytest.approx(4.5)
 
     def test_reg_to_reg_cycle_delay(self):
-        netlist = Netlist("r2r")
-        netlist.add_port(clock_port())
-        q = netlist.add_port(out_port("Q"))
-        q0 = netlist.add_net("q0", 1)
-        d1 = netlist.add_net("d1", 1)
-        reg = make_spec("REG", 1)
-        buf = gate_spec("BUF")
-        clk = netlist.port_net("CLK").ref()
-        netlist.add_module("r0", reg, port_signature(reg),
-                           {"D": q0.ref(), "CLK": clk, "Q": q0.ref()})
-        netlist.add_module("g", buf, port_signature(buf),
-                           {"I0": q0.ref(), "O": d1.ref()})
-        netlist.add_module("r1", reg, port_signature(reg),
-                           {"D": d1.ref(), "CLK": clk, "Q": q.ref()})
-        delays = {
-            "r0": {("D", CLK_PIN): 1.0, (CLK_PIN, "Q"): 2.0},
-            "r1": {("D", CLK_PIN): 1.0, (CLK_PIN, "Q"): 2.0},
-            "g": {("I0", "O"): 5.0},
-        }
-        fn = lambda inst: delays[inst.name]
-        matrix = program_matrix(netlist, fn)
-        assert matrix == port_delay_matrix(netlist, fn)
+        netlist, delays = reg_to_reg()
+        matrix = program_matrix(netlist, delays)
+        assert matrix == port_delay_matrix(netlist, delays)
         assert matrix[(CLK_PIN, CLK_PIN)] == pytest.approx(8.0)
 
     def test_cycle_detected(self):
-        netlist = Netlist("loop")
-        o = netlist.add_port(out_port("O"))
-        w = netlist.add_net("w", 1)
-        spec = gate_spec("NOT")
-        netlist.add_module("g1", spec, port_signature(spec),
-                           {"I0": w.ref(), "O": o.ref()})
-        netlist.add_module("g2", spec, port_signature(spec),
-                           {"I0": o.ref(), "O": w.ref()})
         with pytest.raises(TimingCycleError):
-            program_matrix(netlist, lambda inst: {("I0", "O"): 1.0})
+            program_matrix(*not_loop())
 
 
 class TestProgramReuse:
     def test_kernel_cached_per_arc_signature(self):
-        netlist, _ = _chain(4)
+        netlist, _ = chain(4)
         program = TimingProgram(netlist)
         keys = (("I0", "O"),)
         arcs = (keys,) * 4
@@ -193,7 +100,7 @@ class TestProgramReuse:
         assert program.kernel_count == 1
 
     def test_new_signature_new_kernel(self):
-        netlist, _ = _ripple16()
+        netlist, _ = ripple16()
         program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
         assert len(program.slot_keys) == 1  # all four blocks share a spec
         full = (("A", "CO"), ("A", "S"), ("B", "CO"), ("B", "S"),
@@ -206,14 +113,14 @@ class TestProgramReuse:
     def test_slot_sharing_by_spec(self):
         """With spec slots, one matrix feeds every instance of a spec --
         and results still match the per-instance walker."""
-        netlist, delays = _ripple16()
+        netlist, delays = ripple16()
         by_spec = program_matrix(netlist, delays,
                                  slot_of=lambda inst: inst.spec)
         assert by_spec == port_delay_matrix(netlist, delays)
         assert by_spec[("A", "CO")] == pytest.approx(14.5)
 
     def test_total_area_matches_instance_walk(self):
-        netlist, _ = _ripple16()
+        netlist, _ = ripple16()
         program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
         # module_slots maps each instance to its slot, in instance
         # order: the walk the design space sums areas over
@@ -303,21 +210,21 @@ class TestLeanKernels:
             for values in ([(1.5, 2.25)], [(2.0, 2.0)], [(0.0, 0.0)]):
                 assert kernel.run(values) == reference_run(kernel, values)
 
-    def test_pickled_program_compiles_a_new_signature(self):
-        """Array-backed tables pickle; the unpickled program compiles a
-        signature the original had not compiled and costs it exactly as
-        the original then does.  The function cache keeps digests, not
-        source text."""
-        netlist, _ = _ripple16()
+    def test_second_signature_compiles_on_int_array_tables(self):
+        """Wiring and kernel edge tables are ``array('i')``; a program
+        that already compiled one signature compiles a second one that
+        costs rows exactly as the interpretive sweep does.  The
+        function cache keeps digests, not source text."""
+        netlist, _ = ripple16()
         program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
         full = (("A", "CO"), ("A", "S"), ("B", "CO"), ("B", "S"),
                 ("CI", "CO"), ("CI", "S"))
         sparse = (("A", "S"), ("B", "S"), ("CI", "CO"))
         program.kernel((full,)).run([(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
         assert isinstance(program._wire_u, array)
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.kernel_count == 1
-        kernel = clone.kernel((sparse,))
+        assert program.kernel_count == 1
+        kernel = program.kernel((sparse,))
+        assert program.kernel_count == 2
         for column in (kernel.edge_u, kernel.edge_v, kernel.edge_slot,
                        kernel.edge_index):
             assert isinstance(column, array) and column.typecode == "i"
@@ -325,10 +232,10 @@ class TestLeanKernels:
                 for i, values in enumerate([(5.0, 5.0, 3.0), (1.0, 2.0, 2.0),
                                             (0.0, 0.0, 0.0), (7.5, 1.0, 9.0)])]
         got = kernel.run_batch(rows, len(rows))
-        assert got == program.kernel((sparse,)).run_batch(rows, len(rows))
-        assert got[0][2] == tuple(
-            reference_run(kernel, [rows[0][0].delay_values])[key]
-            for key in kernel.keys)
+        for (chosen,), (_, _, delays) in zip(rows, got):
+            assert delays == tuple(
+                reference_run(kernel, [chosen.delay_values])[key]
+                for key in kernel.keys)
         assert timing_program._FUNCTIONS
         assert all(isinstance(key, bytes) and len(key) == 32
                    for key in timing_program._FUNCTIONS.keys())
