@@ -34,11 +34,9 @@ from repro.api.registry import (
     EMITTERS,
     FILTERS,
     LIBRARIES,
-    NODE_STORES,
     ORDERS,
     RULEBASES,
     SPECS,
-    STORES,
     Registry,
     RegistryError,
     create_node_store,
@@ -53,11 +51,9 @@ __all__ = [
     "EMITTERS",
     "FILTERS",
     "LIBRARIES",
-    "NODE_STORES",
     "ORDERS",
     "RULEBASES",
     "SPECS",
-    "STORES",
     "Registry",
     "RegistryError",
     "Session",

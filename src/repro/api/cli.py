@@ -27,8 +27,9 @@ sessions; ``warm`` prefills the persistent result store
 (:mod:`repro.store`) and ``cache`` maintains it.
 
 Unknown backend names (library, rulebase, filter, order, emitter,
-spec, store, node store) must exit with status 2 and a message listing
-the registered names -- never a raw ``KeyError`` traceback.
+spec) and bad store or node-store URLs must exit with status 2 and a
+message listing the known names -- never a raw ``KeyError``
+traceback.
 """
 
 from __future__ import annotations
@@ -103,21 +104,31 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "--max-combinations keep the best designs")
 
 
+#: The designators ``--store`` and ``--node-store`` accept (resolved
+#: by :func:`repro.api.registry.create_store`/``create_node_store``).
+_CACHE_DESIGNATORS = (
+    "default (the on-disk store file), memory (ephemeral), an SQLite "
+    "file path, or a URL: sqlite:///abs/path.sqlite or "
+    "sqlite://relative.sqlite, either with an optional "
+    "?busy_timeout_ms=MS; memory:; or fault+sqlite://PATH?fail_rate=R "
+    "or fault+memory:?fail_rate=R (fault injection, see "
+    "repro.resilience.faults)")
+
+
 def _add_store_arg(parser: argparse.ArgumentParser, default,
                    help_suffix: str = "") -> None:
     parser.add_argument(
-        "--store", default=default, metavar="NAME|PATH",
-        help="result store: a registered name (default, memory) or an "
-             "SQLite file path" + help_suffix)
+        "--store", default=default, metavar="NAME|PATH|URL",
+        help="result store: " + _CACHE_DESIGNATORS + help_suffix)
 
 
 def _add_node_store_arg(parser: argparse.ArgumentParser, default,
                         help_suffix: str = "") -> None:
     parser.add_argument(
-        "--node-store", default=default, metavar="NAME|PATH",
-        help="per-node option cache for subtree-level work sharing: a "
-             "registered name (default, memory) or an SQLite file path "
-             "(may be the result store's file)" + help_suffix)
+        "--node-store", default=default, metavar="NAME|PATH|URL",
+        help="per-node option cache for subtree-level work sharing "
+             "(may be the result store's file): " + _CACHE_DESIGNATORS
+             + help_suffix)
 
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
@@ -193,8 +204,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_server_args(parser: argparse.ArgumentParser, fleet: bool) -> None:
     """The flags ``serve`` and ``fleet`` share, in help order; the
-    fleet's router/worker wording and its two worker-count flags are
-    the only differences."""
+    fleet's router/worker wording and its ``--workers`` flag are the
+    only differences."""
     router = "router " if fleet else ""
     parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                         help=f"{router}bind address (default: 127.0.0.1)")
@@ -217,14 +228,6 @@ def _add_server_args(parser: argparse.ArgumentParser, fleet: bool) -> None:
                                     "in the result store's file)")
     parser.add_argument("--no-node-store", action="store_true",
                         help="serve without the per-node option cache")
-    if fleet:
-        parser.add_argument("--engine-workers", type=int, default=2,
-                            metavar="N",
-                            help="engine executor threads per worker "
-                                 "(default: 2)")
-    else:
-        parser.add_argument("--workers", type=int, default=2, metavar="N",
-                            help="engine executor threads (default: 2)")
     parser.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="S",
         help="on SIGTERM/SIGINT, wait up to S seconds for in-flight "
@@ -408,13 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "list",
         help="show the registered backends",
         description="Show registered libraries, rulebases, filters, "
-                    "emitters, spec shorthands, orders, and stores.",
+                    "emitters, spec shorthands, and orders.",
     )
     list_parser.add_argument(
         "what", nargs="?", default="all",
         choices=["all", "libraries", "rulebases", "filters", "emitters",
-                 "specs", "orders", "stores", "node_stores",
-                 "store_schemes"],
+                 "specs", "orders"],
         help="which registry to show (default: all)")
     return parser
 
@@ -557,7 +559,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             errors += (FleetError,)
             backend: Any = FleetService(
-                workers=args.workers, engine_workers=args.engine_workers,
+                workers=args.workers,
                 worker_host=(args.host if args.host != "0.0.0.0"
                              else "127.0.0.1"),
                 worker_drain_timeout=args.drain_timeout,
@@ -572,7 +574,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             closed = "workers stopped"
         else:
             backend = SynthesisService(
-                engine_workers=args.workers,
                 request_timeout=args.request_timeout, **common)
             path = (backend.store.path if backend.store is not None
                     else "disabled")
@@ -869,9 +870,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "emitters": registry.EMITTERS,
         "specs": registry.SPECS,
         "orders": registry.ORDERS,
-        "stores": registry.STORES,
-        "node_stores": registry.NODE_STORES,
-        "store_schemes": registry.STORE_SCHEMES,
     }
     selected = sections if args.what == "all" else {args.what: sections[args.what]}
     blocks = []

@@ -172,33 +172,6 @@ EMITTERS = Registry("emitter", "(job) -> str")
 #: ``(width: int) -> ComponentSpec`` for names like ``alu:64``.
 SPECS = Registry("spec", "(width: int) -> ComponentSpec")
 
-#: Result stores (persistent, content-addressed result caches; see
-#: :mod:`repro.store`).  Factory convention: ``() -> ResultStore``.
-#: Built-ins: ``default`` (the on-disk store at
-#: ``$REPRO_STORE``/``~/.cache/repro/store.sqlite``) and ``memory``
-#: (ephemeral per-process SQLite, for tests and opt-out serving).
-STORES = Registry("store", "() -> ResultStore")
-
-#: Node stores (persistent per-node option caches for subtree-level
-#: work sharing; see :mod:`repro.nodestore`).  Factory convention:
-#: ``() -> NodeStore``.  Built-ins: ``default`` (the ``nodes`` table in
-#: the default result-store file) and ``memory`` (ephemeral
-#: per-process SQLite, for tests and opt-out serving).
-NODE_STORES = Registry("node store", "() -> NodeStore")
-
-#: Store backend URL schemes (see :mod:`repro.store.backend`).  One
-#: registry serves result stores *and* node stores: the factory
-#: convention is ``(rest: str, url: str, kind: str) -> backend`` where
-#: ``rest`` is everything after ``scheme:``, ``url`` is the full
-#: designator (for error messages), and ``kind`` is ``"results"`` or
-#: ``"nodes"`` -- so one URL (``sqlite:///path``) designates whichever
-#: cache the call site wants, and both kinds can co-locate.  Built-ins:
-#: ``sqlite`` (the default file backend) and ``memory`` (ephemeral).
-#: Third-party backends register a scheme here and become usable as
-#: ``--store scheme://...`` everywhere with no engine changes.
-STORE_SCHEMES = Registry("store URL scheme",
-                         "(rest, url, kind: 'results'|'nodes') -> backend")
-
 #: S1 enumeration orders for the streaming combiner.  Factory
 #: convention: ``() -> Optional[callable]`` returning a function that
 #: reorders one option list (``None`` = keep list order).  The order is
@@ -208,86 +181,6 @@ STORE_SCHEMES = Registry("store URL scheme",
 #: ``Session(order="name")`` and ``--order name`` exactly like
 #: built-ins.  Names resolve at this layer (:func:`create_order`).
 ORDERS = Registry("order", "() -> Optional[callable]")
-
-
-# ---------------------------------------------------------------------------
-# Cache kinds: the one place a kind picks its classes
-# ---------------------------------------------------------------------------
-
-def _cache_kind(kind: str):
-    """``(names, backend ABC, SQLite class, fault wrapper)`` for one
-    cache kind, ``"results"`` or ``"nodes"``.  Imported lazily so that
-    importing the registry loads no store code."""
-    from repro.nodestore import NodeStore
-    from repro.resilience import FaultInjectingNodeStore, FaultInjectingStore
-    from repro.store import NodeStoreBackend, ResultStore, StoreBackend
-
-    return {
-        "results": (STORES, StoreBackend, ResultStore, FaultInjectingStore),
-        "nodes": (NODE_STORES, NodeStoreBackend, NodeStore,
-                  FaultInjectingNodeStore),
-    }[kind]
-
-
-def _open_cache(kind: str, path: Any = None, **options):
-    """The SQLite backend of ``kind`` on ``path`` (None: the default
-    file) -- the constructor behind every built-in name and scheme."""
-    return _cache_kind(kind)[2](path, **options)
-
-
-def _pop_busy_timeout(params: Dict[str, str], url: str) -> int:
-    text = params.pop("busy_timeout_ms", None)
-    if text is None:
-        return 10_000
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"store URL {url!r}: busy_timeout_ms must be an "
-            f"integer number of milliseconds, got {text!r}") from None
-    if value < 1:
-        raise ValueError(
-            f"store URL {url!r}: busy_timeout_ms must be >= 1, "
-            f"got {value}")
-    return value
-
-
-def _sqlite_scheme(memory: bool, faulted: bool) -> Callable:
-    """The :data:`STORE_SCHEMES` factory of one built-in scheme: a
-    SQLite file (``busy_timeout_ms`` may be set) or ephemeral SQLite
-    (no path), optionally behind a :class:`FaultPolicy` built from the
-    rest of the query."""
-
-    def factory(rest: str, url: str, kind: str):
-        from repro.resilience import FaultPolicy
-        from repro.store import split_url_query, sqlite_url_path
-
-        try:
-            path, params = split_url_query(rest, url)
-            options: Dict[str, Any] = {}
-            if memory:
-                name = "fault+memory" if faulted else "memory"
-                if path not in ("", "//") or (params and not faulted):
-                    raise ValueError(
-                        f"store URL {url!r} is malformed: the {name} "
-                        f"scheme takes no path (use "
-                        f"'{name}:{'?...' if faulted else ''}')")
-                path = ":memory:"
-            else:
-                path = sqlite_url_path(path, url)
-                options["busy_timeout_ms"] = _pop_busy_timeout(params, url)
-            if faulted:
-                policy = FaultPolicy.from_params(params, url)
-            elif params:
-                raise ValueError(
-                    f"store URL {url!r} has unknown query parameter(s): "
-                    f"{', '.join(sorted(params))} (known: busy_timeout_ms)")
-        except ValueError as error:
-            raise RegistryError(str(error)) from None
-        backend = _open_cache(kind, path, **options)
-        return _cache_kind(kind)[3](backend, policy) if faulted else backend
-
-    return factory
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +270,6 @@ def _register_builtins() -> None:
         description="cap-adaptive: lex prefix + frontier tail, so tiny "
                     "caps keep the knee region and the delay corner")
 
-    STORES.register(
-        "default", lambda: _open_cache("results"),
-        description="on-disk store at $REPRO_STORE or "
-                    "~/.cache/repro/store.sqlite")
-    STORES.register(
-        "memory", lambda: _open_cache("results", ":memory:"),
-        description="ephemeral in-process SQLite store (tests, opt-out)")
-    NODE_STORES.register(
-        "default", lambda: _open_cache("nodes"),
-        description="nodes table co-located with the default result "
-                    "store file")
-    NODE_STORES.register(
-        "memory", lambda: _open_cache("nodes", ":memory:"),
-        description="ephemeral in-process SQLite node cache (tests)")
-
-    STORE_SCHEMES.register(
-        "sqlite", _sqlite_scheme(memory=False, faulted=False),
-        description="one SQLite file (sqlite:///abs/path.sqlite or "
-                    "sqlite://relative.sqlite?busy_timeout_ms=500); the "
-                    "default backend")
-    STORE_SCHEMES.register(
-        "memory", _sqlite_scheme(memory=True, faulted=False),
-        description="ephemeral per-process SQLite (memory:)")
-    STORE_SCHEMES.register(
-        "fault+sqlite", _sqlite_scheme(memory=False, faulted=True),
-        description="SQLite behind deterministic fault injection "
-                    "(fault+sqlite://path?fail_rate=&latency_ms=&"
-                    "corrupt_rate=&seed=&fail_first=)")
-    STORE_SCHEMES.register(
-        "fault+memory", _sqlite_scheme(memory=True, faulted=True),
-        description="ephemeral SQLite behind fault injection "
-                    "(fault+memory:?fail_rate=...)")
-
     SPECS.register("adder", adder_spec, description="n-bit binary adder")
     SPECS.register("alu", alu_spec,
                    description="n-bit 16-function ALU (paper Figure 3)")
@@ -455,69 +315,127 @@ def create_rulebase(spec: Any, library) -> Any:
     return spec
 
 
-def _create_from_url(spec: str, kind: str, names: "Registry"):
-    """Resolve a URL-style store designator through
-    :data:`STORE_SCHEMES`, or return ``None`` when ``spec`` is not a
-    URL at all (a bare name or path -- the caller's business).
+# ---------------------------------------------------------------------------
+# Cache designators
+# ---------------------------------------------------------------------------
 
-    An *unknown scheme* and a *malformed URL* both raise
-    :class:`RegistryError` listing the registered schemes and names --
-    the same exit-2 contract bare-name typos get from the CLI."""
-    from repro.store import parse_store_url
-
-    url = parse_store_url(spec)
-    if url is None:
-        return None
-    scheme, rest = url
-    try:
-        factory = STORE_SCHEMES.get(scheme)
-    except RegistryError:
-        raise RegistryError(
-            f"unknown {names.kind} URL scheme {scheme!r} in {spec!r}; "
-            f"registered schemes: {', '.join(STORE_SCHEMES.names())} "
-            f"(registered {names.kind} names: {', '.join(names.names())})"
-        ) from None
-    return factory(rest, spec, kind)
+#: The URL schemes and the bare names a cache designator may use; the
+#: error that rejects any other lists them.  A ``fault+`` scheme puts
+#: its base scheme's backend behind fault injection
+#: (:mod:`repro.resilience.faults`).
+_CACHE_SCHEMES = ("fault+memory", "fault+sqlite", "memory", "sqlite")
+_CACHE_NAMES = ("default", "memory")
 
 
-def _create_cache(spec: Any, kind: str):
-    """Resolve a designator of either cache kind (the body of
-    :func:`create_store` and :func:`create_node_store`)."""
+def _resolve_cache(spec: Any, kind: str):
+    """The cache of ``kind`` (``"results"`` or ``"nodes"``) that
+    ``spec`` designates, in any form :func:`create_store` lists: the one
+    resolver behind :func:`create_store` and :func:`create_node_store`.
+
+    An unknown scheme, a malformed URL or a bad query parameter raises
+    :class:`RegistryError` (CLI exit 2), and an object of any other
+    type ``TypeError``.  Store code is imported here, so importing the
+    registry loads none."""
     if spec is None:
         return None
-    names, backend, sqlite, _ = _cache_kind(kind)
+    from repro.nodestore import NodeStore
+    from repro.resilience import (
+        FaultInjectingNodeStore,
+        FaultInjectingStore,
+        FaultPolicy,
+    )
+    from repro.store import (
+        NodeStoreBackend,
+        ResultStore,
+        StoreBackend,
+        parse_store_url,
+        split_url_query,
+        sqlite_url_path,
+    )
+
+    results = kind == "results"
+    backend = StoreBackend if results else NodeStoreBackend
+    sqlite = ResultStore if results else NodeStore
+    noun = "store" if results else "node store"
     if isinstance(spec, backend):
         return spec
-    if isinstance(spec, str):
-        from_url = _create_from_url(spec, kind, names)
-        if from_url is not None:
-            return from_url
-        if spec in names:
-            return names.create(spec)
-    if spec is True or isinstance(spec, (str, Path)):
+    if spec is True or isinstance(spec, Path):
         return sqlite(None if spec is True else spec)
-    raise TypeError(
-        f"cannot open a {names.kind} from {type(spec).__name__}: expected "
-        f"None, True, a path, or a {backend.__name__}")
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"cannot open a {noun} from {type(spec).__name__}: expected "
+            f"None, True, a path, or a {backend.__name__}")
+    url = parse_store_url(spec)
+    if url is None:
+        name = spec.strip().lower()
+        if name in _CACHE_NAMES:
+            return sqlite(None if name == "default" else ":memory:")
+        return sqlite(spec)
+    scheme, rest = url
+    if scheme not in _CACHE_SCHEMES:
+        raise RegistryError(
+            f"unknown {noun} URL scheme {scheme!r} in {spec!r}; known "
+            f"schemes: {', '.join(_CACHE_SCHEMES)} (known {noun} names: "
+            f"{', '.join(_CACHE_NAMES)})")
+    faulted = scheme.startswith("fault+")
+    busy_timeout_ms = 10_000
+    try:
+        path, params = split_url_query(rest, spec)
+        if scheme.endswith("memory"):
+            if path not in ("", "//") or (params and not faulted):
+                raise ValueError(
+                    f"store URL {spec!r} is malformed: the {scheme} "
+                    f"scheme takes no path (use "
+                    f"'{scheme}:{'?...' if faulted else ''}')")
+            path = ":memory:"
+        else:
+            path = sqlite_url_path(path, spec)
+            text = params.pop("busy_timeout_ms", None)
+            if text is not None:
+                try:
+                    busy_timeout_ms = int(text)
+                except ValueError:
+                    raise ValueError(
+                        f"store URL {spec!r}: busy_timeout_ms must be an "
+                        f"integer number of milliseconds, got {text!r}"
+                    ) from None
+                if busy_timeout_ms < 1:
+                    raise ValueError(
+                        f"store URL {spec!r}: busy_timeout_ms must be "
+                        f">= 1, got {busy_timeout_ms}")
+        if faulted:
+            policy = FaultPolicy.from_params(params, spec)
+        elif params:
+            raise ValueError(
+                f"store URL {spec!r} has unknown query parameter(s): "
+                f"{', '.join(sorted(params))} (known: busy_timeout_ms)")
+    except ValueError as error:
+        raise RegistryError(str(error)) from None
+    cache = sqlite(path, busy_timeout_ms=busy_timeout_ms)
+    if not faulted:
+        return cache
+    return (FaultInjectingStore if results else FaultInjectingNodeStore)(
+        cache, policy)
 
 
 def create_store(spec: Any):
     """Resolve a result-store designator: ``None`` means no store, a
-    ``StoreBackend`` passes through, a registered name (``"default"``,
-    ``"memory"``) is looked up in :data:`STORES`, a URL
-    (``sqlite:///path``, ``memory:``) resolves through
-    :data:`STORE_SCHEMES`, and any other string/path (or ``True`` for
-    the default location) opens that SQLite file directly."""
-    return _create_cache(spec, "results")
+    ``StoreBackend`` passes through, ``True`` or ``"default"`` opens the
+    default file (``$REPRO_STORE`` or ``~/.cache/repro/store.sqlite``),
+    ``"memory"`` ephemeral SQLite, a URL (``sqlite:///abs.sqlite``,
+    ``sqlite://rel.sqlite?busy_timeout_ms=500``, ``memory:``,
+    ``fault+sqlite://path?fail_rate=0.5``, ``fault+memory:?...``) the
+    backend its scheme names, and any other string or path that SQLite
+    file."""
+    return _resolve_cache(spec, "results")
 
 
 def create_node_store(spec: Any):
     """Resolve a node-store designator exactly like
-    :func:`create_store`, against :data:`NODE_STORES` and
-    ``NodeStoreBackend`` -- a path opens the ``nodes`` table in that
-    SQLite file, which may be, and by default is, the same file a
-    :class:`~repro.store.ResultStore` uses."""
-    return _create_cache(spec, "nodes")
+    :func:`create_store`, to a ``NodeStoreBackend`` -- a path opens the
+    ``nodes`` table in that SQLite file, which may be, and by default
+    is, the same file a :class:`~repro.store.ResultStore` uses."""
+    return _resolve_cache(spec, "nodes")
 
 
 def create_order(spec: Optional[str]):

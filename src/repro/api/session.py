@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.api.registry import (
     create_filter,
@@ -35,7 +35,7 @@ from repro.api.registry import (
 )
 from repro.api.requests import SynthesisJob, SynthesisRequest
 from repro.core.design_space import DesignSpace, DesignTree
-from repro.core.rules import Rule, RuleBase
+from repro.core.rules import RuleBase
 from repro.core.specs import ComponentSpec
 from repro.core.synthesizer import DesignAlternative, SynthesisResult
 from repro.netlist.netlist import Netlist
@@ -61,9 +61,6 @@ class Session:
         Search control (S2): a filter object or a designator string
         such as ``"pareto"``, ``"tradeoff:0.05"``, ``"top_k:4"``,
         ``"keep_all"``.
-    extra_rules:
-        Additional :class:`~repro.core.rules.Rule` objects appended to
-        the resolved rulebase.
     max_combinations:
         Per-node cap on the streamed S1 cross product (at least 1);
         None keeps the engine default.  Fixed for the session's life.
@@ -75,9 +72,10 @@ class Session:
         lexicographically first.
     store:
         Persistent result store (see :mod:`repro.store`): ``None``
-        (default) disables persistence, a registered name
-        (``"default"``, ``"memory"``), a path, ``True`` (the default
-        location), or a ``ResultStore``.  With a store, every
+        (default) disables persistence; ``True`` or ``"default"`` (the
+        default location), ``"memory"``, a path, a URL
+        (:func:`~repro.api.registry.create_store`) or a live
+        ``StoreBackend`` enables it.  With a store, every
         content-addressable request is first looked up by its
         canonical fingerprint -- a hit skips expansion and evaluation
         entirely and returns re-interned canonical configurations --
@@ -85,14 +83,14 @@ class Session:
         process.
     node_store:
         Persistent *per-node* option cache (see :mod:`repro.nodestore`):
-        same designators as ``store`` (None / name / path / ``True`` /
-        a ``NodeStore``).  Where the result store shares whole
-        requests, the node cache shares expanded *subtrees*: during
-        evaluation every decomposition node is probed before its S1
-        cross product runs and published after, so a different request
-        over an overlapping subgraph -- in this process or another
-        sharing the file -- reuses this one's leaves.  Results are
-        byte-identical with the cache on, off, or half-warm.
+        the designators of ``store``, or a live ``NodeStoreBackend``.
+        Where the result store shares whole requests, the node cache
+        shares expanded *subtrees*: during evaluation every
+        decomposition node is probed before its S1 cross product runs
+        and published after, so a different request over an
+        overlapping subgraph -- in this process or another sharing the
+        file -- reuses this one's leaves.  Results are byte-identical
+        with the cache on, off, or half-warm.
 
     The library and rulebase are fixed when the session is built, and
     so are the filter, the order and ``max_combinations`` (the only
@@ -113,17 +111,13 @@ class Session:
         rulebase: Any = None,
         perf_filter: Any = None,
         *,
-        extra_rules: Sequence[Rule] = (),
         max_combinations: Optional[int] = None,
         order: Any = None,
         store: Any = None,
         node_store: Any = None,
     ) -> None:
         self.library = create_library(library)
-        resolved: RuleBase = create_rulebase(rulebase, self.library)
-        for rule in extra_rules:
-            resolved.add(rule)
-        self.rulebase = resolved
+        self.rulebase: RuleBase = create_rulebase(rulebase, self.library)
         self.perf_filter = create_filter(perf_filter)
         self.space = DesignSpace(
             self.rulebase,

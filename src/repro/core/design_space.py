@@ -89,7 +89,7 @@ from repro.core.rules import RuleBase, RuleContext
 from repro.core.specs import ComponentSpec
 from repro.netlist.netlist import Netlist
 from repro.netlist.timing_program import TimingProgram
-from repro.netlist.validate import NetlistError, validate_netlist
+from repro.netlist.validate import validate_netlist
 
 if False:  # typing only; avoids a circular import with repro.techlib
     from repro.techlib.cells import CellLibrary

@@ -433,6 +433,22 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     return agg
 
 
+def _worker_designator(designator: Any, noun: str) -> Any:
+    """``designator`` as the text a worker's ``--store`` or
+    ``--node-store`` takes: ``True`` is ``"default"``, and None, a
+    string (``"auto"`` too) or a path pass; a live object raises
+    ``TypeError``, since workers are separate processes."""
+    if designator is True:
+        return "default"
+    if designator is not None and not isinstance(designator,
+                                                 (str, os.PathLike)):
+        raise TypeError(
+            f"a fleet {noun} must be a string designator (name, path, "
+            f"or URL) -- workers are separate processes and cannot "
+            f"share a live {type(designator).__name__}")
+    return designator
+
+
 class FleetService:
     """Worker fleet: spawn/supervise N serve processes, route by
     consistent hashing, aggregate metrics.  The fleet backend of
@@ -445,7 +461,6 @@ class FleetService:
         store: Any = "default",
         node_store: Any = "auto",
         defaults: Optional[Dict[str, Any]] = None,
-        engine_workers: int = 2,
         worker_host: str = "127.0.0.1",
         worker_drain_timeout: float = 10.0,
         backoff_base: float = BACKOFF_BASE,
@@ -464,17 +479,9 @@ class FleetService:
     ) -> None:
         if workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        if store is True:
-            store = "default"
-        if store is not None and not isinstance(store, (str, os.PathLike)):
-            raise TypeError(
-                "a fleet store must be a string designator (name, path, "
-                "or URL) -- workers are separate processes and cannot "
-                "share a live store object")
-        self.store = store
-        self.node_store = node_store
+        self.store = _worker_designator(store, "store")
+        self.node_store = _worker_designator(node_store, "node store")
         self.defaults = {**SESSION_DEFAULTS, **(defaults or {})}
-        self.engine_workers = max(1, engine_workers)
         self.worker_host = worker_host
         self.worker_drain_timeout = worker_drain_timeout
         self.backoff_base = backoff_base
@@ -524,7 +531,6 @@ class FleetService:
     def _worker_argv(self) -> List[str]:
         argv = [sys.executable, "-m", "repro", "serve",
                 "--host", self.worker_host, "--port", "0",
-                "--workers", str(self.engine_workers),
                 "--drain-timeout", str(self.worker_drain_timeout),
                 "--breaker-threshold", str(self.breaker_threshold),
                 "--breaker-reset", str(self.breaker_reset),
@@ -931,3 +937,4 @@ class FleetService:
                 for worker in self.workers:
                     worker.kill()
         self.access_log.close()
+        self.tracer.close()

@@ -4,9 +4,8 @@
 library and returns the generated library-specific rules together with
 a report of what fired and why -- LOLA "then uses these generated rules
 to modify DTAS's rule base so that DTAS can take advantage of the
-library changes" (paper section 7), which here means passing them to
-:class:`repro.api.Session` as ``extra_rules`` or extending a rulebase
-in place.
+library changes" (paper section 7), which here means extending a
+rulebase in place.
 
 ``adapt_rulebase(rulebase, library)`` extends a rulebase in place; the
 ``lola`` rulebase policy of :mod:`repro.api.registry` does exactly that

@@ -173,8 +173,6 @@ class GuardedBackend(CacheBackend):
     The maintenance surface lives here; a leaf adds its kind's serving
     ops, each through :meth:`_guarded`."""
 
-    scheme = "resilient"
-
     def __init__(self, inner: CacheBackend, breaker: CircuitBreaker) -> None:
         self.inner = inner
         self.breaker = breaker

@@ -5,9 +5,10 @@ degraded serving, failover retries -- needs a way to *make* the
 failure happen on demand, repeatably, in CI.  Two harnesses:
 
 **Store faults** -- ``fault+sqlite://path?fail_rate=1.0&latency_ms=5``
-wraps the real SQLite backend behind the normal
-:data:`~repro.api.registry.STORE_SCHEMES` registry, so any ``--store``
-/ ``--node-store`` flag (serve, fleet, warm, cache) can point at a
+wraps the real SQLite backend of either cache kind.  The one cache
+resolver (:func:`repro.api.registry.create_store` /
+``create_node_store``) builds the wrapper, so any ``--store`` /
+``--node-store`` flag (serve, fleet, warm, cache) can point at a
 misbehaving store with no code changes.  Query parameters:
 
 - ``fail_rate`` (0..1): probability an operation raises
@@ -80,7 +81,7 @@ class FaultPolicy:
     def from_params(cls, params: Dict[str, str], url: str) -> "FaultPolicy":
         """Build a policy from URL query parameters, consuming them.
         Unknown or malformed parameters raise ``ValueError`` naming
-        the full URL (the registry turns that into exit 2)."""
+        the full URL (the cache resolver turns that into exit 2)."""
 
         def _number(key: str, convert, default):
             text = params.pop(key, None)
@@ -164,8 +165,6 @@ class FaultInjectingBackend(CacheBackend):
     backend: a leaf's serving ops tick the policy, while the
     maintenance ops here pass through so the harness itself stays
     operable."""
-
-    scheme = "fault+sqlite"
 
     def __init__(self, inner: CacheBackend, policy: FaultPolicy) -> None:
         self.inner = inner

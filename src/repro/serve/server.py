@@ -132,6 +132,12 @@ MAX_HEADERS = 100
 #: work stays warm.
 MAX_SESSIONS = 32
 
+#: Executor threads per service.  Engine runs and blocking store reads
+#: share them, so a store probe need not queue behind one long
+#: evaluation; parallelism across requests lives in the fleet's worker
+#: processes.
+ENGINE_WORKERS = 2
+
 #: Sanity bound on a client-supplied combination cap.
 MAX_COMBINATIONS_LIMIT = 10_000_000
 
@@ -290,7 +296,6 @@ class SynthesisService:
         self,
         store: Any = "default",
         defaults: Optional[Dict[str, Any]] = None,
-        engine_workers: int = 2,
         max_sessions: int = MAX_SESSIONS,
         node_store: Any = "auto",
         request_timeout: Optional[float] = None,
@@ -342,14 +347,8 @@ class SynthesisService:
         # and the hit/miss/published counters survive LRU session
         # eviction, keeping /metrics monotonic.
         if node_store == "auto":
-            if self.store is not None:
-                from repro.nodestore import NodeStore
-
-                raw_node_store = NodeStore(self.store.path)
-            else:
-                raw_node_store = None
-        else:
-            raw_node_store = create_node_store(node_store)
+            node_store = self.store.path if self.store is not None else None
+        raw_node_store = create_node_store(node_store)
         if raw_node_store is not None:
             self._node_breaker = CircuitBreaker(
                 "node_store", breaker_threshold, breaker_reset)
@@ -369,7 +368,7 @@ class SynthesisService:
         self._session_locks: Dict[Tuple, asyncio.Lock] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, engine_workers),
+            max_workers=ENGINE_WORKERS,
             thread_name_prefix="repro-engine",
         )
         #: When the next background write of queued LRU stamps may run.
@@ -856,6 +855,7 @@ class SynthesisService:
         # interpreter exit).
         self._executor.shutdown(wait=False, cancel_futures=True)
         self.access_log.close()
+        self.tracer.close()
         # Loop-served hits queue their LRU stamps: write them even when
         # the store handles stay open (the breaker guards the write).
         if self.store is not None:

@@ -1,4 +1,4 @@
-"""Pluggable store backends: the protocol and URL-style designators.
+"""Store backends: the protocol and the URL-designator grammar.
 
 The engine talks to persistence through two narrow protocols --
 :class:`StoreBackend` (whole-request results, what
@@ -9,34 +9,37 @@ The engine talks to persistence through two narrow protocols --
 ``info``, ``prune``, ``clear``, ``close``) they share, and declare only
 their own serving operations.  Everything above the protocol --
 fingerprinting, re-interning, serving, pruning policy -- is
-backend-agnostic, so a remote backend (a network KV, a shared cache
-service) plugs in without touching the engine: implement the protocol,
-register a factory, done.
+backend-agnostic: a live object that implements the protocol can be
+handed to a session or the serve layer directly.
 
-Backends are *designated* three ways:
+One resolver, :func:`repro.api.registry.create_store` /
+``create_node_store``, turns a *designator* of either kind into a
+backend:
 
-- a registered **name** (``"default"``, ``"memory"``) -- resolved
-  through :data:`repro.api.registry.STORES` / ``NODE_STORES``;
-- a bare **path** (``/tmp/cache.sqlite``) -- opens the SQLite backend
-  on that file;
-- a **URL** (``sqlite:///tmp/cache.sqlite``, ``memory:``) -- the
-  scheme names the backend, the rest is backend-specific.  Schemes are
-  registered in :data:`repro.api.registry.STORE_SCHEMES`; the same URL
-  works for result stores and node stores (the factory receives which
-  ``kind`` is wanted, and by default both kinds co-locate in one
-  SQLite file exactly as bare paths do).
+- the **name** ``"default"`` (the default file) or ``"memory"``
+  (ephemeral SQLite);
+- a bare **path** (``/tmp/cache.sqlite``) -- the SQLite backend on that
+  file;
+- a **URL** -- the scheme names the backend, the rest is its path and
+  query.  The same URL works for result stores and node stores, and
+  both kinds co-locate in one SQLite file exactly as bare paths do.
 
-URL forms for the built-in schemes::
+URL forms::
 
     sqlite:///abs/path.sqlite   # absolute path (the canonical form)
     sqlite://rel/path.sqlite    # relative path
     sqlite:path.sqlite          # also accepted
+    sqlite:///x.sqlite?busy_timeout_ms=500
     memory:                     # ephemeral per-process SQLite
+    fault+sqlite:///x.sqlite?fail_rate=0.5   # see repro.resilience.faults
+    fault+memory:?fail_first=3
 
+This module holds the grammar the resolver uses:
 :func:`parse_store_url` decides what counts as a URL: ``scheme:rest``
 with an alphabetic scheme of length >= 2 (so sqlite's own ``:memory:``
-and Windows-style drive letters stay plain paths, and bare registered
-names without a colon are untouched).
+and Windows-style drive letters stay plain paths, and bare names
+without a colon are untouched); :func:`split_url_query` and
+:func:`sqlite_url_path` split the rest.
 """
 
 from __future__ import annotations
@@ -121,10 +124,6 @@ class CacheBackend(abc.ABC):
     logs, ``info()``, and for co-locating a node cache next to a result
     store.
     """
-
-    #: The URL scheme this backend answers to (documentation; the
-    #: registry owns actual resolution).
-    scheme: str = "?"
 
     path: Any
 

@@ -155,8 +155,6 @@ class CacheTable(CacheBackend):
     with ``sqlite3.ProgrammingError`` and goes through the same policy.
     """
 
-    scheme = "sqlite"
-
     #: The table, the ``meta`` row holding its version, the per-entry
     #: metadata column ``entries()`` reports, and what the table is
     #: called in errors.

@@ -106,9 +106,6 @@ def test_cli_exits_2_on_bad_store_designators(capsys):
         assert cli.main(["cache", "info", "--store", designator]) == 2
         stderr = capsys.readouterr().err
         assert "sqlite" in stderr or "memory" in stderr
-    assert cli.main(["list", "store_schemes"]) == 0
-    out = capsys.readouterr().out
-    assert "sqlite" in out and "memory" in out
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +238,23 @@ def test_fleet_store_must_be_a_designator():
             FleetService(workers=1, store=store)
     finally:
         store.close()
+
+
+def test_fleet_node_store_must_be_a_designator():
+    """A node store reaches each worker as ``--node-store`` text, so a
+    live object is refused and True means the default file -- never a
+    repr that every worker would open as a file of that name."""
+    from repro.nodestore import NodeStore
+
+    nodes = NodeStore(":memory:")
+    try:
+        with pytest.raises(TypeError):
+            FleetService(workers=1, node_store=nodes)
+    finally:
+        nodes.close()
+    argv = FleetService(workers=1, node_store=True)._worker_argv()
+    assert argv[argv.index("--node-store") + 1] == "default"
+    assert "--node-store" not in FleetService(workers=1)._worker_argv()
 
 
 # ---------------------------------------------------------------------------

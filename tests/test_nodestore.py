@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import EMITTERS, NODE_STORES, Session, create_node_store
+from repro.api import EMITTERS, Session, create_node_store
 from repro.api.cli import main as cli_main
 from repro.api.requests import SynthesisRequest
 from repro.core.specs import alu_spec, comparator_spec, make_spec
@@ -403,11 +403,10 @@ def test_node_clear_leaves_results_untouched(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# session integration + registry
+# session integration + designators
 # ---------------------------------------------------------------------------
 
-def test_node_stores_registry_and_designators(tmp_path):
-    assert "default" in NODE_STORES and "memory" in NODE_STORES
+def test_node_store_designators(tmp_path):
     assert create_node_store(None) is None
     store = _nodes(tmp_path)
     assert create_node_store(store) is store

@@ -7,6 +7,7 @@ real single server and a real 2-worker fleet and assert that every
 counter and histogram in the JSON ``/metrics`` payload appears in the
 Prometheus text with an equal value."""
 
+import asyncio
 import http.client
 import json
 
@@ -156,6 +157,21 @@ def test_tracer_jsonl_export(tmp_path):
     entry = json.loads(lines[0])
     assert entry["name"] == "request /batch"
     assert entry["service"] == "repro"
+
+
+def test_backends_close_their_trace_export(tmp_path):
+    """Stopping the server closes the --trace-export file of either
+    backend."""
+    service = SynthesisService(store=None, trace_sample=1.0,
+                               trace_export=str(tmp_path / "serve.jsonl"))
+    export = service.tracer._export_file
+    ReproServer(service, port=0).run_in_thread().stop()
+    assert export.closed
+    fleet = FleetService(workers=1, store=None,
+                         trace_export=str(tmp_path / "fleet.jsonl"))
+    export = fleet.tracer._export_file
+    asyncio.run(fleet.close())
+    assert export.closed
 
 
 def test_bind_span_scopes_current_span():

@@ -284,6 +284,130 @@ def test_create_store_designators(tmp_path):
         create_store(42)
 
 
+#: Every designator form, as ``(designator, path, busy_timeout_ms,
+#: fault policy fields or None)`` once resolved.  ``{tmp}`` is the
+#: test's absolute directory and the working directory for relative
+#: paths; ``None`` as the path means the default file ($REPRO_STORE).
+ACCEPTED_DESIGNATORS = [
+    (True, None, 10_000, None),
+    ("default", None, 10_000, None),
+    (" Default ", None, 10_000, None),
+    ("memory", ":memory:", 10_000, None),
+    ("MEMORY", ":memory:", 10_000, None),
+    ("{tmp}/bare.sqlite", "{tmp}/bare.sqlite", 10_000, None),
+    ("rel.sqlite", "rel.sqlite", 10_000, None),
+    (":memory:", ":memory:", 10_000, None),
+    ("sqlite://{tmp}/abs.sqlite", "{tmp}/abs.sqlite", 10_000, None),
+    ("sqlite://rel.sqlite", "rel.sqlite", 10_000, None),
+    ("sqlite:rel.sqlite", "rel.sqlite", 10_000, None),
+    ("SQLite://rel.sqlite", "rel.sqlite", 10_000, None),
+    ("sqlite://{tmp}/bt.sqlite?busy_timeout_ms=500", "{tmp}/bt.sqlite",
+     500, None),
+    ("memory:", ":memory:", 10_000, None),
+    ("memory://", ":memory:", 10_000, None),
+    ("memory:?", ":memory:", 10_000, None),
+    ("fault+sqlite://{tmp}/f.sqlite?fail_rate=0.5&seed=3"
+     "&busy_timeout_ms=250", "{tmp}/f.sqlite", 250,
+     {"fail_rate": 0.5, "seed": 3, "fail_first": 0}),
+    ("fault+memory:?fail_first=2&latency_ms=0", ":memory:", 10_000,
+     {"fail_rate": 0.0, "seed": 0, "fail_first": 2}),
+    ("fault+memory:", ":memory:", 10_000,
+     {"fail_rate": 0.0, "seed": 0, "fail_first": 0}),
+]
+
+#: Malformed URLs and bad query parameters: RegistryError (CLI exit 2).
+REJECTED_URLS = [
+    "bogus://x",
+    "fault+bogus:",
+    "sqlite:",
+    "sqlite://",
+    "sqlite:///x.sqlite?busy_timeout_ms=abc",
+    "sqlite:///x.sqlite?busy_timeout_ms=0",
+    "sqlite:///x.sqlite?bogus_param=1",
+    "sqlite:///x.sqlite?novalue",
+    "memory://extra/path",
+    "memory:?busy_timeout_ms=5",
+    "memory:?bad",
+    "fault+sqlite:///x.sqlite?fail_rate=2.0",
+    "fault+sqlite:///x.sqlite?fail_rate=abc",
+    "fault+sqlite:///x.sqlite?unknown=1",
+    "fault+sqlite://",
+    "fault+memory://extra/path?fail_rate=0.5",
+    "fault+memory:?busy_timeout_ms=5",
+]
+
+
+@pytest.mark.parametrize("kind", ["results", "nodes"])
+def test_designator_table(kind, tmp_path, monkeypatch):
+    """One resolver, both kinds: every designator form opens the
+    kind's SQLite class on the right path with the right options, a
+    fault+ scheme wraps it in the kind's fault injector, and every
+    rejected form fails before opening anything."""
+    from repro.api import RegistryError, create_node_store
+    from repro.nodestore import NodeStore
+    from repro.resilience import FaultInjectingNodeStore, FaultInjectingStore
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "default.sqlite"))
+    create, sqlite, faulty, other = {
+        "results": (create_store, ResultStore, FaultInjectingStore,
+                    NodeStore),
+        "nodes": (create_node_store, NodeStore, FaultInjectingNodeStore,
+                  ResultStore),
+    }[kind]
+
+    def fill(text):
+        return (text.replace("{tmp}", str(tmp_path))
+                if isinstance(text, str) else text)
+
+    assert create(None) is None
+    live = sqlite(":memory:")
+    assert create(live) is live
+    live.close()
+    by_path = create(tmp_path / "as_path.sqlite")
+    assert type(by_path) is sqlite
+    assert by_path.path == tmp_path / "as_path.sqlite"
+    by_path.close()
+
+    for designator, path, busy, fault in ACCEPTED_DESIGNATORS:
+        designator = fill(designator)
+        cache = create(designator)
+        try:
+            inner = cache
+            if fault is None:
+                assert type(cache) is sqlite, designator
+            else:
+                assert type(cache) is faulty, designator
+                inner = cache.inner
+                assert type(inner) is sqlite, designator
+                policy = cache.policy
+                assert {key: getattr(policy, key) for key in fault} == fault
+            expected = (tmp_path / "default.sqlite" if path is None
+                        else Path(fill(path)))
+            assert inner.path == expected, designator
+            assert inner.busy_timeout_ms == busy, designator
+        finally:
+            cache.close()
+
+    for designator in REJECTED_URLS:
+        with pytest.raises(RegistryError):
+            create(designator)
+    with pytest.raises(RegistryError) as error:
+        create("bogus://x")
+    message = str(error.value)
+    for accepted in ("fault+memory", "fault+sqlite", "memory", "sqlite",
+                     "default"):
+        assert accepted in message
+    wrong_kind = other(":memory:")
+    try:
+        for wrong in (42, False, b"memory", object(), wrong_kind):
+            with pytest.raises(TypeError):
+                create(wrong)
+    finally:
+        wrong_kind.close()
+    assert not (tmp_path / "x.sqlite").exists()
+
+
 def test_closed_stores_keep_their_error_policy(tmp_path):
     """Closing keeps each kind's policy: a result store raises a store
     failure (what the serve layer's breaker counts), never an
@@ -668,13 +792,10 @@ def test_cli_unusable_store_path_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# store registry + thread safety of registration (satellite)
+# the memory store + thread safety of registration
 # ---------------------------------------------------------------------------
 
-def test_stores_registry_memory_backend():
-    from repro.api import STORES, create_store
-
-    assert "default" in STORES and "memory" in STORES
+def test_memory_store_backend():
     store = create_store("memory")
     try:
         session = Session(store=store)
@@ -698,7 +819,7 @@ def test_registry_duplicate_name_raises_clear_error():
 def test_registry_registration_is_thread_safe():
     """Decorator registration from many threads: every distinct name
     lands exactly once, and concurrent claims of the *same* name admit
-    exactly one winner (guards the STORES registry used by serve)."""
+    exactly one winner."""
     from repro.api import Registry, RegistryError
 
     reg = Registry("gizmo")
