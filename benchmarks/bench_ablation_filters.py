@@ -10,14 +10,13 @@ shown through the unconstrained-size counter instead.
 import pytest
 
 from repro.api import Session
-from repro.core import KeepAllFilter, ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.specs import adder_spec, alu_spec
 
 FILTERS = [
-    ("pareto", ParetoFilter()),
-    ("tradeoff-5%", TradeoffFilter(0.05)),
-    ("tradeoff-15%", TradeoffFilter(0.15)),
-    ("top-4", TopKFilter(4)),
+    ("pareto", "pareto"),
+    ("tradeoff-5%", "tradeoff:0.05"),
+    ("tradeoff-15%", "tradeoff:0.15"),
+    ("top-4", "top_k:4"),
 ]
 
 
@@ -43,9 +42,9 @@ def test_filter_monotonicity(lsi):
     def run(perf_filter):
         return Session(lsi, perf_filter=perf_filter).synthesize(spec).result
 
-    pareto = run(ParetoFilter())
-    tradeoff = run(TradeoffFilter(0.10))
-    top4 = run(TopKFilter(4))
+    pareto = run("pareto")
+    tradeoff = run("tradeoff:0.10")
+    top4 = run("top_k:4")
     assert len(tradeoff) <= len(pareto)
     assert len(top4) <= 4
     assert tradeoff.fastest().delay <= pareto.fastest().delay * 1.25
@@ -56,9 +55,9 @@ def test_filter_monotonicity(lsi):
 def test_keep_all_is_infeasible_guard(lsi):
     """With no filter at all, even an 8-bit adder's evaluated space is
     orders of magnitude larger -- demonstrating why S2 exists."""
-    unfiltered = Session(lsi, perf_filter=KeepAllFilter())
+    unfiltered = Session(lsi, perf_filter="keep_all")
     result = unfiltered.synthesize(adder_spec(8)).result
-    filtered = Session(lsi, perf_filter=ParetoFilter()).synthesize(
+    filtered = Session(lsi, perf_filter="pareto").synthesize(
         adder_spec(8)).result
     print(f"\n  keep-all alternatives: {len(result)}; "
           f"pareto: {len(filtered)}")

@@ -17,12 +17,11 @@ import math
 import pytest
 
 from repro.api import Session
-from repro.core import ParetoFilter, TradeoffFilter
 from repro.core.specs import adder_spec
 
 
 def constrained_space(lsi):
-    session = Session(lsi, perf_filter=ParetoFilter())
+    session = Session(lsi, perf_filter="pareto")
     return session.synthesize(adder_spec(16)).result
 
 
@@ -38,7 +37,7 @@ def test_adder16_design_space(benchmark, lsi):
     print(f"  unconstrained designs : ~10^{int(math.log10(unconstrained))}")
     print(f"  paper's unconstrained : 10^5 .. 10^6 (module-level rules)")
     print(f"  with S1+S2 (Pareto)   : {len(result)}")
-    tradeoff = Session(lsi, perf_filter=TradeoffFilter(0.05))
+    tradeoff = Session(lsi, perf_filter="tradeoff:0.05")
     thinned = tradeoff.synthesize(adder_spec(16)).result
     print(f"  with tradeoff filter  : {len(thinned)}")
     print(f"  paper's constrained   : 10")

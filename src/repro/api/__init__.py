@@ -24,10 +24,10 @@ caches::
 
     jobs = session.map(["adder:16", "adder:32", "alu:16"])
 
-Backends are chosen by name and extended through
-:mod:`repro.api.registry`; the same names drive the CLI
-(``python -m repro synth --spec alu:64 --library lsi_logic
---emit vhdl,report``).
+Backends are built-ins chosen by name from the fixed tables of
+:mod:`repro.api.registry` (``python -m repro list`` prints them); the
+same names drive the CLI (``python -m repro synth --spec alu:64
+--library lsi_logic --emit vhdl,report``).
 """
 
 from repro.api.registry import (

@@ -99,8 +99,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="cap on the per-node S1 cross product (N >= 1)")
     parser.add_argument(
         "--order", default=None, metavar="NAME",
-        help="S1 enumeration order: lex (default), frontier, or a "
-             "registered name (see 'repro list orders'); frontier makes "
+        help="S1 enumeration order: lex (default), frontier or auto "
+             "(see 'repro list orders'); frontier makes "
              "--max-combinations keep the best designs")
 
 
@@ -409,15 +409,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     list_parser = sub.add_parser(
         "list",
-        help="show the registered backends",
-        description="Show registered libraries, rulebases, filters, "
+        help="show the built-in backends",
+        description="Show the built-in libraries, rulebases, filters, "
                     "emitters, spec shorthands, and orders.",
     )
     list_parser.add_argument(
         "what", nargs="?", default="all",
         choices=["all", "libraries", "rulebases", "filters", "emitters",
                  "specs", "orders"],
-        help="which registry to show (default: all)")
+        help="which kind to show (default: all)")
     return parser
 
 
@@ -460,10 +460,10 @@ def _collect_requests(args: argparse.Namespace, command: str,
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    # KeyError is in every backend-resolution catch: RegistryError
-    # subclasses it (and carries the registered-name listing), and a
-    # third-party factory's own stray KeyError must exit 2 with a
-    # message, never escape as a traceback.
+    # KeyError is in every backend-resolution catch because
+    # RegistryError subclasses it: an unknown name (the error lists the
+    # known ones) or a rejected designator exits 2 with a message,
+    # never a traceback.
     try:
         requests = _collect_requests(args, "synth")
         if requests is None:

@@ -1,10 +1,9 @@
 """Built-in output emitters.
 
 An emitter renders one :class:`~repro.api.requests.SynthesisJob` as
-text; emitters are selected by name through
+text; emitters are selected by name through the fixed table
 :data:`repro.api.registry.EMITTERS` (``job.emit("report", "vhdl")``,
-``repro synth --emit vhdl,report``).  Registering a new name is all it
-takes to plug a custom format into both the API and the CLI.
+``repro synth --emit vhdl,report``).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import List, Sequence, Tuple
 
-from repro.api.registry import EMITTERS
 from repro.api.requests import SynthesisJob
 
 
@@ -53,25 +51,17 @@ def ascii_plot(points: Sequence[Tuple[float, ...]], width: int = 60,
 
 
 # ---------------------------------------------------------------------------
-# Registered emitters
+# The emitters
 # ---------------------------------------------------------------------------
 
-@EMITTERS.register("report",
-                   description="Figure-3 style area/delay table")
 def emit_report(job: SynthesisJob) -> str:
     return job.report()
 
 
-@EMITTERS.register("plot",
-                   description="ASCII delay-vs-area scatter of the "
-                               "surviving points")
 def emit_plot(job: SynthesisJob) -> str:
     return ascii_plot(job.points())
 
 
-@EMITTERS.register("vhdl",
-                   description="structural VHDL (smallest alternative; "
-                               "GENUS netlist for netlist/HLS jobs)")
 def emit_vhdl(job: SynthesisJob) -> str:
     if job.spec is not None:
         return job.vhdl()
@@ -87,14 +77,10 @@ def emit_vhdl(job: SynthesisJob) -> str:
     return netlist_vhdl(netlist)
 
 
-@EMITTERS.register("behavioral_vhdl",
-                   description="behavioral VHDL model of the root spec")
 def emit_behavioral_vhdl(job: SynthesisJob) -> str:
     return job.behavioral_vhdl()
 
 
-@EMITTERS.register("json",
-                   description="machine-readable alternatives + stats")
 def emit_json(job: SynthesisJob) -> str:
     payload = {
         "request": {"kind": job.request.kind, "label": job.request.label},
@@ -120,9 +106,6 @@ def emit_json(job: SynthesisJob) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-@EMITTERS.register("cells",
-                   description="leaf-cell usage of the smallest and "
-                               "fastest alternatives")
 def emit_cells(job: SynthesisJob) -> str:
     from repro.core.report import cell_usage_report
 

@@ -1,299 +1,247 @@
-"""Name-based registries for the pluggable pieces of the flow.
+"""The built-in backends of the flow, one fixed table per kind.
 
-The session layer selects backends by *string*: cell libraries
-(``lsi_logic``, ``vendor2``), rulebase policies (``auto``, ``standard``,
-``lola``), performance filters (``pareto``, ``tradeoff:0.05``), output
-emitters (``report``, ``vhdl``, ``json``), and spec shorthands
-(``alu:64``).  Third-party code extends the system by registering its
-own factory under a new name -- no session or CLI change required::
+The session layer selects every pluggable piece by *string*: cell
+libraries (``lsi_logic``, ``vendor2``), rulebase policies (``auto``,
+``standard``, ``lola``), performance filters (``pareto``,
+``tradeoff:0.05``), enumeration orders (``lex``, ``frontier``,
+``auto``), output emitters (``report``, ``vhdl``, ``json``) and spec
+shorthands (``alu:64``).  Each kind is one :class:`Registry` built
+once at import from the built-ins; ``repro list`` prints them, and
+there is no registration.  Names fold through :func:`canonical_name`.
 
-    from repro.api import registry
-
-    @registry.LIBRARIES.register("acme3")
-    def _acme3():
-        return load_databook(ACME3_SOURCE)
-
-Every registry maps a name to a zero-or-more-argument factory; the
-conventions per registry are documented on the module-level instances
-below.
+Filters and orders are names only, because both cache keys name them;
+a cell library or a rulebase may also be passed as an object (the
+LOLA flow builds both per data book).
 """
 
 from __future__ import annotations
 
 import difflib
-import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.api import emitters
+from repro.core.configs import ORDERINGS
+from repro.core.filters import (
+    KeepAllFilter,
+    ParetoFilter,
+    TopKFilter,
+    TradeoffFilter,
+)
+from repro.core.rulebase import standard_rulebase
+from repro.core.specs import (
+    adder_spec,
+    alu_spec,
+    comparator_spec,
+    counter_spec,
+    mux_spec,
+    register_spec,
+)
+from repro.techlib import lsi_logic_library, vendor2_library
 
 
 class RegistryError(KeyError):
-    """Unknown or duplicate registry name."""
+    """Unknown backend name, or a designator its factory rejects."""
 
     def __str__(self) -> str:
         # KeyError.__str__ renders the message repr-quoted; undo that.
         return str(self.args[0]) if self.args else ""
 
 
-class Registry:
-    """A string -> factory table with decorator registration.
+def canonical_name(name: str) -> str:
+    """The one folding of backend names: case-insensitive, ``-`` and
+    ``_`` interchangeable, surrounding blanks ignored."""
+    return name.strip().lower().replace("-", "_")
 
-    ``kind`` names what is being registered (used in error messages);
-    ``signature`` documents the factory calling convention.
+
+class Registry:
+    """A fixed name -> factory table of one kind of backend.
+
+    ``kind`` names the backend in error messages; ``signature``
+    documents the factory calling convention; ``entries`` maps each
+    name to its ``(factory, description)``.
     """
 
-    def __init__(self, kind: str, signature: str = "()") -> None:
+    def __init__(self, kind: str, signature: str,
+                 entries: Dict[str, Tuple[Callable, str]]) -> None:
         self.kind = kind
         self.signature = signature
-        self._factories: Dict[str, Callable] = {}
-        self._descriptions: Dict[str, str] = {}
-        # Registration is guarded: the serve layer imports plugin-style
-        # registrations from executor threads, and concurrent decorator
-        # registration must neither corrupt the tables nor let two
-        # threads silently claim the same name.
-        self._lock = threading.Lock()
+        self._entries = {canonical_name(name): entry
+                         for name, entry in entries.items()}
 
-    # -- registration --------------------------------------------------
-    def register(
-        self,
-        name: str,
-        factory: Optional[Callable] = None,
-        *,
-        description: str = "",
-        replace: bool = False,
-    ):
-        """Register ``factory`` under ``name``.
-
-        Usable directly (``reg.register("x", fn)``) or as a decorator
-        (``@reg.register("x")``).  Names are case-insensitive and
-        ``-``/``_`` are interchangeable.
-        """
-        key = self._canon(name)
-
-        def _install(fn: Callable) -> Callable:
-            with self._lock:
-                if key in self._factories and not replace:
-                    raise RegistryError(
-                        f"{self.kind} {name!r} is already registered "
-                        f"(pass replace=True to override)"
-                    )
-                self._factories[key] = fn
-                doc = (fn.__doc__ or "").strip()
-                self._descriptions[key] = description or (
-                    doc.splitlines()[0] if doc else "")
-            return fn
-
-        if factory is None:
-            return _install
-        return _install(factory)
-
-    def unregister(self, name: str) -> None:
-        key = self._canon(name)
-        with self._lock:
-            self._factories.pop(key, None)
-            self._descriptions.pop(key, None)
-
-    # -- lookup --------------------------------------------------------
-    # Reads take the same lock as registration: names()/iteration must
-    # never see a dict mid-mutation from another thread (sorted() over
-    # a changing dict raises), and a get concurrent with a replace must
-    # return either the old or the new factory, never crash.
     def get(self, name: str) -> Callable:
-        """The raw factory registered under ``name``."""
-        key = self._canon(name)
-        with self._lock:
-            factory = self._factories.get(key)
-        if factory is None:
+        """The factory of ``name``."""
+        entry = self._entries.get(canonical_name(name))
+        if entry is None:
             raise RegistryError(self._unknown_message(name))
-        return factory
+        return entry[0]
 
     def create(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke the factory registered under ``name``."""
+        """Invoke the factory of ``name``."""
         return self.get(name)(*args, **kwargs)
 
     def describe(self, name: str) -> str:
-        with self._lock:
-            return self._descriptions.get(self._canon(name), "")
+        entry = self._entries.get(canonical_name(name))
+        return "" if entry is None else entry[1]
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._factories)
+        return sorted(self._entries)
 
     def __contains__(self, name: str) -> bool:
-        key = self._canon(name)
-        with self._lock:
-            return key in self._factories
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._factories)
+        return canonical_name(name) in self._entries
 
     def __repr__(self) -> str:
-        return f"Registry({self.kind}: {', '.join(self.names()) or 'empty'})"
-
-    # -- helpers -------------------------------------------------------
-    @staticmethod
-    def _canon(name: str) -> str:
-        return name.strip().lower().replace("-", "_")
+        return f"Registry({self.kind}: {', '.join(self.names())})"
 
     def _unknown_message(self, name: str) -> str:
         known = self.names()
         message = f"unknown {self.kind} {name!r}; known: {', '.join(known)}"
-        close = difflib.get_close_matches(self._canon(name), known, n=1)
+        close = difflib.get_close_matches(canonical_name(name), known, n=1)
         if close:
             message += f" (did you mean {close[0]!r}?)"
         return message
 
 
 # ---------------------------------------------------------------------------
-# The registries
+# The tables
 # ---------------------------------------------------------------------------
 
+def _auto_rulebase(library):
+    rulebase = standard_rulebase()
+    if library.name.startswith("LSI"):
+        from repro.core.library_rules import lsi_rules
+
+        rulebase.extend(lsi_rules())
+    return rulebase
+
+
+def _standard_rulebase(library):
+    return standard_rulebase()
+
+
+def _lola_rulebase(library):
+    from repro.lola.assistant import adapt_rulebase
+
+    rulebase = standard_rulebase()
+    adapt_rulebase(rulebase, library)
+    return rulebase
+
+
+def _without_argument(name: str, filter_class: type) -> Callable:
+    """The factory of a filter that takes no argument: ``pareto:3``
+    is an error, not ``pareto``."""
+    def build(arg: Optional[str] = None):
+        if arg is not None:
+            raise RegistryError(
+                f"filter {name!r} takes no argument, got {name}:{arg}")
+        return filter_class()
+    return build
+
+
 #: Cell libraries.  Factory convention: ``() -> CellLibrary``.
-LIBRARIES = Registry("library", "() -> CellLibrary")
+LIBRARIES = Registry("library", "() -> CellLibrary", {
+    "lsi_logic": (lsi_logic_library,
+                  "30-cell LSI Logic 1.5-micron subset (the paper's)"),
+    "vendor2": (vendor2_library,
+                "ACME 1.0-micron library (LOLA retargeting target)"),
+})
 
 #: Rulebase policies.  Factory convention:
 #: ``(library: CellLibrary) -> RuleBase`` -- the policy sees the target
 #: library so it can add library-specific rules.
-RULEBASES = Registry("rulebase", "(library) -> RuleBase")
+RULEBASES = Registry("rulebase", "(library) -> RuleBase", {
+    "auto": (_auto_rulebase,
+             "standard rules + the LSI-specific nine on LSI libraries"),
+    "standard": (_standard_rulebase,
+                 "the generic decomposition rulebase only"),
+    "lola": (_lola_rulebase,
+             "standard rules + LOLA-adapted library-specific rules"),
+})
 
 #: Performance filters (search control S2).  Factory convention:
 #: ``(arg: Optional[str]) -> PerformanceFilter`` where ``arg`` is the
-#: text after ``:`` in specs like ``tradeoff:0.05`` (None when absent).
-FILTERS = Registry("filter", "(arg: str | None) -> PerformanceFilter")
+#: text after ``:`` in designators like ``tradeoff:0.05`` (None when
+#: absent).
+FILTERS = Registry("filter", "(arg: str | None) -> PerformanceFilter", {
+    "pareto": (_without_argument("pareto", ParetoFilter),
+               "area/delay Pareto frontier"),
+    "tradeoff": (lambda arg=None: TradeoffFilter(
+                     0.05 if arg is None else float(arg)),
+                 "frontier thinned to >=arg fractional delay gains "
+                 "(tradeoff:0.05)"),
+    "top_k": (lambda arg=None: TopKFilter(8 if arg is None else int(arg)),
+              "at most k frontier points, extremes first (top_k:4)"),
+    "keep_all": (_without_argument("keep_all", KeepAllFilter),
+                 "no pruning (ablation; expect blow-up)"),
+})
+
+#: S1 enumeration orders: the functions of
+#: :data:`repro.core.configs.ORDERINGS`, each described by its
+#: docstring's summary.  Factory convention: ``(options, limit) ->
+#: options`` reorders one option list.  Sessions take an order by name
+#: (:func:`create_order`).
+ORDERS = Registry("order", "(options, limit) -> options", {
+    name: (order, " ".join(order.__doc__.split("\n\n")[0].split()))
+    for name, order in ORDERINGS.items()
+})
 
 #: Output emitters.  Factory convention: ``(job: SynthesisJob) -> str``
 #: (the factory *is* the emitter; it renders one job as text).
-EMITTERS = Registry("emitter", "(job) -> str")
+EMITTERS = Registry("emitter", "(job) -> str", {
+    "report": (emitters.emit_report, "Figure-3 style area/delay table"),
+    "plot": (emitters.emit_plot,
+             "ASCII delay-vs-area scatter of the surviving points"),
+    "vhdl": (emitters.emit_vhdl,
+             "structural VHDL (smallest alternative; GENUS netlist for "
+             "netlist/HLS jobs)"),
+    "behavioral_vhdl": (emitters.emit_behavioral_vhdl,
+                        "behavioral VHDL model of the root spec"),
+    "json": (emitters.emit_json, "machine-readable alternatives + stats"),
+    "cells": (emitters.emit_cells,
+              "leaf-cell usage of the smallest and fastest alternatives"),
+})
 
 #: Component-spec shorthands.  Factory convention:
 #: ``(width: int) -> ComponentSpec`` for names like ``alu:64``.
-SPECS = Registry("spec", "(width: int) -> ComponentSpec")
-
-#: S1 enumeration orders for the streaming combiner.  Factory
-#: convention: ``() -> Optional[callable]`` returning a function that
-#: reorders one option list (``None`` = keep list order).  The order is
-#: one of the three search controls (with the filter and
-#: ``max_combinations``), and both cache keys name it, so sessions take
-#: it by name only: third-party orders registered here are usable as
-#: ``Session(order="name")`` and ``--order name`` exactly like
-#: built-ins.  Names resolve at this layer (:func:`create_order`).
-ORDERS = Registry("order", "() -> Optional[callable]")
-
-
-# ---------------------------------------------------------------------------
-# Built-in backends
-# ---------------------------------------------------------------------------
-
-def _register_builtins() -> None:
-    from repro.core.filters import (
-        KeepAllFilter,
-        ParetoFilter,
-        TopKFilter,
-        TradeoffFilter,
-    )
-    from repro.core.rulebase import standard_rulebase
-    from repro.core.specs import (
-        adder_spec,
-        alu_spec,
-        comparator_spec,
-        counter_spec,
-        mux_spec,
-        register_spec,
-    )
-    from repro.techlib import lsi_logic_library, vendor2_library
-
-    LIBRARIES.register(
-        "lsi_logic", lsi_logic_library,
-        description="30-cell LSI Logic 1.5-micron subset (the paper's)")
-    LIBRARIES.register(
-        "vendor2", vendor2_library,
-        description="ACME 1.0-micron library (LOLA retargeting target)")
-
-    def _auto_rulebase(library):
-        rulebase = standard_rulebase()
-        if library.name.startswith("LSI"):
-            from repro.core.library_rules import lsi_rules
-
-            rulebase.extend(lsi_rules())
-        return rulebase
-
-    def _standard_rulebase(library):
-        return standard_rulebase()
-
-    def _lola_rulebase(library):
-        from repro.lola.assistant import adapt_rulebase
-
-        rulebase = standard_rulebase()
-        adapt_rulebase(rulebase, library)
-        return rulebase
-
-    RULEBASES.register(
-        "auto", _auto_rulebase,
-        description="standard rules + the LSI-specific nine on LSI libraries")
-    RULEBASES.register(
-        "standard", _standard_rulebase,
-        description="the generic decomposition rulebase only")
-    RULEBASES.register(
-        "lola", _lola_rulebase,
-        description="standard rules + LOLA-adapted library-specific rules")
-
-    FILTERS.register(
-        "pareto", lambda arg=None: ParetoFilter(),
-        description="area/delay Pareto frontier")
-    FILTERS.register(
-        "tradeoff", lambda arg=None: TradeoffFilter(
-            float(arg) if arg is not None else 0.05),
-        description="frontier thinned to >=arg fractional delay gains "
-                    "(tradeoff:0.05)")
-    FILTERS.register(
-        "top_k", lambda arg=None: TopKFilter(int(arg) if arg is not None else 8),
-        description="at most k frontier points, extremes first (top_k:4)")
-    FILTERS.register(
-        "keep_all", lambda arg=None: KeepAllFilter(),
-        description="no pruning (ablation; expect blow-up)")
-
-    from repro.core.configs import adaptive_order, pareto_rank_order
-
-    ORDERS.register(
-        "lex", lambda: None,
-        description="enumeration order of the option lists (seed "
-                    "semantics; byte-stable results)")
-    ORDERS.register(
-        "frontier", lambda: pareto_rank_order,
-        description="Pareto-rank + two-ended sweep seeding, so "
-                    "max_combinations keeps the best designs")
-    ORDERS.register(
-        "auto", lambda: adaptive_order,
-        description="cap-adaptive: lex prefix + frontier tail, so tiny "
-                    "caps keep the knee region and the delay corner")
-
-    SPECS.register("adder", adder_spec, description="n-bit binary adder")
-    SPECS.register("alu", alu_spec,
-                   description="n-bit 16-function ALU (paper Figure 3)")
-    SPECS.register("counter", counter_spec,
-                   description="n-bit up/down/load counter with enable")
-    SPECS.register("register", register_spec, description="n-bit D register")
-    SPECS.register("comparator", comparator_spec,
-                   description="n-bit magnitude comparator (EQ LT GT)")
-    SPECS.register("mux", lambda width: mux_spec(4, width),
-                   description="4-to-1 multiplexer of the given data width")
-
-    # Emitters live in repro.api.emitters; importing it registers them.
-    from repro.api import emitters as _emitters  # noqa: F401
+SPECS = Registry("spec", "(width: int) -> ComponentSpec", {
+    "adder": (adder_spec, "n-bit binary adder"),
+    "alu": (alu_spec, "n-bit 16-function ALU (paper Figure 3)"),
+    "counter": (counter_spec, "n-bit up/down/load counter with enable"),
+    "register": (register_spec, "n-bit D register"),
+    "comparator": (comparator_spec,
+                   "n-bit magnitude comparator (EQ LT GT)"),
+    "mux": (lambda width: mux_spec(4, width),
+            "4-to-1 multiplexer of the given data width"),
+})
 
 
-def create_filter(spec: Any):
-    """Resolve a filter designator: an object passes through, a string
-    like ``"tradeoff:0.05"`` is split on ``:`` and looked up."""
+def create_filter(spec: Optional[str]):
+    """Build the filter a designator names: ``None`` means ``pareto``,
+    and a string like ``"tradeoff:0.05"`` is split on ``:`` into a
+    name and its argument.  Anything else is a ``TypeError``: both
+    cache keys name the filter."""
     if spec is None:
-        return FILTERS.create("pareto", None)
-    if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        return FILTERS.create(name, arg or None)
-    return spec
+        spec = "pareto"
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"perf_filter must be a designator such as 'pareto' or "
+            f"'tradeoff:0.05', got {type(spec).__name__}")
+    name, _, arg = spec.partition(":")
+    return FILTERS.create(name, arg or None)
+
+
+def create_order(spec: Optional[str]) -> str:
+    """The canonical name of an enumeration order: ``None`` means
+    ``lex``, an unknown name is a :class:`RegistryError` and anything
+    but a string a ``TypeError``: both cache keys name the order."""
+    if spec is None:
+        return "lex"
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"order must be a name ({', '.join(ORDERS.names())}), got "
+            f"{type(spec).__name__}")
+    ORDERS.get(spec)  # an unknown name raises, listing the known ones
+    return canonical_name(spec)
 
 
 def create_library(spec: Any):
@@ -438,19 +386,6 @@ def create_node_store(spec: Any):
     return _resolve_cache(spec, "nodes")
 
 
-def create_order(spec: Optional[str]):
-    """Resolve an enumeration-order name: None passes through (engine
-    default) and a string is looked up in :data:`ORDERS`.  Anything
-    else is a ``TypeError``: an order is keyed by its name."""
-    if spec is None:
-        return None
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"order must be a name registered in ORDERS, got "
-            f"{type(spec).__name__}")
-    return ORDERS.create(spec)
-
-
 def parse_spec(text: str):
     """Parse a ``name:width`` shorthand (``alu:64``) into a
     :class:`~repro.core.specs.ComponentSpec` via :data:`SPECS`."""
@@ -470,5 +405,3 @@ def parse_spec(text: str):
         raise RegistryError(f"spec shorthand {text!r}: width must be >= 1")
     return SPECS.create(name, width)
 
-
-_register_builtins()

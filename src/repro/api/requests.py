@@ -114,8 +114,8 @@ class SynthesisRequest:
             return cls.from_hls(target)
         if isinstance(target, str):
             # LEGEND descriptions are inherently multi-line; single-line
-            # strings are always spec shorthands (so a registered name
-            # like "pulse_generator:8" never trips the LEGEND path).
+            # strings are always spec shorthands (so a name like
+            # "pulse_generator:8" never trips the LEGEND path).
             if "\n" in target:
                 return cls.from_legend(target)
             from repro.api.registry import parse_spec

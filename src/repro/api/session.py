@@ -9,7 +9,8 @@ session amortizes those caches across many jobs: ``synthesize`` runs a
 single request, ``map`` runs a batch through the same design space, so
 later requests reuse every subtree earlier ones expanded.
 
-Backends are selected by name through :mod:`repro.api.registry`::
+Backends are built-ins selected by name through
+:mod:`repro.api.registry`::
 
     from repro.api import Session
 
@@ -50,24 +51,25 @@ class Session:
     Parameters
     ----------
     library:
-        The target cell library: a ``CellLibrary`` or a registered name
+        The target cell library: a ``CellLibrary`` or a built-in name
         (``"lsi_logic"``, ``"vendor2"``).
     rulebase:
-        The decomposition rules: a ``RuleBase``, a registered policy
+        The decomposition rules: a ``RuleBase``, a built-in policy
         name (``"auto"``, ``"standard"``, ``"lola"``), or None for the
         ``auto`` policy (standard rules, plus the nine LSI-specific
         rules when the library is the LSI subset).
     perf_filter:
-        Search control (S2): a filter object or a designator string
-        such as ``"pareto"``, ``"tradeoff:0.05"``, ``"top_k:4"``,
-        ``"keep_all"``.
+        Search control (S2): a designator of a built-in filter,
+        ``"pareto"`` (None, the default), ``"tradeoff:0.05"``,
+        ``"top_k:4"`` or ``"keep_all"``.  Like ``order`` it is a name
+        only (an object is a ``TypeError``): both cache keys name it.
     max_combinations:
         Per-node cap on the streamed S1 cross product (at least 1);
         None keeps the engine default.  Fixed for the session's life.
     order:
-        S1 enumeration order: a name registered in
-        :data:`~repro.api.registry.ORDERS` (``"lex"`` default,
-        ``"frontier"``, ``"auto"``).  ``"frontier"`` makes
+        S1 enumeration order: a name in
+        :data:`~repro.api.registry.ORDERS` (``"lex"``, the default for
+        None, ``"frontier"``, ``"auto"``).  ``"frontier"`` makes
         ``max_combinations`` keep the best designs instead of the
         lexicographically first.
     store:
@@ -109,10 +111,10 @@ class Session:
         self,
         library: Any = "lsi_logic",
         rulebase: Any = None,
-        perf_filter: Any = None,
+        perf_filter: Optional[str] = None,
         *,
         max_combinations: Optional[int] = None,
-        order: Any = None,
+        order: Optional[str] = None,
         store: Any = None,
         node_store: Any = None,
     ) -> None:
@@ -128,9 +130,6 @@ class Session:
         )
         self._legend_libraries: Dict[str, Any] = {}
         self.jobs_run = 0
-        #: The order name (or None for the default), kept for the
-        #: search token.
-        self.order_designator = order
         self.store = create_store(store)
         #: Serving counters: store lookups answered warm / answered by
         #: running the engine / engine runs (incl. uncacheable ones).
@@ -141,8 +140,6 @@ class Session:
         if self.node_store is not None:
             from repro.nodestore import session_space_key
 
-            # A None key (a filter with non-scalar state) leaves the
-            # cache detached: caching degrades, synthesis does not.
             self.space.attach_node_store(self.node_store,
                                          session_space_key(self))
 
@@ -277,12 +274,12 @@ class Session:
     # the result store
     # ------------------------------------------------------------------
     @cached_property
-    def search_token(self) -> Optional[List[Any]]:
+    def search_token(self) -> List[Any]:
         """The library and rulebase digests plus the search controls
         (filter, order name, ``max_combinations``) that both cache keys
         are digests over (:func:`repro.store.fingerprint.search_token`);
         computed once, since all of these are fixed when the session is
-        built.  ``None`` when the filter cannot be canonicalized."""
+        built."""
         from repro.store.fingerprint import search_token
 
         return search_token(self)
@@ -290,7 +287,7 @@ class Session:
     def fingerprint(self, target: RequestLike) -> Optional[str]:
         """The store key this session would use for ``target``, or
         ``None`` when the request is not content-addressable (netlist
-        requests, filters with non-scalar state)."""
+        requests)."""
         from repro.store.fingerprint import session_fingerprint
 
         request = SynthesisRequest.coerce(target)
@@ -375,11 +372,9 @@ class Session:
         return self.space.stats()
 
     def describe(self) -> str:
-        filter_name = getattr(self.perf_filter, "name",
-                              type(self.perf_filter).__name__)
         return (
             f"Session(library={self.library.name}, "
-            f"rules={len(self.rulebase)}, filter={filter_name}, "
+            f"rules={len(self.rulebase)}, filter={self.perf_filter.name}, "
             f"jobs={self.jobs_run})"
         )
 

@@ -48,14 +48,14 @@ s1_ok)``: the merged choice items are built later, and only for the
 rows whose costs survive the S2 filter (:class:`CostRecord`,
 :func:`merge_choices`).
 
-Enumeration order is pluggable: the default ``"lex"`` order walks the
-option lists exactly as given (the seed semantics, and what keeps
-benchmark results byte-identical), while ``"frontier"`` reorders each
-option list by Pareto rank so a ``limit`` keeps the best designs
-instead of the lexicographically first, and ``"auto"``
-(:func:`adaptive_order`) keeps a short lex prefix ahead of the
-frontier tail so tiny caps retain the knee region *and* the delay
-corner.
+Enumeration order is one of three names (:data:`ORDERINGS`): the
+default ``"lex"`` order walks the option lists exactly as given (the
+seed semantics, and what keeps benchmark results byte-identical),
+while ``"frontier"`` reorders each option list by Pareto rank so a
+``limit`` keeps the best designs instead of the lexicographically
+first, and ``"auto"`` (:func:`adaptive_order`) keeps a short lex
+prefix ahead of the frontier tail so tiny caps retain the knee region
+*and* the delay corner.
 
 The search controls that shape a node's option list are exactly
 three: the S2 filter, the enumeration order and the combination cap
@@ -79,7 +79,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.interning import CONFIGURATIONS
@@ -143,11 +142,6 @@ def spec_id(spec: ComponentSpec) -> int:
                                spec.sort_key)
         object.__setattr__(spec, "_spec_id", ident)
     return ident
-
-
-#: An order backend reorders one option list; ``None`` keeps the list
-#: as given (lexicographic enumeration).
-OrderFn = Callable[[Sequence["Configuration"]], List["Configuration"]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +312,8 @@ def make_configuration(
 # Enumeration orders
 # ---------------------------------------------------------------------------
 
-def pareto_rank_order(options: Sequence[Configuration]) -> List[Configuration]:
+def pareto_rank_order(options: Sequence[Configuration],
+                      limit: Optional[int] = None) -> List[Configuration]:
     """Reorder one option list frontier-first for cap-bounded search.
 
     Non-dominated sorting on (area, worst delay): rank 0 is the Pareto
@@ -334,6 +329,7 @@ def pareto_rank_order(options: Sequence[Configuration]) -> List[Configuration]:
     frontier) instead of the lexicographically first.
 
     Deterministic: ties are broken by (area, delay, original index).
+    The order is the same under every ``limit``.
     """
     n = len(options)
     if n <= 1:
@@ -394,7 +390,7 @@ def adaptive_order(options: Sequence[Configuration],
     the lex-early region -- and appends the remaining options in
     frontier order, so the delay corner is seeded right behind them.
 
-    It is *limit-aware* (:func:`enumerate_rows` passes its cap): with
+    It uses the cap :func:`enumerate_rows` passes every order: with
     no cap there is nothing to ration and the list is kept as given,
     preserving the byte-stable seed semantics; with a cap smaller than
     the prefix the prefix shrinks to the cap (a budget of 2 should not
@@ -411,32 +407,30 @@ def adaptive_order(options: Sequence[Configuration],
     return head + tail
 
 
-#: Marks an order callable whose signature is ``(options, limit)``:
-#: :func:`enumerate_rows` passes its combination cap so the order can
-#: ration the prefix (see :func:`adaptive_order`).
-adaptive_order.limit_aware = True  # type: ignore[attr-defined]
+def lex_order(options: Sequence[Configuration],
+              limit: Optional[int] = None) -> Sequence[Configuration]:
+    """Enumeration order of the option lists (seed semantics;
+    byte-stable results)."""
+    return options
 
 
-#: Built-in enumeration orders (``None`` = keep the given list order).
-#: This is the *engine-level* table: only built-ins live here, and the
-#: engine otherwise takes order callables directly.  Name-based
-#: third-party orders register in :data:`repro.api.registry.ORDERS`
-#: and are resolved to callables at the Session/CLI layer.
-ORDERINGS: Dict[str, Optional[OrderFn]] = {
-    "lex": None,
+#: The enumeration orders, by name: each reorders one option list
+#: given the combination cap (``None`` = uncapped).  ``lex`` is the
+#: engine default; both cache keys name the order.
+ORDERINGS: Dict[str, Callable[..., Sequence[Configuration]]] = {
+    "lex": lex_order,
     "frontier": pareto_rank_order,
     "auto": adaptive_order,
 }
 
 
-def resolve_order(order: Union[str, OrderFn, None]) -> Optional[OrderFn]:
-    """Resolve an order designator: ``None``/``"lex"`` mean no
-    reordering, ``"frontier"`` the Pareto-rank order, and a callable
-    passes through (the extension point name-registered backends use)."""
-    if order is None:
-        return None
-    if callable(order):
-        return order
+def resolve_order(order: str) -> Callable[..., Sequence[Configuration]]:
+    """The order function :data:`ORDERINGS` names ``order``: a
+    non-string is a ``TypeError``, an unknown name a ``ValueError``."""
+    if not isinstance(order, str):
+        raise TypeError(
+            f"order must be a name ({', '.join(ORDERINGS)}), got "
+            f"{type(order).__name__}")
     try:
         return ORDERINGS[order]
     except KeyError:
@@ -459,15 +453,16 @@ Row = Tuple[Tuple[Configuration, ...], bool]
 def enumerate_rows(
     option_lists: Sequence[Sequence[Configuration]],
     limit: Optional[int] = None,
-    order: Union[str, OrderFn, None] = None,
+    order: str = "lex",
     own_choice: Optional[Mapping[ComponentSpec, int]] = None,
 ) -> List[Row]:
     """The S1-consistent cross product of per-spec options, as rows.
 
     Rows come in nested-loop order over the option lists (after the
-    ``order`` transform), and a conflicting prefix is pruned at the
-    depth where it first conflicts.  ``limit`` aborts the enumeration at the cap, so the cap
-    bounds both the work and this list's memory.  Each row is the
+    :data:`ORDERINGS` function ``order`` names), and a conflicting
+    prefix is pruned at the depth where it first conflicts.  ``limit``
+    aborts the enumeration at the cap, so the cap bounds both the work
+    and this list's memory.  Each row is the
     chosen configurations plus an ``s1_ok`` flag; the merged choice
     items are not built here (:func:`merge_choices` builds them for the
     rows that survive S2).
@@ -502,13 +497,8 @@ def enumerate_rows(
         shared |= universe & seen
         seen |= universe
 
-    lists: List[Sequence[Configuration]] = list(option_lists)
     order_fn = resolve_order(order)
-    if order_fn is not None:
-        if getattr(order_fn, "limit_aware", False):
-            lists = [order_fn(options, limit) for options in lists]
-        else:
-            lists = [order_fn(options) for options in lists]
+    lists = [order_fn(options, limit) for options in option_lists]
 
     rows: List[Row] = []
     if count == 0:

@@ -313,7 +313,7 @@ class DesignSpace:
         library: CellLibrary,
         perf_filter: Optional[PerformanceFilter] = None,
         max_combinations: Optional[int] = None,
-        order: object = "lex",
+        order: str = "lex",
     ) -> None:
         self.rulebase = rulebase
         self.library = library
@@ -324,9 +324,11 @@ class DesignSpace:
             raise ValueError(
                 f"max_combinations must be at least 1, got {max_combinations}")
         self._max_combinations = max_combinations
-        #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
-        #: callable reordering one option list (resolved once).
-        self.order = resolve_order(order)
+        #: S1 enumeration order: a name in
+        #: :data:`~repro.core.configs.ORDERINGS` (checked here, so a
+        #: bad one fails at construction).
+        resolve_order(order)
+        self.order = order
         #: Total S1-consistent combinations costed by this space (rows
         #: that survived the own-choice conflict check and went through
         #: a timing kernel); benchmarks report combinations/second.
@@ -439,24 +441,16 @@ class DesignSpace:
     # ------------------------------------------------------------------
     # the node cache (subtree-level persistent work sharing)
     # ------------------------------------------------------------------
-    def attach_node_store(self, store, space_key: Optional[str]) -> None:
+    def attach_node_store(self, store, space_key: str) -> None:
         """Attach a persistent per-node option cache
         (:class:`repro.nodestore.NodeStore`).
 
         ``space_key`` is the engine-side fingerprint half every node
         key embeds (:func:`repro.nodestore.fingerprint.session_space_key`);
-        a ``None`` key means this space's configuration cannot be
-        canonicalized, and the cache stays detached -- node caching is
-        an optimization that degrades to plain evaluation, never a
-        correctness risk.  The caller owns computing the key because
-        only it knows the order *name* (the space holds the resolved
-        callable)."""
-        if store is None or space_key is None:
-            self.node_store = None
-            self.node_space_key = None
-        else:
-            self.node_store = store
-            self.node_space_key = space_key
+        the caller computes it because it digests the session's
+        library and rulebase, which the space does not name."""
+        self.node_store = store
+        self.node_space_key = space_key
         self._node_keys = {}
 
     def _node_key(self, spec: ComponentSpec) -> str:
@@ -574,18 +568,12 @@ class DesignSpace:
         """Apply the performance filter to a node's candidates: cell
         :class:`Configuration` objects mixed with the
         :class:`~repro.core.configs.CostRecord` objects of evaluated
-        rows.  A filter with ``select_block`` ranks the mixed block on
-        area and delay, and only its survivors become configurations;
-        a third-party filter without it gets every candidate as a
-        configuration and runs ``select``, which returns the same
-        survivors in the same order."""
+        rows.  The filter's ``select_block`` ranks the mixed block on
+        area and delay, and only its survivors become configurations."""
         phase_start = time.perf_counter()
         try:
-            block = getattr(self.perf_filter, "select_block", None)
-            if block is None:
-                return self.perf_filter.select(
-                    [_configuration(c) for c in candidates])
-            return [_configuration(c) for c in block(candidates)]
+            return [_configuration(c)
+                    for c in self.perf_filter.select_block(candidates)]
         finally:
             self._phase_add("filter", time.perf_counter() - phase_start)
 

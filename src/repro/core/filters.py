@@ -12,6 +12,10 @@ the retained subset.  Filters are applied at *every specification node*
 of the design space, which is what keeps the cross-product of module
 alternatives from exploding (the paper's 16-bit adder drops from
 hundreds of thousands of designs to ten).
+
+The four filters here are the only ones: sessions, the CLI and the
+service select them by designator (``pareto``, ``tradeoff:0.05``,
+``top_k:4``, ``keep_all``) through :data:`repro.api.registry.FILTERS`.
 """
 
 from __future__ import annotations
@@ -22,19 +26,25 @@ from repro.core.configs import Configuration
 
 
 class PerformanceFilter(Protocol):
-    """Protocol for search-control filters over configurations.
+    """What the design space and the cache keys need of a filter.
 
-    Filters may additionally offer ``select_block`` (called once per
-    evaluated node); the design space prefers it when present and falls
-    back to ``select`` otherwise, so third-party filters keep working
-    unchanged.  ``select_block`` receives configurations mixed with
-    :class:`~repro.core.configs.CostRecord` objects, which carry only
-    ``area`` and ``delay`` of the filter-facing fields, and must select
-    on those two alone; the design space turns its survivors into
-    configurations.  The built-in filters alias it to ``select``."""
+    ``name`` and the scalar attributes make the filter's cache-key
+    token (:func:`repro.store.fingerprint.filter_token`).  The design
+    space calls ``select_block`` once per evaluated node with
+    configurations mixed with :class:`~repro.core.configs.CostRecord`
+    objects, which carry only ``area`` and ``delay`` of the
+    filter-facing fields, so it must select on those two alone; the
+    design space turns its survivors into configurations.  Each
+    built-in aliases it to ``select``."""
+
+    name: str
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         """Return the retained configurations, sorted by (area, delay)."""
+        ...
+
+    def select_block(self, configs: Sequence) -> List:
+        """``select`` over configurations and cost records alike."""
         ...
 
 

@@ -52,6 +52,12 @@ import sys
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.api.registry import (
+    RegistryError,
+    canonical_name,
+    create_filter,
+    create_order,
+)
 from repro.obs.accesslog import AccessLog
 from repro.obs.trace import (
     ATTEMPTS_HEADER,
@@ -77,6 +83,7 @@ from repro.serve.server import (
     ServeError,
     _deadline_error,
 )
+from repro.store.fingerprint import filter_token
 
 #: The worker ready line (what ``repro serve`` prints on startup).
 READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
@@ -121,12 +128,13 @@ def routing_key(body: Dict[str, Any],
     """The consistent-hashing key for one ``/synthesize`` body.
 
     Canonicalizes exactly the fields that enter the store fingerprint
-    -- the session parameters (defaults applied, registry names
-    canonicalized the way :class:`~repro.api.registry.Registry` does)
-    plus the request fields -- so two requests that an individual
-    worker would coalesce always hash to the same worker.  This is a
-    *routing* key, not the store fingerprint itself: it never loads a
-    library or rulebase, so the router stays library-blind and
+    -- the session parameters with defaults applied (the filter as its
+    cache-key token, the order as its canonical name, other names
+    folded by :func:`~repro.api.registry.canonical_name`) plus the
+    request fields -- so two requests that an individual worker would
+    coalesce always hash to the same worker.  This is a *routing* key,
+    not the store fingerprint itself: building a built-in filter loads
+    no library or rulebase, so the router stays library-blind and
     forwards the original bytes untouched.
     """
     params = {**SESSION_DEFAULTS, **(defaults or {})}
@@ -136,15 +144,18 @@ def routing_key(body: Dict[str, Any],
     normalized: Dict[str, Any] = {}
     for key in SESSION_PARAMS:
         value = params.get(key)
-        if key == "max_combinations":
-            if value is not None:
-                try:
+        try:
+            if key == "max_combinations":
+                if value is not None:
                     value = int(value)
-                except (TypeError, ValueError):
-                    pass  # the worker will 400 it; route it anywhere stable
-        elif isinstance(value, str):
-            # A registry name: canonicalized the way Registry does.
-            value = value.strip().lower().replace("-", "_")
+            elif key == "filter":
+                value = filter_token(create_filter(value))
+            elif key == "order":
+                value = create_order(value)
+            elif isinstance(value, str):
+                value = canonical_name(value)
+        except (RegistryError, TypeError, ValueError):
+            pass  # the worker will 400 it; route it anywhere stable
         normalized[key] = value
     request_fields = {
         key: body.get(key) for key in _REQUEST_FIELDS if key in body

@@ -21,15 +21,11 @@ Deliberately excluded is anything above the node -- the *request*
 never enters a node key, which is the whole point: two different
 requests over overlapping subgraphs (an ALU64 and a bare
 COMPARATOR<64>) produce identical node keys for the shared nodes.
-
-A ``None`` space key means "this space is not node-cacheable" (a
-filter with non-scalar state); the engine then simply evaluates
-everything, as before.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.store.fingerprint import digest, spec_token
 
@@ -40,15 +36,10 @@ from repro.store.fingerprint import digest, spec_token
 NODESTORE_SCHEMA = 1
 
 
-def session_space_key(session: Any) -> Optional[str]:
+def session_space_key(session: Any) -> str:
     """The shared engine-side half of every node fingerprint of a
-    :class:`repro.api.Session`, or ``None`` when its search token
-    cannot be canonicalized (which disables node caching for the
-    space, never breaking it)."""
-    token = session.search_token
-    if token is None:
-        return None
-    return digest([NODESTORE_SCHEMA, token])
+    :class:`repro.api.Session`."""
+    return digest([NODESTORE_SCHEMA, session.search_token])
 
 
 def node_key(space_key: str, spec: Any) -> str:

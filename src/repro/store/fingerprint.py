@@ -24,17 +24,17 @@ nothing it does not:
 
 Digests are SHA-256 over canonical JSON (sorted keys, compact
 separators) -- stable across processes and Python hash seeds, unlike
-``hash()``.  Anything that cannot be canonicalized (a filter with
-non-scalar state, a mutable caller-owned netlist) makes the
-fingerprint ``None``, which the session treats as "not cacheable":
-the engine runs, nothing is stored, correctness is never at risk.
+``hash()``.  A request that cannot be canonicalized (a mutable
+caller-owned netlist) has the fingerprint ``None``, which the session
+treats as "not cacheable": the engine runs, nothing is stored,
+correctness is never at risk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 #: Bump together with :data:`repro.store.store.STORE_SCHEMA` whenever
 #: the payload format changes; it is folded into every fingerprint so
@@ -104,46 +104,28 @@ def rulebase_digest(rulebase) -> str:
     return digest([rulebase.name, rules])
 
 
-def filter_token(perf_filter) -> Optional[List[Any]]:
-    """Canonical (name, parameters) form of a performance filter, or
-    ``None`` when the filter carries state we cannot canonicalize."""
-    name = getattr(perf_filter, "name", None)
-    if name is None:
-        return None
-    params: Dict[str, Any] = {}
-    for key, value in sorted(vars(perf_filter).items()):
-        if not isinstance(value, (int, float, str, bool, type(None))):
-            return None
-        params[key] = value
-    return [name, params]
+def filter_token(perf_filter) -> List[Any]:
+    """Canonical (name, parameters) form of a built-in performance
+    filter: its ``name`` and its scalar attributes.  Spellings of one
+    filter (``tradeoff``, ``tradeoff:0.050``) build equal filters, so
+    they share a token."""
+    return [perf_filter.name, dict(sorted(vars(perf_filter).items()))]
 
 
-def order_token(order: Optional[str]) -> str:
-    """Canonical name of an enumeration order designator: ``None``
-    designates the engine default (``lex``), and a registered name is
-    canonicalized the way :class:`repro.api.registry.Registry` does."""
-    if order is None:
-        return "lex"
-    return order.strip().lower().replace("-", "_")
-
-
-def search_token(session) -> Optional[List[Any]]:
+def search_token(session) -> List[Any]:
     """Everything of a :class:`repro.api.Session` that shapes an
     answer: the engine digests (library data book, rulebase), the
     filter token, the order name and the per-node combination cap.
 
-    ``None`` when the filter cannot be canonicalized.  Both the result
-    fingerprint (:func:`session_fingerprint`) and the node cache's space
-    key (:func:`repro.nodestore.fingerprint.session_space_key`) are
-    digests over this one token, which the session computes once
+    Both the result fingerprint (:func:`session_fingerprint`) and the
+    node cache's space key
+    (:func:`repro.nodestore.fingerprint.session_space_key`) are digests
+    over this one token, which the session computes once
     (:attr:`repro.api.Session.search_token`)."""
-    flt = filter_token(session.perf_filter)
-    if flt is None:
-        return None
     return [library_digest(session.library),
-            rulebase_digest(session.rulebase), flt,
-            order_token(session.order_designator),
-            session.space.max_combinations]
+            rulebase_digest(session.rulebase),
+            filter_token(session.perf_filter),
+            session.space.order, session.space.max_combinations]
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +238,12 @@ def request_token(request) -> Optional[List[Any]]:
 def session_fingerprint(session, request) -> Optional[str]:
     """The store key for one (session configuration, request) pair.
 
-    ``None`` means "serve and store nothing for this request" -- some
-    ingredient could not be canonicalized.  The session memoizes its
+    ``None`` means "serve and store nothing for this request" -- the
+    request could not be canonicalized.  The session memoizes its
     search token, so per-request cost is the request token plus one
     SHA-256.
     """
     req_token = request_token(request)
     if req_token is None:
         return None
-    token = session.search_token
-    if token is None:
-        return None
-    return digest([FINGERPRINT_SCHEMA, token, req_token])
+    return digest([FINGERPRINT_SCHEMA, session.search_token, req_token])

@@ -69,7 +69,7 @@ def merge_choices(
 def iter_compatible(
     option_lists,
     limit: Optional[int] = None,
-    order=None,
+    order="lex",
 ) -> Iterator[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
     """Stream the S1-consistent cross product of per-spec options.
 
@@ -82,13 +82,8 @@ def iter_compatible(
     if limit is not None and limit <= 0:
         return
     count = len(option_lists)
-    lists = list(option_lists)
     order_fn = resolve_order(order)
-    if order_fn is not None:
-        if getattr(order_fn, "limit_aware", False):
-            lists = [order_fn(options, limit) for options in lists]
-        else:
-            lists = [order_fn(options) for options in lists]
+    lists = [order_fn(options, limit) for options in option_lists]
 
     merged: Dict[ComponentSpec, int] = {}
     chosen: List[Optional[Configuration]] = [None] * count
@@ -123,7 +118,7 @@ def iter_compatible(
 
 
 def combine_compatible(option_lists, limit: Optional[int] = None,
-                       order=None):
+                       order="lex"):
     """Materialized form of :func:`iter_compatible`; each result owns
     its choice map."""
     return [(chosen, dict(merged))

@@ -1,5 +1,5 @@
-"""The session-layer facade: parity between registered names and
-library objects, registry round-trips, request coercion, emitters, and
+"""The session-layer facade: parity between built-in names and
+library objects, the built-in tables, request coercion, emitters, and
 the CLI."""
 
 import json
@@ -10,9 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
-    EMITTERS,
     LIBRARIES,
-    Registry,
     RegistryError,
     Session,
     SynthesisRequest,
@@ -20,6 +18,7 @@ from repro.api import (
     parse_spec,
 )
 from repro.api.cli import main as cli_main
+from repro.core.filters import ParetoFilter
 from repro.core.report import figure3_report
 from repro.core.specs import adder_spec, alu_spec, counter_spec, make_spec
 from repro.legend import build_library
@@ -31,12 +30,12 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _legacy_synthesize(target, library, **kwargs):
     """The object-based construction the pre-session entry points
-    used: a library object instead of a registered name."""
+    used: a library object instead of a built-in name."""
     return Session(library, **kwargs).synthesize(target).result
 
 
 # ---------------------------------------------------------------------------
-# parity between registered names and library objects
+# parity between built-in names and library objects
 # ---------------------------------------------------------------------------
 
 def test_session_matches_legacy_on_alu64():
@@ -96,25 +95,8 @@ def test_shared_session_answer_matches_fresh_session():
 
 
 # ---------------------------------------------------------------------------
-# registries
+# the built-in tables
 # ---------------------------------------------------------------------------
-
-def test_registry_round_trip():
-    reg = Registry("widget")
-    reg.register("alpha", lambda: "A", description="first")
-    assert "alpha" in reg
-    assert reg.create("alpha") == "A"
-    assert reg.names() == ["alpha"]
-    assert reg.describe("alpha") == "first"
-    # Canonicalization: lookup is case-insensitive.
-    assert reg.create("ALPHA") == "A"
-    with pytest.raises(RegistryError):
-        reg.register("alpha", lambda: "B")
-    reg.register("alpha", lambda: "B", replace=True)
-    assert reg.create("alpha") == "B"
-    reg.unregister("alpha")
-    assert "alpha" not in reg
-
 
 def test_registry_unknown_name_suggests():
     with pytest.raises(RegistryError) as err:
@@ -122,32 +104,31 @@ def test_registry_unknown_name_suggests():
     assert "lsi_logic" in str(err.value)
 
 
-def test_custom_library_registration_drives_session():
-    from repro.techlib import CellLibrary
+def _design_space_with_callable_order():
+    from repro.core.design_space import DesignSpace
 
-    @LIBRARIES.register("tiny_test_lib")
-    def _tiny():
-        return CellLibrary("TINY", lsi_logic_library().cells())
-
-    try:
-        session = Session(library="tiny_test_lib", rulebase="standard")
-        job = session.synthesize(adder_spec(4))
-        assert session.library.name == "TINY"
-        assert len(job) > 0
-    finally:
-        LIBRARIES.unregister("tiny_test_lib")
+    session = Session()
+    DesignSpace(session.rulebase, session.library, session.perf_filter,
+                order=lambda options, limit: options)
 
 
-def test_custom_emitter_registration_reaches_job_emit():
-    @EMITTERS.register("test_count")
-    def _count(job):
-        return f"n={len(job)}"
+#: Forms that are gone: every filter and order is a built-in name, and
+#: the tables are fixed.  Each must fail loudly, not fall back.
+REMOVED_FORMS = [
+    ("session-filter-object",
+     lambda: Session(perf_filter=ParetoFilter()), TypeError),
+    ("design-space-callable-order", _design_space_with_callable_order,
+     TypeError),
+    ("registry-register",
+     lambda: LIBRARIES.register("x", lsi_logic_library), AttributeError),
+]
 
-    try:
-        job = Session().synthesize(adder_spec(4))
-        assert job.emit("test_count") == f"n={len(job)}"
-    finally:
-        EMITTERS.unregister("test_count")
+
+@pytest.mark.parametrize("build,error", [row[1:] for row in REMOVED_FORMS],
+                         ids=[row[0] for row in REMOVED_FORMS])
+def test_removed_forms_fail_loudly(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_parse_spec_shorthand():
@@ -180,20 +161,11 @@ def test_coerce_accepts_all_input_languages():
 
 
 def test_coerce_single_line_generator_name_is_shorthand_not_legend():
-    # A registered shorthand whose name contains "generator" must not
-    # be misrouted to the LEGEND parser.
-    from repro.api import SPECS
-
-    @SPECS.register("pulse_generator")
-    def _pulse(width):
-        return adder_spec(width)
-
-    try:
-        request = SynthesisRequest.coerce("pulse_generator:8")
-        assert request.kind == "spec"
-        assert request.spec == adder_spec(8)
-    finally:
-        SPECS.unregister("pulse_generator")
+    # A single-line name containing "generator" is a spec shorthand,
+    # never LEGEND source: unknown, it is a RegistryError, not a
+    # LegendError from the LEGEND parser.
+    with pytest.raises(RegistryError, match="x_generator"):
+        SynthesisRequest.coerce("x_generator:8")
 
 
 def test_legend_default_generator_is_first_declared_and_no_mutation():
@@ -335,26 +307,30 @@ def test_cli_error_paths(capsys, tmp_path):
 
 def test_cli_unknown_backend_names_exit_2_listing_registered(capsys):
     """Unknown library/rulebase/filter/order names must exit 2 with the
-    registered names listed -- never escape as a KeyError traceback."""
+    known names listed, and a filter that takes no argument must reject
+    one -- never escape as a KeyError traceback."""
     cases = [
         (["synth", "--spec", "adder:8", "--library", "nope"],
-         ("lsi_logic", "vendor2")),
+         ("known", "lsi_logic", "vendor2")),
         (["synth", "--spec", "adder:8", "--rulebase", "nope"],
-         ("auto", "standard", "lola")),
+         ("known", "auto", "standard", "lola")),
         (["synth", "--spec", "adder:8", "--filter", "nope"],
-         ("pareto", "tradeoff")),
+         ("known", "pareto", "tradeoff")),
         (["synth", "--spec", "adder:8", "--order", "nope"],
-         ("lex", "frontier")),
+         ("known", "lex", "frontier")),
         (["warm", "--spec", "adder:8", "--library", "nope"],
-         ("lsi_logic",)),
+         ("known", "lsi_logic")),
+        (["synth", "--spec", "adder:8", "--filter", "pareto:3"],
+         ("pareto", "takes no argument")),
+        (["synth", "--spec", "adder:8", "--filter", "keep_all:x"],
+         ("keep_all", "takes no argument")),
     ]
-    for argv, expected_names in cases:
+    for argv, expected in cases:
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "known" in err, argv
-        for name in expected_names:
-            assert name in err, (argv, name)
+        for text in expected:
+            assert text in err, (argv, text)
 
 
 @pytest.mark.parametrize("cap", ["0", "-3", "2.9"])
@@ -373,24 +349,6 @@ def test_session_rejects_cap_below_one():
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_combinations"):
             Session(max_combinations=cap)
-
-
-def test_cli_stray_factory_keyerror_exits_2(capsys):
-    """A third-party factory whose own code raises a raw KeyError must
-    still exit 2 with a message instead of a traceback."""
-    from repro.api import LIBRARIES
-
-    @LIBRARIES.register("broken_test_lib")
-    def _broken():
-        raise KeyError("missing databook entry XYZ")
-
-    try:
-        assert cli_main(["synth", "--spec", "adder:8",
-                         "--library", "broken_test_lib"]) == 2
-        err = capsys.readouterr().err
-        assert "XYZ" in err and "Traceback" not in err
-    finally:
-        LIBRARIES.unregister("broken_test_lib")
 
 
 def test_python_dash_m_repro_entry_point():

@@ -24,7 +24,6 @@ from reference_engine import ScalarSpace, reference_run
 
 from repro.api import Session
 from repro.core.configs import (
-    Configuration,
     make_configuration,
     merge_choices,
 )
@@ -45,9 +44,13 @@ from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
 
 def _space(library=None, perf_filter=None, engine=DesignSpace,
-           **kwargs) -> DesignSpace:
+           order=None, **kwargs) -> DesignSpace:
+    """A space over the LSI rulebase; ``order=None`` keeps the
+    engine's default order."""
     rulebase = standard_rulebase()
     rulebase.extend(lsi_rules())
+    if order is not None:
+        kwargs["order"] = order
     return engine(rulebase, library or lsi_logic_library(),
                   perf_filter or ParetoFilter(), **kwargs)
 
@@ -171,31 +174,6 @@ def test_configurations_built_for_s2_survivors_only():
     selected = sum(len(options) for options in space._configs.values())
     assert space.combinations_costed > selected
     assert 0 < lookups <= cells + selected
-
-
-class _SelectOnlyFilter:
-    """A third-party filter without ``select_block``."""
-
-    def __init__(self):
-        self.seen = []
-
-    def select(self, configs):
-        self.seen.append([type(c) for c in configs])
-        return ParetoFilter().select(configs)
-
-
-@pytest.mark.parametrize("spec", [adder_spec(16), alu_spec(16)],
-                         ids=["adder16", "alu16"])
-def test_select_only_filter_sees_configurations(spec):
-    select_only = _SelectOnlyFilter()
-    got = _space(perf_filter=select_only).alternatives(spec)
-    assert select_only.seen
-    assert {kind for kinds in select_only.seen for kind in kinds} == {
-        Configuration}
-    expected = _space().alternatives(spec)
-    assert _fingerprint(got) == _fingerprint(expected)
-    for a, b in zip(got, expected):
-        assert a is b
 
 
 # ---------------------------------------------------------------------------

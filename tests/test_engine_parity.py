@@ -13,7 +13,8 @@ import pytest
 from reference_engine import ReferenceSpace, port_delay_matrix, reference_combine
 
 from repro.api import Session
-from repro.core import ParetoFilter, TopKFilter, TradeoffFilter
+from repro.api.registry import create_filter
+from repro.core import ParetoFilter
 from repro.core.configs import make_configuration
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
 from repro.techlib import lsi_logic_library
@@ -24,29 +25,30 @@ def lsi():
     return lsi_logic_library()
 
 
-def _both_engines(lsi, spec, perf_filter_factory):
-    session = Session(lsi, perf_filter=perf_filter_factory())
+def _both_engines(lsi, spec, perf_filter):
+    session = Session(lsi, perf_filter=perf_filter)
     new = session.space.alternatives(spec)
-    reference = ReferenceSpace(session.rulebase, lsi, perf_filter_factory())
+    reference = ReferenceSpace(session.rulebase, lsi,
+                               create_filter(perf_filter))
     old = reference.alternatives(spec)
     return new, old
 
 
 @pytest.mark.parametrize(
-    "spec,filter_factory",
+    "spec,perf_filter",
     [
-        (adder_spec(16), ParetoFilter),
-        (adder_spec(16), lambda: TradeoffFilter(0.05)),
-        (counter_spec(8), ParetoFilter),
-        (alu_spec(16), ParetoFilter),
-        (alu_spec(16), lambda: TopKFilter(4)),
-        (comparator_spec(8), ParetoFilter),
+        (adder_spec(16), "pareto"),
+        (adder_spec(16), "tradeoff:0.05"),
+        (counter_spec(8), "pareto"),
+        (alu_spec(16), "pareto"),
+        (alu_spec(16), "top_k:4"),
+        (comparator_spec(8), "pareto"),
     ],
     ids=["adder16-pareto", "adder16-tradeoff", "counter8-pareto",
          "alu16-pareto", "alu16-top4", "comparator8-pareto"],
 )
-def test_engine_parity(lsi, spec, filter_factory):
-    new, old = _both_engines(lsi, spec, filter_factory)
+def test_engine_parity(lsi, spec, perf_filter):
+    new, old = _both_engines(lsi, spec, perf_filter)
     assert len(new) == len(old)
     for new_config, old_config in zip(new, old):
         assert new_config.area == old_config.area
@@ -74,7 +76,7 @@ def test_netlist_evaluation_parity(lsi):
     netlist.add_module("u1", gate, port_signature(gate),
                        {"I0": a.ref(), "I1": b.ref(), "O": o.ref()})
 
-    session = Session(lsi, perf_filter=ParetoFilter())
+    session = Session(lsi, perf_filter="pareto")
     new = session.space.evaluate_netlist(netlist)
 
     reference = ReferenceSpace(session.rulebase, lsi, ParetoFilter())

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import cli, registry
+from repro.api import Session, cli
 from repro.fleet import (
     FleetService,
     HashRing,
@@ -60,44 +60,6 @@ def test_sqlite_url_path_strips_authority_slashes():
         sqlite_url_path("", "sqlite:")
     with pytest.raises(ValueError):
         sqlite_url_path("//", "sqlite://")
-
-
-def test_store_urls_resolve_to_backends(tmp_path):
-    store = registry.create_store(f"sqlite://{tmp_path}/url.sqlite")
-    try:
-        store.put("fp", {"x": 1}, body="{}")
-        assert store.get("fp") == {"x": 1}
-        assert store.path == tmp_path / "url.sqlite"
-    finally:
-        store.close()
-    memory = registry.create_store("memory:")
-    try:
-        assert len(memory) == 0
-    finally:
-        memory.close()
-    nodes = registry.create_node_store(f"sqlite://{tmp_path}/url.sqlite")
-    try:
-        assert nodes.path == tmp_path / "url.sqlite"
-    finally:
-        nodes.close()
-
-
-def test_unknown_scheme_lists_registered_schemes_and_names():
-    with pytest.raises(registry.RegistryError) as error:
-        registry.create_store("bogus://somewhere")
-    message = str(error.value)
-    assert "bogus" in message
-    assert "sqlite" in message and "memory" in message  # schemes
-    assert "default" in message                         # names
-
-
-def test_malformed_urls_are_registry_errors():
-    with pytest.raises(registry.RegistryError):
-        registry.create_store("memory://extra/path")
-    with pytest.raises(registry.RegistryError):
-        registry.create_store("sqlite:")
-    with pytest.raises(registry.RegistryError):
-        registry.create_node_store("sqlite://")
 
 
 def test_cli_exits_2_on_bad_store_designators(capsys):
@@ -149,6 +111,40 @@ def test_routing_key_normalizes_like_a_worker():
     # Router-level defaults shift the key exactly like a request field.
     assert routing_key({"spec": "alu:64"}, {"filter": "top_k:4"}) \
         == routing_key({"spec": "alu:64", "filter": "top_k:4"})
+
+
+#: Pairs of session parameters for one request: some spell one search
+#: configuration two ways, some name two.
+SPELLING_PAIRS = [
+    ({"filter": "tradeoff"}, {"filter": "tradeoff:0.05"}),
+    ({"filter": "tradeoff:0.05"}, {"filter": "tradeoff:0.050"}),
+    ({"filter": "tradeoff"}, {"filter": "tradeoff:0.10"}),
+    ({"filter": "top_k"}, {"filter": "top_k:8"}),
+    ({"filter": "top_k:8"}, {"filter": "Top-K:8"}),
+    ({"filter": "top_k"}, {"filter": "top_k:4"}),
+    ({"filter": "pareto"}, {"filter": "keep_all"}),
+    ({}, {"order": "lex"}),
+    ({"order": "Frontier"}, {"order": "frontier"}),
+    ({"order": "frontier"}, {"order": "auto"}),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second", SPELLING_PAIRS,
+    ids=[f"{','.join(a.values()) or 'defaults'}~{','.join(b.values())}"
+         for a, b in SPELLING_PAIRS])
+def test_routing_key_agrees_with_the_fingerprint(first, second):
+    """Two spellings route to one worker exactly when a worker's store
+    fingerprints them alike, so fleet-wide coalescing is exact."""
+    def session(params):
+        return Session(perf_filter=params.get("filter"),
+                       order=params.get("order"))
+
+    same_key = (routing_key({"spec": "adder:16", **first})
+                == routing_key({"spec": "adder:16", **second}))
+    same_fingerprint = (session(first).fingerprint("adder:16")
+                        == session(second).fingerprint("adder:16"))
+    assert same_key == same_fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from repro.control import compile_controller
 from repro.control.compiler import ControllerSimulator
 from repro.api import Session
-from repro.core import TradeoffFilter
 from repro.core.specs import alu_spec
 from repro.hls import Assign, If, Program, While, hls_synthesize
 from repro.hls.synthesize import FsmdSimulator
@@ -125,7 +124,7 @@ class TestFigure1Flow:
         """The headline experiment, asserted at test scale (16-bit):
         multiple alternatives, big delay span, cheap mid points."""
         session = Session(lsi_logic_library(),
-                          perf_filter=TradeoffFilter(0.05))
+                          perf_filter="tradeoff:0.05")
         spec = alu_spec(16)
         result = session.synthesize(spec).result
         assert len(result) >= 3

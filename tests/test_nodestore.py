@@ -46,26 +46,6 @@ def test_space_key_stable():
     assert session_space_key(Session(library="lsi_logic")) == base
 
 
-def test_space_key_uncanonicalizable_order_disables_caching(tmp_path):
-    """Orders are names, so only a filter with non-scalar state still
-    makes a space uncanonicalizable."""
-    from repro.core.filters import ParetoFilter
-
-    class TaggedPareto(ParetoFilter):
-        def __init__(self):
-            self.tags = ["opaque"]
-
-    session = Session(perf_filter=TaggedPareto(),
-                      node_store=_nodes(tmp_path))
-    assert session_space_key(session) is None
-    # The cache is detached, not broken: synthesis still works and
-    # nothing is published under a key that cannot be reproduced.
-    job = session.synthesize("adder:8")
-    assert len(job) > 0
-    assert session.space.node_store is None
-    assert len(session.node_store) == 0
-
-
 def test_node_key_is_attr_order_independent():
     key = session_space_key(Session())
     a = make_spec("COMPARATOR", 8, ops=("EQ", "LT"), cascaded=True)
@@ -452,7 +432,6 @@ def test_adaptive_order_is_a_permutation_and_limit_aware():
     session = Session(library="lsi_logic")
     options = session.space.alternatives(alu_spec(8))
     assert ORDERINGS["auto"] is adaptive_order
-    assert adaptive_order.limit_aware is True
     # No cap: the list is kept as given (lex seed semantics).
     assert adaptive_order(options, None) == list(options)
     reordered = adaptive_order(options, 10)

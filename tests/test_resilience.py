@@ -279,19 +279,6 @@ def test_sqlite_url_busy_timeout_is_configurable(tmp_path):
         default.close()
 
 
-def test_malformed_store_params_are_registry_errors(tmp_path):
-    base = f"sqlite://{tmp_path}/bad.sqlite"
-    for url in (f"{base}?busy_timeout_ms=abc",
-                f"{base}?busy_timeout_ms=0",
-                f"{base}?bogus_param=1",
-                f"fault+{base}?fail_rate=2.0",
-                f"fault+{base}?fail_rate=abc",
-                f"fault+{base}?unknown=1",
-                "fault+memory://extra/path?fail_rate=0.5"):
-        with pytest.raises(registry.RegistryError):
-            registry.create_store(url)
-
-
 def test_cli_exits_2_on_malformed_resilience_urls(tmp_path, capsys):
     base = f"sqlite://{tmp_path}/cli.sqlite"
     for url in (f"{base}?busy_timeout_ms=nope",

@@ -296,6 +296,12 @@ def test_error_paths(server):
                                {"spec": "adder:8", "library": "nope"})
     assert status == 400
     assert "lsi_logic" in json.loads(data)["error"]
+    # A filter that takes no argument rejects one.
+    for flt in ("pareto:3", "keep_all:x"):
+        status, data, _ = _request(server, "POST", "/synthesize",
+                                   {"spec": "adder:8", "filter": flt})
+        assert status == 400, flt
+        assert "takes no argument" in json.loads(data)["error"]
     # Missing target.
     assert _request(server, "POST", "/synthesize", {})[0] == 400
     # Bad batch shape.

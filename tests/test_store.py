@@ -5,14 +5,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from repro.api import EMITTERS, Session, SynthesisRequest, create_store
 from repro.api.cli import main as cli_main
-from repro.core.filters import ParetoFilter
 from repro.core.specs import adder_spec, alu_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
 from repro.store import (
@@ -90,13 +88,6 @@ def test_search_controls_move_both_keys(base, changed, moves):
     assert (keys[0][1] != keys[1][1]) is moves
 
 
-class _TaggedPareto(ParetoFilter):
-    """The Pareto filter plus state the keys cannot canonicalize."""
-
-    def __init__(self):
-        self.tags = ["opaque"]
-
-
 def test_fingerprint_uncacheable_forms():
     from repro.netlist.netlist import Netlist
 
@@ -104,10 +95,6 @@ def test_fingerprint_uncacheable_forms():
     # Caller-owned netlists may be mutated between calls.
     netlist = Netlist("n")
     assert session.fingerprint(SynthesisRequest.from_netlist(netlist)) is None
-    # A filter with non-scalar state has no canonical token.
-    opaque = Session(perf_filter=_TaggedPareto())
-    assert opaque.search_token is None
-    assert opaque.fingerprint("adder:8") is None
 
 
 def test_order_is_a_registered_name():
@@ -274,16 +261,6 @@ def test_default_store_path_env_override(monkeypatch, tmp_path):
     assert default_store_path() == tmp_path / "xdg" / "repro" / "store.sqlite"
 
 
-def test_create_store_designators(tmp_path):
-    assert create_store(None) is None
-    store = _store(tmp_path)
-    assert create_store(store) is store
-    by_path = create_store(tmp_path / "other.sqlite")
-    assert isinstance(by_path, ResultStore)
-    with pytest.raises(TypeError):
-        create_store(42)
-
-
 #: Every designator form, as ``(designator, path, busy_timeout_ms,
 #: fault policy fields or None)`` once resolved.  ``{tmp}`` is the
 #: test's absolute directory and the working directory for relative
@@ -340,9 +317,10 @@ REJECTED_URLS = [
 @pytest.mark.parametrize("kind", ["results", "nodes"])
 def test_designator_table(kind, tmp_path, monkeypatch):
     """One resolver, both kinds: every designator form opens the
-    kind's SQLite class on the right path with the right options, a
-    fault+ scheme wraps it in the kind's fault injector, and every
-    rejected form fails before opening anything."""
+    kind's SQLite class on the right path with the right options (a
+    result store round-trips an entry), a fault+ scheme wraps it in the
+    kind's fault injector, and every rejected form fails before opening
+    anything, an unknown scheme naming itself and the known ones."""
     from repro.api import RegistryError, create_node_store
     from repro.nodestore import NodeStore
     from repro.resilience import FaultInjectingNodeStore, FaultInjectingStore
@@ -386,6 +364,9 @@ def test_designator_table(kind, tmp_path, monkeypatch):
                         else Path(fill(path)))
             assert inner.path == expected, designator
             assert inner.busy_timeout_ms == busy, designator
+            if kind == "results" and fault is None:
+                cache.put("fp", {"x": 1}, body="{}")
+                assert cache.get("fp") == {"x": 1}, designator
         finally:
             cache.close()
 
@@ -395,8 +376,8 @@ def test_designator_table(kind, tmp_path, monkeypatch):
     with pytest.raises(RegistryError) as error:
         create("bogus://x")
     message = str(error.value)
-    for accepted in ("fault+memory", "fault+sqlite", "memory", "sqlite",
-                     "default"):
+    for accepted in ("bogus", "fault+memory", "fault+sqlite", "memory",
+                     "sqlite", "default"):
         assert accepted in message
     wrong_kind = other(":memory:")
     try:
@@ -792,7 +773,7 @@ def test_cli_unusable_store_path_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the memory store + thread safety of registration
+# the memory store
 # ---------------------------------------------------------------------------
 
 def test_memory_store_backend():
@@ -803,51 +784,3 @@ def test_memory_store_backend():
         assert len(store) == 1
     finally:
         store.close()
-
-
-def test_registry_duplicate_name_raises_clear_error():
-    from repro.api import Registry, RegistryError
-
-    reg = Registry("gadget")
-    reg.register("x", lambda: 1)
-    with pytest.raises(RegistryError) as err:
-        reg.register("x", lambda: 2)
-    assert "already registered" in str(err.value)
-    assert reg.create("x") == 1  # first registration untouched
-
-
-def test_registry_registration_is_thread_safe():
-    """Decorator registration from many threads: every distinct name
-    lands exactly once, and concurrent claims of the *same* name admit
-    exactly one winner."""
-    from repro.api import Registry, RegistryError
-
-    reg = Registry("gizmo")
-    threads = 8
-    per_thread = 50
-    contended_errors = []
-    barrier = threading.Barrier(threads)
-
-    def register_many(tid):
-        barrier.wait()
-        for i in range(per_thread):
-            @reg.register(f"t{tid}_n{i}")
-            def _factory(tid=tid, i=i):
-                return (tid, i)
-        try:
-            reg.register("contended", lambda: "mine")
-        except RegistryError as error:
-            contended_errors.append(error)
-
-    workers = [threading.Thread(target=register_many, args=(t,))
-               for t in range(threads)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-
-    assert len(reg) == threads * per_thread + 1
-    assert len(contended_errors) == threads - 1  # exactly one winner
-    for t in range(threads):
-        for i in range(per_thread):
-            assert reg.create(f"t{t}_n{i}") == (t, i)

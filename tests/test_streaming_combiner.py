@@ -94,7 +94,7 @@ def _as_rows(combos, own_choice=None):
             for chosen, merged in combos]
 
 
-def _expected_rows(option_lists, limit=None, order=None, own_choice=None):
+def _expected_rows(option_lists, limit=None, order="lex", own_choice=None):
     """What :func:`_enumerate` must return, derived from the streaming
     oracle (own-choice conflicts stay in as ``None`` rows and count
     against the cap, so the cap applies after the merge)."""
@@ -383,9 +383,10 @@ def test_rows_match_streaming_oracle_fuzz(seed):
     rng.random()  # a retired draw: every seed keeps its later draws
     own_choice = ({rng.choice(pool): rng.randint(0, 1)}
                   if rng.random() < 0.7 else None)
-    rows = _enumerate(lists, limit=limit, order=order, own_choice=own_choice)
-    assert rows == _expected_rows(lists, limit=limit, order=order,
-                                  own_choice=own_choice)
+    kwargs = {"limit": limit, "own_choice": own_choice}
+    if order is not None:  # None: the default order
+        kwargs["order"] = order
+    assert _enumerate(lists, **kwargs) == _expected_rows(lists, **kwargs)
 
 
 def _distinct_copy(spec):

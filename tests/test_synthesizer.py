@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
-from repro.core import TradeoffFilter
 from repro.core.design_space import DesignTree, SynthesisError
 from repro.core.specs import (
     ALU16_OPS,
@@ -63,7 +62,7 @@ class TestSynthesisBasics:
 
     def test_convenience_function(self):
         result = Session(lsi_logic_library(),
-                         perf_filter=TradeoffFilter(0.05)).synthesize(
+                         perf_filter="tradeoff:0.05").synthesize(
             adder_spec(8)).result
         assert len(result) >= 2
 
