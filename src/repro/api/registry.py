@@ -11,14 +11,16 @@ there is no registration.  Names fold through :func:`canonical_name`.
 
 Filters and orders are names only, because both cache keys name them;
 a cell library or a rulebase may also be passed as an object (the
-LOLA flow builds both per data book).
+LOLA flow builds both per data book).  :func:`session_key` is the one
+parse of the five search parameters that come from outside (an HTTP
+body, an operator's defaults) into a canonical :class:`SessionKey`.
 """
 
 from __future__ import annotations
 
 import difflib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.api import emitters
 from repro.core.configs import ORDERINGS
@@ -242,6 +244,71 @@ def create_order(spec: Optional[str]) -> str:
             f"{type(spec).__name__}")
     ORDERS.get(spec)  # an unknown name raises, listing the known ones
     return canonical_name(spec)
+
+
+#: Sanity bound on a combination cap that comes from outside.
+MAX_COMBINATIONS_LIMIT = 10_000_000
+
+
+class SessionKey(NamedTuple):
+    """One search configuration in canonical form (see
+    :func:`session_key`); the field defaults are the engine's."""
+
+    library: str = "lsi_logic"
+    rulebase: str = "auto"
+    filter: str = "pareto"
+    order: str = "lex"
+    max_combinations: int = 20000
+
+
+#: The session parameters, in key order.
+SESSION_PARAMS = SessionKey._fields
+
+
+def _canonical_param(name: str, value: Any) -> Any:
+    """One session parameter in its canonical spelling (None is the
+    engine default); a bad value raises ``ValueError``/``RegistryError``."""
+    if value is None:
+        return SessionKey._field_defaults[name]
+    if name == "max_combinations":
+        # An integer or a decimal string ("40"); int() alone would also
+        # read JSON true as 1 and 2.9 as 2.
+        try:
+            if isinstance(value, (bool, float)):
+                raise TypeError(value)
+            cap = int(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"max_combinations must be an integer, got {value!r}")
+        if not 1 <= cap <= MAX_COMBINATIONS_LIMIT:
+            raise ValueError(
+                f"max_combinations must be in [1, {MAX_COMBINATIONS_LIMIT}]")
+        return cap
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string name")
+    if name == "filter":
+        # The filter token as a designator: spellings of one filter
+        # build equal filters, and the designator builds it again.
+        from repro.store.fingerprint import filter_token
+
+        filter_name, params = filter_token(create_filter(value))
+        return ":".join([filter_name, *map(str, params.values())])
+    if name == "order":
+        return create_order(value)
+    (LIBRARIES if name == "library" else RULEBASES).get(value)
+    return canonical_name(value)
+
+
+def session_key(params: Dict[str, Any],
+                defaults: SessionKey = SessionKey()) -> SessionKey:
+    """The one parse of the search parameters from outside (an HTTP
+    body, an operator's defaults): each of :data:`SESSION_PARAMS` that
+    ``params`` names is validated and folded, the others come from
+    ``defaults``.  Spellings of one configuration give equal keys, so
+    they share a pooled session, a fleet worker and a fingerprint."""
+    return SessionKey(*(
+        _canonical_param(name, params[name]) if name in params else default
+        for name, default in zip(SESSION_PARAMS, defaults)))
 
 
 def create_library(spec: Any):

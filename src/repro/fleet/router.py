@@ -53,10 +53,10 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.api.registry import (
+    SESSION_PARAMS,
     RegistryError,
-    canonical_name,
-    create_filter,
-    create_order,
+    SessionKey,
+    session_key,
 )
 from repro.obs.accesslog import AccessLog
 from repro.obs.trace import (
@@ -77,13 +77,12 @@ from repro.resilience import (
 )
 from repro.serve.server import (
     LATENCY_BUCKETS,
-    SESSION_DEFAULTS,
-    SESSION_PARAMS,
     Metrics,
     ServeError,
     _deadline_error,
+    _json_body,
+    batch_items,
 )
-from repro.store.fingerprint import filter_token
 
 #: The worker ready line (what ``repro serve`` prints on startup).
 READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
@@ -124,44 +123,26 @@ class WorkerFailure(ServeError):
 
 
 def routing_key(body: Dict[str, Any],
-                defaults: Optional[Dict[str, Any]] = None) -> str:
-    """The consistent-hashing key for one ``/synthesize`` body.
-
-    Canonicalizes exactly the fields that enter the store fingerprint
-    -- the session parameters with defaults applied (the filter as its
-    cache-key token, the order as its canonical name, other names
-    folded by :func:`~repro.api.registry.canonical_name`) plus the
-    request fields -- so two requests that an individual worker would
-    coalesce always hash to the same worker.  This is a *routing* key,
-    not the store fingerprint itself: building a built-in filter loads
-    no library or rulebase, so the router stays library-blind and
-    forwards the original bytes untouched.
+                defaults: SessionKey = SessionKey()) -> str:
+    """The consistent-hashing key for one ``/synthesize`` body: the
+    request fields plus the body's
+    :func:`~repro.api.registry.session_key` over the fleet's
+    ``defaults``, the key a worker pools its sessions on.  Spellings of
+    one search configuration hash to one worker, so per-worker
+    coalescing stays exact fleet-wide.  Parsing the key loads no
+    library or rulebase, so the router stays library-blind and
+    forwards the original bytes untouched; a body that does not parse
+    still routes somewhere stable, and the worker answers it 400.
     """
-    params = {**SESSION_DEFAULTS, **(defaults or {})}
-    for key in SESSION_PARAMS:
-        if key in body:
-            params[key] = body[key]
-    normalized: Dict[str, Any] = {}
-    for key in SESSION_PARAMS:
-        value = params.get(key)
-        try:
-            if key == "max_combinations":
-                if value is not None:
-                    value = int(value)
-            elif key == "filter":
-                value = filter_token(create_filter(value))
-            elif key == "order":
-                value = create_order(value)
-            elif isinstance(value, str):
-                value = canonical_name(value)
-        except (RegistryError, TypeError, ValueError):
-            pass  # the worker will 400 it; route it anywhere stable
-        normalized[key] = value
+    try:
+        session: Any = session_key(body, defaults)
+    except (RegistryError, ValueError):
+        session = [body.get(name) for name in SESSION_PARAMS]
     request_fields = {
         key: body.get(key) for key in _REQUEST_FIELDS if key in body
     }
     blob = json.dumps(
-        {"request": request_fields, "session": normalized},
+        {"request": request_fields, "session": session},
         sort_keys=True, separators=(",", ":"), default=repr,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -492,7 +473,9 @@ class FleetService:
             raise ValueError("a fleet needs at least one worker")
         self.store = _worker_designator(store, "store")
         self.node_store = _worker_designator(node_store, "node store")
-        self.defaults = {**SESSION_DEFAULTS, **(defaults or {})}
+        #: The operator's search defaults: a bad one is a startup error,
+        #: and each worker gets the canonical key on its command line.
+        self.defaults = session_key(defaults or {})
         self.worker_host = worker_host
         self.worker_drain_timeout = worker_drain_timeout
         self.backoff_base = backoff_base
@@ -559,15 +542,8 @@ class FleetService:
             argv.append("--no-node-store")
         elif self.node_store != "auto":
             argv += ["--node-store", str(self.node_store)]
-        d = self.defaults
-        argv += ["--library", str(d["library"]),
-                 "--filter", str(d["filter"])]
-        if d["rulebase"] is not None:
-            argv += ["--rulebase", str(d["rulebase"])]
-        if d["order"] is not None:
-            argv += ["--order", str(d["order"])]
-        if d["max_combinations"] is not None:
-            argv += ["--max-combinations", str(d["max_combinations"])]
+        for name, value in zip(SESSION_PARAMS, self.defaults):
+            argv += [f"--{name.replace('_', '-')}", str(value)]
         return argv
 
     @staticmethod
@@ -756,42 +732,34 @@ class FleetService:
                     deadline: Optional[Deadline] = None) -> bytes:
         """Split a batch per item across owning workers, concurrently,
         and reassemble the exact bytes one worker's ``/batch`` would
-        have produced (``{"jobs": [...]}``, in request order)."""
-        requests = body.get("requests")
-        if not isinstance(requests, list) or not requests:
-            raise ServeError(400, "'requests' must be a non-empty list")
-        base = dict(body)
-        base.pop("requests", None)
+        have produced (``{"jobs": [...]}``, in request order).  A worker
+        aborts a batch at its first failing item, so a failed batch
+        reports its lowest-index failure."""
 
-        async def one(index: int, item: Any) -> Tuple[int, bytes]:
-            if not isinstance(item, dict):
-                raise ServeError(400, f"requests[{index}] must be an object")
-            # Item fields override batch-level fields -- the same merge
-            # a worker's own /batch applies.
-            merged = {**base, **item}
-            raw = json.dumps(merged, sort_keys=True).encode("utf-8")
+        async def one(item: Dict[str, Any]) -> Any:
+            raw = json.dumps(item, sort_keys=True).encode("utf-8")
             status, payload, _, _ = await self.synthesize(
-                raw, merged, deadline=deadline)
-            return status, payload
-
-        results = await asyncio.gather(
-            *(one(i, item) for i, item in enumerate(requests)),
-            return_exceptions=True)
-        # A single worker aborts a batch at the first failing request;
-        # report the lowest-index failure to match those semantics.
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-            status, payload = result
+                raw, item, deadline=deadline)
             if status != 200:
                 try:
                     message = json.loads(payload).get("error", "")
                 except ValueError:
                     message = payload.decode("utf-8", errors="replace")
                 raise ServeError(status, message or "worker error")
-        jobs = [json.loads(payload) for _, payload in results]
-        return json.dumps({"jobs": jobs}, indent=2,
-                          sort_keys=True).encode("utf-8")
+            return json.loads(payload)
+
+        sent: List[asyncio.Future] = []
+        try:
+            for item in batch_items(body):
+                sent.append(asyncio.ensure_future(one(item)))
+        finally:
+            # Items before a malformed one still run, and any failure
+            # among them outranks the malformed item's 400.
+            jobs = await asyncio.gather(*sent, return_exceptions=True)
+            for job in jobs:
+                if isinstance(job, BaseException):
+                    raise job
+        return _json_body({"jobs": jobs})
 
     # -- introspection -------------------------------------------------
     def fleet_stats(self) -> Dict[str, Any]:

@@ -2,11 +2,16 @@
 
 A long-running asyncio HTTP process in front of the engine:
 ``python -m repro serve --port N`` owns one
-:class:`~repro.api.session.Session` per engine configuration, answers
+:class:`~repro.api.session.Session` per search configuration, answers
 ``POST /synthesize`` / ``POST /batch`` with the ``json`` emitter's
 schema, serves :mod:`repro.store` hits without touching the engine,
 coalesces identical in-flight requests down to exactly one evaluation,
 and exposes ``GET /healthz`` + ``GET /metrics``.  Stdlib only.
+
+The pool is keyed by :func:`~repro.api.registry.session_key`, so
+spellings of one configuration (``tradeoff``, ``tradeoff:0.05``) share
+a session; the operator's defaults go through the same parse once, at
+startup, where a bad one is an error, not a 400 on every request.
 
 Embedding -- :class:`ReproServer` is the HTTP front, the service its
 backend (the fleet is the other one, see :mod:`repro.fleet`)::
@@ -22,7 +27,6 @@ backend (the fleet is the other one, see :mod:`repro.fleet`)::
 from repro.serve.server import (
     DEFAULT_PORT,
     LATENCY_BUCKETS,
-    SESSION_DEFAULTS,
     Metrics,
     ReproServer,
     ServeError,
@@ -35,7 +39,6 @@ from repro.serve.server import (
 __all__ = [
     "DEFAULT_PORT",
     "LATENCY_BUCKETS",
-    "SESSION_DEFAULTS",
     "Metrics",
     "ReproServer",
     "ServeError",

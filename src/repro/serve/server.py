@@ -69,10 +69,9 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.api.registry import RegistryError
+from repro.api.registry import RegistryError, SessionKey, session_key
 from repro.obs.accesslog import AccessLog
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prom import prometheus_text
@@ -98,23 +97,6 @@ from repro.resilience import (
 from repro.store.backend import WouldBlock
 from repro.store.store import STAMP_FLUSH_SECONDS
 
-#: Parameters that select the session; everything else rides on the
-#: request itself.
-SESSION_PARAMS = ("library", "rulebase", "filter", "order",
-                  "max_combinations")
-
-#: The engine-configuration defaults a request that omits a session
-#: parameter gets.  The fleet router normalizes its routing keys
-#: against this same table, so a request that spells out a default
-#: lands on the same worker as one that omits it.
-SESSION_DEFAULTS: Mapping[str, Any] = MappingProxyType({
-    "library": "lsi_logic",
-    "rulebase": None,
-    "filter": "pareto",
-    "order": None,
-    "max_combinations": None,
-})
-
 #: Default TCP port (spells "DTAS" on a phone pad, near enough).
 DEFAULT_PORT = 8473
 
@@ -137,9 +119,6 @@ MAX_SESSIONS = 32
 #: evaluation; parallelism across requests lives in the fleet's worker
 #: processes.
 ENGINE_WORKERS = 2
-
-#: Sanity bound on a client-supplied combination cap.
-MAX_COMBINATIONS_LIMIT = 10_000_000
 
 #: The route table: each served path and the one method it answers,
 #: in the order the 404 lists them.  Anything else lands in the
@@ -271,6 +250,21 @@ class Metrics:
             }
 
 
+def batch_items(body: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """The requests of one ``/batch`` body, in order, each merged over
+    the batch-level fields, for both backends.  An item that is not an
+    object raises its 400 only when reached, so a batch that aborts at
+    its first failure fails with its lowest-index one."""
+    requests = body.get("requests")
+    if not isinstance(requests, list) or not requests:
+        raise ServeError(400, "'requests' must be a non-empty list")
+    base = {key: value for key, value in body.items() if key != "requests"}
+    for i, item in enumerate(requests):
+        if not isinstance(item, dict):
+            raise ServeError(400, f"requests[{i}] must be an object")
+        yield {**base, **item}
+
+
 def _retrieve_exception(task: "asyncio.Task") -> None:
     """Mark a task's exception retrieved: a request that 504s abandons
     its evaluation task, and the late failure (already delivered to any
@@ -311,6 +305,8 @@ class SynthesisService:
 
         from repro.api.registry import create_node_store, create_store
 
+        #: The operator's search defaults: a bad one is a startup error.
+        self.defaults = session_key(defaults or {})
         # Tracing defaults off (sample rate 0.0): start_trace returns
         # the shared NULL_SPAN and the request path allocates nothing.
         self.tracer = Tracer(trace_sample, ring=trace_ring,
@@ -361,11 +357,10 @@ class SynthesisService:
         #: unbounded); the per-request ``X-Repro-Deadline-Ms`` header
         #: can only tighten it.
         self.request_deadline = request_timeout
-        self.defaults = {**SESSION_DEFAULTS, **(defaults or {})}
         self.metrics = Metrics()
         self.max_sessions = max(1, max_sessions)
-        self._sessions: "OrderedDict[Tuple, Any]" = OrderedDict()
-        self._session_locks: Dict[Tuple, asyncio.Lock] = {}
+        self._sessions: "OrderedDict[SessionKey, Any]" = OrderedDict()
+        self._session_locks: Dict[SessionKey, asyncio.Lock] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=ENGINE_WORKERS,
@@ -375,38 +370,11 @@ class SynthesisService:
         self._stamps_flush_at = 0.0
 
     # -- sessions ------------------------------------------------------
-    def _session_params(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(self.defaults)
-        for key in SESSION_PARAMS:
-            if key in body:
-                params[key] = body[key]
-        cap = params["max_combinations"]
-        if cap is not None:
-            # An integer or a decimal string ("40"); int() alone would
-            # also read JSON true as 1 and 2.9 as 2.
-            try:
-                if isinstance(cap, (bool, float)):
-                    raise TypeError(cap)
-                params["max_combinations"] = int(cap)
-            except (TypeError, ValueError):
-                raise ServeError(
-                    400, f"max_combinations must be an integer, got "
-                         f"{cap!r}")
-            if not 1 <= params["max_combinations"] <= MAX_COMBINATIONS_LIMIT:
-                raise ServeError(
-                    400, f"max_combinations must be in "
-                         f"[1, {MAX_COMBINATIONS_LIMIT}]")
-        for key in SESSION_PARAMS:
-            value = params[key]
-            if (key != "max_combinations" and value is not None
-                    and not isinstance(value, str)):
-                raise ServeError(400, f"{key} must be a string name")
-        return params
-
-    def session_for(self, params: Dict[str, Any]):
-        """The (cached) session for one engine configuration.  The
+    def session_for(self, key: SessionKey):
+        """The (cached) session for one search configuration.  The key
+        is canonical (:func:`~repro.api.registry.session_key`), so the
         design space, compiled programs, and store handle are shared by
-        every request that lands on the same key.
+        every spelling of the configuration.
 
         The pool is LRU-bounded (:data:`MAX_SESSIONS`): the key embeds
         client-controlled parameters, and an unbounded pool would let a
@@ -415,20 +383,19 @@ class SynthesisService:
         sessions), so eviction cannot lose them; an evicted session's
         persisted results remain in the store, so re-creating it later
         starts warm."""
-        key = tuple(params[k] for k in SESSION_PARAMS)
         session = self._sessions.get(key)
         if session is not None:
             self._sessions.move_to_end(key)
-            return key, session
+            return session
 
         from repro.api.session import Session
 
         session = Session(
-            library=params["library"],
-            rulebase=params["rulebase"],
-            perf_filter=params["filter"],
-            order=params["order"],
-            max_combinations=params["max_combinations"],
+            library=key.library,
+            rulebase=key.rulebase,
+            perf_filter=key.filter,
+            order=key.order,
+            max_combinations=key.max_combinations,
             store=self.store,
             node_store=self.node_store,
         )
@@ -437,7 +404,7 @@ class SynthesisService:
         while len(self._sessions) > self.max_sessions:
             old_key, _ = self._sessions.popitem(last=False)
             self._session_locks.pop(old_key, None)
-        return key, session
+        return session
 
     # -- requests ------------------------------------------------------
     @staticmethod
@@ -621,12 +588,12 @@ class SynthesisService:
         Returns ``(response bytes, source)`` where source is
         ``engine`` / ``store`` / ``coalesced``.
         """
-        params = self._session_params(body)
-        request = self.build_request(body)
         try:
-            key, session = self.session_for(params)
-        except (RegistryError, KeyError, ValueError) as error:
+            key = session_key(body, self.defaults)
+        except (RegistryError, ValueError) as error:
             raise ServeError(400, str(error))
+        request = self.build_request(body)
+        session = self.session_for(key)
         if deadline is not None and deadline.expired:
             self.metrics.timeouts += 1
             raise _deadline_error(deadline)
@@ -747,20 +714,12 @@ class SynthesisService:
 
     async def batch(self, body: Dict[str, Any],
                     deadline: Optional[Deadline] = None) -> bytes:
-        requests = body.get("requests")
-        if not isinstance(requests, list) or not requests:
-            raise ServeError(400, "'requests' must be a non-empty list")
         jobs: List[Any] = []
-        for i, item in enumerate(requests):
-            if not isinstance(item, dict):
-                raise ServeError(400, f"requests[{i}] must be an object")
-            merged = dict(body)
-            merged.pop("requests", None)
-            merged.update(item)
+        for item in batch_items(body):
             # One deadline bounds the whole batch: the first item to
             # exhaust it turns the batch into a 504 (batches are
             # all-or-nothing on errors already -- a 422 aborts too).
-            payload, _ = await self._synthesize(merged, deadline=deadline)
+            payload, _ = await self._synthesize(item, deadline=deadline)
             jobs.append(json.loads(payload))
         return _json_body({"jobs": jobs})
 

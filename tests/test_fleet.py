@@ -22,14 +22,21 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session, cli
+from repro.api.registry import session_key
 from repro.fleet import (
     FleetService,
     HashRing,
+    WorkerHandle,
     aggregate_metrics,
     routing_key,
 )
 from repro.obs.timeseries import bucket_quantile
-from repro.serve import LATENCY_BUCKETS, Metrics, ServeError
+from repro.serve import (
+    LATENCY_BUCKETS,
+    Metrics,
+    ServeError,
+    SynthesisService,
+)
 from repro.store import parse_store_url, sqlite_url_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -100,17 +107,17 @@ def test_dead_slot_remaps_only_its_own_keys():
 
 
 def test_routing_key_normalizes_like_a_worker():
+    """The request half of the key, and the fleet's own defaults (the
+    session half is :data:`SPELLING_PAIRS`'s)."""
     bare = routing_key({"spec": "alu:64"})
-    spelled = routing_key({"spec": "alu:64", "library": "LSI-Logic",
-                           "filter": "pareto"})
-    assert bare == spelled  # defaults spelled out == defaults omitted
-    assert routing_key({"spec": "alu:64", "max_combinations": "40"}) \
-        == routing_key({"spec": "alu:64", "max_combinations": 40})
     assert routing_key({"spec": "alu:32"}) != bare
-    assert routing_key({"spec": "alu:64", "filter": "top_k:4"}) != bare
     # Router-level defaults shift the key exactly like a request field.
-    assert routing_key({"spec": "alu:64"}, {"filter": "top_k:4"}) \
+    fleet_defaults = session_key({"filter": "top_k:4"})
+    assert routing_key({"spec": "alu:64"}, fleet_defaults) \
         == routing_key({"spec": "alu:64", "filter": "top_k:4"})
+    # A body that does not parse still routes, and stably.
+    assert routing_key({"spec": "alu:64", "filter": "bogus"}) \
+        == routing_key({"spec": "alu:64", "filter": "bogus"})
 
 
 #: Pairs of session parameters for one request: some spell one search
@@ -126,25 +133,61 @@ SPELLING_PAIRS = [
     ({}, {"order": "lex"}),
     ({"order": "Frontier"}, {"order": "frontier"}),
     ({"order": "frontier"}, {"order": "auto"}),
+    ({}, {"rulebase": "auto"}),
+    ({"rulebase": "auto"}, {"rulebase": "standard"}),
+    ({"library": "LSI-Logic"}, {}),
+    ({}, {"max_combinations": 20000}),
+    ({"max_combinations": "40"}, {"max_combinations": 40}),
+    ({"max_combinations": 40}, {"max_combinations": 41}),
 ]
+
+
+def _spelling(params):
+    return ",".join(map(str, params.values())) or "defaults"
 
 
 @pytest.mark.parametrize(
     "first,second", SPELLING_PAIRS,
-    ids=[f"{','.join(a.values()) or 'defaults'}~{','.join(b.values())}"
-         for a, b in SPELLING_PAIRS])
+    ids=[f"{_spelling(a)}~{_spelling(b)}" for a, b in SPELLING_PAIRS])
 def test_routing_key_agrees_with_the_fingerprint(first, second):
-    """Two spellings route to one worker exactly when a worker's store
-    fingerprints them alike, so fleet-wide coalescing is exact."""
-    def session(params):
-        return Session(perf_filter=params.get("filter"),
-                       order=params.get("order"))
+    """Two spellings share a pooled session and a worker exactly when
+    a worker's store fingerprints them alike, so per-session caches and
+    fleet-wide coalescing are exact."""
+    def fingerprint(params):
+        cap = params.get("max_combinations")
+        return Session(
+            library=params.get("library", "lsi_logic"),
+            rulebase=params.get("rulebase"),
+            perf_filter=params.get("filter"),
+            order=params.get("order"),
+            max_combinations=None if cap is None else int(cap),
+        ).fingerprint("adder:16")
 
-    same_key = (routing_key({"spec": "adder:16", **first})
-                == routing_key({"spec": "adder:16", **second}))
-    same_fingerprint = (session(first).fingerprint("adder:16")
-                        == session(second).fingerprint("adder:16"))
-    assert same_key == same_fingerprint
+    same_pool_key = session_key(first) == session_key(second)
+    same_routing_key = (routing_key({"spec": "adder:16", **first})
+                        == routing_key({"spec": "adder:16", **second}))
+    same_fingerprint = fingerprint(first) == fingerprint(second)
+    assert same_pool_key == same_routing_key == same_fingerprint
+
+
+@pytest.mark.parametrize("defaults", [
+    {"filter": "bogus"}, {"library": "nope"}, {"order": "zzz"},
+    {"max_combinations": 20_000_000}])
+def test_bad_defaults_fail_at_construction(defaults, monkeypatch):
+    """An operator's bad default is a startup error (the CLI's exit 2)
+    on both backends, not a 400 on every request; the fleet spawns no
+    worker for it."""
+    spawned = []
+
+    async def spawn(worker, *args, **kwargs):
+        spawned.append(worker.slot)
+
+    monkeypatch.setattr(WorkerHandle, "spawn", spawn)
+    with pytest.raises((KeyError, ValueError)):
+        SynthesisService(store=None, defaults=defaults)
+    with pytest.raises((KeyError, ValueError)):
+        FleetService(workers=1, store=None, defaults=defaults)
+    assert spawned == []
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,8 @@ def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
         finally:
             conn.close()
 
-    server = ReproServer(SynthesisService(store=tmp_path / "serve.sqlite"),
+    server = ReproServer(SynthesisService(store=tmp_path / "serve.sqlite",
+                                          max_sessions=1),
                          port=0)
     handle = server.run_in_thread()
     try:
@@ -580,19 +581,21 @@ def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
         published = json.loads(data)["node_cache"]["published"]
         assert status == 200 and published >= 1
 
-        # Overlapping request through a *different* session: explicit
-        # "rulebase": "auto" keys its own pool slot but resolves to the
-        # identical engine configuration, so its node keys match -- the
-        # fresh session starts half-warm from the first one's subtrees.
-        # (Within one session the design-space memo already shares
-        # subtrees; the node cache is what carries that across
-        # sessions, restarts, and processes.)
+        # Overlapping request through a *different* session: another
+        # configuration evicts the first session from the one-slot
+        # pool, so the default configuration comes back as a fresh
+        # session whose node keys match -- it starts half-warm from
+        # the evicted one's subtrees.  (Within one session the
+        # design-space memo already shares subtrees; the node cache is
+        # what carries that across sessions, restarts, and processes.)
+        assert request(handle, "POST", "/synthesize",
+                       {"spec": "adder:4", "filter": "top_k:2"})[0] == 200
         assert request(handle, "POST", "/synthesize",
                        {"spec": "comparator:16", "rulebase": "auto"})[0] == 200
         metrics = json.loads(request(handle, "GET", "/metrics")[1])
-        assert metrics["sessions"] == 2
+        assert metrics["sessions"] == 1
         assert metrics["node_cache"]["hits"] >= 1
-        assert metrics["engine_evaluations"] == 2
+        assert metrics["engine_evaluations"] == 3
         assert metrics["store_hits"] == 0
     finally:
         handle.stop()

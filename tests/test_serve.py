@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import EMITTERS, Session
+from repro.api.registry import session_key
 from repro.serve import ReproServer, SynthesisService
 from repro.store import ResultStore
 from repro.store.serialize import payload_to_job
@@ -329,15 +330,62 @@ def test_session_pool_is_lru_bounded(tmp_path):
                                max_sessions=2)
     try:
         for cap in (100, 200, 300):
-            service.session_for(service._session_params(
-                {"spec": "adder:8", "max_combinations": cap}))
+            service.session_for(session_key(
+                {"spec": "adder:8", "max_combinations": cap},
+                service.defaults))
         assert len(service._sessions) == 2
         assert len(service._session_locks) == 2
         # Oldest (cap=100) evicted; newest two retained.
-        kept = {key[-1] for key in service._sessions}
+        kept = {key.max_combinations for key in service._sessions}
         assert kept == {200, 300}
     finally:
         asyncio.run(service.close())
+
+
+#: Eleven spellings of four search configurations.
+POOL_BODIES = [
+    {}, {"order": "lex"}, {"rulebase": "auto"}, {"max_combinations": 20000},
+    {"filter": "tradeoff"}, {"filter": "tradeoff:0.05"},
+    {"filter": "tradeoff:0.050"},
+    {"order": "Frontier"}, {"order": "frontier"},
+    {"max_combinations": "40"}, {"max_combinations": 40},
+]
+
+
+def test_session_pool_has_one_session_per_configuration(server):
+    """Spellings of one configuration share one pooled session (one
+    warm design space), and every spelling gets the same body."""
+    bodies: dict = {}
+    for params in POOL_BODIES:
+        status, data, _ = _request(server, "POST", "/synthesize",
+                                   {"spec": "adder:4", **params})
+        assert status == 200, params
+        cap = params.get("max_combinations")
+        fingerprint = Session(
+            rulebase=params.get("rulebase"),
+            perf_filter=params.get("filter"), order=params.get("order"),
+            max_combinations=None if cap is None else int(cap),
+        ).fingerprint("adder:4")
+        bodies.setdefault(fingerprint, set()).add(data)
+    assert len(bodies) == 4
+    assert all(len(data) == 1 for data in bodies.values())
+    _, data, _ = _request(server, "GET", "/metrics")
+    assert json.loads(data)["sessions"] == len(bodies)
+
+
+def test_mixed_batch_failure_is_the_lowest_index_one(front):
+    """Both backends answer a batch with several bad items by its
+    first failure: a 422 before a malformed item is the answer, and a
+    malformed item before a 422 is."""
+    legend = {"legend": "this is not LEGEND"}
+    status, data, _ = _request(front, "POST", "/batch", {
+        "requests": [{"spec": "adder:4"}, legend, 7, {"spec": "nope:4"}]})
+    assert status == 422, data
+    assert json.loads(data)["error"].startswith("LegendSyntaxError")
+    status, data, _ = _request(front, "POST", "/batch", {
+        "requests": [{"spec": "adder:4"}, 7, legend]})
+    assert status == 400, data
+    assert json.loads(data)["error"] == "requests[1] must be an object"
 
 
 def test_max_combinations_is_validated(server):
