@@ -11,9 +11,10 @@ there is no registration.  Names fold through :func:`canonical_name`.
 
 Filters and orders are names only, because both cache keys name them;
 a cell library or a rulebase may also be passed as an object (the
-LOLA flow builds both per data book).  :func:`session_key` is the one
-parse of the five search parameters that come from outside (an HTTP
-body, an operator's defaults) into a canonical :class:`SessionKey`.
+LOLA flow builds both per data book).  :func:`search_defaults` is the
+one parse of the five search parameters that come from outside (an
+HTTP body, an operator's defaults) into a canonical
+:class:`SessionKey`, and :func:`session_key` the pool key built on it.
 """
 
 from __future__ import annotations
@@ -299,16 +300,36 @@ def _canonical_param(name: str, value: Any) -> Any:
     return canonical_name(value)
 
 
-def session_key(params: Dict[str, Any],
-                defaults: SessionKey = SessionKey()) -> SessionKey:
+#: The libraries on which the ``auto`` rulebase adds the LSI-specific
+#: rules (:func:`_auto_rulebase`); on any other it builds exactly the
+#: ``standard`` rulebase.
+_AUTO_LSI_LIBRARIES = ("lsi_logic",)
+
+
+def search_defaults(params: Dict[str, Any],
+                    defaults: SessionKey = SessionKey()) -> SessionKey:
     """The one parse of the search parameters from outside (an HTTP
     body, an operator's defaults): each of :data:`SESSION_PARAMS` that
     ``params`` names is validated and folded, the others come from
-    ``defaults``.  Spellings of one configuration give equal keys, so
-    they share a pooled session, a fleet worker and a fingerprint."""
+    ``defaults``.  A rulebase keeps its policy name, so an operator's
+    default ``auto`` stays ``auto`` whichever library a request
+    names."""
     return SessionKey(*(
         _canonical_param(name, params[name]) if name in params else default
         for name, default in zip(SESSION_PARAMS, defaults)))
+
+
+def session_key(params: Dict[str, Any],
+                defaults: SessionKey = SessionKey()) -> SessionKey:
+    """The pool key of one search configuration: :func:`search_defaults`
+    with the rulebase policy folded against the library (``auto`` is
+    ``standard`` on a library where it adds no rules).  Spellings of
+    one configuration give equal keys, so they share a pooled session,
+    a fleet worker and a fingerprint; the key loads no library."""
+    key = search_defaults(params, defaults)
+    if key.rulebase == "auto" and key.library not in _AUTO_LSI_LIBRARIES:
+        return key._replace(rulebase="standard")
+    return key
 
 
 def create_library(spec: Any):
@@ -335,8 +356,8 @@ def create_rulebase(spec: Any, library) -> Any:
 # ---------------------------------------------------------------------------
 
 #: The URL schemes and the bare names a cache designator may use; the
-#: error that rejects any other lists them.  A ``fault+`` scheme puts
-#: its base scheme's backend behind fault injection
+#: error that rejects any other lists them.  A ``fault+`` scheme opens
+#: its base scheme's table with a fault policy attached
 #: (:mod:`repro.resilience.faults`).
 _CACHE_SCHEMES = ("fault+memory", "fault+sqlite", "memory", "sqlite")
 _CACHE_NAMES = ("default", "memory")
@@ -354,32 +375,25 @@ def _resolve_cache(spec: Any, kind: str):
     if spec is None:
         return None
     from repro.nodestore import NodeStore
-    from repro.resilience import (
-        FaultInjectingNodeStore,
-        FaultInjectingStore,
-        FaultPolicy,
-    )
+    from repro.resilience import FaultPolicy
     from repro.store import (
-        NodeStoreBackend,
         ResultStore,
-        StoreBackend,
         parse_store_url,
         split_url_query,
         sqlite_url_path,
     )
 
     results = kind == "results"
-    backend = StoreBackend if results else NodeStoreBackend
     sqlite = ResultStore if results else NodeStore
     noun = "store" if results else "node store"
-    if isinstance(spec, backend):
+    if isinstance(spec, sqlite):
         return spec
     if spec is True or isinstance(spec, Path):
         return sqlite(None if spec is True else spec)
     if not isinstance(spec, str):
         raise TypeError(
             f"cannot open a {noun} from {type(spec).__name__}: expected "
-            f"None, True, a path, or a {backend.__name__}")
+            f"None, True, a path, or a {sqlite.__name__}")
     url = parse_store_url(spec)
     if url is None:
         name = spec.strip().lower()
@@ -393,7 +407,7 @@ def _resolve_cache(spec: Any, kind: str):
             f"schemes: {', '.join(_CACHE_SCHEMES)} (known {noun} names: "
             f"{', '.join(_CACHE_NAMES)})")
     faulted = scheme.startswith("fault+")
-    busy_timeout_ms = 10_000
+    busy_timeout_ms, policy = 10_000, None
     try:
         path, params = split_url_query(rest, spec)
         if scheme.endswith("memory"):
@@ -426,30 +440,28 @@ def _resolve_cache(spec: Any, kind: str):
                 f"{', '.join(sorted(params))} (known: busy_timeout_ms)")
     except ValueError as error:
         raise RegistryError(str(error)) from None
-    cache = sqlite(path, busy_timeout_ms=busy_timeout_ms)
-    if not faulted:
-        return cache
-    return (FaultInjectingStore if results else FaultInjectingNodeStore)(
-        cache, policy)
+    return sqlite(path, busy_timeout_ms=busy_timeout_ms, policy=policy)
 
 
 def create_store(spec: Any):
     """Resolve a result-store designator: ``None`` means no store, a
-    ``StoreBackend`` passes through, ``True`` or ``"default"`` opens the
-    default file (``$REPRO_STORE`` or ``~/.cache/repro/store.sqlite``),
-    ``"memory"`` ephemeral SQLite, a URL (``sqlite:///abs.sqlite``,
+    live :class:`~repro.store.ResultStore` passes through, ``True`` or
+    ``"default"`` opens the default file (``$REPRO_STORE`` or
+    ``~/.cache/repro/store.sqlite``), ``"memory"`` ephemeral SQLite, a
+    URL (``sqlite:///abs.sqlite``,
     ``sqlite://rel.sqlite?busy_timeout_ms=500``, ``memory:``,
     ``fault+sqlite://path?fail_rate=0.5``, ``fault+memory:?...``) the
-    backend its scheme names, and any other string or path that SQLite
+    table its scheme names, and any other string or path that SQLite
     file."""
     return _resolve_cache(spec, "results")
 
 
 def create_node_store(spec: Any):
     """Resolve a node-store designator exactly like
-    :func:`create_store`, to a ``NodeStoreBackend`` -- a path opens the
-    ``nodes`` table in that SQLite file, which may be, and by default
-    is, the same file a :class:`~repro.store.ResultStore` uses."""
+    :func:`create_store`, to a :class:`~repro.nodestore.NodeStore` --
+    a path opens the ``nodes`` table in that SQLite file, which may be,
+    and by default is, the same file a
+    :class:`~repro.store.ResultStore` uses."""
     return _resolve_cache(spec, "nodes")
 
 

@@ -77,7 +77,7 @@ class Session:
         (default) disables persistence; ``True`` or ``"default"`` (the
         default location), ``"memory"``, a path, a URL
         (:func:`~repro.api.registry.create_store`) or a live
-        ``StoreBackend`` enables it.  With a store, every
+        :class:`~repro.store.ResultStore` enables it.  With a store, every
         content-addressable request is first looked up by its
         canonical fingerprint -- a hit skips expansion and evaluation
         entirely and returns re-interned canonical configurations --
@@ -85,7 +85,8 @@ class Session:
         process.
     node_store:
         Persistent *per-node* option cache (see :mod:`repro.nodestore`):
-        the designators of ``store``, or a live ``NodeStoreBackend``.
+        the designators of ``store``, or a live
+        :class:`~repro.nodestore.NodeStore`.
         Where the result store shares whole requests, the node cache
         shares expanded *subtrees*: during evaluation every
         decomposition node is probed before its S1 cross product runs

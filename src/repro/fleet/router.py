@@ -56,6 +56,7 @@ from repro.api.registry import (
     SESSION_PARAMS,
     RegistryError,
     SessionKey,
+    search_defaults,
     session_key,
 )
 from repro.obs.accesslog import AccessLog
@@ -475,7 +476,7 @@ class FleetService:
         self.node_store = _worker_designator(node_store, "node store")
         #: The operator's search defaults: a bad one is a startup error,
         #: and each worker gets the canonical key on its command line.
-        self.defaults = session_key(defaults or {})
+        self.defaults = search_defaults(defaults or {})
         self.worker_host = worker_host
         self.worker_drain_timeout = worker_drain_timeout
         self.backoff_base = backoff_base

@@ -50,10 +50,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.configs import Configuration, spec_id
 from repro.core.interning import CONFIGURATIONS
-from repro.store.backend import NodeStoreBackend
 from repro.store.fingerprint import spec_token
 from repro.store.serialize import spec_from_token
-from repro.store.store import STORE_FAILURES, CacheTable
+from repro.store.store import STORE_FAILURES, CacheTable, serving_op
 
 #: Node table format version; a mismatch drops the ``nodes`` table (a
 #: cache is rebuilt, never migrated).  Tracked separately from the
@@ -85,19 +84,26 @@ def _index(value: Any, bound: int) -> bool:
     return type(value) is int and 0 <= value < bound
 
 
-class NodeStore(CacheTable, NodeStoreBackend):
-    """The SQLite :class:`~repro.store.backend.NodeStoreBackend` -- a
-    content-addressed per-node option cache (SQLite + hot tier), the
-    default backend (URL form: ``sqlite:///path``, by default the
-    result store's own file).  Errors never raise past it: they count
-    under ``errors`` and degrade to a miss or a no-op."""
+class NodeStore(CacheTable):
+    """A content-addressed per-node option cache (SQLite + hot tier;
+    URL form: ``sqlite:///path``, by default the result store's own
+    file).  SQLite errors never raise past it: they count under
+    ``errors`` and degrade to a miss or a no-op.  Only an attached
+    fault policy raises (a :class:`~repro.store.store.StoreError`),
+    and a corrupted read is a miss.
+
+    The engine calls exactly two serving ops
+    (:meth:`load_options` / :meth:`save_options`).  A load returns
+    objects indistinguishable from a fresh evaluation's (the
+    byte-identity contract), and any doubt is a miss, never a wrong
+    answer."""
 
     table, meta_key, column = "nodes", "node_schema", "spec"
     noun = "node store"
 
     def __init__(self, path: Union[str, Path, None] = None,
                  hot_entries: int = HOT_TIER_ENTRIES,
-                 busy_timeout_ms: int = 10_000) -> None:
+                 busy_timeout_ms: int = 10_000, policy: Any = None) -> None:
         self._hot: "OrderedDict[str, Tuple[tuple, int]]" = OrderedDict()
         self._hot_entries = max(1, hot_entries)
         #: Monotonic serving counters (guarded by the lock; shared by
@@ -107,7 +113,7 @@ class NodeStore(CacheTable, NodeStoreBackend):
         self.misses = 0
         self.published = 0
         self.errors = 0
-        super().__init__(path, busy_timeout_ms)
+        super().__init__(path, busy_timeout_ms, policy)
 
     @property
     def version(self) -> int:
@@ -131,6 +137,7 @@ class NodeStore(CacheTable, NodeStoreBackend):
     # ------------------------------------------------------------------
     # the cache protocol (what DesignSpace calls)
     # ------------------------------------------------------------------
+    @serving_op("load_options", corrupted=None)
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int) -> Optional[List[Any]]:
         """The persisted option list under ``fingerprint``, as canonical
@@ -175,6 +182,7 @@ class NodeStore(CacheTable, NodeStoreBackend):
             self.hits += 1
         return options
 
+    @serving_op("save_options", False)
     def save_options(self, fingerprint: str, spec: Any, options: List[Any],
                      impls: int, programs: int = 0) -> bool:
         """Persist one node's filtered option list (list order is part

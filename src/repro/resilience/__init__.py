@@ -6,24 +6,20 @@ breakers with half-open recovery (:mod:`~repro.resilience.breaker`),
 and a deterministic fault-injection harness for stores and the fleet
 (:mod:`~repro.resilience.faults`).
 
-Each store wrapper concern has one body over the shared
-:class:`~repro.store.backend.CacheBackend` surface --
-:class:`~repro.resilience.breaker.GuardedBackend` (breaker) and
-:class:`~repro.resilience.faults.FaultInjectingBackend` (faults) --
-with one thin leaf per cache kind adding its serving ops.
-Fault-injecting stores are built from ``fault+sqlite:`` /
-``fault+memory:`` designators by
-:func:`repro.api.registry.create_store` and
-:func:`~repro.api.registry.create_node_store`.
+A store's breaker and fault policy are attached to its SQLite table,
+not wrapped around it: every serving op of a
+:class:`~repro.store.store.CacheTable` enters through one guard
+(:func:`~repro.store.store.serving_op`) that consults both.  Fault
+policies come from ``fault+sqlite:`` / ``fault+memory:`` designators
+(:func:`repro.api.registry.create_store` and
+:func:`~repro.api.registry.create_node_store`); the serve layer
+attaches a breaker to each table it serves.
 """
 
 from repro.resilience.breaker import (
     BREAKER_RESET,
     BREAKER_THRESHOLD,
-    STORE_FAILURES,
     CircuitBreaker,
-    ResilientNodeStore,
-    ResilientStore,
 )
 from repro.resilience.deadline import (
     Deadline,
@@ -33,11 +29,10 @@ from repro.resilience.deadline import (
 from repro.resilience.faults import (
     CHAOS_MODES,
     FAULT_PARAMS,
-    FaultInjectingNodeStore,
-    FaultInjectingStore,
     FaultPolicy,
     parse_chaos,
 )
+from repro.store.store import STORE_FAILURES
 
 __all__ = [
     "BREAKER_RESET",
@@ -46,11 +41,7 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "FAULT_PARAMS",
-    "FaultInjectingNodeStore",
-    "FaultInjectingStore",
     "FaultPolicy",
-    "ResilientNodeStore",
-    "ResilientStore",
     "STORE_FAILURES",
     "effective_deadline",
     "parse_chaos",

@@ -5,11 +5,20 @@ degraded serving, failover retries -- needs a way to *make* the
 failure happen on demand, repeatably, in CI.  Two harnesses:
 
 **Store faults** -- ``fault+sqlite://path?fail_rate=1.0&latency_ms=5``
-wraps the real SQLite backend of either cache kind.  The one cache
-resolver (:func:`repro.api.registry.create_store` /
-``create_node_store``) builds the wrapper, so any ``--store`` /
+opens the SQLite table of either cache kind with a
+:class:`FaultPolicy` attached.  The one cache resolver
+(:func:`repro.api.registry.create_store` / ``create_node_store``)
+builds the policy from the query, so any ``--store`` /
 ``--node-store`` flag (serve, fleet, warm, cache) can point at a
-misbehaving store with no code changes.  Query parameters:
+misbehaving store with no code changes.  The table's serving ops
+(``get``/``get_body`` as ``"get"``, ``peek``, ``put``, ``contains``,
+``load_options``, ``save_options``) each tick the policy once on
+entry (:func:`repro.store.store.serving_op`); its maintenance ops
+(``entries``, ``info``, ``prune``, ``clear``, ``len``, ``stats``,
+``flush_stamps``, ``close``) never tick, so the harness itself stays
+operable.  A faulted table has no non-blocking read, so the serve
+layer reads it on an executor thread, where injected latency meets
+the deadline.  Query parameters:
 
 - ``fail_rate`` (0..1): probability an operation raises
   :class:`~repro.store.store.StoreError`;
@@ -26,8 +35,8 @@ misbehaving store with no code changes.  Query parameters:
 - ``seed`` (int): the RNG seed; same seed, same single-threaded
   sequence of injected faults.
 
-``fault+memory:?fail_rate=...`` does the same over the ephemeral
-backend.  Malformed or unknown parameters are registry errors (CLI
+``fault+memory:?fail_rate=...`` does the same over an ephemeral
+in-memory table.  Malformed or unknown parameters are registry errors (CLI
 exit 2), like every other bad designator.
 
 **Fleet chaos** -- ``--chaos kill-worker:PERIOD`` makes the fleet
@@ -41,9 +50,8 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.store.backend import CacheBackend, NodeStoreBackend, StoreBackend
 from repro.store.store import StoreError
 
 #: The query parameters a fault policy understands.
@@ -52,7 +60,7 @@ FAULT_PARAMS = ("fail_rate", "latency_ms", "corrupt_rate", "seed",
 
 
 class FaultPolicy:
-    """When and how to misbehave; shared by one store's wrappers."""
+    """When and how one table misbehaves."""
 
     def __init__(self, fail_rate: float = 0.0, latency_ms: float = 0.0,
                  corrupt_rate: float = 0.0, seed: int = 0,
@@ -151,112 +159,6 @@ class FaultPolicy:
                 "failures_injected": self.failures_injected,
                 "corruptions_injected": self.corruptions_injected,
             }
-
-
-#: What a corrupted result-store read returns: structurally broken, so
-#: :func:`repro.store.serialize.jsonable_payload` rejects it and the
-#: session treats it as a self-healing miss -- corruption may cost a
-#: re-evaluation, never a wrong answer.
-_CORRUPT_PAYLOAD = {"schema": "fault-injected-corruption"}
-
-
-class FaultInjectingBackend(CacheBackend):
-    """A cache backend that misbehaves on schedule.  Wraps the real
-    backend: a leaf's serving ops tick the policy, while the
-    maintenance ops here pass through so the harness itself stays
-    operable."""
-
-    def __init__(self, inner: CacheBackend, policy: FaultPolicy) -> None:
-        self.inner = inner
-        self.policy = policy
-
-    @property
-    def path(self):
-        return self.inner.path
-
-    def entries(self) -> List[Dict[str, Any]]:
-        return self.inner.entries()
-
-    def info(self) -> Dict[str, Any]:
-        summary = dict(self.inner.info())
-        summary["fault_injection"] = self.policy.describe()
-        return summary
-
-    def prune(self, max_mb: float) -> Dict[str, int]:
-        return self.inner.prune(max_mb)
-
-    def clear(self) -> int:
-        return self.inner.clear()
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class FaultInjectingStore(FaultInjectingBackend, StoreBackend):
-    """A faulty result store.  A corrupted payload read returns a
-    marker that fails validation; a corrupted body read is a miss.  It
-    keeps the default :meth:`get_body_nowait` (always ``WouldBlock``),
-    so the serve layer reads it on an executor thread, where injected
-    latency cannot stall the event loop and deadlines still fire."""
-
-    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        self.policy.tick("get")
-        payload = self.inner.get(fingerprint)
-        if payload is not None and self.policy.corrupt():
-            return dict(_CORRUPT_PAYLOAD)
-        return payload
-
-    def get_body(self, fingerprint: str) -> Optional[str]:
-        # The same "get" op as get(), so a schedule means the same
-        # thing on either read path.  A corrupted body is a miss, never
-        # mangled bytes: the client would receive those verbatim.
-        self.policy.tick("get")
-        body = self.inner.get_body(fingerprint)
-        if body is not None and self.policy.corrupt():
-            return None
-        return body
-
-    def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        self.policy.tick("peek")
-        payload = self.inner.peek(fingerprint)
-        if payload is not None and self.policy.corrupt():
-            return dict(_CORRUPT_PAYLOAD)
-        return payload
-
-    def put(self, fingerprint: str, payload: Dict[str, Any],
-            label: str = "", *, body: str) -> None:
-        self.policy.tick("put")
-        self.inner.put(fingerprint, payload, label, body=body)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        self.policy.tick("contains")
-        return fingerprint in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-
-class FaultInjectingNodeStore(FaultInjectingBackend, NodeStoreBackend):
-    """A faulty node store.  A corrupted read degrades to ``None`` (a
-    miss): the node-store contract is that any doubt re-evaluates the
-    subtree, so injected corruption can never violate byte-identity."""
-
-    def load_options(self, fingerprint: str, spec: Any,
-                     expected_impls: int) -> Optional[List[Any]]:
-        self.policy.tick("load_options")
-        options = self.inner.load_options(fingerprint, spec, expected_impls)
-        if options is not None and self.policy.corrupt():
-            return None
-        return options
-
-    def save_options(self, fingerprint: str, spec: Any, options: List[Any],
-                     impls: int, programs: int = 0) -> bool:
-        self.policy.tick("save_options")
-        return self.inner.save_options(fingerprint, spec, options,
-                                       impls, programs)
-
-    def stats(self) -> Dict[str, int]:
-        return self.inner.stats()
 
 
 #: The chaos modes the fleet understands.

@@ -41,15 +41,15 @@ coalescing, store hits, and multiple sessions.
 
 A warm hit never leaves the event loop.  After the deadline check and
 the fingerprint, the store is probed with a read that cannot wait
-(:meth:`~repro.store.backend.StoreBackend.get_body_nowait`: in WAL
+(:meth:`~repro.store.store.ResultStore.get_body_nowait`: in WAL
 mode a SQLite reader never waits for a writer), *before* the in-flight
 table and the owner task; a hit is answered in the same loop pass,
 with no task, future, shield or executor hop.  Only a miss registers
 the in-flight future and starts the owner task.  When the read would
-wait (a held lock, a busy database, a backend with no such read --
-``fault+`` stores among them) it raises ``WouldBlock`` and the owner
-task repeats the probe on the executor with the blocking read, bounded
-by the deadline like any engine run.  Loop-served hits queue their LRU
+wait (a held lock, a busy database, an in-memory or ``fault+``
+store) it raises ``WouldBlock`` and the owner task repeats the probe
+on the executor with the blocking read, bounded by the deadline like
+any engine run.  Loop-served hits queue their LRU
 stamps in memory; the executor writes them in one transaction at most
 once per :data:`~repro.store.store.STAMP_FLUSH_SECONDS`, and the store
 writes them with each of its own writes and on close.
@@ -71,7 +71,12 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.api.registry import RegistryError, SessionKey, session_key
+from repro.api.registry import (
+    RegistryError,
+    SessionKey,
+    search_defaults,
+    session_key,
+)
 from repro.obs.accesslog import AccessLog
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prom import prometheus_text
@@ -90,8 +95,6 @@ from repro.resilience import (
     BREAKER_THRESHOLD,
     CircuitBreaker,
     Deadline,
-    ResilientNodeStore,
-    ResilientStore,
     effective_deadline,
 )
 from repro.store.backend import WouldBlock
@@ -306,7 +309,7 @@ class SynthesisService:
         from repro.api.registry import create_node_store, create_store
 
         #: The operator's search defaults: a bad one is a startup error.
-        self.defaults = session_key(defaults or {})
+        self.defaults = search_defaults(defaults or {})
         # Tracing defaults off (sample rate 0.0): start_trace returns
         # the shared NULL_SPAN and the request path allocates nothing.
         self.tracer = Tracer(trace_sample, ring=trace_ring,
@@ -318,22 +321,20 @@ class SynthesisService:
                            else AccessLog(access_log,
                                           max_mb=access_log_max_mb))
 
-        # Both caches sit behind circuit breakers: the session layer
+        # Both caches get a circuit breaker: the session layer
         # already degrades per call (a broken store is a miss), but it
         # re-pays the store's failure latency on every request.  The
         # breaker remembers -- after ``breaker_threshold`` consecutive
-        # failures every cache operation short-circuits to an instant
-        # miss (engine-only degraded serving, surfaced in /healthz)
-        # until a half-open probe succeeds.
-        raw_store = create_store(store)
-        if raw_store is not None:
-            self._store_breaker = CircuitBreaker(
+        # failures every serving op short-circuits to an instant miss
+        # (engine-only degraded serving, surfaced in /healthz) until a
+        # half-open probe succeeds.  The node store keeps one too: it
+        # never raises on SQLite errors, but an injected fault does,
+        # and the breaker turns that into a miss instead of a failed
+        # request.
+        self.store = create_store(store)
+        if self.store is not None:
+            self.store.breaker = CircuitBreaker(
                 "store", breaker_threshold, breaker_reset)
-            self.store: Optional[ResilientStore] = ResilientStore(
-                raw_store, self._store_breaker)
-        else:
-            self._store_breaker = None
-            self.store = None
         # The per-node option cache (subtree-level sharing): ``"auto"``
         # co-locates the nodes table with the result store's file, so a
         # request that misses the result store still starts half-warm
@@ -344,15 +345,10 @@ class SynthesisService:
         # eviction, keeping /metrics monotonic.
         if node_store == "auto":
             node_store = self.store.path if self.store is not None else None
-        raw_node_store = create_node_store(node_store)
-        if raw_node_store is not None:
-            self._node_breaker = CircuitBreaker(
+        self.node_store = create_node_store(node_store)
+        if self.node_store is not None:
+            self.node_store.breaker = CircuitBreaker(
                 "node_store", breaker_threshold, breaker_reset)
-            self.node_store: Optional[ResilientNodeStore] = (
-                ResilientNodeStore(raw_node_store, self._node_breaker))
-        else:
-            self._node_breaker = None
-            self.node_store = None
         #: The server-side default request budget in seconds (None =
         #: unbounded); the per-request ``X-Repro-Deadline-Ms`` header
         #: can only tighten it.
@@ -453,7 +449,7 @@ class SynthesisService:
         behind whatever engine evaluation currently holds the session.
         A hit is the stored ``json`` body as bytes -- no payload
         decode, no revive, no emit, never the engine.  The session's
-        store is breaker-guarded, so a failing read is a miss.
+        store has a breaker attached, so a failing read is a miss.
 
         The event loop calls it with ``wait=False`` (raising
         ``WouldBlock`` rather than waiting); an executor thread calls
@@ -727,10 +723,10 @@ class SynthesisService:
     def breaker_stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-cache breaker snapshots (empty without stores)."""
         stats: Dict[str, Dict[str, Any]] = {}
-        if self._store_breaker is not None:
-            stats["store"] = self._store_breaker.stats()
-        if self._node_breaker is not None:
-            stats["node_store"] = self._node_breaker.stats()
+        if self.store is not None:
+            stats["store"] = self.store.breaker.stats()
+        if self.node_store is not None:
+            stats["node_store"] = self.node_store.breaker.stats()
         return stats
 
     async def healthz(self) -> Dict[str, Any]:

@@ -16,10 +16,10 @@ same canonical object a fresh evaluation would produce.
 
 The result store and the per-node cache (:mod:`repro.nodestore`) are
 two leaves of one :class:`~repro.store.store.CacheTable` over one
-SQLite file, and both implement the
-:class:`~repro.store.backend.CacheBackend` maintenance surface.
-Designators (names, paths, URLs) resolve through
-:func:`repro.api.registry.create_store`.
+SQLite file, which owns their shared maintenance surface and the one
+guard (:func:`~repro.store.store.serving_op`) where an attached fault
+policy and breaker act.  Designators (names, paths, URLs) resolve
+through :func:`repro.api.registry.create_store`.
 
 Sessions opt in with ``Session(store=...)``; the serve layer
 (:mod:`repro.serve`) puts an HTTP front end on top.  Maintenance runs
@@ -28,9 +28,6 @@ and ``repro warm`` to prefill.
 """
 
 from repro.store.backend import (
-    CacheBackend,
-    NodeStoreBackend,
-    StoreBackend,
     WouldBlock,
     parse_store_url,
     split_url_query,
@@ -61,11 +58,8 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "CacheBackend",
     "FINGERPRINT_SCHEMA",
-    "NodeStoreBackend",
     "PAYLOAD_SCHEMA",
-    "StoreBackend",
     "WouldBlock",
     "parse_store_url",
     "split_url_query",

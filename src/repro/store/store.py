@@ -16,6 +16,11 @@ on a version mismatch that table is dropped and rebuilt rather than
 migrated.  Eviction (``prune``) removes least-recently-used entries of
 both tables until the payload total fits the requested budget.
 
+:class:`CacheTable` is also the one resilience seam: a table may carry
+a fault policy (``fault+`` designators) and a breaker (the serve
+layer's), and every public serving op enters through one guard
+(:func:`serving_op`) that consults them.
+
 Each entry holds two texts: the structured payload (what a
 :class:`~repro.api.session.Session` revives into a job) and the
 emitted ``json`` body, persisted once at write time so a serving hit
@@ -38,6 +43,7 @@ as does every write the store makes and :meth:`ResultStore.close`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -45,9 +51,9 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.store.backend import CacheBackend, StoreBackend, WouldBlock
+from repro.store.backend import WouldBlock
 
 #: Store format version; a mismatch resets the store (it is a cache).
 #: v2 added the ``body`` column, so no pre-v2 (body-less) row is ever
@@ -133,12 +139,70 @@ def prune_cache_tables(db, budget_bytes: int) -> Dict[str, int]:
 
 
 #: What counts as a store failure: the errors a cache table's error
-#: policy (:meth:`CacheTable._failed`) sees, and what the serve layer's
-#: breakers count (StoreError is an OSError).
+#: policy (:meth:`CacheTable._failed`) sees, and what its breaker
+#: counts (StoreError is an OSError).
 STORE_FAILURES = (sqlite3.Error, OSError)
 
+#: What a corrupted result-store payload read returns: structurally
+#: broken, so :func:`repro.store.serialize.jsonable_payload` rejects it
+#: and the session treats it as a self-healing miss -- corruption may
+#: cost a re-evaluation, never a wrong answer.
+_CORRUPT_PAYLOAD = {"schema": "fault-injected-corruption"}
 
-class CacheTable(CacheBackend):
+#: ``corrupted`` of an op whose result is never corrupted (a write).
+_NOT_A_READ = object()
+
+
+def serving_op(op: Optional[str], default: Any = None,
+               corrupted: Any = _NOT_A_READ) -> Callable:
+    """Guard the entry of one public :class:`CacheTable` op with the
+    table's fault policy and breaker; with neither attached the op runs
+    bare.
+
+    An open breaker returns ``default`` at once.  Otherwise the policy
+    ticks ``op`` (``None``: the op never ticks), then the op runs.  A
+    failure (one of :data:`STORE_FAILURES`, injected or real) counts
+    against the breaker and returns ``default``, or raises when no
+    breaker is attached.  :class:`WouldBlock` is no outcome: a
+    half-open probe slot goes back and the caller sees it.  A
+    successful read that is not a miss may then be corrupted: it
+    returns ``corrupted`` instead (``None`` is a miss, a dict a copy
+    of it)."""
+
+    def guard(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def guarded(self, *args, **kwargs):
+            breaker, policy = self.breaker, self.policy
+            if breaker is None and policy is None:
+                return body(self, *args, **kwargs)
+            if breaker is not None and not breaker.allow():
+                return default
+            try:
+                if op is not None and policy is not None:
+                    policy.tick(op)
+                result = body(self, *args, **kwargs)
+            except WouldBlock:
+                if breaker is not None:
+                    breaker.release()
+                raise
+            except STORE_FAILURES:
+                if breaker is None:
+                    raise
+                breaker.record_failure()
+                return default
+            if breaker is not None:
+                breaker.record_success()
+            if (corrupted is not _NOT_A_READ and result is not None
+                    and policy is not None and policy.corrupt()):
+                return None if corrupted is None else dict(corrupted)
+            return result
+
+        return guarded
+
+    return guard
+
+
+class CacheTable:
     """One cache table in the shared SQLite store file.
 
     :class:`ResultStore` (``results``) and
@@ -153,6 +217,15 @@ class CacheTable(CacheBackend):
 
     A closed connection stays in place: every later statement fails
     with ``sqlite3.ProgrammingError`` and goes through the same policy.
+
+    Each public serving op enters through :func:`serving_op`, which
+    consults what is attached: a fault policy
+    (:class:`~repro.resilience.faults.FaultPolicy`, from a ``fault+``
+    designator) and a breaker
+    (:class:`~repro.resilience.breaker.CircuitBreaker`, attached by the
+    serve layer to each table it serves).  Maintenance ops, ``len`` and
+    ``close`` pass both by, so a sick table stays operable; ``info``
+    only reports the breaker's state, as a stub while it is open.
     """
 
     #: The table, the ``meta`` row holding its version, the per-entry
@@ -172,9 +245,11 @@ class CacheTable(CacheBackend):
                           f" hits = hits + 1 WHERE fingerprint = ?")
 
     def __init__(self, path: Union[str, Path, None] = None,
-                 busy_timeout_ms: int = 10_000) -> None:
+                 busy_timeout_ms: int = 10_000, policy: Any = None) -> None:
         self.path = Path(path) if path is not None else default_store_path()
         self.busy_timeout_ms = int(busy_timeout_ms)
+        self.policy = policy
+        self.breaker: Any = None
         self._lock = threading.Lock()
         # Everything through the table set-up stays inside one try:
         # sqlite3.connect is lazy, so a corrupt or non-SQLite file only
@@ -246,8 +321,8 @@ class CacheTable(CacheBackend):
     # leaf hooks
     # ------------------------------------------------------------------
     def _failed(self, error: Exception) -> None:
-        """The error policy for a failed statement: raise, so the serve
-        layer's breaker counts the failure.  A leaf may degrade instead
+        """The error policy for a failed statement: raise, so an
+        attached breaker counts the failure.  A leaf may degrade instead
         (the caller then returns its empty default)."""
         raise error
 
@@ -296,6 +371,7 @@ class CacheTable(CacheBackend):
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    @serving_op("contains", False)
     def __contains__(self, fingerprint: str) -> bool:
         return self._read(
             None, f"SELECT 1 FROM {self.table} WHERE fingerprint = ?",
@@ -324,10 +400,25 @@ class CacheTable(CacheBackend):
         ]
 
     def info(self) -> Dict[str, Any]:
+        """Summary: path, schema, entries, payload_bytes, hits, plus a
+        fault policy's counters.  With a breaker attached it says
+        whether the table is ``degraded``, and an open breaker or a
+        failed read gives a stub instead of raising, so ``/healthz``
+        keeps answering while the store is sick."""
+        summary = self._summary()
+        if self.breaker is None:
+            return summary
+        if summary is None:
+            summary = {"path": str(self.path), "unavailable": True}
+        summary["degraded"] = self.breaker.state != "closed"
+        return summary
+
+    @serving_op(None)
+    def _summary(self) -> Dict[str, Any]:
         count, total, hits = self._read(
             (0, 0, 0), "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
                        f" COALESCE(SUM(hits), 0) FROM {self.table}")
-        return {
+        summary = {
             "path": str(self.path),
             "schema": self.version,
             "entries": int(count),
@@ -335,6 +426,9 @@ class CacheTable(CacheBackend):
             "hits": int(hits),
             **self._extra_info(),
         }
+        if self.policy is not None:
+            summary["fault_injection"] = self.policy.describe()
+        return summary
 
     def prune(self, max_mb: float) -> Dict[str, int]:
         """Evict least-recently-used entries until the payload total is
@@ -393,18 +487,24 @@ class CacheTable(CacheBackend):
                 f"entries={len(self)})")
 
 
-class ResultStore(CacheTable, StoreBackend):
-    """The SQLite :class:`~repro.store.backend.StoreBackend` -- the
-    default backend, and the reference implementation of the protocol
-    (URL form: ``sqlite:///path``).  Errors raise."""
+class ResultStore(CacheTable):
+    """The result store: content-addressed payload get/put with LRU
+    accounting (URL form: ``sqlite:///path``).  Errors raise.
+
+    Payloads are JSON-able dicts; their *meaning* (serialization,
+    re-interning) lives above the table in :mod:`repro.store.serialize`.
+    Beside its payload each entry holds the emitted ``json`` body, an
+    opaque string the serve layer returns verbatim on a hit
+    (:meth:`get_body`).  A corrupted payload read returns a marker
+    payload that fails validation; a corrupted body read is a miss."""
 
     table, meta_key, column = "results", "schema", "label"
     noun = "result store"
     extra_columns = ", body TEXT NOT NULL"
 
     def __init__(self, path: Union[str, Path, None] = None,
-                 busy_timeout_ms: int = 10_000) -> None:
-        super().__init__(path, busy_timeout_ms)
+                 busy_timeout_ms: int = 10_000, policy: Any = None) -> None:
+        super().__init__(path, busy_timeout_ms, policy)
         # The non-blocking read path: its connection (opened on first
         # use; ``:memory:`` has no second connection to the same data)
         # and the LRU stamps of the hits it served, fingerprint ->
@@ -463,6 +563,7 @@ class ResultStore(CacheTable, StoreBackend):
             self._queue_stamp(fingerprint)
         self._write_stamps()
 
+    @serving_op(None, 0)
     def flush_stamps(self) -> int:
         """Write the LRU stamps queued by :meth:`get_body_nowait`;
         returns how many."""
@@ -471,6 +572,7 @@ class ResultStore(CacheTable, StoreBackend):
         with self._lock:
             return self._write_stamps()
 
+    @serving_op("get", corrupted=_CORRUPT_PAYLOAD)
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``fingerprint``, or None.
 
@@ -493,6 +595,10 @@ class ResultStore(CacheTable, StoreBackend):
             self._touch(fingerprint)
             return payload
 
+    # The same "get" op as get(), so a schedule means the same thing
+    # on either read path.  A corrupted body is a miss, never mangled
+    # bytes: the client would receive those verbatim.
+    @serving_op("get", corrupted=None)
     def get_body(self, fingerprint: str) -> Optional[str]:
         """The ``json`` body stored under ``fingerprint``, or None.
 
@@ -508,12 +614,20 @@ class ResultStore(CacheTable, StoreBackend):
             self._touch(fingerprint)
             return row[0]
 
+    @serving_op(None)
     def get_body_nowait(self, fingerprint: str) -> Optional[str]:
         """:meth:`get_body` for the event loop: the read never waits.
         A held reader lock, a busy or locked database (a writer's
         exclusive lock outside WAL mode, say) or an in-memory store
         raises :class:`~repro.store.backend.WouldBlock`.  A hit's LRU
-        stamp is queued, not written."""
+        stamp is queued, not written.
+
+        A table with a fault policy always raises ``WouldBlock``
+        without ticking, so the serve layer reads it on an executor
+        thread, where injected latency cannot stall the event loop and
+        deadlines still fire."""
+        if self.policy is not None:
+            raise WouldBlock("a fault-injected store reads on the executor")
         if not self._reader_lock.acquire(blocking=False):
             raise WouldBlock("the reader connection is in use")
         try:
@@ -535,6 +649,7 @@ class ResultStore(CacheTable, StoreBackend):
         finally:
             self._reader_lock.release()
 
+    @serving_op("peek", corrupted=_CORRUPT_PAYLOAD)
     def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but read-only: no LRU stamp, no hit count.
         Inspection commands (``repro cache show``) use this so looking
@@ -552,6 +667,7 @@ class ResultStore(CacheTable, StoreBackend):
         except ValueError:
             return None
 
+    @serving_op("put")
     def put(self, fingerprint: str, payload: Dict[str, Any],
             label: str = "", *, body: str) -> None:
         """Persist ``payload`` and its emitted ``body`` under

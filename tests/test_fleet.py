@@ -10,6 +10,7 @@ test runs last against it."""
 
 import asyncio
 import http.client
+import itertools
 import json
 import os
 import signal
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session, cli
-from repro.api.registry import session_key
+from repro.api.registry import LIBRARIES, search_defaults, session_key
 from repro.fleet import (
     FleetService,
     HashRing,
@@ -135,6 +136,9 @@ SPELLING_PAIRS = [
     ({"order": "frontier"}, {"order": "auto"}),
     ({}, {"rulebase": "auto"}),
     ({"rulebase": "auto"}, {"rulebase": "standard"}),
+    ({"library": "vendor2"}, {"library": "vendor2", "rulebase": "standard"}),
+    ({"library": "vendor2", "rulebase": "auto"},
+     {"library": "vendor2", "rulebase": "lola"}),
     ({"library": "LSI-Logic"}, {}),
     ({}, {"max_combinations": 20000}),
     ({"max_combinations": "40"}, {"max_combinations": 40}),
@@ -168,6 +172,40 @@ def test_routing_key_agrees_with_the_fingerprint(first, second):
                         == routing_key({"spec": "adder:16", **second}))
     same_fingerprint = fingerprint(first) == fingerprint(second)
     assert same_pool_key == same_routing_key == same_fingerprint
+
+
+def test_session_key_equality_is_fingerprint_equality():
+    """Over the whole parameter product (every library, each rulebase
+    spelling, filter spellings, orders and caps), two parameter sets
+    get one pool key exactly when a session built from them gets one
+    fingerprint: ``auto`` on a library where it adds no rules is
+    ``standard``, and nothing else is folded away."""
+    pairs = set()
+    for library, rulebase, perf_filter, order, cap in itertools.product(
+            LIBRARIES.names(), (None, "auto", "lola", "standard"),
+            (None, "pareto", "Pareto", "tradeoff", "tradeoff:0.05",
+             "tradeoff:0.10", "top_k:4", "Top-K:4", "keep_all"),
+            (None, "lex", "Frontier", "auto"), (None, 20000, 40)):
+        params = {"library": library, "rulebase": rulebase,
+                  "filter": perf_filter, "order": order,
+                  "max_combinations": cap}
+        fingerprint = Session(
+            library=library, rulebase=rulebase, perf_filter=perf_filter,
+            order=order, max_combinations=cap).fingerprint("adder:16")
+        body = {name: value for name, value in params.items()
+                if value is not None}
+        pairs.add((session_key(body), fingerprint))
+    keys = {key for key, _ in pairs}
+    fingerprints = {fingerprint for _, fingerprint in pairs}
+    # A bijection: no key names two fingerprints, no fingerprint two keys.
+    assert len(keys) == len(fingerprints) == len(pairs)
+    # The fold is the key's, never the operator's defaults': a default
+    # ``auto`` on vendor2 keeps the LSI rules for a request on lsi_logic.
+    defaults = search_defaults({"library": "vendor2"})
+    assert defaults.rulebase == "auto"
+    assert session_key({}, defaults).rulebase == "standard"
+    assert session_key({"library": "lsi_logic"}, defaults) \
+        == session_key({"library": "lsi_logic"})
 
 
 @pytest.mark.parametrize("defaults", [
@@ -481,12 +519,12 @@ def test_server_shutdown_closes_stores_in_process(tmp_path):
     remaining = asyncio.run(scenario())
     assert remaining == 0
     # The store handle is closed: any further use must fail.  The
-    # service wraps the raw SQLite store in a breaker-guarded
-    # ResilientStore, so reach through ``.inner`` for the handle.
+    # service attaches its breaker to the SQLite table itself, so the
+    # served store is the handle.
     import sqlite3
 
     with pytest.raises(sqlite3.ProgrammingError):
-        server.backend.store.inner._db.execute("SELECT 1")
+        server.backend.store._db.execute("SELECT 1")
 
 
 def test_fleet_cli_rejects_bad_worker_count(capsys):

@@ -2,13 +2,15 @@
 failover retries, and the degraded-serving contract.
 
 Unit tests drive the breaker and fault policy with fake clocks and
-hand-built inner stores, so every state transition is deterministic.
+in-memory SQLite tables whose fault policy the test controls, so every
+state transition is deterministic.
 The integration tests run a real in-process server against
 fault-injected store URLs (seeded, so the walks reproduce), and the
 failover tests pair a dead port with a canned worker to prove the
 retry path without any subprocess timing."""
 
 import asyncio
+import functools
 import http.client
 import http.server
 import json
@@ -22,19 +24,18 @@ import pytest
 
 from repro.api import Session, cli, registry
 from repro.fleet import FleetService, WorkerFailure, routing_key
+from repro.nodestore import NodeStore
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
     FaultPolicy,
-    ResilientNodeStore,
-    ResilientStore,
     effective_deadline,
     parse_chaos,
     parse_deadline_ms,
 )
 from repro.serve import ReproServer, SynthesisService
 from repro.store import ResultStore, StoreError, split_url_query
-from repro.store.backend import NodeStoreBackend, StoreBackend, WouldBlock
+from repro.store.backend import WouldBlock
 
 
 # ---------------------------------------------------------------------------
@@ -94,118 +95,95 @@ def test_breaker_half_open_probe_closes_on_success_reopens_on_failure():
     assert stats["consecutive_failures"] == 0
 
 
-class FlakyBackend:
-    """The maintenance half of a flaky double: ``info`` reaches the
-    backend (and fails while it is down), the rest is inert."""
-
-    scheme = "flaky"
-    path = None
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.failing = True
-
-    def _op(self, value):
-        self.calls += 1
-        if self.failing:
-            raise StoreError("down")
-        return value
-
-    def entries(self):
-        return []
-
-    def info(self):
-        return self._op({})
-
-    def prune(self, max_mb):
-        return {}
-
-    def clear(self):
-        return 0
-
-    def close(self):
-        pass
+def flaky_store():
+    """An in-memory result table holding ``{"ok": fp}`` (its body: the
+    JSON of that) under the fingerprints the tests read, with a fault
+    policy that fails every serving op until the test heals it
+    (``policy.fail_rate = 0.0``).  ``policy.ops`` counts the ops that
+    reached the table."""
+    store = ResultStore(":memory:")
+    for fingerprint in ("d", "e", "f", "fp"):
+        payload = {"ok": fingerprint}
+        store.put(fingerprint, payload, body=json.dumps(payload))
+    store.policy = FaultPolicy(fail_rate=1.0)
+    return store
 
 
-class FlakyStore(FlakyBackend, StoreBackend):
-    def get(self, fingerprint):
-        return self._op({"ok": fingerprint})
+@functools.lru_cache(maxsize=None)
+def _node_options():
+    from repro.core.specs import comparator_spec
 
-    def get_body(self, fingerprint):
-        return json.dumps(self.get(fingerprint))
-
-    def peek(self, fingerprint):
-        return self.get(fingerprint)
-
-    def put(self, fingerprint, payload, label="", *, body):
-        self.get(fingerprint)
-
-    def __contains__(self, fingerprint):
-        return False
-
-    def __len__(self):
-        return 0
+    spec = comparator_spec(8)
+    return spec, Session(library="lsi_logic").space.alternatives(spec)
 
 
-class FlakyNodeStore(FlakyBackend, NodeStoreBackend):
-    def load_options(self, fingerprint, spec, expected_impls):
-        return self._op([fingerprint])
+def flaky_node_store():
+    """An in-memory node table holding one comparator's options under
+    the fingerprints the tests load, failing like :func:`flaky_store`."""
+    spec, options = _node_options()
+    store = NodeStore(":memory:")
+    for fingerprint in ("d", "e"):
+        store.save_options(fingerprint, spec, options, impls=1)
+    store.policy = FaultPolicy(fail_rate=1.0)
+    return store
 
-    def save_options(self, fingerprint, spec, options, impls, programs=0):
-        return self._op(True)
 
-    def stats(self):
-        return {}
+def _load(store, fp):
+    return store.load_options(fp, _node_options()[0], 1)
 
 
-#: Per kind: the flaky inner double, its breaker wrapper, and the
-#: kind's two serving ops as (call, degraded value, healthy value).
+def _save(store, fp):
+    spec, options = _node_options()
+    return store.save_options(fp, spec, options, 1)
+
+
+#: Per kind: the flaky table, and the kind's two serving ops as (call,
+#: degraded value, healthy value).
 RESILIENT_KINDS = {
-    "results": (FlakyStore, ResilientStore, (
+    "results": (flaky_store, (
         (lambda store, fp: store.get(fp), None, lambda fp: {"ok": fp}),
         (lambda store, fp: store.get_body(fp), None,
          lambda fp: json.dumps({"ok": fp})),
     )),
-    "nodes": (FlakyNodeStore, ResilientNodeStore, (
-        (lambda store, fp: store.load_options(fp, None, 1), None,
-         lambda fp: [fp]),
-        (lambda store, fp: store.save_options(fp, None, [], 1), False,
-         lambda fp: True),
+    "nodes": (flaky_node_store, (
+        (_load, None, lambda fp: _node_options()[1]),
+        (_save, False, lambda fp: True),
     )),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(RESILIENT_KINDS))
 def test_resilient_store_stops_calling_inner_while_open_and_recovers(kind):
-    flaky, wrapper, ops = RESILIENT_KINDS[kind]
+    flaky, ops = RESILIENT_KINDS[kind]
     clock = FakeClock()
-    inner = flaky()
+    store = flaky()
     breaker = CircuitBreaker("store", failure_threshold=2,
                              reset_timeout=5.0, clock=clock)
-    store = wrapper(inner, breaker)
+    store.breaker = breaker
     # Failures degrade to misses, never raise -- on either serving op,
     # and both count toward the breaker.
     for (call, degraded, _), fp in zip(ops, "ab"):
         assert call(store, fp) == degraded
     assert breaker.state == "open"
-    calls_when_open = inner.calls
+    calls_when_open = store.policy.ops
     for _ in range(10):
-        for call, degraded, _ in ops:     # short-circuited: inner untouched
+        for call, degraded, _ in ops:     # short-circuited: table untouched
             assert call(store, "c") == degraded
-    assert inner.calls == calls_when_open
+    assert store.policy.ops == calls_when_open
     # info() degrades to a stub that says so.
     info = store.info()
     assert info["unavailable"] is True
     assert info["degraded"] is True
     # After the reset timeout one probe goes through; success closes.
-    inner.failing = False
+    store.policy.fail_rate = 0.0
     clock.now += 5.0
     (first, _, healthy), (second, _, second_healthy) = ops
     assert first(store, "d") == healthy("d")
     assert breaker.state == "closed"
     assert first(store, "e") == healthy("e")
     assert second(store, "f") == second_healthy("f")
-    assert store.info() == {"degraded": False}
+    info = store.info()
+    assert info["degraded"] is False and "unavailable" not in info
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +358,127 @@ def test_fault_store_urls_inject_failures_and_corruption(check):
     check()
 
 
+#: The schedule the op-level test replays on one table of each kind.
+SCHEDULE_URL = "fault+memory:?fail_rate=0.5&corrupt_rate=0.3&seed=5"
+
+_PAYLOAD = {"schema": "real", "x": 1}
+
+#: Each op the sequences below name, as (store, fingerprint) -> outcome.
+#: A node load reports True for the saved options.
+SCHEDULE_OPS = {
+    "put": lambda store, fp: store.put(fp, _PAYLOAD, fp, body=fp.upper()),
+    "get": lambda store, fp: store.get(fp),
+    "get_body": lambda store, fp: store.get_body(fp),
+    "peek": lambda store, fp: store.peek(fp),
+    "contains": lambda store, fp: fp in store,
+    "save_options": lambda store, fp: store.save_options(
+        fp, _node_options()[0], _node_options()[1], impls=1),
+    "load_options": lambda store, fp: _loaded(store.load_options(
+        fp, _node_options()[0], expected_impls=1)),
+    "len": lambda store, fp: len(store),
+    "entries": lambda store, fp: sorted(
+        entry["fingerprint"] for entry in store.entries()),
+    "info": lambda store, fp: store.info()["entries"],
+    "stats": lambda store, fp: store.stats(),
+    "flush_stamps": lambda store, fp: store.flush_stamps(),
+    "prune": lambda store, fp: store.prune(64)["remaining"],
+    "clear": lambda store, fp: store.clear() >= 0,
+}
+
+
+def _loaded(options):
+    return options if options is None else options == _node_options()[1]
+
+
+_CORRUPT = {"schema": "fault-injected-corruption"}
+
+#: Per kind: a fixed mixed sequence of serving and maintenance ops, what
+#: each gave on a :data:`SCHEDULE_URL` table (a value, ``"failed"`` for
+#: an injected fault, or a corrupted read), and the policy's
+#: ``describe()`` at the end.  Recorded on the wrapper-based stores the
+#: table guard replaced, so no op's number in a schedule has moved:
+#: serving ops tick once on entry, maintenance ops never.
+SCHEDULES = {
+    "results": ([
+        ("put", "a", None), ("put", "b", None), ("put", "c", None),
+        ("get", "a", _PAYLOAD),
+        ("get_body", "b", None),                # corrupted: a miss
+        ("peek", "c", "failed"),
+        ("contains", "a", True),
+        ("len", "", 3), ("entries", "", ["a", "b", "c"]),
+        ("get", "z", None),
+        ("flush_stamps", "", 0),
+        ("get_body", "a", None),                # corrupted: a miss
+        ("peek", "a", "failed"),
+        ("info", "", 3),
+        ("put", "d", "failed"),
+        ("get", "b", _PAYLOAD),
+        ("contains", "z", "failed"),
+        ("get_body", "c", "failed"),
+        ("prune", "", 3),
+        ("get", "c", "failed"),
+        ("peek", "b", _PAYLOAD),
+        ("get_body", "d", "failed"),
+        ("clear", "", True),
+        ("get", "a", None),
+        ("put", "e", "failed"), ("put", "e", None),
+        ("get", "e", "failed"), ("peek", "e", "failed"),
+        ("get", "e", _CORRUPT),                 # corrupted: the marker
+        ("peek", "e", "failed"),
+        ("get_body", "e", "E"),
+        ("get", "e", "failed"),
+        ("len", "", 1),
+    ], {"fail_rate": 0.5, "latency_ms": 0.0, "corrupt_rate": 0.3,
+        "seed": 5, "fail_first": 0, "ops": 26, "failures_injected": 12,
+        "corruptions_injected": 3}),
+    "nodes": ([
+        ("save_options", "a", True), ("save_options", "b", True),
+        ("load_options", "a", True), ("load_options", "b", True),
+        ("entries", "", ["a", "b"]),
+        ("load_options", "z", "failed"),
+        ("stats", "", {"hits": 2, "misses": 0, "published": 2,
+                       "errors": 0, "hot_entries": 2}),
+        ("save_options", "c", "failed"),
+        ("info", "", 2),
+        ("load_options", "c", None),
+        ("load_options", "a", True),
+        ("prune", "", 2),
+        ("save_options", "a", "failed"),
+        ("load_options", "b", "failed"),
+        ("clear", "", True),
+        ("load_options", "c", "failed"),
+        ("save_options", "d", True),
+        ("load_options", "d", None),            # corrupted: a miss
+        ("stats", "", {"hits": 4, "misses": 1, "published": 3,
+                       "errors": 0, "hot_entries": 1}),
+    ], {"fail_rate": 0.5, "latency_ms": 0.0, "corrupt_rate": 0.3,
+        "seed": 5, "fail_first": 0, "ops": 13, "failures_injected": 5,
+        "corruptions_injected": 1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_fault_schedule_outcomes_per_op(kind):
+    """One seeded table per kind, driven op by op: which op fails,
+    which read is corrupted and how many ops ticked are pinned, so a
+    schedule means the same ops whatever guards them."""
+    sequence, described = SCHEDULES[kind]
+    create = (registry.create_store if kind == "results"
+              else registry.create_node_store)
+    store = create(SCHEDULE_URL)
+    try:
+        outcomes = []
+        for op, fp, _ in sequence:
+            try:
+                outcomes.append(SCHEDULE_OPS[op](store, fp))
+            except StoreError:
+                outcomes.append("failed")
+        assert outcomes == [outcome for _, _, outcome in sequence]
+        assert store.policy.describe() == described
+    finally:
+        store.close()
+
+
 def test_parse_chaos():
     assert parse_chaos("kill-worker:8") == ("kill-worker", 8.0)
     assert parse_chaos("kill-worker:0.5") == ("kill-worker", 0.5)
@@ -532,6 +631,34 @@ def test_seeded_corruption_costs_reruns_never_a_different_body(tmp_path):
         handle.stop()
     assert sources.count("store") >= 1
     assert sources.count("engine") > 3  # corruption forced re-runs
+
+
+def test_injected_node_store_faults_never_fail_a_served_request():
+    """The served node store keeps its own breaker: with every node
+    cache op failing, each request is still a 200 whose answer matches
+    a server with no node cache, and the failures show up on
+    ``breakers.node_store`` instead of in a response."""
+    faulted = ReproServer(SynthesisService(
+        store=None, node_store="fault+memory:?fail_rate=1.0"),
+        port=0).run_in_thread()
+    plain = ReproServer(SynthesisService(store=None, node_store=None),
+                        port=0).run_in_thread()
+    try:
+        for spec in ("adder:8", "comparator:8", "adder:8"):
+            status, data, source = _request(faulted, "POST", "/synthesize",
+                                            body={"spec": spec})
+            assert (status, source) == (200, "engine")
+            status, expected, _ = _request(plain, "POST", "/synthesize",
+                                           body={"spec": spec})
+            assert status == 200
+            assert _normalized(data) == _normalized(expected)
+        status, data, _ = _request(faulted, "GET", "/metrics")
+        breaker = json.loads(data)["breakers"]["node_store"]
+        assert breaker["failures"] >= 1 and breaker["opens"] >= 1
+        assert breaker["state"] == "open"
+    finally:
+        faulted.stop()
+        plain.stop()
 
 
 def test_deadline_header_times_out_with_structured_504(tmp_path):
@@ -773,34 +900,29 @@ def test_nowait_read_raises_would_block_at_once_on_a_locked_file(tmp_path):
     store.close()
 
 
-class BlockingStore(FlakyStore):
-    def get_body_nowait(self, fingerprint):
-        self.calls += 1
-        raise WouldBlock("busy")
-
-
 def test_would_block_is_neither_failure_nor_success():
     """``WouldBlock`` passes through the breaker uncounted -- a
     half-open probe slot goes back -- and an open breaker answers the
-    non-blocking read with an instant miss."""
+    non-blocking read with an instant miss.  A faulted table's
+    non-blocking read always raises ``WouldBlock``."""
     clock = FakeClock()
-    inner = BlockingStore()
+    store = flaky_store()
     breaker = CircuitBreaker("store", failure_threshold=1,
                              reset_timeout=5.0, clock=clock)
-    store = ResilientStore(inner, breaker)
+    store.breaker = breaker
     with pytest.raises(WouldBlock):
         store.get_body_nowait("fp")
     assert (breaker.failures, breaker.successes) == (0, 0)
     assert store.get_body("fp") is None           # a real failure opens it
     assert breaker.state == "open"
-    calls = inner.calls
+    calls = store.policy.ops
     assert store.get_body_nowait("fp") is None    # open: instant miss
-    assert inner.calls == calls
+    assert store.policy.ops == calls
     clock.now += 5.0
     with pytest.raises(WouldBlock):               # the half-open probe...
         store.get_body_nowait("fp")
     assert breaker.stats()["half_open_probes"] == 0
-    inner.failing = False
+    store.policy.fail_rate = 0.0
     assert store.get_body("fp") == json.dumps({"ok": "fp"})  # ...is retaken
     assert breaker.state == "closed"
     assert breaker.stats()["half_open_probes"] == 1

@@ -318,20 +318,19 @@ REJECTED_URLS = [
 def test_designator_table(kind, tmp_path, monkeypatch):
     """One resolver, both kinds: every designator form opens the
     kind's SQLite class on the right path with the right options (a
-    result store round-trips an entry), a fault+ scheme wraps it in the
-    kind's fault injector, and every rejected form fails before opening
-    anything, an unknown scheme naming itself and the known ones."""
+    result store round-trips an entry), a fault+ scheme attaches a
+    fault policy to that table, and every rejected form fails before
+    opening anything, an unknown scheme naming itself and the known
+    ones."""
     from repro.api import RegistryError, create_node_store
     from repro.nodestore import NodeStore
-    from repro.resilience import FaultInjectingNodeStore, FaultInjectingStore
+    from repro.resilience import FaultPolicy
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(STORE_ENV, str(tmp_path / "default.sqlite"))
-    create, sqlite, faulty, other = {
-        "results": (create_store, ResultStore, FaultInjectingStore,
-                    NodeStore),
-        "nodes": (create_node_store, NodeStore, FaultInjectingNodeStore,
-                  ResultStore),
+    create, sqlite, other = {
+        "results": (create_store, ResultStore, NodeStore),
+        "nodes": (create_node_store, NodeStore, ResultStore),
     }[kind]
 
     def fill(text):
@@ -351,19 +350,17 @@ def test_designator_table(kind, tmp_path, monkeypatch):
         designator = fill(designator)
         cache = create(designator)
         try:
-            inner = cache
+            assert type(cache) is sqlite, designator
             if fault is None:
-                assert type(cache) is sqlite, designator
+                assert cache.policy is None, designator
             else:
-                assert type(cache) is faulty, designator
-                inner = cache.inner
-                assert type(inner) is sqlite, designator
                 policy = cache.policy
+                assert type(policy) is FaultPolicy, designator
                 assert {key: getattr(policy, key) for key in fault} == fault
             expected = (tmp_path / "default.sqlite" if path is None
                         else Path(fill(path)))
-            assert inner.path == expected, designator
-            assert inner.busy_timeout_ms == busy, designator
+            assert cache.path == expected, designator
+            assert cache.busy_timeout_ms == busy, designator
             if kind == "results" and fault is None:
                 cache.put("fp", {"x": 1}, body="{}")
                 assert cache.get("fp") == {"x": 1}, designator
