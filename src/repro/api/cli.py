@@ -634,6 +634,11 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     from repro.core.design_space import SynthesisError
     from repro.legend.errors import LegendError
 
+    # A failed cache op degrades (a lost write leaves its target cold),
+    # so the tables' ``errors`` delta is how warm learns of one.
+    tables = [table for table in (session.store, session.node_store)
+              if table is not None]
+    errors_before = sum(table.errors for table in tables)
     failed: List[str] = []
     for request in requests:
         start = time.perf_counter()
@@ -659,16 +664,22 @@ def _cmd_warm(args: argparse.Namespace) -> int:
               f"({nstats['published']} published, {nstats['hits']} hits "
               f"this run)")
     warmed = len(requests) - len(failed)
+    cache_errors = sum(table.errors for table in tables) - errors_before
     print(f"warmed {warmed}/{len(requests)} targets"
-          + (f", {len(failed)} failed" if failed else ""))
+          + (f", {len(failed)} failed" if failed else "")
+          + (f", {cache_errors} cache operations failed"
+             if cache_errors else ""))
+    # The summary goes to stderr too: a cron/CI caller that only
+    # captures stderr still sees *which* targets are cold, and the
+    # nonzero exit makes the failure impossible to miss.
     if failed:
-        # The summary goes to stderr too: a cron/CI caller that only
-        # captures stderr still sees *which* targets are cold, and the
-        # nonzero exit makes the failure impossible to miss.
         print(f"{PROG} warm: {len(failed)} of {len(requests)} targets "
               f"failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    if cache_errors:
+        print(f"{PROG} warm: {cache_errors} cache operations failed "
+              f"(a failed read is a miss, a failed write is lost)",
+              file=sys.stderr)
+    return 1 if failed or cache_errors else 0
 
 
 #: The wording of one cache kind's ``repro cache`` output: command,
@@ -883,28 +894,34 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "serve": _cmd_serve,
+    "fleet": _cmd_serve,
+    "warm": _cmd_warm,
+    "cache": _cmd_cache,
+    "trace": _cmd_trace,
+    "top": _cmd_top,
+    "list": _cmd_list,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "synth":
-        return _cmd_synth(args)
-    if args.command in ("serve", "fleet"):
-        return _cmd_serve(args)
-    if args.command == "warm":
-        return _cmd_warm(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "list":
-        return _cmd_list(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    from repro.store.store import STORE_FAILURES
+
+    try:
+        return _COMMANDS[args.command](args)
+    # Serving cache ops never raise (repro.store.store's one failure
+    # rule); a maintenance op (``repro cache``, a summary) on a broken
+    # cache does, and that is one line and exit 2, never a traceback.
+    except STORE_FAILURES as error:
+        print(f"{PROG} {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -296,14 +296,10 @@ class Session:
 
     def _load_stored(self, fingerprint: str,
                      request: SynthesisRequest) -> Optional[SynthesisJob]:
-        import sqlite3
-
         from repro.store.serialize import jsonable_payload, payload_to_job
 
-        try:
-            payload = self.store.get(fingerprint)
-        except (sqlite3.Error, OSError):
-            return None  # unreadable store degrades to a miss
+        # A store failure is already a miss (repro.store.store's rule).
+        payload = self.store.get(fingerprint)
         if payload is None or not jsonable_payload(payload):
             return None
         try:
@@ -335,16 +331,12 @@ class Session:
         return job
 
     def _store_job(self, fingerprint: str, job: SynthesisJob) -> None:
-        import sqlite3
-
         from repro.store.serialize import job_to_payload
 
-        try:
-            self.store.put(fingerprint, job_to_payload(job),
-                           label=job.request.describe(),
-                           body=job.json_body())
-        except (sqlite3.Error, OSError):
-            pass  # a result we cannot persist is still a result
+        # A failed write counts under the store's ``errors``; a result
+        # we cannot persist is still a result.
+        self.store.put(fingerprint, job_to_payload(job),
+                       label=job.request.describe(), body=job.json_body())
 
     def store_stats(self) -> Dict[str, int]:
         """Serving counters: warm hits, misses, and engine runs."""

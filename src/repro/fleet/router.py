@@ -60,6 +60,7 @@ from repro.api.registry import (
     session_key,
 )
 from repro.obs.accesslog import AccessLog
+from repro.obs.prom import BREAKER_COUNTERS
 from repro.obs.trace import (
     ATTEMPTS_HEADER,
     NULL_SPAN,
@@ -352,6 +353,7 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     breakers: Dict[str, Dict[str, Any]] = {}
     node = {"hits": 0, "misses": 0, "published": 0, "errors": 0,
             "hot_entries": 0}
+    interning: Dict[str, int] = {}
     latency = {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
     histograms: Dict[str, Dict[str, List]] = {}
     for payload in payloads:
@@ -371,18 +373,17 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         for key in node:
             node[key] += payload.get("node_cache", {}).get(key, 0)
+        for key, value in payload.get("interning", {}).items():
+            interning[key] = interning.get(key, 0) + value
         # Breakers merge as state *counts* plus summed transition
         # counters: "how many workers are serving degraded, and how
         # often have breakers tripped fleet-wide".
         for kind, stats in payload.get("breakers", {}).items():
             merged = breakers.setdefault(kind, {
-                "states": {}, "failures": 0, "short_circuited": 0,
-                "opens": 0, "closes": 0, "half_open_probes": 0,
-            })
+                "states": {}, **{key: 0 for key in BREAKER_COUNTERS}})
             state = stats.get("state", "closed")
             merged["states"][state] = merged["states"].get(state, 0) + 1
-            for key in ("failures", "short_circuited", "opens",
-                        "closes", "half_open_probes"):
+            for key in BREAKER_COUNTERS:
                 merged[key] += stats.get(key, 0)
         worker_latency = payload.get("latency", {})
         latency["count"] += worker_latency.get("count", 0)
@@ -420,6 +421,7 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     agg["engine_phase_seconds"] = phase_seconds
     agg["breakers"] = breakers
     agg["node_cache"] = node
+    agg["interning"] = interning
     agg["latency"] = latency
     agg["latency_histograms"] = histograms
     agg["workers_reporting"] = len(payloads)

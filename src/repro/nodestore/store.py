@@ -31,8 +31,11 @@ sanity-checked against the live expansion (payload schema, spec token,
 implementation count) and every index the payload holds is
 range-checked; any mismatch or decode failure deletes the entry and
 reports a miss, so a corrupt or stale row self-heals on the
-next publish.  SQLite errors degrade to misses/no-ops: a broken cache
-must never break synthesis.
+next publish.  Store failures follow the one rule of
+:mod:`repro.store.store`: the two serving ops degrade (a load serves
+only what the hot tier holds, a save is a no-op that still fills the
+hot tier) and count under ``errors``, so a broken cache never breaks
+synthesis; maintenance ops raise.
 
 The SQLite lifecycle, table set-up and maintenance surface (``len``,
 ``in``, ``entries``, ``info``, ``prune``, ``clear``, ``close``) are
@@ -52,7 +55,7 @@ from repro.core.configs import Configuration, spec_id
 from repro.core.interning import CONFIGURATIONS
 from repro.store.fingerprint import spec_token
 from repro.store.serialize import spec_from_token
-from repro.store.store import STORE_FAILURES, CacheTable, serving_op
+from repro.store.store import CacheTable, serving_op
 
 #: Node table format version; a mismatch drops the ``nodes`` table (a
 #: cache is rebuilt, never migrated).  Tracked separately from the
@@ -87,10 +90,9 @@ def _index(value: Any, bound: int) -> bool:
 class NodeStore(CacheTable):
     """A content-addressed per-node option cache (SQLite + hot tier;
     URL form: ``sqlite:///path``, by default the result store's own
-    file).  SQLite errors never raise past it: they count under
-    ``errors`` and degrade to a miss or a no-op.  Only an attached
-    fault policy raises (a :class:`~repro.store.store.StoreError`),
-    and a corrupted read is a miss.
+    file).  A failed serving op, real or injected, never raises: it
+    counts under ``errors`` and serves the hot tier's entry or a miss
+    (a load) or persists nothing (a save).  A corrupted read is a miss.
 
     The engine calls exactly two serving ops
     (:meth:`load_options` / :meth:`save_options`).  A load returns
@@ -112,7 +114,6 @@ class NodeStore(CacheTable):
         self.hits = 0
         self.misses = 0
         self.published = 0
-        self.errors = 0
         super().__init__(path, busy_timeout_ms, policy)
 
     @property
@@ -122,11 +123,6 @@ class NodeStore(CacheTable):
     # ------------------------------------------------------------------
     # CacheTable hooks
     # ------------------------------------------------------------------
-    def _failed(self, error: Exception) -> None:
-        """Count and degrade: a broken cache must never break
-        synthesis (caller holds the lock)."""
-        self.errors += 1
-
     def _forget(self) -> None:
         # Evicted rows must not linger hot.
         self._hot.clear()
@@ -137,7 +133,17 @@ class NodeStore(CacheTable):
     # ------------------------------------------------------------------
     # the cache protocol (what DesignSpace calls)
     # ------------------------------------------------------------------
-    @serving_op("load_options", corrupted=None)
+    def _hot_options(self, fingerprint: str, spec: Any,
+                     expected_impls: int) -> Optional[List[Any]]:
+        """What a failed or short-circuited load serves: this process's
+        hot-tier entry, or a miss."""
+        with self._lock:
+            entry = self._hot.get(fingerprint)
+        if entry is None or entry[1] != expected_impls:
+            return None
+        return list(entry[0])
+
+    @serving_op("load_options", _hot_options, corrupted=None)
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int) -> Optional[List[Any]]:
         """The persisted option list under ``fingerprint``, as canonical
@@ -158,7 +164,8 @@ class NodeStore(CacheTable):
                     # Stamp the persistent row too: the hottest entries
                     # are exactly the ones the hot tier keeps answering,
                     # and without the stamp a shared-LRU prune would
-                    # evict them *first*.
+                    # evict them *first*.  A failed stamp still serves
+                    # the entry: it is this op's default.
                     self._touch(fingerprint)
                     self.hits += 1
                     return list(options)
@@ -188,52 +195,43 @@ class NodeStore(CacheTable):
         """Persist one node's filtered option list (list order is part
         of the contract: parents enumerate options in exactly this
         order).  Returns True only when the entry actually reached the
-        SQLite tier -- a write that failed (disk full, say) still
-        serves this process from the hot tier but counts under
-        ``errors``, never ``published``.
+        SQLite tier -- the hot tier is filled first, so a write that
+        failed (disk full, say) still serves this process but counts
+        under ``errors``, never ``published``.
 
         An entry already hot *and* still on disk is skipped (a sibling
         thread just published it); hot-but-evicted entries -- another
         handle pruned the file -- are re-persisted, so pruning cannot
         permanently banish the busiest nodes."""
         with self._lock:
-            if fingerprint in self._hot and self._row_exists_locked(
-                    fingerprint):
+            if fingerprint in self._hot and self._db.execute(
+                    "SELECT 1 FROM nodes WHERE fingerprint = ?",
+                    (fingerprint,)).fetchone() is not None:
                 self._touch(fingerprint)
                 return False
+            self._hot_insert_locked(fingerprint, tuple(options), impls)
             payload = _encode(spec, options, impls, programs)
             text = json.dumps(payload, sort_keys=True,
                               separators=(",", ":"))
             now = time.time()
-            persisted = False
-            try:
-                with self._db:
-                    self._db.execute(
-                        "INSERT OR REPLACE INTO nodes "
-                        "(fingerprint, spec, created_at, last_used,"
-                        " hits, size_bytes, payload) "
-                        "VALUES (?, ?, ?, ?, 0, ?, ?)",
-                        (fingerprint, str(spec), now, now, len(text), text),
-                    )
-                persisted = True
-            except STORE_FAILURES as error:
-                self._failed(error)  # unpersisted results still serve
-            self._hot_insert_locked(fingerprint, tuple(options), impls)
-            if persisted:
-                self.published += 1
-            return persisted
+            with self._db:
+                self._db.execute(
+                    "INSERT OR REPLACE INTO nodes "
+                    "(fingerprint, spec, created_at, last_used,"
+                    " hits, size_bytes, payload) "
+                    "VALUES (?, ?, ?, ?, 0, ?, ?)",
+                    (fingerprint, str(spec), now, now, len(text), text),
+                )
+            self.published += 1
+            return True
 
     # -- load plumbing -------------------------------------------------
     def _get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            try:
-                row = self._db.execute(
-                    "SELECT payload FROM nodes WHERE fingerprint = ?",
-                    (fingerprint,),
-                ).fetchone()
-            except STORE_FAILURES as error:
-                self._failed(error)
-                return None
+            row = self._db.execute(
+                "SELECT payload FROM nodes WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
             if row is None:
                 return None
             try:
@@ -241,17 +239,8 @@ class NodeStore(CacheTable):
             except ValueError:
                 self._delete(fingerprint)
                 return None
-            self._touch(fingerprint)  # a lost LRU stamp costs nothing
+            self._touch(fingerprint)
         return payload
-
-    def _row_exists_locked(self, fingerprint: str) -> bool:
-        try:
-            return self._db.execute(
-                "SELECT 1 FROM nodes WHERE fingerprint = ?", (fingerprint,)
-            ).fetchone() is not None
-        except STORE_FAILURES as error:
-            self._failed(error)
-            return False
 
     def _hot_insert_locked(self, fingerprint: str, options: tuple,
                            impls: int) -> None:

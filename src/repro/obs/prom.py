@@ -45,8 +45,8 @@ _GAUGES = (
 #: Breaker transition counters shared by both payload shapes (a single
 #: server's ``CircuitBreaker.stats()`` and the fleet's merged
 #: per-kind sums).
-_BREAKER_COUNTERS = ("failures", "successes", "short_circuited",
-                     "opens", "closes", "half_open_probes")
+BREAKER_COUNTERS = ("failures", "successes", "short_circuited",
+                    "opens", "closes", "half_open_probes")
 
 _BREAKER_STATES = ("closed", "open", "half_open")
 
@@ -130,7 +130,7 @@ def _breaker_lines(w: _Writer, breakers: Dict[str, Any]) -> None:
         for state in sorted(set(states) - set(_BREAKER_STATES)):
             w.sample("repro_breaker_state",
                      {"kind": kind, "state": state}, states[state])
-    for key in _BREAKER_COUNTERS:
+    for key in BREAKER_COUNTERS:
         name = "repro_breaker_%s_total" % key
         w.family(name, "counter",
                  "Breaker %s across instances." % key.replace("_", " "))

@@ -1,14 +1,14 @@
 """Store circuit breakers: trip after N consecutive failures, recover
 through half-open probes.
 
-The session layer already degrades gracefully on a broken store --
-every ``get``/``put`` swallows ``sqlite3.Error``/``OSError`` and
-reports a miss -- but *per call*: a store whose file system hangs for
-its full busy timeout is re-probed on every request, so a sick store
-taxes every response with its failure latency.  A
+A cache table already degrades on a broken store -- a serving op that
+fails counts the error and returns its default (the one failure rule
+of :mod:`repro.store.store`) -- but *per call*: a store whose file
+system hangs for its full busy timeout is re-probed on every request,
+so a sick store taxes every response with its failure latency.  A
 :class:`CircuitBreaker` remembers: after ``failure_threshold``
 consecutive failures it opens and the table's serving ops
-short-circuit to an instant miss without touching the store at all
+short-circuit to their default without touching the store at all
 (engine-only degraded serving).  After ``reset_timeout`` seconds one
 half-open probe is let through; success closes the breaker, failure
 re-opens it for another window.

@@ -20,8 +20,9 @@ operable.  A faulted table has no non-blocking read, so the serve
 layer reads it on an executor thread, where injected latency meets
 the deadline.  Query parameters:
 
-- ``fail_rate`` (0..1): probability an operation raises
-  :class:`~repro.store.store.StoreError`;
+- ``fail_rate`` (0..1): probability an operation fails with a
+  :class:`~repro.store.store.StoreError`, which the table handles like
+  a real failure (the serving op counts it and returns its default);
 - ``fail_first`` (int): the first N operations fail unconditionally,
   then the store heals -- the deterministic way to walk a breaker
   through open -> half-open -> closed;

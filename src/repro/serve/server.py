@@ -321,16 +321,14 @@ class SynthesisService:
                            else AccessLog(access_log,
                                           max_mb=access_log_max_mb))
 
-        # Both caches get a circuit breaker: the session layer
-        # already degrades per call (a broken store is a miss), but it
-        # re-pays the store's failure latency on every request.  The
-        # breaker remembers -- after ``breaker_threshold`` consecutive
-        # failures every serving op short-circuits to an instant miss
-        # (engine-only degraded serving, surfaced in /healthz) until a
-        # half-open probe succeeds.  The node store keeps one too: it
-        # never raises on SQLite errors, but an injected fault does,
-        # and the breaker turns that into a miss instead of a failed
-        # request.
+        # Both caches get a circuit breaker: a failed serving op
+        # already degrades per call (repro.store.store's one failure
+        # rule), but it re-pays the store's failure latency -- a locked
+        # file's busy timeout -- on every request.  The breaker
+        # remembers: after ``breaker_threshold`` consecutive failures
+        # every serving op short-circuits to its default (engine-only
+        # degraded serving, surfaced in /healthz) until a half-open
+        # probe succeeds.
         self.store = create_store(store)
         if self.store is not None:
             self.store.breaker = CircuitBreaker(

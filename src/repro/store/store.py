@@ -21,6 +21,16 @@ a fault policy (``fault+`` designators) and a breaker (the serve
 layer's), and every public serving op enters through one guard
 (:func:`serving_op`) that consults them.
 
+**The failure rule** (one rule, both kinds, decided in
+:func:`serving_op` alone): a *serving* op that meets a store failure
+(one of :data:`STORE_FAILURES`, real or injected) never raises.  It
+adds one to the table's ``errors``, records the failure on an attached
+breaker, and returns the op's default -- a miss, ``False`` or ``0`` --
+so a broken cache never breaks synthesis.  A *maintenance* op
+(``len``, ``entries``, ``prune``, ``clear``, and ``info`` with no
+breaker) raises: the operator asked about this file and is told it is
+broken (``repro cache`` exits 2 with the message).
+
 Each entry holds two texts: the structured payload (what a
 :class:`~repro.api.session.Session` revives into a job) and the
 emitted ``json`` body, persisted once at write time so a serving hit
@@ -138,9 +148,9 @@ def prune_cache_tables(db, budget_bytes: int) -> Dict[str, int]:
     return {"removed": removed, "payload_bytes": int(total)}
 
 
-#: What counts as a store failure: the errors a cache table's error
-#: policy (:meth:`CacheTable._failed`) sees, and what its breaker
-#: counts (StoreError is an OSError).
+#: What counts as a store failure (StoreError is an OSError): what a
+#: serving op turns into its default and counts, and what a
+#: maintenance op raises.
 STORE_FAILURES = (sqlite3.Error, OSError)
 
 #: What a corrupted result-store payload read returns: structurally
@@ -155,47 +165,48 @@ _NOT_A_READ = object()
 
 def serving_op(op: Optional[str], default: Any = None,
                corrupted: Any = _NOT_A_READ) -> Callable:
-    """Guard the entry of one public :class:`CacheTable` op with the
-    table's fault policy and breaker; with neither attached the op runs
-    bare.
+    """Guard the entry of one public :class:`CacheTable` op: the one
+    place a store failure is decided (the module's failure rule).
 
-    An open breaker returns ``default`` at once.  Otherwise the policy
-    ticks ``op`` (``None``: the op never ticks), then the op runs.  A
-    failure (one of :data:`STORE_FAILURES`, injected or real) counts
-    against the breaker and returns ``default``, or raises when no
-    breaker is attached.  :class:`WouldBlock` is no outcome: a
-    half-open probe slot goes back and the caller sees it.  A
-    successful read that is not a miss may then be corrupted: it
-    returns ``corrupted`` instead (``None`` is a miss, a dict a copy
-    of it)."""
+    With no fault policy and no breaker attached the op runs bare.
+    Otherwise an open breaker returns ``default`` at once, and the
+    policy ticks ``op`` (``None``: the op never ticks) before the op
+    runs.  A failure (one of :data:`STORE_FAILURES`, injected or real)
+    adds one to the table's ``errors``, counts against the breaker and
+    returns ``default`` -- a callable ``default`` is called with the
+    op's arguments.  :class:`WouldBlock` is no outcome: a half-open
+    probe slot goes back and the caller sees it.  A successful read
+    that is not a miss may then be corrupted: it returns ``corrupted``
+    instead (``None`` is a miss, a dict a copy of it)."""
 
     def guard(body: Callable) -> Callable:
         @functools.wraps(body)
         def guarded(self, *args, **kwargs):
             breaker, policy = self.breaker, self.policy
-            if breaker is None and policy is None:
-                return body(self, *args, **kwargs)
-            if breaker is not None and not breaker.allow():
-                return default
             try:
-                if op is not None and policy is not None:
-                    policy.tick(op)
-                result = body(self, *args, **kwargs)
+                if breaker is None and policy is None:
+                    return body(self, *args, **kwargs)
+                if breaker is None or breaker.allow():
+                    if op is not None and policy is not None:
+                        policy.tick(op)
+                    result = body(self, *args, **kwargs)
+                    if breaker is not None:
+                        breaker.record_success()
+                    if (corrupted is not _NOT_A_READ and result is not None
+                            and policy is not None and policy.corrupt()):
+                        return None if corrupted is None else dict(corrupted)
+                    return result
             except WouldBlock:
                 if breaker is not None:
                     breaker.release()
                 raise
             except STORE_FAILURES:
-                if breaker is None:
-                    raise
-                breaker.record_failure()
-                return default
-            if breaker is not None:
-                breaker.record_success()
-            if (corrupted is not _NOT_A_READ and result is not None
-                    and policy is not None and policy.corrupt()):
-                return None if corrupted is None else dict(corrupted)
-            return result
+                with self._errors_lock:
+                    self.errors += 1
+                if breaker is not None:
+                    breaker.record_failure()
+            return (default(self, *args, **kwargs) if callable(default)
+                    else default)
 
         return guarded
 
@@ -209,23 +220,24 @@ class CacheTable:
     :class:`~repro.nodestore.store.NodeStore` (``nodes``) are its two
     leaves.  This base owns everything they share: the file and its one
     connection (busy timeout, best-effort WAL, one lock), the table's
-    versioned set-up, LRU stamps and deletes, and the whole maintenance
-    surface.  A leaf names its table, the ``meta`` key of its version,
-    its per-entry metadata column and any extra columns,
-    defines a ``version`` property (read from its module constant at
-    call time), and sets the error policy (:meth:`_failed`).
-
-    A closed connection stays in place: every later statement fails
-    with ``sqlite3.ProgrammingError`` and goes through the same policy.
+    versioned set-up, LRU stamps and deletes, the ``errors`` counter
+    and the whole maintenance surface.  A leaf names its table, the
+    ``meta`` key of its version, its per-entry metadata column and any
+    extra columns, and defines a ``version`` property (read from its
+    module constant at call time).
 
     Each public serving op enters through :func:`serving_op`, which
-    consults what is attached: a fault policy
-    (:class:`~repro.resilience.faults.FaultPolicy`, from a ``fault+``
-    designator) and a breaker
+    applies the module's failure rule and consults what is attached: a
+    fault policy (:class:`~repro.resilience.faults.FaultPolicy`, from a
+    ``fault+`` designator) and a breaker
     (:class:`~repro.resilience.breaker.CircuitBreaker`, attached by the
     serve layer to each table it serves).  Maintenance ops, ``len`` and
-    ``close`` pass both by, so a sick table stays operable; ``info``
-    only reports the breaker's state, as a stub while it is open.
+    ``close`` pass both by and raise, so a sick table stays operable
+    and says so; ``info`` with a breaker attached is the serving
+    ``/healthz`` summary instead, a stub while the breaker is open or
+    the read fails.  A closed connection stays in place: every later
+    statement fails with ``sqlite3.ProgrammingError`` under the same
+    rule.
     """
 
     #: The table, the ``meta`` row holding its version, the per-entry
@@ -250,6 +262,9 @@ class CacheTable:
         self.busy_timeout_ms = int(busy_timeout_ms)
         self.policy = policy
         self.breaker: Any = None
+        #: Serving ops that met a store failure (:func:`serving_op`).
+        self.errors = 0
+        self._errors_lock = threading.Lock()
         self._lock = threading.Lock()
         # Everything through the table set-up stays inside one try:
         # sqlite3.connect is lazy, so a corrupt or non-SQLite file only
@@ -320,12 +335,6 @@ class CacheTable:
     # ------------------------------------------------------------------
     # leaf hooks
     # ------------------------------------------------------------------
-    def _failed(self, error: Exception) -> None:
-        """The error policy for a failed statement: raise, so an
-        attached breaker counts the failure.  A leaf may degrade instead
-        (the caller then returns its empty default)."""
-        raise error
-
     def _forget(self) -> None:
         """Drop in-process state after a prune or clear (caller holds
         the lock)."""
@@ -339,34 +348,23 @@ class CacheTable:
     # ------------------------------------------------------------------
     def _touch(self, fingerprint: str) -> None:
         """Stamp a hit: LRU time and hit count."""
-        try:
-            with self._db:
-                self._db.execute(self._touch_sql, (time.time(), fingerprint))
-        except STORE_FAILURES as error:
-            self._failed(error)
+        with self._db:
+            self._db.execute(self._touch_sql, (time.time(), fingerprint))
 
     def _delete(self, fingerprint: str) -> None:
-        try:
-            with self._db:
-                self._db.execute(
-                    f"DELETE FROM {self.table} WHERE fingerprint = ?",
-                    (fingerprint,),
-                )
-        except STORE_FAILURES as error:
-            self._failed(error)
+        with self._db:
+            self._db.execute(
+                f"DELETE FROM {self.table} WHERE fingerprint = ?",
+                (fingerprint,),
+            )
 
-    def _read(self, default: Any, statement: str, args: tuple = (),
-              *, rows: bool = False) -> Any:
+    def _read(self, statement: str, args: tuple = (), *,
+              rows: bool = False) -> Any:
         """One read under the lock: the first row (every row with
-        ``rows``), or ``default`` when the error policy absorbs a
-        failure."""
+        ``rows``)."""
         with self._lock:
-            try:
-                cursor = self._db.execute(statement, args)
-                return cursor.fetchall() if rows else cursor.fetchone()
-            except STORE_FAILURES as error:
-                self._failed(error)
-                return default
+            cursor = self._db.execute(statement, args)
+            return cursor.fetchall() if rows else cursor.fetchone()
 
     # ------------------------------------------------------------------
     # maintenance
@@ -374,19 +372,19 @@ class CacheTable:
     @serving_op("contains", False)
     def __contains__(self, fingerprint: str) -> bool:
         return self._read(
-            None, f"SELECT 1 FROM {self.table} WHERE fingerprint = ?",
+            f"SELECT 1 FROM {self.table} WHERE fingerprint = ?",
             (fingerprint,)) is not None
 
     def __len__(self) -> int:
-        (count,) = self._read((0,), f"SELECT COUNT(*) FROM {self.table}")
+        (count,) = self._read(f"SELECT COUNT(*) FROM {self.table}")
         return int(count)
 
     def entries(self) -> List[Dict[str, Any]]:
         """Metadata for every entry, most recently used first."""
         rows = self._read(
-            [], f"SELECT fingerprint, {self.column}, created_at, last_used,"
-                f" hits, size_bytes FROM {self.table}"
-                f" ORDER BY last_used DESC", rows=True)
+            f"SELECT fingerprint, {self.column}, created_at, last_used,"
+            f" hits, size_bytes FROM {self.table} ORDER BY last_used DESC",
+            rows=True)
         return [
             {
                 "fingerprint": fp,
@@ -401,23 +399,22 @@ class CacheTable:
 
     def info(self) -> Dict[str, Any]:
         """Summary: path, schema, entries, payload_bytes, hits, plus a
-        fault policy's counters.  With a breaker attached it says
-        whether the table is ``degraded``, and an open breaker or a
-        failed read gives a stub instead of raising, so ``/healthz``
-        keeps answering while the store is sick."""
-        summary = self._summary()
+        fault policy's counters.  With no breaker it is maintenance and
+        raises on a store failure.  With a breaker attached it serves
+        ``/healthz``: it says whether the table is ``degraded``, and an
+        open breaker or a failed read gives a stub instead of raising."""
         if self.breaker is None:
-            return summary
+            return self._summary()
+        summary = self._served_summary()
         if summary is None:
             summary = {"path": str(self.path), "unavailable": True}
         summary["degraded"] = self.breaker.state != "closed"
         return summary
 
-    @serving_op(None)
     def _summary(self) -> Dict[str, Any]:
         count, total, hits = self._read(
-            (0, 0, 0), "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
-                       f" COALESCE(SUM(hits), 0) FROM {self.table}")
+            "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0),"
+            f" COALESCE(SUM(hits), 0) FROM {self.table}")
         summary = {
             "path": str(self.path),
             "schema": self.version,
@@ -429,6 +426,8 @@ class CacheTable:
         if self.policy is not None:
             summary["fault_injection"] = self.policy.describe()
         return summary
+
+    _served_summary = serving_op(None)(_summary)
 
     def prune(self, max_mb: float) -> Dict[str, int]:
         """Evict least-recently-used entries until the payload total is
@@ -447,10 +446,8 @@ class CacheTable:
                 result = prune_cache_tables(self._db, int(max_mb * 1_000_000))
                 if result["removed"]:
                     self._db.execute("VACUUM")
-            except STORE_FAILURES as error:
-                self._failed(error)
-                result = {"removed": 0, "payload_bytes": 0}
-            self._forget()  # evicted rows must not linger in process
+            finally:
+                self._forget()  # evicted rows must not linger in process
         return {
             "removed": result["removed"],
             "remaining": len(self),
@@ -462,14 +459,10 @@ class CacheTable:
         a shared file are untouched)."""
         with self._lock:
             self._forget()
-            try:
-                with self._db:
-                    (count,) = self._db.execute(
-                        f"SELECT COUNT(*) FROM {self.table}").fetchone()
-                    self._db.execute(f"DELETE FROM {self.table}")
-            except STORE_FAILURES as error:
-                self._failed(error)
-                count = 0
+            with self._db:
+                (count,) = self._db.execute(
+                    f"SELECT COUNT(*) FROM {self.table}").fetchone()
+                self._db.execute(f"DELETE FROM {self.table}")
         return int(count)
 
     def close(self) -> None:
@@ -483,13 +476,14 @@ class CacheTable:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}({str(self.path)!r}, "
-                f"entries={len(self)})")
+        return f"{type(self).__name__}({str(self.path)!r})"
 
 
 class ResultStore(CacheTable):
     """The result store: content-addressed payload get/put with LRU
-    accounting (URL form: ``sqlite:///path``).  Errors raise.
+    accounting (URL form: ``sqlite:///path``).  Store failures follow
+    the module's rule: a serving op degrades to a miss or a no-op and
+    counts under ``errors``, a maintenance op raises.
 
     Payloads are JSON-able dicts; their *meaning* (serialization,
     re-interning) lives above the table in :mod:`repro.store.serialize`.
@@ -546,15 +540,12 @@ class ResultStore(CacheTable):
         with self._reader_lock:
             stamps, self._stamps = self._stamps, {}
         if stamps:
-            try:
-                with self._db:
-                    self._db.executemany(
-                        "UPDATE results SET last_used = max(last_used, ?),"
-                        " hits = hits + ? WHERE fingerprint = ?",
-                        [(used, hits, fingerprint)
-                         for fingerprint, (used, hits) in stamps.items()])
-            except STORE_FAILURES as error:
-                self._failed(error)
+            with self._db:
+                self._db.executemany(
+                    "UPDATE results SET last_used = max(last_used, ?),"
+                    " hits = hits + ? WHERE fingerprint = ?",
+                    [(used, hits, fingerprint)
+                     for fingerprint, (used, hits) in stamps.items()])
         return len(stamps)
 
     def _touch(self, fingerprint: str) -> None:

@@ -516,6 +516,33 @@ def test_serve_prometheus_parity_live(traced_server):
     assert status == 200
 
 
+def test_one_worker_aggregate_renders_every_worker_sample(tmp_path):
+    """The fleet's merge drops nothing a worker reports: for a live
+    server's ``/metrics`` payload after each of a few requests, the
+    Prometheus samples of ``aggregate_metrics([payload])`` equal the
+    worker's own, except the fleet-only ``workers_reporting`` gauge."""
+    server = ReproServer(SynthesisService(store=tmp_path / "agg.sqlite"),
+                         port=0)
+    handle = server.run_in_thread()
+    try:
+        for body in ({"spec": "adder:8"}, {"spec": "adder:8"},
+                     {"spec": "comparator:8"}, {"spec": "nonsense:3"}):
+            _request(handle, "POST", "/synthesize", body)
+            status, data, _ = _request(handle, "GET", "/metrics")
+            assert status == 200
+            payload = json.loads(data)
+            worker = parse_samples(prometheus_text(payload))
+            fleet = parse_samples(prometheus_text(
+                aggregate_metrics([payload])))
+            assert fleet.pop("repro_fleet_workers_reporting") == 1
+            assert fleet == worker
+        assert worker['repro_breaker_successes_total{kind="store"}'] > 0
+        assert worker['repro_breaker_successes_total{kind="node_store"}'] > 0
+        assert worker["repro_interning_size"] > 0
+    finally:
+        handle.stop()
+
+
 # ---------------------------------------------------------------------------
 # live parity + tracing: a 2-worker fleet
 # ---------------------------------------------------------------------------

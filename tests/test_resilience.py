@@ -186,6 +186,44 @@ def test_resilient_store_stops_calling_inner_while_open_and_recovers(kind):
     assert info["degraded"] is False and "unavailable" not in info
 
 
+@pytest.mark.parametrize("kind", ["results", "nodes"])
+def test_real_failures_open_the_breaker_like_injected_ones(tmp_path, kind):
+    """A closed connection fails every statement: the breaker records a
+    failure per serving op until it opens (never a success), and each
+    failed op counts one error, not a miss."""
+    table = (ResultStore if kind == "results" else NodeStore)(
+        tmp_path / "closed.sqlite")
+    table.breaker = CircuitBreaker(kind, failure_threshold=5)
+    table.close()
+    for _ in range(20):
+        assert (table.get("fp") if kind == "results"
+                else _load(table, "fp")) is None
+    stats = table.breaker.stats()
+    assert stats["state"] == "open"
+    assert (stats["failures"], stats["successes"],
+            stats["short_circuited"]) == (5, 0, 15)
+    assert table.errors == 5
+    if kind == "nodes":
+        assert table.stats()["misses"] == 0
+
+
+def test_cli_synth_over_an_always_failing_node_store_exits_0(capsys):
+    """A one-shot run has no breaker: every node-cache op fails, counts
+    one error and is a miss, and synthesis answers as with no cache."""
+    assert cli.main(["synth", "--spec", "adder:8", "--node-store",
+                     "fault+memory:?fail_rate=1.0", "--emit", "vhdl"]) == 0
+    faulted = capsys.readouterr().out
+    assert cli.main(["synth", "--spec", "adder:8", "--emit", "vhdl"]) == 0
+    assert faulted == capsys.readouterr().out
+    session = Session(node_store="fault+memory:?fail_rate=1.0")
+    session.synthesize("comparator:8")
+    injected = session.node_store.policy.failures_injected
+    assert injected > 0 and session.node_store.errors == injected
+
+
+# ---------------------------------------------------------------------------
+# deadlines
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # deadlines
 # ---------------------------------------------------------------------------
@@ -297,17 +335,37 @@ def test_fault_policy_is_seeded_and_fail_first_is_unconditional():
         FaultPolicy(latency_ms=-1)
 
 
+def _record_ticks(policy):
+    """The op names ``policy`` ticks, in order (a failed op no longer
+    raises, so its name is not in an error message to match)."""
+    ticked = []
+    tick = policy.tick
+
+    def recording(operation):
+        ticked.append(operation)
+        tick(operation)
+
+    policy.tick = recording
+    return ticked
+
+
 def _fault_results():
     failing = registry.create_store("fault+memory:?fail_rate=1.0")
+    ticked = _record_ticks(failing.policy)
     try:
-        with pytest.raises(StoreError):
-            failing.get("fp")
-        # The body read ticks the same "get" op, so a schedule keeps
-        # its meaning whichever read path serves the request.
-        with pytest.raises(StoreError, match=r"\(get\)"):
-            failing.get_body("fp")
-        with pytest.raises(StoreError):
-            failing.put("fp", {"x": 1}, body="{}")
+        # A failed serving op returns its default and counts one error,
+        # injected or real, with no breaker attached.  The body read
+        # ticks the same "get" op, so a schedule keeps its meaning
+        # whichever read path serves the request.
+        for operation in (lambda: failing.get("fp"),
+                          lambda: failing.get_body("fp"),
+                          lambda: failing.put("fp", {"x": 1}, body="{}")):
+            errors = failing.errors
+            injected = failing.policy.failures_injected
+            assert operation() is None
+            assert failing.errors == errors + 1
+            assert failing.policy.failures_injected == injected + 1
+        assert ticked == ["get", "get", "put"]
     finally:
         failing.close()
     corrupting = registry.create_store("fault+memory:?corrupt_rate=1.0&seed=3")
@@ -333,11 +391,20 @@ def _fault_nodes():
     spec = comparator_spec(8)
     options = Session(library="lsi_logic").space.alternatives(spec)
     failing = registry.create_node_store("fault+memory:?fail_rate=1.0")
+    ticked = _record_ticks(failing.policy)
     try:
-        with pytest.raises(StoreError, match=r"\(load_options\)"):
-            failing.load_options("fp", spec, expected_impls=1)
-        with pytest.raises(StoreError, match=r"\(save_options\)"):
-            failing.save_options("fp", spec, options, impls=1)
+        for operation, default in (
+                (lambda: failing.load_options("fp", spec, expected_impls=1),
+                 None),
+                (lambda: failing.save_options("fp", spec, options, impls=1),
+                 False)):
+            errors = failing.errors
+            injected = failing.policy.failures_injected
+            assert operation() is default
+            assert failing.errors == errors + 1
+            assert failing.policy.failures_injected == injected + 1
+        assert failing.stats()["errors"] == 2
+        assert ticked == ["load_options", "save_options"]
     finally:
         failing.close()
     corrupting = registry.create_node_store(
@@ -379,7 +446,10 @@ SCHEDULE_OPS = {
     "entries": lambda store, fp: sorted(
         entry["fingerprint"] for entry in store.entries()),
     "info": lambda store, fp: store.info()["entries"],
-    "stats": lambda store, fp: store.stats(),
+    # ``errors`` beyond the injected failures: none on a healthy table.
+    "stats": lambda store, fp: {
+        **store.stats(),
+        "errors": store.errors - store.policy.failures_injected},
     "flush_stamps": lambda store, fp: store.flush_stamps(),
     "prune": lambda store, fp: store.prune(64)["remaining"],
     "clear": lambda store, fp: store.clear() >= 0,
@@ -394,7 +464,8 @@ _CORRUPT = {"schema": "fault-injected-corruption"}
 
 #: Per kind: a fixed mixed sequence of serving and maintenance ops, what
 #: each gave on a :data:`SCHEDULE_URL` table (a value, ``"failed"`` for
-#: an injected fault, or a corrupted read), and the policy's
+#: an injected fault -- the op returned its default and counted one
+#: error --, or a corrupted read), and the policy's
 #: ``describe()`` at the end.  Recorded on the wrapper-based stores the
 #: table guard replaced, so no op's number in a schedule has moved:
 #: serving ops tick once on entry, maintenance ops never.
@@ -469,12 +540,13 @@ def test_fault_schedule_outcomes_per_op(kind):
     try:
         outcomes = []
         for op, fp, _ in sequence:
-            try:
-                outcomes.append(SCHEDULE_OPS[op](store, fp))
-            except StoreError:
-                outcomes.append("failed")
+            errors = store.errors
+            outcome = SCHEDULE_OPS[op](store, fp)
+            assert store.errors in (errors, errors + 1)
+            outcomes.append("failed" if store.errors > errors else outcome)
         assert outcomes == [outcome for _, _, outcome in sequence]
         assert store.policy.describe() == described
+        assert store.errors == described["failures_injected"]
     finally:
         store.close()
 

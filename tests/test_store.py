@@ -386,35 +386,106 @@ def test_designator_table(kind, tmp_path, monkeypatch):
     assert not (tmp_path / "x.sqlite").exists()
 
 
-def test_closed_stores_keep_their_error_policy(tmp_path):
-    """Closing keeps each kind's policy: a result store raises a store
-    failure (what the serve layer's breaker counts), never an
-    AttributeError; a node store degrades and counts the errors."""
+def test_closed_tables_follow_the_one_failure_rule(tmp_path):
+    """One rule for both kinds on a closed table: every serving op
+    returns its default and adds one to ``errors``; every maintenance
+    op raises a store failure; ``repr`` names the path without touching
+    SQLite."""
     from repro.nodestore import NodeStore
     from repro.resilience import STORE_FAILURES
 
-    results = ResultStore(tmp_path / "closed.sqlite")
+    path = tmp_path / "closed.sqlite"
+    spec = adder_spec(4)
+    results, nodes = ResultStore(path), NodeStore(path)
     results.put("fp", {"x": 1}, body="{}")
     results.close()
-    for operation in (lambda: results.get("fp"),
-                      lambda: results.get_body("fp"),
-                      lambda: results.peek("fp"),
-                      lambda: results.put("fp", {}, body="{}"),
-                      lambda: "fp" in results, lambda: len(results),
-                      results.entries, results.info, results.clear,
-                      lambda: results.prune(1)):
-        with pytest.raises(STORE_FAILURES):
-            operation()
-    nodes = NodeStore(tmp_path / "closed.sqlite")
     nodes.close()
-    assert len(nodes) == 0 and "fp" not in nodes
-    assert nodes.entries() == [] and nodes.clear() == 0
-    assert nodes.info()["entries"] == 0
-    assert nodes.prune(1) == {"removed": 0, "remaining": 0,
-                              "payload_bytes": 0}
-    assert nodes.load_options("fp", adder_spec(4), expected_impls=1) is None
-    assert nodes.save_options("fp", adder_spec(4), [], impls=1) is False
-    assert nodes.stats()["errors"] >= 1
+    serving = {
+        results: [(lambda: results.get("fp"), None),
+                  (lambda: results.get_body("fp"), None),
+                  (lambda: results.peek("fp"), None),
+                  (lambda: results.put("fp", {}, body="{}"), None),
+                  (lambda: "fp" in results, False)],
+        nodes: [(lambda: nodes.load_options("fp", spec, expected_impls=1),
+                 None),
+                (lambda: nodes.save_options("fp", spec, [], impls=1), False),
+                (lambda: "fp" in nodes, False)],
+    }
+    for table, ops in serving.items():
+        for operation, default in ops:
+            errors = table.errors
+            assert operation() == default
+            assert table.errors == errors + 1
+        for operation in (lambda: len(table), table.entries, table.info,
+                          table.clear, lambda: table.prune(1)):
+            with pytest.raises(STORE_FAILURES):
+                operation()
+        assert repr(table) == f"{type(table).__name__}({str(path)!r})"
+    assert nodes.stats()["errors"] == 3
+
+
+def test_concurrent_failures_are_each_counted(tmp_path):
+    """``errors`` is shared by every thread using a table: failed ops
+    from more threads than cores, switching as often as possible, lose
+    no count."""
+    import threading
+
+    store = ResultStore(tmp_path / "threads.sqlite")
+    store.close()
+    threads, calls = 6, 300
+
+    def fail_repeatedly():
+        for _ in range(calls):
+            store.get("fp")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=fail_repeatedly)
+                   for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert store.errors == threads * calls
+
+
+def test_maintenance_under_another_writers_lock_raises_and_exits_2(
+        tmp_path, capsys):
+    """Another connection holds ``BEGIN EXCLUSIVE``: every maintenance
+    write waits out its busy timeout and then raises, for both kinds;
+    ``repro cache clear`` and ``prune`` exit 2 with a one-line message,
+    never a traceback, and leave the entries in place."""
+    import sqlite3
+
+    from repro.nodestore import NodeStore
+    from repro.resilience import STORE_FAILURES
+
+    path = tmp_path / "locked.sqlite"
+    results = ResultStore(path)
+    results.put("fp", {"x": 1}, body="{}")
+    nodes = NodeStore(path, busy_timeout_ms=200)
+    assert nodes.save_options("n", adder_spec(4), [], impls=1)
+    url = f"sqlite://{path}?busy_timeout_ms=200"
+    writer = sqlite3.connect(str(path), isolation_level=None)
+    try:
+        writer.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(STORE_FAILURES):
+            nodes.clear()
+        for argv in (["cache", "clear"], ["cache", "prune", "--max-mb", "0"]):
+            assert cli_main([*argv, "--store", url]) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith("repro cache: ") and "locked" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        writer.execute("ROLLBACK")
+    finally:
+        writer.close()
+    assert len(results) == 1 and len(nodes) == 1
+    results.close()
+    nodes.close()
 
 
 @pytest.mark.parametrize("bumped", ["results", "nodes"])
@@ -669,6 +740,24 @@ def test_cli_warm_then_cache_info_and_clear(tmp_path, capsys):
                      "--max-mb", "0"]) == 0
     assert "pruned 1" in capsys.readouterr().out
     assert cli_main(["cache", "clear", "--store", store_arg]) == 0
+
+
+def test_cli_warm_counts_failed_cache_ops_and_exits_1(tmp_path, capsys):
+    """Every result-store op failing: both targets still synthesize, but
+    nothing was stored, so warm says how many cache ops failed (a read
+    and a write per target) and exits 1 like a failed target."""
+    url = f"fault+sqlite://{tmp_path}/failing.sqlite?fail_rate=1.0"
+    assert cli_main(["warm", "--spec", "adder:8", "--spec", "alu:8",
+                     "--store", url]) == 1
+    out, err = capsys.readouterr()
+    assert "0 entries" in out
+    assert "warmed 2/2 targets, 4 cache operations failed" in out
+    assert "repro warm: 4 cache operations failed" in err
+    healthy = f"sqlite://{tmp_path}/healthy.sqlite"
+    assert cli_main(["warm", "--spec", "adder:8", "--nodes",
+                     "--store", healthy]) == 0
+    out, err = capsys.readouterr()
+    assert "warmed 1/1 targets\n" in out and err == ""
 
 
 def test_cli_cache_show_renders_persisted_report(tmp_path, capsys):
