@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import load_gen  # first: puts this checkout's src on sys.path
 
 from repro.obs.prom import parse_samples
+from repro.obs.schema import SCHEMA, section_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 READY_PATTERN = re.compile(r"listening on http://([\d.]+):(\d+)")
@@ -463,8 +464,8 @@ def obs_smoke(tmp: Path) -> None:
        span: a store hit must not look like an engine run;
     4. assert ``GET /metrics?format=prometheus`` parses line-by-line
        against the exposition grammar and agrees with the JSON
-       ``/metrics`` on ``repro_requests_total`` (modulo the scrapes
-       themselves);
+       ``/metrics`` on every counter row of :mod:`repro.obs.schema`
+       (modulo the scrapes themselves);
     5. assert ``repro trace show <id> --url ...`` renders the cold
        trace's span tree from another process, and that the router's
        access log emitted a JSON line carrying the cold trace id.
@@ -543,20 +544,34 @@ def obs_smoke(tmp: Path) -> None:
         say(f"warm trace {warm_id} shows the store hit ({warm_names}), "
             f"no phase spans")
 
-        # Prometheus exposition: grammar plus JSON agreement.
+        # Prometheus exposition: grammar plus JSON agreement on every
+        # counter row of the metric schema.  The JSON scrape comes
+        # second, so it may already count the first scrape's two
+        # worker /metrics fetches.
         _, samples = scrape(fleet)
         metrics = fleet.get_json("/metrics")
-        requests_total = samples.get("repro_requests_total")
-        if requests_total is None or not (
-                requests_total <= metrics["requests_total"]
-                <= requests_total + 2):
-            fail(f"repro_requests_total={requests_total} disagrees with "
-                 f"JSON requests_total={metrics['requests_total']}", fleet)
+        checked = 0
+        for metric in SCHEMA:
+            if metric.kind != "counter":
+                continue
+            section = section_of(metrics, metric)
+            if metric.key not in section:
+                fail(f"JSON /metrics lacks the counter {metric.key!r}", fleet)
+            values = section[metric.key]
+            pairs = ([(f'{metric.prom}{{{metric.label}="{label}"}}', value)
+                      for label, value in values.items()] if metric.label
+                     else [(metric.prom, values)])
+            for name, value in pairs:
+                sample = samples.get(name, 0.0)
+                if not sample <= value <= sample + 2:
+                    fail(f"{name}={sample} disagrees with JSON "
+                         f"{metric.key}={value}", fleet)
+                checked += 1
         if samples.get("repro_fleet_workers_reporting") != 2.0:
             fail(f"repro_fleet_workers_reporting != 2 in: "
                  f"{sorted(k for k in samples if 'fleet' in k)}", fleet)
         say(f"prometheus exposition parses ({len(samples)} samples) and "
-            f"agrees with JSON /metrics")
+            f"agrees with JSON /metrics on {checked} counter samples")
 
         # The CLI renders the trace from a separate process.
         shown = run_cli(fleet, "trace", "show", cold_id)

@@ -614,7 +614,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         # same file, where prune budgets are shared.
         node_designator = args.node_store
         if node_designator is None and args.nodes:
-            node_designator = store.path
+            node_designator = registry.node_store_beside(store)
 
         from repro.api.session import Session
 
@@ -754,7 +754,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"(expected info, list, prune, or clear)", file=sys.stderr)
             return 2
         try:
-            nodes = registry.create_node_store(store.path)
+            nodes = registry.node_store_beside(store)
         except (KeyError, OSError, ValueError) as error:
             print(f"{PROG} cache nodes: {error}", file=sys.stderr)
             return 2

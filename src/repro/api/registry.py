@@ -465,6 +465,16 @@ def create_node_store(spec: Any):
     return _resolve_cache(spec, "nodes")
 
 
+def node_store_beside(store: Any):
+    """The node table in result store ``store``'s file, with its busy
+    timeout and no fault policy (None without a store)."""
+    if store is None:
+        return None
+    from repro.nodestore import NodeStore
+
+    return NodeStore(store.path, busy_timeout_ms=store.busy_timeout_ms)
+
+
 def parse_spec(text: str):
     """Parse a ``name:width`` shorthand (``alu:64``) into a
     :class:`~repro.core.specs.ComponentSpec` via :data:`SPECS`."""

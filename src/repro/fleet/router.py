@@ -19,8 +19,8 @@ store file -- and serves the same four endpoints in front of them:
 - ``GET /metrics`` aggregates every live worker's counters (sums;
   element-wise sums for the fixed-bucket latency histograms, which is
   why the buckets are fixed) and adds the router's own counters:
-  per-worker routed requests, worker restarts, rejected requests, and
-  the router's in-flight queue depth.
+  per-worker routed requests, worker restarts, rejected requests, the
+  router's in-flight queue depth, and its start time.
 - ``GET /healthz`` reports per-worker liveness.
 
 Supervision: a crashed worker is restarted with exponential backoff
@@ -60,7 +60,7 @@ from repro.api.registry import (
     session_key,
 )
 from repro.obs.accesslog import AccessLog
-from repro.obs.prom import BREAKER_COUNTERS
+from repro.obs.schema import BREAKER_COUNTERS, SCHEMA, section_of
 from repro.obs.trace import (
     ATTEMPTS_HEADER,
     NULL_SPAN,
@@ -335,46 +335,39 @@ async def _http_request(host: str, port: int, method: str, path: str,
 def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fleet-wide metrics from N worker ``/metrics`` payloads.
 
-    Counters sum; ``uptime_seconds`` and latency maxima take the max;
-    the fixed-bucket latency histograms sum element-wise (valid
-    *because* every worker cuts at the same
-    :data:`~repro.serve.server.LATENCY_BUCKETS` edges); the latency
-    mean is recomputed from the summed totals.  Pure function -- unit
-    tests feed it synthetic payloads."""
-    summed = ("requests_total", "engine_evaluations", "store_hits",
-              "store_misses", "jobs_run", "coalesced", "timeouts",
-              "in_flight", "sessions")
-    agg: Dict[str, Any] = {key: 0 for key in summed}
-    agg["uptime_seconds"] = 0.0
-    by_endpoint: Dict[str, int] = {}
-    by_status: Dict[str, int] = {}
-    traffic_by_status: Dict[str, int] = {}
-    phase_seconds: Dict[str, float] = {}
+    Each :mod:`repro.obs.schema` row merges as it declares (counters
+    sum, ``uptime_seconds`` takes the max, labelled maps sum per
+    label); latency maxima take the max; the fixed-bucket latency
+    histograms sum element-wise (valid *because* every worker cuts at
+    the same :data:`~repro.serve.server.LATENCY_BUCKETS` edges); the
+    latency mean is recomputed from the summed totals.  Pure function
+    -- unit tests feed it synthetic payloads."""
+    agg: Dict[str, Any] = {}
+    for metric in SCHEMA:
+        if metric.merge is None:
+            continue
+        target = (agg.setdefault(metric.section, {}) if metric.section
+                  else agg)
+        sections = [section_of(payload, metric) for payload in payloads]
+        reported = [section[metric.key] for section in sections
+                    if metric.key in section]
+        if metric.merge == "count":
+            target[metric.key] = len(payloads)
+        elif metric.label:
+            totals: Dict[str, Any] = {}
+            for values in reported:
+                for label, value in values.items():
+                    totals[label] = totals.get(label, metric.zero) + value
+            target[metric.key] = totals
+        elif reported or metric.zero is not None:
+            start = 0 if metric.zero is None else metric.zero
+            target[metric.key] = (max([start] + reported)
+                                  if metric.merge == "max"
+                                  else sum(reported, start))
     breakers: Dict[str, Dict[str, Any]] = {}
-    node = {"hits": 0, "misses": 0, "published": 0, "errors": 0,
-            "hot_entries": 0}
-    interning: Dict[str, int] = {}
     latency = {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
     histograms: Dict[str, Dict[str, List]] = {}
     for payload in payloads:
-        for key in summed:
-            agg[key] += payload.get(key, 0)
-        agg["uptime_seconds"] = max(
-            agg["uptime_seconds"], payload.get("uptime_seconds", 0.0))
-        for source, target in (
-            (payload.get("requests_by_endpoint", {}), by_endpoint),
-            (payload.get("responses_by_status", {}), by_status),
-            (payload.get("traffic_by_status", {}), traffic_by_status),
-        ):
-            for key, value in source.items():
-                target[key] = target.get(key, 0) + value
-        for phase, seconds in payload.get(
-                "engine_phase_seconds", {}).items():
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        for key in node:
-            node[key] += payload.get("node_cache", {}).get(key, 0)
-        for key, value in payload.get("interning", {}).items():
-            interning[key] = interning.get(key, 0) + value
         # Breakers merge as state *counts* plus summed transition
         # counters: "how many workers are serving degraded, and how
         # often have breakers tripped fleet-wide".
@@ -415,16 +408,9 @@ def aggregate_metrics(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
                     merged["exemplars"][bucket] = dict(exemplar)
     latency["mean_seconds"] = (latency["total_seconds"] / latency["count"]
                                if latency["count"] else 0.0)
-    agg["requests_by_endpoint"] = by_endpoint
-    agg["responses_by_status"] = by_status
-    agg["traffic_by_status"] = traffic_by_status
-    agg["engine_phase_seconds"] = phase_seconds
     agg["breakers"] = breakers
-    agg["node_cache"] = node
-    agg["interning"] = interning
     agg["latency"] = latency
     agg["latency_histograms"] = histograms
-    agg["workers_reporting"] = len(payloads)
     return agg
 
 
@@ -862,6 +848,7 @@ class FleetService:
             if count:
                 traffic[status] = traffic.get(status, 0) + count
         aggregated["fleet"] = self.fleet_stats()
+        aggregated["started_at"] = self.metrics.started_at
         return aggregated
 
     async def debug_traces(self, **filters: Any) -> List[Dict[str, Any]]:

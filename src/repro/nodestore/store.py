@@ -23,15 +23,15 @@ Two tiers:
     ``repro serve`` or fleet worker that opens the same file probes
     and publishes nodes the others can reuse.
 
-Loads re-intern through :func:`repro.core.configs.revive_configuration`
-(via :func:`repro.store.serialize.config_from_jsonable`), so a
-cache-served option list holds exactly the canonical objects a fresh
-evaluation would produce -- the bit-identity contract.  Every load is
-sanity-checked against the live expansion (payload schema, spec token,
-implementation count) and every index the payload holds is
-range-checked; any mismatch or decode failure deletes the entry and
-reports a miss, so a corrupt or stale row self-heals on the
-next publish.  Store failures follow the one rule of
+Loads re-intern through ``CONFIGURATIONS.revive_parts``
+(:meth:`repro.core.interning.InternTable.revive_parts`) in
+:func:`_revive`, so a cache-served option list holds exactly the
+canonical objects a fresh evaluation would produce -- the bit-identity
+contract.  Every load is sanity-checked against the live expansion
+(payload schema, spec token, implementation count) and every index the
+payload holds is range-checked; any mismatch or decode failure deletes
+the entry and reports a miss, so a corrupt or stale row self-heals on
+the next publish.  Store failures follow the one rule of
 :mod:`repro.store.store`: the two serving ops degrade (a load serves
 only what the hot tier holds, a save is a no-op that still fills the
 hot tier) and count under ``errors``, so a broken cache never breaks

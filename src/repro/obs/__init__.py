@@ -4,8 +4,9 @@
 lightweight span tracer (contextvar-scoped current span, monotonic
 clocks, 128-bit trace ids, a bounded in-memory ring, optional JSONL
 export) that the serve and fleet layers wire through every request;
-:mod:`repro.obs.prom` renders the existing ``/metrics`` JSON payload
-in Prometheus text exposition format (with OpenMetrics exemplars);
+:mod:`repro.obs.schema` declares each plain field of the ``/metrics``
+payload once; :mod:`repro.obs.prom` renders the payload in Prometheus
+text exposition format (with OpenMetrics exemplars);
 :mod:`repro.obs.timeseries` keeps bounded in-process history rings
 over sampled payloads; :mod:`repro.obs.slo` evaluates declarative
 objectives as multi-window burn rates over that history;

@@ -1,15 +1,14 @@
 """Prometheus text exposition of the ``/metrics`` JSON payload.
 
-:func:`prometheus_text` is a pure function over the JSON shape that
-:meth:`repro.serve.server.SynthesisService.metrics_payload` (and the
-fleet-aggregated :func:`repro.fleet.router.aggregate_metrics`) already
-produce, so the two formats cannot drift: the text format is a
-rendering, not a second set of counters.  Served at
-``GET /metrics?format=prometheus``.
+:func:`prometheus_text` is a pure function over one payload, a server's
+or the fleet's (with its ``slo`` section when SLOs run), so the text
+format is a rendering, not a second set of counters.  Served at
+``GET /metrics?format=prometheus``.  The rows of :mod:`repro.obs.schema`
+render in one loop; the bespoke shapes each have a handler.
 
-Exposition format 0.0.4: ``# TYPE`` comments, one ``name{labels}
-value`` sample per line, histograms as cumulative ``_bucket`` samples
-with an ``+Inf`` bucket plus ``_sum``/``_count``.  Histogram buckets
+Exposition format 0.0.4: ``# HELP`` and ``# TYPE`` comments, one
+``name{labels} value`` sample per line, histograms as cumulative
+``_bucket`` samples with an ``+Inf`` bucket plus ``_sum``/``_count``.  Histogram buckets
 additionally carry OpenMetrics-style **exemplars** when the payload
 has them (`` # {trace_id="..."} value timestamp`` appended to the
 ``_bucket`` sample), bridging each latency bucket to the most recent
@@ -19,48 +18,15 @@ trace that landed in it.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.schema import (BREAKER_COUNTERS, FLEET_METRICS, METRICS,
+                               Metric, breaker_states, section_of)
 
 #: Content type Prometheus scrapers expect for the text format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Plain top-level counters: JSON key -> metric name.
-_COUNTERS = (
-    ("requests_total", "repro_requests_total"),
-    ("engine_evaluations", "repro_engine_evaluations_total"),
-    ("store_hits", "repro_store_hits_total"),
-    ("store_misses", "repro_store_misses_total"),
-    ("jobs_run", "repro_jobs_run_total"),
-    ("coalesced", "repro_coalesced_total"),
-    ("timeouts", "repro_timeouts_total"),
-)
-
-#: Top-level gauges: JSON key -> metric name.
-_GAUGES = (
-    ("uptime_seconds", "repro_uptime_seconds"),
-    ("in_flight", "repro_in_flight"),
-    ("sessions", "repro_sessions"),
-)
-
-#: Breaker transition counters shared by both payload shapes (a single
-#: server's ``CircuitBreaker.stats()`` and the fleet's merged
-#: per-kind sums).
-BREAKER_COUNTERS = ("failures", "successes", "short_circuited",
-                    "opens", "closes", "half_open_probes")
-
 _BREAKER_STATES = ("closed", "open", "half_open")
-
-#: Router counters under the fleet payload's ``fleet`` section.
-_FLEET_COUNTERS = (
-    ("worker_restarts", "repro_fleet_worker_restarts_total"),
-    ("routed_total", "repro_fleet_routed_total"),
-    ("unrouted_503", "repro_fleet_unrouted_total"),
-    ("proxy_errors_502", "repro_fleet_proxy_errors_total"),
-    ("retries", "repro_fleet_retries_total"),
-    ("failovers", "repro_fleet_failovers_total"),
-    ("timeouts_504", "repro_fleet_timeouts_total"),
-    ("chaos_kills", "repro_fleet_chaos_kills_total"),
-)
 
 
 def _fmt(value: Any) -> str:
@@ -111,6 +77,22 @@ class _Writer:
         self.lines.append(line)
 
 
+def _metric_lines(w: _Writer, payload: Dict[str, Any],
+                  metrics: Tuple[Metric, ...]) -> None:
+    """One family per schema row present in ``payload`` (a labelled
+    map: when non-empty, one sample per label, sorted)."""
+    for metric in metrics:
+        value = section_of(payload, metric).get(metric.key)
+        if value is None or value == {}:
+            continue
+        w.family(metric.prom, metric.kind, metric.help)
+        if metric.label:
+            for label in sorted(value):
+                w.sample(metric.prom, {metric.label: label}, value[label])
+        else:
+            w.sample(metric.prom, None, value)
+
+
 def _breaker_lines(w: _Writer, breakers: Dict[str, Any]) -> None:
     if not breakers:
         return
@@ -118,11 +100,7 @@ def _breaker_lines(w: _Writer, breakers: Dict[str, Any]) -> None:
              "Circuit breaker instances per kind and state "
              "(single server: one-hot; fleet: worker counts).")
     for kind in sorted(breakers):
-        stats = breakers[kind]
-        states = stats.get("states")
-        if states is None:
-            # Single-server shape: one breaker, one live state.
-            states = {stats.get("state", "closed"): 1}
+        states = breaker_states(breakers[kind])
         for state in _BREAKER_STATES:
             w.sample("repro_breaker_state",
                      {"kind": kind, "state": state},
@@ -169,70 +147,7 @@ def prometheus_text(payload: Dict[str, Any]) -> str:
     """Render one ``/metrics`` JSON payload (single-server or
     fleet-aggregated) in Prometheus text exposition format."""
     w = _Writer()
-    for key, name in _GAUGES:
-        if key in payload:
-            w.family(name, "gauge", "JSON /metrics field %r." % key)
-            w.sample(name, None, payload[key])
-    for key, name in _COUNTERS:
-        if key in payload:
-            w.family(name, "counter", "JSON /metrics field %r." % key)
-            w.sample(name, None, payload[key])
-
-    by_endpoint = payload.get("requests_by_endpoint", {})
-    if by_endpoint:
-        w.family("repro_requests_by_endpoint_total", "counter",
-                 "Requests per served endpoint.")
-        for endpoint in sorted(by_endpoint):
-            w.sample("repro_requests_by_endpoint_total",
-                     {"endpoint": endpoint}, by_endpoint[endpoint])
-    by_status = payload.get("responses_by_status", {})
-    if by_status:
-        w.family("repro_responses_total", "counter",
-                 "Responses per HTTP status.")
-        for status in sorted(by_status):
-            w.sample("repro_responses_total", {"status": status},
-                     by_status[status])
-    traffic = payload.get("traffic_by_status", {})
-    if traffic:
-        w.family("repro_traffic_total", "counter",
-                 "Serving-endpoint responses per HTTP status "
-                 "(scrapes and debug endpoints excluded).")
-        for status in sorted(traffic):
-            w.sample("repro_traffic_total", {"status": status},
-                     traffic[status])
-    phases = payload.get("engine_phase_seconds", {})
-    if phases:
-        w.family("repro_engine_phase_seconds_total", "counter",
-                 "Cumulative engine seconds per synthesis phase.")
-        for phase in sorted(phases):
-            w.sample("repro_engine_phase_seconds_total",
-                     {"phase": phase}, phases[phase])
-
-    node = payload.get("node_cache", {})
-    if node:
-        for key in ("hits", "misses", "published", "errors"):
-            name = "repro_node_cache_%s_total" % key
-            w.family(name, "counter", "Node option cache %s." % key)
-            w.sample(name, None, node.get(key, 0))
-        w.family("repro_node_cache_hot_entries", "gauge",
-                 "Node option cache in-memory hot-tier entries.")
-        w.sample("repro_node_cache_hot_entries", None,
-                 node.get("hot_entries", 0))
-
-    interning = payload.get("interning", {})
-    if interning:
-        for key in ("hits", "misses", "revived"):
-            if key not in interning:
-                continue
-            name = "repro_interning_%s_total" % key
-            w.family(name, "counter",
-                     "Configuration interning %s." % key)
-            w.sample(name, None, interning[key])
-        if "size" in interning:
-            w.family("repro_interning_size", "gauge",
-                     "Interned configuration table size.")
-            w.sample("repro_interning_size", None, interning["size"])
-
+    _metric_lines(w, payload, METRICS)
     _breaker_lines(w, payload.get("breakers", {}))
 
     latency = payload.get("latency", {})
@@ -277,37 +192,19 @@ def prometheus_text(payload: Dict[str, Any]) -> str:
                      {"objective": objective["name"]},
                      objective.get("transitions", 0))
 
-    if "workers_reporting" in payload:
-        w.family("repro_fleet_workers_reporting", "gauge",
-                 "Workers whose /metrics answered the aggregation.")
-        w.sample("repro_fleet_workers_reporting", None,
-                 payload["workers_reporting"])
-    fleet = payload.get("fleet", {})
-    if fleet:
-        for key, name in _FLEET_COUNTERS:
-            if key in fleet:
-                w.family(name, "counter",
-                         "Router counter %r." % key)
-                w.sample(name, None, fleet[key])
-        if "queue_depth" in fleet:
-            w.family("repro_fleet_queue_depth", "gauge",
-                     "Router in-flight request depth.")
-            w.sample("repro_fleet_queue_depth", None,
-                     fleet["queue_depth"])
-        workers = fleet.get("workers", [])
-        if workers:
-            w.family("repro_fleet_worker_ready", "gauge",
-                     "Worker readiness by ring slot.")
-            for worker in workers:
-                w.sample("repro_fleet_worker_ready",
-                         {"slot": worker.get("slot")},
-                         1 if worker.get("ready") else 0)
-            w.family("repro_fleet_worker_routed_total", "counter",
-                     "Requests routed to each ring slot.")
-            for worker in workers:
-                w.sample("repro_fleet_worker_routed_total",
-                         {"slot": worker.get("slot")},
-                         worker.get("routed", 0))
+    _metric_lines(w, payload, FLEET_METRICS)
+    workers = (payload.get("fleet") or {}).get("workers", [])
+    if workers:
+        w.family("repro_fleet_worker_ready", "gauge",
+                 "Worker readiness by ring slot.")
+        for worker in workers:
+            w.sample("repro_fleet_worker_ready", {"slot": worker.get("slot")},
+                     1 if worker.get("ready") else 0)
+        w.family("repro_fleet_worker_routed_total", "counter",
+                 "Requests routed to each ring slot.")
+        for worker in workers:
+            w.sample("repro_fleet_worker_routed_total",
+                     {"slot": worker.get("slot")}, worker.get("routed", 0))
 
     return "\n".join(w.lines) + "\n"
 

@@ -21,11 +21,11 @@ Everything is stdlib-only and clock-injectable: all window math takes
 ``now`` from the injected clock, so eviction, rates, and quantile
 windows are deterministic under test.
 
-The flattening in :meth:`MetricsHistory.record` understands both the
-single-server payload (:meth:`SynthesisService.metrics_payload`) and
-the fleet's aggregated payload (which nests a ``fleet`` section) --
-on a fleet, per-worker series (``worker0:routed``) and fleet-wide
-series (``requests_total``) coexist in one history.
+:meth:`MetricsHistory.record` samples the series that the rows of
+:mod:`repro.obs.schema` name, plus the bespoke shapes, from both the
+single-server payload and the fleet's (which nests a ``fleet``
+section) -- on a fleet, per-worker series (``worker0:routed``) and
+fleet-wide series (``requests_total``) coexist in one history.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import time
 from collections import deque
 from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
                     Tuple)
+
+from repro.obs.schema import SCHEMA, breaker_states, section_of
 
 __all__ = [
     "MetricsHistory",
@@ -134,57 +136,25 @@ class MetricsHistory:
         """Flatten one ``/metrics`` payload snapshot into the rings."""
         now = self.clock() if now is None else now
         self.samples_taken += 1
-        for key in ("requests_total", "engine_evaluations", "store_hits",
-                    "store_misses", "jobs_run", "coalesced", "timeouts"):
-            if key in payload:
-                self._put(key, "counter", payload.get(key, 0), now)
-        for key in ("in_flight", "sessions", "workers_reporting"):
-            if key in payload:
-                self._put(key, "gauge", payload.get(key, 0), now)
-
-        by_status = payload.get("responses_by_status", {}) or {}
-        errors_5xx = 0.0
-        for code, count in by_status.items():
-            self._put(f"status:{code}", "counter", count, now)
-            if str(code).startswith("5"):
-                errors_5xx += count
-        self._put("errors_5xx", "counter", errors_5xx, now)
-
-        traffic = payload.get("traffic_by_status")
-        if traffic is not None:
-            bad = 0.0
-            for code, count in traffic.items():
-                self._put(f"traffic:{code}", "counter", count, now)
-                if str(code).startswith("5"):
-                    bad += count
-            self._put("traffic:total", "counter",
-                      sum(traffic.values()), now)
-            self._put("traffic:5xx", "counter", bad, now)
-
-        for endpoint, count in (
-                payload.get("requests_by_endpoint", {}) or {}).items():
-            self._put(f"endpoint:{endpoint}", "counter", count, now)
-
-        node = payload.get("node_cache", {}) or {}
-        for key in ("hits", "misses", "published", "errors"):
-            if key in node:
-                self._put(f"node_cache:{key}", "counter", node[key], now)
-        if "hot_entries" in node:
-            self._put("node_cache:hot_entries", "gauge",
-                      node["hot_entries"], now)
-
-        for phase, seconds in (
-                payload.get("engine_phase_seconds", {}) or {}).items():
-            self._put(f"phase:{phase}", "counter", seconds, now)
+        for metric in SCHEMA:
+            value = section_of(payload, metric).get(metric.key)
+            if value is None or not metric.history:
+                continue
+            if not metric.label:
+                self._put(metric.history, metric.kind, value, now)
+                continue
+            for label, count in value.items():
+                self._put(metric.history + str(label), metric.kind, count,
+                          now)
+            for series, prefix in metric.history_totals:
+                self._put(series, metric.kind,
+                          sum(count for label, count in value.items()
+                              if str(label).startswith(prefix)), now)
 
         for kind, stats in (payload.get("breakers", {}) or {}).items():
-            if "states" in stats:  # fleet aggregate: per-state counts
-                states = stats.get("states", {}) or {}
-                open_count = sum(count for state, count in states.items()
-                                 if state != "closed")
-            else:
-                open_count = 0 if stats.get("state", "closed") == "closed" \
-                    else 1
+            open_count = sum(count for state, count
+                             in breaker_states(stats).items()
+                             if state != "closed")
             self._put(f"breaker:{kind}:open", "gauge", open_count, now)
             self._put(f"breaker:{kind}:opens", "counter",
                       stats.get("opens", 0), now)
@@ -204,14 +174,6 @@ class MetricsHistory:
 
         fleet = payload.get("fleet")
         if fleet:
-            for key in ("routed_total", "unrouted_503", "proxy_errors_502",
-                        "retries", "failovers", "timeouts_504",
-                        "worker_restarts", "chaos_kills"):
-                if key in fleet:
-                    self._put(f"fleet:{key}", "counter", fleet[key], now)
-            if "queue_depth" in fleet:
-                self._put("fleet:queue_depth", "gauge",
-                          fleet["queue_depth"], now)
             workers = fleet.get("workers", []) or []
             self._put("fleet:workers_ready", "gauge",
                       sum(1 for worker in workers if worker.get("ready")),

@@ -80,6 +80,7 @@ from repro.api.registry import (
 from repro.obs.accesslog import AccessLog
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prom import prometheus_text
+from repro.obs.schema import SCHEMA
 from repro.obs.slo import SLOEngine, load_objectives
 from repro.obs.timeseries import HistorySampler, MetricsHistory
 from repro.obs.trace import (
@@ -306,7 +307,8 @@ class SynthesisService:
     ) -> None:
         from collections import OrderedDict
 
-        from repro.api.registry import create_node_store, create_store
+        from repro.api.registry import (create_node_store, create_store,
+                                        node_store_beside)
 
         #: The operator's search defaults: a bad one is a startup error.
         self.defaults = search_defaults(defaults or {})
@@ -342,7 +344,7 @@ class SynthesisService:
         # and the hit/miss/published counters survive LRU session
         # eviction, keeping /metrics monotonic.
         if node_store == "auto":
-            node_store = self.store.path if self.store is not None else None
+            node_store = node_store_beside(self.store)
         self.node_store = create_node_store(node_store)
         if self.node_store is not None:
             self.node_store.breaker = CircuitBreaker(
@@ -768,8 +770,8 @@ class SynthesisService:
             # shows up here as hits instead of re-evaluated subtrees.
             "node_cache": (self.node_store.stats()
                            if self.node_store is not None else
-                           {"hits": 0, "misses": 0, "published": 0,
-                            "errors": 0, "hot_entries": 0}),
+                           {metric.key: metric.zero for metric in SCHEMA
+                            if metric.section == "node_cache"}),
             "interning": intern_stats(),
             "latency": {
                 "count": m.latency_count,

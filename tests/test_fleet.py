@@ -296,6 +296,12 @@ def test_aggregate_metrics_sums_and_maxes():
     empty = aggregate_metrics([])
     assert empty["engine_evaluations"] == 0
     assert empty["latency"]["mean_seconds"] == 0.0
+    # A fleet's /metrics carries the router's own start time, as its
+    # /healthz does (no worker needs to answer for it).
+    fleet = FleetService(workers=2, store=None)
+    payload = asyncio.run(fleet.metrics_payload())
+    assert payload["started_at"] == fleet.metrics.started_at
+    assert payload["workers_reporting"] == 0
 
 
 def test_unstarted_fleet_rejects_with_503():

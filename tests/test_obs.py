@@ -28,7 +28,8 @@ from repro.obs import (
     prometheus_text,
     unbind_span,
 )
-from repro.obs.timeseries import bucket_quantile
+from repro.obs.schema import SCHEMA
+from repro.obs.timeseries import MetricsHistory, bucket_quantile
 from repro.serve import (
     LATENCY_BUCKETS,
     Metrics,
@@ -541,6 +542,80 @@ def test_one_worker_aggregate_renders_every_worker_sample(tmp_path):
         assert worker["repro_interning_size"] > 0
     finally:
         handle.stop()
+
+
+#: The payload parts with a shape of their own (``section.key`` inside
+#: a section): a numeric leaf anywhere else must be a schema row.
+BESPOKE = ("breakers", "latency", "latency_histograms", "slo",
+           "fleet.workers")
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (str(key),))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (str(i),))
+    elif isinstance(node, (int, float)):
+        yield path
+
+
+def _declared(path):
+    """Whether a payload leaf is a schema row's or a bespoke part's."""
+    if path[0] in BESPOKE or ".".join(path[:2]) in BESPOKE:
+        return True
+    for metric in SCHEMA:
+        where = (metric.section,) if metric.section else ()
+        if path[:len(where) + 1] == where + (metric.key,) and \
+                len(path) == len(where) + 1 + bool(metric.label):
+            return True
+    return False
+
+
+def test_metrics_schema_covers_every_field(tmp_path):
+    """Drift guard: a live server's ``/metrics`` and a two-payload
+    aggregate have no numeric leaf that is neither a schema row nor a
+    bespoke part, and every schema row reaches both the Prometheus
+    text and (unless it declares none) the history series."""
+    server = ReproServer(SynthesisService(store=tmp_path / "s.sqlite"),
+                         port=0)
+    handle = server.run_in_thread()
+    try:
+        payloads = []
+        for body in ({"spec": "adder:8"}, {"spec": "nonsense:3"}):
+            _request(handle, "POST", "/synthesize", body)
+            payloads.append(json.loads(_request(handle, "GET",
+                                                "/metrics")[1]))
+    finally:
+        handle.stop()
+    merged = aggregate_metrics(payloads)
+    for payload in (payloads[-1], merged):
+        stray = [path for path in _numeric_leaves(payload)
+                 if not _declared(path)]
+        assert stray == []
+
+    fleet = FleetService(workers=2, store=None)
+    full = dict(merged, fleet=asyncio.run(fleet.metrics_payload())["fleet"])
+    families = {line.split()[2] for line in prometheus_text(full).split("\n")
+                if line.startswith("# TYPE ")}
+    assert [metric.prom for metric in SCHEMA
+            if metric.prom not in families] == []
+    history = MetricsHistory(clock=lambda: 1000.0)
+    history.record(full)
+    names = history.series_names()
+    for metric in SCHEMA:
+        wanted = [metric.history] + [series for series, _ in
+                                     metric.history_totals]
+        for name in filter(None, wanted):
+            assert any(series == name or (metric.label and
+                                          series.startswith(name))
+                       for series in names), (metric.key, name)
+    assert {(metric.section, metric.key) for metric in SCHEMA
+            if not metric.history} == {
+        ("", "uptime_seconds"), ("interning", "hits"),
+        ("interning", "misses"), ("interning", "revived"),
+        ("interning", "size")}
 
 
 # ---------------------------------------------------------------------------

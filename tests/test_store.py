@@ -488,6 +488,41 @@ def test_maintenance_under_another_writers_lock_raises_and_exits_2(
     nodes.close()
 
 
+def test_node_table_beside_a_store_takes_its_busy_timeout(tmp_path,
+                                                          capsys):
+    """The node table opened in a result store's file (``repro cache
+    nodes``, ``repro warm --nodes``, a service's ``auto`` node cache)
+    waits the store URL's ``busy_timeout_ms``, not the 10 s default:
+    under another connection's ``BEGIN EXCLUSIVE``, ``repro cache nodes
+    clear`` gives up after 0.2 s and exits 2."""
+    import asyncio
+    import sqlite3
+    import time
+
+    from repro.serve import SynthesisService
+
+    path = tmp_path / "locked.sqlite"
+    url = f"sqlite://{path}?busy_timeout_ms=200"
+    service = SynthesisService(store=url)
+    assert service.node_store.path == path
+    assert service.node_store.busy_timeout_ms == 200
+    assert service.node_store.policy is None
+    asyncio.run(service.close(close_stores=True))
+    assert cli_main(["warm", "--spec", "adder:4", "--nodes",
+                     "--store", url]) == 0
+    writer = sqlite3.connect(str(path), isolation_level=None)
+    try:
+        writer.execute("BEGIN EXCLUSIVE")
+        started = time.monotonic()
+        assert cli_main(["cache", "nodes", "clear", "--store", url]) == 2
+        assert time.monotonic() - started < 3.0
+        writer.execute("ROLLBACK")
+    finally:
+        writer.close()
+    out, err = capsys.readouterr()
+    assert "locked" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bumped", ["results", "nodes"])
 def test_schema_bump_drops_only_its_own_table_in_a_shared_file(
         tmp_path, monkeypatch, bumped):
