@@ -38,15 +38,18 @@ and never leave the process: specs and configurations pickle by value.
 Combining sibling options is one function, :func:`enumerate_rows`: it
 enumerates the S1-consistent cross product depth first and stops at
 the combination cap, so the cap bounds the work performed, not just the
-length of a list that was already fully materialized.  Sibling spec-id
-sets are analysed up front: an option list whose specs appear in no
-other list can never conflict, so its options are appended with no
-comparisons at all; for lists that *can* conflict, each option's
-shared ``(spec id, impl)`` pairs are extracted once and checked
-against the running merge.  A row is only ``(chosen configurations,
-s1_ok)``: the merged choice items are built later, and only for the
-rows whose costs survive the S2 filter (:class:`CostRecord`,
-:func:`merge_choices`).
+length of a list that was already fully materialized.  Most nodes take
+an early exit: when every list holds one option, the one row is
+decided with set operations over the chosen configurations' spec ids
+and ``(spec id, impl)`` pairs, own choice included.  Otherwise
+sibling spec-id sets are analysed up front: an option list whose specs
+appear in no other list can never conflict, so its options are
+appended with no comparisons at all; for lists that *can* conflict,
+each option's shared ``(spec id, impl)`` pairs are extracted once and
+checked against the running merge.  A row is only ``(chosen
+configurations, s1_ok)``: the merged choice items are built later, and
+only for the rows whose costs survive the S2 filter
+(:class:`CostRecord`, :func:`merge_choices`).
 
 Enumeration order is one of three names (:data:`ORDERINGS`): the
 default ``"lex"`` order walks the option lists exactly as given (the
@@ -67,6 +70,7 @@ nothing else.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -74,6 +78,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -167,6 +172,27 @@ class Configuration:
             object.__setattr__(
                 self, "delay", max((d for _, d in self.delays), default=0.0)
             )
+
+    @classmethod
+    def _canonical(cls, area: float, delays: DelayItems,
+                   choices: Tuple[Choice, ...],
+                   id_choices: Tuple[Tuple[int, int], ...], delay: float,
+                   intern_id: int) -> "Configuration":
+        """The intern table's constructor: the instance the dataclass
+        ``__init__`` would build, with ``id_choices`` and the intern id
+        cached, written straight into the instance dict (the frozen
+        ``__init__`` pays one ``object.__setattr__`` per field)."""
+        if delay < 0.0:
+            delay = max((d for _, d in delays), default=0.0)
+        config = object.__new__(cls)
+        caches = config.__dict__
+        caches["area"] = area
+        caches["delays"] = delays
+        caches["choices"] = choices
+        caches["delay"] = delay
+        caches["id_choices"] = id_choices
+        caches["_intern_id"] = intern_id
+        return config
 
     # -- identity ------------------------------------------------------
     @property
@@ -472,7 +498,8 @@ def enumerate_rows(
     ``spec id -> impl`` for the *tracked* specs only -- those that
     appear in two lists' universes, plus own specs some child also
     binds -- and a list whose universe touches no tracked spec skips
-    the merge entirely.
+    the merge entirely.  With one option per list, the one row is
+    decided by :func:`_one_row`.
 
     ``own_choice`` is the caller's own (spec -> impl) entries: a row
     whose children pin an own spec to a different impl is an S1
@@ -482,6 +509,9 @@ def enumerate_rows(
     """
     if limit is not None and limit <= 0:
         return []
+    sizes = list(map(len, option_lists))
+    if sizes.count(1) == len(sizes):
+        return _one_row(option_lists, own_choice)
     count = len(option_lists)
     # Which option lists can conflict at all?  A spec can collide only
     # when it appears in the spec-id universes of two different lists.
@@ -501,10 +531,6 @@ def enumerate_rows(
     lists = [order_fn(options, limit) for options in option_lists]
 
     rows: List[Row] = []
-    if count == 0:
-        # No sibling lists: exactly one empty combination.
-        rows.append(((), True))
-        return rows
 
     # Own entries that some child also binds: the only ones that can
     # conflict, so the only ones checked per row.  Tracking them too
@@ -602,6 +628,40 @@ def enumerate_rows(
     return rows
 
 
+def _one_row(option_lists: Sequence[Sequence[Configuration]],
+             own_choice: Optional[Mapping[ComponentSpec, int]]
+             ) -> List[Row]:
+    """:func:`enumerate_rows` when every list holds one option (or
+    there is no list): the one row, or none when two siblings bind a
+    spec to different impls.  Every order keeps a one-option list as it
+    is, and a cap of at least one keeps the row."""
+    chosen = tuple([options[0] for options in option_lists])
+    ids: set = set()
+    bound = 0
+    for config in chosen:
+        spec_ids = config.spec_ids
+        ids |= spec_ids
+        bound += len(spec_ids)
+    pairs: Optional[set] = None
+    if bound != len(ids):
+        # Some spec is bound twice: consistent only if both bindings
+        # are one (spec id, impl) pair.
+        pairs = set().union(*[config.id_choices for config in chosen])
+        if len(pairs) != len(ids):
+            return []
+    ok = True
+    if own_choice:
+        for spec, impl in own_choice.items():
+            ident = spec_id(spec)
+            if ident in ids:
+                if pairs is None:
+                    pairs = set().union(
+                        *[config.id_choices for config in chosen])
+                if (ident, impl) not in pairs:
+                    ok = False
+    return [(chosen, ok)]
+
+
 def merge_choices(chosen: Sequence[Configuration],
                   own_items: Sequence[Choice] = ()) -> Tuple[Choice, ...]:
     """The canonical choice items of an S1-consistent row: each spec's
@@ -609,21 +669,45 @@ def merge_choices(chosen: Sequence[Configuration],
     entries not already bound, sorted by spec sort key -- the choices
     of the row's configuration.  Only meaningful for a row whose
     ``s1_ok`` is true (its duplicate specs agree on the impl)."""
-    return _merge(chosen, own_items)[1]
+    return _merge(chosen, own_pairs(own_items))[1]
 
 
-def _merge(chosen: Sequence[Configuration], own_items: Sequence[Choice]
-           ) -> Tuple[List[int], Tuple[Choice, ...]]:
-    """:func:`merge_choices` plus the spec ids parallel to its items."""
+def own_pairs(own_items: Iterable[Choice]) -> Tuple[Tuple[int, Choice], ...]:
+    """``(spec id, choice)`` for each own choice: the form
+    :class:`CostRecord` carries its own entries in."""
+    return tuple([(spec_id(choice[0]), choice) for choice in own_items])
+
+
+def _pair_sort_key(pair: Tuple[int, int]) -> Tuple[str, int, str]:
+    return SPEC_IDS.values[pair[0]]
+
+
+def _merge(chosen: Sequence[Configuration],
+           own: Sequence[Tuple[int, Choice]]
+           ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Choice, ...]]:
+    """:func:`merge_choices` as ``(id_choices, choices)``; ``own`` is
+    :func:`own_pairs` of the own entries."""
+    if len(chosen) == 1:
+        # One child: its choices are sorted already, so each own entry
+        # it does not bind is inserted in place.
+        config = chosen[0]
+        ids, choices = config.id_choices, config.choices
+        for ident, choice in own:
+            if ident not in config.spec_ids:
+                at = bisect_left(ids, SPEC_IDS.values[ident],
+                                 key=_pair_sort_key)
+                ids = ids[:at] + ((ident, choice[1]),) + ids[at:]
+                choices = choices[:at] + (choice,) + choices[at:]
+        return ids, choices
     # spec id -> choice, filled lowest precedence first so each update
     # overwrites with an earlier occurrence: own entries, then the
     # chosen configurations deepest first.
-    merged: Dict[int, Choice] = {
-        spec_id(choice[0]): choice for choice in own_items}
+    merged: Dict[int, Choice] = dict(own)
     for config in reversed(chosen):
         merged.update(zip(map(_first, config.id_choices), config.choices))
     ordered = sorted(merged, key=SPEC_IDS.values.__getitem__)
-    return ordered, tuple(map(merged.__getitem__, ordered))
+    choices = tuple(map(merged.__getitem__, ordered))
+    return tuple(zip(ordered, map(_second, choices))), choices
 
 
 class CostRecord:
@@ -632,15 +716,16 @@ class CostRecord:
     The S2 filters' ``select_block`` ranks candidates on ``area`` and
     ``delay`` alone, so the costing loop hands them these records and
     only the survivors pay for their merged choice items and an intern
-    lookup (:meth:`configuration`).  A record never leaves the design
-    space that built it."""
+    lookup (:meth:`configuration`).  ``own`` holds the own entries as
+    :func:`own_pairs`.  A record never leaves the design space that
+    built it."""
 
     __slots__ = ("area", "delay", "keys", "values", "chosen", "own")
 
     def __init__(self, area: float, delay: float,
                  keys: Tuple[Tuple[str, str], ...], values: Tuple[float, ...],
                  chosen: Tuple[Configuration, ...],
-                 own: Tuple[Choice, ...]) -> None:
+                 own: Tuple[Tuple[int, Choice], ...]) -> None:
         self.area = area
         self.delay = delay
         #: The kernel's result arc keys (sorted) and the row's values.
@@ -658,16 +743,15 @@ class CostRecord:
         values -- so a fresh instance gets them handed over instead of
         computing each on first touch.  They are value-determined, so
         an interned instance that has them already keeps equal ones."""
-        ids, choices = _merge(self.chosen, self.own)
+        id_choices, choices = _merge(self.chosen, self.own)
         keys = self.keys
         config = CONFIGURATIONS.intern_parts(
-            self.area, tuple(zip(keys, self.values)), choices,
-            tuple(zip(ids, map(_second, choices))), Configuration,
-            self.delay)
+            self.area, tuple(zip(keys, self.values)), choices, id_choices,
+            Configuration, self.delay)
         caches = config.__dict__
         if "arc_id" not in caches:
             caches["_arc_keys"] = keys
             caches["delay_values"] = self.values
             caches["arc_id"] = ARC_IDS.id_of(keys)
-            caches["spec_ids"] = frozenset(ids)
+            caches["spec_ids"] = frozenset(map(_first, id_choices))
         return config

@@ -18,6 +18,16 @@ built once per rule netlist and process-wide.  Expansion, evaluation
 and reachability all walk that tuple, so each child is visited once
 per decomposition rather than once per module instance.
 
+The expanded graph is process-wide too: one :class:`_ExpansionGraph`
+per library and rule sequence (:attr:`~repro.core.rules.RuleBase.key`)
+holds every reached spec's node and implementation records.  A fresh
+space's :meth:`DesignSpace.expand` links the nodes a root reaches into
+its own ``nodes``; it reruns no rule match and builds no
+implementation, and a rule added to the rulebase makes the next
+expansion use a new graph.  Per-request statistics are memoized on the
+shared root node, and a cell binding's configuration is built once per
+implementation record.
+
 Evaluation computes, bottom-up, the set of costed
 :class:`~repro.core.configs.Configuration` alternatives per node, with
 both search controls applied:
@@ -37,21 +47,26 @@ The evaluation inner loop is engineered for the paper's scale claim
   bounds the enumeration work itself; consistency is checked on
   process-wide integer spec ids, and sibling specs that cannot conflict
   skip the check entirely.  A row is only its chosen configurations
-  and an S1 flag;
+  and an S1 flag.  Most decompositions have one option per module:
+  that single row is decided with set operations over the chosen
+  configurations' spec ids and choice pairs, own choice included
+  (the early exit of ``enumerate_rows``);
 - rows sharing an arc signature (grouped by tuples of process-wide arc
   ids, which also find the kernel) go straight to that kernel's
   ``run_batch``: its generated function reads the chosen
   configurations' delay values and areas itself and returns each
   row's area, worst delay and delays, so no weight matrices are built.
-  The results become :class:`~repro.core.configs.CostRecord` objects,
-  which the S2 filter's ``select_block`` ranks on area and delay; only
-  the survivors get merged choice items and an interned configuration,
-  and interning keys on spec ids, so the costing and filtering path
-  hashes no spec;
-- rule applications, cell matchings, and compiled programs are pure
-  functions of (rule, spec, library) and are cached process-wide, so
-  repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
-  skip re-expansion;
+  A single row skips the grouping: one kernel lookup, one
+  ``run_batch`` of one row.  The results become
+  :class:`~repro.core.configs.CostRecord` objects, which the S2
+  filter's ``select_block`` ranks on area and delay (a lone candidate,
+  which every filter keeps, is not ranked); only the survivors get
+  merged choice items and an interned configuration, and interning
+  keys on spec ids, so the costing and filtering path hashes no spec;
+- rule applications, cell matchings, expanded nodes and compiled
+  programs are pure functions of (rule, spec, library) and are cached
+  process-wide, so repeated syntheses (benchmarks, serving, LOLA
+  retargeting sweeps) skip re-expansion;
 - configurations are interned process-wide
   (:mod:`repro.core.interning`), so node-store and result-store loads
   land as canonical objects;
@@ -72,6 +87,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -81,6 +97,7 @@ from repro.core.configs import (
     CostRecord,
     enumerate_rows,
     make_configuration,
+    own_pairs,
     resolve_order,
 )
 from repro.core.filters import ParetoFilter, PerformanceFilter
@@ -99,14 +116,6 @@ _arc_id = attrgetter("arc_id")
 _connections = attrgetter("connections")
 
 
-def _configuration(candidate) -> Configuration:
-    """A filter survivor as a configuration (cost records materialize;
-    configurations pass through)."""
-    if isinstance(candidate, CostRecord):
-        return candidate.configuration()
-    return candidate
-
-
 class SynthesisError(Exception):
     """No implementation exists for a specification; the message names
     the leaf specifications that could not be implemented."""
@@ -116,7 +125,8 @@ class SynthesisError(Exception):
 # Process-wide expansion caches.
 #
 # Rule application and cell matching are pure functions of
-# (rule builder, spec, library) / (spec, library): builders derive the
+# (rule builder, spec, library) / (spec, library), and a node's
+# implementations of (rule sequence, spec, library): builders derive the
 # decomposition from the frozen spec plus the library's width catalog,
 # and nothing in the system mutates a rule-produced netlist after
 # construction.  Every DTAS instance used to redo this work from
@@ -135,14 +145,18 @@ _EXPANSION_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 # one thread at a time, but not always the same one (a serving process
 # runs each session's jobs on its executor threads).
 _NODE_STATS_LOCK = threading.Lock()
+# Serializes growing a shared expansion graph (reads take no lock).
+_GRAPH_LOCK = threading.Lock()
 
 
 class _LibraryCache:
-    __slots__ = ("rules", "cells")
+    __slots__ = ("rules", "cells", "graphs")
 
     def __init__(self) -> None:
         self.rules: Dict[tuple, List[Netlist]] = {}
         self.cells: Dict[ComponentSpec, List[CellBinding]] = {}
+        #: :attr:`RuleBase.key` -> that rule sequence's expansion graph.
+        self.graphs: Dict[tuple, _ExpansionGraph] = {}
 
 
 def _library_cache(library) -> _LibraryCache:
@@ -225,16 +239,17 @@ def _spec_timing_program(netlist: Netlist) -> TimingProgram:
     return program
 
 
-@dataclass
+@dataclass(eq=False)
 class Implementation:
     """One alternative implementation of a specification: either a
     library-cell binding or a decomposition netlist.
 
-    ``netlist`` is owned by the process-wide rule cache and shared by
-    every DTAS instance over the same library: treat it as read-only.
-    Mutating it corrupts later syntheses (a structure fingerprint
-    catches additions and forces a recompile, but rewired endpoints are
-    not detectable cheaply)."""
+    Implementations live in the process-wide expansion graph
+    (:class:`_ExpansionGraph`) and are shared by every design space
+    over the same library and rule sequence: treat them as read-only.
+    ``netlist`` is owned by the process-wide rule cache; mutating it
+    corrupts later syntheses (an implementation compiles its timing
+    program once, on first evaluation in the process)."""
 
     index: int
     spec: ComponentSpec
@@ -247,12 +262,30 @@ class Implementation:
     timing_program: Optional[TimingProgram] = field(
         default=None, repr=False, compare=False
     )
+    #: The decomposition's children (:func:`distinct_module_specs`);
+    #: empty for a cell binding.
+    children: Tuple[ComponentSpec, ...] = field(default=(), repr=False)
 
     @property
     def label(self) -> str:
         if self.kind == "cell":
             return f"cell:{self.binding.cell.name}"
         return f"rule:{self.rule_name}"
+
+    # Per-implementation evaluation data, built on first use: every
+    # row this implementation costs carries the same own S1 entry, and
+    # a cell binding is one configuration process-wide.
+    @cached_property
+    def own_choice(self) -> Dict[ComponentSpec, int]:
+        """``{spec: index}``, this implementation's own S1 entry."""
+        return {self.spec: self.index}
+
+    @cached_property
+    def cell_configuration(self) -> Configuration:
+        """A cell binding's one configuration."""
+        cell = self.binding.cell
+        return make_configuration(cell.area, cell.delay_matrix(),
+                                  {self.spec: self.index})
 
 
 @dataclass
@@ -262,6 +295,74 @@ class SpecNode:
     spec: ComponentSpec
     impls: List[Implementation] = field(default_factory=list)
     expanded: bool = False
+    #: :meth:`DesignSpace.stats_for` of this node alone, memoized on
+    #: the shared node (what it reaches is fixed by its graph).
+    stats: Optional[Dict[str, int]] = field(
+        default=None, repr=False, compare=False)
+
+
+def _expand_node(spec: ComponentSpec, rulebase: RuleBase,
+                 context: RuleContext) -> SpecNode:
+    """``spec``'s implementations: its cell bindings, then every
+    applicable rule's netlists, indexed in that order."""
+    impls: List[Implementation] = []
+    for binding in _cached_matching_cells(spec, context.library):
+        impls.append(Implementation(len(impls), spec, "cell", binding=binding))
+    for rule in rulebase.rules_for(spec):
+        for netlist in _cached_rule_netlists(rule, spec, context):
+            impls.append(Implementation(
+                len(impls), spec, "decomp", netlist=netlist,
+                rule_name=rule.name,
+                children=distinct_module_specs(netlist)))
+    return SpecNode(spec, impls, expanded=True)
+
+
+class _ExpansionGraph:
+    """One rule sequence's expansion graph over one library, shared by
+    every design space in the process: each reached spec's expanded
+    :class:`SpecNode`, and per expanded root the nodes it reaches.
+
+    Rule application and cell matching are pure functions of (rule,
+    spec, library), and the rule sequence fixes which rules apply to
+    every spec, so a node and its links to its children are the same
+    in every space over that sequence.  The graph only grows; growth
+    takes :data:`_GRAPH_LOCK`, reads take none."""
+
+    __slots__ = ("nodes", "reach")
+
+    def __init__(self) -> None:
+        self.nodes: Dict[ComponentSpec, SpecNode] = {}
+        self.reach: Dict[ComponentSpec, Tuple[SpecNode, ...]] = {}
+
+    def reached(self, root: ComponentSpec, rulebase: RuleBase,
+                context: RuleContext) -> Tuple[SpecNode, ...]:
+        """The nodes ``root`` reaches (itself first), expanding the
+        ones the graph does not hold yet."""
+        reach = self.reach.get(root)
+        if reach is None:
+            with _GRAPH_LOCK:
+                reach = self.reach.get(root)
+                if reach is None:
+                    reach = self.reach[root] = self._walk(
+                        root, rulebase, context)
+        return reach
+
+    def _walk(self, root: ComponentSpec, rulebase: RuleBase,
+              context: RuleContext) -> Tuple[SpecNode, ...]:
+        nodes = self.nodes
+        found: Dict[ComponentSpec, SpecNode] = {}
+        pending = [root]
+        while pending:
+            spec = pending.pop()
+            if spec in found:
+                continue
+            node = nodes.get(spec)
+            if node is None:
+                node = nodes[spec] = _expand_node(spec, rulebase, context)
+            found[spec] = node
+            for impl in node.impls:
+                pending.extend(impl.children)
+        return tuple(found.values())
 
 
 @dataclass
@@ -363,11 +464,20 @@ class DesignSpace:
         #: (child subtrees are evaluated in their own ``configs``
         #: calls), so summing phases never double-counts.
         self.phase_seconds: Dict[str, float] = {}
-        # Re-entrancy guards: specs mid-expansion / mid-evaluation on
-        # the current call stack.  One space runs on one thread at a
-        # time, so a spec found here is a decomposition cycle.
-        self._expanding: Set[ComponentSpec] = set()
+        # Re-entrancy guard: specs mid-evaluation on the current call
+        # stack.  One space runs on one thread at a time, so a spec
+        # found here is a decomposition cycle.
         self._evaluating: Set[ComponentSpec] = set()
+        #: The decompositions this space costed (it had every child's
+        #: options, so it held their compiled program).
+        self._costed: Set[Implementation] = set()
+        # The shared expansion graph of the rulebase's current rules,
+        # and whether this space has linked nodes of an earlier one (a
+        # rule was added in between), which voids the per-node
+        # ``stats_for`` memo for it.
+        self._graph: Optional[_ExpansionGraph] = None
+        self._graph_key: Optional[tuple] = None
+        self._graph_switched = False
 
     @property
     def max_combinations(self) -> int:
@@ -392,51 +502,31 @@ class DesignSpace:
     # expansion (rules + technology mapping)
     # ------------------------------------------------------------------
     def expand(self, spec: ComponentSpec) -> SpecNode:
-        """Expand a specification node (idempotent)."""
+        """Expand a specification node (idempotent): link every node it
+        reaches in the process-wide expansion graph of the rulebase's
+        rules, which expands the ones no space has reached yet.  Nodes
+        this space already holds stay as they are."""
         node = self.nodes.get(spec)
-        if node is not None and node.expanded:
+        if node is not None:
             return node
-        if node is None:
-            node = SpecNode(spec)
-            self.nodes[spec] = node
-        if spec in self._expanding:
-            return node  # completed by the ancestor call
-        # Only the outermost expansion clocks the
-        # "expand" phase: recursive child expansions are inside its
-        # window, so timing them too would double-count.
-        outermost = not self._expanding
-        phase_start = time.perf_counter() if outermost else 0.0
-        self._expanding.add(spec)
+        phase_start = time.perf_counter()
         try:
-            impls: List[Implementation] = []
-            for binding in _cached_matching_cells(spec, self.library):
-                impls.append(
-                    Implementation(len(impls), spec, "cell", binding=binding)
-                )
-            for rule in self.rulebase.rules_for(spec):
-                for netlist in _cached_rule_netlists(rule, spec,
-                                                     self.context):
-                    impls.append(
-                        Implementation(
-                            len(impls), spec, "decomp",
-                            netlist=netlist, rule_name=rule.name,
-                        )
-                    )
-            node.impls = impls
-            node.expanded = True
+            key = self.rulebase.key
+            if key is not self._graph_key:
+                graphs = _library_cache(self.library).graphs
+                graph = graphs.get(key)
+                if graph is None:
+                    graph = graphs.setdefault(key, _ExpansionGraph())
+                self._graph_switched = self._graph is not None
+                self._graph, self._graph_key = graph, key
             nodes = self.nodes
-            for impl in impls:
-                if impl.kind == "decomp":
-                    for child in distinct_module_specs(impl.netlist):
-                        known = nodes.get(child)
-                        if known is None or not known.expanded:
-                            self.expand(child)
+            link = nodes.setdefault
+            for shared in self._graph.reached(spec, self.rulebase,
+                                              self.context):
+                link(shared.spec, shared)
+            return nodes[spec]
         finally:
-            self._expanding.discard(spec)
-            if outermost:
-                self._phase_add("expand",
-                                time.perf_counter() - phase_start)
-        return node
+            self._phase_add("expand", time.perf_counter() - phase_start)
 
     # ------------------------------------------------------------------
     # the node cache (subtree-level persistent work sharing)
@@ -507,11 +597,10 @@ class DesignSpace:
             return
         phase_start = time.perf_counter()
         try:
-            programs = sum(
-                1 for impl in node.impls if impl.timing_program is not None)
             if self.node_store.save_options(
                 self._node_key(spec), spec, selected,
-                impls=len(node.impls), programs=programs):
+                impls=len(node.impls),
+                programs=self.programs_compiled([node])):
                 with _NODE_STATS_LOCK:
                     self.node_stats["published"] += 1
         finally:
@@ -537,7 +626,7 @@ class DesignSpace:
             # this path; the offending implementation is dropped.
             return []
         node = self.nodes.get(spec)
-        if node is None or not node.expanded:
+        if node is None:
             node = self.expand(spec)
         self._evaluating.add(spec)
         try:
@@ -548,7 +637,10 @@ class DesignSpace:
                     return loaded
             candidates: list = []
             for impl in node.impls:
-                candidates.extend(self._impl_configs(spec, impl))
+                if impl.kind == "cell":
+                    candidates.append(impl.cell_configuration)
+                else:
+                    candidates.extend(self._decomp_configs(spec, impl))
             selected = self._select(candidates)
             if not selected:
                 self.failures.setdefault(
@@ -569,33 +661,23 @@ class DesignSpace:
         :class:`Configuration` objects mixed with the
         :class:`~repro.core.configs.CostRecord` objects of evaluated
         rows.  The filter's ``select_block`` ranks the mixed block on
-        area and delay, and only its survivors become configurations."""
+        area and delay, and only its survivors become configurations.
+        Every filter keeps a lone candidate, so one is not ranked."""
         phase_start = time.perf_counter()
         try:
-            return [_configuration(c)
-                    for c in self.perf_filter.select_block(candidates)]
+            if len(candidates) > 1:
+                candidates = self.perf_filter.select_block(candidates)
+            return [c.configuration() if c.__class__ is CostRecord else c
+                    for c in candidates]
         finally:
             self._phase_add("filter", time.perf_counter() - phase_start)
-
-    def _impl_configs(self, spec: ComponentSpec, impl: Implementation) -> list:
-        """One implementation's S2 candidates: a configuration for a
-        cell binding, cost records for a decomposition."""
-        if impl.kind == "cell":
-            cell = impl.binding.cell
-            return [
-                make_configuration(
-                    cell.area, cell.delay_matrix(), {spec: impl.index}
-                )
-            ]
-        return self._decomp_configs(spec, impl)
 
     def _decomp_configs(
         self, spec: ComponentSpec, impl: Implementation
     ) -> List[CostRecord]:
-        netlist = impl.netlist
         memo = self._configs
         option_lists = []
-        for sub in distinct_module_specs(netlist):
+        for sub in impl.children:
             options = memo.get(sub)
             if options is None:
                 options = self.configs(sub)
@@ -605,11 +687,11 @@ class DesignSpace:
 
         program = impl.timing_program
         if program is None:
-            program = impl.timing_program = _spec_timing_program(netlist)
-
+            program = impl.timing_program = _spec_timing_program(
+                impl.netlist)
+        self._costed.add(impl)
         return self._evaluate_combinations(
-            program, option_lists, {spec: impl.index}
-        )
+            program, option_lists, impl.own_choice)
 
     def _evaluate_combinations(
         self,
@@ -624,18 +706,25 @@ class DesignSpace:
         ``run_batch`` call of that signature's kernel (which reads the
         chosen configurations' areas and delay values itself), and
         return one :class:`~repro.core.configs.CostRecord` per costed
-        row, in enumeration order.  :meth:`_select` turns the survivors
-        into configurations.
+        row, in enumeration order.  A single row is its own group.
+        :meth:`_select` turns the survivors into configurations.
         """
         phase_start = time.perf_counter()
         try:
-            rows = enumerate_rows(
-                option_lists,
-                limit=self.max_combinations,
-                order=self.order,
-                own_choice=own_choice,
-            )
-            own_items = tuple(own_choice.items()) if own_choice else ()
+            rows = enumerate_rows(option_lists, self.max_combinations,
+                                  self.order, own_choice)
+            own_items = own_pairs(own_choice.items()) if own_choice else ()
+            arc_keys = ARC_IDS.values
+            if len(rows) == 1:
+                chosen, ok = rows[0]
+                if not ok:
+                    return []  # own-choice conflict: counted, never costed
+                kernel = program.kernel_for(tuple(map(_arc_id, chosen)),
+                                            arc_keys)
+                (area, delay, values), = kernel.run_batch([chosen], 1)
+                self.combinations_costed += 1
+                return [CostRecord(area, delay, kernel.keys, values, chosen,
+                                   own_items)]
             results: List[Optional[CostRecord]] = [None] * len(rows)
             groups: Dict[tuple, List[int]] = {}
             groups_get = groups.get
@@ -648,7 +737,6 @@ class DesignSpace:
                     groups[key] = [index]
                 else:
                     group.append(index)
-            arc_keys = ARC_IDS.values
             costed = 0
             for arc_ids, indices in groups.items():
                 kernel = program.kernel_for(arc_ids, arc_keys)
@@ -765,16 +853,7 @@ class DesignSpace:
         return count(spec)
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "spec_nodes": len(self.nodes),
-            "implementations": sum(len(n.impls) for n in self.nodes.values()),
-            "cell_bindings": sum(
-                1 for n in self.nodes.values() for i in n.impls if i.kind == "cell"
-            ),
-            "decompositions": sum(
-                1 for n in self.nodes.values() for i in n.impls if i.kind == "decomp"
-            ),
-        }
+        return _node_counts(list(self.nodes.values()))
 
     def reachable_nodes(self, roots: Iterable[ComponentSpec]) -> List[SpecNode]:
         """The expanded nodes reachable from ``roots`` through
@@ -796,8 +875,7 @@ class DesignSpace:
                 continue
             found.append(node)
             for impl in node.impls:
-                if impl.kind == "decomp":
-                    queue.extend(distinct_module_specs(impl.netlist))
+                queue.extend(impl.children)
         return found
 
     def stats_for(self, roots: Iterable[ComponentSpec]) -> Dict[str, int]:
@@ -809,13 +887,35 @@ class DesignSpace:
         session, the serve pool, and a fresh single-request process all
         report identical numbers for the same request.  For a
         single-request space the two views coincide: expansion only
-        creates nodes reachable from the root."""
-        nodes = self.reachable_nodes(roots)
-        return {
-            "spec_nodes": len(nodes),
-            "implementations": sum(len(n.impls) for n in nodes),
-            "cell_bindings": sum(
-                1 for n in nodes for i in n.impls if i.kind == "cell"),
-            "decompositions": sum(
-                1 for n in nodes for i in n.impls if i.kind == "decomp"),
-        }
+        creates nodes reachable from the root.
+
+        One root's counts are memoized on its shared node: what a node
+        reaches is fixed by its expansion graph, unless this space
+        linked nodes of two graphs."""
+        roots = list(roots)
+        if len(roots) == 1 and not self._graph_switched:
+            node = self.nodes.get(roots[0])
+            if node is not None:
+                if node.stats is None:
+                    node.stats = _node_counts(self.reachable_nodes(roots))
+                return dict(node.stats)
+        return _node_counts(self.reachable_nodes(roots))
+
+    def programs_compiled(self, nodes: Iterable[SpecNode]) -> int:
+        """How many of ``nodes``' decompositions this space costed,
+        which compiled (or reused) their timing program: a count of
+        this space's own work, whatever other spaces did."""
+        costed = self._costed
+        return sum(1 for node in nodes for impl in node.impls
+                   if impl in costed)
+
+
+def _node_counts(nodes: List[SpecNode]) -> Dict[str, int]:
+    return {
+        "spec_nodes": len(nodes),
+        "implementations": sum(len(n.impls) for n in nodes),
+        "cell_bindings": sum(
+            1 for n in nodes for i in n.impls if i.kind == "cell"),
+        "decompositions": sum(
+            1 for n in nodes for i in n.impls if i.kind == "decomp"),
+    }

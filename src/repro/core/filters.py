@@ -20,6 +20,7 @@ service select them by designator (``pareto``, ``tradeoff:0.05``,
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, List, Protocol, Sequence
 
 from repro.core.configs import Configuration
@@ -48,10 +49,13 @@ class PerformanceFilter(Protocol):
         ...
 
 
+_area_delay = attrgetter("area", "delay")
+
+
 def _sorted(configs: Iterable[Configuration]) -> List[Configuration]:
     """(area, delay)-sorted copy; ``sorted`` is stable, so ties in both
     coordinates keep their input (enumeration) order."""
-    return sorted(configs, key=lambda c: (c.area, c.delay))
+    return sorted(configs, key=_area_delay)
 
 
 def pareto_frontier(sorted_configs: Sequence[Configuration]) -> List[Configuration]:

@@ -42,7 +42,7 @@ class RuleContext:
         return self.library.widths_of_ctype(ctype)
 
 
-@dataclass
+@dataclass(eq=False)
 class Rule:
     """One functional-decomposition rule.
 
@@ -50,7 +50,8 @@ class Rule:
     spec (most rules return one; style rules may return several).
     ``library_specific`` marks the rules that encode knowledge about a
     particular data book (the paper's "nine library-specific design
-    rules").
+    rules").  A rule compares and hashes by identity, so a tuple of
+    rules (:attr:`RuleBase.key`) can key a cache.
     """
 
     name: str
@@ -83,10 +84,24 @@ class RuleBase:
         self._names: Dict[str, Rule] = {}
         #: ctype -> its rules in insertion order (:meth:`rules_for`).
         self._by_ctype: Dict[str, List[Rule]] = {}
+        self._key: Optional[Tuple[Rule, ...]] = None
+
+    @property
+    def key(self) -> Tuple[Rule, ...]:
+        """The rules in insertion order, as one hashable value (rules
+        hash by identity), built once per :meth:`add`.  Two rulebases
+        holding the same rule objects in the same order have equal
+        keys; the design space keys its process-wide expansion graph
+        by it, so a rule added later reaches the next expansion."""
+        key = self._key
+        if key is None:
+            key = self._key = tuple(self._rules)
+        return key
 
     def add(self, rule: Rule) -> None:
         if rule.name in self._names:
             raise ValueError(f"duplicate rule name {rule.name!r}")
+        self._key = None
         self._rules.append(rule)
         self._names[rule.name] = rule
         self._by_ctype.setdefault(rule.ctype, []).append(rule)

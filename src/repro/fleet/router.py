@@ -848,6 +848,9 @@ class FleetService:
             if count:
                 traffic[status] = traffic.get(status, 0) + count
         aggregated["fleet"] = self.fleet_stats()
+        # The router's own clock, as on /healthz: the workers' uptimes
+        # restart with every respawn and are absent when none answers.
+        aggregated["uptime_seconds"] = self.metrics.uptime_seconds
         aggregated["started_at"] = self.metrics.started_at
         return aggregated
 

@@ -18,6 +18,7 @@ data books does not rebuild what they share.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -60,10 +61,21 @@ def adapt(
     return report
 
 
+#: library -> its adaptation, so every rulebase adapted to one library
+#: holds the same rule objects: the design space's process-wide caches
+#: (rule netlists by builder, expansion graphs by rule sequence) then
+#: serve each new session instead of growing by one entry per session.
+_ADAPTATIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def adapt_rulebase(rulebase: RuleBase, library: CellLibrary) -> AdaptationReport:
     """Extend a rulebase in place with LOLA-generated rules (skipping
-    names already present, so re-adaptation is idempotent)."""
-    report = adapt(library)
+    names already present, so re-adaptation is idempotent).  The
+    rules are generated once per library and shared, as is the
+    returned report."""
+    report = _ADAPTATIONS.get(library)
+    if report is None:
+        report = _ADAPTATIONS.setdefault(library, adapt(library))
     existing = {rule.name for rule in rulebase}
     for rule in report.rules:
         if rule.name not in existing:

@@ -233,23 +233,6 @@ class MetricsHistory:
         now = self.clock() if now is None else now
         return counter_increase(self._window_points(ring, window, now))
 
-    def rate(self, name: str, window: float,
-             now: Optional[float] = None) -> float:
-        """Per-second rate of a counter over the trailing window,
-        using the actual sample span (not the nominal window) as the
-        denominator so short histories do not under-report."""
-        ring = self._series.get(name)
-        if not ring or len(ring) < 2:
-            return 0.0
-        now = self.clock() if now is None else now
-        points = self._window_points(ring, window, now)
-        if len(points) < 2:
-            return 0.0
-        span = points[-1][0] - points[0][0]
-        if span <= 0:
-            return 0.0
-        return counter_increase(points) / span
-
     def gauge_last(self, name: str) -> Optional[float]:
         ring = self._series.get(name)
         return ring[-1][1] if ring else None

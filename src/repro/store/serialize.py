@@ -93,9 +93,7 @@ def _timing_metadata(job, space) -> Dict[str, int]:
         roots = []
     nodes = space.reachable_nodes(roots)
     return {
-        "programs_compiled": sum(
-            1 for node in nodes for impl in node.impls
-            if impl.timing_program is not None),
+        "programs_compiled": space.programs_compiled(nodes),
         "spec_nodes": len(nodes),
     }
 

@@ -304,6 +304,25 @@ def test_aggregate_metrics_sums_and_maxes():
     assert payload["workers_reporting"] == 0
 
 
+def test_unstarted_fleet_uptime_agrees_with_its_started_at():
+    """A fleet's ``/metrics`` uptime is the router's, measured from the
+    moment its ``started_at`` records -- not the max over workers,
+    which is 0.0 with none reporting."""
+    from datetime import datetime, timezone
+
+    fleet = FleetService(workers=2, store=None)
+    before = time.monotonic()
+    payload = asyncio.run(fleet.metrics_payload())
+    ceiling = time.monotonic() - fleet.metrics.started_monotonic
+    assert payload["workers_reporting"] == 0
+    assert 0.0 < payload["uptime_seconds"] <= ceiling
+    assert payload["uptime_seconds"] >= before - fleet.metrics.started_monotonic
+    started = datetime.fromisoformat(payload["started_at"])
+    age = (datetime.now(timezone.utc) - started).total_seconds()
+    # started_at is stamped to the second
+    assert age - 1.5 <= payload["uptime_seconds"] <= age + 1.5
+
+
 def test_unstarted_fleet_rejects_with_503():
     fleet = FleetService(workers=2, store=None)
     with pytest.raises(ServeError) as error:

@@ -472,3 +472,28 @@ def test_spec_ids_are_value_keyed_under_concurrency():
     assert len(set(found[0].values())) == len(fresh)
     assert [spec_id(spec) for spec in fresh] == [
         found[0][index] for index in range(len(fresh))]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_option_rows_match_streaming_oracle_fuzz(seed):
+    """Every option list holds exactly one option -- the shape most
+    decompositions have -- drawn from a small shared spec pool, so
+    siblings conflict with each other and with the own choice.  Under
+    all three orders and caps None and 1, :func:`enumerate_rows` must
+    return exactly the rows the streaming oracle enumerates."""
+    rng = random.Random(5000 + seed)
+    pool = [adder_spec(4), adder_spec(8), mux_spec(2, 4), gate_spec("NAND"),
+            gate_spec("XOR")]
+    lists = []
+    for _ in range(rng.randint(0, 4)):
+        specs = rng.sample(pool, rng.randint(1, 2))
+        lists.append([_cfg(rng.randint(1, 9), rng.randint(1, 9),
+                           {spec: rng.randint(0, 1) for spec in specs})])
+    own_choice = ({rng.choice(pool): rng.randint(0, 1)}
+                  if rng.random() < 0.8 else None)
+    for order in ("lex", "frontier", "auto"):
+        for limit in (None, 1):
+            kwargs = {"limit": limit, "order": order,
+                      "own_choice": own_choice}
+            assert _enumerate(lists, **kwargs) == \
+                _expected_rows(lists, **kwargs)
