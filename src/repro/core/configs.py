@@ -70,7 +70,6 @@ nothing else.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -172,27 +171,6 @@ class Configuration:
             object.__setattr__(
                 self, "delay", max((d for _, d in self.delays), default=0.0)
             )
-
-    @classmethod
-    def _canonical(cls, area: float, delays: DelayItems,
-                   choices: Tuple[Choice, ...],
-                   id_choices: Tuple[Tuple[int, int], ...], delay: float,
-                   intern_id: int) -> "Configuration":
-        """The intern table's constructor: the instance the dataclass
-        ``__init__`` would build, with ``id_choices`` and the intern id
-        cached, written straight into the instance dict (the frozen
-        ``__init__`` pays one ``object.__setattr__`` per field)."""
-        if delay < 0.0:
-            delay = max((d for _, d in delays), default=0.0)
-        config = object.__new__(cls)
-        caches = config.__dict__
-        caches["area"] = area
-        caches["delays"] = delays
-        caches["choices"] = choices
-        caches["delay"] = delay
-        caches["id_choices"] = id_choices
-        caches["_intern_id"] = intern_id
-        return config
 
     # -- identity ------------------------------------------------------
     @property
@@ -678,27 +656,11 @@ def own_pairs(own_items: Iterable[Choice]) -> Tuple[Tuple[int, Choice], ...]:
     return tuple([(spec_id(choice[0]), choice) for choice in own_items])
 
 
-def _pair_sort_key(pair: Tuple[int, int]) -> Tuple[str, int, str]:
-    return SPEC_IDS.values[pair[0]]
-
-
 def _merge(chosen: Sequence[Configuration],
            own: Sequence[Tuple[int, Choice]]
            ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Choice, ...]]:
     """:func:`merge_choices` as ``(id_choices, choices)``; ``own`` is
     :func:`own_pairs` of the own entries."""
-    if len(chosen) == 1:
-        # One child: its choices are sorted already, so each own entry
-        # it does not bind is inserted in place.
-        config = chosen[0]
-        ids, choices = config.id_choices, config.choices
-        for ident, choice in own:
-            if ident not in config.spec_ids:
-                at = bisect_left(ids, SPEC_IDS.values[ident],
-                                 key=_pair_sort_key)
-                ids = ids[:at] + ((ident, choice[1]),) + ids[at:]
-                choices = choices[:at] + (choice,) + choices[at:]
-        return ids, choices
     # spec id -> choice, filled lowest precedence first so each update
     # overwrites with an earlier occurrence: own entries, then the
     # chosen configurations deepest first.

@@ -56,8 +56,8 @@ The evaluation inner loop is engineered for the paper's scale claim
   ``run_batch``: its generated function reads the chosen
   configurations' delay values and areas itself and returns each
   row's area, worst delay and delays, so no weight matrices are built.
-  A single row skips the grouping: one kernel lookup, one
-  ``run_batch`` of one row.  The results become
+  A single row is a group of one: one kernel lookup, one ``run_batch``
+  of one row.  The results become
   :class:`~repro.core.configs.CostRecord` objects, which the S2
   filter's ``select_block`` ranks on area and delay (a lone candidate,
   which every filter keeps, is not ranked); only the survivors get
@@ -248,8 +248,10 @@ class Implementation:
     (:class:`_ExpansionGraph`) and are shared by every design space
     over the same library and rule sequence: treat them as read-only.
     ``netlist`` is owned by the process-wide rule cache; mutating it
-    corrupts later syntheses (an implementation compiles its timing
-    program once, on first evaluation in the process)."""
+    corrupts later syntheses.  Each space that costs a decomposition
+    rechecks the netlist's structure fingerprint, so added modules,
+    nets, ports or connections force a recompile and refresh the
+    children, but rewired endpoints are not detectable cheaply."""
 
     index: int
     spec: ComponentSpec
@@ -262,15 +264,19 @@ class Implementation:
     timing_program: Optional[TimingProgram] = field(
         default=None, repr=False, compare=False
     )
-    #: The decomposition's children (:func:`distinct_module_specs`);
-    #: empty for a cell binding.
-    children: Tuple[ComponentSpec, ...] = field(default=(), repr=False)
 
     @property
     def label(self) -> str:
         if self.kind == "cell":
             return f"cell:{self.binding.cell.name}"
         return f"rule:{self.rule_name}"
+
+    @property
+    def children(self) -> Tuple[ComponentSpec, ...]:
+        """The decomposition's children, read from its netlist
+        (:func:`distinct_module_specs`); none for a cell binding."""
+        netlist = self.netlist
+        return () if netlist is None else distinct_module_specs(netlist)
 
     # Per-implementation evaluation data, built on first use: every
     # row this implementation costs carries the same own S1 entry, and
@@ -312,8 +318,7 @@ def _expand_node(spec: ComponentSpec, rulebase: RuleBase,
         for netlist in _cached_rule_netlists(rule, spec, context):
             impls.append(Implementation(
                 len(impls), spec, "decomp", netlist=netlist,
-                rule_name=rule.name,
-                children=distinct_module_specs(netlist)))
+                rule_name=rule.name))
     return SpecNode(spec, impls, expanded=True)
 
 
@@ -675,20 +680,19 @@ class DesignSpace:
     def _decomp_configs(
         self, spec: ComponentSpec, impl: Implementation
     ) -> List[CostRecord]:
+        # The implementation is shared by every space, but each space
+        # rechecks its netlist's structure (a mutated netlist
+        # recompiles), and the children are the program's slots.
+        program = impl.timing_program = _spec_timing_program(impl.netlist)
         memo = self._configs
         option_lists = []
-        for sub in impl.children:
+        for sub in program.slot_keys:
             options = memo.get(sub)
             if options is None:
                 options = self.configs(sub)
             if not options:
                 return []  # some module is unimplementable
             option_lists.append(options)
-
-        program = impl.timing_program
-        if program is None:
-            program = impl.timing_program = _spec_timing_program(
-                impl.netlist)
         self._costed.add(impl)
         return self._evaluate_combinations(
             program, option_lists, impl.own_choice)
@@ -706,7 +710,7 @@ class DesignSpace:
         ``run_batch`` call of that signature's kernel (which reads the
         chosen configurations' areas and delay values itself), and
         return one :class:`~repro.core.configs.CostRecord` per costed
-        row, in enumeration order.  A single row is its own group.
+        row, in enumeration order.  A single row is a group of one.
         :meth:`_select` turns the survivors into configurations.
         """
         phase_start = time.perf_counter()
@@ -714,17 +718,6 @@ class DesignSpace:
             rows = enumerate_rows(option_lists, self.max_combinations,
                                   self.order, own_choice)
             own_items = own_pairs(own_choice.items()) if own_choice else ()
-            arc_keys = ARC_IDS.values
-            if len(rows) == 1:
-                chosen, ok = rows[0]
-                if not ok:
-                    return []  # own-choice conflict: counted, never costed
-                kernel = program.kernel_for(tuple(map(_arc_id, chosen)),
-                                            arc_keys)
-                (area, delay, values), = kernel.run_batch([chosen], 1)
-                self.combinations_costed += 1
-                return [CostRecord(area, delay, kernel.keys, values, chosen,
-                                   own_items)]
             results: List[Optional[CostRecord]] = [None] * len(rows)
             groups: Dict[tuple, List[int]] = {}
             groups_get = groups.get
@@ -737,6 +730,7 @@ class DesignSpace:
                     groups[key] = [index]
                 else:
                     group.append(index)
+            arc_keys = ARC_IDS.values
             costed = 0
             for arc_ids, indices in groups.items():
                 kernel = program.kernel_for(arc_ids, arc_keys)

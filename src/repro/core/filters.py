@@ -36,7 +36,10 @@ class PerformanceFilter(Protocol):
     objects, which carry only ``area`` and ``delay`` of the
     filter-facing fields, so it must select on those two alone; the
     design space turns its survivors into configurations.  Each
-    built-in aliases it to ``select``."""
+    built-in aliases it to ``select``.
+
+    A filter must keep a lone candidate: the design space does not
+    call it for a node with one candidate."""
 
     name: str
 

@@ -92,8 +92,9 @@ class InternTable:
             if existing is not None:
                 self.hits += 1
                 return existing
-            config = cls._canonical(area, delays, choices, id_choices, delay,
-                                    self._next_id)
+            config = cls(area, delays, choices, delay)
+            config.__dict__["id_choices"] = id_choices
+            object.__setattr__(config, "_intern_id", self._next_id)
             self._next_id += 1
             self._table[key] = config
             self.misses += 1

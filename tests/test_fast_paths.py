@@ -13,8 +13,9 @@ None of that may change an answer:
 - ``stats_for`` equals a fresh ``reachable_nodes`` walk;
 - rulebases never share expansion records, while ``lola`` sessions on
   one library share one graph; a rule added to a rulebase reaches the
-  next space, and answers equal those of a process whose expansion
-  caches were cleared.
+  next space, each space rechecks a shared rule netlist for mutation,
+  and answers equal those of a process whose expansion caches were
+  cleared.
 
 After a deliberate change of answers, regenerate the golden file with::
 
@@ -206,6 +207,31 @@ def test_a_rule_added_later_reaches_the_next_space():
     assert len(node.impls) == before + len(template.apply(
         spec, later.space.context))
     assert node.impls[-1].rule_name == "late-adder"
+
+
+def test_each_space_rechecks_a_shared_netlist_for_mutation():
+    """Implementations are shared, yet each space's first costing of a
+    decomposition rechecks its rule netlist's structure fingerprint: a
+    net added after the netlist compiled forces a recompile in the next
+    space, whose answers stay those of the unmutated netlist."""
+    spec = adder_spec(8)
+    design_space._EXPANSION_CACHES.clear()
+    try:
+        first = Session(library="lsi_logic")
+        before = first.synthesize(spec).result.alternatives
+        impl = next(impl for impl in first.space.nodes[spec].impls
+                    if impl.timing_program is not None)
+        compiled = impl.timing_program
+        impl.netlist.add_net("unconnected_probe")
+        second = Session(library="lsi_logic")
+        after = second.synthesize(spec).result.alternatives
+        again = second.space.nodes[spec].impls[impl.index]
+        assert again.netlist is impl.netlist
+        assert again.timing_program is not compiled
+        assert [alt.config for alt in after] == \
+            [alt.config for alt in before]
+    finally:
+        design_space._EXPANSION_CACHES.clear()
 
 
 def test_answers_equal_those_after_clearing_expansion_caches(golden):
