@@ -279,24 +279,6 @@ def _restore_configuration(area, delays, choices) -> Configuration:
         area, delays, choices, _id_choices(choices), Configuration)
 
 
-def revive_configuration(
-    area: float,
-    delays: Mapping[Tuple[str, str], float],
-    choices: Mapping[ComponentSpec, int],
-) -> Configuration:
-    """Re-intern a configuration loaded from outside the process (the
-    result store's JSON payloads use this).  Same normalization as
-    :func:`make_configuration`, same canonical instance -- a loaded
-    configuration equal to a freshly computed one *is* that object --
-    but counted separately by the intern table's ``revived`` stat."""
-    delay_items = tuple(sorted(delays.items()))
-    choice_items = tuple(
-        sorted(choices.items(), key=lambda kv: kv[0].sort_key))
-    return CONFIGURATIONS.revive_parts(
-        float(area), delay_items, choice_items, _id_choices(choice_items),
-        Configuration)
-
-
 def make_configuration(
     area: float,
     delays: Mapping[Tuple[str, str], float],

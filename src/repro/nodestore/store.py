@@ -23,24 +23,27 @@ Two tiers:
     ``repro serve`` or fleet worker that opens the same file probes
     and publishes nodes the others can reuse.
 
-Loads re-intern through ``CONFIGURATIONS.revive_parts``
-(:meth:`repro.core.interning.InternTable.revive_parts`) in
-:func:`_revive`, so a cache-served option list holds exactly the
+A row is a small header (table and payload versions, the node's spec
+token, its implementation count and compiled-program count) around the
+option list in the configuration codec both tables share
+(:func:`repro.store.serialize.encode_configs` /
+:func:`~repro.store.serialize.decode_configs`).  Loads re-intern
+through that codec, so a cache-served option list holds exactly the
 canonical objects a fresh evaluation would produce -- the bit-identity
-contract.  Every load is sanity-checked against the live expansion
-(payload schema, spec token, implementation count) and every index the
-payload holds is range-checked; any mismatch or decode failure deletes
-the entry and reports a miss, so a corrupt or stale row self-heals on
-the next publish.  Store failures follow the one rule of
-:mod:`repro.store.store`: the two serving ops degrade (a load serves
-only what the hot tier holds, a save is a no-op that still fills the
-hot tier) and count under ``errors``, so a broken cache never breaks
-synthesis; maintenance ops raise.
+contract.  Every load checks the header against the live expansion
+(payload schema, spec token, implementation count) and the codec
+checks every index and the choice order the row holds; any mismatch
+or decode failure deletes the entry and reports a miss, so a corrupt
+or stale row self-heals on the next publish.  Store failures follow
+the one rule of :mod:`repro.store.store`: the two serving ops degrade
+(a load serves only what the hot tier holds, a save is a no-op that
+still fills the hot tier) and count under ``errors``, so a broken
+cache never breaks synthesis; maintenance ops raise.
 
 The SQLite lifecycle, table set-up and maintenance surface (``len``,
 ``in``, ``entries``, ``info``, ``prune``, ``clear``, ``close``) are
 :class:`repro.store.store.CacheTable`'s, shared with the result store;
-this module adds the hot tier and the payload codec.
+this module adds the hot tier and the row header.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.configs import Configuration, spec_id
-from repro.core.interning import CONFIGURATIONS
 from repro.store.fingerprint import spec_token
-from repro.store.serialize import spec_from_token
+from repro.store.serialize import decode_configs, encode_configs
 from repro.store.store import CacheTable, serving_op
 
 #: Node table format version; a mismatch drops the ``nodes`` table (a
@@ -64,10 +65,11 @@ from repro.store.store import CacheTable, serving_op
 NODE_SCHEMA = 1
 
 #: Payload encoding version *inside* a row.  Version 2 is the
-#: delta-encoded form: option delay signatures and choice spec tokens
-#: are dictionary-encoded per payload (``sigs`` and ``specs``), and
-#: choice lists are stored as (shared-prefix length, tail) deltas
-#: against the previous option.  Every payload is self-contained: it
+#: delta-encoded form of :func:`repro.store.serialize.encode_configs`:
+#: option delay signatures and choice spec tokens are
+#: dictionary-encoded per payload (``sigs`` and ``specs``), and choice
+#: lists are stored as (shared-prefix length, tail) deltas against the
+#: previous option.  Every payload is self-contained: it
 #: decodes with nothing but its own row.  Rows written by an older
 #: payload version -- or against the retired shared spec dictionary
 #: (a ``dict`` guard, no ``specs``) -- fail decode and self-heal to a
@@ -78,13 +80,6 @@ NODE_PAYLOAD = 2
 #: tuple of already-interned configurations, so the dominant cost is
 #: held references, not copies).
 HOT_TIER_ENTRIES = 4096
-
-
-def _index(value: Any, bound: int) -> bool:
-    """Whether ``value`` is an int position in ``[0, bound)``: Python
-    slicing and negative indexing would accept anything else silently,
-    decoding a corrupt row into wrong configurations."""
-    return type(value) is int and 0 <= value < bound
 
 
 class NodeStore(CacheTable):
@@ -178,7 +173,7 @@ class NodeStore(CacheTable):
             with self._lock:
                 self.misses += 1
             return None
-        options = _revive(payload, spec, expected_impls)
+        options = _decode_row(payload, spec, expected_impls)
         with self._lock:
             if options is None:
                 self._delete(fingerprint)
@@ -210,7 +205,14 @@ class NodeStore(CacheTable):
                 self._touch(fingerprint)
                 return False
             self._hot_insert_locked(fingerprint, tuple(options), impls)
-            payload = _encode(spec, options, impls, programs)
+            payload = {
+                "schema": NODE_SCHEMA,
+                "payload": NODE_PAYLOAD,
+                "spec": spec_token(spec),
+                "impls": int(impls),
+                "programs": int(programs),
+                **encode_configs(options),
+            }
             text = json.dumps(payload, sort_keys=True,
                               separators=(",", ":"))
             now = time.time()
@@ -263,113 +265,21 @@ class NodeStore(CacheTable):
 
 
 # ---------------------------------------------------------------------------
-# payload v2: delta encode/decode
+# the row header
 # ---------------------------------------------------------------------------
 
-def _encode(spec: Any, options: List[Any], impls: int,
-            programs: int) -> Dict[str, Any]:
-    """The delta payload for one node (:data:`NODE_PAYLOAD`).
-
-    Three layers of redundancy come out: (1) every option of one node
-    carries the same few delay-arc signatures, so signatures are
-    dictionary-encoded and each option stores an index plus its value
-    row; (2) the spec tokens the choices name repeat across options,
-    so each distinct spec (by :func:`~repro.core.configs.spec_id`) is
-    spelled once in ``specs`` and choices store its position; (3) S1
-    enumeration yields siblings that share long choice prefixes, so
-    each option's sorted choice list is stored as (shared-prefix
-    length, differing tail) against the previous option."""
-    sigs: List[list] = []
-    sig_index: Dict[tuple, int] = {}
-    tokens: List[Any] = []
-    spec_pos: Dict[int, int] = {}
-    encoded: List[list] = []
-    prev_pairs: List[list] = []
-    for config in options:
-        arc_keys = tuple(pins for pins, _ in config.delays)
-        si = sig_index.get(arc_keys)
-        if si is None:
-            si = sig_index[arc_keys] = len(sigs)
-            sigs.append([list(pins) for pins in arc_keys])
-        pairs = []
-        for choice_spec, impl in config.choices:
-            ident = spec_id(choice_spec)
-            pos = spec_pos.get(ident)
-            if pos is None:
-                pos = spec_pos[ident] = len(tokens)
-                tokens.append(spec_token(choice_spec))
-            pairs.append([pos, impl])
-        prefix = 0
-        limit = min(len(pairs), len(prev_pairs))
-        while prefix < limit and pairs[prefix] == prev_pairs[prefix]:
-            prefix += 1
-        encoded.append([config.area, si,
-                        [delay for _, delay in config.delays],
-                        prefix, pairs[prefix:]])
-        prev_pairs = pairs
-    return {
-        "schema": NODE_SCHEMA,
-        "payload": NODE_PAYLOAD,
-        "spec": spec_token(spec),
-        "impls": int(impls),
-        "programs": int(programs),
-        "sigs": sigs,
-        "specs": tokens,
-        "options": encoded,
-    }
-
-
-def _revive(payload: Dict[str, Any], spec: Any,
-            expected_impls: int) -> Optional[List[Any]]:
-    """Decode and re-intern one payload, or ``None`` when it fails any
-    sanity check (the caller then deletes the entry; a row from an
-    older payload version heals the same way -- a miss, never an
-    error).  Every index the decoder follows is range-checked, so a
-    corrupt row can only miss, never decode to wrong configurations."""
+def _decode_row(payload: Any, spec: Any,
+                expected_impls: int) -> Optional[List[Any]]:
+    """Check one row's header against the live expansion and decode its
+    options, or ``None`` when any check fails (the caller then deletes
+    the entry; a row from an older payload version heals the same way
+    -- a miss, never an error).  No row holds an empty option list."""
     if (not isinstance(payload, dict)
             or payload.get("schema") != NODE_SCHEMA
             or payload.get("payload") != NODE_PAYLOAD
-            or payload.get("impls") != expected_impls
-            or not isinstance(payload.get("specs"), list)
-            or not isinstance(payload.get("options"), list)
-            or not payload["options"]):
+            or payload.get("impls") != expected_impls):
         return None
     canonical = json.loads(json.dumps(spec_token(spec)))
     if payload.get("spec") != canonical:
         return None  # key collision or hand-edited row
-    try:
-        specs = [spec_from_token(token) for token in payload["specs"]]
-        ids = [spec_id(choice_spec) for choice_spec in specs]
-        sigs = [tuple(tuple(pins) for pins in sig)
-                for sig in payload["sigs"]]
-        revive = CONFIGURATIONS.revive_parts
-        options: List[Any] = []
-        prev_pairs: list = []
-        for area, si, values, prefix, tail in payload["options"]:
-            if not (_index(si, len(sigs))
-                    and _index(prefix, len(prev_pairs) + 1)):
-                return None
-            # Reconstruct the full sorted choice list from the delta;
-            # the decoded pairs stay in the encoder's canonical
-            # sort_key order, so the parts go straight to the intern
-            # table without re-sorting.
-            pairs = prev_pairs[:prefix]
-            for pos, impl in tail:
-                if not (_index(pos, len(specs))
-                        and type(impl) is int and impl >= 0):
-                    return None
-                pairs.append((pos, impl))
-            prev_pairs = pairs
-            sig = sigs[si]
-            if len(sig) != len(values):
-                return None
-            delay_items = tuple(zip(
-                sig, [float(value) for value in values]))
-            options.append(revive(
-                float(area), delay_items,
-                tuple([(specs[pos], impl) for pos, impl in pairs]),
-                tuple([(ids[pos], impl) for pos, impl in pairs]),
-                Configuration))
-        return options
-    except (IndexError, KeyError, TypeError, ValueError):
-        return None
+    return decode_configs(payload) or None

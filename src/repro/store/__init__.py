@@ -43,8 +43,6 @@ from repro.store.fingerprint import (
 )
 from repro.store.serialize import (
     PAYLOAD_SCHEMA,
-    config_from_jsonable,
-    config_to_jsonable,
     job_to_payload,
     payload_to_job,
     spec_from_token,
@@ -68,8 +66,6 @@ __all__ = [
     "STORE_SCHEMA",
     "ResultStore",
     "StoreError",
-    "config_from_jsonable",
-    "config_to_jsonable",
     "default_store_path",
     "job_to_payload",
     "library_digest",

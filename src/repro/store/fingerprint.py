@@ -36,9 +36,11 @@ import hashlib
 import json
 from typing import Any, List, Optional
 
-#: Bump together with :data:`repro.store.store.STORE_SCHEMA` whenever
-#: the payload format changes; it is folded into every fingerprint so
-#: old-format entries become unreachable rather than mis-parsed.
+#: Folded into every result fingerprint: a bump makes every stored
+#: entry unreachable.  A payload format change needs no bump here; it
+#: bumps :data:`repro.store.serialize.PAYLOAD_SCHEMA` (an old payload
+#: is a miss) and :data:`repro.store.store.STORE_SCHEMA` (an older
+#: file's ``results`` table is emptied on open).
 FINGERPRINT_SCHEMA = 1
 
 

@@ -1,35 +1,41 @@
-"""Result payloads: configurations and jobs as JSON, and back.
+"""The one configuration codec, and the result payloads built on it.
 
-The store persists everything a warm process needs to answer a request
-without touching the engine: the surviving configurations (full value
--- area, delay matrix, choice map), the design-space statistics and
-runtime the original job recorded, the rendered Figure-3 report, and
-timing-program metadata.
+Both cache tables persist ordered lists of configurations -- a node
+row one spec node's options (:mod:`repro.nodestore.store`), a result
+row one request's alternatives -- through :func:`encode_configs` and
+:func:`decode_configs`.  A result payload (:func:`job_to_payload`)
+adds what a warm process needs to answer without the engine: the
+statistics and runtime the original job recorded, the rendered
+Figure-3 report, and timing-program metadata.
 
 The load path is the important one: configurations are rebuilt through
-:mod:`repro.core.interning` (via
-:func:`~repro.core.configs.revive_configuration`), so a warm-loaded
-``Configuration`` is *the canonical interned instance* -- identical
-(``is``) to a freshly computed equal one, with the same O(1) equality
-and shared lazy caches.  Specs are rebuilt through
-:func:`repro.core.specs.make_spec`, which re-freezes the JSON lists
-into the canonical attribute tuples, so choice maps key correctly
-against live design-space nodes.
+:mod:`repro.core.interning` (``CONFIGURATIONS.revive_parts``), so a
+loaded ``Configuration`` is *the canonical interned instance* --
+identical (``is``) to a freshly computed equal one.  Specs are rebuilt
+through :func:`repro.core.specs.make_spec`, so choice maps key
+correctly against live design-space nodes.  Every index the decoder
+follows is range-checked and every choice list must be in canonical
+order: a corrupt list decodes to ``None`` (a miss the caller heals by
+recomputing), never to wrong configurations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.configs import Configuration, spec_id
+from repro.core.interning import CONFIGURATIONS
 from repro.store.fingerprint import spec_token
 
-#: Payload format version (stored inside every payload *and* folded
-#: into the fingerprint via FINGERPRINT_SCHEMA; the double check makes
-#: a mixed-version store fail safe on both paths).
-#: v2 added ``phases`` (the producer's per-phase engine timing, so a
-#: warm body stays byte-identical to the body the engine run emitted);
-#: v1 entries self-heal to a miss.
-PAYLOAD_SCHEMA = 2
+#: Result payload format version, checked on every load: a payload of
+#: another version is a miss, recomputed and overwritten.  Fingerprints
+#: digest only :data:`repro.store.fingerprint.FINGERPRINT_SCHEMA`, so
+#: a bump here keeps every key; bump
+#: :data:`repro.store.store.STORE_SCHEMA` with it to empty an older
+#: file's ``results`` table on open.  v2 added ``phases`` (so a warm
+#: body stays byte-identical to the engine run's); v3 stores
+#: ``alternatives`` through :func:`encode_configs`.
+PAYLOAD_SCHEMA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -48,28 +54,105 @@ def spec_from_token(token: List[Any]):
 # Configurations
 # ---------------------------------------------------------------------------
 
-def config_to_jsonable(config) -> Dict[str, Any]:
-    return {
-        "area": config.area,
-        "delays": [[list(pins), delay] for pins, delay in config.delays],
-        "choices": [[spec_token(spec), impl] for spec, impl in config.choices],
-    }
+def _index(value: Any, bound: int) -> bool:
+    """Whether ``value`` is an int position in ``[0, bound)``: Python
+    slicing and negative indexing would accept anything else silently,
+    decoding a corrupt list into wrong configurations."""
+    return type(value) is int and 0 <= value < bound
 
 
-def config_from_jsonable(data: Dict[str, Any]):
-    """Rebuild -- and re-intern -- one configuration.
+def encode_configs(configs: Sequence[Any]) -> Dict[str, Any]:
+    """The JSON block for an ordered list of configurations: ``sigs``,
+    ``specs`` and ``options``.
 
-    Goes through :func:`~repro.core.configs.revive_configuration`, so
-    the returned object is the process-canonical interned instance: if
-    an equal configuration already exists (computed fresh, unpickled
-    from a worker, or loaded earlier), that exact object comes back.
-    """
-    from repro.core.configs import revive_configuration
+    Three layers of redundancy come out: (1) the configurations of one
+    list carry the same few delay-arc signatures, so signatures are
+    dictionary-encoded and each option stores an index plus its value
+    row; (2) the spec tokens the choices name repeat across options,
+    so each distinct spec (by :func:`~repro.core.configs.spec_id`) is
+    spelled once in ``specs`` and choices store its position; (3) S1
+    enumeration yields siblings that share long choice prefixes, so
+    each option's sorted choice list is stored as (shared-prefix
+    length, differing tail) against the previous option."""
+    sigs: List[list] = []
+    sig_index: Dict[tuple, int] = {}
+    tokens: List[Any] = []
+    spec_pos: Dict[int, int] = {}
+    encoded: List[list] = []
+    prev_pairs: List[list] = []
+    for config in configs:
+        arc_keys = tuple(pins for pins, _ in config.delays)
+        si = sig_index.get(arc_keys)
+        if si is None:
+            si = sig_index[arc_keys] = len(sigs)
+            sigs.append([list(pins) for pins in arc_keys])
+        pairs = []
+        for choice_spec, impl in config.choices:
+            ident = spec_id(choice_spec)
+            pos = spec_pos.get(ident)
+            if pos is None:
+                pos = spec_pos[ident] = len(tokens)
+                tokens.append(spec_token(choice_spec))
+            pairs.append([pos, impl])
+        prefix = 0
+        limit = min(len(pairs), len(prev_pairs))
+        while prefix < limit and pairs[prefix] == prev_pairs[prefix]:
+            prefix += 1
+        encoded.append([config.area, si,
+                        [delay for _, delay in config.delays],
+                        prefix, pairs[prefix:]])
+        prev_pairs = pairs
+    return {"sigs": sigs, "specs": tokens, "options": encoded}
 
-    delays = {tuple(pins): delay for pins, delay in data["delays"]}
-    choices = {spec_from_token(token): impl
-               for token, impl in data["choices"]}
-    return revive_configuration(data["area"], delays, choices)
+
+def decode_configs(block: Any) -> Optional[List[Any]]:
+    """Decode and re-intern an :func:`encode_configs` block (extra keys
+    are ignored), or ``None`` when it fails any check.  The revived
+    objects are the process-canonical interned instances, counted by
+    the intern table's ``revived`` stat."""
+    if not (isinstance(block, dict)
+            and isinstance(block.get("sigs"), list)
+            and isinstance(block.get("specs"), list)
+            and isinstance(block.get("options"), list)):
+        return None
+    try:
+        specs = [spec_from_token(token) for token in block["specs"]]
+        ids = [spec_id(choice_spec) for choice_spec in specs]
+        keys = [choice_spec.sort_key for choice_spec in specs]
+        sigs = [tuple(tuple(pins) for pins in sig) for sig in block["sigs"]]
+        revive = CONFIGURATIONS.revive_parts
+        configs: List[Any] = []
+        prev_pairs: list = []
+        for area, si, values, prefix, tail in block["options"]:
+            if not (_index(si, len(sigs))
+                    and _index(prefix, len(prev_pairs) + 1)):
+                return None
+            # Reconstruct the full sorted choice list from the delta.
+            # The parts go straight to the intern table, so the choices
+            # must be in the canonical, strictly increasing sort_key
+            # order: a reordered list would intern as a second,
+            # unequal configuration of one value.
+            pairs = prev_pairs[:prefix]
+            for pos, impl in tail:
+                if not (_index(pos, len(specs))
+                        and type(impl) is int and impl >= 0
+                        and (not pairs or keys[pairs[-1][0]] < keys[pos])):
+                    return None
+                pairs.append((pos, impl))
+            prev_pairs = pairs
+            sig = sigs[si]
+            if len(sig) != len(values):
+                return None
+            delay_items = tuple(zip(
+                sig, [float(value) for value in values]))
+            configs.append(revive(
+                float(area), delay_items,
+                tuple([(specs[pos], impl) for pos, impl in pairs]),
+                tuple([(ids[pos], impl) for pos, impl in pairs]),
+                Configuration))
+        return configs
+    except (IndexError, KeyError, TypeError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +196,8 @@ def job_to_payload(job) -> Dict[str, Any]:
         "schema": PAYLOAD_SCHEMA,
         "request": {"kind": job.request.kind, "label": job.request.label},
         "spec": spec_token(job.spec) if job.spec is not None else None,
-        "alternatives": [config_to_jsonable(alt.config)
-                         for alt in job.alternatives],
+        "alternatives": encode_configs(
+            [alt.config for alt in job.alternatives]),
         "stats": dict(job.stats),
         "runtime_seconds": job.runtime_seconds,
         "phases": dict(job.phases),
@@ -124,7 +207,9 @@ def job_to_payload(job) -> Dict[str, Any]:
 
 
 def payload_to_job(payload: Dict[str, Any], request, session):
-    """Rebuild a SynthesisJob from a stored payload.
+    """Rebuild a SynthesisJob from a stored payload; ``ValueError``
+    when its alternatives fail to decode (the session's miss: the
+    engine recomputes and overwrites the entry).
 
     The alternatives carry re-interned canonical configurations and are
     bound to the session's design space: cost views, reports, and the
@@ -143,12 +228,13 @@ def payload_to_job(payload: Dict[str, Any], request, session):
             f"store payload schema {payload.get('schema')!r} does not match "
             f"this build's {PAYLOAD_SCHEMA}"
         )
+    configs = decode_configs(payload["alternatives"])
+    if configs is None:
+        raise ValueError("stored alternatives do not decode")
     spec = (spec_from_token(payload["spec"])
             if payload.get("spec") is not None else None)
-    alternatives = [
-        DesignAlternative(i, config_from_jsonable(data), session.space, spec)
-        for i, data in enumerate(payload["alternatives"])
-    ]
+    alternatives = [DesignAlternative(i, config, session.space, spec)
+                    for i, config in enumerate(configs)]
     result = SynthesisResult(
         alternatives,
         dict(payload["stats"]),
@@ -169,6 +255,6 @@ def jsonable_payload(payload: Optional[Dict[str, Any]]) -> bool:
     return (
         isinstance(payload, dict)
         and payload.get("schema") == PAYLOAD_SCHEMA
-        and isinstance(payload.get("alternatives"), list)
+        and isinstance(payload.get("alternatives"), dict)
         and isinstance(payload.get("stats"), dict)
     )

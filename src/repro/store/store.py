@@ -67,8 +67,10 @@ from repro.store.backend import WouldBlock
 
 #: Store format version; a mismatch resets the store (it is a cache).
 #: v2 added the ``body`` column, so no pre-v2 (body-less) row is ever
-#: probed by the byte-serving path.
-STORE_SCHEMA = 2
+#: probed by the byte-serving path; v3 came with
+#: :data:`repro.store.serialize.PAYLOAD_SCHEMA` 3 (the ``nodes`` table,
+#: versioned apart, stays warm).
+STORE_SCHEMA = 3
 
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_STORE"

@@ -754,7 +754,8 @@ def _assert_row_heals(path, spec, baseline, corrupt):
 
 
 #: One corrupted field of a published payload per case: (field, value),
-#: where ``None`` stands for one past the field's valid range.
+#: where ``None`` stands for one past the field's valid range (for
+#: ``order``: two choices of one option swapped, each index in range).
 CORRUPT_FIELDS = {
     "negative_prefix": ("prefix", -1),
     "prefix_past_previous": ("prefix", None),
@@ -765,11 +766,16 @@ CORRUPT_FIELDS = {
     "signature_past_sigs": ("signature", None),
     "negative_impl": ("impl", -1),
     "string_impl": ("impl", "0"),
+    "out_of_order_choices": ("order", None),
 }
 
 
 def _corrupt_field(payload, field, value):
     options = payload["options"]
+    if field == "order":
+        tail = options[0][4]
+        tail[0], tail[1] = tail[1], tail[0]
+        return
     previous = options[1][3] + len(options[1][4])  # option 1's pair count
     target = options[2]  # [area, signature, values, prefix, tail]
     assert target[3] > 0 and target[4], "want a shared prefix and a tail"
@@ -783,18 +789,82 @@ def _corrupt_field(payload, field, value):
         target[4][0][1] = value
 
 
-@pytest.mark.parametrize("field, value", list(CORRUPT_FIELDS.values()),
-                         ids=list(CORRUPT_FIELDS))
+def _result_payload(path, key):
+    """The stored result payload under ``key`` in the file at ``path``."""
+    import sqlite3
+
+    db = sqlite3.connect(path)
+    (text,) = db.execute("SELECT payload FROM results WHERE fingerprint = ?",
+                         (key,)).fetchone()
+    db.close()
+    return json.loads(text)
+
+
+def _assert_result_row_heals(path, spec, corrupt):
+    """``spec``'s result row at ``path``, its alternatives corrupted by
+    ``corrupt``, is a self-healing miss: a fresh session over the file
+    answers exactly like a fresh run and overwrites the row."""
+    import sqlite3
+
+    baseline = Session(library="lsi_logic", store=path).synthesize(spec)
+    key = Session(library="lsi_logic").fingerprint(spec)
+    stored = _result_payload(path, key)
+    corrupt(stored["alternatives"])
+    db = sqlite3.connect(path)
+    with db:
+        db.execute("UPDATE results SET payload = ? WHERE fingerprint = ?",
+                   (json.dumps(stored), key))
+    db.close()
+
+    job = Session(library="lsi_logic", store=path).synthesize(spec)
+    assert not job.from_store
+    _assert_same_job(baseline, job)
+    assert (_result_payload(path, key)["alternatives"]
+            != stored["alternatives"])
+    assert Session(library="lsi_logic", store=path).synthesize(
+        spec).from_store
+
+
+@pytest.mark.parametrize(
+    "field, value, table",
+    [(*case, table) for table in ("nodes", "results")
+     for case in CORRUPT_FIELDS.values()],
+    ids=list(CORRUPT_FIELDS) + [f"{name}-results" for name in CORRUPT_FIELDS])
 def test_out_of_range_payload_field_is_a_miss_not_wrong_options(
-        tmp_path, field, value):
-    """Every index the decoder follows is range-checked: Python slicing
-    and negative indexing would otherwise decode a corrupt row into a
-    hit with wrong configurations."""
+        tmp_path, field, value, table):
+    """Every index the shared configuration decoder follows is
+    range-checked, in a node row and in a result row alike: Python
+    slicing and negative indexing would otherwise decode a corrupt row
+    into a hit with wrong configurations."""
     path = tmp_path / "range.sqlite"
     spec = alu_spec(16)
+
+    def corrupt(payload):
+        _corrupt_field(payload, field, value)
+
+    if table == "results":
+        _assert_result_row_heals(path, spec, corrupt)
+        return
     baseline = Session(library="lsi_logic", node_store=path).synthesize(spec)
-    _assert_row_heals(path, spec, baseline,
-                      lambda payload: _corrupt_field(payload, field, value))
+    _assert_row_heals(path, spec, baseline, corrupt)
+
+
+def test_node_rows_are_pinned(tmp_path):
+    """The node table's rows for one ALU16 run, byte for byte: the
+    configuration codec is shared with the result table, and a change
+    to it must not change a node row (existing node caches stay warm
+    only while this digest holds)."""
+    import hashlib
+    import sqlite3
+
+    path = tmp_path / "pinned.sqlite"
+    Session(library="lsi_logic", node_store=path).synthesize(alu_spec(16))
+    db = sqlite3.connect(path)
+    rows = sorted(db.execute("SELECT fingerprint, payload FROM nodes"))
+    db.close()
+    assert len(rows) == 83
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "0bda1037fb10fe6e7f435aa10256372a09c4cad08d631d25af8c0d0e6b15ce0a")
 
 
 def test_legacy_shared_dictionary_row_heals_to_inline(tmp_path):

@@ -15,13 +15,12 @@ from repro.core.specs import adder_spec, alu_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
 from repro.store import (
     ResultStore,
-    config_from_jsonable,
-    config_to_jsonable,
     default_store_path,
     library_digest,
     spec_from_token,
     spec_token,
 )
+from repro.store.serialize import decode_configs, encode_configs
 from repro.store.store import STORE_ENV, STORE_SCHEMA
 from repro.techlib import lsi_logic_library, vendor2_library
 
@@ -142,20 +141,22 @@ def test_spec_token_round_trip():
 
 def test_config_round_trip_re_interns_to_identity():
     job = Session().synthesize(adder_spec(8))
-    for alt in job.alternatives:
-        data = json.loads(json.dumps(config_to_jsonable(alt.config)))
-        revived = config_from_jsonable(data)
+    configs = [alt.config for alt in job.alternatives]
+    revived = decode_configs(json.loads(json.dumps(encode_configs(configs))))
+    assert len(revived) == len(configs) > 1
+    for config, live in zip(revived, configs):
         # Not merely equal: the canonical interned instance itself.
-        assert revived is alt.config
+        assert config is live
 
 
 def test_revive_counts_in_intern_stats():
     from repro.core.interning import intern_stats
 
     job = Session().synthesize(adder_spec(8))
+    configs = [alt.config for alt in job.alternatives]
     before = intern_stats()["revived"]
-    config_from_jsonable(config_to_jsonable(job.alternatives[0].config))
-    assert intern_stats()["revived"] == before + 1
+    decode_configs(encode_configs(configs))
+    assert intern_stats()["revived"] == before + len(configs)
 
 
 # ---------------------------------------------------------------------------
