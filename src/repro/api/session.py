@@ -80,7 +80,7 @@ class Session:
         :class:`~repro.store.ResultStore` enables it.  With a store, every
         content-addressable request is first looked up by its
         canonical fingerprint -- a hit skips expansion and evaluation
-        entirely and returns re-interned canonical configurations --
+        entirely and returns revived canonical configurations --
         and every computed result is written back for the next
         process.
     node_store:
@@ -155,7 +155,7 @@ class Session:
         With a :attr:`store`, content-addressable requests are first
         looked up by fingerprint: a hit is served without expansion or
         evaluation (``job.from_store`` is True and its configurations
-        are the canonical interned instances); a miss runs the engine
+        are revived canonical instances); a miss runs the engine
         and persists the result for the next process.  ``fingerprint``
         lets a caller that already computed :meth:`fingerprint` for
         this exact request (the serve layer, for coalescing) skip the

@@ -11,29 +11,28 @@ choices.
 A configuration also carries its cost: total area (equivalent NAND
 gates) and the full input-to-output pin delay matrix (nanoseconds), so
 parents can run structural timing over their decomposition netlists.
-The scalar worst-delay summary is computed once at construction (it is
-the sort key of every filter pass), and per-spec choice lookup is
-backed by a lazily built dictionary so materializing a design tree is
-linear rather than quadratic in tree size.
+The scalar worst-delay summary is stored at construction (it is the
+sort key of every filter pass), and per-spec choice lookup is backed by
+a lazily built dictionary so materializing a design tree is linear
+rather than quadratic in tree size.
 
-Configurations are *interned* (:mod:`repro.core.interning`):
-:func:`make_configuration` returns one canonical instance per distinct
-(area, delays, choices) value, so equality between interned instances
-is an O(1) identity check, duplicate allocation disappears from the
-keep-all ablations, and every lazy per-object cache is computed once
-process-wide.  The intern key and :meth:`Configuration.__hash__` use
-the ``(spec id, impl)`` pairs in place of the choices: spec ids are by
-value, so the key is equivalent and hashes no spec.
+A configuration is built by plain construction: its parts go straight
+into its instance dict, in the forms the engine reads them in, with no
+table lookup and no pair tuple (see :class:`Configuration`).  An S2
+survivor (:meth:`CostRecord.configuration`) shares its timing kernel's
+arc-key tuple and gets its merged choices and their spec ids as two
+parallel tuples.  Only values arriving from outside the process --
+store and node-store loads, unpickling -- go through the intern table
+(:mod:`repro.core.interning`).
 
 S1 bookkeeping runs on small integers, never on specs.  Each distinct
 spec value gets one process-wide *spec id* (:func:`spec_id`, cached on
-the spec object), and each configuration lazily caches its
-``(spec id, impl)`` pairs (:attr:`Configuration.id_choices`) and the
-set of its spec ids (:attr:`Configuration.spec_ids`).  Likewise each
-distinct arc signature gets one process-wide *arc id*
-(:attr:`Configuration.arc_id`), so the costing loop groups rows by
-tuples of small ints.  The id tables only grow, are filled under a lock,
-and never leave the process: specs and configurations pickle by value.
+the spec object), and each configuration holds the spec ids of its
+choices (:attr:`Configuration.ids`).  Likewise each distinct arc
+signature gets one process-wide *arc id* (:attr:`Configuration.arc_id`),
+so the costing loop groups rows by tuples of small ints.  The id tables
+only grow, are filled under a lock, and never leave the process: specs
+and configurations pickle by value.
 
 Combining sibling options is one function, :func:`enumerate_rows`: it
 enumerates the S1-consistent cross product depth first and stops at
@@ -41,14 +40,14 @@ the combination cap, so the cap bounds the work performed, not just the
 length of a list that was already fully materialized.  Most nodes take
 an early exit: when every list holds one option, the one row is
 decided with set operations over the chosen configurations' spec ids
-and ``(spec id, impl)`` pairs, own choice included.  Otherwise
-sibling spec-id sets are analysed up front: an option list whose specs
-appear in no other list can never conflict, so its options are
-appended with no comparisons at all; for lists that *can* conflict,
-each option's shared ``(spec id, impl)`` pairs are extracted once and
-checked against the running merge.  A row is only ``(chosen
-configurations, s1_ok)``: the merged choice items are built later, and
-only for the rows whose costs survive the S2 filter
+(and, only when a spec is bound twice, their impls), own choice
+included.  Otherwise sibling spec-id sets are analysed up front: an
+option list whose specs appear in no other list can never conflict, so
+its options are appended with no comparisons at all; for lists that
+*can* conflict, each option's shared ``(spec id, impl)`` pairs are
+extracted once and checked against the running merge.  A row is only
+``(chosen configurations, s1_ok)``: the merged choices are built later,
+and only for the rows whose costs survive the S2 filter
 (:class:`CostRecord`, :func:`merge_choices`).
 
 Enumeration order is one of three names (:data:`ORDERINGS`): the
@@ -70,9 +69,8 @@ nothing else.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import (
     Callable,
     Dict,
@@ -132,7 +130,6 @@ SPEC_IDS = IdTable()
 ARC_IDS = IdTable()
 
 
-_first = itemgetter(0)
 _second = itemgetter(1)
 
 
@@ -148,103 +145,84 @@ def spec_id(spec: ComponentSpec) -> int:
     return ident
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
     """One consistent, costed implementation choice for a spec subtree.
 
-    Equality and hashing are by value -- (area, delays, choices) --
-    with an identity fast path that the intern table makes effective:
-    configurations built through :func:`make_configuration` share one
-    canonical instance per value, so the equal case is `a is b`.
+    Equality and hashing are by value -- (area, delays, choices).  An
+    instance holds its parts in the forms the engine reads them in,
+    filled straight into its ``__dict__`` (:func:`_fill`):
+
+    - ``area``, and ``delay``, the worst pin-to-pin delay (the sort key
+      of every filter pass; derived from the delays, so equality and
+      the hash leave it out);
+    - ``arc_keys``, the delay matrix's sorted (input, output) pairs,
+      and ``delay_values``, the parallel weights -- an S2 survivor
+      shares its timing kernel's key tuple;
+    - ``arc_id``, the process-wide id of ``arc_keys`` (:data:`ARC_IDS`),
+      by which the costing loop groups rows;
+    - ``choices``, the ``(spec, impl)`` pairs in spec sort-key order,
+      and ``ids``, their spec ids (:func:`spec_id`) in parallel -- the
+      form the S1 combiner checks consistency in.
+
+    The pair views :attr:`delays` and :attr:`id_choices` are derived on
+    first use.  Instances are immutable: setting an attribute raises.
     """
 
-    area: float
-    delays: DelayItems
-    choices: Tuple[Choice, ...]
-    #: Scalar summary (worst pin-to-pin delay), precomputed because it
-    #: is read on every filter sort key and dominance comparison.  It is
-    #: derived from ``delays``, so it is excluded from equality/hash.
-    delay: float = field(default=-1.0, compare=False)
+    def __init__(self, area: float, delays: DelayItems,
+                 choices: Sequence[Choice], delay: float = -1.0) -> None:
+        keys = tuple([pins for pins, _ in delays])
+        values = tuple([value for _, value in delays])
+        if delay < 0.0:
+            delay = max(values, default=0.0)
+        choices = tuple(choices)
+        _fill(self, area, delay, keys, values, ARC_IDS.id_of(keys), choices,
+              tuple([spec_id(spec) for spec, _ in choices]))
 
-    def __post_init__(self) -> None:
-        if self.delay < 0.0:
-            object.__setattr__(
-                self, "delay", max((d for _, d in self.delays), default=0.0)
-            )
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Configuration is immutable: {name!r}")
 
-    # -- identity ------------------------------------------------------
-    @property
-    def interned_id(self) -> Optional[int]:
-        """Stable small-int identity assigned by the intern table, or
-        ``None`` for instances built outside it."""
-        return self.__dict__.get("_intern_id")
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Configuration is immutable: {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        # Identity first: interned equal configurations are the same
-        # object, so the common case never compares tuples.  (No
-        # "both-interned => unequal" shortcut: InternTable.clear() may
-        # leave equal canonical instances from different table
-        # generations alive, and they must still compare equal.)
         if self is other:
             return True
         if not isinstance(other, Configuration):
             return NotImplemented
+        # Equal arc ids are equal arc keys: with the values, equal delays.
         return (
             self.area == other.area
-            and self.delays == other.delays
+            and self.arc_id == other.arc_id
+            and self.delay_values == other.delay_values
             and self.choices == other.choices
         )
 
     def __hash__(self) -> int:
-        # Spec ids are by value, so equal choices have equal id pairs;
-        # hashing the ids touches no spec.
+        # Equal choices have equal spec ids, so hashing the ids (small
+        # ints) rather than the choices is consistent with ``==``.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.area, self.delays, self.id_choices))
-            object.__setattr__(self, "_hash", cached)
+            cached = self.__dict__["_hash"] = hash(
+                (self.area, self.arc_id, self.delay_values, self.ids))
         return cached
 
-    # -- cost views ----------------------------------------------------
-    def delay_matrix(self) -> Dict[Tuple[str, str], float]:
-        return dict(self.delays)
+    def __repr__(self) -> str:
+        return (f"Configuration(area={self.area!r}, delays={self.delays!r}, "
+                f"choices={self.choices!r}, delay={self.delay!r})")
 
-    @property
-    def arc_keys(self) -> Tuple[Tuple[str, str], ...]:
-        """The (input, output) pairs of the delay matrix, in ``delays``
-        order -- the arc signature used by compiled timing kernels."""
-        cached = self.__dict__.get("_arc_keys")
-        if cached is None:
-            cached = tuple(k for k, _ in self.delays)
-            object.__setattr__(self, "_arc_keys", cached)
-        return cached
-
-    # The S1 and costing loops read the next four; ``cached_property``
-    # stores into the instance dict, so a warm read is a plain attribute
-    # load rather than a property call.
+    # -- derived views -------------------------------------------------
     @cached_property
-    def delay_values(self) -> Tuple[float, ...]:
-        """The delay weights, parallel to :attr:`arc_keys`."""
-        return tuple(v for _, v in self.delays)
-
-    @cached_property
-    def arc_id(self) -> int:
-        """The process-wide id of :attr:`arc_keys` (:data:`ARC_IDS`):
-        the costing loop groups rows by tuples of these."""
-        return ARC_IDS.id_of(self.arc_keys)
+    def delays(self) -> DelayItems:
+        """``((input, output), delay)`` pairs in ``arc_keys`` order."""
+        return tuple(zip(self.arc_keys, self.delay_values))
 
     @cached_property
     def id_choices(self) -> Tuple[Tuple[int, int], ...]:
-        """``(spec id, impl)`` pairs, parallel to ``choices`` -- the
-        form the S1 combiner checks consistency in, and the choices
-        part of the intern key and the hash."""
-        return _id_choices(self.choices)
+        """``(spec id, impl)`` pairs, parallel to ``choices``."""
+        return tuple(zip(self.ids, map(_second, self.choices)))
 
-    @cached_property
-    def spec_ids(self) -> frozenset:
-        """The ids of the specs this configuration binds.  The S1
-        combiner unions these per option list to find which lists can
-        conflict at all."""
-        return frozenset(map(_first, self.id_choices))
+    def delay_matrix(self) -> Dict[Tuple[str, str], float]:
+        return dict(zip(self.arc_keys, self.delay_values))
 
     def choice_map(self) -> Dict[ComponentSpec, int]:
         return dict(self.choices)
@@ -252,8 +230,7 @@ class Configuration:
     def chosen_impl(self, spec: ComponentSpec) -> Optional[int]:
         table = self.__dict__.get("_impl_by_spec")
         if table is None:
-            table = dict(self.choices)
-            object.__setattr__(self, "_impl_by_spec", table)
+            table = self.__dict__["_impl_by_spec"] = dict(self.choices)
         return table.get(spec)
 
     def describe(self) -> str:
@@ -261,22 +238,37 @@ class Configuration:
 
     # -- pickling ------------------------------------------------------
     def __reduce__(self):
-        """Pickle by value only -- none of the lazily built caches (and
-        never ``_intern_id``, which is process-specific) enter the
-        payload; unpickling re-interns, so a configuration pickled in
-        another process lands as the receiving process's canonical
-        instance."""
+        """Pickle by value only: no spec or arc id, and none of the
+        lazily built views, enters the payload.  Unpickling revives
+        through the intern table (:mod:`repro.core.interning`), so a
+        configuration pickled in another process lands as the receiving
+        process's canonical instance of its value."""
         return (_restore_configuration, (self.area, self.delays, self.choices))
 
 
-def _id_choices(choices: Sequence[Choice]) -> Tuple[Tuple[int, int], ...]:
-    return tuple([(spec_id(spec), impl) for spec, impl in choices])
+_new = object.__new__
+
+
+def _fill(config: Configuration, area: float, delay: float,
+          arc_keys: Tuple[Tuple[str, str], ...],
+          delay_values: Tuple[float, ...], arc_id: int,
+          choices: Tuple[Choice, ...], ids: Tuple[int, ...]) -> Configuration:
+    """Store the parts of a configuration (see :class:`Configuration`)
+    into its instance dict; the one place the parts are written."""
+    parts = config.__dict__
+    parts["area"] = area
+    parts["delay"] = delay
+    parts["arc_keys"] = arc_keys
+    parts["delay_values"] = delay_values
+    parts["arc_id"] = arc_id
+    parts["choices"] = choices
+    parts["ids"] = ids
+    return config
 
 
 def _restore_configuration(area, delays, choices) -> Configuration:
-    """Unpickle target: rebuild through the intern table."""
-    return CONFIGURATIONS.revive_parts(
-        area, delays, choices, _id_choices(choices), Configuration)
+    """Unpickle target: revive through the intern table."""
+    return CONFIGURATIONS.revive(Configuration(area, delays, choices))
 
 
 def make_configuration(
@@ -284,14 +276,11 @@ def make_configuration(
     delays: Mapping[Tuple[str, str], float],
     choices: Mapping[ComponentSpec, int],
 ) -> Configuration:
-    """Normalized, interned constructor (sorted, hashable tuples; one
-    canonical instance per value process-wide)."""
-    delay_items = tuple(sorted(delays.items()))
-    choice_items = tuple(
+    """Normalized constructor: delays sorted by arc, choices by spec
+    sort key, the area a float."""
+    return Configuration(
+        float(area), tuple(sorted(delays.items())),
         sorted(choices.items(), key=lambda kv: kv[0].sort_key))
-    return CONFIGURATIONS.intern_parts(
-        float(area), delay_items, choice_items, _id_choices(choice_items),
-        Configuration)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +443,7 @@ def enumerate_rows(
     rows that survive S2).
 
     Consistency is checked on process-wide spec ids
-    (:attr:`Configuration.id_choices`): the merge map holds
+    (:attr:`Configuration.ids`): the merge map holds
     ``spec id -> impl`` for the *tracked* specs only -- those that
     appear in two lists' universes, plus own specs some child also
     binds -- and a list whose universe touches no tracked spec skips
@@ -479,7 +468,7 @@ def enumerate_rows(
     for options in option_lists:
         universe: set = set()
         for config in options:
-            universe |= config.spec_ids
+            universe.update(config.ids)
         universes.append(universe)
     shared: set = set()
     seen: set = set()
@@ -557,7 +546,9 @@ def enumerate_rows(
             items = table[index]
             if items is None:
                 items = table[index] = [
-                    pair for pair in config.id_choices if pair[0] in tracked]
+                    (ident, choice[1])
+                    for ident, choice in zip(config.ids, config.choices)
+                    if ident in tracked]
             consistent = True
             to_add: List[int] = []
             for ident, impl in items:
@@ -599,27 +590,41 @@ def _one_row(option_lists: Sequence[Sequence[Configuration]],
     ids: set = set()
     bound = 0
     for config in chosen:
-        spec_ids = config.spec_ids
-        ids |= spec_ids
-        bound += len(spec_ids)
-    pairs: Optional[set] = None
+        ids.update(config.ids)
+        bound += len(config.ids)
+    bindings: Optional[Dict[int, Choice]] = None
     if bound != len(ids):
         # Some spec is bound twice: consistent only if both bindings
-        # are one (spec id, impl) pair.
-        pairs = set().union(*[config.id_choices for config in chosen])
-        if len(pairs) != len(ids):
+        # name one impl.
+        bindings = _bindings(chosen)
+        if bindings is None:
             return []
     ok = True
     if own_choice:
         for spec, impl in own_choice.items():
             ident = spec_id(spec)
             if ident in ids:
-                if pairs is None:
-                    pairs = set().union(
-                        *[config.id_choices for config in chosen])
-                if (ident, impl) not in pairs:
+                if bindings is None:
+                    bindings = _bindings(chosen)
+                if bindings[ident][1] != impl:
                     ok = False
     return [(chosen, ok)]
+
+
+def _bindings(chosen: Sequence[Configuration]
+              ) -> Optional[Dict[int, Choice]]:
+    """``spec id -> choice`` over the chosen configurations, or
+    ``None`` when two of them bind one spec to different impls.  The
+    loops run in C: a choice is a ``(spec, impl)`` tuple, so equal
+    choices are one spec bound to one impl."""
+    bindings: Dict[int, Choice] = {}
+    for config in chosen:
+        bindings.update(zip(config.ids, config.choices))
+    get = bindings.__getitem__
+    for config in chosen:
+        if not all(map(eq, map(get, config.ids), config.choices)):
+            return None
+    return bindings
 
 
 def merge_choices(chosen: Sequence[Configuration],
@@ -640,18 +645,17 @@ def own_pairs(own_items: Iterable[Choice]) -> Tuple[Tuple[int, Choice], ...]:
 
 def _merge(chosen: Sequence[Configuration],
            own: Sequence[Tuple[int, Choice]]
-           ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Choice, ...]]:
-    """:func:`merge_choices` as ``(id_choices, choices)``; ``own`` is
+           ) -> Tuple[Tuple[int, ...], Tuple[Choice, ...]]:
+    """:func:`merge_choices` as ``(ids, choices)``, parallel; ``own`` is
     :func:`own_pairs` of the own entries."""
     # spec id -> choice, filled lowest precedence first so each update
     # overwrites with an earlier occurrence: own entries, then the
     # chosen configurations deepest first.
     merged: Dict[int, Choice] = dict(own)
     for config in reversed(chosen):
-        merged.update(zip(map(_first, config.id_choices), config.choices))
-    ordered = sorted(merged, key=SPEC_IDS.values.__getitem__)
-    choices = tuple(map(merged.__getitem__, ordered))
-    return tuple(zip(ordered, map(_second, choices))), choices
+        merged.update(zip(config.ids, config.choices))
+    ids = sorted(merged, key=SPEC_IDS.values.__getitem__)
+    return tuple(ids), tuple(map(merged.__getitem__, ids))
 
 
 class CostRecord:
@@ -659,43 +663,30 @@ class CostRecord:
 
     The S2 filters' ``select_block`` ranks candidates on ``area`` and
     ``delay`` alone, so the costing loop hands them these records and
-    only the survivors pay for their merged choice items and an intern
-    lookup (:meth:`configuration`).  ``own`` holds the own entries as
-    :func:`own_pairs`.  A record never leaves the design space that
-    built it."""
+    only the survivors pay for their merged choices
+    (:meth:`configuration`).  ``keys`` and ``arc_id`` are the kernel's
+    result arc keys and their id, shared by every record of the kernel;
+    ``own`` holds the own entries as :func:`own_pairs`.  A record never
+    leaves the design space that built it."""
 
-    __slots__ = ("area", "delay", "keys", "values", "chosen", "own")
+    __slots__ = ("area", "delay", "keys", "arc_id", "values", "chosen", "own")
 
     def __init__(self, area: float, delay: float,
-                 keys: Tuple[Tuple[str, str], ...], values: Tuple[float, ...],
+                 keys: Tuple[Tuple[str, str], ...], arc_id: int,
+                 values: Tuple[float, ...],
                  chosen: Tuple[Configuration, ...],
                  own: Tuple[Tuple[int, Choice], ...]) -> None:
         self.area = area
         self.delay = delay
-        #: The kernel's result arc keys (sorted) and the row's values.
         self.keys = keys
+        self.arc_id = arc_id
         self.values = values
         self.chosen = chosen
         self.own = own
 
     def configuration(self) -> Configuration:
-        """The interned configuration this record denotes.
-
-        The record already holds what the configuration's lazy caches
-        would derive -- the ``(spec id, impl)`` pairs and spec ids of
-        the merged choices, the arc keys, their arc id and the delay
-        values -- so a fresh instance gets them handed over instead of
-        computing each on first touch.  They are value-determined, so
-        an interned instance that has them already keeps equal ones."""
-        id_choices, choices = _merge(self.chosen, self.own)
-        keys = self.keys
-        config = CONFIGURATIONS.intern_parts(
-            self.area, tuple(zip(keys, self.values)), choices, id_choices,
-            Configuration, self.delay)
-        caches = config.__dict__
-        if "arc_id" not in caches:
-            caches["_arc_keys"] = keys
-            caches["delay_values"] = self.values
-            caches["arc_id"] = ARC_IDS.id_of(keys)
-            caches["spec_ids"] = frozenset(map(_first, id_choices))
-        return config
+        """The configuration this record denotes, built straight from
+        its parts: no pair tuple and no table lookup."""
+        ids, choices = _merge(self.chosen, self.own)
+        return _fill(_new(Configuration), self.area, self.delay, self.keys,
+                     self.values, self.arc_id, choices, ids)

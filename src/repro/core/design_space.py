@@ -11,12 +11,14 @@ library cell or to a netlist of modules."
 Expansion interleaves rule application with technology mapping: every
 specification node is first matched against the cell library
 (:mod:`repro.core.mapper`), then decomposed by every applicable rule,
-recursing into the module specifications of each decomposition.  A
-node's children through one decomposition are defined in one place,
-:func:`distinct_module_specs`: the netlist's distinct module specs,
-built once per rule netlist and process-wide.  Expansion, evaluation
-and reachability all walk that tuple, so each child is visited once
-per decomposition rather than once per module instance.
+recursing into the module specifications of each decomposition.  Each
+rule netlist is validated and frozen (:meth:`Netlist.freeze`: every
+later mutation raises) once per process, when the rule cache entry is
+built.  A node's children through one decomposition are defined in one
+place, :attr:`Implementation.children`: the netlist's distinct module
+specs, which are also the slots of its timing program.  Expansion,
+evaluation and reachability all walk that tuple, so each child is
+visited once per decomposition rather than once per module instance.
 
 The expanded graph is process-wide too: one :class:`_ExpansionGraph`
 per library and rule sequence (:attr:`~repro.core.rules.RuleBase.key`)
@@ -61,15 +63,12 @@ The evaluation inner loop is engineered for the paper's scale claim
   :class:`~repro.core.configs.CostRecord` objects, which the S2
   filter's ``select_block`` ranks on area and delay (a lone candidate,
   which every filter keeps, is not ranked); only the survivors get
-  merged choice items and an interned configuration, and interning
-  keys on spec ids, so the costing and filtering path hashes no spec;
+  merged choices, built by plain construction with no pair tuple and
+  no table lookup, so the costing and filtering path hashes no spec;
 - rule applications, cell matchings, expanded nodes and compiled
   programs are pure functions of (rule, spec, library) and are cached
   process-wide, so repeated syntheses (benchmarks, serving, LOLA
   retargeting sweeps) skip re-expansion;
-- configurations are interned process-wide
-  (:mod:`repro.core.interning`), so node-store and result-store loads
-  land as canonical objects;
 - with an attached node store (:mod:`repro.nodestore`, via
   :meth:`DesignSpace.attach_node_store`), every decomposition node's
   filtered option list is probed in a persistent content-addressed
@@ -113,7 +112,7 @@ if False:  # typing only; avoids a circular import with repro.techlib
 
 
 _arc_id = attrgetter("arc_id")
-_connections = attrgetter("connections")
+_module_spec = attrgetter("spec")
 
 
 class SynthesisError(Exception):
@@ -128,15 +127,15 @@ class SynthesisError(Exception):
 # (rule builder, spec, library) / (spec, library), and a node's
 # implementations of (rule sequence, spec, library): builders derive the
 # decomposition from the frozen spec plus the library's width catalog,
-# and nothing in the system mutates a rule-produced netlist after
-# construction.  Every DTAS instance used to redo this work from
-# scratch -- and a benchmark or serving process creates many instances
-# over the same rulebase and library.  Caches are keyed *per library
-# object* through a WeakKeyDictionary, so retiring a library (e.g. a
-# LOLA retargeting sweep building one library per data book) releases
-# its entire expansion state; within a library, keys hold the
-# builder/spec objects themselves, so entries can never alias across
-# distinct objects with reused addresses.
+# and a rule-produced netlist is frozen before it is cached.  Every
+# DTAS instance used to redo this work from scratch -- and a benchmark
+# or serving process creates many instances over the same rulebase and
+# library.  Caches are keyed *per library object* through a
+# WeakKeyDictionary, so retiring a library (e.g. a LOLA retargeting
+# sweep building one library per data book) releases its entire
+# expansion state; within a library, keys hold the builder/spec objects
+# themselves, so entries can never alias across distinct objects with
+# reused addresses.
 # ---------------------------------------------------------------------------
 
 _EXPANSION_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -168,8 +167,9 @@ def _library_cache(library) -> _LibraryCache:
 
 def _cached_rule_netlists(rule, spec: ComponentSpec,
                           context: RuleContext) -> List[Netlist]:
-    """The rule's netlists for ``spec``, validated once when the entry
-    is first built."""
+    """The rule's netlists for ``spec``, validated and frozen once when
+    the entry is first built: a shared netlist cannot change under the
+    timing programs compiled from it, so it is never rechecked."""
     cache = _library_cache(context.library)
     key = (rule.builder, spec)
     netlists = cache.rules.get(key)
@@ -177,6 +177,7 @@ def _cached_rule_netlists(rule, spec: ComponentSpec,
         netlists = rule.apply(spec, context)
         for netlist in netlists:
             validate_netlist(netlist)
+            netlist.freeze()
         cache.rules[key] = netlists
     return netlists
 
@@ -189,56 +190,6 @@ def _cached_matching_cells(spec: ComponentSpec, library) -> List[CellBinding]:
     return bindings
 
 
-def _structure_token(netlist: Netlist) -> Tuple[int, int, int, int]:
-    """Cheap fingerprint of a netlist's structure, used to detect (most)
-    mutations of a rule-produced netlist.  Rule netlists are shared
-    process-wide and must not be mutated (see :class:`Implementation`);
-    this token catches added modules/nets/ports/connections as a
-    defense-in-depth recompile trigger.  Rewiring an existing pin to a
-    different endpoint is not detectable at this cost."""
-    return (
-        len(netlist.modules),
-        len(netlist.nets),
-        len(netlist.ports),
-        sum(map(len, map(_connections, netlist.modules))),
-    )
-
-
-def distinct_module_specs(netlist: Netlist) -> Tuple[ComponentSpec, ...]:
-    """The distinct module specs of a rule netlist, in first-seen
-    instance order: a node's children through this decomposition, and
-    the slot order of its spec timing program.  Built once per netlist,
-    process-wide, and attached beside the timing program, so the walks
-    over a node's children (expansion, evaluation, reachability) visit
-    each child once instead of once per module instance.  Same
-    read-only contract as :func:`_spec_timing_program`."""
-    children = netlist.__dict__.get("_spec_children")
-    if children is None:
-        children = netlist._spec_children = tuple(
-            dict.fromkeys(module.spec for module in netlist.modules))
-    return children
-
-
-def _spec_timing_program(netlist: Netlist) -> TimingProgram:
-    """The netlist's compiled timing program with one slot per distinct
-    module spec (S1 forces every instance of a spec onto the same
-    configuration).  Attached to the netlist so rule-cache hits across
-    DTAS instances share the compiled structure and its kernels.
-
-    Only call this for netlists that are structurally frozen -- rule
-    products are; externally supplied netlists may be mutated by their
-    owners and must compile a fresh program per evaluation instead."""
-    token = _structure_token(netlist)
-    program = getattr(netlist, "_spec_timing_program", None)
-    if program is None or getattr(netlist, "_spec_timing_token", None) != token:
-        program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
-        netlist._spec_timing_program = program
-        netlist._spec_timing_token = token
-        # A recompile refreshes the children too: they are the slots.
-        netlist._spec_children = program.slot_keys
-    return program
-
-
 @dataclass(eq=False)
 class Implementation:
     """One alternative implementation of a specification: either a
@@ -247,11 +198,8 @@ class Implementation:
     Implementations live in the process-wide expansion graph
     (:class:`_ExpansionGraph`) and are shared by every design space
     over the same library and rule sequence: treat them as read-only.
-    ``netlist`` is owned by the process-wide rule cache; mutating it
-    corrupts later syntheses.  Each space that costs a decomposition
-    rechecks the netlist's structure fingerprint, so added modules,
-    nets, ports or connections force a recompile and refresh the
-    children, but rewired endpoints are not detectable cheaply."""
+    ``netlist`` is a frozen rule netlist, owned by the process-wide
+    rule cache."""
 
     index: int
     spec: ComponentSpec
@@ -259,11 +207,6 @@ class Implementation:
     binding: Optional[CellBinding] = None
     netlist: Optional[Netlist] = None
     rule_name: str = ""
-    #: Compiled timing program for the decomposition netlist, built on
-    #: first evaluation and reused for every subsequent combination.
-    timing_program: Optional[TimingProgram] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def label(self) -> str:
@@ -271,16 +214,29 @@ class Implementation:
             return f"cell:{self.binding.cell.name}"
         return f"rule:{self.rule_name}"
 
-    @property
+    # Per-implementation data, built on first use and kept: the netlist
+    # is frozen, so none of it can go stale.  Every row this
+    # implementation costs carries the same own S1 entry, and a cell
+    # binding is one configuration process-wide.
+    @cached_property
     def children(self) -> Tuple[ComponentSpec, ...]:
-        """The decomposition's children, read from its netlist
-        (:func:`distinct_module_specs`); none for a cell binding."""
-        netlist = self.netlist
-        return () if netlist is None else distinct_module_specs(netlist)
+        """The decomposition's children: its netlist's distinct module
+        specs in first-seen instance order (the slots of its timing
+        program); none for a cell binding."""
+        if self.netlist is None:
+            return ()
+        return tuple(dict.fromkeys(
+            module.spec for module in self.netlist.modules))
 
-    # Per-implementation evaluation data, built on first use: every
-    # row this implementation costs carries the same own S1 entry, and
-    # a cell binding is one configuration process-wide.
+    @cached_property
+    def timing_program(self) -> Optional[TimingProgram]:
+        """The decomposition netlist's timing program, one slot per
+        distinct module spec (S1 forces every instance of a spec onto
+        the same configuration), compiled on first costing and reused
+        for every combination; none for a cell binding."""
+        if self.netlist is None:
+            return None
+        return TimingProgram(self.netlist, slot_of=_module_spec)
     @cached_property
     def own_choice(self) -> Dict[ComponentSpec, int]:
         """``{spec: index}``, this implementation's own S1 entry."""
@@ -571,7 +527,7 @@ class DesignSpace:
     ) -> Optional[List[Configuration]]:
         """A cache-served option list for ``spec``, or None.
 
-        A hit returns canonical interned configurations in the exact
+        A hit returns revived canonical configurations in the exact
         order a fresh evaluation would produce (list order is part of
         the persisted payload).  The children themselves are *not*
         evaluated -- that is the entire saving -- but they are already
@@ -680,10 +636,7 @@ class DesignSpace:
     def _decomp_configs(
         self, spec: ComponentSpec, impl: Implementation
     ) -> List[CostRecord]:
-        # The implementation is shared by every space, but each space
-        # rechecks its netlist's structure (a mutated netlist
-        # recompiles), and the children are the program's slots.
-        program = impl.timing_program = _spec_timing_program(impl.netlist)
+        program = impl.timing_program
         memo = self._configs
         option_lists = []
         for sub in program.slot_keys:
@@ -737,11 +690,12 @@ class DesignSpace:
                 chosen_rows = [rows[index][0] for index in indices]
                 costs = kernel.run_batch(chosen_rows, len(indices))
                 keys = kernel.keys
+                arc_id = ARC_IDS.id_of(keys)
                 costed += len(indices)
                 for index, chosen, (area, delay, values) in zip(
                         indices, chosen_rows, costs):
                     results[index] = CostRecord(
-                        area, delay, keys, values, chosen, own_items)
+                        area, delay, keys, arc_id, values, chosen, own_items)
             self.combinations_costed += costed
             return [record for record in results if record is not None]
         finally:
@@ -765,17 +719,16 @@ class DesignSpace:
         configuration per S1-consistent, filter-surviving combination
         of module implementations, costed with structural timing.
         """
-        distinct_specs = list(dict.fromkeys(m.spec for m in netlist.modules))
+        # The caller owns this netlist and may mutate it between calls,
+        # so compile a fresh program per evaluation (one compile per
+        # call; every combination within the call still reuses it).
+        program = TimingProgram(netlist, slot_of=_module_spec)
         option_lists = []
-        for sub in distinct_specs:
+        for sub in program.slot_keys:
             options = self.configs(sub)
             if not options:
                 raise SynthesisError(self._failure_message(sub))
             option_lists.append(options)
-        # The caller owns this netlist and may mutate it between calls,
-        # so compile a fresh program per evaluation (one compile per
-        # call; every combination within the call still reuses it).
-        program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
         results = self._evaluate_combinations(program, option_lists, None)
         return self._select(results)
 

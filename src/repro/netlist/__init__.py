@@ -18,10 +18,10 @@ the functional simulator both consume them.
 """
 
 from repro.netlist.nets import Concat, Const, Net, NetRef, endpoint_bits, endpoint_width
-from repro.netlist.netlist import ModuleInst, Netlist
+from repro.netlist.netlist import ModuleInst, Netlist, NetlistError
 from repro.netlist.ports import Direction, PinKind, Port
 from repro.netlist.timing_program import TimingCycleError, TimingProgram, compile_timing
-from repro.netlist.validate import NetlistError, validate_netlist
+from repro.netlist.validate import validate_netlist
 
 __all__ = [
     "Concat",

@@ -8,15 +8,32 @@ The *meaning* of a module (its component specification) is stored as an
 opaque ``spec`` object -- in this reproduction it is always a
 ``repro.core.specs.ComponentSpec`` -- so the netlist substrate has no
 dependency on DTAS.
+
+:meth:`Netlist.freeze` makes a finished netlist read-only: its port,
+net and module lists become tuples, every instance's connection map a
+read-only mapping, and every structural mutator raises
+:class:`NetlistError`.  The design space freezes each rule netlist
+before sharing it process-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.netlist.nets import Endpoint, Net, endpoint_width
 from repro.netlist.ports import Direction, Port
+
+
+class NetlistError(Exception):
+    """A structural problem in a netlist; the message lists every issue."""
+
+    def __init__(self, netlist_name: str, problems: List[str]) -> None:
+        self.netlist_name = netlist_name
+        self.problems = problems
+        listing = "\n  - ".join(problems)
+        super().__init__(f"netlist {netlist_name!r} has {len(problems)} problem(s):\n  - {listing}")
 
 
 @dataclass
@@ -45,7 +62,11 @@ class ModuleInst:
         return port
 
     def connect(self, pin: str, endpoint: Endpoint) -> None:
-        """Attach ``endpoint`` to ``pin``, checking the width."""
+        """Attach ``endpoint`` to ``pin``, checking the width; a frozen
+        instance raises :class:`NetlistError`."""
+        if type(self.connections) is MappingProxyType:
+            raise NetlistError(self.name,
+                               [f"frozen: cannot connect pin {pin!r}"])
         port = self.port(pin)
         if endpoint_width(endpoint) != port.width:
             raise ValueError(
@@ -73,9 +94,11 @@ class Netlist:
     def __init__(self, name: str, doc: str = "") -> None:
         self.name = name
         self.doc = doc
+        #: Lists while the netlist is built; tuples once it is frozen.
         self.ports: List[Port] = []
         self.nets: List[Net] = []
         self.modules: List[ModuleInst] = []
+        self.frozen = False
         self._port_nets: Dict[str, Net] = {}
         self._nets_by_name: Dict[str, Net] = {}
         self._modules_by_name: Dict[str, ModuleInst] = {}
@@ -83,8 +106,28 @@ class Netlist:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def freeze(self) -> None:
+        """Make the netlist read-only (idempotent): the port, net and
+        module lists become tuples, each instance's connections a
+        read-only mapping, and :meth:`add_port`, :meth:`add_net`,
+        :meth:`add_module` and :meth:`ModuleInst.connect` raise
+        :class:`NetlistError`."""
+        if self.frozen:
+            return
+        self.ports = tuple(self.ports)
+        self.nets = tuple(self.nets)
+        self.modules = tuple(self.modules)
+        for inst in self.modules:
+            inst.connections = MappingProxyType(inst.connections)
+        self.frozen = True
+
+    def _check_mutable(self, what: str) -> None:
+        if self.frozen:
+            raise NetlistError(self.name, [f"frozen: cannot add {what}"])
+
     def add_port(self, port: Port) -> Net:
         """Declare a netlist port; returns its backing net."""
+        self._check_mutable(f"port {port.name!r}")
         if port.name in self._port_nets:
             raise ValueError(f"netlist {self.name!r}: duplicate port {port.name!r}")
         self.ports.append(port)
@@ -98,6 +141,7 @@ class Netlist:
 
     def add_net(self, name: str, width: int = 1) -> Net:
         """Create an internal net with a unique name."""
+        self._check_mutable(f"net {name!r}")
         unique = name
         counter = 1
         while unique in self._nets_by_name:
@@ -117,6 +161,7 @@ class Netlist:
     ) -> ModuleInst:
         """Instantiate a component; connections may be completed later
         with :meth:`ModuleInst.connect`."""
+        self._check_mutable(f"module {name!r}")
         unique = name
         counter = 1
         while unique in self._modules_by_name:

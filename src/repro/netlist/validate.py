@@ -12,17 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.netlist.nets import Endpoint, Net, endpoint_bits, endpoint_masks
-from repro.netlist.netlist import Netlist
-
-
-class NetlistError(Exception):
-    """A structural problem in a netlist; the message lists every issue."""
-
-    def __init__(self, netlist_name: str, problems: List[str]) -> None:
-        self.netlist_name = netlist_name
-        self.problems = problems
-        listing = "\n  - ".join(problems)
-        super().__init__(f"netlist {netlist_name!r} has {len(problems)} problem(s):\n  - {listing}")
+from repro.netlist.netlist import Netlist, NetlistError
 
 
 def _undriven_bits(endpoint: Endpoint,

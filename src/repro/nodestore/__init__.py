@@ -4,7 +4,7 @@ The result store (:mod:`repro.store`) shares finished work at
 whole-request granularity: an identical request is answered warm,
 anything else pays the full expansion + evaluation cost.  This package
 shares work one level down, at the *spec node*: every expanded node's
-filtered option list (the canonical interned configurations
+filtered option list (the configurations
 :meth:`~repro.core.design_space.DesignSpace.configs` computes) is
 persisted under a content fingerprint of (library data book, rulebase,
 search controls, canonical spec token) -- see
@@ -23,8 +23,9 @@ That makes sharing work that request-level caching cannot:
   across requests; one request's evaluation is a single sequential
   pass.
 
-Correctness contract: loads re-intern through
-:mod:`repro.core.interning`, every load is sanity-checked against the
+Correctness contract: loads revive through
+:mod:`repro.core.interning` into configurations equal to the computed
+ones, every load is sanity-checked against the
 live expansion and self-heals on mismatch, and end results are
 byte-identical with the cache on, off, or half-warm (expansion always
 runs; only per-node *evaluation* is skipped).

@@ -13,10 +13,10 @@ Two tiers:
 
 **in-process (hot)**
     A bounded LRU dict mapping node fingerprint to the already-revived
-    tuple of canonical interned configurations.  Repeated probes from
-    the same process (a serving session pool, a batch run) skip JSON
-    decoding entirely.  Entries are canonical
-    interned objects, so the tier adds no copies.
+    tuple of canonical configurations.  Repeated probes from the same
+    process (a serving session pool, a batch run) skip JSON decoding
+    entirely.  Entries are the objects the evaluation or the revival
+    built, so the tier adds no copies.
 
 **SQLite (persistent)**
     Survives the process and is shared across processes: every
@@ -27,10 +27,10 @@ A row is a small header (table and payload versions, the node's spec
 token, its implementation count and compiled-program count) around the
 option list in the configuration codec both tables share
 (:func:`repro.store.serialize.encode_configs` /
-:func:`~repro.store.serialize.decode_configs`).  Loads re-intern
-through that codec, so a cache-served option list holds exactly the
-canonical objects a fresh evaluation would produce -- the bit-identity
-contract.  Every load checks the header against the live expansion
+:func:`~repro.store.serialize.decode_configs`).  Loads revive through
+that codec, so a cache-served option list holds configurations equal,
+in order, to the ones a fresh evaluation would produce -- the
+bit-identity contract.  Every load checks the header against the live expansion
 (payload schema, spec token, implementation count) and the codec
 checks every index and the choice order the row holds; any mismatch
 or decode failure deletes the entry and reports a miss, so a corrupt
@@ -77,7 +77,7 @@ NODE_SCHEMA = 1
 NODE_PAYLOAD = 2
 
 #: Bound on the in-process tier (entries, not bytes; an entry is a
-#: tuple of already-interned configurations, so the dominant cost is
+#: tuple of already-built configurations, so the dominant cost is
 #: held references, not copies).
 HOT_TIER_ENTRIES = 4096
 
@@ -141,8 +141,8 @@ class NodeStore(CacheTable):
     @serving_op("load_options", _hot_options, corrupted=None)
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int) -> Optional[List[Any]]:
-        """The persisted option list under ``fingerprint``, as canonical
-        interned configurations -- or ``None`` on any miss.
+        """The persisted option list under ``fingerprint``, as revived
+        canonical configurations -- or ``None`` on any miss.
 
         ``expected_impls`` is the implementation count of the caller's
         *live* expanded node; a stored payload that disagrees (a rule

@@ -50,7 +50,8 @@ def _node(key: str) -> Metric:
 def _interned(key: str) -> Metric:
     return Metric("interning", key, "counter", "sum",
                   "repro_interning_%s_total" % key,
-                  "Configuration interning %s." % key, zero=None)
+                  "Configuration interning %s." % key, "interning:" + key,
+                  zero=None)
 
 
 def _router(key: str, prom: str) -> Metric:
@@ -60,7 +61,7 @@ def _router(key: str, prom: str) -> Metric:
 
 #: A serving process's fields, in exposition order.
 METRICS = (
-    _top("uptime_seconds", "repro_uptime_seconds", "gauge", "max", "",
+    _top("uptime_seconds", "repro_uptime_seconds", "gauge", "max",
          zero=0.0),
     _top("in_flight", "repro_in_flight", "gauge"),
     _top("sessions", "repro_sessions", "gauge"),
@@ -92,7 +93,8 @@ METRICS = (
            "node_cache:hot_entries"),
     _interned("hits"), _interned("misses"), _interned("revived"),
     Metric("interning", "size", "gauge", "sum", "repro_interning_size",
-           "Interned configuration table size.", zero=None),
+           "Interned configuration table size.", "interning:size",
+           zero=None),
 )
 
 #: The fleet's own fields, in exposition order (after the serving ones).

@@ -10,9 +10,10 @@ fingerprint of everything the result depends on
 (:mod:`repro.store.fingerprint`): the library data book, the rulebase,
 the request, and the search controls.
 
-Loaded results re-intern through :mod:`repro.core.interning`
-(:mod:`repro.store.serialize`), so a warm-loaded configuration is the
-same canonical object a fresh evaluation would produce.
+Loaded results revive through :mod:`repro.core.interning`
+(:mod:`repro.store.serialize`), so a warm-loaded configuration equals
+the one a fresh evaluation would produce, and every load of one value
+in a process shares one canonical object.
 
 The result store and the per-node cache (:mod:`repro.nodestore`) are
 two leaves of one :class:`~repro.store.store.CacheTable` over one

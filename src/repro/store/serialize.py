@@ -8,10 +8,11 @@ adds what a warm process needs to answer without the engine: the
 statistics and runtime the original job recorded, the rendered
 Figure-3 report, and timing-program metadata.
 
-The load path is the important one: configurations are rebuilt through
-:mod:`repro.core.interning` (``CONFIGURATIONS.revive_parts``), so a
-loaded ``Configuration`` is *the canonical interned instance* --
-identical (``is``) to a freshly computed equal one.  Specs are rebuilt
+The load path is the important one: configurations are rebuilt by
+value and revived through :mod:`repro.core.interning`
+(``CONFIGURATIONS.revive``), so every load of one stored value in a
+process lands on one canonical instance, equal (``==``) to a freshly
+computed configuration of that value.  Specs are rebuilt
 through :func:`repro.core.specs.make_spec`, so choice maps key
 correctly against live design-space nodes.  Every index the decoder
 follows is range-checked and every choice list must be in canonical
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.configs import Configuration, spec_id
+from repro.core.configs import Configuration
 from repro.core.interning import CONFIGURATIONS
 from repro.store.fingerprint import spec_token
 
@@ -69,26 +70,24 @@ def encode_configs(configs: Sequence[Any]) -> Dict[str, Any]:
     list carry the same few delay-arc signatures, so signatures are
     dictionary-encoded and each option stores an index plus its value
     row; (2) the spec tokens the choices name repeat across options,
-    so each distinct spec (by :func:`~repro.core.configs.spec_id`) is
+    so each distinct spec (by its spec id, ``Configuration.ids``) is
     spelled once in ``specs`` and choices store its position; (3) S1
     enumeration yields siblings that share long choice prefixes, so
     each option's sorted choice list is stored as (shared-prefix
     length, differing tail) against the previous option."""
     sigs: List[list] = []
-    sig_index: Dict[tuple, int] = {}
+    sig_index: Dict[int, int] = {}
     tokens: List[Any] = []
     spec_pos: Dict[int, int] = {}
     encoded: List[list] = []
     prev_pairs: List[list] = []
     for config in configs:
-        arc_keys = tuple(pins for pins, _ in config.delays)
-        si = sig_index.get(arc_keys)
+        si = sig_index.get(config.arc_id)
         if si is None:
-            si = sig_index[arc_keys] = len(sigs)
-            sigs.append([list(pins) for pins in arc_keys])
+            si = sig_index[config.arc_id] = len(sigs)
+            sigs.append([list(pins) for pins in config.arc_keys])
         pairs = []
-        for choice_spec, impl in config.choices:
-            ident = spec_id(choice_spec)
+        for ident, (choice_spec, impl) in zip(config.ids, config.choices):
             pos = spec_pos.get(ident)
             if pos is None:
                 pos = spec_pos[ident] = len(tokens)
@@ -98,18 +97,17 @@ def encode_configs(configs: Sequence[Any]) -> Dict[str, Any]:
         limit = min(len(pairs), len(prev_pairs))
         while prefix < limit and pairs[prefix] == prev_pairs[prefix]:
             prefix += 1
-        encoded.append([config.area, si,
-                        [delay for _, delay in config.delays],
+        encoded.append([config.area, si, list(config.delay_values),
                         prefix, pairs[prefix:]])
         prev_pairs = pairs
     return {"sigs": sigs, "specs": tokens, "options": encoded}
 
 
 def decode_configs(block: Any) -> Optional[List[Any]]:
-    """Decode and re-intern an :func:`encode_configs` block (extra keys
+    """Decode and revive an :func:`encode_configs` block (extra keys
     are ignored), or ``None`` when it fails any check.  The revived
-    objects are the process-canonical interned instances, counted by
-    the intern table's ``revived`` stat."""
+    objects are the process-canonical instances of their values,
+    counted by the intern table's ``revived`` stat."""
     if not (isinstance(block, dict)
             and isinstance(block.get("sigs"), list)
             and isinstance(block.get("specs"), list)
@@ -117,10 +115,9 @@ def decode_configs(block: Any) -> Optional[List[Any]]:
         return None
     try:
         specs = [spec_from_token(token) for token in block["specs"]]
-        ids = [spec_id(choice_spec) for choice_spec in specs]
         keys = [choice_spec.sort_key for choice_spec in specs]
         sigs = [tuple(tuple(pins) for pins in sig) for sig in block["sigs"]]
-        revive = CONFIGURATIONS.revive_parts
+        revive = CONFIGURATIONS.revive
         configs: List[Any] = []
         prev_pairs: list = []
         for area, si, values, prefix, tail in block["options"]:
@@ -128,10 +125,9 @@ def decode_configs(block: Any) -> Optional[List[Any]]:
                     and _index(prefix, len(prev_pairs) + 1)):
                 return None
             # Reconstruct the full sorted choice list from the delta.
-            # The parts go straight to the intern table, so the choices
-            # must be in the canonical, strictly increasing sort_key
-            # order: a reordered list would intern as a second,
-            # unequal configuration of one value.
+            # The choices must be in the canonical, strictly increasing
+            # sort_key order: a reordered list would revive as a
+            # second, unequal configuration of one value.
             pairs = prev_pairs[:prefix]
             for pos, impl in tail:
                 if not (_index(pos, len(specs))
@@ -143,13 +139,9 @@ def decode_configs(block: Any) -> Optional[List[Any]]:
             sig = sigs[si]
             if len(sig) != len(values):
                 return None
-            delay_items = tuple(zip(
-                sig, [float(value) for value in values]))
-            configs.append(revive(
-                float(area), delay_items,
-                tuple([(specs[pos], impl) for pos, impl in pairs]),
-                tuple([(ids[pos], impl) for pos, impl in pairs]),
-                Configuration))
+            configs.append(revive(Configuration(
+                float(area), tuple(zip(sig, map(float, values))),
+                [(specs[pos], impl) for pos, impl in pairs])))
         return configs
     except (IndexError, KeyError, TypeError, ValueError):
         return None
@@ -211,7 +203,7 @@ def payload_to_job(payload: Dict[str, Any], request, session):
     when its alternatives fail to decode (the session's miss: the
     engine recomputes and overwrites the entry).
 
-    The alternatives carry re-interned canonical configurations and are
+    The alternatives carry revived canonical configurations and are
     bound to the session's design space: cost views, reports, and the
     JSON emitter work immediately without any engine work, while
     materialization (``tree()``/``vhdl()``) expands the space on first

@@ -488,7 +488,7 @@ class ResultStore(CacheTable):
     counts under ``errors``, a maintenance op raises.
 
     Payloads are JSON-able dicts; their *meaning* (serialization,
-    re-interning) lives above the table in :mod:`repro.store.serialize`.
+    revival) lives above the table in :mod:`repro.store.serialize`.
     Beside its payload each entry holds the emitted ``json`` body, an
     opaque string the serve layer returns verbatim on a hit
     (:meth:`get_body`).  A corrupted payload read returns a marker

@@ -13,6 +13,7 @@ items).
 """
 
 import dataclasses
+import json
 import pickle
 import random
 from collections import Counter
@@ -23,9 +24,12 @@ import pytest
 from reference_engine import ScalarSpace, reference_run
 
 from repro.api import Session
+from repro.core import configs as configs_module
 from repro.core.configs import (
+    CostRecord,
     make_configuration,
     merge_choices,
+    own_pairs,
 )
 from repro.core.design_space import DesignSpace
 from repro.core.filters import KeepAllFilter, ParetoFilter
@@ -40,6 +44,7 @@ from repro.core.specs import (
     make_spec,
 )
 from repro.netlist.timing_program import CLK_PIN, compile_timing
+from repro.store.serialize import encode_configs
 from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
 
@@ -102,8 +107,9 @@ def test_batched_parity_fuzz_perturbed_delay_books(seed):
     batched = _space(library, perf_filter(), order=order,
                      max_combinations=cap).alternatives(spec)
     assert _fingerprint(scalar) == _fingerprint(batched)
-    for a, b in zip(scalar, batched):
-        assert a is b  # interning: bit-identical means same object
+    assert scalar == batched
+    assert json.dumps(encode_configs(scalar)) == \
+        json.dumps(encode_configs(batched))
 
 
 @pytest.mark.parametrize("order", [None, "lex", "frontier", "auto"])
@@ -158,22 +164,57 @@ def test_combinations_costed_counter_matches_scalar():
 # configurations only for S2 survivors
 # ---------------------------------------------------------------------------
 
-def test_configurations_built_for_s2_survivors_only():
+def test_configurations_built_for_s2_survivors_only(monkeypatch):
     """Costed rows reach the filter as cost records; only the cell
-    bindings and the rows the filter keeps cost an intern lookup."""
-    from repro.core.interning import intern_stats
+    bindings and the rows the filter keeps become configurations."""
+    built = []
+    fill = configs_module._fill
 
+    def counting_fill(config, *parts):
+        built.append(parts)
+        return fill(config, *parts)
+
+    monkeypatch.setattr(configs_module, "_fill", counting_fill)
     space = _space()
-    before = intern_stats()
     space.alternatives(adder_spec(16))
-    after = intern_stats()
-    lookups = (after["hits"] + after["misses"]
-               - before["hits"] - before["misses"])
     cells = sum(1 for node in space.nodes.values()
                 for impl in node.impls if impl.kind == "cell")
     selected = sum(len(options) for options in space._configs.values())
     assert space.combinations_costed > selected
-    assert 0 < lookups <= cells + selected
+    assert 0 < len(built) <= cells + selected
+
+
+def test_survivor_matches_make_configuration_of_its_value():
+    """A survivor, built straight from its cost record's parts, is the
+    configuration :func:`make_configuration` builds from the same
+    value: equal, with equal hash, pickle and codec bytes, and equal
+    derived pair views."""
+    a, b, own = adder_spec(4), gate_spec("AND"), adder_spec(8)
+    left = make_configuration(3.0, {("A", "S"): 1.5, ("B", "S"): 1.0},
+                              {b: 1, a: 0})
+    right = make_configuration(2.0, {("A", "S"): 2.5}, {a: 0})
+    keys = (("A", "CO"), ("A", "S"))
+    record = CostRecord(5.0, 4.0, keys, configs_module.ARC_IDS.id_of(keys),
+                        (4.0, 3.5), (left, right),
+                        own_pairs([(own, 2)]))
+    survivor = record.configuration()
+    reference = make_configuration(
+        5.0, {("A", "S"): 3.5, ("A", "CO"): 4.0}, {own: 2, a: 0, b: 1})
+    assert survivor.arc_keys is keys  # the kernel's tuple, shared
+    assert survivor == reference and reference == survivor
+    assert hash(survivor) == hash(reference)
+    assert survivor.delay == reference.delay == 4.0
+    assert pickle.dumps(survivor) == pickle.dumps(reference)
+    assert json.dumps(encode_configs([survivor])) == \
+        json.dumps(encode_configs([reference]))
+    assert survivor.delays == reference.delays == (
+        (("A", "CO"), 4.0), (("A", "S"), 3.5))
+    assert survivor.id_choices == reference.id_choices
+    assert survivor.choices == reference.choices
+    assert survivor.ids == reference.ids
+    assert survivor.delay_matrix() == reference.delay_matrix()
+    with pytest.raises(AttributeError):
+        survivor.area = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ from repro.api import Session
 from repro.api.registry import EMITTERS, create_filter, parse_spec
 from repro.core import design_space
 from repro.core.configs import CostRecord, make_configuration
-from repro.core.specs import adder_spec
+from repro.core.specs import adder_spec, make_spec, port_signature
+from repro.netlist import Const, Netlist, NetlistError, endpoint_width
+from repro.netlist.ports import in_port, out_port
 
 GOLDEN = Path(__file__).with_name("fast_paths_golden.json")
 
@@ -106,7 +108,8 @@ def test_every_filter_keeps_a_lone_candidate(designator):
     perf_filter = create_filter(designator)
     config = make_configuration(7.0, {("A", "O"): 2.5},
                                 {adder_spec(4): 1})
-    record = CostRecord(7.0, 2.5, (("A", "O"),), (2.5,), (config,), ())
+    record = CostRecord(7.0, 2.5, config.arc_keys, config.arc_id, (2.5,),
+                        (config,), ())
     for lone in (config, record):
         kept = perf_filter.select_block([lone])
         assert len(kept) == 1 and kept[0] is lone
@@ -209,29 +212,64 @@ def test_a_rule_added_later_reaches_the_next_space():
     assert node.impls[-1].rule_name == "late-adder"
 
 
-def test_each_space_rechecks_a_shared_netlist_for_mutation():
-    """Implementations are shared, yet each space's first costing of a
-    decomposition rechecks its rule netlist's structure fingerprint: a
-    net added after the netlist compiled forces a recompile in the next
-    space, whose answers stay those of the unmutated netlist."""
+def test_cached_rule_netlists_are_frozen():
+    """Rule netlists are shared process-wide, so each is frozen before
+    it is cached: every structural mutator raises, rewiring an existing
+    pin included, and the netlist stays as its program compiled it."""
     spec = adder_spec(8)
-    design_space._EXPANSION_CACHES.clear()
-    try:
-        first = Session(library="lsi_logic")
-        before = first.synthesize(spec).result.alternatives
-        impl = next(impl for impl in first.space.nodes[spec].impls
-                    if impl.timing_program is not None)
-        compiled = impl.timing_program
-        impl.netlist.add_net("unconnected_probe")
-        second = Session(library="lsi_logic")
-        after = second.synthesize(spec).result.alternatives
-        again = second.space.nodes[spec].impls[impl.index]
-        assert again.netlist is impl.netlist
-        assert again.timing_program is not compiled
-        assert [alt.config for alt in after] == \
-            [alt.config for alt in before]
-    finally:
-        design_space._EXPANSION_CACHES.clear()
+    first = Session(library="lsi_logic")
+    before = first.synthesize(spec).result.alternatives
+    impl = next(impl for impl in first.space.nodes[spec].impls
+                if impl.kind == "decomp")
+    netlist = impl.netlist
+    assert netlist.frozen and impl.timing_program.netlist is netlist
+    module = netlist.modules[0]
+    pin, endpoint = next(iter(module.connections.items()))
+    rewired = Const(0, endpoint_width(endpoint))  # tie the pin off
+    shape = (netlist.ports, netlist.nets, netlist.modules,
+             [dict(inst.connections) for inst in netlist.modules])
+    mutators = [
+        lambda: netlist.add_port(in_port("PROBE")),
+        lambda: netlist.add_ports([out_port("PROBE_O")]),
+        lambda: netlist.add_net("probe"),
+        lambda: netlist.add_module("probe", module.spec, module.ports),
+        lambda: module.connect(pin, rewired),
+    ]
+    for mutate in mutators:
+        with pytest.raises(NetlistError):
+            mutate()
+    with pytest.raises(TypeError):
+        module.connections[pin] = rewired
+    with pytest.raises(AttributeError):
+        netlist.modules.append(module)
+    assert shape == (netlist.ports, netlist.nets, netlist.modules,
+                     [dict(inst.connections) for inst in netlist.modules])
+    after = Session(library="lsi_logic").synthesize(spec).result.alternatives
+    assert [alt.config for alt in after] == [alt.config for alt in before]
+
+
+def test_evaluate_netlist_sees_a_mutation_of_a_caller_owned_netlist():
+    """A caller's netlist stays mutable, and each ``evaluate_netlist``
+    call compiles a fresh program: rewiring a chain of two adders into
+    two parallel ones is re-timed on the next call."""
+    spec = make_spec("ADD", 8)
+    netlist = Netlist("chain")
+    a, b, c = (netlist.add_port(in_port(name, 8)) for name in "ABC")
+    o = netlist.add_port(out_port("O", 8))
+    mid = netlist.add_net("mid", 8)
+    netlist.add_module("add1", spec, port_signature(spec),
+                       {"A": a.ref(), "B": b.ref(), "S": mid.ref()})
+    second = netlist.add_module("add2", spec, port_signature(spec),
+                                {"A": mid.ref(), "B": c.ref(),
+                                 "S": o.ref()})
+    space = Session(library="lsi_logic").space
+    chained = space.evaluate_netlist(netlist)
+    second.connect("A", a.ref())
+    parallel = space.evaluate_netlist(netlist)
+    assert [config.area for config in parallel] == \
+        [config.area for config in chained]
+    assert min(config.delay for config in parallel) < \
+        min(config.delay for config in chained)
 
 
 def test_answers_equal_those_after_clearing_expansion_caches(golden):

@@ -18,6 +18,7 @@ from repro.core.specs import alu_spec, comparator_spec, make_spec
 from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
 from repro.nodestore import NodeStore, node_key, session_space_key
 from repro.store import ResultStore
+from repro.store.serialize import encode_configs
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,6 +34,19 @@ def _normalized_body(job) -> str:
     data["runtime_seconds"] = 0.0
     data["phases"] = {}
     return json.dumps(data, sort_keys=True)
+
+
+def _encoded(configs) -> str:
+    """The configurations' codec bytes: byte-identical for equal lists."""
+    return json.dumps(encode_configs(list(configs)))
+
+
+def _assert_same_configs(loaded, expected):
+    """Equal configurations, in order, with byte-identical encodings.
+    Configurations are built by plain construction, so a recomputed or
+    decoded one is equal to, not the same object as, the original."""
+    assert list(loaded) == list(expected)
+    assert _encoded(loaded) == _encoded(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +100,8 @@ def _normalized_report(job) -> str:
 
 def _assert_same_job(reference, job):
     assert len(job) == len(reference)
-    # Not merely equal: the canonical interned instances themselves.
-    assert all(a.config is b.config
-               for a, b in zip(job.alternatives, reference.alternatives))
+    _assert_same_configs([alt.config for alt in job.alternatives],
+                         [alt.config for alt in reference.alternatives])
     assert _normalized_body(job) == _normalized_body(reference)
     assert _normalized_report(job) == _normalized_report(reference)
     assert job.stats == reference.stats
@@ -208,8 +221,7 @@ def test_round_trip_returns_canonical_interned_options(tmp_path):
     fresh = NodeStore(store.path)
     loaded = fresh.load_options(key, spec, expected_impls=len(node.impls))
     assert loaded is not None
-    assert all(a is b for a, b in zip(loaded, options))  # re-interned
-    assert [a for a in loaded] == list(options)  # same order, same length
+    _assert_same_configs(loaded, options)  # same order, same length
 
 
 def test_corrupt_node_payload_self_heals(tmp_path):
@@ -678,7 +690,7 @@ def test_payload_v2_round_trips_without_space_key_inline(tmp_path):
     fresh = NodeStore(store.path)
     loaded = fresh.load_options(key, spec, expected_impls=impls)
     assert loaded is not None
-    assert all(a is b for a, b in zip(loaded, options))
+    _assert_same_configs(loaded, options)
 
 
 def test_old_payload_version_self_heals_to_miss(tmp_path):
@@ -923,5 +935,5 @@ def test_two_handles_rows_decode_through_a_third(tmp_path):
     loaded_b = third.load_options(node_key(sk, spec_b), spec_b,
                                   expected_impls=impls_b)
     assert loaded_a is not None and loaded_b is not None
-    assert all(a is b for a, b in zip(loaded_a, options_a))
-    assert all(a is b for a, b in zip(loaded_b, options_b))
+    _assert_same_configs(loaded_a, options_a)
+    _assert_same_configs(loaded_b, options_b)

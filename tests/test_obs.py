@@ -539,7 +539,9 @@ def test_one_worker_aggregate_renders_every_worker_sample(tmp_path):
             assert fleet == worker
         assert worker['repro_breaker_successes_total{kind="store"}'] > 0
         assert worker['repro_breaker_successes_total{kind="node_store"}'] > 0
-        assert worker["repro_interning_size"] > 0
+        # The engine interns nothing (only revived configurations enter
+        # the table), so the row is present whatever its value.
+        assert "repro_interning_size" in worker
     finally:
         handle.stop()
 
@@ -611,11 +613,8 @@ def test_metrics_schema_covers_every_field(tmp_path):
             assert any(series == name or (metric.label and
                                           series.startswith(name))
                        for series in names), (metric.key, name)
-    assert {(metric.section, metric.key) for metric in SCHEMA
-            if not metric.history} == {
-        ("", "uptime_seconds"), ("interning", "hits"),
-        ("interning", "misses"), ("interning", "revived"),
-        ("interning", "size")}
+    assert [(metric.section, metric.key) for metric in SCHEMA
+            if not metric.history] == []
 
 
 # ---------------------------------------------------------------------------

