@@ -24,7 +24,7 @@ from repro.netlist.netlist import Netlist
 REQUEST_KINDS = ("spec", "netlist", "legend", "hls")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisRequest:
     """One unit of synthesis work, in any of the four input languages.
 
@@ -39,6 +39,9 @@ class SynthesisRequest:
       elaborated with ``params`` and its component spec is synthesized;
     - :meth:`from_hls` -- a behavioral program; high-level synthesis
       produces the GENUS datapath netlist which is then mapped.
+
+    Requests are frozen: the service's resolution memo hands one
+    request object to every repeat of a body.
     """
 
     kind: str

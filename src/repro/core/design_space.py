@@ -243,6 +243,13 @@ class Implementation:
         return {self.spec: self.index}
 
     @cached_property
+    def own_items(self) -> Tuple[Tuple[int, Tuple[ComponentSpec, int]], ...]:
+        """:func:`~repro.core.configs.own_pairs` of :attr:`own_choice`:
+        the own entry every cost record of this implementation
+        carries."""
+        return own_pairs(self.own_choice.items())
+
+    @cached_property
     def cell_configuration(self) -> Configuration:
         """A cell binding's one configuration."""
         cell = self.binding.cell
@@ -648,13 +655,14 @@ class DesignSpace:
             option_lists.append(options)
         self._costed.add(impl)
         return self._evaluate_combinations(
-            program, option_lists, impl.own_choice)
+            program, option_lists, impl.own_choice, impl.own_items)
 
     def _evaluate_combinations(
         self,
         program: TimingProgram,
         option_lists: List[List[Configuration]],
         own_choice: Optional[Dict[ComponentSpec, int]],
+        own_items: Tuple[Tuple[int, Tuple[ComponentSpec, int]], ...],
     ) -> List[CostRecord]:
         """Cost every S1-consistent combination of module options.
 
@@ -663,14 +671,15 @@ class DesignSpace:
         ``run_batch`` call of that signature's kernel (which reads the
         chosen configurations' areas and delay values itself), and
         return one :class:`~repro.core.configs.CostRecord` per costed
-        row, in enumeration order.  A single row is a group of one.
+        row, in enumeration order; each record carries ``own_items``
+        (:func:`~repro.core.configs.own_pairs` of ``own_choice``) and
+        its kernel's arc id.  A single row is a group of one.
         :meth:`_select` turns the survivors into configurations.
         """
         phase_start = time.perf_counter()
         try:
             rows = enumerate_rows(option_lists, self.max_combinations,
                                   self.order, own_choice)
-            own_items = own_pairs(own_choice.items()) if own_choice else ()
             results: List[Optional[CostRecord]] = [None] * len(rows)
             groups: Dict[tuple, List[int]] = {}
             groups_get = groups.get
@@ -683,14 +692,13 @@ class DesignSpace:
                     groups[key] = [index]
                 else:
                     group.append(index)
-            arc_keys = ARC_IDS.values
             costed = 0
             for arc_ids, indices in groups.items():
-                kernel = program.kernel_for(arc_ids, arc_keys)
+                kernel = program.kernel_for(arc_ids, ARC_IDS)
                 chosen_rows = [rows[index][0] for index in indices]
                 costs = kernel.run_batch(chosen_rows, len(indices))
                 keys = kernel.keys
-                arc_id = ARC_IDS.id_of(keys)
+                arc_id = kernel.arc_id
                 costed += len(indices)
                 for index, chosen, (area, delay, values) in zip(
                         indices, chosen_rows, costs):
@@ -729,7 +737,8 @@ class DesignSpace:
             if not options:
                 raise SynthesisError(self._failure_message(sub))
             option_lists.append(options)
-        results = self._evaluate_combinations(program, option_lists, None)
+        results = self._evaluate_combinations(program, option_lists,
+                                              None, ())
         return self._select(results)
 
     def _failure_message(self, spec: ComponentSpec) -> str:

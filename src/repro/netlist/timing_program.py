@@ -68,7 +68,7 @@ import weakref
 from array import array
 from collections import defaultdict
 from typing import (
-    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from repro.netlist.nets import endpoint_masks
@@ -153,7 +153,7 @@ class _Kernel:
 
     __slots__ = (
         "n_nodes", "edge_u", "edge_v", "edge_slot", "edge_index",
-        "sources", "labeled", "module_slots", "_compiled",
+        "sources", "labeled", "module_slots", "_compiled", "arc_id",
     )
 
     def __init__(
@@ -178,6 +178,10 @@ class _Kernel:
         #: (result keys, generated function), built on first use.
         self._compiled: Optional[Tuple[Tuple[Tuple[str, str], ...],
                                        Callable]] = None
+        #: The id of :attr:`keys` in the id table of the
+        #: :meth:`TimingProgram.kernel_for` call that reached this
+        #: kernel (None until one has).
+        self.arc_id: Optional[int] = None
 
     @property
     def keys(self) -> Tuple[Tuple[str, str], ...]:
@@ -597,15 +601,20 @@ class TimingProgram:
             self._kernels[arc_keys_by_slot] = kernel
         return kernel
 
-    def kernel_for(self, arc_ids: Tuple[int, ...],
-                   arc_keys: Sequence[ArcKeys]) -> _Kernel:
+    def kernel_for(self, arc_ids: Tuple[int, ...], table: Any) -> _Kernel:
         """The kernel of the signature whose per-slot arc keys are
-        ``arc_keys[i]`` for each ``i`` in ``arc_ids`` (cached by the id
-        tuple, which hashes without touching a string)."""
+        ``table.values[i]`` for each ``i`` in ``arc_ids`` (cached by the
+        id tuple, which hashes without touching a string).  ``table`` is
+        the caller's id table of arc keys (``values`` and ``id_of``, as
+        :class:`repro.core.configs.IdTable`); the kernel's
+        :attr:`~_Kernel.arc_id` is set to the id of its result keys in
+        it, once, when the id tuple is first seen."""
         kernel = self._by_ids.get(arc_ids)
         if kernel is None:
+            arc_keys = table.values
             kernel = self._by_ids[arc_ids] = self.kernel(
                 tuple([arc_keys[arc] for arc in arc_ids]))
+            kernel.arc_id = table.id_of(kernel.keys)
         return kernel
 
 

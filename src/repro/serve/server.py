@@ -39,8 +39,16 @@ safe under *distinct* concurrent jobs, so each session runs one job at
 a time (an asyncio lock per session); concurrency comes from
 coalescing, store hits, and multiple sessions.
 
-A warm hit never leaves the event loop.  After the deadline check and
-the fingerprint, the store is probed with a read that cannot wait
+A warm hit never leaves the event loop, and a repeated one does not
+resolve its request again: the session key, the parsed
+``SynthesisRequest`` and the fingerprint of a ``spec`` body are a pure
+function of its bytes and the service's defaults, so each service
+remembers them per raw ``/synthesize`` body, in an LRU memo bounded by
+fixed constants (:data:`RESOLVE_MEMO_ENTRIES` bodies of at most
+:data:`RESOLVE_MEMO_BODY_BYTES` bytes; a longer body is resolved every
+time).  Errors, LEGEND requests and ``/batch`` items are never
+remembered.  After the deadline check, the store is probed with a
+read that cannot wait
 (:meth:`~repro.store.store.ResultStore.get_body_nowait`: in WAL
 mode a SQLite reader never waits for a writer), *before* the in-flight
 table and the owner task; a hit is answered in the same loop pass,
@@ -118,6 +126,15 @@ MAX_HEADERS = 100
 #: work stays warm.
 MAX_SESSIONS = 32
 
+#: Bounds of the resolution memo (:meth:`SynthesisService._resolve`):
+#: the least recently used of more than this many remembered
+#: ``/synthesize`` bodies is forgotten ...
+RESOLVE_MEMO_ENTRIES = 256
+#: ... and a body longer than this many bytes is resolved every time,
+#: never remembered.  The memo is keyed on client-controlled bytes, so
+#: both bounds are fixed: at most about 256 KiB of keys.
+RESOLVE_MEMO_BODY_BYTES = 1024
+
 #: Executor threads per service.  Engine runs and blocking store reads
 #: share them, so a store probe need not queue behind one long
 #: evaluation; parallelism across requests lives in the fleet's worker
@@ -137,6 +154,10 @@ ROUTES = {
     "/debug/traces": "GET",
     "/debug/dashboard": "GET",
 }
+
+#: What :meth:`SynthesisService._resolve` returns for one request:
+#: its session key, its ``SynthesisRequest`` and its fingerprint.
+Resolved = Tuple[SessionKey, Any, Optional[str]]
 
 #: The endpoints whose requests get trace spans: the ones that do
 #: work.  Health probes and metric scrapes would only pollute the ring.
@@ -356,6 +377,9 @@ class SynthesisService:
         self.metrics = Metrics()
         self.max_sessions = max(1, max_sessions)
         self._sessions: "OrderedDict[SessionKey, Any]" = OrderedDict()
+        #: Raw ``/synthesize`` body -> (session key, request,
+        #: fingerprint): the bounded LRU memo of :meth:`_resolve`.
+        self._resolved: "OrderedDict[bytes, Resolved]" = OrderedDict()
         self._session_locks: Dict[SessionKey, asyncio.Lock] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._executor = ThreadPoolExecutor(
@@ -436,6 +460,35 @@ class SynthesisService:
             raise ServeError(400, "'label' must be a string")
         return SynthesisRequest.from_legend(
             legend, generator=generator, label=label or "", params=params)
+
+    def _resolve(self, raw: Optional[bytes],
+                 body: Dict[str, Any]) -> Resolved:
+        """``(session key, request, fingerprint)`` of one request
+        object; a bad one is a 400.  All three are a pure function of
+        the body and :attr:`defaults` (a recreated session computes the
+        same fingerprint), so a ``spec`` request whose raw body is at
+        most :data:`RESOLVE_MEMO_BODY_BYTES` long is remembered under
+        those bytes, LRU-bounded at :data:`RESOLVE_MEMO_ENTRIES`; a
+        repeat of the bytes skips the spec parse and the hash.  Errors,
+        LEGEND requests and ``/batch`` items (``raw`` None) are never
+        remembered."""
+        memo = self._resolved
+        resolved = memo.get(raw)
+        if resolved is not None:
+            memo.move_to_end(raw)
+            return resolved
+        try:
+            key = session_key(body, self.defaults)
+        except (RegistryError, ValueError) as error:
+            raise ServeError(400, str(error))
+        request = self.build_request(body)
+        resolved = (key, request, self.session_for(key).fingerprint(request))
+        if (raw is not None and request.kind == "spec"
+                and len(raw) <= RESOLVE_MEMO_BODY_BYTES):
+            memo[raw] = resolved
+            if len(memo) > RESOLVE_MEMO_ENTRIES:
+                memo.popitem(last=False)
+        return resolved
 
     def _emit(self, job) -> bytes:
         # The job's memoized body: an engine run already rendered it
@@ -565,30 +618,31 @@ class SynthesisService:
     async def synthesize(self, raw: bytes, body: Dict[str, Any],
                          deadline: Optional[Deadline] = None
                          ) -> Tuple[int, bytes, str, Dict[str, str]]:
-        """One ``/synthesize`` request (``raw`` is its body as sent; the
-        local service needs only the parsed ``body``).  Returns
-        ``(status, body, source, response headers)``."""
-        payload, source = await self._synthesize(body, deadline)
+        """One ``/synthesize`` request: ``raw`` is its body as sent (the
+        key of the resolution memo), ``body`` the parsed object.
+        Returns ``(status, body, source, response headers)``."""
+        payload, source = await self._synthesize(body, deadline, raw)
         return 200, payload, source, {}
 
     async def _synthesize(self, body: Dict[str, Any],
-                          deadline: Optional[Deadline] = None
+                          deadline: Optional[Deadline] = None,
+                          raw: Optional[bytes] = None
                           ) -> Tuple[bytes, str]:
         """One request: serve warm, coalesce, or evaluate -- bounded by
         ``deadline`` when one governs the request (a 504 on exhaustion).
 
-        A warm hit is answered here, in the event-loop pass that parsed
-        the request: no owner task, no in-flight future, no executor
-        hop.  Only a miss (or a read that would block) goes on.
+        :meth:`_resolve` gives the session key, request and
+        fingerprint; a repeat of a remembered raw ``spec`` body
+        (``raw``; None for a ``/batch`` item) neither parses its spec
+        nor hashes its fingerprint again.  A warm hit is answered here,
+        in the event-loop pass that parsed the request: no owner task,
+        no in-flight future, no executor hop.  Only a miss (or a read
+        that would block) goes on.
 
         Returns ``(response bytes, source)`` where source is
         ``engine`` / ``store`` / ``coalesced``.
         """
-        try:
-            key = session_key(body, self.defaults)
-        except (RegistryError, ValueError) as error:
-            raise ServeError(400, str(error))
-        request = self.build_request(body)
+        key, request, fingerprint = self._resolve(raw, body)
         session = self.session_for(key)
         if deadline is not None and deadline.expired:
             self.metrics.timeouts += 1
@@ -601,7 +655,6 @@ class SynthesisService:
 
         # Coalescing keys on the same canonical fingerprint the store
         # uses; it applies even with the store disabled.
-        fingerprint = session.fingerprint(request)
         blocked = False
         if fingerprint is not None:
             try:

@@ -374,7 +374,10 @@ class ScalarSpace(DesignSpace):
     def _select(self, candidates):
         return self.perf_filter.select(candidates)
 
-    def _evaluate_combinations(self, program, option_lists, own_choice):
+    def _evaluate_combinations(self, program, option_lists, own_choice,
+                               own_items):
+        # ``own_items`` is ``own_choice`` in the production records'
+        # form; this oracle merges from ``own_choice`` itself.
         results = []
         for chosen, merged in iter_compatible(
             option_lists,

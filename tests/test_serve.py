@@ -17,6 +17,11 @@ import pytest
 from repro.api import EMITTERS, Session
 from repro.api.registry import session_key
 from repro.serve import ReproServer, SynthesisService
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    RESOLVE_MEMO_BODY_BYTES,
+    RESOLVE_MEMO_ENTRIES,
+)
 from repro.store import ResultStore
 from repro.store.serialize import payload_to_job
 
@@ -536,3 +541,188 @@ def test_drain_writes_the_queued_lru_stamps(tmp_path):
         assert [e["label"] for e in store.entries()] == ["spec:adder:8"]
     finally:
         store.close()
+
+
+# ---------------------------------------------------------------------------
+# the resolution memo: raw body -> (session key, request, fingerprint)
+# ---------------------------------------------------------------------------
+
+def _post_raw(handle, raw: bytes, headers=None):
+    """POST ``raw`` to /synthesize byte for byte: (status, body,
+    source)."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
+    try:
+        conn.request("POST", "/synthesize", body=raw, headers=headers or {})
+        resp = conn.getresponse()
+        return resp.status, resp.read(), resp.getheader("X-Repro-Source")
+    finally:
+        conn.close()
+
+
+@pytest.fixture()
+def memo_server(tmp_path):
+    """A served SynthesisService and its handle, so a test can read the
+    service's resolution memo between requests."""
+    service = SynthesisService(store=tmp_path / "memo.sqlite",
+                               node_store=None)
+    handle = ReproServer(service, port=0).run_in_thread()
+    yield service, handle
+    handle.stop()
+
+
+def test_resolution_memo_stays_within_its_bounds(memo_server):
+    """More distinct valid bodies than the entry cap, and bodies padded
+    past the byte cap up to the 4 MiB limit: each is answered with the
+    stored bytes, and the memo keeps at most the cap of the newest
+    small bodies."""
+    service, handle = memo_server
+    status, first, source = _post_raw(handle, b'{"spec": "adder:8"}')
+    assert (status, source) == (200, "engine")
+    bodies = [json.dumps({"spec": "adder:8", "ignored": i}).encode()
+              for i in range(RESOLVE_MEMO_ENTRIES + 8)]
+    for raw in bodies:
+        assert _post_raw(handle, raw) == (200, first, "store")
+        assert len(service._resolved) <= RESOLVE_MEMO_ENTRIES
+    assert list(service._resolved) == bodies[-RESOLVE_MEMO_ENTRIES:]
+
+    kept = list(service._resolved)
+    for size in (RESOLVE_MEMO_BODY_BYTES, MAX_BODY_BYTES - 64):
+        padded = json.dumps({"spec": "adder:8",
+                             "ignored": "x" * size}).encode()
+        assert RESOLVE_MEMO_BODY_BYTES < len(padded) <= MAX_BODY_BYTES
+        for _ in range(2):
+            assert _post_raw(handle, padded) == (200, first, "store")
+    assert list(service._resolved) == kept
+    assert max(map(len, service._resolved)) <= RESOLVE_MEMO_BODY_BYTES
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"spec": "alu:0"}',
+    b'{"spec": "nope:8"}',
+    b'{"spec": "adder:8", "filter": "pareto:3"}',
+    b'{"spec": "adder:8", "filter": "nope"}',
+    b'{"spec": "adder:8", "legend": "x"}',
+])
+def test_bad_bodies_are_400_on_every_repeat_and_never_memoized(
+        memo_server, raw):
+    service, handle = memo_server
+    for _ in range(3):
+        status, data, _ = _post_raw(handle, raw)
+        assert status == 400
+        assert json.loads(data)["error"]
+    assert not service._resolved
+
+
+def test_batch_items_and_legend_requests_are_not_memoized(memo_server):
+    from repro.legend.stdlib_source import FIGURE_2_COUNTER_SOURCE
+
+    service, handle = memo_server
+    status, data, _ = _request(handle, "POST", "/batch", {
+        "requests": [{"spec": "adder:8"}, {"spec": "adder:8"}]})
+    assert status == 200
+    legend = {"legend": FIGURE_2_COUNTER_SOURCE, "generator": "COUNTER",
+              "params": {"GC_INPUT_WIDTH": 8}}
+    assert [_post(handle, legend)[2] for _ in range(2)] == ["engine",
+                                                           "store"]
+    assert not service._resolved
+
+
+#: Spellings of one request: key order, whitespace, and the filter as
+#: ``tradeoff``, ``tradeoff:0.05`` and ``tradeoff:0.050``.
+SPELLINGS = [
+    b'{"spec": "adder:8", "filter": "tradeoff"}',
+    b'{"filter":"tradeoff:0.050","spec":"adder:8"}',
+    b'{ "spec" : "adder:8" ,\n  "filter" : "tradeoff:0.05" }',
+]
+
+
+def _normalized(body: bytes) -> dict:
+    """A json body with the fields that differ between two engine runs
+    pinned."""
+    data = json.loads(body)
+    data["runtime_seconds"] = 0.0
+    data["phases"] = {}
+    return data
+
+
+def test_memoized_spellings_answer_like_a_fresh_service(tmp_path):
+    """Every spelling, first or repeated, gets the first run's bytes,
+    and the sources match those of a service that resolves every
+    request afresh; a fresh service over the same store serves the
+    same bytes."""
+    def replay(service, forget=False):
+        handle = ReproServer(service, port=0).run_in_thread()
+        try:
+            answers = []
+            for raw in SPELLINGS * 2:
+                if forget:
+                    service._resolved.clear()
+                answers.append(_post_raw(handle, raw))
+            return answers
+        finally:
+            handle.stop()
+
+    path = tmp_path / "spellings.sqlite"
+    memo = SynthesisService(store=path, node_store=None)
+    memoized = replay(memo)
+    unmemoized = replay(SynthesisService(store=tmp_path / "fresh.sqlite",
+                                         node_store=None), forget=True)
+    sources = ["engine"] + ["store"] * (2 * len(SPELLINGS) - 1)
+    for answers in (memoized, unmemoized):
+        assert [source for _, _, source in answers] == sources
+        assert {status for status, _, _ in answers} == {200}
+        assert len({body for _, body, _ in answers}) == 1
+    assert _normalized(memoized[0][1]) == _normalized(unmemoized[0][1])
+    assert len(memo._resolved) == len(SPELLINGS)
+    assert len({(key, fingerprint) for key, _, fingerprint
+                in memo._resolved.values()}) == 1
+
+    again = SynthesisService(store=path, node_store=None)
+    assert [answer[1:] for answer in replay(again)] == [
+        (memoized[0][1], "store")] * (2 * len(SPELLINGS))
+
+
+def test_memo_hits_serve_store_bytes_after_session_eviction(tmp_path):
+    """With one pooled session, alternating two configurations evicts
+    the other's session on every request; its memoized fingerprint is
+    the one the recreated session computes, so each is a store hit."""
+    service = SynthesisService(store=tmp_path / "evict.sqlite",
+                               node_store=None, max_sessions=1)
+    handle = ReproServer(service, port=0).run_in_thread()
+    pair = (b'{"spec": "adder:8"}',
+            b'{"spec": "adder:8", "filter": "tradeoff:0.05"}')
+    try:
+        first = {}
+        for raw in pair:
+            status, first[raw], source = _post_raw(handle, raw)
+            assert (status, source) == (200, "engine")
+        for _ in range(3):
+            for raw in pair:
+                assert _post_raw(handle, raw) == (200, first[raw], "store")
+                assert len(service._sessions) == 1
+        assert set(service._resolved) == set(pair)
+        for key, request, fingerprint in service._resolved.values():
+            assert service.session_for(key).fingerprint(request) == (
+                fingerprint)
+        _, data, _ = _request(handle, "GET", "/metrics")
+        metrics = json.loads(data)
+        assert (metrics["engine_evaluations"], metrics["store_hits"]) == (
+            2, 6)
+    finally:
+        handle.stop()
+
+
+def test_expired_deadline_on_a_memoized_body_is_504(memo_server):
+    """The deadline check follows the memo: a remembered body that
+    arrives out of budget is a 504, not a 200."""
+    service, handle = memo_server
+    raw = b'{"spec": "adder:8"}'
+    assert _post_raw(handle, raw)[2] == "engine"
+    assert _post_raw(handle, raw)[2] == "store"
+    assert raw in service._resolved
+    status, data, _ = _post_raw(handle, raw, {"X-Repro-Deadline-Ms": "1e-6"})
+    assert status == 504
+    assert "deadline" in json.loads(data)["error"]
+    _, data, _ = _request(handle, "GET", "/metrics")
+    metrics = json.loads(data)
+    assert (metrics["timeouts"], metrics["store_hits"]) == (1, 1)
