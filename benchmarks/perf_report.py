@@ -199,11 +199,12 @@ def _node_workload(order: Optional[str] = None
     A *distinct-but-overlapping* request -- a bare COMPARATOR<64>,
     whose expanded subgraph is the heaviest subtree of the ALU64 --
     served through the per-node option cache (:mod:`repro.nodestore`)
-    after an ALU64 run warmed it.  The first repeat pays the producer's
-    ALU64 run plus the comparator evaluation (the cold path, visible in
-    ``wall_seconds_first``); later repeats answer the comparator from
-    persisted node entries with no S1 cross products at all, which is
-    the number ``wall_seconds`` tracks.  The thunk asserts the cache
+    after an ALU64 run warmed it.  The first repeat also pays the
+    producer's ALU64 run (the cold path, visible in
+    ``wall_seconds_first``).  Each repeat answers the comparator in a
+    fresh session by decoding its node rows from SQLite -- the store
+    keeps no in-process copy -- with no S1 cross products at all, which
+    is the number ``wall_seconds`` tracks.  The thunk asserts the cache
     was actually reused -- results must stay byte-identical either way,
     so only the stats can prove the warm path ran.
     """

@@ -783,10 +783,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"label:       {entry['label']}")
         print(f"hits:        {entry['hits']}")
         print(f"size:        {entry['size_bytes']} bytes")
-        timing = payload.get("timing", {})
+        stats = payload.get("stats", {})
         print(f"engine:      {payload.get('runtime_seconds', 0.0) * 1e3:.1f} "
-              f"ms over {timing.get('spec_nodes', 0)} spec nodes, "
-              f"{timing.get('programs_compiled', 0)} compiled programs")
+              f"ms over {stats.get('spec_nodes', 0)} spec nodes")
         report = payload.get("report")
         if report:
             print()

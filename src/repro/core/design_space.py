@@ -436,9 +436,6 @@ class DesignSpace:
         # stack.  One space runs on one thread at a time, so a spec
         # found here is a decomposition cycle.
         self._evaluating: Set[ComponentSpec] = set()
-        #: The decompositions this space costed (it had every child's
-        #: options, so it held their compiled program).
-        self._costed: Set[Implementation] = set()
         # The shared expansion graph of the rulebase's current rules,
         # and whether this space has linked nodes of an earlier one (a
         # rule was added in between), which voids the per-node
@@ -559,7 +556,7 @@ class DesignSpace:
 
     def _node_cache_publish(
         self, spec: ComponentSpec, node: SpecNode,
-        selected: List[Configuration],
+        selected: List[Configuration], programs: int,
     ) -> None:
         if not selected or not self._node_cacheable(node):
             return
@@ -567,8 +564,7 @@ class DesignSpace:
         try:
             if self.node_store.save_options(
                 self._node_key(spec), spec, selected,
-                impls=len(node.impls),
-                programs=self.programs_compiled([node])):
+                impls=len(node.impls), programs=programs):
                 with _NODE_STATS_LOCK:
                     self.node_stats["published"] += 1
         finally:
@@ -604,11 +600,17 @@ class DesignSpace:
                     self._configs[spec] = loaded
                     return loaded
             candidates: list = []
+            # Decompositions costed here: each compiled (or reused) its
+            # timing program.
+            programs = 0
             for impl in node.impls:
                 if impl.kind == "cell":
                     candidates.append(impl.cell_configuration)
-                else:
-                    candidates.extend(self._decomp_configs(spec, impl))
+                    continue
+                records = self._decomp_configs(spec, impl)
+                if records is not None:
+                    programs += 1
+                    candidates.extend(records)
             selected = self._select(candidates)
             if not selected:
                 self.failures.setdefault(
@@ -619,7 +621,7 @@ class DesignSpace:
                 )
             self._configs[spec] = selected
             if self.node_store is not None:
-                self._node_cache_publish(spec, node, selected)
+                self._node_cache_publish(spec, node, selected, programs)
             return selected
         finally:
             self._evaluating.discard(spec)
@@ -642,7 +644,9 @@ class DesignSpace:
 
     def _decomp_configs(
         self, spec: ComponentSpec, impl: Implementation
-    ) -> List[CostRecord]:
+    ) -> Optional[List[CostRecord]]:
+        """The cost records of one decomposition's S1 rows, or ``None``
+        when some module is unimplementable (nothing is costed)."""
         program = impl.timing_program
         memo = self._configs
         option_lists = []
@@ -651,9 +655,8 @@ class DesignSpace:
             if options is None:
                 options = self.configs(sub)
             if not options:
-                return []  # some module is unimplementable
+                return None  # some module is unimplementable
             option_lists.append(options)
-        self._costed.add(impl)
         return self._evaluate_combinations(
             program, option_lists, impl.own_choice, impl.own_items)
 
@@ -815,9 +818,8 @@ class DesignSpace:
         """The expanded nodes reachable from ``roots`` through
         decomposition module specs -- the subgraph one request
         actually touches, independent of whatever else this space
-        evaluated.  The single traversal behind every per-request
-        statistic (:meth:`stats_for`, the store's timing metadata), so
-        the notion of "reachable" cannot drift between them."""
+        evaluated: the traversal behind the per-request statistics of
+        :meth:`stats_for`."""
         seen: Set[ComponentSpec] = set()
         queue = list(roots)
         found: List[SpecNode] = []
@@ -856,14 +858,6 @@ class DesignSpace:
                     node.stats = _node_counts(self.reachable_nodes(roots))
                 return dict(node.stats)
         return _node_counts(self.reachable_nodes(roots))
-
-    def programs_compiled(self, nodes: Iterable[SpecNode]) -> int:
-        """How many of ``nodes``' decompositions this space costed,
-        which compiled (or reused) their timing program: a count of
-        this space's own work, whatever other spaces did."""
-        costed = self._costed
-        return sum(1 for node in nodes for impl in node.impls
-                   if impl in costed)
 
 
 def _node_counts(nodes: List[SpecNode]) -> Dict[str, int]:

@@ -9,8 +9,10 @@ filtered option list (the configurations
 persisted under a content fingerprint of (library data book, rulebase,
 search controls, canonical spec token) -- see
 :mod:`repro.nodestore.fingerprint` -- in a SQLite ``nodes`` table that
-by default lives *in the result store's file*, fronted by a bounded
-in-process tier.
+by default lives *in the result store's file*.  The store keeps no
+in-process copy: within one design space the space's own memo answers
+every repeat, so each node is read from the table at most once per
+space.
 
 That makes sharing work that request-level caching cannot:
 

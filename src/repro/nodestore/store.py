@@ -1,4 +1,4 @@
-"""The per-node option cache: SQLite ``nodes`` table + in-process tier.
+"""The per-node option cache: the SQLite ``nodes`` table.
 
 A :class:`NodeStore` persists the evaluated option list of single spec
 nodes -- the unit :meth:`repro.core.design_space.DesignSpace.configs`
@@ -8,20 +8,10 @@ store's storage conventions (and, by default, its *file*): a ``nodes``
 table with the same metadata columns next to ``results``, so one
 SQLite file is the whole persistent cache and LRU pruning accounts for
 both tables together (:func:`repro.store.store.prune_cache_tables`).
-
-Two tiers:
-
-**in-process (hot)**
-    A bounded LRU dict mapping node fingerprint to the already-revived
-    tuple of canonical configurations.  Repeated probes from the same
-    process (a serving session pool, a batch run) skip JSON decoding
-    entirely.  Entries are the objects the evaluation or the revival
-    built, so the tier adds no copies.
-
-**SQLite (persistent)**
-    Survives the process and is shared across processes: every
-    ``repro serve`` or fleet worker that opens the same file probes
-    and publishes nodes the others can reuse.
+The table survives the process and is shared across processes: every
+``repro serve`` or fleet worker that opens the same file probes and
+publishes nodes the others can reuse.  Within one design space,
+repeats never reach the table: the space's own memo answers them.
 
 A row is a small header (table and payload versions, the node's spec
 token, its implementation count and compiled-program count) around the
@@ -36,23 +26,22 @@ checks every index and the choice order the row holds; any mismatch
 or decode failure deletes the entry and reports a miss, so a corrupt
 or stale row self-heals on the next publish.  Store failures follow
 the one rule of :mod:`repro.store.store`: the two serving ops degrade
-(a load serves only what the hot tier holds, a save is a no-op that
-still fills the hot tier) and count under ``errors``, so a broken
-cache never breaks synthesis; maintenance ops raise.
+(a load is a miss, a save persists nothing) and count under
+``errors``, so a broken cache never breaks synthesis; maintenance ops
+raise.
 
 The SQLite lifecycle, table set-up and maintenance surface (``len``,
 ``in``, ``entries``, ``info``, ``prune``, ``clear``, ``close``) are
 :class:`repro.store.store.CacheTable`'s, shared with the result store;
-this module adds the hot tier and the row header.
+this module adds the row header.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.store.fingerprint import spec_token
 from repro.store.serialize import decode_configs, encode_configs
@@ -76,18 +65,13 @@ NODE_SCHEMA = 1
 #: miss: re-evaluated and republished, never an error.
 NODE_PAYLOAD = 2
 
-#: Bound on the in-process tier (entries, not bytes; an entry is a
-#: tuple of already-built configurations, so the dominant cost is
-#: held references, not copies).
-HOT_TIER_ENTRIES = 4096
-
 
 class NodeStore(CacheTable):
-    """A content-addressed per-node option cache (SQLite + hot tier;
-    URL form: ``sqlite:///path``, by default the result store's own
-    file).  A failed serving op, real or injected, never raises: it
-    counts under ``errors`` and serves the hot tier's entry or a miss
-    (a load) or persists nothing (a save).  A corrupted read is a miss.
+    """A content-addressed per-node option cache (URL form:
+    ``sqlite:///path``, by default the result store's own file).  A
+    failed serving op, real or injected, never raises: it counts under
+    ``errors`` and is a miss (a load) or persists nothing (a save).  A
+    corrupted read is a miss.
 
     The engine calls exactly two serving ops
     (:meth:`load_options` / :meth:`save_options`).  A load returns
@@ -99,10 +83,7 @@ class NodeStore(CacheTable):
     noun = "node store"
 
     def __init__(self, path: Union[str, Path, None] = None,
-                 hot_entries: int = HOT_TIER_ENTRIES,
                  busy_timeout_ms: int = 10_000, policy: Any = None) -> None:
-        self._hot: "OrderedDict[str, Tuple[tuple, int]]" = OrderedDict()
-        self._hot_entries = max(1, hot_entries)
         #: Monotonic serving counters (guarded by the lock; shared by
         #: every session attached to this store, so service metrics
         #: survive session-pool eviction).
@@ -116,33 +97,14 @@ class NodeStore(CacheTable):
         return NODE_SCHEMA
 
     # ------------------------------------------------------------------
-    # CacheTable hooks
-    # ------------------------------------------------------------------
-    def _forget(self) -> None:
-        # Evicted rows must not linger hot.
-        self._hot.clear()
-
-    def _extra_info(self) -> Dict[str, Any]:
-        return {"hot_entries": len(self._hot)}
-
-    # ------------------------------------------------------------------
     # the cache protocol (what DesignSpace calls)
     # ------------------------------------------------------------------
-    def _hot_options(self, fingerprint: str, spec: Any,
-                     expected_impls: int) -> Optional[List[Any]]:
-        """What a failed or short-circuited load serves: this process's
-        hot-tier entry, or a miss."""
-        with self._lock:
-            entry = self._hot.get(fingerprint)
-        if entry is None or entry[1] != expected_impls:
-            return None
-        return list(entry[0])
-
-    @serving_op("load_options", _hot_options, corrupted=None)
+    @serving_op("load_options", corrupted=None)
     def load_options(self, fingerprint: str, spec: Any,
                      expected_impls: int) -> Optional[List[Any]]:
         """The persisted option list under ``fingerprint``, as revived
-        canonical configurations -- or ``None`` on any miss.
+        canonical configurations -- or ``None`` on any miss.  A hit
+        stamps the row, so a shared-LRU prune keeps it.
 
         ``expected_impls`` is the implementation count of the caller's
         *live* expanded node; a stored payload that disagrees (a rule
@@ -150,24 +112,6 @@ class NodeStore(CacheTable):
         reported as a miss, so the engine recomputes and overwrites it
         rather than serving choice maps that index a different
         implementation list."""
-        with self._lock:
-            entry = self._hot.get(fingerprint)
-            if entry is not None:
-                options, impls = entry
-                if impls == expected_impls:
-                    self._hot.move_to_end(fingerprint)
-                    # Stamp the persistent row too: the hottest entries
-                    # are exactly the ones the hot tier keeps answering,
-                    # and without the stamp a shared-LRU prune would
-                    # evict them *first*.  A failed stamp still serves
-                    # the entry: it is this op's default.
-                    self._touch(fingerprint)
-                    self.hits += 1
-                    return list(options)
-                del self._hot[fingerprint]
-                self._delete(fingerprint)
-                self.misses += 1
-                return None
         payload = self._get_payload(fingerprint)
         if payload is None:
             with self._lock:
@@ -179,8 +123,6 @@ class NodeStore(CacheTable):
                 self._delete(fingerprint)
                 self.misses += 1
                 return None
-            self._hot_insert_locked(fingerprint, tuple(options),
-                                    expected_impls)
             self.hits += 1
         return options
 
@@ -189,33 +131,21 @@ class NodeStore(CacheTable):
                      impls: int, programs: int = 0) -> bool:
         """Persist one node's filtered option list (list order is part
         of the contract: parents enumerate options in exactly this
-        order).  Returns True only when the entry actually reached the
-        SQLite tier -- the hot tier is filled first, so a write that
-        failed (disk full, say) still serves this process but counts
-        under ``errors``, never ``published``.
-
-        An entry already hot *and* still on disk is skipped (a sibling
-        thread just published it); hot-but-evicted entries -- another
-        handle pruned the file -- are re-persisted, so pruning cannot
-        permanently banish the busiest nodes."""
+        order), replacing any row under ``fingerprint``.  Returns True
+        only when the entry reached the table: a write that failed
+        (disk full, say) counts under ``errors``, never
+        ``published``."""
+        payload = {
+            "schema": NODE_SCHEMA,
+            "payload": NODE_PAYLOAD,
+            "spec": spec_token(spec),
+            "impls": int(impls),
+            "programs": int(programs),
+            **encode_configs(options),
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        now = time.time()
         with self._lock:
-            if fingerprint in self._hot and self._db.execute(
-                    "SELECT 1 FROM nodes WHERE fingerprint = ?",
-                    (fingerprint,)).fetchone() is not None:
-                self._touch(fingerprint)
-                return False
-            self._hot_insert_locked(fingerprint, tuple(options), impls)
-            payload = {
-                "schema": NODE_SCHEMA,
-                "payload": NODE_PAYLOAD,
-                "spec": spec_token(spec),
-                "impls": int(impls),
-                "programs": int(programs),
-                **encode_configs(options),
-            }
-            text = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":"))
-            now = time.time()
             with self._db:
                 self._db.execute(
                     "INSERT OR REPLACE INTO nodes "
@@ -244,23 +174,14 @@ class NodeStore(CacheTable):
             self._touch(fingerprint)
         return payload
 
-    def _hot_insert_locked(self, fingerprint: str, options: tuple,
-                           impls: int) -> None:
-        self._hot[fingerprint] = (options, impls)
-        self._hot.move_to_end(fingerprint)
-        while len(self._hot) > self._hot_entries:
-            self._hot.popitem(last=False)
-
     def stats(self) -> Dict[str, int]:
-        """Serving counters plus table sizes (the shape ``/metrics``
-        exposes)."""
+        """Serving counters (the shape ``/metrics`` exposes)."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "published": self.published,
                 "errors": self.errors,
-                "hot_entries": len(self._hot),
             }
 
 

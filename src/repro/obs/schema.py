@@ -87,10 +87,6 @@ METRICS = (
            "Cumulative engine seconds per synthesis phase.", "phase:",
            "phase", zero=0.0),
     _node("hits"), _node("misses"), _node("published"), _node("errors"),
-    Metric("node_cache", "hot_entries", "gauge", "sum",
-           "repro_node_cache_hot_entries",
-           "Node option cache in-memory hot-tier entries.",
-           "node_cache:hot_entries"),
     _interned("hits"), _interned("misses"), _interned("revived"),
     Metric("interning", "size", "gauge", "sum", "repro_interning_size",
            "Interned configuration table size.", "interning:size",

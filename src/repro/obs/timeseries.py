@@ -67,15 +67,33 @@ def bucket_quantile(edges: Sequence[float], counts: Sequence[float],
     return edges[-1]
 
 
-def counter_increase(points: Sequence[Tuple[float, float]]) -> float:
-    """Total increase over a run of counter samples, reset-aware: a
+def _counter_step(prev: float, value: float) -> float:
+    """A counter's increase from ``prev`` to ``value``, reset-aware: a
     sample smaller than its predecessor means the process restarted,
     and the new total *is* the increase since the reset."""
+    return value - prev if value >= prev else value
+
+
+def _bucket_step(prev: Sequence[float],
+                 counts: Sequence[float]) -> Tuple[List[float], bool]:
+    """Per-bucket increase from one cumulative histogram snapshot to
+    the next, and whether the histogram was reset in between (its
+    total count fell: the worker restarted, and ``counts`` *is* the
+    increase).  A bucket ``prev`` lacks counts from zero."""
+    if sum(counts) < sum(prev):
+        return list(counts), True
+    return [max(0.0, value - (prev[i] if i < len(prev) else 0))
+            for i, value in enumerate(counts)], False
+
+
+def counter_increase(points: Sequence[Tuple[float, float]]) -> float:
+    """Total increase over a run of counter samples, reset-aware
+    (:func:`_counter_step`)."""
     increase = 0.0
     prev: Optional[float] = None
     for _, value in points:
         if prev is not None:
-            increase += value - prev if value >= prev else value
+            increase += _counter_step(prev, value)
         prev = value
     return increase
 
@@ -255,11 +273,9 @@ class MetricsHistory:
         prev_sum: Optional[float] = None
         for _, counts, total in points:
             if prev_counts is not None:
-                reset = sum(counts) < sum(prev_counts)
-                for i, value in enumerate(counts):
-                    base = 0 if reset or i >= len(prev_counts) \
-                        else prev_counts[i]
-                    deltas[i] += value if reset else max(0.0, value - base)
+                step, reset = _bucket_step(prev_counts, counts)
+                for i, value in enumerate(step):
+                    deltas[i] += value
                 sum_delta += total if reset else max(0.0, total - prev_sum)
             prev_counts, prev_sum = counts, total
         return deltas, sum_delta
@@ -308,8 +324,7 @@ class MetricsHistory:
             if prev is not None and ts >= since:
                 dt = ts - prev[0]
                 if dt > 0:
-                    delta = value - prev[1] if value >= prev[1] else value
-                    out.append([ts, delta / dt])
+                    out.append([ts, _counter_step(prev[1], value) / dt])
             prev = (ts, value)
         return out
 
@@ -323,10 +338,7 @@ class MetricsHistory:
         prev: Optional[Tuple] = None
         for ts, counts, _ in ring:
             if prev is not None and ts >= since:
-                reset = sum(counts) < sum(prev)
-                deltas = list(counts) if reset else [
-                    max(0.0, value - (prev[i] if i < len(prev) else 0))
-                    for i, value in enumerate(counts)]
+                deltas, _ = _bucket_step(prev, counts)
                 value = bucket_quantile(edges, deltas, q)
                 if value is not None:
                     out.append([ts, value])

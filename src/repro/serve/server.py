@@ -361,9 +361,9 @@ class SynthesisService:
         # request that misses the result store still starts half-warm
         # wherever its expanded subgraph overlaps anything served
         # before -- by this process or any other on the same file.
-        # One NodeStore is shared by every pooled session: the hot tier
-        # and the hit/miss/published counters survive LRU session
-        # eviction, keeping /metrics monotonic.
+        # One NodeStore is shared by every pooled session: its
+        # hit/miss/published counters survive LRU session eviction,
+        # keeping /metrics monotonic.
         if node_store == "auto":
             node_store = node_store_beside(self.store)
         self.node_store = create_node_store(node_store)

@@ -151,39 +151,17 @@ def decode_configs(block: Any) -> Optional[List[Any]]:
 # Whole jobs
 # ---------------------------------------------------------------------------
 
-def _timing_metadata(job, space) -> Dict[str, int]:
-    """Compiled-program counts over the subgraph *this request*
-    reaches.  Like the stats field (``DesignSpace.stats_for``), the
-    payload must be a deterministic function of the request: a serving
-    session's space accumulates nodes across jobs, and whole-space
-    counts would make identical fingerprints carry different payloads
-    depending on producer history."""
-    if space is None:
-        return {"programs_compiled": 0, "spec_nodes": 0}
-    if job.spec is not None:
-        roots = [job.spec]
-    elif job.hls is not None:
-        roots = [m.spec for m in job.hls.datapath.netlist.modules]
-    else:
-        roots = []
-    nodes = space.reachable_nodes(roots)
-    return {
-        "programs_compiled": space.programs_compiled(nodes),
-        "spec_nodes": len(nodes),
-    }
-
-
 def job_to_payload(job) -> Dict[str, Any]:
     """Serialize a finished :class:`~repro.api.requests.SynthesisJob`.
 
     Captures the request envelope (kind + final label -- LEGEND jobs
     upgrade their label during elaboration and the warm path must
     reproduce that), the root spec, the ordered alternatives, the stats
-    and runtime the JSON emitter echoes, the rendered report, and
-    timing-program metadata -- every field a deterministic function of
-    the request alone.
+    and runtime the JSON emitter echoes, and the rendered report.  Apart
+    from the wall-clock ``runtime_seconds`` and ``phases``, every field
+    is a function of the fingerprint alone: nothing records what the
+    producing process or its node store had evaluated before.
     """
-    space = job.session.space if job.session is not None else None
     return {
         "schema": PAYLOAD_SCHEMA,
         "request": {"kind": job.request.kind, "label": job.request.label},
@@ -194,7 +172,6 @@ def job_to_payload(job) -> Dict[str, Any]:
         "runtime_seconds": job.runtime_seconds,
         "phases": dict(job.phases),
         "report": job.report(),
-        "timing": _timing_metadata(job, space),
     }
 
 

@@ -175,8 +175,7 @@ def serving_op(op: Optional[str], default: Any = None,
     policy ticks ``op`` (``None``: the op never ticks) before the op
     runs.  A failure (one of :data:`STORE_FAILURES`, injected or real)
     adds one to the table's ``errors``, counts against the breaker and
-    returns ``default`` -- a callable ``default`` is called with the
-    op's arguments.  :class:`WouldBlock` is no outcome: a half-open
+    returns ``default``.  :class:`WouldBlock` is no outcome: a half-open
     probe slot goes back and the caller sees it.  A successful read
     that is not a miss may then be corrupted: it returns ``corrupted``
     instead (``None`` is a miss, a dict a copy of it)."""
@@ -207,8 +206,7 @@ def serving_op(op: Optional[str], default: Any = None,
                     self.errors += 1
                 if breaker is not None:
                     breaker.record_failure()
-            return (default(self, *args, **kwargs) if callable(default)
-                    else default)
+            return default
 
         return guarded
 
@@ -335,17 +333,6 @@ class CacheTable:
             )
 
     # ------------------------------------------------------------------
-    # leaf hooks
-    # ------------------------------------------------------------------
-    def _forget(self) -> None:
-        """Drop in-process state after a prune or clear (caller holds
-        the lock)."""
-
-    def _extra_info(self) -> Dict[str, Any]:
-        """Leaf-specific fields appended to :meth:`info`."""
-        return {}
-
-    # ------------------------------------------------------------------
     # shared row plumbing (caller holds the lock)
     # ------------------------------------------------------------------
     def _touch(self, fingerprint: str) -> None:
@@ -423,7 +410,6 @@ class CacheTable:
             "entries": int(count),
             "payload_bytes": int(total),
             "hits": int(hits),
-            **self._extra_info(),
         }
         if self.policy is not None:
             summary["fault_injection"] = self.policy.describe()
@@ -444,12 +430,9 @@ class CacheTable:
             raise ValueError(
                 f"max_mb must be a finite number >= 0, got {max_mb!r}")
         with self._lock:
-            try:
-                result = prune_cache_tables(self._db, int(max_mb * 1_000_000))
-                if result["removed"]:
-                    self._db.execute("VACUUM")
-            finally:
-                self._forget()  # evicted rows must not linger in process
+            result = prune_cache_tables(self._db, int(max_mb * 1_000_000))
+            if result["removed"]:
+                self._db.execute("VACUUM")
         return {
             "removed": result["removed"],
             "remaining": len(self),
@@ -459,12 +442,10 @@ class CacheTable:
     def clear(self) -> int:
         """Drop every entry of this table (the other kind's entries in
         a shared file are untouched)."""
-        with self._lock:
-            self._forget()
-            with self._db:
-                (count,) = self._db.execute(
-                    f"SELECT COUNT(*) FROM {self.table}").fetchone()
-                self._db.execute(f"DELETE FROM {self.table}")
+        with self._lock, self._db:
+            (count,) = self._db.execute(
+                f"SELECT COUNT(*) FROM {self.table}").fetchone()
+            self._db.execute(f"DELETE FROM {self.table}")
         return int(count)
 
     def close(self) -> None:

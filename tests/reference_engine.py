@@ -420,7 +420,7 @@ class ReferenceSpace(DesignSpace):
         for sub in distinct_specs:
             options = self.configs(sub)
             if not options:
-                return []
+                return None
             option_lists.append(options)
 
         combos = reference_combine(option_lists)

@@ -269,7 +269,7 @@ def test_aggregate_metrics_sums_and_maxes():
             "requests_by_endpoint": {"/synthesize": evaluations},
             "responses_by_status": {"200": evaluations},
             "node_cache": {"hits": 4, "misses": 2, "published": 1,
-                           "errors": 0, "hot_entries": 7},
+                           "errors": 0},
             "latency": {"count": 10, "total_seconds": 1.0,
                         "max_seconds": uptime / 100},
             "latency_histograms": {

@@ -57,7 +57,7 @@ WORKER = {
     "breakers": {"store": _breaker("closed", 4, 50, 1),
                  "node_store": _breaker("open", 7, 12, 2)},
     "node_cache": {"hits": 120, "misses": 30, "published": 28,
-                   "errors": 3, "hot_entries": 64},
+                   "errors": 3},
     "interning": {"size": 812, "hits": 4410, "misses": 812, "revived": 96},
     "latency": {"count": 41, "total_seconds": 3.3,
                 "mean_seconds": 3.3 / 41, "max_seconds": 0.7},
@@ -112,7 +112,7 @@ FLEET = {
                        "half_open_probes": 1},
     },
     "node_cache": {"hits": 200, "misses": 70, "published": 65,
-                   "errors": 0, "hot_entries": 128},
+                   "errors": 0},
     "interning": {"size": 1500, "hits": 9000, "misses": 1500,
                   "revived": 310},
     "latency": {"count": 100, "total_seconds": 8.9,

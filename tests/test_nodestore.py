@@ -5,6 +5,7 @@ adaptive enumeration order, CLI, and serve metrics."""
 import asyncio
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,7 +129,7 @@ def test_parity_gate_alu64_and_figure2_counter(tmp_path):
         assert cold.node_cache_stats()["published"] >= 1
 
         # Fresh NodeStore object on the same file: reuse must come from
-        # *persisted* entries, not the producer's in-process tier.
+        # *persisted* entries.
         warm = Session(library="lsi_logic", node_store=path)
         warm_job = warm.synthesize(request)
         _assert_same_job(baseline, warm_job)
@@ -216,8 +217,7 @@ def test_round_trip_returns_canonical_interned_options(tmp_path):
     store = _nodes(tmp_path)
     key = node_key(session_space_key(session), spec)
     assert store.save_options(key, spec, options, impls=len(node.impls))
-    # A fresh store object on the same file: decode from SQLite, not
-    # the producer's hot tier.
+    # A fresh store object on the same file.
     fresh = NodeStore(store.path)
     loaded = fresh.load_options(key, spec, expected_impls=len(node.impls))
     assert loaded is not None
@@ -282,10 +282,11 @@ def test_corrupt_store_file_is_a_store_error_not_a_traceback(tmp_path,
     assert "node store" in capsys.readouterr().err
 
 
-def test_hot_hits_keep_entries_prune_safe_and_republishable(tmp_path):
-    """Finding of the shared-LRU design: entries served from the hot
-    tier must not look cold to prune, and entries pruned by another
-    handle must be re-publishable despite still being hot here."""
+def test_hits_keep_entries_prune_safe_and_republishable(tmp_path):
+    """Finding of the shared-LRU design: a load hit stamps its row, so
+    an entry in use must not look cold to prune, and an entry pruned
+    by another handle must be re-publishable through the handle that
+    loaded it."""
     session = Session(library="lsi_logic")
     spec = comparator_spec(8)
     options = session.space.alternatives(spec)
@@ -298,7 +299,7 @@ def test_hot_hits_keep_entries_prune_safe_and_republishable(tmp_path):
             "UPDATE nodes SET last_used = 10 WHERE fingerprint = 'older'")
         store._db.execute(
             "UPDATE nodes SET last_used = 20 WHERE fingerprint = 'newer'")
-    # A hot-tier hit on the older entry stamps the persistent row...
+    # A hit on the older entry stamps its row...
     assert store.load_options("older", spec, expected_impls=1) is not None
     size = store.info()["payload_bytes"] // 2
     other = NodeStore(path)
@@ -306,9 +307,10 @@ def test_hot_hits_keep_entries_prune_safe_and_republishable(tmp_path):
     # ...so the *unused* newer entry is the one evicted.
     assert "older" in other and "newer" not in other
 
-    # The producer's hot tier still holds the pruned entry; a fresh
-    # publish must notice the row is gone and re-persist it.
+    # Once another handle pruned the entry, the handle that loaded it
+    # misses, and its publish re-persists the entry.
     assert other.prune(0)["removed"] == 1  # file now empty
+    assert store.load_options("older", spec, expected_impls=1) is None
     assert store.save_options("older", spec, options, impls=1) is True
     assert "older" in NodeStore(path)
 
@@ -322,19 +324,6 @@ def test_failed_persist_is_not_counted_as_published(tmp_path):
     assert store.save_options("fp", spec, options, impls=1) is False
     stats = store.stats()
     assert stats["published"] == 0 and stats["errors"] >= 1
-    # The hot tier still serves this process.
-    assert store.load_options("fp", spec, expected_impls=1) is not None
-
-
-def test_hot_tier_is_bounded_lru(tmp_path):
-    session = Session(library="lsi_logic")
-    spec = comparator_spec(8)
-    options = session.space.alternatives(spec)
-    store = NodeStore(tmp_path / "hot.sqlite", hot_entries=2)
-    for i in range(4):
-        store.save_options(f"fp{i}", spec, options, impls=1)
-    assert store.stats()["hot_entries"] == 2
-    assert len(store) == 4  # SQLite keeps everything
 
 
 def test_shared_prune_accounting_across_result_and_node_tables(tmp_path):
@@ -562,6 +551,53 @@ def test_cli_synth_node_store_flag_half_warms_overlap(tmp_path, capsys):
     assert len(NodeStore(tmp_path / "synth-nodes.sqlite")) >= 1
 
 
+#: The wall clock in a payload's report and in ``repro cache show``:
+#: the report's "generated in" seconds, the engine milliseconds, and
+#: the entry size (the stored runtime and phase timings are part of it).
+_WALL_CLOCK = (
+    (re.compile(r"generated in [0-9.]+ s"), "generated in - s"),
+    (re.compile(r"engine: +[0-9.]+ ms"), "engine: - ms"),
+    (re.compile(r"size: +[0-9]+ bytes"), "size: - bytes"),
+)
+
+
+def _wall_clock_free(text: str) -> str:
+    for pattern, replacement in _WALL_CLOCK:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def test_stored_payload_is_a_function_of_its_fingerprint(tmp_path, capsys):
+    """``alu:16`` produced over a cold node table and over one an
+    earlier run prewarmed stores the same payload and shows the same
+    ``cache show`` text, wall clock aside: nothing in a result entry
+    records what its producer had evaluated before."""
+    cold, warm = str(tmp_path / "cold.sqlite"), str(tmp_path / "warm.sqlite")
+    for argv in (["warm", "--nodes", "--spec", "alu:16", "--store", cold],
+                 ["warm", "--nodes", "--spec", "alu:16", "--store", warm],
+                 ["cache", "clear", "--store", warm],
+                 ["warm", "--nodes", "--spec", "alu:16", "--store", warm]):
+        assert cli_main(argv) == 0
+    # The second production over ``warm`` was served from node rows.
+    assert sum(row["hits"] for row in NodeStore(warm).entries()) >= 1
+    capsys.readouterr()
+
+    payloads, shown = [], []
+    for path in (cold, warm):
+        results = ResultStore(path)
+        (entry,) = results.entries()
+        payload = results.peek(entry["fingerprint"])
+        del payload["runtime_seconds"], payload["phases"]
+        payload["report"] = _wall_clock_free(payload["report"])
+        payloads.append(payload)
+        assert cli_main(["cache", "show", entry["fingerprint"][:12],
+                         "--store", path]) == 0
+        shown.append(_wall_clock_free(capsys.readouterr().out))
+    assert payloads[0] == payloads[1]
+    assert shown[0] == shown[1]
+    assert "over 89 spec nodes" in shown[0]
+
+
 # ---------------------------------------------------------------------------
 # serve: node-cache metrics for partially-warm requests
 # ---------------------------------------------------------------------------
@@ -626,6 +662,56 @@ def test_serve_overlap_hits_node_cache_in_metrics(tmp_path):
         handle.stop()
 
 
+def test_pooled_sessions_load_each_node_once_and_hits_probe_none(
+        tmp_path, monkeypatch):
+    """The node store's traffic under a service: within one pooled
+    session the design space's memo answers every repeat, so no node
+    row is loaded twice, and a result-store hit probes no node at all.
+    Node fingerprints embed the session's search key, so a fingerprint
+    loaded twice would be a session loading it twice."""
+    from collections import Counter
+
+    from repro.serve import SynthesisService
+
+    loads: Counter = Counter()
+    load_options = NodeStore.load_options
+
+    def spy(self, fingerprint, spec, expected_impls):
+        loads[fingerprint] += 1
+        return load_options(self, fingerprint, spec, expected_impls)
+
+    monkeypatch.setattr(NodeStore, "load_options", spy)
+    bodies = [{"spec": f"{family}:16", "filter": perf_filter}
+              for family in ("adder", "alu", "comparator", "counter")
+              for perf_filter in ("pareto", "tradeoff:0.05")]
+
+    async def serve_catalogue(service):
+        sources = []
+        for body in bodies:
+            status, _, source, _ = await service.synthesize(
+                json.dumps(body).encode(), body)
+            assert status == 200
+            sources.append(source)
+        return sources
+
+    async def run():
+        service = SynthesisService(store=tmp_path / "serve.sqlite")
+        try:
+            assert service.node_store is not None
+            assert set(await serve_catalogue(service)) == {"engine"}
+            first = sum(loads.values())
+            assert await serve_catalogue(service) == ["store"] * len(bodies)
+            assert len(service._sessions) == 2  # one per filter
+            return first
+        finally:
+            await service.close()
+
+    first = asyncio.run(run())
+    assert first >= 1
+    assert max(loads.values()) == 1
+    assert sum(loads.values()) == first  # the second pass probed none
+
+
 def test_serve_without_store_has_zeroed_node_metrics(tmp_path):
     from repro.serve import SynthesisService
 
@@ -634,8 +720,7 @@ def test_serve_without_store_has_zeroed_node_metrics(tmp_path):
         assert service.node_store is None
         payload = asyncio.run(service.metrics_payload())
         assert payload["node_cache"] == {
-            "hits": 0, "misses": 0, "published": 0, "errors": 0,
-            "hot_entries": 0}
+            "hits": 0, "misses": 0, "published": 0, "errors": 0}
     finally:
         asyncio.run(service.close())
 

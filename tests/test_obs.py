@@ -307,7 +307,7 @@ def test_prometheus_text_parity_on_synthetic_payload():
                                "short_circuited": 4, "opens": 1,
                                "closes": 0, "half_open_probes": 0}},
         "node_cache": {"hits": 10, "misses": 4, "published": 4,
-                       "errors": 0, "hot_entries": 3},
+                       "errors": 0},
         "interning": {"size": 100, "hits": 50, "misses": 100,
                       "revived": 7},
         "latency": {"count": 7, "total_seconds": 1.75,

@@ -155,6 +155,50 @@ def test_derived_quantile_series_needs_two_snapshots():
     assert points[0][1] == pytest.approx(1.0)
 
 
+def test_histogram_reset_reads_as_continue_from_zero():
+    """A worker restart drops a histogram's total count: the increase
+    across the reset is the post-reset counts themselves, for the
+    windowed ``quantile`` and the derived ``p99:`` series alike.  The
+    post-reset 1.0 s bucket (5) stays below its pre-reset value (80),
+    so a per-bucket difference would lose it."""
+    clock = FakeClock()
+    history = _history(clock)
+    edges = [0.01, 0.1, 1.0]
+    times = []
+
+    def snap(counts, total):
+        history.record({"latency_histograms": {"/synthesize": {
+            "le_seconds": edges, "counts": counts,
+            "sum_seconds": total}}}, now=clock.now)
+        times.append(clock.now)
+        clock.tick(1.0)
+
+    snap([0, 0, 50, 0], 5.0)
+    snap([0, 0, 80, 0], 8.0)
+    snap([20, 0, 5, 0], 0.3)  # the worker restarted
+    # A window holding only the reset step: its delta is the
+    # post-reset counts.
+    assert history.hist_delta("/synthesize", 1.5) == \
+        ([20, 0, 5, 0], pytest.approx(0.3))
+    assert history.quantile("/synthesize", 0.99, 1.5) == \
+        bucket_quantile(edges, [20, 0, 5, 0], 0.99) == 1.0
+
+    snap([60, 2, 5, 0], 0.5)
+    steps = [[0, 0, 30, 0], [20, 0, 5, 0], [40, 2, 0, 0]]
+    # The whole history: three steps, the middle one a reset.
+    deltas, seconds = history.hist_delta("/synthesize", 60.0)
+    assert deltas == [sum(column) for column in zip(*steps)]
+    assert seconds == pytest.approx(3.0 + 0.3 + 0.2)
+    assert history.quantile("/synthesize", 0.5, 60.0) == \
+        bucket_quantile(edges, deltas, 0.5)
+
+    points = history.query(["p99:/synthesize"])["series"][
+        "p99:/synthesize"]["points"]
+    assert points == [[ts, bucket_quantile(edges, step, 0.99)]
+                      for ts, step in zip(times[1:], steps)]
+    assert [value for _, value in points] == [1.0, 1.0, 0.1]
+
+
 # ---------------------------------------------------------------------------
 # SLO parsing
 # ---------------------------------------------------------------------------

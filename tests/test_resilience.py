@@ -508,7 +508,7 @@ SCHEDULES = {
         ("entries", "", ["a", "b"]),
         ("load_options", "z", "failed"),
         ("stats", "", {"hits": 2, "misses": 0, "published": 2,
-                       "errors": 0, "hot_entries": 2}),
+                       "errors": 0}),
         ("save_options", "c", "failed"),
         ("info", "", 2),
         ("load_options", "c", None),
@@ -521,7 +521,7 @@ SCHEDULES = {
         ("save_options", "d", True),
         ("load_options", "d", None),            # corrupted: a miss
         ("stats", "", {"hits": 4, "misses": 1, "published": 3,
-                       "errors": 0, "hot_entries": 1}),
+                       "errors": 0}),
     ], {"fail_rate": 0.5, "latency_ms": 0.0, "corrupt_rate": 0.3,
         "seed": 5, "fail_first": 0, "ops": 13, "failures_injected": 5,
         "corruptions_injected": 1}),

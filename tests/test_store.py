@@ -814,7 +814,10 @@ def test_cli_cache_show_renders_persisted_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "spec:adder:8" in out
     assert "DTAS alternatives" in out  # the persisted figure-3 report
-    assert "compiled programs" in out
+    # The spec-node count comes from the payload's stats.
+    engine = next(line for line in out.splitlines()
+                  if line.startswith("engine:"))
+    assert engine.endswith(" spec nodes") and int(engine.split()[-3]) > 0
 
     assert cli_main(["cache", "show", "ffffffff",
                      "--store", store_arg]) == 2
