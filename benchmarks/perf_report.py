@@ -228,9 +228,10 @@ def _node_workload(order: Optional[str] = None
             state["warmed"] = True
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
                           order=order, node_store=nodes)
+        hits = nodes.stats()["hits"]
         job = session.synthesize(comparator_spec(64))
         _note_combinations(session)
-        if session.node_cache_stats()["hits"] < 1:
+        if nodes.stats()["hits"] == hits:
             raise RuntimeError("alu64_nodes_warm missed the node cache")
         return job
 

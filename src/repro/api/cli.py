@@ -658,7 +658,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     print(f"store {info['path']}: {info['entries']} entries, "
           f"{info['payload_bytes'] / 1e6:.2f} MB")
     if session.node_store is not None:
-        nstats = session.node_cache_stats()
+        nstats = session.node_store.stats()
         ninfo = session.node_store.info()
         print(f"node cache {ninfo['path']}: {ninfo['entries']} entries "
               f"({nstats['published']} published, {nstats['hits']} hits "

@@ -132,11 +132,6 @@ class Session:
         self._legend_libraries: Dict[str, Any] = {}
         self.jobs_run = 0
         self.store = create_store(store)
-        #: Serving counters: store lookups answered warm / answered by
-        #: running the engine / engine runs (incl. uncacheable ones).
-        self.store_hits = 0
-        self.store_misses = 0
-        self.evaluations = 0
         self.node_store = create_node_store(node_store)
         if self.node_store is not None:
             from repro.nodestore import session_space_key
@@ -168,13 +163,10 @@ class Session:
         if fingerprint is not None:
             job = self._load_stored(fingerprint, request)
             if job is not None:
-                self.store_hits += 1
                 self.jobs_run += 1
                 return job
-            self.store_misses += 1
         handler = getattr(self, f"_run_{request.kind}")
         job = handler(request)
-        self.evaluations += 1
         self.jobs_run += 1
         if fingerprint is not None:
             self._store_job(fingerprint, job)
@@ -338,31 +330,12 @@ class Session:
         self.store.put(fingerprint, job_to_payload(job),
                        label=job.request.describe(), body=job.json_body())
 
-    def store_stats(self) -> Dict[str, int]:
-        """Serving counters: warm hits, misses, and engine runs."""
-        return {
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "evaluations": self.evaluations,
-        }
-
-    def node_cache_stats(self) -> Dict[str, int]:
-        """This session's share of node-cache traffic: subtrees served
-        from the cache, probed-but-absent, and published.  (The
-        attached :class:`~repro.nodestore.NodeStore` keeps its own
-        process-wide totals across every session sharing it.)"""
-        return dict(self.space.node_stats)
-
     # ------------------------------------------------------------------
     # conveniences
     # ------------------------------------------------------------------
     def materialize(self, spec: ComponentSpec,
                     alt: DesignAlternative) -> DesignTree:
         return self.space.materialize(spec, alt.config)
-
-    def stats(self) -> Dict[str, int]:
-        """Cumulative design-space statistics across all jobs run."""
-        return self.space.stats()
 
     def describe(self) -> str:
         return (

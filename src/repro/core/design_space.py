@@ -22,13 +22,14 @@ visited once per decomposition rather than once per module instance.
 
 The expanded graph is process-wide too: one :class:`_ExpansionGraph`
 per library and rule sequence (:attr:`~repro.core.rules.RuleBase.key`)
-holds every reached spec's node and implementation records.  A fresh
-space's :meth:`DesignSpace.expand` links the nodes a root reaches into
-its own ``nodes``; it reruns no rule match and builds no
-implementation, and a rule added to the rulebase makes the next
-expansion use a new graph.  Per-request statistics are memoized on the
-shared root node, and a cell binding's configuration is built once per
-implementation record.
+holds every reached spec's node and implementation records.  A space
+binds one graph, the one of its rulebase's rules at its first
+:meth:`DesignSpace.expand`, and links the nodes a root reaches into its
+own ``nodes``; it reruns no rule match and builds no implementation.
+A rule added to a rulebase reaches the next space, never a live one.
+The graph is the one record of what a root reaches: per-request
+statistics count it and are memoized on the shared root node, and a
+cell binding's configuration is built once per implementation record.
 
 Evaluation computes, bottom-up, the set of costed
 :class:`~repro.core.configs.Configuration` alternatives per node, with
@@ -88,7 +89,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.configs import (
     ARC_IDS,
@@ -101,7 +102,7 @@ from repro.core.configs import (
 )
 from repro.core.filters import ParetoFilter, PerformanceFilter
 from repro.core.mapper import CellBinding, matching_cells
-from repro.core.rules import RuleBase, RuleContext
+from repro.core.rules import Rule, RuleBase, RuleContext
 from repro.core.specs import ComponentSpec
 from repro.netlist.netlist import Netlist
 from repro.netlist.timing_program import TimingProgram
@@ -140,10 +141,10 @@ class SynthesisError(Exception):
 
 _EXPANSION_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-# Guards node_stats increments and the phase clocks.  A space runs on
-# one thread at a time, but not always the same one (a serving process
-# runs each session's jobs on its executor threads).
-_NODE_STATS_LOCK = threading.Lock()
+# Guards the phase clocks.  A space runs on one thread at a time, but
+# not always the same one (a serving process runs each session's jobs
+# on its executor threads).
+_PHASE_LOCK = threading.Lock()
 # Serializes growing a shared expansion graph (reads take no lock).
 _GRAPH_LOCK = threading.Lock()
 
@@ -291,18 +292,23 @@ class _ExpansionGraph:
     :class:`SpecNode`, and per expanded root the nodes it reaches.
 
     Rule application and cell matching are pure functions of (rule,
-    spec, library), and the rule sequence fixes which rules apply to
-    every spec, so a node and its links to its children are the same
-    in every space over that sequence.  The graph only grows; growth
-    takes :data:`_GRAPH_LOCK`, reads take none."""
+    spec, library), and the rule sequence (:attr:`RuleBase.key`, which
+    the graph keeps as its rules) fixes which rules apply to every spec,
+    so a node and its links to its children are the same in every space
+    over that sequence.  The graph only grows; growth takes
+    :data:`_GRAPH_LOCK`, reads take none."""
 
-    __slots__ = ("nodes", "reach")
+    __slots__ = ("rules", "nodes", "reach")
 
-    def __init__(self) -> None:
+    def __init__(self, rules: Tuple[Rule, ...]) -> None:
+        #: A rulebase holding exactly this graph's rules: a rule added
+        #: to the caller's rulebase later never expands a node here.
+        self.rules = RuleBase()
+        self.rules.extend(rules)
         self.nodes: Dict[ComponentSpec, SpecNode] = {}
         self.reach: Dict[ComponentSpec, Tuple[SpecNode, ...]] = {}
 
-    def reached(self, root: ComponentSpec, rulebase: RuleBase,
+    def reached(self, root: ComponentSpec,
                 context: RuleContext) -> Tuple[SpecNode, ...]:
         """The nodes ``root`` reaches (itself first), expanding the
         ones the graph does not hold yet."""
@@ -311,11 +317,10 @@ class _ExpansionGraph:
             with _GRAPH_LOCK:
                 reach = self.reach.get(root)
                 if reach is None:
-                    reach = self.reach[root] = self._walk(
-                        root, rulebase, context)
+                    reach = self.reach[root] = self._walk(root, context)
         return reach
 
-    def _walk(self, root: ComponentSpec, rulebase: RuleBase,
+    def _walk(self, root: ComponentSpec,
               context: RuleContext) -> Tuple[SpecNode, ...]:
         nodes = self.nodes
         found: Dict[ComponentSpec, SpecNode] = {}
@@ -326,7 +331,7 @@ class _ExpansionGraph:
                 continue
             node = nodes.get(spec)
             if node is None:
-                node = nodes[spec] = _expand_node(spec, rulebase, context)
+                node = nodes[spec] = _expand_node(spec, self.rules, context)
             found[spec] = node
             for impl in node.impls:
                 pending.extend(impl.children)
@@ -414,11 +419,6 @@ class DesignSpace:
         #: The space half of every node fingerprint (None = detached).
         self.node_space_key: Optional[str] = None
         self._node_keys: Dict[ComponentSpec, str] = {}
-        #: Per-space node-cache counters (the attached store keeps its
-        #: own process-wide totals; these are this space's share).
-        #: Increments go through the module-level ``_NODE_STATS_LOCK``.
-        self.node_stats: Dict[str, int] = {
-            "hits": 0, "misses": 0, "published": 0}
         #: Cumulative per-phase wall time (seconds) spent in this
         #: space: ``expand`` (rule matching + technology mapping),
         #: ``node_probe``/``node_publish`` (the per-node option cache),
@@ -426,8 +426,8 @@ class DesignSpace:
         #: kernels), ``filter`` (S2 selection, including building the
         #: survivors' configurations).  Callers snapshot
         #: before/after a request to get that request's breakdown
-        #: (:meth:`snapshot_phases`); increments go through the same
-        #: lock as ``node_stats``.  Never nested: only the outermost
+        #: (:meth:`snapshot_phases`); increments go through
+        #: ``_PHASE_LOCK``.  Never nested: only the outermost
         #: ``expand`` clocks, and the other phases do not re-enter
         #: (child subtrees are evaluated in their own ``configs``
         #: calls), so summing phases never double-counts.
@@ -436,13 +436,9 @@ class DesignSpace:
         # stack.  One space runs on one thread at a time, so a spec
         # found here is a decomposition cycle.
         self._evaluating: Set[ComponentSpec] = set()
-        # The shared expansion graph of the rulebase's current rules,
-        # and whether this space has linked nodes of an earlier one (a
-        # rule was added in between), which voids the per-node
-        # ``stats_for`` memo for it.
+        # The shared expansion graph this space links its nodes from,
+        # bound at the first expansion (see :meth:`_reached`).
         self._graph: Optional[_ExpansionGraph] = None
-        self._graph_key: Optional[tuple] = None
-        self._graph_switched = False
 
     @property
     def max_combinations(self) -> int:
@@ -453,14 +449,14 @@ class DesignSpace:
         return self._max_combinations
 
     def _phase_add(self, phase: str, seconds: float) -> None:
-        with _NODE_STATS_LOCK:
+        with _PHASE_LOCK:
             self.phase_seconds[phase] = (
                 self.phase_seconds.get(phase, 0.0) + seconds)
 
     def snapshot_phases(self) -> Dict[str, float]:
         """A point-in-time copy of the cumulative phase clocks;
         subtract two snapshots for one request's breakdown."""
-        with _NODE_STATS_LOCK:
+        with _PHASE_LOCK:
             return dict(self.phase_seconds)
 
     # ------------------------------------------------------------------
@@ -468,30 +464,36 @@ class DesignSpace:
     # ------------------------------------------------------------------
     def expand(self, spec: ComponentSpec) -> SpecNode:
         """Expand a specification node (idempotent): link every node it
-        reaches in the process-wide expansion graph of the rulebase's
-        rules, which expands the ones no space has reached yet.  Nodes
-        this space already holds stay as they are."""
+        reaches in this space's expansion graph, which expands the ones
+        no space has reached yet."""
         node = self.nodes.get(spec)
         if node is not None:
             return node
         phase_start = time.perf_counter()
         try:
-            key = self.rulebase.key
-            if key is not self._graph_key:
-                graphs = _library_cache(self.library).graphs
-                graph = graphs.get(key)
-                if graph is None:
-                    graph = graphs.setdefault(key, _ExpansionGraph())
-                self._graph_switched = self._graph is not None
-                self._graph, self._graph_key = graph, key
             nodes = self.nodes
             link = nodes.setdefault
-            for shared in self._graph.reached(spec, self.rulebase,
-                                              self.context):
+            for shared in self._reached(spec):
                 link(shared.spec, shared)
             return nodes[spec]
         finally:
             self._phase_add("expand", time.perf_counter() - phase_start)
+
+    def _reached(self, root: ComponentSpec) -> Tuple[SpecNode, ...]:
+        """The nodes ``root`` reaches in this space's graph: the
+        process-wide graph of the rulebase's rules when the space first
+        expanded.  The space stays bound to it, so a rule added to the
+        rulebase later reaches the next space, never this one (whose
+        nodes and ``configs`` memo were built without it)."""
+        graph = self._graph
+        if graph is None:
+            key = self.rulebase.key
+            graphs = _library_cache(self.library).graphs
+            graph = graphs.get(key)
+            if graph is None:
+                graph = graphs.setdefault(key, _ExpansionGraph(key))
+            self._graph = graph
+        return graph.reached(root, self.context)
 
     # ------------------------------------------------------------------
     # the node cache (subtree-level persistent work sharing)
@@ -541,15 +543,8 @@ class DesignSpace:
             return None
         phase_start = time.perf_counter()
         try:
-            options = self.node_store.load_options(
+            return self.node_store.load_options(
                 self._node_key(spec), spec, expected_impls=len(node.impls))
-            if options is None:
-                with _NODE_STATS_LOCK:
-                    self.node_stats["misses"] += 1
-                return None
-            with _NODE_STATS_LOCK:
-                self.node_stats["hits"] += 1
-            return options
         finally:
             self._phase_add("node_probe",
                             time.perf_counter() - phase_start)
@@ -562,11 +557,9 @@ class DesignSpace:
             return
         phase_start = time.perf_counter()
         try:
-            if self.node_store.save_options(
+            self.node_store.save_options(
                 self._node_key(spec), spec, selected,
-                impls=len(node.impls), programs=programs):
-                with _NODE_STATS_LOCK:
-                    self.node_stats["published"] += 1
+                impls=len(node.impls), programs=programs)
         finally:
             self._phase_add("node_publish",
                             time.perf_counter() - phase_start)
@@ -814,53 +807,35 @@ class DesignSpace:
     def stats(self) -> Dict[str, int]:
         return _node_counts(list(self.nodes.values()))
 
-    def reachable_nodes(self, roots: Iterable[ComponentSpec]) -> List[SpecNode]:
-        """The expanded nodes reachable from ``roots`` through
-        decomposition module specs -- the subgraph one request
-        actually touches, independent of whatever else this space
-        evaluated: the traversal behind the per-request statistics of
-        :meth:`stats_for`."""
-        seen: Set[ComponentSpec] = set()
-        queue = list(roots)
-        found: List[SpecNode] = []
-        while queue:
-            spec = queue.pop()
-            if spec in seen:
-                continue
-            seen.add(spec)
-            node = self.nodes.get(spec)
-            if node is None:
-                continue
-            found.append(node)
-            for impl in node.impls:
-                queue.extend(impl.children)
-        return found
-
     def stats_for(self, roots: Iterable[ComponentSpec]) -> Dict[str, int]:
         """:meth:`stats` restricted to the subgraph reachable from
-        ``roots`` -- a *deterministic function of the request*, unlike
-        the whole-space counts, which depend on whatever else the
-        session evaluated before.  Per-job stats (and therefore stored
-        result payloads and served JSON bodies) use this, so a batch
-        session, the serve pool, and a fresh single-request process all
-        report identical numbers for the same request.  For a
-        single-request space the two views coincide: expansion only
-        creates nodes reachable from the root.
+        ``roots`` in this space's expansion graph -- a *deterministic
+        function of the request*, unlike the whole-space counts, which
+        depend on whatever else the session evaluated before.  Per-job
+        stats (and therefore stored result payloads and served JSON
+        bodies) use this, so a batch session, the serve pool, and a
+        fresh single-request process all report identical numbers for
+        the same request.  For a single-request space the two views
+        coincide: expansion only links nodes reachable from the root.
 
-        One root's counts are memoized on its shared node: what a node
-        reaches is fixed by its expansion graph, unless this space
-        linked nodes of two graphs."""
+        One root's counts are memoized on its shared node (what a node
+        reaches is fixed by its graph); several roots count the union
+        of what each reaches."""
         roots = list(roots)
-        if len(roots) == 1 and not self._graph_switched:
-            node = self.nodes.get(roots[0])
-            if node is not None:
-                if node.stats is None:
-                    node.stats = _node_counts(self.reachable_nodes(roots))
-                return dict(node.stats)
-        return _node_counts(self.reachable_nodes(roots))
+        if len(roots) == 1:
+            reached = self._reached(roots[0])
+            node = reached[0]
+            if node.stats is None:
+                node.stats = _node_counts(reached)
+            return dict(node.stats)
+        union: Dict[ComponentSpec, SpecNode] = {}
+        for root in roots:
+            for node in self._reached(root):
+                union.setdefault(node.spec, node)
+        return _node_counts(list(union.values()))
 
 
-def _node_counts(nodes: List[SpecNode]) -> Dict[str, int]:
+def _node_counts(nodes: Sequence[SpecNode]) -> Dict[str, int]:
     return {
         "spec_nodes": len(nodes),
         "implementations": sum(len(n.impls) for n in nodes),

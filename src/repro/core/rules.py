@@ -92,7 +92,9 @@ class RuleBase:
         hash by identity), built once per :meth:`add`.  Two rulebases
         holding the same rule objects in the same order have equal
         keys; the design space keys its process-wide expansion graph
-        by it, so a rule added later reaches the next expansion."""
+        by it, and a space stays bound to the graph of the key it first
+        expanded with, so a rule added later reaches the next space,
+        never a live one."""
         key = self._key
         if key is None:
             key = self._key = tuple(self._rules)

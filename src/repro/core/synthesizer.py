@@ -75,17 +75,17 @@ class SynthesisResult:
 
     def table(self) -> str:
         """Figure-3 style table: each design with its area/delay and the
-        percentage change relative to the smallest design."""
-        base = self.smallest()
+        percentage change relative to the smallest design
+        (:func:`~repro.core.report.figure3_points`)."""
+        from repro.core.report import figure3_points
+
         lines = [
             f"{'design':>8} {'area':>8} {'delay':>8} {'d-area':>8} {'d-delay':>8}"
         ]
-        for alt in self.alternatives:
-            d_area = 100.0 * (alt.area - base.area) / base.area if base.area else 0.0
-            d_delay = (100.0 * (alt.delay - base.delay) / base.delay
-                       if base.delay else 0.0)
+        for alt, (area, delay, d_area, d_delay) in zip(
+                self.alternatives, figure3_points(self)):
             lines.append(
-                f"{alt.index:>8} {alt.area:>8.0f} {alt.delay:>8.1f} "
+                f"{alt.index:>8} {area:>8.0f} {delay:>8.1f} "
                 f"{d_area:>+7.0f}% {d_delay:>+7.0f}%"
             )
         return "\n".join(lines)

@@ -112,7 +112,7 @@ class NodeStore(CacheTable):
         reported as a miss, so the engine recomputes and overwrites it
         rather than serving choice maps that index a different
         implementation list."""
-        payload = self._get_payload(fingerprint)
+        payload = self._payload(fingerprint)
         if payload is None:
             with self._lock:
                 self.misses += 1
@@ -156,23 +156,6 @@ class NodeStore(CacheTable):
                 )
             self.published += 1
             return True
-
-    # -- load plumbing -------------------------------------------------
-    def _get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT payload FROM nodes WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-            if row is None:
-                return None
-            try:
-                payload = json.loads(row[0])
-            except ValueError:
-                self._delete(fingerprint)
-                return None
-            self._touch(fingerprint)
-        return payload
 
     def stats(self) -> Dict[str, int]:
         """Serving counters (the shape ``/metrics`` exposes)."""

@@ -280,15 +280,9 @@ class SLOEngine:
         history = self.history
         if objective.kind == "availability":
             # traffic_by_status counts only the real serving endpoints
-            # (scrapes and dashboards do not dilute the denominator);
-            # fall back to the all-requests counters for payloads
-            # predating it.
+            # (scrapes and dashboards do not dilute the denominator).
             total = history.counter_delta("traffic:total", window, now=now)
             bad = history.counter_delta("traffic:5xx", window, now=now)
-            if total <= 0 and history.gauge_last("traffic:total") is None:
-                total = history.counter_delta(
-                    "requests_total", window, now=now)
-                bad = history.counter_delta("errors_5xx", window, now=now)
         else:
             counts, _ = history.hist_delta(
                 objective.endpoint, window, now=now)

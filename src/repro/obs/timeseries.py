@@ -251,10 +251,6 @@ class MetricsHistory:
         now = self.clock() if now is None else now
         return counter_increase(self._window_points(ring, window, now))
 
-    def gauge_last(self, name: str) -> Optional[float]:
-        ring = self._series.get(name)
-        return ring[-1][1] if ring else None
-
     def hist_delta(self, endpoint: str, window: float,
                    now: Optional[float] = None
                    ) -> Tuple[List[float], float]:

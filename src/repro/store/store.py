@@ -347,6 +347,30 @@ class CacheTable:
                 (fingerprint,),
             )
 
+    def _payload(self, fingerprint: str,
+                 stamp: bool = True) -> Optional[Dict[str, Any]]:
+        """The parsed payload under ``fingerprint``, or None: the one
+        payload read of both tables.  With ``stamp`` a hit is stamped
+        (:meth:`_touch`) and an unparsable row (a truncated write from
+        a killed process, say) is deleted; without it the read changes
+        nothing.  Takes the lock itself."""
+        with self._lock:
+            row = self._db.execute(
+                f"SELECT payload FROM {self.table} WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
+            if row is None:
+                return None
+            try:
+                payload = json.loads(row[0])
+            except ValueError:
+                if stamp:
+                    self._delete(fingerprint)
+                return None
+            if stamp:
+                self._touch(fingerprint)
+            return payload
+
     def _read(self, statement: str, args: tuple = (), *,
               rows: bool = False) -> Any:
         """One read under the lock: the first row (every row with
@@ -554,20 +578,7 @@ class ResultStore(CacheTable):
         corrupt payload (truncated write from a killed process, say) is
         deleted and reported as a miss.
         """
-        with self._lock:
-            row = self._db.execute(
-                "SELECT payload FROM results WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-            if row is None:
-                return None
-            try:
-                payload = json.loads(row[0])
-            except ValueError:
-                self._delete(fingerprint)
-                return None
-            self._touch(fingerprint)
-            return payload
+        return self._payload(fingerprint)
 
     # The same "get" op as get(), so a schedule means the same thing
     # on either read path.  A corrupted body is a miss, never mangled
@@ -629,17 +640,7 @@ class ResultStore(CacheTable):
         Inspection commands (``repro cache show``) use this so looking
         at an entry does not promote it over genuinely hot entries in
         the next prune."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT payload FROM results WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except ValueError:
-            return None
+        return self._payload(fingerprint, stamp=False)
 
     @serving_op("put")
     def put(self, fingerprint: str, payload: Dict[str, Any],

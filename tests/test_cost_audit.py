@@ -47,7 +47,7 @@ def test_node_store_warm_answers_audit_exactly(tmp_path, perf_filter):
         warm = Session(library="lsi_logic", perf_filter=perf_filter,
                        node_store=path)
         job = warm.synthesize(spec)
-        assert warm.node_cache_stats()["hits"] >= 1
+        assert warm.node_store.stats()["hits"] >= 1
         assert _audit(job) == {}
 
 

@@ -10,10 +10,12 @@ None of that may change an answer:
   configuration digest and the ``combinations_costed`` recorded in
   ``fast_paths_golden.json`` (recorded before the fast paths existed);
 - every built-in filter keeps a lone candidate unchanged;
-- ``stats_for`` equals a fresh ``reachable_nodes`` walk;
+- ``stats_for``, which counts the expansion graph's record of what a
+  root reaches, equals a fresh walk of the space's own nodes
+  (:func:`_walked`, the oracle);
 - rulebases never share expansion records, while ``lola`` sessions on
   one library share one graph; a rule added to a rulebase reaches the
-  next space, each space rechecks a shared rule netlist for mutation,
+  next space and never a live one, shared rule netlists are frozen,
   and answers equal those of a process whose expansion caches were
   cleared.
 
@@ -121,7 +123,21 @@ def test_every_filter_keeps_a_lone_candidate(designator):
 # ---------------------------------------------------------------------------
 
 def _walked(space, spec):
-    nodes = space.reachable_nodes([spec])
+    """The oracle of ``stats_for``: the counts of the nodes ``spec``
+    reaches through decomposition module specs, walked afresh over the
+    space's own linked nodes."""
+    seen, pending, nodes = set(), [spec], []
+    while pending:
+        current = pending.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        node = space.nodes[current]
+        nodes.append(node)
+        for impl in node.impls:
+            if impl.kind == "decomp":
+                pending.extend(module.spec
+                               for module in impl.netlist.modules)
     return {
         "spec_nodes": len(nodes),
         "implementations": sum(len(n.impls) for n in nodes),
@@ -196,20 +212,33 @@ def test_lola_sessions_on_one_library_share_one_graph():
 
 
 def test_a_rule_added_later_reaches_the_next_space():
+    """A new space sees the late rule.  A live space keeps the graph it
+    first expanded in: a spec it expands after the rule was added is
+    expanded with the rules it started with, and its per-request
+    statistics count that graph."""
     from repro.core.rules import Rule
 
     session = Session(library="lsi_logic", rulebase="standard")
     spec = adder_spec(8)
-    before = len(session.space.expand(spec).impls)
+    live = session.space
+    live.expand(adder_spec(4))
+    assert spec not in live.nodes
     rulebase = session.rulebase
     template = rulebase.rules_for(spec)[0]
     rulebase.add(Rule("late-adder", spec.ctype, template.builder,
                       guard=lambda s: s.width == 8))
     later = Session(library="lsi_logic", rulebase=rulebase)
     node = later.space.expand(spec)
-    assert len(node.impls) == before + len(template.apply(
-        spec, later.space.context))
+    added = len(template.apply(spec, later.space.context))
     assert node.impls[-1].rule_name == "late-adder"
+
+    stale = live.expand(spec)
+    assert stale is not node
+    assert [impl.rule_name for impl in stale.impls] == \
+        [impl.rule_name for impl in node.impls[:-added]]
+    assert live.stats_for([spec]) == _walked(live, spec)
+    assert live.stats_for([spec])["implementations"] == \
+        later.space.stats_for([spec])["implementations"] - added
 
 
 def test_cached_rule_netlists_are_frozen():

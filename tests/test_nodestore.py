@@ -82,7 +82,7 @@ def test_cap_is_fixed_when_the_session_is_built(tmp_path):
     with pytest.raises(AttributeError):
         capped.space.max_combinations = 20000
     capped.synthesize("adder:8")
-    assert capped.node_cache_stats()["published"] >= 1
+    assert capped.node_store.stats()["published"] >= 1
 
     served = Session(node_store=path).synthesize("adder:8")
     fresh = Session().synthesize("adder:8")
@@ -126,14 +126,14 @@ def test_parity_gate_alu64_and_figure2_counter(tmp_path):
         cold = Session(library="lsi_logic", node_store=path)
         cold_job = cold.synthesize(request)
         _assert_same_job(baseline, cold_job)
-        assert cold.node_cache_stats()["published"] >= 1
+        assert cold.node_store.stats()["published"] >= 1
 
         # Fresh NodeStore object on the same file: reuse must come from
         # *persisted* entries.
         warm = Session(library="lsi_logic", node_store=path)
         warm_job = warm.synthesize(request)
         _assert_same_job(baseline, warm_job)
-        assert warm.node_cache_stats()["hits"] >= 1
+        assert warm.node_store.stats()["hits"] >= 1
 
 
 def test_overlapping_request_reuses_persisted_subtree(tmp_path):
@@ -142,12 +142,12 @@ def test_overlapping_request_reuses_persisted_subtree(tmp_path):
     path = tmp_path / "overlap.sqlite"
     producer = Session(library="lsi_logic", node_store=path)
     producer.synthesize(alu_spec(16))
-    published = producer.node_cache_stats()["published"]
+    published = producer.node_store.stats()["published"]
     assert published >= 10  # the ALU's decomposition nodes
 
     consumer = Session(library="lsi_logic", node_store=path)
     job = consumer.synthesize(comparator_spec(16))
-    stats = consumer.node_cache_stats()
+    stats = consumer.node_store.stats()
     assert stats["hits"] >= 1  # served from the ALU's persisted leaves
 
     reference = Session(library="lsi_logic").synthesize(comparator_spec(16))
@@ -164,7 +164,7 @@ def test_half_warm_request_probes_and_publishes(tmp_path):
 
     consumer = Session(library="lsi_logic", node_store=path)
     job = consumer.synthesize(alu_spec(16))
-    stats = consumer.node_cache_stats()
+    stats = consumer.node_store.stats()
     assert stats["hits"] >= 1 and stats["published"] >= 1
     _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),
                      job)
@@ -182,7 +182,7 @@ def test_cross_process_subtree_reuse(tmp_path):
         "body = json.loads(EMITTERS.create('json', job))\n"
         "body['runtime_seconds'] = 0.0\n"
         "body['phases'] = {}\n"
-        "print(json.dumps({'stats': session.node_cache_stats(),\n"
+        "print(json.dumps({'stats': session.node_store.stats(),\n"
         "                  'body': body}, sort_keys=True))\n"
     )
 
@@ -239,7 +239,7 @@ def test_corrupt_node_payload_self_heals(tmp_path):
     # recomputes, and the cache repopulates -- results unchanged.
     session = Session(library="lsi_logic", node_store=path)
     job = session.synthesize(alu_spec(16))
-    stats = session.node_cache_stats()
+    stats = session.node_store.stats()
     assert stats["hits"] == 0 and stats["published"] >= 1
     _assert_same_job(Session(library="lsi_logic").synthesize(alu_spec(16)),
                      job)
@@ -397,7 +397,7 @@ def test_node_store_designators(tmp_path):
     try:
         session = Session(node_store=memory)
         session.synthesize("adder:8")
-        assert session.node_cache_stats()["published"] >= 1
+        assert session.node_store.stats()["published"] >= 1
     finally:
         memory.close()
     with pytest.raises(TypeError):
@@ -414,13 +414,13 @@ def test_node_cache_composes_with_result_store(tmp_path):
     second = Session(store=ResultStore(path), node_store=path)
     job = second.synthesize(alu_spec(16))
     assert job.from_store
-    assert second.node_cache_stats() == {
-        "hits": 0, "misses": 0, "published": 0}
+    assert second.node_store.stats() == {
+        "hits": 0, "misses": 0, "published": 0, "errors": 0}
     # Overlapping request: result-store miss, node-cache hits.
     third = Session(store=ResultStore(path), node_store=path)
     overlap = third.synthesize(comparator_spec(16))
     assert not overlap.from_store
-    assert third.node_cache_stats()["hits"] >= 1
+    assert third.node_store.stats()["hits"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +796,7 @@ def test_old_payload_version_self_heals_to_miss(tmp_path):
 
     consumer = Session(library="lsi_logic", node_store=path)
     job = consumer.synthesize(alu_spec(16))
-    stats = consumer.node_cache_stats()
+    stats = consumer.node_store.stats()
     assert stats["hits"] == 0 and stats["published"] >= 1
     _assert_same_job(baseline, job)
 
@@ -836,7 +836,7 @@ def _assert_row_heals(path, spec, baseline, corrupt):
     _rewrite_node_row(path, key, corrupt)
     consumer = Session(library="lsi_logic", node_store=path)
     job = consumer.synthesize(spec)
-    stats = consumer.node_cache_stats()
+    stats = consumer.node_store.stats()
     assert stats["misses"] >= 1 and stats["published"] >= 1
     _assert_same_job(baseline, job)
     republished = _node_payload(path, key)

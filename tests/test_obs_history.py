@@ -347,6 +347,17 @@ def test_no_traffic_is_zero_burn_not_a_page():
         clock.tick(1.0)
 
 
+def test_availability_over_an_empty_history_reads_no_events():
+    clock = FakeClock()
+    engine = SLOEngine(
+        _history(clock), [Objective("avail", "availability", 99.0, 60.0)],
+        clock=clock)
+    assert engine.evaluate(now=clock.now)["avail"] == "ok"
+    (state,) = engine.payload(evaluate=False)["objectives"]
+    assert state["events_in_window"] == 0
+    assert state["state"] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # exemplars
 # ---------------------------------------------------------------------------
